@@ -17,7 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "common/kernels.hh"
 #include "mac/packet_trace.hh"
+#include "sim/campaign.hh"
 #include "sim/network_sim.hh"
 
 using namespace wilis;
@@ -66,6 +68,61 @@ readFile(const std::string &path)
     return out.str();
 }
 
+/** 64-bit FNV-1a of @p s as 16 hex digits. */
+std::string
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/** The committed digest named @p key in data/golden_digests.txt. */
+std::string
+goldenDigest(const std::string &key)
+{
+    std::istringstream in(readFile(std::string(WILIS_SOURCE_DIR) +
+                                   "/data/golden_digests.txt"));
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string name, digest;
+        if (fields >> name >> digest && name == key)
+            return digest;
+    }
+    ADD_FAILURE() << "no golden digest '" << key << "'";
+    return "";
+}
+
+/**
+ * Run @p body once under the default kernel backend and once under
+ * the forced scalar backend, restoring the default afterwards.
+ */
+template <typename F>
+void
+underDefaultAndScalarBackends(F body)
+{
+    struct RestoreBackend {
+        ~RestoreBackend()
+        {
+            kernels::setBackend(kernels::availableBackends().back());
+        }
+    } restore;
+    {
+        SCOPED_TRACE("default backend");
+        body();
+    }
+    ASSERT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
+    SCOPED_TRACE("scalar backend");
+    body();
+}
+
 } // namespace
 
 // ------------------------------------------------- the golden pin
@@ -83,6 +140,38 @@ TEST(PacketTrace, GoldenGrid3x3TraceMatchesByteForByte)
         << mac::PacketTrace::diff(
                mac::PacketTrace::load(goldenPath()),
                *NetworkSim(tracedGrid()).run(200, 2).trace);
+}
+
+// The golden pins below hold outputs that are independent of the
+// engine comparisons further down: a change to either multi-cell
+// code path that moves one event or one accumulator bit shows up as
+// a digest mismatch, whatever the other path does.
+
+TEST(PacketTrace, GoldenUrbanMobileTraceDigest)
+{
+    NetworkSpec spec = networkPreset("urban-mobile");
+    spec.calibrationFile = calibrationPath();
+    spec.trace = true;
+    underDefaultAndScalarBackends([&] {
+        EXPECT_EQ(fnv1a(runTraceText(spec, 400, 2)),
+                  goldenDigest("urban-mobile-trace-400"));
+    });
+}
+
+TEST(PacketTrace, GoldenDenseUrban10kReportDigest)
+{
+    RunRequest req;
+    req.spec = networkPreset("dense-urban-10k");
+    req.spec.calibrationFile = calibrationPath();
+    req.slots = 16;
+    req.threads = 2;
+    underDefaultAndScalarBackends([&] {
+        RunReport rep = runCampaignShard(req);
+        // The config string names the checkout's calibration path.
+        rep.config.clear();
+        EXPECT_EQ(fnv1a(rep.toJsonText()),
+                  goldenDigest("dense-urban-10k-report-16"));
+    });
 }
 
 // ------------------------------ thread / engine independence (bar)
