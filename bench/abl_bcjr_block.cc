@@ -35,14 +35,14 @@ main()
     };
     std::vector<Row> rows;
     for (int n : {8, 16, 32, 64, 128}) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = "bcjr";
         cfg.rx.decoderCfg =
             li::Config::fromString(strprintf("block_len=%d", n));
         cfg.channelCfg = li::Config::fromString("snr_db=3,seed=88");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704), packets, 0);
+        cfg.payloadBits = 1704;
+        ErrorStats s = sim::measureBer(cfg, packets, 0);
         rows.push_back({n, s.ber()});
         if (n == 64)
             ber64 = s.ber();

@@ -51,7 +51,7 @@ GoodputResult
 runFixed(phy::RateIndex rate, std::uint64_t packets,
          const li::Config &chan_cfg)
 {
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = rate;
     cfg.rx.decoder = "viterbi";
     cfg.channel = "rayleigh";
@@ -94,7 +94,7 @@ runSoftRate(std::uint64_t packets, const li::Config &chan_cfg,
     std::array<std::unique_ptr<sim::Testbench>, phy::kNumRates>
         benches;
     for (int r = 0; r < phy::kNumRates; ++r) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = r;
         cfg.rx.decoder = "bcjr";
         cfg.channel = "rayleigh";
@@ -146,7 +146,7 @@ GoodputResult
 runPpr(phy::RateIndex rate, std::uint64_t packets,
        const li::Config &chan_cfg, const softphy::BerEstimator &est)
 {
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = rate;
     cfg.rx.decoder = "bcjr";
     cfg.channel = "rayleigh";

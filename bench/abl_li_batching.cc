@@ -23,10 +23,10 @@ main()
 {
     banner("LI batching vs lock-step co-simulation (QAM-16 1/2)");
 
-    sim::TestbenchConfig tb;
-    tb.rate = 4;
-    tb.rx.decoder = "viterbi";
-    tb.channelCfg = li::Config::fromString("snr_db=30,seed=3");
+    sim::ScenarioSpec spec;
+    spec.rate = 4;
+    spec.rx.decoder = "viterbi";
+    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
 
     std::uint64_t packets = scaled(8, 2);
 
@@ -43,7 +43,7 @@ main()
             platform::CosimDriver::Params p;
             p.batchSamples = batch;
             p.decoupled = decoupled;
-            platform::CosimDriver driver(tb, p);
+            platform::CosimDriver driver(spec, p);
             auto s = driver.run(1704, packets);
             t.addRow({strprintf("%llu",
                                 static_cast<unsigned long long>(

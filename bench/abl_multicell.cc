@@ -35,6 +35,7 @@
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "sim/network_sim.hh"
+#include "tests/peruser_reference.hh"
 
 using namespace wilis;
 
@@ -43,11 +44,12 @@ namespace {
 /**
  * User-slots (users x slots) per wall-clock second, repeating the
  * deterministic run until the window is long enough to gate
- * regressions on.
+ * regressions on. @p per_user times the per-user reference engine
+ * instead of the SoA engine NetworkSim::run() executes.
  */
 double
-userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots,
-                int threads)
+userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads,
+                bool per_user = false)
 {
     const double user_slots =
         static_cast<double>(sim.spec().numUsers) *
@@ -56,7 +58,10 @@ userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots,
     double secs = 0.0;
     bench::Stopwatch timer;
     do {
-        sim.run(slots, threads);
+        if (per_user)
+            sim::runPerUserReference(sim, slots, threads);
+        else
+            sim.run(slots, threads);
         ++reps;
         secs = timer.seconds();
     } while (secs < 0.25);
@@ -126,37 +131,27 @@ main(int argc, char **argv)
     bench::banner("dense-urban-10k analytic: 100 cells, 10k+ users");
     {
         const std::uint64_t slots = bench::scaled(200, 50);
-        // A/B the two bit-identical engines on the same deployment.
-        // The per-user walk keeps the historical metric comparable;
-        // the SoA engine (the default) is the headline. Both reuse
-        // one NetworkSim across reps, so the SoA number includes
-        // its cross-run cache -- that is the configuration the
-        // sweep layer actually runs.
-        double uslots_peruser = 0.0;
-        double uslots_soa = 0.0;
-        for (const char *engine : {"peruser", "soa"}) {
-            sim::NetworkSpec spec =
-                sim::networkPreset("dense-urban-10k");
-            spec.engine = engine;
-            sim::NetworkSim sim(spec);
-            const double uslots = userSlotsPerSec(sim, slots, 4);
-            sim::NetworkResult res = sim.run(slots, 4);
-            if (std::string(engine) == "peruser") {
-                uslots_peruser = uslots;
-                report.metric("uslots_dense10k_analytic", uslots,
-                              "user-slots/s");
-            } else {
-                uslots_soa = uslots;
-                report.metric("uslots_dense10k_soa", uslots,
-                              "user-slots/s");
-            }
-            std::printf("%-8s %-7d users  %-5d cells  %-14.0f "
-                        "user-slots/sec  %.1f Mb/s goodput  "
-                        "%.1f dB mean SINR\n",
-                        engine, spec.numUsers, res.cells, uslots,
-                        res.aggregateGoodputMbps(),
-                        res.aggregate.sinrDb.mean());
-        }
+        // A/B the SoA engine behind NetworkSim::run() (the
+        // headline) against the bit-identical per-user reference
+        // walk, which keeps the historical metric comparable. Both
+        // reuse one NetworkSim across reps, so the SoA number
+        // includes its cross-run cache -- that is the configuration
+        // the sweep layer actually runs.
+        sim::NetworkSim sim(sim::networkPreset("dense-urban-10k"));
+        const double uslots_peruser =
+            userSlotsPerSec(sim, slots, 4, /*per_user=*/true);
+        const double uslots_soa = userSlotsPerSec(sim, slots, 4);
+        report.metric("uslots_dense10k_analytic", uslots_peruser,
+                      "user-slots/s");
+        report.metric("uslots_dense10k_soa", uslots_soa, "user-slots/s");
+        const sim::NetworkResult res = sim.run(slots, 4);
+        std::printf("%d users  %d cells  %.1f Mb/s goodput  "
+                    "%.1f dB mean SINR\n",
+                    sim.spec().numUsers, res.cells,
+                    res.aggregateGoodputMbps(),
+                    res.aggregate.sinrDb.mean());
+        std::printf("peruser  %-14.0f user-slots/sec\n", uslots_peruser);
+        std::printf("soa      %-14.0f user-slots/sec\n", uslots_soa);
         std::printf("soa speedup over peruser: %.2fx\n",
                     uslots_peruser > 0.0
                         ? uslots_soa / uslots_peruser

@@ -30,13 +30,13 @@ main()
     Table t({"soft width (bits)", "decoded BER", "fitted eq.5 scale",
              "scale x range"});
     for (int w : {3, 4, 5, 6, 8, 10}) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = "bcjr";
         cfg.rx.demapper.softWidth = w;
         cfg.channelCfg = li::Config::fromString("snr_db=3,seed=55");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704), packets, 0);
+        cfg.payloadBits = 1704;
+        ErrorStats s = sim::measureBer(cfg, packets, 0);
 
         // Calibrate at this width: scale shrinks as the hint range
         // grows, keeping scale x range (the true-LLR span) stable.

@@ -26,14 +26,14 @@ main()
     std::uint64_t packets = scaled(300, 60);
     Table t({"l = k", "BER", "latency (cycles)", "modeled LUTs"});
     for (int w : {8, 16, 32, 64, 128}) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = "sova";
         cfg.rx.decoderCfg = li::Config::fromString(
             strprintf("traceback_l=%d,traceback_k=%d", w, w));
         cfg.channelCfg = li::Config::fromString("snr_db=3,seed=88");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704), packets, 0);
+        cfg.payloadBits = 1704;
+        ErrorStats s = sim::measureBer(cfg, packets, 0);
 
         synth::DecoderAreaParams p;
         p.window = w;

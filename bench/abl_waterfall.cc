@@ -29,14 +29,13 @@ main()
         std::vector<std::string> row;
         row.push_back(strprintf("%.0f", snr));
         for (int r = 0; r < phy::kNumRates; ++r) {
-            sim::TestbenchConfig cfg;
+            sim::ScenarioSpec cfg;
             cfg.rate = r;
             cfg.rx.decoder = "bcjr";
             cfg.channelCfg = li::Config::fromString(
                 strprintf("snr_db=%f,seed=77", snr));
-            ErrorStats s = sim::measureBer(
-                sim::ScenarioSpec::fromTestbench(cfg, 1000),
-                packets, 0);
+            cfg.payloadBits = 1000;
+            ErrorStats s = sim::measureBer(cfg, packets, 0);
             row.push_back(s.errors ? strprintf("%.1e", s.ber())
                                    : std::string("-"));
         }
@@ -51,14 +50,13 @@ main()
         row.push_back(strprintf("%.0f", snr));
         for (const char *dec :
              {"viterbi", "sova", "bcjr", "bcjr-logmap"}) {
-            sim::TestbenchConfig cfg;
+            sim::ScenarioSpec cfg;
             cfg.rate = 2;
             cfg.rx.decoder = dec;
             cfg.channelCfg = li::Config::fromString(
                 strprintf("snr_db=%f,seed=78", snr));
-            ErrorStats s = sim::measureBer(
-                sim::ScenarioSpec::fromTestbench(cfg, 1000),
-                packets, 0);
+            cfg.payloadBits = 1000;
+            ErrorStats s = sim::measureBer(cfg, packets, 0);
             row.push_back(s.errors ? strprintf("%.1e", s.ber())
                                    : std::string("-"));
         }

@@ -50,15 +50,14 @@ measureHostSimSpeed(phy::RateIndex rate, std::uint64_t bits,
     if (!kernels::setBackend(backend))
         wilis_fatal("backend %s unsupported on this host",
                     kernels::backendName(backend));
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = rate;
     cfg.rx.decoder = "viterbi";
     cfg.channelCfg = li::Config::fromString("snr_db=10,seed=7");
-    const size_t payload = 1704;
-    std::uint64_t packets = bits / payload + 1;
+    cfg.payloadBits = 1704;
+    std::uint64_t packets = bits / cfg.payloadBits + 1;
     Stopwatch sw;
-    ErrorStats s = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(cfg, payload), packets, 0);
+    ErrorStats s = sim::measureBer(cfg, packets, 0);
     return static_cast<double>(s.bits) / sw.seconds() / 1e6;
 }
 

@@ -66,13 +66,13 @@ main()
 
     const std::uint64_t packets_per_snr = scaled(120, 30);
     for (double snr = 4.5; snr <= 11.01; snr += 0.5) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 4;
         cfg.rx = spec.rx;
         cfg.channelCfg = li::Config::fromString(
             strprintf("snr_db=%f,seed=606", snr));
         sim::sweepFrames(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704),
+            cfg.withPayloadBits(1704),
             packets_per_snr, 0,
             [&](int, const sim::FrameResult &res, std::uint64_t) {
                 double predicted = est.packetBer(

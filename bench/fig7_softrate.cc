@@ -60,7 +60,7 @@ runSoftRate(const char *decoder, std::uint64_t packets,
     spec.threads = 0;
     softphy::BerEstimator est = calibrateRateEstimator(spec);
 
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx = spec.rx;
     base.channel = "rayleigh";
     base.channelCfg = li::Config::fromString(kChannelCfg);
@@ -92,7 +92,7 @@ runSoftRate(const char *decoder, std::uint64_t packets,
 mac::SelectionStats
 runGenie(std::uint64_t packets)
 {
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx.decoder = "viterbi"; // oracle decode only
     base.channel = "rayleigh";
     base.channelCfg = li::Config::fromString(kChannelCfg);

@@ -162,11 +162,14 @@ BM_FullPipeline(benchmark::State &state)
     OfdmReceiver rx(4, rxc);
     channel::AwgnChannel ch(9.0, 1);
     BitVec payload = randomBits(1704, 8);
+    FrameArena arena;
     std::uint64_t p = 0;
     for (auto _ : state) {
-        SampleVec s = tx.modulate(payload);
+        arena.reset();
+        FrameContext ctx(arena);
+        SampleSpan s = tx.modulate(BitView(payload), ctx);
         ch.apply(s, p++);
-        RxResult res = rx.demodulate(s, payload.size());
+        RxFrame res = rx.demodulate(s, payload.size(), nullptr, 0, ctx);
         benchmark::DoNotOptimize(res.payload.data());
     }
     state.SetItemsProcessed(state.iterations() * 1704);

@@ -14,14 +14,13 @@
  *      ./build/network_sim cell-16 200 4
  *      ./build/network_sim grid-3x3 400 4          # from repo root
  *      ./build/network_sim "users=8,snr_db=18,arq=stopwait" 100
- *      ./build/network_sim grid-3x3,engine=peruser 200 2
  *      ./build/network_sim grid-3x3 200 4 --trace trace.txt
  *      ./build/network_sim urban-mobile 2000 4    # mobility + churn
  *
  * --trace FILE records the per-packet event trace (enqueue / grant
  * / tx / ack / drop / expire, plus ho / join / leave session events
  * on mobile runs) and saves it to FILE; the trace is bit-identical
- * for any thread count and either multi-cell engine.
+ * for any thread count.
  */
 
 #include <algorithm>

@@ -39,13 +39,13 @@ main(int argc, char **argv)
     Table t({"decoder", "BER (QPSK 1/2)", "latency (cycles)",
              "modeled LUTs", "soft output"});
     for (const auto &name : decoders) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = name;
         cfg.channelCfg = li::Config::fromString(
             "snr_db=" + std::to_string(snr_db) + ",seed=5");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704), 60, 0);
+        cfg.payloadBits = 1704;
+        ErrorStats s = sim::measureBer(cfg, 60, 0);
 
         auto dec = decode::makeDecoder(name);
         synth::DecoderAreaParams p;
@@ -62,14 +62,14 @@ main(int argc, char **argv)
     // Swap the channel the same way.
     std::printf("\nsame receiver, different channels:\n");
     for (const auto &name : channels) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = "bcjr";
         cfg.channel = name;
         cfg.channelCfg = li::Config::fromString(
             "snr_db=" + std::to_string(snr_db) + ",seed=5");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1704), 60, 0);
+        cfg.payloadBits = 1704;
+        ErrorStats s = sim::measureBer(cfg, 60, 0);
         std::printf("  %-10s BER %.3e\n", name.c_str(), s.ber());
     }
     return 0;

@@ -37,9 +37,12 @@ main(int argc, char **argv)
         b = rng.nextBit();
 
     // 2. Transmit: scramble, encode, puncture, interleave, map,
-    //    IFFT, cyclic prefix.
+    //    IFFT, cyclic prefix. Every stage's buffer, and the
+    //    receiver's below, is carved from one frame arena.
+    FrameArena arena;
+    FrameContext ctx(arena);
     phy::OfdmTransmitter tx(rate);
-    SampleVec samples = tx.modulate(payload);
+    SampleSpan samples = tx.modulate(BitView(payload), ctx);
     std::printf("modulated %zu bits -> %d OFDM symbols (%zu complex "
                 "samples)\n",
                 payload_bits, tx.numSymbols(payload_bits),
@@ -56,8 +59,8 @@ main(int argc, char **argv)
     phy::OfdmReceiver::Config rxc;
     rxc.decoder = "bcjr";
     phy::OfdmReceiver rx(rate, rxc);
-    phy::RxResult res =
-        rx.demodulate(samples, payload_bits, channel.get(), 0);
+    phy::RxFrame res =
+        rx.demodulate(samples, payload_bits, channel.get(), 0, ctx);
 
     // 5. Inspect the results.
     std::uint64_t errors = res.bitErrors(payload);

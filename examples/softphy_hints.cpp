@@ -32,7 +32,7 @@ main()
                  calibrateTable(phy::Modulation::QAM16, spec));
 
     // A noisy operating point: some packets arrive corrupted.
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = 4; // QAM-16 1/2
     cfg.rx = spec.rx;
     cfg.channelCfg = li::Config::fromString("snr_db=7.5,seed=99");

@@ -27,7 +27,7 @@ main()
     spec.threads = 0;
     softphy::BerEstimator est = calibrateRateEstimator(spec);
 
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx = spec.rx;
     base.channel = "rayleigh";
     base.channelCfg = li::Config::fromString(

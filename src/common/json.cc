@@ -422,6 +422,24 @@ class JsonParser
     size_t pos = 0;
 };
 
+namespace {
+
+/**
+ * Fatal unless @p have is @p want: a wrong-typed field in a report
+ * read from disk is bad input, not a broken program invariant.
+ */
+void
+expectKind(JsonValue::Kind have, JsonValue::Kind want)
+{
+    static const char *const kNames[] = {"null",   "bool",  "number",
+                                         "string", "array", "object"};
+    wilis_fatal_if(have != want, "JSON value is a %s, expected a %s",
+                   kNames[static_cast<int>(have)],
+                   kNames[static_cast<int>(want)]);
+}
+
+} // namespace
+
 JsonValue
 JsonValue::parse(const std::string &text)
 {
@@ -442,15 +460,14 @@ JsonValue::parseFile(const std::string &path)
 bool
 JsonValue::asBool() const
 {
-    wilis_assert(kind_ == Kind::Bool, "JSON value is not a bool");
+    expectKind(kind_, Kind::Bool);
     return bool_;
 }
 
 const std::string &
 JsonValue::raw() const
 {
-    wilis_assert(kind_ == Kind::Number,
-                 "JSON value is not a number");
+    expectKind(kind_, Kind::Number);
     return scalar;
 }
 
@@ -489,23 +506,21 @@ JsonValue::asU64() const
 const std::string &
 JsonValue::asString() const
 {
-    wilis_assert(kind_ == Kind::String,
-                 "JSON value is not a string");
+    expectKind(kind_, Kind::String);
     return scalar;
 }
 
 const std::vector<JsonValue> &
 JsonValue::items() const
 {
-    wilis_assert(kind_ == Kind::Array, "JSON value is not an array");
+    expectKind(kind_, Kind::Array);
     return items_;
 }
 
 const std::vector<std::pair<std::string, JsonValue>> &
 JsonValue::members() const
 {
-    wilis_assert(kind_ == Kind::Object,
-                 "JSON value is not an object");
+    expectKind(kind_, Kind::Object);
     return members_;
 }
 

@@ -40,6 +40,13 @@ void informImpl(const std::string &msg);
     ::wilis::detail::fatalImpl(__FILE__, __LINE__, \
                                ::wilis::strprintf(__VA_ARGS__))
 
+/** fatal() if the given condition holds (bad config or input file). */
+#define wilis_fatal_if(cond, ...) \
+    do { \
+        if (cond) \
+            wilis_fatal(__VA_ARGS__); \
+    } while (0)
+
 /** Non-fatal: functionality may be degraded; user should look here. */
 #define wilis_warn(...) \
     ::wilis::detail::warnImpl(::wilis::strprintf(__VA_ARGS__))

@@ -3,14 +3,11 @@
 namespace wilis {
 namespace mac {
 
-RateOracle::RateOracle(const sim::TestbenchConfig &base)
+RateOracle::RateOracle(const sim::ScenarioSpec &base)
 {
-    for (int r = 0; r < phy::kNumRates; ++r) {
-        sim::TestbenchConfig cfg = base;
-        cfg.rate = r;
+    for (int r = 0; r < phy::kNumRates; ++r)
         benches[static_cast<size_t>(r)] =
-            std::make_unique<sim::Testbench>(cfg);
-    }
+            std::make_unique<sim::Testbench>(base.withRate(r));
 }
 
 int

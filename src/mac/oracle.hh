@@ -27,11 +27,11 @@ class RateOracle
 {
   public:
     /**
-     * @param base Configuration whose rate field is overridden per
+     * @param base Scenario whose rate field is overridden per
      *             candidate; channel and seeds are shared so replay
      *             sees identical impairments.
      */
-    explicit RateOracle(const sim::TestbenchConfig &base);
+    explicit RateOracle(const sim::ScenarioSpec &base);
 
     /**
      * Highest rate index at which @p packet_index is received with

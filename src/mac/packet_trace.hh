@@ -14,11 +14,12 @@
  *
  * That makes the finalized trace a pure function of the NetworkSpec:
  * independent of the worker-thread count, of the cell sharding, and
- * of which engine (peruser or soa) produced it -- so a saved trace
- * is byte-diffable against any later run of the same spec, which is
+ * of whether the SoA engine or the per-user reference engine the
+ * tests compare it with produced it -- so a saved trace is
+ * byte-diffable against any later run of the same spec, which is
  * the differential-testing workhorse pinning every MAC, scheduler
  * and engine change (tests/test_packet_trace.cc and the committed
- * golden trace under data/).
+ * goldens under data/).
  *
  * The text format is versioned and all-integer (the class and event
  * columns are fixed-name strings), so a committed fixture is stable

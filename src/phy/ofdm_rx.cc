@@ -57,18 +57,6 @@ OfdmReceiver::OfdmReceiver(RateIndex rate_idx, const Config &cfg_)
       dec(decode::makeDecoder(cfg_.decoder, cfg_.decoderCfg))
 {}
 
-RxResult
-OfdmReceiver::demodulate(const SampleVec &samples, size_t payload_bits,
-                         const channel::Channel *csi,
-                         std::uint64_t packet_index)
-{
-    legacy_arena.reset();
-    FrameContext ctx(legacy_arena);
-    return demodulate(SampleView(samples), payload_bits, csi,
-                      packet_index, ctx)
-        .toResult();
-}
-
 RxFrame
 OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
                          const channel::Channel *csi,

@@ -103,23 +103,17 @@ class OfdmReceiver
     const decode::SoftDecoder &decoder() const { return *dec; }
 
     /**
-     * Demodulate a packet.
+     * Demodulate a packet. All intermediate stages and the returned
+     * payload/soft views live in @p ctx's arena; a warmed-up arena
+     * makes this path allocation-free end to end (the decoder keeps
+     * its scratch in members). RxFrame::toResult() deep-copies.
      * @param samples      Received time-domain samples.
      * @param payload_bits Expected payload length in bits (from the
      *                     PLCP header in a real system).
      * @param csi          Channel providing per-symbol gains for
      *                     equalization; nullptr = unity gain.
      * @param packet_index Packet index for CSI lookup.
-     */
-    RxResult demodulate(const SampleVec &samples, size_t payload_bits,
-                        const channel::Channel *csi = nullptr,
-                        std::uint64_t packet_index = 0);
-
-    /**
-     * Zero-copy form: all intermediate stages and the returned
-     * payload/soft views live in @p ctx's arena. A warmed-up arena
-     * makes this path allocation-free end to end (the decoder keeps
-     * its scratch in members).
+     * @param ctx          Frame context whose arena backs the output.
      */
     RxFrame demodulate(SampleView samples, size_t payload_bits,
                        const channel::Channel *csi,
@@ -133,8 +127,6 @@ class OfdmReceiver
     Demapper demapper;
     Fft fft;
     std::unique_ptr<decode::SoftDecoder> dec;
-    /** Backs the legacy vector-returning demodulate(). */
-    FrameArena legacy_arena;
 };
 
 } // namespace phy

@@ -37,15 +37,6 @@ OfdmTransmitter::numSamples(size_t payload_bits) const
            OfdmGeometry::kSymbolLen;
 }
 
-SampleVec
-OfdmTransmitter::modulate(const BitVec &payload, Debug *dbg)
-{
-    legacy_arena.reset();
-    FrameContext ctx(legacy_arena);
-    SampleSpan s = modulate(BitView(payload), ctx, dbg);
-    return SampleVec(s.begin(), s.end());
-}
-
 SampleSpan
 OfdmTransmitter::modulate(BitView payload, FrameContext &ctx,
                           Debug *dbg)

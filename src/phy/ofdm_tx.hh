@@ -62,17 +62,13 @@ class OfdmTransmitter
     size_t numSamples(size_t payload_bits) const;
 
     /**
-     * Modulate a payload into time-domain samples.
+     * Modulate a payload into time-domain samples. Every
+     * intermediate stage and the returned sample buffer live in
+     * @p ctx's arena: the view is valid until the arena is reset,
+     * and a warmed-up arena makes this path allocation-free.
      * @param payload Data bits.
+     * @param ctx     Frame context whose arena backs the output.
      * @param dbg     Optional tap of the intermediate stages.
-     */
-    SampleVec modulate(const BitVec &payload, Debug *dbg = nullptr);
-
-    /**
-     * Zero-copy form: every intermediate stage and the returned
-     * sample buffer live in @p ctx's arena. The view is valid until
-     * the arena is reset; a warmed-up arena makes this path
-     * allocation-free.
      */
     SampleSpan modulate(BitView payload, FrameContext &ctx,
                         Debug *dbg = nullptr);
@@ -84,8 +80,6 @@ class OfdmTransmitter
     Mapper mapper;
     Puncturer puncturer;
     Fft fft;
-    /** Backs the legacy vector-returning modulate(). */
-    FrameArena legacy_arena;
 };
 
 } // namespace phy

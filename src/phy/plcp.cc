@@ -213,7 +213,9 @@ PlcpTransmitter::buildFrame(RateIndex rate, const BitVec &payload)
     frame.insert(frame.end(), sig.begin(), sig.end());
 
     OfdmTransmitter tx(rate, seed);
-    SampleVec data = tx.modulate(payload);
+    FrameArena arena;
+    FrameContext ctx(arena);
+    SampleSpan data = tx.modulate(BitView(payload), ctx);
     frame.insert(frame.end(), data.begin(), data.end());
     return frame;
 }
@@ -279,13 +281,14 @@ PlcpReceiver::receiveFrame(const SampleVec &frame)
     if (!rx) {
         rx = std::make_unique<OfdmReceiver>(res.header.rate, cfg);
     }
-    SampleVec data(frame.begin() + static_cast<long>(header_end),
-                   frame.begin() +
-                       static_cast<long>(header_end + need));
     StaticCsi csi(h);
-    RxResult rr = rx->demodulate(data, payload_bits, &csi, 0);
-    res.payload = std::move(rr.payload);
-    res.soft = std::move(rr.soft);
+    FrameArena arena;
+    FrameContext ctx(arena);
+    const SampleView data = SampleView(frame).subspan(header_end, need);
+    const RxFrame rx_frame =
+        rx->demodulate(data, payload_bits, &csi, 0, ctx);
+    res.payload.assign(rx_frame.payload.begin(), rx_frame.payload.end());
+    res.soft.assign(rx_frame.soft.begin(), rx_frame.soft.end());
     return res;
 }
 

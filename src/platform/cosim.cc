@@ -38,9 +38,9 @@ CosimModel::linkUtilizationMBps() const
            static_cast<double>(bytesPerSample);
 }
 
-CosimDriver::CosimDriver(const sim::TestbenchConfig &tb_cfg,
+CosimDriver::CosimDriver(const sim::ScenarioSpec &spec,
                          const Params &p)
-    : tb(tb_cfg), params(p)
+    : tb(spec), params(p)
 {
     wilis_assert(params.batchSamples >= 1, "batch must be >= 1");
 }
@@ -60,10 +60,11 @@ CosimDriver::run(size_t payload_bits, std::uint64_t num_packets)
     double lockstep_wall = 0.0;
 
     for (std::uint64_t p = 0; p < num_packets; ++p) {
-        // Hardware partition: modulate (TX pipeline on the FPGA).
-        BitVec payload = tb.makePayload(payload_bits, p);
-        SampleVec samples = tb.tx().modulate(payload);
-        const std::uint64_t n = samples.size();
+        // Modulate (TX pipeline on the FPGA), apply the software
+        // channel, demodulate (RX pipeline on the FPGA); the
+        // accounting below charges each stage to its partition.
+        tb.runFrame(payload_bits, p);
+        const std::uint64_t n = tb.tx().numSamples(payload_bits);
         stats.samples += n;
         stats.payloadBits += payload_bits;
         stats.hwUs += 2.0 * static_cast<double>(n) *
@@ -92,12 +93,6 @@ CosimDriver::run(size_t payload_bits, std::uint64_t num_packets)
                                      fpga_us_per_sample;
             }
         }
-        tb.channel().apply(samples, p);
-
-        // Hardware partition: demodulate (RX pipeline on the FPGA).
-        phy::RxResult res = tb.rx().demodulate(
-            samples, payload_bits, &tb.channel(), p);
-        (void)res;
     }
 
     stats.linkUs = to_sw.busyUs() + to_hw.busyUs();

@@ -111,7 +111,8 @@ class CosimDriver
         double swChannelMsps = 6.9;
     };
 
-    CosimDriver(const sim::TestbenchConfig &tb_cfg, const Params &p);
+    /** Drive the transceiver @p spec describes under @p p. */
+    CosimDriver(const sim::ScenarioSpec &spec, const Params &p);
 
     /**
      * Run @p num_packets packets of @p payload_bits end to end,

@@ -294,21 +294,21 @@ RunReport::fromJsonText(const std::string &text,
 {
     const json::JsonValue v = json::JsonValue::parse(text);
     const std::string schema = v.at("schema").asString();
-    wilis_assert(schema == kSchema,
-                 "%s: schema '%s' is not a campaign report",
-                 what.c_str(), schema.c_str());
+    wilis_fatal_if(schema != kSchema,
+                   "%s: schema '%s' is not a campaign report",
+                   what.c_str(), schema.c_str());
     const std::int64_t version = v.at("version").asInt();
-    wilis_assert(version == kVersion,
-                 "%s: campaign report version %lld (this build "
-                 "reads %d)",
-                 what.c_str(), static_cast<long long>(version),
-                 kVersion);
+    wilis_fatal_if(version != kVersion,
+                   "%s: campaign report version %lld (this build "
+                   "reads %d)",
+                   what.c_str(), static_cast<long long>(version),
+                   kVersion);
 
     RunReport rep;
     rep.kind = v.at("kind").asString();
-    wilis_assert(rep.kind == "network" || rep.kind == "grid",
-                 "%s: unknown campaign kind '%s'", what.c_str(),
-                 rep.kind.c_str());
+    wilis_fatal_if(rep.kind != "network" && rep.kind != "grid",
+                   "%s: unknown campaign kind '%s'", what.c_str(),
+                   rep.kind.c_str());
     rep.config = v.at("config").asString();
     if (rep.kind == "network")
         rep.slots = v.at("slots").asU64();

@@ -741,21 +741,5 @@ runMulticellPerUser(
     return res;
 }
 
-NetworkResult
-runMulticellNetwork(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache)
-{
-    if (spec.engine == "peruser")
-        return runMulticellPerUser(spec, topo, estimator,
-                                   std::move(calib), slots, threads);
-    // "soa" and its "auto" alias.
-    return runMulticellSoa(spec, topo, estimator, std::move(calib),
-                           slots, threads, cache);
-}
-
 } // namespace sim
 } // namespace wilis

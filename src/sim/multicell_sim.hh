@@ -22,18 +22,18 @@
  *       (calibrated analytic draw, or the bit-exact PHY at the
  *       conditioned SINR), and feed ARQ/SoftRate.
  *
- * Two engines implement this model and produce bit-identical
- * NetworkResults for any spec, thread count and kernel backend
- * (NetworkSpec::engine selects; "auto" resolves to "soa"):
+ * Two implementations of this model produce bit-identical
+ * NetworkResults for any spec, thread count and kernel backend:
  *
- *  - runMulticellPerUser() -- the original per-user object walk,
- *    kept as the readable bit-exact reference.
  *  - runMulticellSoa()     -- the structure-of-arrays engine
- *    (multicell_soa.cc): per-cell contiguous state blocks, with the
- *    phase-2 SINR accumulation, counter-RNG fades and calibrated
- *    PER draws batched through the runtime-dispatched kernels in
- *    common/kernels.hh (docs/ARCHITECTURE.md, "Structure-of-arrays
- *    analytic engine").
+ *    (multicell_soa.cc) that NetworkSim::run() executes: per-cell
+ *    contiguous state blocks, with the phase-2 SINR accumulation,
+ *    counter-RNG fades and calibrated PER draws batched through the
+ *    runtime-dispatched kernels in common/kernels.hh
+ *    (docs/ARCHITECTURE.md, "Structure-of-arrays analytic engine").
+ *  - runMulticellPerUser() -- the original per-user object walk,
+ *    kept only as the readable bit-exact reference the equivalence
+ *    tests compare the SoA engine against (no spec key selects it).
  *
  * All mutable state is owned by exactly one cell (its users'
  * queues, ARQ windows, schedulers, statistics) or one worker (PHY
@@ -42,7 +42,8 @@
  * activity set each cell observes independent of sharding -- so a
  * deployment of any size is bit-identical at any thread count.
  *
- * Internal to sim::NetworkSim; call NetworkSim::run() instead.
+ * Internal to sim::NetworkSim (and, for the reference engine, the
+ * equivalence tests); call NetworkSim::run() instead.
  */
 
 #ifndef WILIS_SIM_MULTICELL_SIM_HH
@@ -71,29 +72,24 @@ namespace sim {
 struct McSoaCache;
 
 /**
- * Run @p slots frame slots of the multi-cell deployment @p topo
- * described by @p spec, dispatching on spec.engine. @p calib backs
- * the analytic fidelity rung (must be valid unless the mode is
- * "full"); @p estimator feeds SoftRate on the full-PHY rung.
- * @p cache, when non-null, lets the SoA engine reuse immutable
- * derived state across runs (pass the same slot for the same
- * spec/topo/calib only).
+ * The per-user reference engine (see file comment): same contract
+ * as runMulticellSoa(), without the derived-state cache.
  */
-NetworkResult runMulticellNetwork(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache = nullptr);
-
-/** The per-user reference engine (see file comment). */
 NetworkResult runMulticellPerUser(
     const NetworkSpec &spec, const Topology &topo,
     const softphy::BerEstimator &estimator,
     std::shared_ptr<const softphy::CalibrationTable> calib,
     std::uint64_t slots, int threads);
 
-/** The SIMD-batched structure-of-arrays engine (see file comment). */
+/**
+ * Run @p slots frame slots of the multi-cell deployment @p topo
+ * described by @p spec on the SIMD-batched structure-of-arrays
+ * engine (see file comment). @p calib backs the analytic fidelity
+ * rung (must be valid unless the mode is "full"); @p estimator
+ * feeds SoftRate on the full-PHY rung. @p cache, when non-null,
+ * lets the engine reuse immutable derived state across runs (pass
+ * the same slot for the same spec/topo/calib only).
+ */
 NetworkResult runMulticellSoa(
     const NetworkSpec &spec, const Topology &topo,
     const softphy::BerEstimator &estimator,

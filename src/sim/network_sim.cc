@@ -330,8 +330,8 @@ NetworkResult
 NetworkSim::run(std::uint64_t slots, int threads)
 {
     if (spec_.multicell())
-        return runMulticellNetwork(spec_, *topo, estimator, calib,
-                                   slots, threads, &soaCache);
+        return runMulticellSoa(spec_, *topo, estimator, calib, slots,
+                               threads, &soaCache);
 
     NetworkResult res;
     res.spec = spec_;

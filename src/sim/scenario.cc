@@ -90,9 +90,9 @@ const char *const kNetworkKeys[] = {
     "traffic",        "traffic_load",
     "on_slots",       "off_slots",
     "queue_limit",    "scheduler",
-    "pf_horizon",     "engine",
-    "qdisc",          "control_rate",
-    "contention",     "trace",
+    "pf_horizon",     "qdisc",
+    "control_rate",   "contention",
+    "trace",
     // multi-cell: mobility + churn
     "mobility",       "speed_mps",
     "handover_hyst_db", "handover_ttt_slots",
@@ -205,34 +205,6 @@ ScenarioSpec::label() const
 {
     return strprintf("r%d/%s/snr%g/p%zu", rate, channel.c_str(),
                      snrDb(), payloadBits);
-}
-
-TestbenchConfig
-ScenarioSpec::testbench() const
-{
-    TestbenchConfig cfg;
-    cfg.rate = rate;
-    cfg.rx = rx;
-    cfg.channel = channel;
-    cfg.channelCfg = channelCfg;
-    cfg.payloadSeed = payloadSeed;
-    cfg.kernel = kernel;
-    return cfg;
-}
-
-ScenarioSpec
-ScenarioSpec::fromTestbench(const TestbenchConfig &cfg,
-                            size_t payload_bits)
-{
-    ScenarioSpec s;
-    s.rate = cfg.rate;
-    s.rx = cfg.rx;
-    s.channel = cfg.channel;
-    s.channelCfg = cfg.channelCfg;
-    s.payloadSeed = cfg.payloadSeed;
-    s.payloadBits = payload_bits;
-    s.kernel = cfg.kernel;
-    return s;
 }
 
 void
@@ -584,13 +556,6 @@ NetworkSpec::applyConfig(const li::Config &cfg)
 
     trace = cfg.getBool("trace", trace);
 
-    engine = cfg.getString("engine", engine);
-    wilis_assert(engine == "auto" || engine == "soa" ||
-                     engine == "peruser",
-                 "unknown multi-cell engine '%s' "
-                 "(auto|soa|peruser)",
-                 engine.c_str());
-
     // Pass-throughs to the link template: explicit "link.<k>" keys
     // plus the common shorthands.
     li::Config link_cfg;
@@ -631,8 +596,8 @@ NetworkSpec::applyConfig(const li::Config &cfg)
               "ref_snr_db", "ref_distance_m", "pathloss_exp",
               "shadow_sigma_db", "traffic", "traffic_load",
               "on_slots", "off_slots", "queue_limit", "scheduler",
-              "pf_horizon", "engine", "qdisc", "control_rate",
-              "contention", "mobility", "speed_mps",
+              "pf_horizon", "qdisc", "control_rate", "contention",
+              "mobility", "speed_mps",
               "handover_hyst_db", "handover_ttt_slots",
               "churn_rate", "checkpoint_file", "checkpoint_every",
               "checkpoint_resume"}) {
@@ -722,7 +687,6 @@ NetworkSpec::toConfig() const
                 mac::schedulerKindName(scheduler.kind));
         cfg.set("pf_horizon",
                 strprintf("%g", scheduler.pfHorizonSlots));
-        cfg.set("engine", engine);
         cfg.set("qdisc", mac::qdiscKindName(traffic.qdisc));
         cfg.set("control_rate",
                 strprintf("%g", traffic.controlRate));
@@ -767,8 +731,7 @@ NetworkSpec::fingerprint() const
     const li::Config cfg = toConfig();
     for (const auto &kv : cfg.entries()) {
         const std::string &key = kv.first;
-        if (key == "engine" || key == "reps" ||
-            key.rfind("checkpoint_", 0) == 0)
+        if (key == "reps" || key.rfind("checkpoint_", 0) == 0)
             continue;
         if (!out.empty())
             out += ',';

@@ -41,8 +41,6 @@
 namespace wilis {
 namespace sim {
 
-struct TestbenchConfig;
-
 /** Clock frequencies of the three LI partitions (section 3). */
 struct ScenarioClocks {
     /** Baseband pipeline clock in MHz (section 3: 35). */
@@ -105,13 +103,6 @@ struct ScenarioSpec {
 
     /** Compact cell label, e.g. "r4/awgn/snr10/p1000". */
     std::string label() const;
-
-    /** Legacy testbench configuration equivalent to this spec. */
-    TestbenchConfig testbench() const;
-
-    /** Lift a legacy testbench configuration into a spec. */
-    static ScenarioSpec fromTestbench(const TestbenchConfig &cfg,
-                                      size_t payload_bits);
 
     /**
      * Overlay the keys present in @p cfg onto this spec (absent
@@ -313,16 +304,6 @@ struct NetworkSpec {
      */
     CheckpointSpec checkpoint;
 
-    /**
-     * Multi-cell execution engine: "soa" runs the batched
-     * structure-of-arrays slot loop (the default resolution of
-     * "auto"), "peruser" the original per-user object walk kept as
-     * the bit-exact reference. Both produce identical NetworkResults
-     * for any spec, thread count and kernel backend; the knob exists
-     * for equivalence tests and A/B benchmarking.
-     */
-    std::string engine = "auto";
-
     /** True if this spec engages the multi-cell engine. */
     bool multicell() const { return topology.multicell(); }
 
@@ -359,9 +340,7 @@ struct NetworkSpec {
     /**
      * Canonical description of everything that shapes the run's
      * slot-by-slot dynamics, used to match a snapshot to the spec
-     * resuming it (common/snapshot.hh). Excludes the engine choice
-     * (both engines are bit-identical by contract, so a snapshot
-     * written under one resumes under the other), the checkpoint
+     * resuming it (common/snapshot.hh). Excludes the checkpoint
      * policy itself (a resume run may change where or how often it
      * saves) and the campaign rep count.
      */

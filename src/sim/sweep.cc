@@ -70,17 +70,5 @@ measureBer(const ScenarioSpec &spec, std::uint64_t num_packets,
     return total;
 }
 
-// Defining the deprecated shim must not trip -Werror builds.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-ErrorStats
-measureBer(const TestbenchConfig &cfg, size_t payload_bits,
-           std::uint64_t num_packets, int threads)
-{
-    return measureBer(ScenarioSpec::fromTestbench(cfg, payload_bits),
-                      num_packets, threads);
-}
-#pragma GCC diagnostic pop
-
 } // namespace sim
 } // namespace wilis

@@ -54,17 +54,6 @@ void sweepFrames(
 ErrorStats measureBer(const ScenarioSpec &spec,
                       std::uint64_t num_packets, int threads = 0);
 
-/**
- * Legacy form of measureBer() over a TestbenchConfig. Deprecated:
- * lift the config with ScenarioSpec::fromTestbench() and call the
- * spec overload (the copying sweepPackets() sweep is gone entirely
- * -- use sweepFrames()).
- */
-[[deprecated("use measureBer(ScenarioSpec::fromTestbench(cfg, "
-             "payload_bits), ...)")]]
-ErrorStats measureBer(const TestbenchConfig &cfg, size_t payload_bits,
-                      std::uint64_t num_packets, int threads = 0);
-
 } // namespace sim
 } // namespace wilis
 

@@ -1,37 +1,25 @@
 #include "sim/testbench.hh"
 
+#include "common/kernels.hh"
 #include "common/logging.hh"
-#include "sim/scenario.hh"
 
 namespace wilis {
 namespace sim {
 
-Testbench::Testbench(const TestbenchConfig &cfg_) : cfg(cfg_)
+Testbench::Testbench(const ScenarioSpec &spec) : spec_(spec)
 {
-    kernels::applyPolicy(cfg.kernel);
+    kernels::applyPolicy(spec_.kernel);
     tx_ = std::make_unique<phy::OfdmTransmitter>(
-        cfg.rate, cfg.rx.scramblerSeed);
-    rx_ = std::make_unique<phy::OfdmReceiver>(cfg.rate, cfg.rx);
-    chan = channel::makeChannel(cfg.channel, cfg.channelCfg);
-}
-
-Testbench::Testbench(const ScenarioSpec &spec)
-    : Testbench(spec.testbench())
-{}
-
-BitVec
-Testbench::makePayload(size_t bits, std::uint64_t packet_index) const
-{
-    BitVec payload(bits);
-    makePayloadInto(BitSpan(payload), packet_index);
-    return payload;
+        spec_.rate, spec_.rx.scramblerSeed);
+    rx_ = std::make_unique<phy::OfdmReceiver>(spec_.rate, spec_.rx);
+    chan = channel::makeChannel(spec_.channel, spec_.channelCfg);
 }
 
 void
 Testbench::makePayloadInto(BitSpan out,
                            std::uint64_t packet_index) const
 {
-    fillDeterministicBits(out, cfg.payloadSeed, packet_index);
+    fillDeterministicBits(out, spec_.payloadSeed, packet_index);
 }
 
 PacketResult

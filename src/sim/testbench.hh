@@ -13,36 +13,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "channel/channel.hh"
 #include "common/frame_arena.hh"
-#include "common/kernels.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "phy/ofdm_rx.hh"
 #include "phy/ofdm_tx.hh"
+#include "sim/scenario.hh"
 
 namespace wilis {
 namespace sim {
-
-struct ScenarioSpec;
-
-/** Everything needed to instantiate a transceiver + channel. */
-struct TestbenchConfig {
-    /** 802.11a/g rate index (0..7). */
-    phy::RateIndex rate = 4;
-    /** Receiver configuration (decoder slot, demapper widths...). */
-    phy::OfdmReceiver::Config rx;
-    /** Channel registry name ("awgn", "rayleigh"). */
-    std::string channel = "awgn";
-    /** Channel parameters (snr_db, doppler_hz, seed...). */
-    li::Config channelCfg;
-    /** Seed for random payload generation. */
-    std::uint64_t payloadSeed = 0x5EED;
-    /** SIMD kernel backend selection ("auto" = widest supported). */
-    kernels::KernelPolicy kernel;
-};
 
 /** One packet's worth of results. */
 struct PacketResult {
@@ -79,14 +60,14 @@ struct FrameResult {
 class Testbench
 {
   public:
-    /** Build transmitter, channel and receiver from @p cfg. */
-    explicit Testbench(const TestbenchConfig &cfg);
-
-    /** Build from a unified scenario description. */
+    /**
+     * Build transmitter, channel and receiver from @p spec (its
+     * payloadBits is ignored: callers pass the length per packet).
+     */
     explicit Testbench(const ScenarioSpec &spec);
 
-    /** Configuration in use. */
-    const TestbenchConfig &config() const { return cfg; }
+    /** Scenario in use. */
+    const ScenarioSpec &config() const { return spec_; }
 
     /** Transmitter (for frame geometry queries). */
     phy::OfdmTransmitter &tx() { return *tx_; }
@@ -97,10 +78,7 @@ class Testbench
     /** Receiver instance. */
     phy::OfdmReceiver &rx() { return *rx_; }
 
-    /** Deterministic random payload for @p packet_index. */
-    BitVec makePayload(size_t bits, std::uint64_t packet_index) const;
-
-    /** Fill @p out with the same deterministic payload stream. */
+    /** Fill @p out with the deterministic payload of @p packet_index. */
     void makePayloadInto(BitSpan out,
                          std::uint64_t packet_index) const;
 
@@ -144,7 +122,7 @@ class Testbench
     FrameResult runFrameInternal(BitView payload,
                                  std::uint64_t packet_index);
 
-    TestbenchConfig cfg;
+    ScenarioSpec spec_;
     std::unique_ptr<phy::OfdmTransmitter> tx_;
     std::unique_ptr<phy::OfdmReceiver> rx_;
     std::unique_ptr<channel::Channel> chan;

@@ -300,8 +300,9 @@ CalibrationTable::serialize() const
 }
 
 CalibrationTable
-CalibrationTable::parse(const std::string &text)
+CalibrationTable::parse(const std::string &text, const std::string &what)
 {
+    const char *src = what.c_str(); // names the table in every fatal
     CalibrationTable t;
     int num_rates = 0;
     int version = 0;
@@ -309,7 +310,9 @@ CalibrationTable::parse(const std::string &text)
     std::vector<bool> seen;
     std::istringstream in(text);
     std::string line;
+    int line_no = 0;
     while (std::getline(in, line)) {
+        ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
@@ -317,9 +320,10 @@ CalibrationTable::parse(const std::string &text)
         ls >> key;
         if (key == "version") {
             ls >> version;
-            wilis_assert(version == 1,
-                         "unsupported calibration table version %d",
-                         version);
+            wilis_fatal_if(version != 1,
+                           "%s:%d: unsupported calibration table "
+                           "version %d",
+                           src, line_no, version);
         } else if (key == "channel") {
             ls >> t.channel_;
         } else if (key == "decoder") {
@@ -336,24 +340,30 @@ CalibrationTable::parse(const std::string &text)
             ls >> t.snr_lo_;
         } else if (key == "snr_step_db") {
             ls >> t.snr_step_;
-            wilis_assert(t.snr_step_ > 0.0,
-                         "calibration table needs a positive SNR "
-                         "step, got %g",
-                         t.snr_step_);
+            wilis_fatal_if(!(t.snr_step_ > 0.0),
+                           "%s:%d: calibration table needs a positive "
+                           "SNR step, got %g",
+                           src, line_no, t.snr_step_);
         } else if (key == "num_bins") {
             // The cells vector is sized from this value at the
             // first 'cell' line; changing it afterwards would let
             // later bounds checks pass against a stale allocation.
-            wilis_assert(t.cells.empty(),
-                         "calibration table geometry after cells");
+            wilis_fatal_if(!t.cells.empty(),
+                           "%s:%d: calibration table geometry after "
+                           "cells",
+                           src, line_no);
             ls >> t.num_bins_;
         } else if (key == "num_rates") {
-            wilis_assert(t.cells.empty(),
-                         "calibration table geometry after cells");
+            wilis_fatal_if(!t.cells.empty(),
+                           "%s:%d: calibration table geometry after "
+                           "cells",
+                           src, line_no);
             ls >> num_rates;
         } else if (key == "cell") {
-            wilis_assert(t.num_bins_ > 0 && num_rates > 0,
-                         "calibration cell before table geometry");
+            wilis_fatal_if(t.num_bins_ <= 0 || num_rates <= 0,
+                           "%s:%d: calibration cell before table "
+                           "geometry",
+                           src, line_no);
             if (t.cells.empty()) {
                 t.cells.assign(static_cast<size_t>(phy::kNumRates) *
                                    static_cast<size_t>(t.num_bins_),
@@ -365,18 +375,20 @@ CalibrationTable::parse(const std::string &text)
             CalibrationCell c;
             ls >> rate >> bin >> frames >> ok >> c.sumPber >>
                 c.sumLogPberOk >> c.sumLogPberBad;
-            wilis_assert(!ls.fail(),
-                         "malformed calibration cell line '%s'",
-                         line.c_str());
-            wilis_assert(rate >= 0 && rate < phy::kNumRates &&
-                             bin >= 0 && bin < t.num_bins_,
-                         "calibration cell (%d, %d) out of range",
-                         rate, bin);
+            wilis_fatal_if(ls.fail(),
+                           "%s:%d: malformed calibration cell line '%s'",
+                           src, line_no, line.c_str());
+            wilis_fatal_if(rate < 0 || rate >= phy::kNumRates ||
+                               bin < 0 || bin >= t.num_bins_,
+                           "%s:%d: calibration cell (%d, %d) out of "
+                           "range",
+                           src, line_no, rate, bin);
             c.frames = frames;
             c.ok = ok;
-            wilis_assert(c.ok <= c.frames,
-                         "calibration cell (%d, %d): ok > frames",
-                         rate, bin);
+            wilis_fatal_if(c.ok > c.frames,
+                           "%s:%d: calibration cell (%d, %d): ok > "
+                           "frames",
+                           src, line_no, rate, bin);
             // Duplicates must not count toward completeness, or a
             // repeated line could mask a missing (empty, PER ~ 1)
             // cell.
@@ -384,31 +396,33 @@ CalibrationTable::parse(const std::string &text)
                 static_cast<size_t>(rate) *
                     static_cast<size_t>(t.num_bins_) +
                 static_cast<size_t>(bin);
-            wilis_assert(!seen[idx],
-                         "duplicate calibration cell (%d, %d)", rate,
-                         bin);
+            wilis_fatal_if(seen[idx],
+                           "%s:%d: duplicate calibration cell (%d, %d)",
+                           src, line_no, rate, bin);
             seen[idx] = true;
             t.cellAt(rate, bin) = c;
             ++cells_seen;
         } else {
-            wilis_fatal("unknown calibration table key '%s'",
-                        key.c_str());
+            wilis_fatal("%s:%d: unknown calibration table key '%s'",
+                        src, line_no, key.c_str());
         }
     }
-    wilis_assert(version == 1, "missing calibration table version");
-    wilis_assert(t.num_bins_ >= 1 && t.snr_step_ > 0.0,
-                 "calibration table has no usable SNR geometry");
-    wilis_assert(num_rates == phy::kNumRates,
-                 "calibration table covers %d rates, need %d",
-                 num_rates, phy::kNumRates);
-    wilis_assert(cells_seen ==
-                     static_cast<std::uint64_t>(phy::kNumRates) *
-                         static_cast<std::uint64_t>(t.num_bins_),
-                 "calibration table is missing cells (%llu of %llu)",
-                 static_cast<unsigned long long>(cells_seen),
-                 static_cast<unsigned long long>(
-                     static_cast<std::uint64_t>(phy::kNumRates) *
-                     static_cast<std::uint64_t>(t.num_bins_)));
+    wilis_fatal_if(version != 1, "%s: missing calibration table version",
+                   src);
+    wilis_fatal_if(t.num_bins_ < 1 || !(t.snr_step_ > 0.0),
+                   "%s: calibration table has no usable SNR geometry",
+                   src);
+    wilis_fatal_if(num_rates != phy::kNumRates,
+                   "%s: calibration table covers %d rates, need %d",
+                   src, num_rates, phy::kNumRates);
+    const std::uint64_t cells_total =
+        static_cast<std::uint64_t>(phy::kNumRates) *
+        static_cast<std::uint64_t>(t.num_bins_);
+    wilis_fatal_if(cells_seen != cells_total,
+                   "%s: calibration table is missing cells (%llu of "
+                   "%llu)",
+                   src, static_cast<unsigned long long>(cells_seen),
+                   static_cast<unsigned long long>(cells_total));
     return t;
 }
 
@@ -416,23 +430,23 @@ void
 CalibrationTable::save(const std::string &path) const
 {
     std::ofstream out(path);
-    wilis_assert(out.good(), "cannot write calibration table to %s",
-                 path.c_str());
+    wilis_fatal_if(!out.good(), "cannot write calibration table to %s",
+                   path.c_str());
     out << serialize();
     out.close();
-    wilis_assert(out.good(), "short write saving calibration table %s",
-                 path.c_str());
+    wilis_fatal_if(!out.good(), "short write saving calibration table %s",
+                   path.c_str());
 }
 
 CalibrationTable
 CalibrationTable::load(const std::string &path)
 {
     std::ifstream in(path);
-    wilis_assert(in.good(), "cannot read calibration table %s",
-                 path.c_str());
+    wilis_fatal_if(!in.good(), "cannot read calibration table %s",
+                   path.c_str());
     std::ostringstream buf;
     buf << in.rdbuf();
-    return parse(buf.str());
+    return parse(buf.str(), path);
 }
 
 } // namespace softphy

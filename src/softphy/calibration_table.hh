@@ -204,13 +204,20 @@ class CalibrationTable
     /** Serialize to the versioned text format (round-trips). */
     std::string serialize() const;
 
-    /** Parse a serialized table; fatal on malformed input. */
-    static CalibrationTable parse(const std::string &text);
+    /**
+     * Parse a serialized table; fatal on malformed input, naming
+     * @p what (the source, e.g. a file path) and the offending line.
+     */
+    static CalibrationTable parse(const std::string &text,
+                                  const std::string &what);
 
     /** Write serialize() to @p path; fatal on I/O failure. */
     void save(const std::string &path) const;
 
-    /** Load and parse @p path; fatal on I/O or format errors. */
+    /**
+     * Load and parse @p path; fatal (exit code 1, not an abort) on
+     * I/O or format errors.
+     */
     static CalibrationTable load(const std::string &path);
 
   private:

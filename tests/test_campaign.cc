@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,28 @@ TEST(CampaignDeath, MergeRejectsMalformedShardSets)
     // Merging a merged report is a programming error.
     const RunReport merged = mergeReports({a, b});
     EXPECT_DEATH(mergeReports({merged}), "already-merged");
+}
+
+TEST(CampaignDeath, WrongTypedReportFieldExitsCleanly)
+{
+    // A report read from disk is outside input: a string where a
+    // counter belongs is a clean exit(1) naming both kinds, not an
+    // abort.
+    RunReport rep;
+    rep.kind = "network";
+    rep.slots = 40;
+    rep.unitsTotal = 1;
+    std::string text = rep.toJsonText();
+    const std::string counter = "\"slots\": 40";
+    const size_t at = text.find(counter);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, counter.size(), "\"slots\": \"40\"");
+    const std::string path =
+        ::testing::TempDir() + "wilis_wrong_typed_report.json";
+    std::ofstream(path) << text;
+    EXPECT_EXIT(RunReport::load(path), testing::ExitedWithCode(1),
+                "JSON value is a string, expected a number");
+    std::remove(path.c_str());
 }
 
 TEST(CampaignDeath, ShardRunRejectsInvalidRequests)

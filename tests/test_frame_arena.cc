@@ -211,7 +211,7 @@ TEST(ZeroCopyPipeline, FrameMatchesLegacyPacketPath)
     spec.rate = 5;
     spec.channelCfg = li::Config::fromString("snr_db=7,seed=11");
     sim::Testbench arena_tb(spec);
-    sim::Testbench legacy_tb(spec.testbench());
+    sim::Testbench legacy_tb(spec);
 
     for (std::uint64_t p = 0; p < 5; ++p) {
         sim::FrameResult fr = arena_tb.runFrame(900, p);

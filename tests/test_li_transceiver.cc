@@ -50,11 +50,11 @@ TEST_P(LiTransceiverMatrix, BitExactAgainstKernelPath)
     li::Config chan_cfg = li::Config::fromString("snr_db=8,seed=77");
 
     // Batch kernel path.
-    TestbenchConfig tb_cfg;
-    tb_cfg.rate = rate;
-    tb_cfg.rx = rxc;
-    tb_cfg.channelCfg = chan_cfg;
-    Testbench tb(tb_cfg);
+    ScenarioSpec spec;
+    spec.rate = rate;
+    spec.rx = rxc;
+    spec.channelCfg = chan_cfg;
+    Testbench tb(spec);
 
     // Streaming LI path.
     LiTransceiver li_tx(rate, rxc, "awgn", chan_cfg);
@@ -83,12 +83,12 @@ TEST(LiTransceiver, BitExactOverFadingChannel)
     li::Config chan_cfg = li::Config::fromString(
         "snr_db=12,doppler_hz=20,seed=5");
 
-    TestbenchConfig tb_cfg;
-    tb_cfg.rate = 2;
-    tb_cfg.rx = rxc;
-    tb_cfg.channel = "rayleigh";
-    tb_cfg.channelCfg = chan_cfg;
-    Testbench tb(tb_cfg);
+    ScenarioSpec spec;
+    spec.rate = 2;
+    spec.rx = rxc;
+    spec.channel = "rayleigh";
+    spec.channelCfg = chan_cfg;
+    Testbench tb(spec);
 
     LiTransceiver li_tx(2, rxc, "rayleigh", chan_cfg);
 

@@ -20,8 +20,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -161,7 +165,7 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
     std::shared_ptr<const softphy::CalibrationTable> t =
         sharedTable();
     softphy::CalibrationTable u =
-        softphy::CalibrationTable::parse(t->serialize());
+        softphy::CalibrationTable::parse(t->serialize(), "serialized");
 
     EXPECT_EQ(u.channelKind(), t->channelKind());
     EXPECT_EQ(u.decoder(), t->decoder());
@@ -184,6 +188,35 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
             EXPECT_EQ(a.sumLogPberBad, c.sumLogPberBad);
         }
     }
+}
+
+// A bad table file is a clean exit(1) naming the file, not an abort.
+
+TEST(CalibrationTableDeath, MissingFileExitsNamingThePath)
+{
+    EXPECT_EXIT(softphy::CalibrationTable::load("/nonexistent/table.txt"),
+                testing::ExitedWithCode(1),
+                "cannot read calibration table /nonexistent/table.txt");
+}
+
+TEST(CalibrationTableDeath, DuplicateCellExitsNamingTheLine)
+{
+    // The committed table with its first cell line (line 13) repeated.
+    std::ifstream in(std::string(WILIS_SOURCE_DIR) +
+                     "/data/network_calibration.txt");
+    std::ostringstream committed;
+    committed << in.rdbuf();
+    std::string text = committed.str();
+    const size_t first = text.find("\ncell ") + 1;
+    const size_t next = text.find('\n', first) + 1;
+    text.insert(next, text.substr(first, next - first));
+    const std::string path = testing::TempDir() + "/wilis_dup_cell.txt";
+    std::ofstream(path) << text;
+    EXPECT_EXIT(softphy::CalibrationTable::load(path),
+                testing::ExitedWithCode(1),
+                "wilis_dup_cell.txt:14: duplicate calibration cell "
+                "\\(0, 0\\)");
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------- batched draw sibling

@@ -36,6 +36,7 @@ TEST_P(LoopbackAllRates, NoiselessLoopbackIsExact)
     OfdmReceiver::Config rxc;
     rxc.decoder = decoder;
     OfdmReceiver rx(rate, rxc);
+    FrameArena arena;
 
     for (size_t payload : {100u, 1704u}) {
         SplitMix64 rng(static_cast<std::uint64_t>(rate) * 131 +
@@ -43,9 +44,11 @@ TEST_P(LoopbackAllRates, NoiselessLoopbackIsExact)
         BitVec data(payload);
         for (auto &b : data)
             b = rng.nextBit();
-        SampleVec samples = tx.modulate(data);
+        arena.reset();
+        FrameContext ctx(arena);
+        SampleSpan samples = tx.modulate(BitView(data), ctx);
         EXPECT_EQ(samples.size(), tx.numSamples(payload));
-        RxResult res = rx.demodulate(samples, payload);
+        RxFrame res = rx.demodulate(samples, payload, nullptr, 0, ctx);
         EXPECT_EQ(res.bitErrors(data), 0u)
             << rateTable(rate).name() << " " << decoder << " payload "
             << payload;
@@ -70,21 +73,24 @@ TEST(Loopback, OddPayloadSizes)
 {
     OfdmTransmitter tx(2);
     OfdmReceiver rx(2);
+    FrameArena arena;
     for (size_t payload : {1u, 7u, 95u, 96u, 97u, 1001u}) {
         SplitMix64 rng(payload);
         BitVec data(payload);
         for (auto &b : data)
             b = rng.nextBit();
-        SampleVec s = tx.modulate(data);
-        EXPECT_EQ(rx.demodulate(s, payload).bitErrors(data), 0u)
-            << "payload " << payload;
+        arena.reset();
+        FrameContext ctx(arena);
+        SampleSpan s = tx.modulate(BitView(data), ctx);
+        RxFrame res = rx.demodulate(s, payload, nullptr, 0, ctx);
+        EXPECT_EQ(res.bitErrors(data), 0u) << "payload " << payload;
     }
 }
 
 TEST(Loopback, HighSnrAwgnIsErrorFree)
 {
     for (int rate : {0, 4, 7}) {
-        TestbenchConfig cfg;
+        ScenarioSpec cfg;
         cfg.rate = rate;
         cfg.rx.decoder = "bcjr";
         cfg.channelCfg = li::Config::fromString("snr_db=35,seed=2");
@@ -99,40 +105,40 @@ TEST(Loopback, HighSnrAwgnIsErrorFree)
 TEST(Loopback, ModerateSnrDecodesWithLowBer)
 {
     // QPSK 1/2 at 7 dB: raw channel BER ~ 1e-2, decoded BER < 1e-4.
-    TestbenchConfig cfg;
+    ScenarioSpec cfg;
     cfg.rate = 2;
     cfg.rx.decoder = "bcjr";
     cfg.channelCfg = li::Config::fromString("snr_db=7,seed=5");
-    ErrorStats s = measureBer(ScenarioSpec::fromTestbench(cfg, 1000), 40, 2);
+    ErrorStats s = measureBer(cfg.withPayloadBits(1000), 40, 2);
     EXPECT_EQ(s.bits, 40000u);
     EXPECT_LT(s.ber(), 1e-3);
 }
 
 TEST(Loopback, LowSnrProducesErrors)
 {
-    TestbenchConfig cfg;
+    ScenarioSpec cfg;
     cfg.rate = 7; // QAM64 3/4 is fragile
     cfg.rx.decoder = "viterbi";
     cfg.channelCfg = li::Config::fromString("snr_db=5,seed=5");
-    ErrorStats s = measureBer(ScenarioSpec::fromTestbench(cfg, 1000), 10, 2);
+    ErrorStats s = measureBer(cfg.withPayloadBits(1000), 10, 2);
     EXPECT_GT(s.ber(), 1e-2);
 }
 
 TEST(Loopback, SweepIsThreadCountInvariant)
 {
-    TestbenchConfig cfg;
+    ScenarioSpec cfg;
     cfg.rate = 4;
     cfg.rx.decoder = "sova";
     cfg.channelCfg = li::Config::fromString("snr_db=9,seed=11");
-    ErrorStats a = measureBer(ScenarioSpec::fromTestbench(cfg, 800), 16, 1);
-    ErrorStats b = measureBer(ScenarioSpec::fromTestbench(cfg, 800), 16, 4);
+    ErrorStats a = measureBer(cfg.withPayloadBits(800), 16, 1);
+    ErrorStats b = measureBer(cfg.withPayloadBits(800), 16, 4);
     EXPECT_EQ(a.bits, b.bits);
     EXPECT_EQ(a.errors, b.errors);
 }
 
 TEST(Loopback, FadingChannelEqualizationWorks)
 {
-    TestbenchConfig cfg;
+    ScenarioSpec cfg;
     cfg.rate = 2;
     cfg.rx.decoder = "bcjr";
     cfg.channel = "rayleigh";

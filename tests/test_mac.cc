@@ -70,7 +70,7 @@ TEST(SelectionStats, ClassifyAndPercentages)
 
 TEST(Oracle, HighSnrPrefersTopRateLowSnrPrefersRobust)
 {
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx.decoder = "viterbi";
 
     base.channelCfg = li::Config::fromString("snr_db=35,seed=21");
@@ -87,7 +87,7 @@ TEST(Oracle, HighSnrPrefersTopRateLowSnrPrefersRobust)
 
 TEST(Oracle, ReplayIsConsistent)
 {
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx.decoder = "viterbi";
     base.channelCfg = li::Config::fromString("snr_db=11,seed=4");
     RateOracle oracle(base);
@@ -99,7 +99,7 @@ TEST(Oracle, ReplayIsConsistent)
 
 TEST(Oracle, OptimalRateImpliesSuccessAtThatRateAndBelowIsUsual)
 {
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx.decoder = "viterbi";
     base.channelCfg = li::Config::fromString("snr_db=12,seed=8");
     RateOracle oracle(base);

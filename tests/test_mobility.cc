@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "mac/packet_trace.hh"
+#include "peruser_reference.hh"
 #include "sim/mobility.hh"
 #include "sim/network_sim.hh"
 #include "sim/topology.hh"
@@ -419,20 +420,20 @@ TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndEngines)
     spec.trace = true;
     const std::uint64_t slots = 600;
 
-    NetworkSpec per = spec;
-    per.engine = "peruser";
+    const NetworkSim reference(spec);
     NetworkResult ref = NetworkSim(spec).run(slots, 1);
     ASSERT_NE(ref.trace, nullptr);
     EXPECT_GT(ref.aggregate.handovers, 0u);
     const std::string ref_text = ref.trace->toText();
 
     struct Case {
-        const NetworkSpec *spec;
+        bool reference;
         int threads;
-    } cases[] = {{&spec, 2}, {&spec, 8}, {&per, 1},
-                 {&per, 2},  {&per, 8}};
+    } cases[] = {{false, 2}, {false, 8}, {true, 1}, {true, 2}, {true, 8}};
     for (const Case &c : cases) {
-        NetworkResult r = NetworkSim(*c.spec).run(slots, c.threads);
+        NetworkResult r =
+            c.reference ? runPerUserReference(reference, slots, c.threads)
+                        : NetworkSim(spec).run(slots, c.threads);
         ASSERT_EQ(r.users.size(), ref.users.size());
         for (size_t u = 0; u < ref.users.size(); ++u)
             expectSameMobileStats(ref.users[u], r.users[u],
@@ -440,7 +441,7 @@ TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndEngines)
         expectSameMobileStats(ref.aggregate, r.aggregate, -1);
         ASSERT_NE(r.trace, nullptr);
         EXPECT_EQ(ref_text, r.trace->toText())
-            << c.spec->engine << " @ " << c.threads
+            << (c.reference ? "peruser" : "soa") << " @ " << c.threads
             << " threads diverged";
     }
 }

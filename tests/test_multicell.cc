@@ -13,7 +13,7 @@
 #include <string>
 
 #include "common/kernels.hh"
-#include "sim/multicell_sim.hh"
+#include "peruser_reference.hh"
 #include "sim/network_sim.hh"
 
 using namespace wilis;
@@ -224,17 +224,15 @@ expectSameResult(const NetworkResult &a, const NetworkResult &b)
 
 } // namespace
 
-TEST(Multicell, EngineKeyRoundTripsAndRejectsUnknown)
+TEST(Multicell, EngineIsNotASpecKey)
 {
-    NetworkSpec s = networkPreset("grid-3x3");
-    EXPECT_EQ("auto", s.engine);
-    s.engine = "peruser";
-    NetworkSpec t = NetworkSpec::fromConfig(s.toConfig());
-    EXPECT_EQ("peruser", t.engine);
-    li::Config bad = s.toConfig();
-    bad.set("engine", "vectorized");
-    EXPECT_DEATH(NetworkSpec::fromConfig(bad),
-                 "unknown multi-cell engine");
+    // The per-user engine is a test-only reference: no spec string
+    // selects an engine.
+    li::Config cfg = networkPreset("grid-3x3").toConfig();
+    cfg.set("engine", "soa");
+    EXPECT_EXIT(NetworkSpec::fromConfig(cfg),
+                testing::ExitedWithCode(1),
+                "unknown NetworkSpec key 'engine'");
 }
 
 TEST(Multicell, SoaEngineMatchesPerUserEngine)
@@ -247,16 +245,9 @@ TEST(Multicell, SoaEngineMatchesPerUserEngine)
     for (auto kind : {mac::SchedulerKind::RoundRobin,
                       mac::SchedulerKind::ProportionalFair}) {
         spec.scheduler.kind = kind;
-        NetworkSpec per = spec;
-        per.engine = "peruser";
-        NetworkSpec soa = spec;
-        soa.engine = "soa";
-        NetworkResult r_per = NetworkSim(per).run(120, 2);
-        NetworkResult r_soa = NetworkSim(soa).run(120, 2);
-        expectSameResult(r_per, r_soa);
-        // "auto" must resolve to the SoA engine.
-        NetworkResult r_auto = NetworkSim(spec).run(120, 2);
-        expectSameResult(r_per, r_auto);
+        NetworkSim sim(spec);
+        expectSameResult(runPerUserReference(sim, 120, 2),
+                         sim.run(120, 2));
     }
 }
 
@@ -269,11 +260,8 @@ TEST(Multicell, SoaEngineMatchesPerUserOnFullPhyRung)
     spec.link.payloadBits = 400;
     spec.fidelity.mode = FidelityMode::Full;
     spec.calibrationFile.clear();
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkResult r_per = NetworkSim(per).run(40, 2);
-    NetworkResult r_soa = NetworkSim(spec).run(40, 2);
-    expectSameResult(r_per, r_soa);
+    NetworkSim sim(spec);
+    expectSameResult(runPerUserReference(sim, 40, 2), sim.run(40, 2));
 }
 
 TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
@@ -310,11 +298,8 @@ TEST(Multicell, SoaMatchesPerUserOnDenseUrban10kScalarBackend)
 
     NetworkSpec spec = networkPreset("dense-urban-10k");
     spec.calibrationFile = calibrationPath();
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkResult r_per = NetworkSim(per).run(16, 2);
-    NetworkResult r_soa = NetworkSim(spec).run(16, 2);
-    expectSameResult(r_per, r_soa);
+    NetworkSim sim(spec);
+    expectSameResult(runPerUserReference(sim, 16, 2), sim.run(16, 2));
 }
 
 // ------------------------------------------------ engine behavior

@@ -90,7 +90,7 @@ TEST(Multipath, HighSnrLoopbackWithPerBinEqualization)
 {
     // CP absorbs the delay spread and perfect per-bin CSI undoes the
     // frequency selectivity: essentially error-free at 45 dB.
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = 4;
     cfg.rx.decoder = "bcjr";
     cfg.channel = "multipath";
@@ -105,14 +105,13 @@ TEST(Multipath, HighSnrLoopbackWithPerBinEqualization)
 
 TEST(Multipath, ModerateSnrDecodes)
 {
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = 2;
     cfg.rx.decoder = "bcjr";
     cfg.channel = "multipath";
     cfg.channelCfg = li::Config::fromString(
         "snr_db=14,num_taps=4,delay_spread=3,seed=13");
-    ErrorStats s = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(cfg, 1000), 30, 2);
+    ErrorStats s = sim::measureBer(cfg.withPayloadBits(1000), 30, 2);
     EXPECT_LT(s.ber(), 0.05);
     // And it is harder than flat fading at the same mean SNR only in
     // uncoded terms; with interleaving + coding it decodes.
@@ -124,33 +123,29 @@ TEST(Multipath, CsiWeightingHelpsOnSelectiveChannels)
     // Zero-forcing alone amplifies noise on notched subcarriers;
     // weighting metrics by |H| restores most of the loss. On a flat
     // AWGN channel the weight is 1 and nothing changes.
-    sim::TestbenchConfig plain;
+    sim::ScenarioSpec plain;
     plain.rate = 2;
     plain.rx.decoder = "bcjr";
     plain.channel = "multipath";
     plain.channelCfg = li::Config::fromString(
         "snr_db=10,num_taps=4,delay_spread=3,seed=21");
-    sim::TestbenchConfig weighted = plain;
+    sim::ScenarioSpec weighted = plain;
     weighted.rx.applyCsiWeight = true;
 
-    ErrorStats zf = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(plain, 1000), 40, 2);
-    ErrorStats mf = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(weighted, 1000), 40, 2);
+    ErrorStats zf = sim::measureBer(plain.withPayloadBits(1000), 40, 2);
+    ErrorStats mf = sim::measureBer(weighted.withPayloadBits(1000), 40, 2);
     ASSERT_GT(zf.errors, 50u) << "need a lossy operating point";
     EXPECT_LT(mf.ber(), 0.5 * zf.ber());
 
     // Flat channel: weighting is a no-op.
-    sim::TestbenchConfig awgn;
+    sim::ScenarioSpec awgn;
     awgn.rate = 2;
     awgn.rx.decoder = "bcjr";
     awgn.channelCfg = li::Config::fromString("snr_db=4,seed=8");
-    sim::TestbenchConfig awgn_w = awgn;
+    sim::ScenarioSpec awgn_w = awgn;
     awgn_w.rx.applyCsiWeight = true;
-    ErrorStats a = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(awgn, 1000), 20, 2);
-    ErrorStats b = sim::measureBer(
-        sim::ScenarioSpec::fromTestbench(awgn_w, 1000), 20, 2);
+    ErrorStats a = sim::measureBer(awgn.withPayloadBits(1000), 20, 2);
+    ErrorStats b = sim::measureBer(awgn_w.withPayloadBits(1000), 20, 2);
     EXPECT_EQ(a.errors, b.errors);
 }
 

@@ -2,9 +2,11 @@
  * @file
  * Packet event trace tests: the acceptance bar is that the finalized
  * trace is a pure function of the NetworkSpec -- bit-identical at 1,
- * 2 and 8 worker threads and across the peruser/soa engines on both
- * the grid-3x3 and dense-urban-10k presets -- and that the committed
- * golden trace under data/ pins grid-3x3 byte-for-byte. Around it:
+ * 2 and 8 worker threads and between the SoA engine and the per-user
+ * reference engine on both the grid-3x3 and dense-urban-10k presets
+ * -- and that the committed goldens under data/ pin grid-3x3
+ * byte-for-byte and the urban-mobile trace and dense-urban-10k
+ * report by digest. Around it:
  * the text format round-trips through save()/load(), diff() localizes
  * divergences, and the trace's Ack events feed the end-to-end latency
  * histogram.
@@ -16,9 +18,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/kernels.hh"
+#include "common/logging.hh"
 #include "mac/packet_trace.hh"
+#include "peruser_reference.hh"
 #include "sim/campaign.hh"
 #include "sim/network_sim.hh"
 
@@ -49,11 +54,15 @@ tracedGrid()
     return spec;
 }
 
+/** The trace of a run on the SoA engine, or the per-user one. */
 std::string
 runTraceText(const NetworkSpec &spec, std::uint64_t slots,
-             int threads)
+             int threads, bool per_user = false)
 {
-    NetworkResult res = NetworkSim(spec).run(slots, threads);
+    NetworkSim sim(spec);
+    NetworkResult res = per_user
+                            ? runPerUserReference(sim, slots, threads)
+                            : sim.run(slots, threads);
     EXPECT_NE(res.trace, nullptr);
     return res.trace->toText();
 }
@@ -68,59 +77,34 @@ readFile(const std::string &path)
     return out.str();
 }
 
-/** 64-bit FNV-1a of @p s as 16 hex digits. */
+/** The committed digests, one "<key> <digest>" line each. */
 std::string
-fnv1a(const std::string &s)
+goldenDigests()
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return readFile(std::string(WILIS_SOURCE_DIR) +
+                    "/data/golden_digests.txt");
 }
 
-/** The committed digest named @p key in data/golden_digests.txt. */
+/** "<key> <64-bit FNV-1a of text>", a line of golden_digests.txt. */
 std::string
-goldenDigest(const std::string &key)
+digestLine(const std::string &key, const std::string &text)
 {
-    std::istringstream in(readFile(std::string(WILIS_SOURCE_DIR) +
-                                   "/data/golden_digests.txt"));
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string name, digest;
-        if (fields >> name >> digest && name == key)
-            return digest;
-    }
-    ADD_FAILURE() << "no golden digest '" << key << "'";
-    return "";
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text)
+        h = (h ^ c) * 0x100000001b3ULL;
+    return key + " " +
+           strprintf("%016llx", static_cast<unsigned long long>(h));
 }
 
 /**
- * Run @p body once under the default kernel backend and once under
- * the forced scalar backend, restoring the default afterwards.
+ * Kernel backends the golden digests are checked under: forced
+ * scalar, then the host default, so the process ends where it began.
  */
-template <typename F>
-void
-underDefaultAndScalarBackends(F body)
+std::vector<std::string>
+goldenBackends()
 {
-    struct RestoreBackend {
-        ~RestoreBackend()
-        {
-            kernels::setBackend(kernels::availableBackends().back());
-        }
-    } restore;
-    {
-        SCOPED_TRACE("default backend");
-        body();
-    }
-    ASSERT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
-    SCOPED_TRACE("scalar backend");
-    body();
+    return {"scalar",
+            kernels::backendName(kernels::availableBackends().back())};
 }
 
 } // namespace
@@ -142,36 +126,42 @@ TEST(PacketTrace, GoldenGrid3x3TraceMatchesByteForByte)
                *NetworkSim(tracedGrid()).run(200, 2).trace);
 }
 
-// The golden pins below hold outputs that are independent of the
-// engine comparisons further down: a change to either multi-cell
-// code path that moves one event or one accumulator bit shows up as
-// a digest mismatch, whatever the other path does.
+// Digest pins that hold the SoA engine's outputs fixed independently
+// of the per-user reference the equivalence tests below compare with.
 
 TEST(PacketTrace, GoldenUrbanMobileTraceDigest)
 {
+    const std::string goldens = goldenDigests();
     NetworkSpec spec = networkPreset("urban-mobile");
     spec.calibrationFile = calibrationPath();
     spec.trace = true;
-    underDefaultAndScalarBackends([&] {
-        EXPECT_EQ(fnv1a(runTraceText(spec, 400, 2)),
-                  goldenDigest("urban-mobile-trace-400"));
-    });
+    for (const std::string &backend : goldenBackends()) {
+        spec.link.kernel.backend = backend;
+        const std::string line = digestLine(
+            "urban-mobile-trace-400", runTraceText(spec, 400, 2));
+        EXPECT_NE(goldens.find(line), std::string::npos)
+            << backend << " backend: " << line;
+    }
 }
 
 TEST(PacketTrace, GoldenDenseUrban10kReportDigest)
 {
+    const std::string goldens = goldenDigests();
     RunRequest req;
     req.spec = networkPreset("dense-urban-10k");
     req.spec.calibrationFile = calibrationPath();
     req.slots = 16;
     req.threads = 2;
-    underDefaultAndScalarBackends([&] {
+    for (const std::string &backend : goldenBackends()) {
+        req.spec.link.kernel.backend = backend;
         RunReport rep = runCampaignShard(req);
-        // The config string names the checkout's calibration path.
+        // The config string names the backend and calibration path.
         rep.config.clear();
-        EXPECT_EQ(fnv1a(rep.toJsonText()),
-                  goldenDigest("dense-urban-10k-report-16"));
-    });
+        const std::string line =
+            digestLine("dense-urban-10k-report-16", rep.toJsonText());
+        EXPECT_NE(goldens.find(line), std::string::npos)
+            << backend << " backend: " << line;
+    }
 }
 
 // ------------------------------ thread / engine independence (bar)
@@ -186,11 +176,8 @@ TEST(PacketTrace, Grid3x3TraceBitIdenticalAt1_2_8Threads)
 
 TEST(PacketTrace, Grid3x3TraceIdenticalAcrossEngines)
 {
-    NetworkSpec per = tracedGrid();
-    per.engine = "peruser";
-    NetworkSpec soa = tracedGrid();
-    soa.engine = "soa";
-    EXPECT_EQ(runTraceText(per, 120, 2), runTraceText(soa, 120, 2));
+    EXPECT_EQ(runTraceText(tracedGrid(), 120, 2, true),
+              runTraceText(tracedGrid(), 120, 2));
 }
 
 TEST(PacketTrace, DenseUrban10kTraceThreadAndEngineInvariant)
@@ -198,12 +185,10 @@ TEST(PacketTrace, DenseUrban10kTraceThreadAndEngineInvariant)
     NetworkSpec spec = networkPreset("dense-urban-10k");
     spec.calibrationFile = calibrationPath();
     spec.trace = true;
-    NetworkSpec per = spec;
-    per.engine = "peruser";
     const std::string t1 = runTraceText(spec, 16, 1);
     EXPECT_FALSE(t1.empty());
     EXPECT_EQ(t1, runTraceText(spec, 16, 8));
-    EXPECT_EQ(t1, runTraceText(per, 16, 2));
+    EXPECT_EQ(t1, runTraceText(spec, 16, 2, true));
 }
 
 TEST(PacketTrace, NewClassAwarePathsAreEngineInvariantToo)
@@ -215,12 +200,8 @@ TEST(PacketTrace, NewClassAwarePathsAreEngineInvariantToo)
     spec.traffic.qdisc = mac::QdiscKind::StrictPriority;
     spec.traffic.controlRate = 0.05;
     spec.scheduler.contention = mac::ContentionMode::Fixed;
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkSpec soa = spec;
-    soa.engine = "soa";
-    const std::string t_per = runTraceText(per, 100, 1);
-    EXPECT_EQ(t_per, runTraceText(soa, 100, 4));
+    const std::string t_per = runTraceText(spec, 100, 1, true);
+    EXPECT_EQ(t_per, runTraceText(spec, 100, 4));
     EXPECT_NE(t_per.find(" ctrl "), std::string::npos)
         << "control arrivals must appear in the trace";
 }

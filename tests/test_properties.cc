@@ -161,14 +161,17 @@ TEST_P(RoundTripAllRates, RandomSizesNoiseless)
     int rate = GetParam();
     phy::OfdmTransmitter tx(rate);
     phy::OfdmReceiver rx(rate);
+    FrameArena arena;
     SplitMix64 rng(static_cast<std::uint64_t>(rate) + 1000);
     for (int trial = 0; trial < 8; ++trial) {
         size_t bits = 1 + rng.nextBelow(3000);
         BitVec payload(bits);
         for (auto &b : payload)
             b = rng.nextBit();
-        SampleVec s = tx.modulate(payload);
-        phy::RxResult res = rx.demodulate(s, bits);
+        arena.reset();
+        FrameContext ctx(arena);
+        SampleSpan s = tx.modulate(BitView(payload), ctx);
+        phy::RxFrame res = rx.demodulate(s, bits, nullptr, 0, ctx);
         ASSERT_EQ(res.bitErrors(payload), 0u)
             << "rate " << rate << " size " << bits;
     }
@@ -184,7 +187,9 @@ TEST_P(RoundTripAllRates, TxEnergyIsNormalized)
     BitVec payload(2000);
     for (auto &b : payload)
         b = rng.nextBit();
-    SampleVec s = tx.modulate(payload);
+    FrameArena arena;
+    FrameContext ctx(arena);
+    SampleSpan s = tx.modulate(BitView(payload), ctx);
     double e = 0.0;
     for (const auto &v : s)
         e += std::norm(v);
@@ -205,13 +210,12 @@ TEST_P(BerMonotoneInSnr, WaterfallDecreases)
     // BER must be (weakly) decreasing in SNR across the waterfall.
     double prev = 1.0;
     for (double snr : {0.0, 2.0, 4.0, 6.0}) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = GetParam();
         cfg.channelCfg = li::Config::fromString(
             "snr_db=" + std::to_string(snr) + ",seed=31");
-        ErrorStats s = sim::measureBer(
-            sim::ScenarioSpec::fromTestbench(cfg, 1000), 25, 2);
+        ErrorStats s = sim::measureBer(cfg.withPayloadBits(1000), 25, 2);
         EXPECT_LE(s.ber(), prev * 1.05 + 1e-6)
             << GetParam() << " at " << snr << " dB";
         prev = s.ber();
@@ -247,17 +251,14 @@ TEST(Interference, StrongerInterferenceRaisesBer)
     // Near the waterfall edge a strong tone measurably hurts; the
     // coding + interleaving absorb a weak one.
     auto ber_at = [](double sir) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 2;
         cfg.rx.decoder = "bcjr";
         cfg.channel = "interference";
         cfg.channelCfg = li::Config::fromString(
             "snr_db=4,sir_db=" + std::to_string(sir) +
             ",interferer_bin=10,seed=3");
-        return sim::measureBer(
-                   sim::ScenarioSpec::fromTestbench(cfg, 1000), 30,
-                   2)
-            .ber();
+        return sim::measureBer(cfg.withPayloadBits(1000), 30, 2).ber();
     };
     double weak = ber_at(25.0);
     double strong = ber_at(-6.0);

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the unified ScenarioSpec: config round-trips, the preset
- * registry, fluent grid helpers, and equivalence between a spec-built
- * testbench and the legacy TestbenchConfig path.
+ * registry and fluent grid helpers.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "sim/scenario.hh"
-#include "sim/sweep.hh"
 #include "sim/testbench.hh"
 
 using namespace wilis;
@@ -370,39 +368,4 @@ TEST(ScenarioPresets, PresetsRunEndToEnd)
         EXPECT_EQ(res.txPayload.size(), 200u) << name;
         EXPECT_EQ(res.rx.payload.size(), 200u) << name;
     }
-}
-
-TEST(ScenarioSpec, SpecAndLegacyConfigBuildIdenticalTestbenches)
-{
-    ScenarioSpec spec = scenarioPreset("rayleigh-fading");
-    spec.rate = 2;
-    spec.payloadBits = 600;
-
-    Testbench from_spec(spec);
-    Testbench from_cfg(spec.testbench());
-
-    for (std::uint64_t p = 0; p < 4; ++p) {
-        PacketResult a = from_spec.runPacket(600, p);
-        PacketResult b = from_cfg.runPacket(600, p);
-        EXPECT_EQ(a.txPayload, b.txPayload);
-        EXPECT_EQ(a.rx.payload, b.rx.payload);
-        EXPECT_EQ(a.bitErrors, b.bitErrors);
-    }
-}
-
-TEST(ScenarioSpec, MeasureBerRoundTripsThroughTestbenchConfig)
-{
-    ScenarioSpec spec;
-    spec.rate = 4;
-    spec.channelCfg = li::Config::fromString("snr_db=6,seed=2");
-    spec.payloadBits = 500;
-
-    // Lowering to the legacy TestbenchConfig and lifting back must
-    // describe the same experiment (the migration path every former
-    // measureBer(TestbenchConfig) caller took).
-    ErrorStats via_spec = measureBer(spec, 20, 2);
-    ErrorStats via_cfg = measureBer(
-        ScenarioSpec::fromTestbench(spec.testbench(), 500), 20, 2);
-    EXPECT_EQ(via_spec.bits, via_cfg.bits);
-    EXPECT_EQ(via_spec.errors, via_cfg.errors);
 }

@@ -4,19 +4,20 @@
  * (magic / container / payload version / spec fingerprint) and every
  * bounds-checked read, and the engine-level checkpoint/resume is a
  * pure observer -- a run that saves checkpoints, and a run resumed
- * from one, both produce byte-identical campaign reports and packet
- * traces vs an uninterrupted run, across 1/2/8 threads, both
- * multi-cell engines, and a cross-engine save/resume pair.
+ * from one, both produce byte-identical run reports and packet
+ * traces vs an uninterrupted run, across 1/2/8 threads, the SoA
+ * engine and the per-user reference engine, and a cross-engine
+ * save/resume pair.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/snapshot.hh"
+#include "mac/packet_trace.hh"
+#include "peruser_reference.hh"
 #include "sim/campaign.hh"
 #include "sim/scenario.hh"
 
@@ -34,54 +35,50 @@ calibrationPath()
 
 /** A small mobile deployment: handover + churn on a 2x2 grid. */
 NetworkSpec
-mobileSpec(const std::string &engine)
+mobileSpec()
 {
     NetworkSpec spec = networkPreset("urban-mobile");
     spec.calibrationFile = calibrationPath();
     spec.numUsers = 24;
     spec.topology.rows = 2;
     spec.topology.cols = 2;
-    spec.engine = engine;
     return spec;
 }
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/** One run through the campaign entry point: report + trace text. */
+/** One run's report (as runCampaignShard() writes it) + trace. */
 struct RunArtifacts {
     std::string report;
     std::string trace;
 };
 
+/**
+ * Run @p spec traced on the SoA engine, or on the per-user reference
+ * engine when @p per_user is set.
+ */
 RunArtifacts
-runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads)
+runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads,
+        bool per_user = false)
 {
-    const std::string trace_file = ::testing::TempDir() +
-                                   "wilis_snapshot_trace.txt";
-    RunRequest req;
-    req.spec = spec;
-    req.slots = slots;
-    req.threads = threads;
-    req.traceFile = trace_file;
-    RunReport rep = runCampaignShard(req);
-    // The config echo names the run's own checkpoint/engine keys;
-    // blank it so report comparisons isolate the *results* (the
-    // checkpointed, resumed and uninterrupted runs intentionally
-    // differ in those keys).
-    rep.config.clear();
-    RunArtifacts out;
-    out.report = rep.toJsonText();
-    out.trace = slurp(trace_file);
-    std::remove(trace_file.c_str());
-    return out;
+    NetworkSpec traced = spec;
+    traced.trace = true;
+    NetworkSim sim(traced);
+    const NetworkResult res = per_user
+                                  ? runPerUserReference(sim, slots, threads)
+                                  : sim.run(slots, threads);
+    // The config echo is left out: checkpointed, resumed and
+    // uninterrupted runs intentionally differ in their checkpoint
+    // keys, and the comparisons isolate the *results*.
+    RunReport rep;
+    rep.kind = "network";
+    rep.slots = slots;
+    rep.unitsTotal = 1;
+    UnitReport unit;
+    unit.seed = spec.seed;
+    unit.cells = res.cells;
+    unit.users = static_cast<int>(res.users.size());
+    unit.stats = res.aggregate;
+    rep.units = {unit};
+    return {rep.toJsonText(), res.trace->toText()};
 }
 
 } // namespace
@@ -173,20 +170,20 @@ TEST(CheckpointResume, BitIdenticalAcrossThreadsAndEngines)
     constexpr std::uint64_t kSlots = 200;
     constexpr std::uint64_t kEvery = 100;
 
-    for (const char *engine : {"soa", "peruser"}) {
+    for (const bool per_user : {false, true}) {
+        const std::string engine = per_user ? "peruser" : "soa";
         SCOPED_TRACE(engine);
-        const NetworkSpec base = mobileSpec(engine);
-        const RunArtifacts reference = runOnce(base, kSlots, 2);
-        const std::string ckpt = ::testing::TempDir() +
-                                 "wilis_ckpt_" +
-                                 std::string(engine) + ".snap";
+        const NetworkSpec base = mobileSpec();
+        const RunArtifacts reference = runOnce(base, kSlots, 2, per_user);
+        const std::string ckpt =
+            ::testing::TempDir() + "wilis_ckpt_" + engine + ".snap";
 
         // A run that *saves* checkpoints is a pure observer: same
         // report, same trace.
         NetworkSpec saving = base;
         saving.checkpoint.file = ckpt;
         saving.checkpoint.everySlots = kEvery;
-        const RunArtifacts observed = runOnce(saving, kSlots, 2);
+        const RunArtifacts observed = runOnce(saving, kSlots, 2, per_user);
         EXPECT_EQ(observed.report, reference.report);
         EXPECT_EQ(observed.trace, reference.trace);
 
@@ -199,7 +196,7 @@ TEST(CheckpointResume, BitIdenticalAcrossThreadsAndEngines)
         for (int threads : {1, 2, 8}) {
             SCOPED_TRACE(threads);
             const RunArtifacts resumed =
-                runOnce(resuming, kSlots, threads);
+                runOnce(resuming, kSlots, threads, per_user);
             EXPECT_EQ(resumed.report, reference.report);
             EXPECT_EQ(resumed.trace, reference.trace);
         }
@@ -210,23 +207,22 @@ TEST(CheckpointResume, BitIdenticalAcrossThreadsAndEngines)
 TEST(CheckpointResume, SnapshotResumesUnderTheOtherEngine)
 {
     constexpr std::uint64_t kSlots = 160;
-    const RunArtifacts reference =
-        runOnce(mobileSpec("soa"), kSlots, 2);
+    const RunArtifacts reference = runOnce(mobileSpec(), kSlots, 2);
     const std::string ckpt =
         ::testing::TempDir() + "wilis_ckpt_cross.snap";
 
     // Save under SoA; the canonical serialization order (global
     // user id / cell index) is engine-neutral, so the per-user
     // engine must resume it bit-identically.
-    NetworkSpec saving = mobileSpec("soa");
+    NetworkSpec saving = mobileSpec();
     saving.checkpoint.file = ckpt;
     saving.checkpoint.everySlots = 80;
     runOnce(saving, kSlots, 2);
 
-    NetworkSpec resuming = mobileSpec("peruser");
+    NetworkSpec resuming = mobileSpec();
     resuming.checkpoint.file = ckpt;
     resuming.checkpoint.resume = true;
-    const RunArtifacts resumed = runOnce(resuming, kSlots, 2);
+    const RunArtifacts resumed = runOnce(resuming, kSlots, 2, true);
     EXPECT_EQ(resumed.report, reference.report);
     EXPECT_EQ(resumed.trace, reference.trace);
     std::remove(ckpt.c_str());
@@ -234,7 +230,7 @@ TEST(CheckpointResume, SnapshotResumesUnderTheOtherEngine)
 
 TEST(CheckpointResumeDeath, ResumeWithoutSnapshotIsFatal)
 {
-    NetworkSpec spec = mobileSpec("soa");
+    NetworkSpec spec = mobileSpec();
     spec.checkpoint.file =
         ::testing::TempDir() + "wilis_ckpt_absent.snap";
     spec.checkpoint.resume = true;

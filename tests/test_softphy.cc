@@ -213,7 +213,7 @@ TEST(SoftPhyCalibration, PredictedPacketBerTracksActual)
 
     auto measure = [&](double snr_db, double &predicted,
                        double &actual) {
-        sim::TestbenchConfig cfg;
+        sim::ScenarioSpec cfg;
         cfg.rate = 4; // QAM16 1/2
         cfg.rx = spec.rx;
         cfg.channelCfg = li::Config::fromString(

@@ -43,7 +43,7 @@ runExperiment(const char *decoder, std::uint64_t packets)
     spec.threads = 0;
     softphy::BerEstimator est = calibrateRateEstimator(spec);
 
-    sim::TestbenchConfig base;
+    sim::ScenarioSpec base;
     base.rx = spec.rx;
     base.channel = "rayleigh";
     base.channelCfg = li::Config::fromString(
@@ -116,7 +116,7 @@ TEST(SoftRateExperiment, PerRateTablesBeatPerModulationTables)
     // A clean-channel packet at BPSK 3/4 (rate 1): the per-rate
     // estimate must show far more headroom than the per-modulation
     // one.
-    sim::TestbenchConfig cfg;
+    sim::ScenarioSpec cfg;
     cfg.rate = 1;
     cfg.rx = spec.rx;
     cfg.channelCfg = li::Config::fromString("snr_db=12,seed=5");

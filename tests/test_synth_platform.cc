@@ -194,10 +194,10 @@ TEST(CosimDriver, DecoupledBeatsLockstepByAboutTenX)
 {
     // Section 2: LI batching "increase[s] our throughput by
     // approximately one order of magnitude".
-    sim::TestbenchConfig tb;
-    tb.rate = 4;
-    tb.rx.decoder = "viterbi";
-    tb.channelCfg = li::Config::fromString("snr_db=30,seed=3");
+    sim::ScenarioSpec spec;
+    spec.rate = 4;
+    spec.rx.decoder = "viterbi";
+    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
 
     CosimDriver::Params li_params;
     li_params.batchSamples = 4096;
@@ -207,8 +207,8 @@ TEST(CosimDriver, DecoupledBeatsLockstepByAboutTenX)
     lockstep.batchSamples = 80; // one OFDM symbol per exchange
     lockstep.decoupled = false;
 
-    CosimDriver fast(tb, li_params);
-    CosimDriver slow(tb, lockstep);
+    CosimDriver fast(spec, li_params);
+    CosimDriver slow(spec, lockstep);
     auto a = fast.run(1704, 6);
     auto b = slow.run(1704, 6);
     ASSERT_GT(a.simSpeedMbps(), 0.0);
@@ -220,12 +220,12 @@ TEST(CosimDriver, DecoupledBeatsLockstepByAboutTenX)
 
 TEST(CosimDriver, SampleAccounting)
 {
-    sim::TestbenchConfig tb;
-    tb.rate = 0; // BPSK 1/2
-    tb.rx.decoder = "viterbi";
-    tb.channelCfg = li::Config::fromString("snr_db=30,seed=3");
+    sim::ScenarioSpec spec;
+    spec.rate = 0; // BPSK 1/2
+    spec.rx.decoder = "viterbi";
+    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
     CosimDriver::Params p;
-    CosimDriver driver(tb, p);
+    CosimDriver driver(spec, p);
     auto stats = driver.run(100, 2);
     // 100 bits + 6 tail at 24 bits/symbol -> 5 symbols -> 400
     // samples per packet.
