@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "sim/scenario.hh"
@@ -316,6 +317,68 @@ TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
         EXPECT_TRUE(accepted.count(k))
             << "key '" << k
             << "' is documented but not accepted by any spec";
+}
+
+namespace {
+
+/** Comma-joined key list, as data/golden_spec_configs.txt has it. */
+std::string
+joinKeys(const std::vector<std::string> &keys)
+{
+    std::string out;
+    for (const std::string &k : keys)
+        out += (out.empty() ? "" : ",") + k;
+    return out;
+}
+
+} // namespace
+
+TEST(ScenarioGolden, CanonicalStringsMatchTheCommittedGolden)
+{
+    std::ifstream in(std::string(WILIS_SOURCE_DIR) +
+                     "/data/golden_spec_configs.txt");
+    ASSERT_TRUE(in.good()) << "data/golden_spec_configs.txt missing";
+    std::set<std::string> presets_seen;
+    int checked = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string kind, arg, what, expected;
+        fields >> kind >> arg;
+        if (kind == "keys") {
+            fields >> expected;
+            EXPECT_EQ(joinKeys(arg == "scenario" ? scenarioSpecKeys()
+                                                 : networkSpecKeys()),
+                      expected)
+                << arg;
+            ++checked;
+            continue;
+        }
+        fields >> what >> expected;
+        std::string got;
+        if (kind == "scenario") {
+            ASSERT_EQ(what, "config") << line;
+            got = parseScenarioSpecArg(arg).toConfig().toString();
+        } else {
+            ASSERT_EQ(kind, "network") << line;
+            const NetworkSpec s = parseNetworkSpecArg(arg);
+            got = what == "config" ? s.toConfig().toString()
+                                   : s.fingerprint();
+        }
+        EXPECT_EQ(got, expected) << kind << " " << arg << " " << what;
+        presets_seen.insert(arg);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 39);
+    for (const std::string &name : scenarioPresetNames())
+        EXPECT_TRUE(presets_seen.count(name)) << name;
+    for (const char *name :
+         {"cell-16", "cell-1k", "cell-auto", "cell-dense", "cell-mobile",
+          "cell-stopwait", "dense-analytic", "dense-urban-10k",
+          "grid-3x3", "urban-mobile"})
+        EXPECT_TRUE(presets_seen.count(name)) << name;
 }
 
 TEST(ScenarioSpec, FluentHelpersDoNotMutateOriginal)
