@@ -24,8 +24,8 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -81,11 +81,17 @@ main(int argc, char **argv)
             pos.emplace_back(argv[a]);
         }
     }
+    // The numeric positionals go through li::Config's strict
+    // getters, so a malformed value is fatal and names its argument.
+    li::Config args;
+    if (pos.size() > 1)
+        args.set("slots", pos[1]);
+    if (pos.size() > 2)
+        args.set("threads", pos[2]);
     std::string what = pos.size() > 0 ? pos[0] : "cell-16";
-    std::uint64_t slots =
-        pos.size() > 1 ? std::strtoull(pos[1].c_str(), nullptr, 10)
-                       : 120;
-    int threads = pos.size() > 2 ? std::atoi(pos[2].c_str()) : 0;
+    std::uint64_t slots = args.getUint64("slots", 120);
+    int threads =
+        static_cast<int>(args.getInt("threads", 0, 0, INT_MAX));
 
     // A preset name (with optional k=v overrides), a bare config
     // string, or a config file -- the shared spec-argument parser.

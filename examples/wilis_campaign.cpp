@@ -25,6 +25,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,34 +83,24 @@ spawnWorker(const std::string &binary,
 int
 main(int argc, char **argv)
 {
+    // Every flag value, keyed by the flag: li::Config's strict
+    // getters make a malformed or out-of-range value fatal, naming
+    // the flag.
     std::string spec_arg;
-    std::uint64_t slots = 120;
-    int threads = 0;
-    int shards = 1;
-    std::string report_file;
-    std::string json_file;
+    li::Config flags;
     for (int a = 1; a < argc; ++a) {
         const std::string flag = argv[a];
-        const auto next = [&]() -> std::string {
+        if (flag == "--slots" || flag == "--threads" ||
+            flag == "--shards" || flag == "--report" ||
+            flag == "--json") {
             if (a + 1 >= argc)
                 wilis_fatal("%s needs an argument", flag.c_str());
-            return argv[++a];
-        };
-        if (flag == "--slots")
-            slots = static_cast<std::uint64_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
-        else if (flag == "--threads")
-            threads = std::atoi(next().c_str());
-        else if (flag == "--shards")
-            shards = std::atoi(next().c_str());
-        else if (flag == "--report")
-            report_file = next();
-        else if (flag == "--json")
-            json_file = next();
-        else if (spec_arg.empty() && flag.rfind("--", 0) != 0)
+            flags.set(flag, argv[++a]);
+        } else if (spec_arg.empty() && flag.rfind("--", 0) != 0) {
             spec_arg = flag;
-        else
+        } else {
             wilis_fatal("unknown campaign flag '%s'", flag.c_str());
+        }
     }
     if (spec_arg.empty()) {
         std::fprintf(stderr,
@@ -118,7 +110,13 @@ main(int argc, char **argv)
                      argv[0]);
         return 2;
     }
-    wilis_assert(shards >= 1, "--shards wants >= 1, got %d", shards);
+    const std::uint64_t slots = flags.getUint64("--slots", 120);
+    const int threads =
+        static_cast<int>(flags.getInt("--threads", 0, 0, INT_MAX));
+    const int shards =
+        static_cast<int>(flags.getInt("--shards", 1, 1, INT_MAX));
+    const std::string report_file = flags.getString("--report");
+    const std::string json_file = flags.getString("--json");
 
     // Resolve the spec once, then ship its *canonical* config string
     // to every worker: each shard parses the identical campaign

@@ -31,8 +31,10 @@
  * RunReport JSON for the campaign driver to merge.
  */
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "common/logging.hh"
@@ -98,7 +100,10 @@ runLinkExperiment(int argc, char **argv)
                 mine = mine || kv.first == key;
             (mine ? cli : rest).set(kv.first, kv.second);
         }
-        spec = sim::parseScenarioSpecArg(rest.toString(), defaults);
+        // Only CLI keys leaves nothing for the spec parser, which
+        // would read an empty argument as a config file name.
+        if (!rest.entries().empty())
+            spec = sim::parseScenarioSpecArg(rest.toString(), defaults);
     } else {
         std::fprintf(stderr,
                      "usage: %s <config-file | key=value,... | "
@@ -119,9 +124,9 @@ runLinkExperiment(int argc, char **argv)
             spec.rx.decoderCfg.set(key, cli.getString(key));
     }
 
-    const std::uint64_t packets =
-        static_cast<std::uint64_t>(cli.getInt("packets", 100));
-    const int threads = static_cast<int>(cli.getInt("threads", 0));
+    const std::uint64_t packets = cli.getUint64("packets", 100);
+    const int threads =
+        static_cast<int>(cli.getInt("threads", 0, 0, INT_MAX));
 
     std::printf("WiLIS experiment: %s, %s decoder, %s channel @ %.1f "
                 "dB, %llu packets x %zu bits\n\n",
@@ -195,44 +200,45 @@ runLinkExperiment(int argc, char **argv)
 int
 runCampaignShardMode(int argc, char **argv)
 {
-    sim::RunRequest req;
-    std::string spec_arg;
-    bool have_spec = false;
+    // Every flag value, keyed by the flag: li::Config's strict
+    // getters make a malformed or out-of-range value fatal, naming
+    // the flag.
+    const char *const value_flags[] = {"--network", "--slots",
+                                       "--threads", "--shard",
+                                       "--report",  "--trace"};
+    li::Config flags;
     for (int a = 1; a < argc; ++a) {
         const std::string flag = argv[a];
-        const auto next = [&]() -> std::string {
-            if (a + 1 >= argc)
-                wilis_fatal("%s needs an argument", flag.c_str());
-            return argv[++a];
-        };
-        if (flag == "--network") {
-            spec_arg = next();
-            have_spec = true;
-        } else if (flag == "--slots") {
-            req.slots = static_cast<std::uint64_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
-        } else if (flag == "--threads") {
-            req.threads =
-                static_cast<int>(std::atoi(next().c_str()));
-        } else if (flag == "--shard") {
-            const std::string v = next();
-            const size_t slash = v.find('/');
-            if (slash == std::string::npos)
-                wilis_fatal("--shard wants I/N, got '%s'", v.c_str());
-            req.shardIndex =
-                std::atoi(v.substr(0, slash).c_str());
-            req.shardCount =
-                std::atoi(v.substr(slash + 1).c_str());
-        } else if (flag == "--report") {
-            req.reportFile = next();
-        } else if (flag == "--trace") {
-            req.traceFile = next();
-        } else {
+        if (std::find(std::begin(value_flags), std::end(value_flags),
+                      flag) == std::end(value_flags))
             wilis_fatal("unknown campaign flag '%s'", flag.c_str());
-        }
+        if (a + 1 >= argc)
+            wilis_fatal("%s needs an argument", flag.c_str());
+        flags.set(flag, argv[++a]);
     }
-    if (!have_spec)
+    if (!flags.has("--network"))
         wilis_fatal("--network <spec-arg> is required");
+    const std::string spec_arg = flags.getString("--network");
+
+    sim::RunRequest req;
+    req.slots = flags.getUint64("--slots", req.slots);
+    req.threads =
+        static_cast<int>(flags.getInt("--threads", 0, 0, INT_MAX));
+    if (flags.has("--shard")) {
+        const std::string v = flags.getString("--shard");
+        const size_t slash = v.find('/');
+        if (slash == std::string::npos)
+            wilis_fatal("--shard wants I/N, got '%s'", v.c_str());
+        li::Config shard;
+        shard.set("--shard I", v.substr(0, slash));
+        shard.set("--shard N", v.substr(slash + 1));
+        req.shardCount =
+            static_cast<int>(shard.getInt("--shard N", 1, 1, INT_MAX));
+        req.shardIndex = static_cast<int>(
+            shard.getInt("--shard I", 0, 0, req.shardCount - 1));
+    }
+    req.reportFile = flags.getString("--report");
+    req.traceFile = flags.getString("--trace");
     req.spec = sim::parseNetworkSpecArg(spec_arg);
 
     const sim::RunReport rep = sim::runCampaignShard(req);

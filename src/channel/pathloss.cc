@@ -57,18 +57,5 @@ PathlossModel::linkSnrDb(double distance_m, int user, int cell) const
     return linkSnrDbAt(distance_m, shadowingDb(user, cell));
 }
 
-PathlossSpec
-PathlossModel::specFromConfig(const li::Config &cfg,
-                              const PathlossSpec &defaults)
-{
-    PathlossSpec s = defaults;
-    s.refSnrDb = cfg.getDouble("ref_snr_db", s.refSnrDb);
-    s.refDistanceM = cfg.getDouble("ref_distance_m", s.refDistanceM);
-    s.exponent = cfg.getDouble("pathloss_exp", s.exponent);
-    s.shadowSigmaDb =
-        cfg.getDouble("shadow_sigma_db", s.shadowSigmaDb);
-    return s;
-}
-
 } // namespace channel
 } // namespace wilis

@@ -25,8 +25,6 @@
 
 #include <cstdint>
 
-#include "li/config.hh"
-
 namespace wilis {
 namespace channel {
 
@@ -98,10 +96,6 @@ class PathlossModel
     {
         return spec_.refSnrDb - pathlossDb(distance_m) + shadow_db;
     }
-
-    /** Parse a spec from config keys (see sim::NetworkSpec docs). */
-    static PathlossSpec specFromConfig(const li::Config &cfg,
-                                       const PathlossSpec &defaults);
 
   private:
     PathlossSpec spec_;

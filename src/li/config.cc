@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -110,11 +111,22 @@ Config::getInt(const std::string &key, long def) const
     auto it = kv.find(key);
     if (it == kv.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0')
+    long v = std::strtol(text, &end, 0);
+    if (end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an integer",
-                    key.c_str(), it->second.c_str());
+                    key.c_str(), text);
+    return v;
+}
+
+long
+Config::getInt(const std::string &key, long def, long lo, long hi) const
+{
+    const long v = getInt(key, def);
+    wilis_fatal_if(v < lo || v > hi,
+                   "config key '%s': %ld is outside [%ld, %ld]",
+                   key.c_str(), v, lo, hi);
     return v;
 }
 
@@ -124,15 +136,17 @@ Config::getUint64(const std::string &key, std::uint64_t def) const
     auto it = kv.find(key);
     if (it == kv.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
+    errno = 0;
     // strtoull would silently wrap a leading minus sign.
     unsigned long long v =
         it->second.find('-') == std::string::npos
-            ? std::strtoull(it->second.c_str(), &end, 0)
+            ? std::strtoull(text, &end, 0)
             : 0;
-    if (end == nullptr || *end != '\0')
+    if (end == nullptr || end == text || *end != '\0' || errno)
         wilis_fatal("config key '%s': '%s' is not an unsigned "
-                    "integer", key.c_str(), it->second.c_str());
+                    "integer", key.c_str(), text);
     return static_cast<std::uint64_t>(v);
 }
 
@@ -142,11 +156,12 @@ Config::getDouble(const std::string &key, double def) const
     auto it = kv.find(key);
     if (it == kv.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == nullptr || *end != '\0')
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not a number",
-                    key.c_str(), it->second.c_str());
+                    key.c_str(), text);
     return v;
 }
 

@@ -38,17 +38,27 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer value or @p def; fatal on malformed numbers. */
+    /**
+     * Integer value or @p def; fatal on malformed numbers and empty
+     * values. Values a long cannot hold saturate (the channel
+     * configs read 64-bit seeds through here; pinned outputs rely
+     * on that).
+     */
     long getInt(const std::string &key, long def = 0) const;
 
+    /** getInt() that is also fatal outside [@p lo, @p hi]. */
+    long getInt(const std::string &key, long def, long lo,
+                long hi) const;
+
     /**
-     * Unsigned 64-bit value or @p def; fatal on malformed numbers.
-     * Use for seeds, which occupy the full 64-bit range.
+     * Unsigned 64-bit value or @p def; fatal on malformed numbers,
+     * empty values, a minus sign and values past 2^64 - 1. Use for
+     * seeds, which occupy the full 64-bit range.
      */
     std::uint64_t getUint64(const std::string &key,
                             std::uint64_t def = 0) const;
 
-    /** Double value or @p def; fatal on malformed numbers. */
+    /** Double value or @p def; fatal on malformed or empty numbers. */
     double getDouble(const std::string &key, double def = 0.0) const;
 
     /** Bool value ("1/true/yes/on") or @p def. */

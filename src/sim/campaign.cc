@@ -360,12 +360,12 @@ runCampaignShard(const RunRequest &req)
     // A packet trace names one run; checkpoint files likewise hold
     // one run's state and resuming mid-campaign would alias them
     // across units or shards. Keep both single-unit, single-shard.
-    wilis_assert(units_total == 1 ||
-                     (req.traceFile.empty() && !req.spec.trace),
-                 "tracing a campaign requires reps=1");
-    wilis_assert(!req.spec.checkpoint.enabled() ||
-                     (units_total == 1 && req.shardCount == 1),
-                 "checkpointing requires reps=1 and a single shard");
+    wilis_fatal_if(units_total > 1 &&
+                       (!req.traceFile.empty() || req.spec.trace),
+                   "tracing a campaign requires reps=1");
+    wilis_fatal_if(req.spec.checkpoint.enabled() &&
+                       (units_total > 1 || req.shardCount > 1),
+                   "checkpointing requires reps=1 and a single shard");
 
     RunReport rep;
     rep.kind = "network";

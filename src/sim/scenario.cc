@@ -2,130 +2,447 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
-#include "sim/testbench.hh"
 
 namespace wilis {
 namespace sim {
 
 namespace {
 
-/**
- * Reject config keys outside the documented set. Silent acceptance
- * of a misspelled key ("payload_bit=512") used to leave the default
- * in place and the experiment quietly wrong; a config typo is a
- * user error, so it is fatal with the offending key named. Keys
- * with an allowed prefix ("channel.", "link.", ...) pass through
- * untouched -- their sub-config owns their validation.
- */
-void
-rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
-                  const std::set<std::string> &known,
-                  const std::vector<std::string> &prefixes)
+// ------------------------------------------------ key declarations
+//
+// Every ScenarioSpec and NetworkSpec key is declared exactly once, in
+// visitScenarioKeys() / visitNetworkKeys() below: its name, the field
+// it binds, its scope (the section it sits in) and the values it
+// accepts. applyConfig(), toConfig(), the public key lists and the
+// unknown-key and wrong-engine rejections are each one pass over
+// those lists. Hand-written on top: cells=RxC, the channel./decoder./
+// link. prefix families, the link shorthands, the snr_db/seed
+// aliases and the checks that relate two keys.
+
+/** Valid values of a numeric key: [lo, hi], either end may be open. */
+template <typename T>
+struct Range {
+    T lo = std::numeric_limits<T>::lowest();
+    T hi = std::numeric_limits<T>::max();
+    bool loOpen = false;
+    bool hiOpen = false;
+    /** What the value is called in errors (default: the key). */
+    const char *noun = nullptr;
+};
+
+template <typename T>
+Range<T>
+atLeast(T lo)
 {
-    for (const auto &kv : cfg.entries()) {
-        const std::string &key = kv.first;
-        if (known.count(key))
-            continue;
-        bool prefixed = false;
-        for (const std::string &p : prefixes) {
-            if (key.rfind(p, 0) == 0 && key.size() > p.size()) {
-                prefixed = true;
-                break;
-            }
-        }
-        if (prefixed)
-            continue;
-        std::string valid;
-        for (const std::string &k : known) {
-            if (!valid.empty())
-                valid += ", ";
-            valid += k;
-        }
-        wilis_fatal("unknown %s key '%s' (valid keys: %s)",
-                    spec_name, key.c_str(), valid.c_str());
-    }
+    return {.lo = lo};
+}
+
+template <typename T>
+Range<T>
+above(T lo)
+{
+    return {.lo = lo, .loOpen = true};
+}
+
+template <typename T>
+Range<T>
+within(T lo, T hi)
+{
+    return {.lo = lo, .hi = hi};
+}
+
+/** An enum key's config-file names, both ways (fatal on unknown). */
+template <typename E>
+struct Names {
+    const char *(*name)(E);
+    E (*parse)(const std::string &);
+};
+
+template <typename E>
+Names<E>
+names(const char *(*name)(E), E (*parse)(const std::string &))
+{
+    return {name, parse};
+}
+
+/** No constraint beyond what the field's type can hold. */
+struct NoCheck {};
+
+/** Any value; serialized only when set (non-empty, non-zero, true). */
+struct Optional {};
+
+/** A field's value as toConfig() writes it. */
+template <typename T>
+std::string
+formatValue(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return v;
+    else if constexpr (std::is_same_v<T, bool>)
+        return v ? "true" : "false";
+    else if constexpr (std::is_floating_point_v<T>)
+        return strprintf("%g", v);
+    else
+        return std::to_string(+v);
 }
 
 /**
- * The single source of truth for each spec's accepted key set:
- * applyConfig() validates against it and the public
- * scenarioSpecKeys() / networkSpecKeys() accessors expose it (the
- * docs/SCENARIOS.md cross-check test walks those), so the parser,
- * the validation and the reference cannot drift apart. Entries
- * ending in '.' are pass-through prefix families.
+ * Read @p key as a T within @p range; fatal, naming the key, if it is
+ * outside. Integers are read at the widest type of their signedness,
+ * so a value T cannot hold fails the check instead of being narrowed,
+ * and 64-bit values never pass through a double.
  */
-const char *const kScenarioKeys[] = {
-    "name",          "rate",         "channel",
-    "payload_bits",  "payload_seed", "decoder",
-    "soft_width",    "csi_weight",   "scrambler_seed",
-    "baseband_mhz",  "decoder_mhz",  "host_mhz",
-    "kernel_backend", "snr_db",      "seed",
-    "channel.",      "decoder.",
-};
+template <typename T>
+T
+readNumber(const li::Config &cfg, const char *key, const Range<T> &range)
+{
+    const auto v = [&] {
+        if constexpr (std::is_floating_point_v<T>)
+            return cfg.getDouble(key);
+        else if constexpr (std::is_signed_v<T>)
+            return cfg.getInt(key);
+        else
+            return cfg.getUint64(key);
+    }();
+    using Wide = std::remove_const_t<decltype(v)>;
+    const Wide lo = range.lo;
+    const Wide hi = range.hi;
+    // Written so that NaN fails both tests.
+    const bool low = range.loOpen ? !(v > lo) : !(v >= lo);
+    const bool high = range.hiOpen ? !(v < hi) : !(v <= hi);
+    if (!low && !high)
+        return static_cast<T>(v);
+    // Below the range names the lower bound; above it, the interval.
+    std::string must;
+    if (low)
+        must = (range.loOpen ? "> " : ">= ") + formatValue(range.lo);
+    else
+        must = std::string("in ") + (range.loOpen ? "(" : "[") +
+               formatValue(range.lo) + "," + formatValue(range.hi) +
+               (range.hiOpen ? ")" : "]");
+    wilis_fatal("%s %s out of range: %s must be %s",
+                range.noun ? range.noun : key, cfg.getString(key).c_str(),
+                key, must.c_str());
+}
 
-const char *const kNetworkKeys[] = {
-    "name",           "users",
-    "arrival",        "arrival_prob",
-    "doppler_hz",     "snr_spread_db",
-    "frame_interval_us", "arq",
-    "arq_window",     "arq_max_attempts",
-    "ack_delay",      "pber_lo",
-    "pber_hi",        "net_seed",
-    "fidelity",       "fidelity_warmup",
-    "fidelity_refresh_period", "fidelity_refresh_slots",
-    "calibration_file", "reps",
-    // multi-cell: checkpoint/resume
-    "checkpoint_file", "checkpoint_every",
-    "checkpoint_resume",
-    // multi-cell: topology + propagation
-    "cells",          "cell_spacing_m",
-    "cell_radius_m",  "min_distance_m",
-    "ref_snr_db",     "ref_distance_m",
-    "pathloss_exp",   "shadow_sigma_db",
-    // multi-cell: traffic + scheduling
-    "traffic",        "traffic_load",
-    "on_slots",       "off_slots",
-    "queue_limit",    "scheduler",
-    "pf_horizon",     "qdisc",
-    "control_rate",   "contention",
-    "trace",
-    // multi-cell: mobility + churn
-    "mobility",       "speed_mps",
-    "handover_hyst_db", "handover_ttt_slots",
-    "churn_rate",
-    // link-template shorthands
-    "rate",           "snr_db",
-    "payload_bits",   "decoder",
-    "kernel_backend", "link.",
-};
+/** What every pass over a key list tracks: the current section. */
+struct KeyPass {
+    /** Engine the section's keys configure. */
+    KeyScope scope = KeyScope::Any;
+    /**
+     * The section holds run policy -- how a run is repeated and
+     * saved, not what it simulates -- which fingerprint() leaves out.
+     */
+    bool runPolicy = false;
 
-/** A key table split into exact names and prefix families, in the
-    shape rejectUnknownKeys() consumes. */
-struct KeyTable {
-    std::set<std::string> known;
-    std::vector<std::string> prefixes;
-    KeyTable(const char *const *begin, const char *const *end)
+    void
+    section(KeyScope scope_, bool run_policy = false)
     {
-        for (const char *const *k = begin; k != end; ++k) {
-            const std::string key(*k);
-            if (!key.empty() && key.back() == '.')
-                prefixes.push_back(key);
-            else
-                known.insert(key);
-        }
+        scope = scope_;
+        runPolicy = run_policy;
     }
 };
 
-std::vector<std::string>
-sortedKeys(const char *const *begin, const char *const *end)
+constexpr bool kRunPolicy = true;
+
+/**
+ * The ScenarioSpec key list. All keys apply to every engine; the
+ * channel./decoder. prefixes and the snr_db/seed aliases are
+ * hand-written in applyConfig()/toConfig().
+ */
+template <typename S, typename V>
+void
+visitScenarioKeys(S &s, V &v)
 {
-    std::vector<std::string> keys(begin, end);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    v("name", s.name);
+    v("rate", s.rate,
+      Range<phy::RateIndex>{
+          .lo = 0, .hi = phy::kNumRates - 1, .noun = "rate index"});
+    v("channel", s.channel);
+    v("payload_bits", s.payloadBits, atLeast<size_t>(1));
+    v("payload_seed", s.payloadSeed);
+    v("decoder", s.rx.decoder);
+    v("soft_width", s.rx.demapper.softWidth, within(2, 24));
+    v("csi_weight", s.rx.applyCsiWeight);
+    // The scrambler's state is 7 bits and must not start at zero.
+    v("scrambler_seed", s.rx.scramblerSeed,
+      within<std::uint8_t>(1, 0x7F));
+    v("baseband_mhz", s.clocks.basebandMhz, above(0.0));
+    v("decoder_mhz", s.clocks.decoderMhz, above(0.0));
+    v("host_mhz", s.clocks.hostMhz, above(0.0));
+    v("kernel_backend", s.kernel.backend);
+}
+
+/**
+ * The NetworkSpec key list, in sections by the engine a key
+ * configures and whether it is run policy. cells=RxC, the link. prefix and the link shorthands
+ * are hand-written in applyConfig()/toConfig(); so are the checks
+ * relating two keys (pber_lo < pber_hi, min_distance_m <
+ * cell_radius_m, checkpoint_* need checkpoint_file) and the arrival
+ * model's name.
+ */
+template <typename S, typename V>
+void
+visitNetworkKeys(S &s, V &v)
+{
+    v.section(KeyScope::Any);
+    v("name", s.name);
+    v("users", s.numUsers, atLeast(1));
+    v("doppler_hz", s.dopplerHz, atLeast(0.0));
+    v("frame_interval_us", s.frameIntervalUs, above(0.0));
+    v("arq", s.arqMode, names(mac::arqModeName, mac::arqModeFromName));
+    v("arq_window", s.arqWindow, atLeast(1));
+    // 0 retries forever.
+    v("arq_max_attempts", s.arqMaxAttempts, atLeast(0));
+    v("ack_delay", s.ackDelaySlots);
+    v("pber_lo", s.pberLo, atLeast(0.0));
+    v("pber_hi", s.pberHi, atLeast(0.0));
+    v("net_seed", s.seed);
+    v("fidelity", s.fidelity.mode,
+      names(fidelityModeName, fidelityModeFromName));
+    v("fidelity_warmup", s.fidelity.warmupSlots);
+    // 0 never refreshes after the warm-up.
+    v("fidelity_refresh_period", s.fidelity.refreshPeriod);
+    v("fidelity_refresh_slots", s.fidelity.refreshSlots);
+    v("calibration_file", s.calibrationFile, Optional{});
+    v("trace", s.trace);
+
+    v.section(KeyScope::SingleCell);
+    v("arrival", s.arrivalModel);
+    v("arrival_prob", s.arrivalProb, within(0.0, 1.0));
+    v("snr_spread_db", s.snrSpreadDb, atLeast(0.0));
+
+    v.section(KeyScope::MultiCell);
+    v("cell_spacing_m", s.topology.cellSpacingM, above(0.0));
+    v("cell_radius_m", s.topology.cellRadiusM, above(0.0));
+    v("min_distance_m", s.topology.minDistanceM, atLeast(0.0));
+    v("ref_snr_db", s.topology.pathloss.refSnrDb);
+    v("ref_distance_m", s.topology.pathloss.refDistanceM, above(0.0));
+    v("pathloss_exp", s.topology.pathloss.exponent, atLeast(0.0));
+    v("shadow_sigma_db", s.topology.pathloss.shadowSigmaDb,
+      atLeast(0.0));
+    v("traffic", s.traffic.kind,
+      names(mac::trafficKindName, mac::trafficKindFromName));
+    // Frames/slot; the Poisson sampler's working range.
+    v("traffic_load", s.traffic.load, within(0.0, 64.0));
+    v("on_slots", s.traffic.onSlots, atLeast(1.0));
+    v("off_slots", s.traffic.offSlots, atLeast(1.0));
+    v("queue_limit", s.traffic.queueLimit, atLeast(1));
+    v("qdisc", s.traffic.qdisc,
+      names(mac::qdiscKindName, mac::qdiscKindFromName));
+    v("control_rate", s.traffic.controlRate, within(0.0, 64.0));
+    v("scheduler", s.scheduler.kind,
+      names(mac::schedulerKindName, mac::schedulerKindFromName));
+    v("pf_horizon", s.scheduler.pfHorizonSlots, atLeast(1.0));
+    v("contention", s.scheduler.contention,
+      names(mac::contentionModeName, mac::contentionModeFromName));
+    v("mobility", s.mobility.model,
+      names(mobilityModelName, mobilityModelFromName));
+    v("speed_mps", s.mobility.speedMps, above(0.0));
+    v("handover_hyst_db", s.mobility.handoverHystDb, atLeast(0.0));
+    v("handover_ttt_slots", s.mobility.handoverTttSlots);
+    v("churn_rate", s.mobility.churnRate,
+      Range<double>{.lo = 0.0, .hi = 1.0, .hiOpen = true});
+
+    v.section(KeyScope::Any, kRunPolicy);
+    v("reps", s.reps, atLeast(1));
+    v.section(KeyScope::MultiCell, kRunPolicy);
+    v("checkpoint_file", s.checkpoint.file, Optional{});
+    v("checkpoint_every", s.checkpoint.everySlots, Optional{});
+    v("checkpoint_resume", s.checkpoint.resume, Optional{});
+}
+
+/** applyConfig(): parse each key present in the config. */
+class ApplyKeys : public KeyPass
+{
+  public:
+    /** @param grid Deployment the scope check tests (NetworkSpec). */
+    explicit ApplyKeys(const li::Config &cfg_,
+                       const TopologySpec *grid_ = nullptr)
+        : cfg(cfg_), grid(grid_)
+    {}
+
+    template <typename T, typename Check = NoCheck>
+    void
+    operator()(const char *key, T &field, const Check &check = {})
+    {
+        if (!cfg.has(key))
+            return;
+        field = parse<T>(key, check);
+        requireScope(key, scope);
+    }
+
+    /**
+     * A key of one engine alongside the other engine's spec changes
+     * nothing -- a silently wrong experiment -- so it is fatal.
+     */
+    void
+    requireScope(const char *key, KeyScope key_scope) const
+    {
+        if (key_scope == KeyScope::SingleCell && grid->multicell())
+            wilis_fatal("single-cell key '%s' has no effect in "
+                        "multi-cell mode (cells=%dx%d); use the "
+                        "traffic/topology keys instead",
+                        key, grid->rows, grid->cols);
+        if (key_scope == KeyScope::MultiCell && !grid->multicell())
+            wilis_fatal("multi-cell key '%s' has no effect without a "
+                        "cell grid; add cells=RxC (e.g. cells=3x3)",
+                        key);
+    }
+
+  private:
+    template <typename T, typename Check>
+    T
+    parse(const char *key, const Check &check) const
+    {
+        if constexpr (std::is_same_v<Check, Names<T>>) {
+            return check.parse(cfg.getString(key));
+        } else {
+            static_assert(std::is_same_v<Check, Range<T>> ||
+                              std::is_same_v<Check, NoCheck> ||
+                              std::is_same_v<Check, Optional>,
+                          "key check does not match the field type");
+            if constexpr (std::is_same_v<T, std::string>)
+                return cfg.getString(key);
+            else if constexpr (std::is_same_v<T, bool>)
+                return cfg.getBool(key);
+            else if constexpr (std::is_same_v<Check, Range<T>>)
+                return readNumber(cfg, key, check);
+            else
+                return readNumber(cfg, key, Range<T>{});
+        }
+    }
+
+    const li::Config &cfg;
+    const TopologySpec *grid;
+};
+
+/** toConfig(): serialize the keys of the spec's engine. */
+class EmitKeys : public KeyPass
+{
+  public:
+    explicit EmitKeys(li::Config &out_, bool multicell_ = false,
+                      bool with_run_policy = true)
+        : out(out_), multicell(multicell_),
+          withRunPolicy(with_run_policy)
+    {}
+
+    template <typename T, typename Check = NoCheck>
+    void
+    operator()(const char *key, const T &field, const Check &check = {})
+    {
+        if (scope == (multicell ? KeyScope::SingleCell
+                                : KeyScope::MultiCell) ||
+            (runPolicy && !withRunPolicy))
+            return;
+        if constexpr (std::is_same_v<Check, Names<T>>)
+            out.set(key, check.name(field));
+        else if (!std::is_same_v<Check, Optional> || field != T{})
+            out.set(key, formatValue(field));
+    }
+
+  private:
+    li::Config &out;
+    bool multicell;
+    bool withRunPolicy;
+};
+
+/** The key lists: every name, or those of one scope. */
+class ListKeys : public KeyPass
+{
+  public:
+    explicit ListKeys(std::vector<std::string> &out_,
+                      std::optional<KeyScope> only_ = std::nullopt)
+        : out(out_), only(only_)
+    {}
+
+    template <typename T, typename Check = NoCheck>
+    void
+    operator()(const char *key, const T &, const Check & = {})
+    {
+        add(key, scope);
+    }
+
+    void
+    add(const char *key, KeyScope key_scope)
+    {
+        if (!only || *only == key_scope)
+            out.emplace_back(key);
+    }
+
+  private:
+    std::vector<std::string> &out;
+    std::optional<KeyScope> only;
+};
+
+// Hand-written keys (see the note above visitScenarioKeys()).
+const char kChannelPrefix[] = "channel.";
+const char kDecoderPrefix[] = "decoder.";
+const char kLinkPrefix[] = "link.";
+const char kCellsKey[] = "cells";
+/** ScenarioSpec keys forwarded verbatim to the channel config. */
+const char *const kChannelAliases[] = {"snr_db", "seed"};
+/** Link-template keys NetworkSpec also accepts without "link.". */
+const std::pair<const char *, KeyScope> kLinkShorthands[] = {
+    {"rate", KeyScope::Any},
+    {"snr_db", KeyScope::SingleCell},
+    {"payload_bits", KeyScope::Any},
+    {"decoder", KeyScope::Any},
+    {"kernel_backend", KeyScope::Any},
+};
+
+/**
+ * Reject config keys outside @p keys (sorted; entries ending in '.'
+ * are prefix families, which must be followed by a sub-key). A typo
+ * would otherwise leave the default in place and the experiment
+ * quietly wrong.
+ */
+void
+rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
+                  const std::vector<std::string> &keys)
+{
+    for (const auto &kv : cfg.entries()) {
+        const std::string &key = kv.first;
+        const bool known =
+            std::any_of(keys.begin(), keys.end(), [&](const auto &k) {
+                return k.back() == '.' ? key.size() > k.size() &&
+                                             key.rfind(k, 0) == 0
+                                       : key == k;
+            });
+        if (known)
+            continue;
+        std::string valid;
+        for (const std::string &k : keys)
+            valid += (valid.empty() ? "" : ", ") + k;
+        wilis_fatal("unknown %s key '%s' (valid keys: %s)", spec_name,
+                    key.c_str(), valid.c_str());
+    }
+}
+
+/** Copy the @p prefix family of @p cfg into @p sub, prefix stripped. */
+void
+copyPrefixed(const li::Config &cfg, const std::string &prefix,
+             li::Config &sub)
+{
+    for (const auto &kv : cfg.entries())
+        if (kv.first.rfind(prefix, 0) == 0)
+            sub.set(kv.first.substr(prefix.size()), kv.second);
+}
+
+/** Add @p sub to @p cfg under @p prefix. */
+void
+emitPrefixed(const li::Config &sub, const std::string &prefix,
+             li::Config &cfg)
+{
+    for (const auto &kv : sub.entries())
+        cfg.set(prefix + kv.first, kv.second);
 }
 
 } // namespace
@@ -133,15 +450,29 @@ sortedKeys(const char *const *begin, const char *const *end)
 std::vector<std::string>
 scenarioSpecKeys()
 {
-    return sortedKeys(std::begin(kScenarioKeys),
-                      std::end(kScenarioKeys));
+    std::vector<std::string> keys = {kChannelPrefix, kDecoderPrefix};
+    keys.insert(keys.end(), std::begin(kChannelAliases),
+                std::end(kChannelAliases));
+    const ScenarioSpec spec;
+    ListKeys list(keys);
+    visitScenarioKeys(spec, list);
+    std::sort(keys.begin(), keys.end());
+    return keys;
 }
 
 std::vector<std::string>
-networkSpecKeys()
+networkSpecKeys(std::optional<KeyScope> scope)
 {
-    return sortedKeys(std::begin(kNetworkKeys),
-                      std::end(kNetworkKeys));
+    std::vector<std::string> keys;
+    ListKeys list(keys, scope);
+    const NetworkSpec spec;
+    visitNetworkKeys(spec, list);
+    list.add(kCellsKey, KeyScope::MultiCell);
+    list.add(kLinkPrefix, KeyScope::Any);
+    for (const auto &[key, key_scope] : kLinkShorthands)
+        list.add(key, key_scope);
+    std::sort(keys.begin(), keys.end());
+    return keys;
 }
 
 ScenarioSpec
@@ -177,20 +508,10 @@ ScenarioSpec::withPayloadBits(size_t bits) const
 }
 
 ScenarioSpec
-ScenarioSpec::withKernelBackend(const std::string &backend) const
-{
-    ScenarioSpec s = *this;
-    s.kernel.backend = backend;
-    return s;
-}
-
-ScenarioSpec
 ScenarioSpec::withChannelSeed(std::uint64_t seed) const
 {
     ScenarioSpec s = *this;
-    s.channelCfg.set("seed",
-                     strprintf("%llu",
-                               static_cast<unsigned long long>(seed)));
+    s.channelCfg.set("seed", std::to_string(seed));
     return s;
 }
 
@@ -210,41 +531,16 @@ ScenarioSpec::label() const
 void
 ScenarioSpec::applyConfig(const li::Config &cfg)
 {
-    static const KeyTable keys(std::begin(kScenarioKeys),
-                               std::end(kScenarioKeys));
-    rejectUnknownKeys(cfg, "ScenarioSpec", keys.known,
-                      keys.prefixes);
+    static const std::vector<std::string> keys = scenarioSpecKeys();
+    rejectUnknownKeys(cfg, "ScenarioSpec", keys);
 
-    name = cfg.getString("name", name);
-    rate = static_cast<phy::RateIndex>(cfg.getInt("rate", rate));
-    wilis_assert(rate >= 0 && rate < phy::kNumRates,
-                 "rate index %d out of range", rate);
-    channel = cfg.getString("channel", channel);
-    payloadBits = static_cast<size_t>(
-        cfg.getInt("payload_bits", static_cast<long>(payloadBits)));
-    payloadSeed = cfg.getUint64("payload_seed", payloadSeed);
-    rx.decoder = cfg.getString("decoder", rx.decoder);
-    rx.demapper.softWidth = static_cast<int>(
-        cfg.getInt("soft_width", rx.demapper.softWidth));
-    rx.applyCsiWeight = cfg.getBool("csi_weight", rx.applyCsiWeight);
-    rx.scramblerSeed = static_cast<std::uint8_t>(
-        cfg.getInt("scrambler_seed", rx.scramblerSeed));
-    clocks.basebandMhz =
-        cfg.getDouble("baseband_mhz", clocks.basebandMhz);
-    clocks.decoderMhz =
-        cfg.getDouble("decoder_mhz", clocks.decoderMhz);
-    clocks.hostMhz = cfg.getDouble("host_mhz", clocks.hostMhz);
-    kernel.backend = cfg.getString("kernel_backend", kernel.backend);
-
-    for (const auto &kv : cfg.entries()) {
-        const std::string &key = kv.first;
-        if (key.rfind("channel.", 0) == 0)
-            channelCfg.set(key.substr(8), kv.second);
-        else if (key.rfind("decoder.", 0) == 0)
-            rx.decoderCfg.set(key.substr(8), kv.second);
-        else if (key == "snr_db" || key == "seed")
-            channelCfg.set(key, kv.second);
-    }
+    ApplyKeys apply(cfg);
+    visitScenarioKeys(*this, apply);
+    copyPrefixed(cfg, kChannelPrefix, channelCfg);
+    copyPrefixed(cfg, kDecoderPrefix, rx.decoderCfg);
+    for (const char *alias : kChannelAliases)
+        if (cfg.has(alias))
+            channelCfg.set(alias, cfg.getString(alias));
 }
 
 ScenarioSpec
@@ -259,25 +555,10 @@ li::Config
 ScenarioSpec::toConfig() const
 {
     li::Config cfg;
-    cfg.set("name", name);
-    cfg.set("rate", strprintf("%d", rate));
-    cfg.set("channel", channel);
-    cfg.set("payload_bits", strprintf("%zu", payloadBits));
-    cfg.set("payload_seed",
-            strprintf("%llu",
-                      static_cast<unsigned long long>(payloadSeed)));
-    cfg.set("decoder", rx.decoder);
-    cfg.set("soft_width", strprintf("%d", rx.demapper.softWidth));
-    cfg.set("csi_weight", rx.applyCsiWeight ? "true" : "false");
-    cfg.set("scrambler_seed", strprintf("%d", rx.scramblerSeed));
-    cfg.set("baseband_mhz", strprintf("%g", clocks.basebandMhz));
-    cfg.set("decoder_mhz", strprintf("%g", clocks.decoderMhz));
-    cfg.set("host_mhz", strprintf("%g", clocks.hostMhz));
-    cfg.set("kernel_backend", kernel.backend);
-    for (const auto &kv : channelCfg.entries())
-        cfg.set("channel." + kv.first, kv.second);
-    for (const auto &kv : rx.decoderCfg.entries())
-        cfg.set("decoder." + kv.first, kv.second);
+    EmitKeys emit(cfg);
+    visitScenarioKeys(*this, emit);
+    emitPrefixed(channelCfg, kChannelPrefix, cfg);
+    emitPrefixed(rx.decoderCfg, kDecoderPrefix, cfg);
     return cfg;
 }
 
@@ -285,84 +566,43 @@ ScenarioSpec::toConfig() const
 
 namespace {
 
-/**
- * Shared machinery of the scenario and network preset registries:
- * name -> factory with duplicate detection and a known-names fatal
- * on unknown lookups.
- */
+/** Instantiate @p name from @p presets; fatal with the known names. */
 template <typename Spec>
-class PresetRegistry
+Spec
+makePreset(const std::map<std::string, Spec (*)()> &presets,
+           const char *kind, const std::string &name)
 {
-  public:
-    using Factory = Spec (*)();
-
-    explicit PresetRegistry(const char *kind_) : kind(kind_) {}
-
-    void
-    add(const std::string &name, Factory factory)
-    {
-        wilis_assert(!presets.count(name),
-                     "duplicate %s preset '%s'", kind, name.c_str());
-        presets[name] = factory;
-    }
-
-    Spec
-    create(const std::string &name) const
-    {
-        auto it = presets.find(name);
-        if (it == presets.end()) {
-            std::string known;
-            for (const auto &kv : presets) {
-                if (!known.empty())
-                    known += ", ";
-                known += kv.first;
-            }
-            wilis_fatal("no %s preset '%s' (known: %s)", kind,
-                        name.c_str(), known.c_str());
-        }
-        return it->second();
-    }
-
-    bool
-    has(const std::string &name) const
-    {
-        return presets.count(name) > 0;
-    }
-
-    std::vector<std::string>
-    names() const
-    {
-        std::vector<std::string> out;
+    const auto it = presets.find(name);
+    if (it == presets.end()) {
+        std::string known;
         for (const auto &kv : presets)
-            out.push_back(kv.first);
-        return out;
+            known += (known.empty() ? "" : ", ") + kv.first;
+        wilis_fatal("no %s preset '%s' (known: %s)", kind, name.c_str(),
+                    known.c_str());
     }
+    return it->second();
+}
 
-  private:
-    const char *kind;
-    std::map<std::string, Factory> presets;
-};
-
-PresetRegistry<ScenarioSpec> &
-scenarioRegistry()
+const std::map<std::string, ScenarioSpec (*)()> &
+scenarioPresets()
 {
-    static PresetRegistry<ScenarioSpec> reg = [] {
-        PresetRegistry<ScenarioSpec> r("scenario");
-        r.add("awgn-mid", [] {
+    static const auto presets = [] {
+        std::map<std::string, ScenarioSpec (*)()> m;
+        m["awgn-mid"] = [] {
             ScenarioSpec s;
             s.name = "awgn-mid";
             s.channel = "awgn";
             s.channelCfg = li::Config::fromString("snr_db=10");
             return s;
-        });
-        r.add("awgn-clean", [] {
+        };
+        m["awgn-clean"] = [] {
             ScenarioSpec s;
             s.name = "awgn-clean";
             s.channel = "awgn";
             s.channelCfg = li::Config::fromString("snr_db=30");
             return s;
-        });
-        r.add("rayleigh-fading", [] {
+        };
+        m["rayleigh-fading"] = [] {
             // The Figure 7 SoftRate setting: 20 Hz fading, 10 dB
             // AWGN.
             ScenarioSpec s;
@@ -371,8 +611,8 @@ scenarioRegistry()
             s.channelCfg =
                 li::Config::fromString("snr_db=10,doppler_hz=20");
             return s;
-        });
-        r.add("multipath-selective", [] {
+        };
+        m["multipath-selective"] = [] {
             ScenarioSpec s;
             s.name = "multipath-selective";
             s.channel = "multipath";
@@ -380,45 +620,41 @@ scenarioRegistry()
                 "snr_db=15,num_taps=4,delay_spread=3");
             s.rx.applyCsiWeight = true;
             return s;
-        });
-        r.add("interference-tone", [] {
+        };
+        m["interference-tone"] = [] {
             ScenarioSpec s;
             s.name = "interference-tone";
             s.channel = "interference";
             s.channelCfg =
                 li::Config::fromString("snr_db=15,sir_db=10");
             return s;
-        });
-        return r;
+        };
+        return m;
     }();
-    return reg;
+    return presets;
 }
 
 } // namespace
 
-void
-registerScenarioPreset(const std::string &name,
-                       ScenarioSpec (*factory)())
-{
-    scenarioRegistry().add(name, factory);
-}
-
 ScenarioSpec
 scenarioPreset(const std::string &name)
 {
-    return scenarioRegistry().create(name);
+    return makePreset(scenarioPresets(), "scenario", name);
 }
 
 bool
 hasScenarioPreset(const std::string &name)
 {
-    return scenarioRegistry().has(name);
+    return scenarioPresets().count(name) > 0;
 }
 
 std::vector<std::string>
 scenarioPresetNames()
 {
-    return scenarioRegistry().names();
+    std::vector<std::string> out;
+    for (const auto &kv : scenarioPresets())
+        out.push_back(kv.first);
+    return out;
 }
 
 // ------------------------------------------------ network specs
@@ -426,63 +662,13 @@ scenarioPresetNames()
 void
 NetworkSpec::applyConfig(const li::Config &cfg)
 {
-    static const KeyTable keys(std::begin(kNetworkKeys),
-                               std::end(kNetworkKeys));
-    rejectUnknownKeys(cfg, "NetworkSpec", keys.known,
-                      keys.prefixes);
+    static const std::vector<std::string> keys = networkSpecKeys();
+    rejectUnknownKeys(cfg, "NetworkSpec", keys);
 
-    name = cfg.getString("name", name);
-    numUsers =
-        static_cast<int>(cfg.getInt("users", numUsers));
-    wilis_assert(numUsers >= 1, "network needs >= 1 user, got %d",
-                 numUsers);
-    arrivalModel = cfg.getString("arrival", arrivalModel);
-    wilis_assert(arrivalModel == "full" ||
-                     arrivalModel == "bernoulli",
-                 "unknown arrival model '%s' (full|bernoulli)",
-                 arrivalModel.c_str());
-    arrivalProb = cfg.getDouble("arrival_prob", arrivalProb);
-    dopplerHz = cfg.getDouble("doppler_hz", dopplerHz);
-    snrSpreadDb = cfg.getDouble("snr_spread_db", snrSpreadDb);
-    frameIntervalUs =
-        cfg.getDouble("frame_interval_us", frameIntervalUs);
-    if (cfg.has("arq"))
-        arqMode = mac::arqModeFromName(cfg.getString("arq"));
-    arqWindow = static_cast<int>(cfg.getInt("arq_window", arqWindow));
-    arqMaxAttempts = static_cast<int>(
-        cfg.getInt("arq_max_attempts", arqMaxAttempts));
-    ackDelaySlots = cfg.getUint64("ack_delay", ackDelaySlots);
-    pberLo = cfg.getDouble("pber_lo", pberLo);
-    pberHi = cfg.getDouble("pber_hi", pberHi);
-    seed = cfg.getUint64("net_seed", seed);
-    if (cfg.has("fidelity"))
-        fidelity.mode =
-            fidelityModeFromName(cfg.getString("fidelity"));
-    fidelity.warmupSlots =
-        cfg.getUint64("fidelity_warmup", fidelity.warmupSlots);
-    fidelity.refreshPeriod = cfg.getUint64("fidelity_refresh_period",
-                                           fidelity.refreshPeriod);
-    fidelity.refreshSlots = cfg.getUint64("fidelity_refresh_slots",
-                                          fidelity.refreshSlots);
-    calibrationFile =
-        cfg.getString("calibration_file", calibrationFile);
-    reps = static_cast<int>(cfg.getInt("reps", reps));
-    wilis_assert(reps >= 1, "reps must be >= 1, got %d", reps);
-
-    checkpoint.file =
-        cfg.getString("checkpoint_file", checkpoint.file);
-    checkpoint.everySlots =
-        cfg.getUint64("checkpoint_every", checkpoint.everySlots);
-    checkpoint.resume =
-        cfg.getBool("checkpoint_resume", checkpoint.resume);
-    wilis_assert(checkpoint.enabled() ||
-                     (checkpoint.everySlots == 0 &&
-                      !checkpoint.resume),
-                 "checkpoint_every/checkpoint_resume need "
-                 "checkpoint_file");
-
-    if (cfg.has("cells")) {
-        const std::string grid = cfg.getString("cells");
+    // The grid decides which engine's keys are valid, so it goes
+    // first.
+    if (cfg.has(kCellsKey)) {
+        const std::string grid = cfg.getString(kCellsKey);
         int rows = 0;
         int cols = 0;
         char tail = '\0';
@@ -495,119 +681,37 @@ NetworkSpec::applyConfig(const li::Config &cfg)
         topology.rows = rows;
         topology.cols = cols;
     }
-    topology.cellSpacingM =
-        cfg.getDouble("cell_spacing_m", topology.cellSpacingM);
-    topology.cellRadiusM =
-        cfg.getDouble("cell_radius_m", topology.cellRadiusM);
-    topology.minDistanceM =
-        cfg.getDouble("min_distance_m", topology.minDistanceM);
-    topology.pathloss =
-        channel::PathlossModel::specFromConfig(cfg,
-                                               topology.pathloss);
 
-    if (cfg.has("traffic"))
-        traffic.kind = mac::trafficKindFromName(
-            cfg.getString("traffic"));
-    traffic.load = cfg.getDouble("traffic_load", traffic.load);
-    traffic.onSlots = cfg.getDouble("on_slots", traffic.onSlots);
-    traffic.offSlots = cfg.getDouble("off_slots", traffic.offSlots);
-    traffic.queueLimit = static_cast<int>(
-        cfg.getInt("queue_limit", traffic.queueLimit));
+    ApplyKeys apply(cfg, &topology);
+    visitNetworkKeys(*this, apply);
 
-    if (cfg.has("qdisc"))
-        traffic.qdisc =
-            mac::qdiscKindFromName(cfg.getString("qdisc"));
-    traffic.controlRate =
-        cfg.getDouble("control_rate", traffic.controlRate);
-    wilis_assert(traffic.controlRate >= 0.0,
-                 "control_rate must be >= 0, got %g",
-                 traffic.controlRate);
+    wilis_fatal_if(arrivalModel != "full" && arrivalModel != "bernoulli",
+                   "unknown arrival model '%s' (full|bernoulli)",
+                   arrivalModel.c_str());
+    wilis_fatal_if(!(pberLo < pberHi),
+                   "pber_lo must be < pber_hi, got %g >= %g", pberLo,
+                   pberHi);
+    wilis_fatal_if(multicell() &&
+                       !(topology.minDistanceM < topology.cellRadiusM),
+                   "min_distance_m must be < cell_radius_m, got %g >= "
+                   "%g",
+                   topology.minDistanceM, topology.cellRadiusM);
+    wilis_fatal_if(!checkpoint.enabled() &&
+                       (checkpoint.everySlots != 0 || checkpoint.resume),
+                   "checkpoint_every/checkpoint_resume need "
+                   "checkpoint_file");
 
-    if (cfg.has("scheduler"))
-        scheduler.kind = mac::schedulerKindFromName(
-            cfg.getString("scheduler"));
-    scheduler.pfHorizonSlots =
-        cfg.getDouble("pf_horizon", scheduler.pfHorizonSlots);
-    if (cfg.has("contention"))
-        scheduler.contention = mac::contentionModeFromName(
-            cfg.getString("contention"));
-
-    if (cfg.has("mobility"))
-        mobility.model =
-            mobilityModelFromName(cfg.getString("mobility"));
-    mobility.speedMps =
-        cfg.getDouble("speed_mps", mobility.speedMps);
-    wilis_assert(mobility.speedMps > 0.0,
-                 "speed_mps must be > 0, got %g",
-                 mobility.speedMps);
-    mobility.handoverHystDb =
-        cfg.getDouble("handover_hyst_db", mobility.handoverHystDb);
-    wilis_assert(mobility.handoverHystDb >= 0.0,
-                 "handover_hyst_db must be >= 0, got %g",
-                 mobility.handoverHystDb);
-    mobility.handoverTttSlots = cfg.getUint64(
-        "handover_ttt_slots", mobility.handoverTttSlots);
-    mobility.churnRate =
-        cfg.getDouble("churn_rate", mobility.churnRate);
-    wilis_assert(mobility.churnRate >= 0.0 &&
-                     mobility.churnRate < 1.0,
-                 "churn_rate must be in [0,1), got %g",
-                 mobility.churnRate);
-
-    trace = cfg.getBool("trace", trace);
-
-    // Pass-throughs to the link template: explicit "link.<k>" keys
-    // plus the common shorthands.
+    // The link template: explicit "link.<k>" keys plus the
+    // shorthands.
     li::Config link_cfg;
-    for (const auto &kv : cfg.entries()) {
-        if (kv.first.rfind("link.", 0) == 0)
-            link_cfg.set(kv.first.substr(5), kv.second);
-        else if (kv.first == "rate" || kv.first == "snr_db" ||
-                 kv.first == "payload_bits" ||
-                 kv.first == "decoder" ||
-                 kv.first == "kernel_backend")
-            link_cfg.set(kv.first, kv.second);
+    copyPrefixed(cfg, kLinkPrefix, link_cfg);
+    for (const auto &[key, key_scope] : kLinkShorthands) {
+        if (cfg.has(key)) {
+            apply.requireScope(key, key_scope);
+            link_cfg.set(key, cfg.getString(key));
+        }
     }
     link.applyConfig(link_cfg);
-
-    // The multi-cell engine derives per-user SNRs from the
-    // topology and offers traffic through the traffic model, so
-    // the single-cell knobs below have no effect there. Accepting
-    // them alongside cells=RxC would be exactly the
-    // silently-wrong-experiment failure the strict key check
-    // exists to prevent.
-    if (multicell()) {
-        for (const char *key :
-             {"arrival", "arrival_prob", "snr_spread_db",
-              "snr_db"}) {
-            if (cfg.has(key))
-                wilis_fatal("single-cell key '%s' has no effect in "
-                            "multi-cell mode (cells=%dx%d); use the "
-                            "traffic/topology keys instead",
-                            key, topology.rows, topology.cols);
-        }
-    } else {
-        // ...and symmetrically: the topology/traffic/scheduler
-        // keys only drive the multi-cell engine, so accepting them
-        // without a grid would run the single-cell engine with the
-        // experiment quietly missing its traffic model.
-        for (const char *key :
-             {"cell_spacing_m", "cell_radius_m", "min_distance_m",
-              "ref_snr_db", "ref_distance_m", "pathloss_exp",
-              "shadow_sigma_db", "traffic", "traffic_load",
-              "on_slots", "off_slots", "queue_limit", "scheduler",
-              "pf_horizon", "qdisc", "control_rate", "contention",
-              "mobility", "speed_mps",
-              "handover_hyst_db", "handover_ttt_slots",
-              "churn_rate", "checkpoint_file", "checkpoint_every",
-              "checkpoint_resume"}) {
-            if (cfg.has(key))
-                wilis_fatal("multi-cell key '%s' has no effect "
-                            "without a cell grid; add cells=RxC "
-                            "(e.g. cells=3x3)",
-                            key);
-        }
-    }
 }
 
 NetworkSpec
@@ -618,128 +722,40 @@ NetworkSpec::fromConfig(const li::Config &cfg)
     return s;
 }
 
+namespace {
+
+/**
+ * toConfig(), optionally without the run-policy keys. Each engine's
+ * spec round-trips with exactly its own key set: the other engine's
+ * keys would be rejected by applyConfig().
+ */
+li::Config
+networkConfig(const NetworkSpec &spec, bool with_run_policy)
+{
+    li::Config cfg;
+    EmitKeys emit(cfg, spec.multicell(), with_run_policy);
+    visitNetworkKeys(spec, emit);
+    if (spec.multicell())
+        cfg.set(kCellsKey, strprintf("%dx%d", spec.topology.rows,
+                                     spec.topology.cols));
+    emitPrefixed(spec.link.toConfig(), kLinkPrefix, cfg);
+    return cfg;
+}
+
+} // namespace
+
 li::Config
 NetworkSpec::toConfig() const
 {
-    li::Config cfg;
-    cfg.set("name", name);
-    cfg.set("users", strprintf("%d", numUsers));
-    // The single-cell traffic/SNR knobs are meaningless (and
-    // rejected) alongside a multi-cell grid, so a multi-cell spec
-    // round-trips without them.
-    if (!multicell()) {
-        cfg.set("arrival", arrivalModel);
-        cfg.set("arrival_prob", strprintf("%g", arrivalProb));
-        cfg.set("snr_spread_db", strprintf("%g", snrSpreadDb));
-    }
-    cfg.set("doppler_hz", strprintf("%g", dopplerHz));
-    cfg.set("frame_interval_us", strprintf("%g", frameIntervalUs));
-    cfg.set("arq", mac::arqModeName(arqMode));
-    cfg.set("arq_window", strprintf("%d", arqWindow));
-    cfg.set("arq_max_attempts", strprintf("%d", arqMaxAttempts));
-    cfg.set("ack_delay",
-            strprintf("%llu",
-                      static_cast<unsigned long long>(ackDelaySlots)));
-    cfg.set("pber_lo", strprintf("%g", pberLo));
-    cfg.set("pber_hi", strprintf("%g", pberHi));
-    cfg.set("net_seed",
-            strprintf("%llu", static_cast<unsigned long long>(seed)));
-    cfg.set("fidelity", fidelityModeName(fidelity.mode));
-    cfg.set("fidelity_warmup",
-            strprintf("%llu", static_cast<unsigned long long>(
-                                  fidelity.warmupSlots)));
-    cfg.set("fidelity_refresh_period",
-            strprintf("%llu", static_cast<unsigned long long>(
-                                  fidelity.refreshPeriod)));
-    cfg.set("fidelity_refresh_slots",
-            strprintf("%llu", static_cast<unsigned long long>(
-                                  fidelity.refreshSlots)));
-    if (!calibrationFile.empty())
-        cfg.set("calibration_file", calibrationFile);
-    cfg.set("reps", strprintf("%d", reps));
-    // The multi-cell keys are rejected by applyConfig() on
-    // single-cell specs (and vice versa for the single-cell knobs
-    // above), so each engine's spec round-trips with exactly its
-    // own key set.
-    if (multicell()) {
-        cfg.set("cells",
-                strprintf("%dx%d", topology.rows, topology.cols));
-        cfg.set("cell_spacing_m",
-                strprintf("%g", topology.cellSpacingM));
-        cfg.set("cell_radius_m",
-                strprintf("%g", topology.cellRadiusM));
-        cfg.set("min_distance_m",
-                strprintf("%g", topology.minDistanceM));
-        cfg.set("ref_snr_db",
-                strprintf("%g", topology.pathloss.refSnrDb));
-        cfg.set("ref_distance_m",
-                strprintf("%g", topology.pathloss.refDistanceM));
-        cfg.set("pathloss_exp",
-                strprintf("%g", topology.pathloss.exponent));
-        cfg.set("shadow_sigma_db",
-                strprintf("%g", topology.pathloss.shadowSigmaDb));
-        cfg.set("traffic", mac::trafficKindName(traffic.kind));
-        cfg.set("traffic_load", strprintf("%g", traffic.load));
-        cfg.set("on_slots", strprintf("%g", traffic.onSlots));
-        cfg.set("off_slots", strprintf("%g", traffic.offSlots));
-        cfg.set("queue_limit", strprintf("%d", traffic.queueLimit));
-        cfg.set("scheduler",
-                mac::schedulerKindName(scheduler.kind));
-        cfg.set("pf_horizon",
-                strprintf("%g", scheduler.pfHorizonSlots));
-        cfg.set("qdisc", mac::qdiscKindName(traffic.qdisc));
-        cfg.set("control_rate",
-                strprintf("%g", traffic.controlRate));
-        cfg.set("contention",
-                mac::contentionModeName(scheduler.contention));
-        cfg.set("mobility", mobilityModelName(mobility.model));
-        cfg.set("speed_mps", strprintf("%g", mobility.speedMps));
-        cfg.set("handover_hyst_db",
-                strprintf("%g", mobility.handoverHystDb));
-        cfg.set("handover_ttt_slots",
-                strprintf("%llu",
-                          static_cast<unsigned long long>(
-                              mobility.handoverTttSlots)));
-        cfg.set("churn_rate",
-                strprintf("%g", mobility.churnRate));
-        if (checkpoint.enabled()) {
-            cfg.set("checkpoint_file", checkpoint.file);
-            if (checkpoint.everySlots)
-                cfg.set("checkpoint_every",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      checkpoint.everySlots)));
-            if (checkpoint.resume)
-                cfg.set("checkpoint_resume", "true");
-        }
-    }
-    cfg.set("trace", trace ? "true" : "false");
-    const li::Config link_cfg = link.toConfig();
-    for (const auto &kv : link_cfg.entries())
-        cfg.set("link." + kv.first, kv.second);
-    return cfg;
+    return networkConfig(*this, true);
 }
 
 std::string
 NetworkSpec::fingerprint() const
 {
-    // The canonical sorted key=value rendering of toConfig(), minus
-    // the keys that do not shape the slot-by-slot dynamics (see the
-    // header). li::Config::entries() iterates a sorted map, so the
-    // string is independent of how the spec was built.
-    std::string out;
-    const li::Config cfg = toConfig();
-    for (const auto &kv : cfg.entries()) {
-        const std::string &key = kv.first;
-        if (key == "reps" || key.rfind("checkpoint_", 0) == 0)
-            continue;
-        if (!out.empty())
-            out += ',';
-        out += key;
-        out += '=';
-        out += kv.second;
-    }
-    return out;
+    // li::Config::toString() is sorted, so the string is independent
+    // of how the spec was built.
+    return networkConfig(*this, false).toString();
 }
 
 namespace {
@@ -756,17 +772,17 @@ baseCell()
     return s;
 }
 
-PresetRegistry<NetworkSpec> &
-networkRegistry()
+const std::map<std::string, NetworkSpec (*)()> &
+networkPresets()
 {
-    static PresetRegistry<NetworkSpec> reg = [] {
-        PresetRegistry<NetworkSpec> r("network");
-        r.add("cell-16", [] {
+    static const auto presets = [] {
+        std::map<std::string, NetworkSpec (*)()> m;
+        m["cell-16"] = [] {
             NetworkSpec s = baseCell();
             s.name = "cell-16";
             return s;
-        });
-        r.add("cell-dense", [] {
+        };
+        m["cell-dense"] = [] {
             // Many bursty users contending for the same timeline.
             NetworkSpec s = baseCell();
             s.name = "cell-dense";
@@ -774,24 +790,24 @@ networkRegistry()
             s.arrivalModel = "bernoulli";
             s.arrivalProb = 0.5;
             return s;
-        });
-        r.add("cell-mobile", [] {
+        };
+        m["cell-mobile"] = [] {
             // Fast fading: adaptation and ARQ chase a 120 Hz
             // channel.
             NetworkSpec s = baseCell();
             s.name = "cell-mobile";
             s.dopplerHz = 120.0;
             return s;
-        });
-        r.add("cell-stopwait", [] {
+        };
+        m["cell-stopwait"] = [] {
             // Stop-and-wait baseline for the ARQ-mode comparison.
             NetworkSpec s = baseCell();
             s.name = "cell-stopwait";
             s.arqMode = mac::ArqMode::StopAndWait;
             s.ackDelaySlots = 2;
             return s;
-        });
-        r.add("cell-1k", [] {
+        };
+        m["cell-1k"] = [] {
             // The scale step: a thousand users on the calibrated
             // analytic fast path (full PHY here would cost ~1000x
             // a cell-16 run).
@@ -800,8 +816,8 @@ networkRegistry()
             s.numUsers = 1024;
             s.fidelity.mode = FidelityMode::Analytic;
             return s;
-        });
-        r.add("dense-analytic", [] {
+        };
+        m["dense-analytic"] = [] {
             // cell-dense's bursty contention at analytic cost.
             NetworkSpec s = baseCell();
             s.name = "dense-analytic";
@@ -810,16 +826,16 @@ networkRegistry()
             s.arrivalProb = 0.5;
             s.fidelity.mode = FidelityMode::Analytic;
             return s;
-        });
-        r.add("cell-auto", [] {
+        };
+        m["cell-auto"] = [] {
             // Mixed fidelity: bit-exact warm-up + periodic refresh,
             // analytic in between.
             NetworkSpec s = baseCell();
             s.name = "cell-auto";
             s.fidelity.mode = FidelityMode::Auto;
             return s;
-        });
-        r.add("grid-3x3", [] {
+        };
+        m["grid-3x3"] = [] {
             // The multi-cell starter: 9 cells, 4 users each,
             // Poisson traffic through round-robin scheduling, SINR
             // from same-slot interfering cells, analytic fidelity
@@ -840,8 +856,8 @@ networkRegistry()
             s.fidelity.mode = FidelityMode::Analytic;
             s.calibrationFile = "data/network_calibration.txt";
             return s;
-        });
-        r.add("dense-urban-10k", [] {
+        };
+        m["dense-urban-10k"] = [] {
             // The deployment-scale step: a 10x10 urban grid with
             // 10k+ bursty users under proportional-fair
             // scheduling, only reachable on the calibrated
@@ -871,8 +887,8 @@ networkRegistry()
             s.fidelity.mode = FidelityMode::Analytic;
             s.calibrationFile = "data/network_calibration.txt";
             return s;
-        });
-        r.add("urban-mobile", [] {
+        };
+        m["urban-mobile"] = [] {
             // The mobility showcase: vehicular users random-
             // waypointing across a tight 4x4 grid with RSRP
             // handover and session churn. The cells are small and
@@ -908,37 +924,24 @@ networkRegistry()
             // transition per user over a standard smoke run.
             s.mobility.churnRate = 0.0005;
             return s;
-        });
-        return r;
+        };
+        return m;
     }();
-    return reg;
+    return presets;
 }
 
 } // namespace
 
-void
-registerNetworkPreset(const std::string &name,
-                      NetworkSpec (*factory)())
-{
-    networkRegistry().add(name, factory);
-}
-
 NetworkSpec
 networkPreset(const std::string &name)
 {
-    return networkRegistry().create(name);
+    return makePreset(networkPresets(), "network", name);
 }
 
 bool
 hasNetworkPreset(const std::string &name)
 {
-    return networkRegistry().has(name);
-}
-
-std::vector<std::string>
-networkPresetNames()
-{
-    return networkRegistry().names();
+    return networkPresets().count(name) > 0;
 }
 
 // ------------------------------------------------ spec arguments

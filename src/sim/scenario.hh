@@ -15,16 +15,19 @@
  * whole scenarios.
  *
  * Specs round-trip through li::Config ("k=v,k=v" strings or config
- * files), and a process-wide preset registry maps names like
- * "rayleigh-fading" to ready-made specs, so scenario selection is a
- * configuration change, not a source change (the paper's Plug-n-Play
- * property at scenario granularity).
+ * files), and built-in presets map names like "rayleigh-fading" to
+ * ready-made specs, so scenario selection is a configuration change,
+ * not a source change (the paper's Plug-n-Play property at scenario
+ * granularity). Each config key is declared once, in the key lists
+ * of scenario.cc, which drive parsing, serialization and validation;
+ * docs/SCENARIOS.md is the user-facing reference.
  */
 
 #ifndef WILIS_SIM_SCENARIO_HH
 #define WILIS_SIM_SCENARIO_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,8 +90,6 @@ struct ScenarioSpec {
     // ---- fluent copies for grid expansion ------------------------
     /** Copy with the rate replaced. */
     ScenarioSpec withRate(phy::RateIndex r) const;
-    /** Copy with the kernel backend replaced. */
-    ScenarioSpec withKernelBackend(const std::string &backend) const;
     /** Copy with the channel registry name replaced. */
     ScenarioSpec withChannel(const std::string &name) const;
     /** Copy with the channel "snr_db" parameter replaced. */
@@ -106,14 +107,12 @@ struct ScenarioSpec {
 
     /**
      * Overlay the keys present in @p cfg onto this spec (absent
-     * keys keep their current values). Keys: rate, channel,
-     * payload_bits, payload_seed, decoder, soft_width, csi_weight,
-     * scrambler_seed, baseband_mhz, decoder_mhz, host_mhz, name,
-     * kernel_backend;
-     * "channel.<k>" and "decoder.<k>" pass <k> through to the
-     * channel / decoder sub-configs; "snr_db" and "seed" are
-     * forwarded to the channel as the common shorthand. Any other
-     * key is a hard error ("unknown ScenarioSpec key ...").
+     * keys keep their current values); the keys are those of
+     * scenarioSpecKeys(). "channel.<k>" and "decoder.<k>" pass <k>
+     * through to the channel / decoder sub-configs; "snr_db" and
+     * "seed" are forwarded to the channel as the common shorthand.
+     * An unknown key or an out-of-range value is fatal, naming the
+     * key.
      */
     void applyConfig(const li::Config &cfg);
 
@@ -125,20 +124,16 @@ struct ScenarioSpec {
 };
 
 /**
- * Process-wide scenario preset registry ("awgn-mid",
- * "rayleigh-fading", ...). Presets are factories so registration is
- * cheap and the returned spec is freely mutable.
+ * Instantiate a built-in scenario preset ("awgn-mid",
+ * "rayleigh-fading", ...); fatal if unknown. The returned spec is
+ * freely mutable.
  */
-void registerScenarioPreset(const std::string &name,
-                            ScenarioSpec (*factory)());
-
-/** Instantiate a preset; fatal if unknown. */
 ScenarioSpec scenarioPreset(const std::string &name);
 
-/** True if @p name is a registered preset. */
+/** True if @p name is a built-in scenario preset. */
 bool hasScenarioPreset(const std::string &name);
 
-/** Sorted names of all registered presets. */
+/** Sorted names of the built-in scenario presets. */
 std::vector<std::string> scenarioPresetNames();
 
 /**
@@ -149,6 +144,16 @@ std::vector<std::string> scenarioPresetNames();
  * cannot silently drift from the parser.
  */
 std::vector<std::string> scenarioSpecKeys();
+
+/** Which network engine a NetworkSpec key configures. */
+enum class KeyScope {
+    /** Both engines. */
+    Any,
+    /** The single-cell timeline; fatal alongside cells=RxC. */
+    SingleCell,
+    /** The multi-cell engine; fatal without cells=RxC. */
+    MultiCell,
+};
 
 /**
  * Checkpoint/resume policy of a multi-cell run (see
@@ -308,26 +313,13 @@ struct NetworkSpec {
     bool multicell() const { return topology.multicell(); }
 
     /**
-     * Overlay the keys present in @p cfg onto this spec. Keys:
-     * name, users, arrival, arrival_prob, doppler_hz, snr_spread_db,
-     * frame_interval_us, arq (stopwait|selective), arq_window,
-     * arq_max_attempts, ack_delay, pber_lo, pber_hi, net_seed,
-     * fidelity (full|analytic|auto), fidelity_warmup,
-     * fidelity_refresh_period, fidelity_refresh_slots,
-     * calibration_file; multi-cell keys cells ("RxC", e.g. "3x3"),
-     * cell_spacing_m, cell_radius_m, min_distance_m, ref_snr_db,
-     * ref_distance_m, pathloss_exp, shadow_sigma_db, traffic
-     * (full_buffer|poisson|onoff), traffic_load, on_slots,
-     * off_slots, queue_limit, scheduler
-     * (round_robin|proportional_fair), pf_horizon, qdisc
-     * (fifo|priority|drop_head), control_rate, contention
-     * (none|fixed), mobility (none|line|orbit|waypoint), speed_mps,
-     * handover_hyst_db, handover_ttt_slots, churn_rate; the common
-     * key trace (bool) records the per-packet event trace;
-     * "link.<k>" keys pass <k> through to the link template, and
-     * the common shorthands rate, snr_db, payload_bits, decoder and
-     * kernel_backend are forwarded to it directly. Any other key is
-     * a hard error ("unknown NetworkSpec key ...").
+     * Overlay the keys present in @p cfg onto this spec; the keys
+     * are those of networkSpecKeys(). "link.<k>" keys pass <k>
+     * through to the link template, and the shorthands rate,
+     * snr_db, payload_bits, decoder and kernel_backend are
+     * forwarded to it directly. An unknown key, an out-of-range
+     * value or a key of the other engine (see KeyScope) is fatal,
+     * naming the key.
      */
     void applyConfig(const li::Config &cfg);
 
@@ -347,25 +339,20 @@ struct NetworkSpec {
     std::string fingerprint() const;
 };
 
-/** Register a network preset (same contract as scenario presets). */
-void registerNetworkPreset(const std::string &name,
-                           NetworkSpec (*factory)());
-
-/** Instantiate a network preset; fatal if unknown. */
+/** Instantiate a built-in network preset; fatal if unknown. */
 NetworkSpec networkPreset(const std::string &name);
 
-/** True if @p name is a registered network preset. */
+/** True if @p name is a built-in network preset. */
 bool hasNetworkPreset(const std::string &name);
 
-/** Sorted names of all registered network presets. */
-std::vector<std::string> networkPresetNames();
-
 /**
- * Every exact key NetworkSpec::applyConfig() accepts, sorted (the
- * "link.<k>" pass-through family appears as the literal prefix
- * "link."). Same docs cross-check contract as scenarioSpecKeys().
+ * Every exact key NetworkSpec::applyConfig() accepts, or only those
+ * of @p scope, sorted (the "link.<k>" pass-through family appears as
+ * the literal prefix "link."). Same docs cross-check contract as
+ * scenarioSpecKeys().
  */
-std::vector<std::string> networkSpecKeys();
+std::vector<std::string>
+networkSpecKeys(std::optional<KeyScope> scope = std::nullopt);
 
 /**
  * Resolve a command-line scenario argument -- the one spec-argument

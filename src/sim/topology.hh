@@ -19,6 +19,7 @@
 #ifndef WILIS_SIM_TOPOLOGY_HH
 #define WILIS_SIM_TOPOLOGY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 

@@ -139,6 +139,24 @@ TEST(Config, ParseStringAndTypes)
     EXPECT_FALSE(cfg.has("missing"));
 }
 
+TEST(ConfigDeath, EmptyOverflowingAndOutOfRangeNumbersAreFatal)
+{
+    const Config cfg = Config::fromString(
+        "empty=,big=99999999999999999999999,three=3");
+    EXPECT_EXIT(cfg.getInt("empty"), testing::ExitedWithCode(1),
+                "'empty'");
+    EXPECT_EXIT(cfg.getUint64("empty"), testing::ExitedWithCode(1),
+                "'empty'");
+    EXPECT_EXIT(cfg.getDouble("empty"), testing::ExitedWithCode(1),
+                "'empty'");
+    EXPECT_EXIT(cfg.getUint64("big"), testing::ExitedWithCode(1),
+                "'big'");
+    EXPECT_EQ(cfg.getInt("three", 0, 1, 3), 3);
+    EXPECT_EQ(cfg.getInt("missing", 2, 1, 3), 2);
+    EXPECT_EXIT(cfg.getInt("three", 0, 0, 2), testing::ExitedWithCode(1),
+                "'three': 3 is outside \\[0, 2\\]");
+}
+
 TEST(LiPipeline, TokensArriveInOrderAndIntact)
 {
     Scheduler sched;

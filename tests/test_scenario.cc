@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -77,48 +78,56 @@ TEST(ScenarioSpec, RejectsUnknownKeysWithAPinnedError)
     // A misspelled key used to be silently accepted, leaving the
     // default in place and the experiment quietly wrong; it is now
     // fatal with the offending key named.
-    EXPECT_DEATH(ScenarioSpec::fromConfig(li::Config::fromString(
-                     "rate=3,payload_bit=512")),
-                 "unknown ScenarioSpec key 'payload_bit'");
-    EXPECT_DEATH(ScenarioSpec::fromConfig(
-                     li::Config::fromString("snr=10")),
-                 "unknown ScenarioSpec key 'snr'");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(li::Config::fromString(
+                    "rate=3,payload_bit=512")),
+                testing::ExitedWithCode(1),
+                "unknown ScenarioSpec key 'payload_bit'");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(
+                    li::Config::fromString("snr=10")),
+                testing::ExitedWithCode(1),
+                "unknown ScenarioSpec key 'snr'");
     // Prefixed pass-throughs stay open: their sub-config owns them.
     ScenarioSpec s = ScenarioSpec::fromConfig(li::Config::fromString(
         "channel.custom_knob=1,decoder.window=9"));
     EXPECT_EQ(s.channelCfg.getInt("custom_knob", 0), 1);
     // A bare prefix is not a key.
-    EXPECT_DEATH(ScenarioSpec::fromConfig(
-                     li::Config::fromString("channel.=1")),
-                 "unknown ScenarioSpec key 'channel.'");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(
+                    li::Config::fromString("channel.=1")),
+                testing::ExitedWithCode(1),
+                "unknown ScenarioSpec key 'channel.'");
 }
 
 TEST(ScenarioSpec, RejectsMalformedValues)
 {
-    EXPECT_DEATH(ScenarioSpec::fromConfig(
-                     li::Config::fromString("rate=fast")),
-                 "");
-    EXPECT_DEATH(ScenarioSpec::fromConfig(
-                     li::Config::fromString("rate=9")),
-                 "rate index 9 out of range");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(
+                    li::Config::fromString("rate=fast")),
+                testing::ExitedWithCode(1),
+                "");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(
+                    li::Config::fromString("rate=9")),
+                testing::ExitedWithCode(1),
+                "rate index 9 out of range");
 }
 
 TEST(NetworkSpecStrict, RejectsUnknownKeysWithAPinnedError)
 {
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "users=8,user=9")),
-                 "unknown NetworkSpec key 'user'");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=3x3,schedular=round_robin")),
-                 "unknown NetworkSpec key 'schedular'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "users=8,user=9")),
+                testing::ExitedWithCode(1),
+                "unknown NetworkSpec key 'user'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=3x3,schedular=round_robin")),
+                testing::ExitedWithCode(1),
+                "unknown NetworkSpec key 'schedular'");
     // The link.* pass-through still reaches the link template --
     // and the template rejects ITS unknown keys too.
     NetworkSpec ok = NetworkSpec::fromConfig(
         li::Config::fromString("link.soft_width=5"));
     EXPECT_EQ(ok.link.rx.demapper.softWidth, 5);
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "link.soft_widht=5")),
-                 "unknown ScenarioSpec key 'soft_widht'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "link.soft_widht=5")),
+                testing::ExitedWithCode(1),
+                "unknown ScenarioSpec key 'soft_widht'");
 }
 
 TEST(NetworkSpecStrict, RejectsSingleCellKeysInMulticellConfigs)
@@ -126,23 +135,27 @@ TEST(NetworkSpecStrict, RejectsSingleCellKeysInMulticellConfigs)
     // arrival/arrival_prob/snr_spread_db/snr_db only drive the
     // single-cell engine; pairing them with a grid would silently
     // change nothing.
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=3x3,arrival=bernoulli")),
-                 "single-cell key 'arrival' has no effect in "
-                 "multi-cell mode");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,snr_db=18")),
-                 "single-cell key 'snr_db' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=3x3,arrival=bernoulli")),
+                testing::ExitedWithCode(1),
+                "single-cell key 'arrival' has no effect in "
+                "multi-cell mode");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,snr_db=18")),
+                testing::ExitedWithCode(1),
+                "single-cell key 'snr_db' has no effect");
     // ...and symmetrically: multi-cell-only keys without a grid
     // would silently run the single-cell engine minus its traffic
     // model.
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "users=16,traffic=poisson,traffic_load=0.2")),
-                 "multi-cell key 'traffic' has no effect without a "
-                 "cell grid");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "scheduler=proportional_fair")),
-                 "multi-cell key 'scheduler' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "users=16,traffic=poisson,traffic_load=0.2")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'traffic' has no effect without a "
+                "cell grid");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "scheduler=proportional_fair")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'scheduler' has no effect");
     // Each engine's spec round-trips with exactly its own key set.
     NetworkSpec grid;
     grid.topology.rows = 2;
@@ -161,33 +174,41 @@ TEST(NetworkSpecStrict, RejectsSingleCellKeysInMulticellConfigs)
 
 TEST(NetworkSpecStrict, RejectsMalformedValues)
 {
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("cells=9")),
-                 "malformed cells '9'");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("cells=3x")),
-                 "malformed cells '3x'");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("traffic=bursty")),
-                 "unknown traffic model 'bursty'");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("scheduler=fifo")),
-                 "unknown scheduler 'fifo'");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("arrival=sometimes")),
-                 "unknown arrival model 'sometimes'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("cells=9")),
+                testing::ExitedWithCode(1),
+                "malformed cells '9'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("cells=3x")),
+                testing::ExitedWithCode(1),
+                "malformed cells '3x'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("traffic=bursty")),
+                testing::ExitedWithCode(1),
+                "unknown traffic model 'bursty'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("scheduler=fifo")),
+                testing::ExitedWithCode(1),
+                "unknown scheduler 'fifo'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("arrival=sometimes")),
+                testing::ExitedWithCode(1),
+                "unknown arrival model 'sometimes'");
     // The upper-stack keys are validated the same way: an unknown
     // value dies naming the valid set.
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("cells=3x3,qdisc=weird")),
-                 "unknown queue discipline 'weird' "
-                 "\\(fifo\\|priority\\|drop_head\\)");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=3x3,contention=csma")),
-                 "unknown contention mode 'csma' \\(none\\|fixed\\)");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=3x3,control_rate=-0.5")),
-                 "control_rate must be >= 0");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("cells=3x3,qdisc=weird")),
+                testing::ExitedWithCode(1),
+                "unknown queue discipline 'weird' "
+                "\\(fifo\\|priority\\|drop_head\\)");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=3x3,contention=csma")),
+                testing::ExitedWithCode(1),
+                "unknown contention mode 'csma' \\(none\\|fixed\\)");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=3x3,control_rate=-0.5")),
+                testing::ExitedWithCode(1),
+                "control_rate must be >= 0");
 }
 
 TEST(NetworkSpecStrict, UpperStackKeysAreMulticellOnly)
@@ -195,16 +216,19 @@ TEST(NetworkSpecStrict, UpperStackKeysAreMulticellOnly)
     // qdisc/control_rate/contention configure the multi-cell
     // traffic queues and scheduler; without a grid they would
     // silently do nothing.
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("qdisc=priority")),
-                 "multi-cell key 'qdisc' has no effect without a "
-                 "cell grid");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("control_rate=0.1")),
-                 "multi-cell key 'control_rate' has no effect");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("contention=fixed")),
-                 "multi-cell key 'contention' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("qdisc=priority")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'qdisc' has no effect without a "
+                "cell grid");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("control_rate=0.1")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'control_rate' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("contention=fixed")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'contention' has no effect");
     // trace is a common key: both engines record it.
     EXPECT_TRUE(NetworkSpec::fromConfig(
                     li::Config::fromString("trace=true"))
@@ -251,72 +275,144 @@ TEST(NetworkSpecStrict, MobilityKeysRoundTripAndValidate)
               MobilityModel::None);
 
     // Mobility only drives the multi-cell engine.
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("mobility=waypoint")),
-                 "multi-cell key 'mobility' has no effect without "
-                 "a cell grid");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("churn_rate=0.01")),
-                 "multi-cell key 'churn_rate' has no effect");
-    EXPECT_DEATH(NetworkSpec::fromConfig(
-                     li::Config::fromString("speed_mps=10")),
-                 "multi-cell key 'speed_mps' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("mobility=waypoint")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'mobility' has no effect without "
+                "a cell grid");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("churn_rate=0.01")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'churn_rate' has no effect");
+    EXPECT_EXIT(NetworkSpec::fromConfig(
+                    li::Config::fromString("speed_mps=10")),
+                testing::ExitedWithCode(1),
+                "multi-cell key 'speed_mps' has no effect");
     // Malformed values die naming the constraint.
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,mobility=teleport")),
-                 "unknown mobility model 'teleport' "
-                 "\\(none\\|line\\|orbit\\|waypoint\\)");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,churn_rate=1.5")),
-                 "churn_rate must be in \\[0,1\\)");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,speed_mps=0")),
-                 "speed_mps must be > 0");
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,handover_hyst_db=-1")),
-                 "handover_hyst_db must be >= 0");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,mobility=teleport")),
+                testing::ExitedWithCode(1),
+                "unknown mobility model 'teleport' "
+                "\\(none\\|line\\|orbit\\|waypoint\\)");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,churn_rate=1.5")),
+                testing::ExitedWithCode(1),
+                "churn_rate must be in \\[0,1\\)");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,speed_mps=0")),
+                testing::ExitedWithCode(1),
+                "speed_mps must be > 0");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,handover_hyst_db=-1")),
+                testing::ExitedWithCode(1),
+                "handover_hyst_db must be >= 0");
     // Misspellings stay fatal like every other key.
-    EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
-                     "cells=2x2,mobillity=line")),
-                 "unknown NetworkSpec key 'mobillity'");
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "cells=2x2,mobillity=line")),
+                testing::ExitedWithCode(1),
+                "unknown NetworkSpec key 'mobillity'");
+}
+
+TEST(NetworkSpecStrict, OutOfRangeValuesExitNamingTheKey)
+{
+    // Each value here used to abort in a constructor assert or be
+    // narrowed silently (users=4294967297 ran one user, scrambler
+    // seed 300 ran seed 44). The spec boundary now rejects it: exit
+    // code 1 and the key named.
+    const struct {
+        const char *spec;
+        const char *key;
+    } cases[] = {
+        {"users=0", "users"},
+        {"users=4294967297", "users"},
+        {"rate=9", "rate"},
+        {"arq_window=0", "arq_window"},
+        {"arq_max_attempts=-1", "arq_max_attempts"},
+        {"doppler_hz=-5", "doppler_hz"},
+        {"frame_interval_us=0", "frame_interval_us"},
+        {"pber_lo=-1", "pber_lo"},
+        {"pber_lo=1e-3", "pber_lo"},
+        {"reps=0", "reps"},
+        {"arrival_prob=2", "arrival_prob"},
+        {"snr_spread_db=-1", "snr_spread_db"},
+        {"payload_bits=0", "payload_bits"},
+        {"link.scrambler_seed=300", "scrambler_seed"},
+        {"link.scrambler_seed=0", "scrambler_seed"},
+        {"link.soft_width=1", "soft_width"},
+        {"link.host_mhz=0", "host_mhz"},
+        {"cells=2x2,cell_spacing_m=0", "cell_spacing_m"},
+        {"cells=2x2,cell_radius_m=0", "cell_radius_m"},
+        {"cells=2x2,min_distance_m=-1", "min_distance_m"},
+        {"cells=2x2,min_distance_m=300", "min_distance_m"},
+        {"cells=2x2,ref_distance_m=0", "ref_distance_m"},
+        {"cells=2x2,pathloss_exp=-1", "pathloss_exp"},
+        {"cells=2x2,shadow_sigma_db=-1", "shadow_sigma_db"},
+        {"cells=2x2,queue_limit=0", "queue_limit"},
+        {"cells=2x2,pf_horizon=0", "pf_horizon"},
+        {"cells=2x2,on_slots=0", "on_slots"},
+        {"cells=2x2,off_slots=0", "off_slots"},
+        {"cells=2x2,traffic_load=100", "traffic_load"},
+        {"cells=2x2,control_rate=100", "control_rate"},
+        {"cells=2x2,checkpoint_resume=1", "checkpoint_resume"},
+        {"net_seed=99999999999999999999999", "net_seed"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(c.spec)),
+                    testing::ExitedWithCode(1), c.key)
+            << c.spec;
+    // The edges of each range are accepted.
+    const NetworkSpec edges = NetworkSpec::fromConfig(li::Config::fromString(
+        "arrival_prob=1,arq_max_attempts=0,fidelity_refresh_period=0,"
+        "link.scrambler_seed=127"));
+    EXPECT_EQ(edges.link.rx.scramblerSeed, 127);
+    EXPECT_EQ(edges.fidelity.refreshPeriod, 0u);
 }
 
 TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
 {
     // docs/SCENARIOS.md documents every accepted config key in
     // "## ... keys" tables whose first column is the backticked key
-    // name; this walk keeps the reference and the parser in
-    // lockstep -- adding a key to one without the other fails here.
+    // name; the NetworkSpec tables sit under "Common keys",
+    // "Single-cell keys" and "Multi-cell keys" paragraphs. This walk
+    // keeps the reference and the parser in lockstep -- a key added
+    // to one without the other, or documented under the wrong
+    // engine, fails here.
     std::ifstream in(std::string(WILIS_SOURCE_DIR) +
                      "/docs/SCENARIOS.md");
     ASSERT_TRUE(in.good()) << "docs/SCENARIOS.md missing";
-    std::set<std::string> documented;
-    bool in_key_section = false;
+    std::map<std::string, std::set<std::string>> documented;
+    std::string section;
     std::string line;
     while (std::getline(in, line)) {
         if (line.rfind("## ", 0) == 0)
-            in_key_section =
-                line.find("keys") != std::string::npos;
-        if (!in_key_section || line.rfind("| `", 0) != 0)
+            section = line.find("keys") != std::string::npos
+                          ? line.substr(3)
+                          : "";
+        for (const char *scope : {"Common", "Single-cell", "Multi-cell"})
+            if (!section.empty() && line.rfind(scope, 0) == 0)
+                section = std::string("NetworkSpec ") + scope;
+        if (section.empty() || line.rfind("| `", 0) != 0)
             continue;
         const size_t end = line.find('`', 3);
         ASSERT_NE(end, std::string::npos) << line;
-        documented.insert(line.substr(3, end - 3));
+        documented[section].insert(line.substr(3, end - 3));
     }
-    std::set<std::string> accepted;
-    for (const std::string &k : scenarioSpecKeys())
-        accepted.insert(k);
-    for (const std::string &k : networkSpecKeys())
-        accepted.insert(k);
-    EXPECT_GE(accepted.size(), 40u);
-    for (const std::string &k : accepted)
-        EXPECT_TRUE(documented.count(k))
-            << "key '" << k
-            << "' is accepted but undocumented in SCENARIOS.md";
-    for (const std::string &k : documented)
-        EXPECT_TRUE(accepted.count(k))
-            << "key '" << k
-            << "' is documented but not accepted by any spec";
+    const auto asSet = [](const std::vector<std::string> &keys) {
+        return std::set<std::string>(keys.begin(), keys.end());
+    };
+    const std::map<std::string, std::set<std::string>> accepted = {
+        {"ScenarioSpec keys", asSet(scenarioSpecKeys())},
+        {"NetworkSpec Common", asSet(networkSpecKeys(KeyScope::Any))},
+        {"NetworkSpec Single-cell",
+         asSet(networkSpecKeys(KeyScope::SingleCell))},
+        {"NetworkSpec Multi-cell",
+         asSet(networkSpecKeys(KeyScope::MultiCell))},
+    };
+    EXPECT_EQ(documented, accepted);
+    EXPECT_EQ(networkSpecKeys().size(),
+              accepted.at("NetworkSpec Common").size() +
+                  accepted.at("NetworkSpec Single-cell").size() +
+                  accepted.at("NetworkSpec Multi-cell").size());
 }
 
 namespace {
