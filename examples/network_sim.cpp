@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "li/config.hh"
 #include "mac/packet_trace.hh"
 #include "phy/modulation.hh"
 #include "sim/campaign.hh"

@@ -35,6 +35,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/logging.hh"
+#include "li/config.hh"
 #include "sim/campaign.hh"
 #include "sim/scenario.hh"
 

@@ -182,11 +182,11 @@ visitScenarioKeys(S &s, V &v)
 
 /**
  * The NetworkSpec key list, in sections by the engine a key
- * configures and whether it is run policy. cells=RxC, the link. prefix and the link shorthands
- * are hand-written in applyConfig()/toConfig(); so are the checks
- * relating two keys (pber_lo < pber_hi, min_distance_m <
- * cell_radius_m, checkpoint_* need checkpoint_file) and the arrival
- * model's name.
+ * configures and whether it is run policy. cells=RxC, the link.
+ * prefix and the link shorthands are hand-written in
+ * applyConfig()/toConfig(); so are the checks relating two keys
+ * (pber_lo < pber_hi, min_distance_m < cell_radius_m, checkpoint_*
+ * need checkpoint_file) and the arrival model's name.
  */
 template <typename S, typename V>
 void
@@ -693,8 +693,7 @@ NetworkSpec::applyConfig(const li::Config &cfg)
                    pberHi);
     wilis_fatal_if(multicell() &&
                        !(topology.minDistanceM < topology.cellRadiusM),
-                   "min_distance_m must be < cell_radius_m, got %g >= "
-                   "%g",
+                   "min_distance_m must be < cell_radius_m, got %g >= %g",
                    topology.minDistanceM, topology.cellRadiusM);
     wilis_fatal_if(!checkpoint.enabled() &&
                        (checkpoint.everySlots != 0 || checkpoint.resume),

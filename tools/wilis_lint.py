@@ -29,10 +29,13 @@ determinism smoke:
                      files: contraction and reassociation break the
                      scalar<->SIMD bit-exactness the kernel tests
                      pin.
-  undocumented-key   a key present in kScenarioKeys[]/kNetworkKeys[]
-                     (src/sim/scenario.cc) but absent from
-                     docs/SCENARIOS.md -- the reference must cover
-                     the whole accepted surface.
+  undocumented-key   a key declared in the spec key lists
+                     (src/sim/scenario.cc: the v("<key>", ...) rows
+                     and the hand-written k...Prefix/k...Key
+                     constants, kChannelAliases and kLinkShorthands)
+                     but absent from docs/SCENARIOS.md -- the
+                     reference must cover the whole accepted
+                     surface.
 
 Suppression: a line carrying `wilis-lint: allow(<rule>)` (in a
 comment, with a justification) disables that rule for that line;
@@ -331,15 +334,19 @@ def rule_fast_math(root):
     return findings
 
 
-KEY_ARRAY_RE = re.compile(
-    r"k(?:Scenario|Network)Keys\[\]\s*=\s*\{(.*?)\};", re.S)
+KEY_ROW_RE = re.compile(r'\bv\("([^"]+)"')
+HAND_KEY_RE = re.compile(r'const char k\w+(?:Prefix|Key)\[\] = "([^"]+)";')
+HAND_LIST_RE = re.compile(
+    r"k(?:ChannelAliases|LinkShorthands)\[\]\s*=\s*\{(.*?)\};", re.S)
 
 
 def spec_keys(scenario_cc_text):
-    """Every key string in the kScenarioKeys[]/kNetworkKeys[]
-    tables (prefix families keep their trailing dot)."""
-    keys = set()
-    for m in KEY_ARRAY_RE.finditer(scenario_cc_text):
+    """Every key the spec key lists declare: the v("<key>", ...) rows
+    plus the hand-written key constants (prefix families keep their
+    trailing dot)."""
+    keys = set(KEY_ROW_RE.findall(scenario_cc_text))
+    keys.update(HAND_KEY_RE.findall(scenario_cc_text))
+    for m in HAND_LIST_RE.finditer(scenario_cc_text):
         keys.update(re.findall(r'"([^"]+)"', m.group(1)))
     return keys
 
@@ -359,8 +366,8 @@ def rule_undocumented_keys(root,
     keys = spec_keys(read_file(cc))
     if not keys:
         return [Finding(scenario_path, 1, "undocumented-key",
-                        "no keys parsed from kScenarioKeys[]/"
-                        "kNetworkKeys[] (table format changed?)")]
+                        "no keys parsed from the spec key lists "
+                        "(declaration format changed?)")]
     documented = set(re.findall(r"`([A-Za-z0-9_.]+)`",
                                 read_file(doc)))
     for key in sorted(keys - documented):
@@ -531,10 +538,11 @@ def self_test():
               not fm("# never pass -ffast-math here\n"))
 
         # ---- undocumented-key -------------------------------------
-        cc_text = ('const char *const kScenarioKeys[] = {\n'
-                   '    "rate", "snr_db",\n};\n'
-                   'const char *const kNetworkKeys[] = {\n'
-                   '    "users", "zz_internal",\n};\n')
+        cc_text = ('    v("rate", s.rate);\n'
+                   'const char kLinkPrefix[] = "link.";\n'
+                   'const char *const kChannelAliases[] = {"snr_db"};\n'
+                   '    v("users", s.numUsers, atLeast(1));\n'
+                   '    v("zz_internal", s.x);\n')
 
         def keys(doc_text):
             d = tempfile.mkdtemp(dir=tmp)
@@ -550,12 +558,16 @@ def self_test():
 
         check("undocumented key is caught",
               any("zz_internal" in f.message for f in keys(
-                  "| `rate` | `snr_db` | `users` |\n")))
+                  "| `rate` | `snr_db` | `users` | `link.` |\n")))
+        check("undocumented hand-written key is caught",
+              any("link." in f.message for f in keys(
+                  "| `rate` | `snr_db` | `users` | "
+                  "`zz_internal` |\n")))
         check("fully documented tables pass",
               not keys("| `rate` | `snr_db` | `users` | "
-                       "`zz_internal` |\n"))
-        check("parse of the real key tables works",
-              len(spec_keys(cc_text)) == 4)
+                       "`zz_internal` | `link.` |\n"))
+        check("parse of the key list format works",
+              len(spec_keys(cc_text)) == 5)
 
         # ---- the tree itself is clean -----------------------------
         repo_root = os.path.dirname(
