@@ -15,15 +15,22 @@
  * +-6 dB near/far spread). Regenerate it with this tool whenever
  * the PHY, the decoder defaults or the preset link template change.
  *
- * Run: ./build/build_calibration <out.txt> [preset|k=v,...]
+ * Run: ./build/build_calibration <out.txt> [network-spec-arg]
  *                                [packets_per_cell] [threads]
+ *
+ * The spec argument is anything sim::parseNetworkSpecArg() takes (a
+ * preset with optional k=v overrides, an inline config or a config
+ * file; default cell-16).
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/logging.hh"
+#include "li/config.hh"
 #include "sim/network_sim.hh"
+#include "sim/scenario.hh"
 
 using namespace wilis;
 
@@ -32,25 +39,31 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr,
-                     "usage: %s <out.txt> [preset|k=v,...] "
+                     "usage: %s <out.txt> [network-spec-arg] "
                      "[packets_per_cell] [threads]\n",
                      argv[0]);
         return 2;
     }
+    wilis_fatal_if(argc > 5, "unexpected argument '%s'", argv[5]);
     const std::string out_path = argv[1];
-    const std::string what = argc > 2 ? argv[2] : "cell-16";
-    sim::NetworkSpec spec =
-        sim::hasNetworkPreset(what)
-            ? sim::networkPreset(what)
-            : sim::NetworkSpec::fromConfig(
-                  li::Config::fromString(what));
+    const sim::NetworkSpec spec =
+        sim::parseNetworkSpecArg(argc > 2 ? argv[2] : "cell-16");
 
+    // The numeric positionals go through li::Config's strict
+    // getters, so a malformed value is fatal and names its argument.
+    li::Config args;
+    if (argc > 3)
+        args.set("packets_per_cell", argv[3]);
+    if (argc > 4)
+        args.set("threads", argv[4]);
     softphy::CalibrationTable::BuildSpec build =
         sim::NetworkSim::calibrationBuildSpec(spec);
-    if (argc > 3)
-        build.packetsPerCell = std::strtoull(argv[3], nullptr, 10);
-    if (argc > 4)
-        build.threads = std::atoi(argv[4]);
+    build.packetsPerCell = static_cast<std::uint64_t>(
+        args.getInt("packets_per_cell",
+                    static_cast<long>(build.packetsPerCell), 1,
+                    LONG_MAX));
+    build.threads = static_cast<int>(
+        args.getInt("threads", build.threads, 0, INT_MAX));
 
     std::printf("calibrating %s: %d rates x %d bins "
                 "[%g..%g dB step %g], %llu packets/cell, "

@@ -12,12 +12,14 @@
  * Usage: ./build/scenario_grid [packets-per-cell] [threads]
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/table.hh"
+#include "li/config.hh"
 #include "sim/campaign.hh"
 #include "sim/scenario_grid.hh"
 
@@ -48,10 +50,18 @@ runSharded(const sim::ScenarioGrid &grid, std::uint64_t packets,
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t packets =
-        argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1]))
-                 : 40;
-    const int threads = argc > 2 ? std::atoi(argv[2]) : 0;
+    // The positionals go through li::Config's strict getters, so a
+    // malformed value is fatal and names its argument.
+    wilis_fatal_if(argc > 3, "unexpected argument '%s'", argv[3]);
+    li::Config args;
+    if (argc > 1)
+        args.set("packets_per_cell", argv[1]);
+    if (argc > 2)
+        args.set("threads", argv[2]);
+    const auto packets = static_cast<std::uint64_t>(
+        args.getInt("packets_per_cell", 40, 1, LONG_MAX));
+    const int threads =
+        static_cast<int>(args.getInt("threads", 0, 0, INT_MAX));
 
     sim::ScenarioGrid grid;
     grid.base = sim::scenarioPreset("awgn-mid");

@@ -335,21 +335,8 @@ RunReport::load(const std::string &path)
     return fromJsonText(text.str(), path);
 }
 
-NetworkResult
-runNetworkRun(const RunRequest &req)
-{
-    NetworkSpec spec = req.spec;
-    if (!req.traceFile.empty())
-        spec.trace = true;
-    NetworkSim sim(spec);
-    NetworkResult res = sim.run(req.slots, req.threads);
-    if (!req.traceFile.empty())
-        res.trace->save(req.traceFile);
-    return res;
-}
-
 RunReport
-runCampaignShard(const RunRequest &req)
+runCampaignShard(const RunRequest &req, const UnitObserver &observe)
 {
     wilis_assert(req.shardCount >= 1 && req.shardIndex >= 0 &&
                      req.shardIndex < req.shardCount,
@@ -360,9 +347,9 @@ runCampaignShard(const RunRequest &req)
     // A packet trace names one run; checkpoint files likewise hold
     // one run's state and resuming mid-campaign would alias them
     // across units or shards. Keep both single-unit, single-shard.
-    wilis_fatal_if(units_total > 1 &&
+    wilis_fatal_if((units_total > 1 || req.shardCount > 1) &&
                        (!req.traceFile.empty() || req.spec.trace),
-                   "tracing a campaign requires reps=1");
+                   "tracing requires reps=1 and a single shard");
     wilis_fatal_if(req.spec.checkpoint.enabled() &&
                        (units_total > 1 || req.shardCount > 1),
                    "checkpointing requires reps=1 and a single shard");
@@ -392,6 +379,8 @@ runCampaignShard(const RunRequest &req)
         NetworkResult res = sim.run(req.slots, req.threads);
         if (!req.traceFile.empty())
             res.trace->save(req.traceFile);
+        if (observe)
+            observe(u, res);
 
         UnitReport unit;
         unit.unit = u;

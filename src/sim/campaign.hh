@@ -15,23 +15,24 @@
  * any shard count (and, transitively, any thread count per shard).
  *
  * Entry points:
- *  - runNetworkRun()    -- one network run (the primitive every
- *    printing front end uses; checkpoint/resume rides on
- *    spec.checkpoint inside the engines);
- *  - runCampaignShard() -- this shard's replications as a RunReport;
+ *  - runCampaignShard() -- this shard's replications as a RunReport,
+ *    with an optional observer that sees each replication's full
+ *    NetworkResult (checkpoint/resume rides on spec.checkpoint
+ *    inside the engines);
  *  - runGridShard()     -- this shard's grid cells as a RunReport;
  *  - mergeReports()     -- shard reports -> the campaign report.
  *
  * Reports serialize as versioned JSON with a pinned key order
  * (common/json.hh); RunReport::load() consumes exactly what save()
- * emits, which is how the wilis_campaign driver collects its
- * workers' results.
+ * emits, which is how `wilis_cli --network ... --shards N` collects
+ * its workers' results.
  */
 
 #ifndef WILIS_SIM_CAMPAIGN_HH
 #define WILIS_SIM_CAMPAIGN_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,8 @@ namespace sim {
 /**
  * One network-campaign execution request: the spec (including its
  * replication count), the horizon, and this process's place in the
- * shard partition. The single entry point wilis_cli, network_sim
- * and the campaign driver all route through.
+ * shard partition. The single entry point every network mode of
+ * wilis_cli routes through.
  */
 struct RunRequest {
     /** What to run (spec.reps = campaign unit count). */
@@ -151,21 +152,24 @@ struct RunReport {
 };
 
 /**
- * Run one network simulation per @p req (spec.reps is ignored:
- * exactly one run at spec.seed), saving the packet trace to
- * req.traceFile when set (implies spec.trace). Checkpoint/resume
- * honors spec.checkpoint inside the multi-cell engines.
+ * Called with each owned unit's index and full run result, in unit
+ * order, as runCampaignShard() finishes the unit (after its packet
+ * trace is saved).
  */
-NetworkResult runNetworkRun(const RunRequest &req);
+using UnitObserver =
+    std::function<void(int unit, const NetworkResult &res)>;
 
 /**
  * Run this shard's replications of req.spec (unit u = replication
  * u; owned when u % shardCount == shardIndex; rep 0 runs at
  * spec.seed, rep r > 0 at a counter-forked seed) and return them as
- * a RunReport, saved to req.reportFile when set. Tracing and
- * checkpointing require a single-unit, single-shard campaign.
+ * a RunReport, saved to req.reportFile when set. @p observe, if
+ * set, sees each owned unit's NetworkResult. Tracing (req.traceFile
+ * implies spec.trace) and checkpointing require a single-unit,
+ * single-shard campaign.
  */
-RunReport runCampaignShard(const RunRequest &req);
+RunReport runCampaignShard(const RunRequest &req,
+                           const UnitObserver &observe = nullptr);
 
 /** The grid twin of runCampaignShard() (unit u = grid cell u). */
 RunReport runGridShard(const GridRunRequest &req);

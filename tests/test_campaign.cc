@@ -59,6 +59,23 @@ runShardedCampaign(int shards, int threads)
     return mergeReports(parts);
 }
 
+/**
+ * @p stats as report JSON: every accumulator serialized exactly, so
+ * equal text means field-for-field equal statistics.
+ */
+std::string
+statsText(const std::vector<UserStats> &stats)
+{
+    RunReport rep;
+    rep.kind = "network";
+    for (const UserStats &s : stats) {
+        UnitReport unit;
+        unit.stats = s;
+        rep.units.push_back(unit);
+    }
+    return rep.toJsonText();
+}
+
 /** The scenario_grid demo grid, shrunk for test time. */
 ScenarioGrid
 demoGrid()
@@ -166,6 +183,59 @@ TEST(Campaign, ShardAndThreadCountsAreInvisible)
     EXPECT_EQ(runShardedCampaign(3, 1).toJsonText(), text);
 }
 
+TEST(Campaign, ObserverSeesEachOwnedUnitOnceInUnitOrder)
+{
+    for (const int shards : {1, 2}) {
+        const int index = shards - 1;
+        std::vector<int> seen;
+        std::vector<UserStats> observed;
+        const RunReport rep = runCampaignShard(
+            campaignRequest(index, shards, 2),
+            [&](int unit, const NetworkResult &res) {
+                seen.push_back(unit);
+                observed.push_back(res.aggregate);
+            });
+        std::vector<int> owned;
+        std::vector<UserStats> reported;
+        for (const UnitReport &u : rep.units) {
+            owned.push_back(u.unit);
+            reported.push_back(u.stats);
+        }
+        const std::vector<int> want =
+            shards == 1 ? std::vector<int>{0, 1, 2, 3}
+                        : std::vector<int>{1, 3};
+        EXPECT_EQ(owned, want);
+        EXPECT_EQ(seen, owned);
+        EXPECT_EQ(statsText(observed), statsText(reported));
+    }
+}
+
+TEST(Campaign, SingleRepUnitIsAPlainNetworkSimRun)
+{
+    // A reps=1 campaign is one NetworkSim run at the spec's own
+    // seed, which is what lets wilis_cli print a plain run's tables
+    // from the campaign path.
+    RunRequest req = campaignRequest(0, 1, 2);
+    req.spec.reps = 1;
+    int calls = 0;
+    std::vector<UserStats> observed_users;
+    const RunReport rep = runCampaignShard(
+        req, [&](int unit, const NetworkResult &res) {
+            ++calls;
+            EXPECT_EQ(unit, 0);
+            observed_users = res.users;
+        });
+    ASSERT_EQ(calls, 1);
+    ASSERT_EQ(rep.units.size(), 1u);
+
+    const NetworkResult direct =
+        NetworkSim(req.spec).run(req.slots, req.threads);
+    EXPECT_EQ(rep.units[0].seed, req.spec.seed);
+    EXPECT_EQ(statsText({rep.units[0].stats}),
+              statsText({direct.aggregate}));
+    EXPECT_EQ(statsText(observed_users), statsText(direct.users));
+}
+
 TEST(Campaign, GridShardingIsInvisible)
 {
     const std::string text = runShardedGrid(1, 2).toJsonText();
@@ -196,8 +266,8 @@ TEST(Campaign, ReportSaveLoadRoundTripsByteExactly)
     EXPECT_TRUE(loaded.merged);
     EXPECT_EQ(loaded.toJsonText(), merged.toJsonText());
 
-    // Unmerged shard reports round-trip too (what wilis_campaign
-    // collects from its workers before merging).
+    // Unmerged shard reports round-trip too (what a --shards run
+    // of wilis_cli collects from its workers before merging).
     const RunReport shard = runCampaignShard(campaignRequest(1, 4, 1));
     const RunReport reparsed =
         RunReport::fromJsonText(shard.toJsonText(), "test");
@@ -254,6 +324,12 @@ TEST(CampaignDeath, ShardRunRejectsInvalidRequests)
     RunRequest traced = campaignRequest(0, 1, 1);
     traced.traceFile = ::testing::TempDir() + "wilis_campaign.trace";
     EXPECT_DEATH(runCampaignShard(traced), "reps=1");
+    // ...and so would tracing one replication from several shards
+    // (every shard but one would silently write nothing).
+    RunRequest traced_shard = campaignRequest(0, 2, 1);
+    traced_shard.spec.reps = 1;
+    traced_shard.traceFile = traced.traceFile;
+    EXPECT_DEATH(runCampaignShard(traced_shard), "single shard");
 
     // Checkpointing is a single-process, single-rep feature.
     RunRequest ckpt = campaignRequest(0, 2, 1);

@@ -114,8 +114,8 @@ goldenBackends()
 TEST(PacketTrace, GoldenGrid3x3TraceMatchesByteForByte)
 {
     // The committed fixture is the first 200 slots of grid-3x3
-    // (data/grid3x3_trace.txt, written by
-    // `network_sim grid-3x3 200 1 --trace ...`). Any MAC, scheduler
+    // (data/grid3x3_trace.txt, written by `wilis_cli --network
+    // grid-3x3 --slots 200 --threads 1 --trace ...`). Any MAC, scheduler
     // or engine change that moves a single event shows up here as a
     // byte diff -- regenerate the fixture only for intentional
     // behavior changes.
