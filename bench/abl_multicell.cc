@@ -16,6 +16,9 @@
  *    deployment plus the deterministic handover / ping-pong
  *    counters (exact at a fixed WILIS_BENCH_SCALE, so any drift is
  *    a behavior change rather than noise).
+ *  - urban-mobile traced -- the same preset with the packet trace
+ *    on, timed over run, finalize and save() to a temp file: the
+ *    cost of leaving the MAC event log on.
  *  - scheduler A/B -- round_robin vs proportional_fair on the same
  *    deployment: cell goodput plus Jain's fairness index over
  *    per-user goodput.
@@ -28,12 +31,14 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 
 #include "bench/bench_util.hh"
 #include "common/cpu_features.hh"
 #include "common/kernels.hh"
 #include "common/logging.hh"
+#include "mac/packet_trace.hh"
 #include "sim/network_sim.hh"
 #include "tests/peruser_reference.hh"
 
@@ -42,14 +47,14 @@ using namespace wilis;
 namespace {
 
 /**
- * User-slots (users x slots) per wall-clock second, repeating the
- * deterministic run until the window is long enough to gate
- * regressions on. @p per_user times the per-user reference engine
- * instead of the SoA engine NetworkSim::run() executes.
+ * User-slots (users x slots) per wall-clock second of @p run, one
+ * @p slots-slot run of @p sim, repeated until the window is long
+ * enough to gate regressions on.
  */
+template <class Run>
 double
-userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads,
-                bool per_user = false)
+userSlotsPerSec(const sim::NetworkSim &sim, std::uint64_t slots,
+                Run &&run)
 {
     const double user_slots =
         static_cast<double>(sim.spec().numUsers) *
@@ -58,14 +63,27 @@ userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads,
     double secs = 0.0;
     bench::Stopwatch timer;
     do {
-        if (per_user)
-            sim::runPerUserReference(sim, slots, threads);
-        else
-            sim.run(slots, threads);
+        run();
         ++reps;
         secs = timer.seconds();
     } while (secs < 0.25);
     return user_slots * static_cast<double>(reps) / secs;
+}
+
+/**
+ * userSlotsPerSec() of NetworkSim::run() -- the SoA engine -- or,
+ * with @p per_user, of the per-user reference engine.
+ */
+double
+userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads,
+                bool per_user = false)
+{
+    return userSlotsPerSec(sim, slots, [&] {
+        if (per_user)
+            sim::runPerUserReference(sim, slots, threads);
+        else
+            sim.run(slots, threads);
+    });
 }
 
 /** Jain's fairness index over per-user delivered bits. */
@@ -267,6 +285,32 @@ main(int argc, char **argv)
                              agg.handovers));
             ++failures;
         }
+    }
+
+    // ---- urban-mobile traced: the packet-trace path end to end ---
+    bench::banner("urban-mobile traced: run, finalize and save");
+    {
+        const std::uint64_t slots = bench::scaled(2000, 500);
+        sim::NetworkSpec spec = sim::networkPreset("urban-mobile");
+        spec.trace = true;
+        sim::NetworkSim sim(spec);
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             "wilis_abl_multicell_trace.txt")
+                .string();
+        size_t events = 0;
+        // The run finalizes its trace; save() streams it to disk.
+        const double uslots = userSlotsPerSec(sim, slots, [&] {
+            const sim::NetworkResult res = sim.run(slots, 4);
+            res.trace->save(path);
+            events = res.trace->entries().size();
+        });
+        std::remove(path.c_str());
+        report.metric("uslots_urban_mobile_traced", uslots,
+                      "user-slots/s");
+        std::printf("%-14.0f user-slots/sec  %zu trace events per "
+                    "run\n",
+                    uslots, events);
     }
 
     // ---- scheduler A/B: throughput vs fairness -------------------

@@ -8,9 +8,11 @@
  * (cell, user, traffic class, per-user sequence number). Engines
  * record into per-shard buffers (one shard per cell in the
  * multi-cell engines, one per user in the single-cell engine), so
- * recording is race-free without locks; finalize() then sorts every
- * entry into the canonical order (cell, user, seq, slot, event),
- * which is a total key over the events one run can produce.
+ * recording is race-free without locks; finalize() then sorts each
+ * shard in parallel and merges them into the canonical order
+ * (cell, user, seq, slot, event), which is a total key over the
+ * events one run can produce (the arguments and then the class
+ * break any tie a hand-built trace has).
  *
  * That makes the finalized trace a pure function of the NetworkSpec:
  * independent of the worker-thread count, of the cell sharding, and
@@ -141,11 +143,13 @@ class PacketTrace
     void record(int shard, const Entry &e);
 
     /**
-     * Merge all shards and sort into the canonical
-     * (cell, user, seq, slot, event) order. Idempotent; required
-     * before entries() / toText() / save() / diff().
+     * Sort every shard on its own, @p threads at a time, then merge
+     * them into the canonical (cell, user, seq, slot, event) order.
+     * Pass the run's worker count; the result does not depend on
+     * it. Idempotent; required before entries() / toText() / save()
+     * / diff().
      */
-    void finalize();
+    void finalize(int threads = 1);
 
     /** True once finalize() has run. */
     bool finalized() const { return finalized_; }
@@ -156,13 +160,19 @@ class PacketTrace
     /** Serialize to the versioned text format. */
     std::string toText() const;
 
-    /** Write toText() to @p path; fatal on I/O errors. */
+    /**
+     * Stream the toText() bytes to @p path in fixed-size chunks,
+     * without building the file in memory; fatal naming the path
+     * and the OS error on any open, write or close failure.
+     */
     void save(const std::string &path) const;
 
     /**
-     * Parse a trace saved by save(); fatal on a missing file, a
-     * version-header mismatch or a malformed line. The result is
-     * finalized.
+     * Parse a trace saved by save(); fatal with path:line on a
+     * missing file, a version-header mismatch or a malformed line
+     * (not exactly eight fields, a number out of its column's range,
+     * a negative cell or user id, an unknown class or event name).
+     * The result is finalized.
      */
     static PacketTrace load(const std::string &path);
 

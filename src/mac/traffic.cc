@@ -41,17 +41,6 @@ trafficClassName(TrafficClass cls)
     return cls == TrafficClass::Control ? "ctrl" : "data";
 }
 
-TrafficClass
-trafficClassFromName(const std::string &name)
-{
-    if (name == "ctrl")
-        return TrafficClass::Control;
-    if (name == "data")
-        return TrafficClass::Data;
-    wilis_fatal("unknown traffic class '%s' (ctrl|data)",
-                name.c_str());
-}
-
 const char *
 qdiscKindName(QdiscKind kind)
 {

@@ -70,9 +70,6 @@ enum class TrafficClass : std::uint8_t {
 /** Trace-file name of @p cls ("ctrl" / "data"). */
 const char *trafficClassName(TrafficClass cls);
 
-/** Inverse of trafficClassName(); fatal on unknown names. */
-TrafficClass trafficClassFromName(const std::string &name);
-
 /** Queue discipline of the shared bounded packet queue. */
 enum class QdiscKind {
     /** Serve in global arrival order; overflow drops the arrival. */

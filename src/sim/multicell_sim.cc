@@ -717,7 +717,7 @@ runMulticellPerUser(
     // from the finalized trace's Ack events, so it exists exactly
     // when the trace does.
     if (trace) {
-        trace->finalize();
+        trace->finalize(n);
         for (const auto &e : trace->entries()) {
             if (e.event == mac::PacketEvent::Ack)
                 users[static_cast<size_t>(e.user)]

@@ -973,7 +973,7 @@ runMulticellSoa(
     }
 
     if (trace) {
-        trace->finalize();
+        trace->finalize(n);
         // End-to-end latency (arrival -> in-order delivery) from
         // the Ack events, in canonical trace order.
         for (const mac::PacketTrace::Entry &e : trace->entries()) {

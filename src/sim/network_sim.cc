@@ -499,7 +499,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
     }
 
     if (trace) {
-        trace->finalize();
+        trace->finalize(n);
         // End-to-end latency from the Ack events, in canonical
         // trace order.
         for (const mac::PacketTrace::Entry &e : trace->entries()) {

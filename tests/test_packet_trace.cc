@@ -7,21 +7,27 @@
  * -- and that the committed goldens under data/ pin grid-3x3
  * byte-for-byte and the urban-mobile trace and dense-urban-10k
  * report by digest. Around it:
- * the text format round-trips through save()/load(), diff() localizes
- * divergences, and the trace's Ack events feed the end-to-end latency
- * histogram.
+ * the per-shard sort and merge of finalize() equals one sort of the
+ * whole trace for any sharding and worker count, the text format
+ * round-trips through save()/load() (save() writes exactly the
+ * toText() bytes, load() rejects every malformed line with its
+ * path:line), diff() localizes divergences, and the trace's Ack
+ * events feed the end-to-end latency histogram.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/kernels.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "mac/packet_trace.hh"
 #include "peruser_reference.hh"
 #include "sim/campaign.hh"
@@ -105,6 +111,54 @@ goldenBackends()
 {
     return {"scalar",
             kernels::backendName(kernels::availableBackends().back())};
+}
+
+/** Write @p text to a fresh temp file named @p name; returns it. */
+std::string
+writeTemp(const std::string &name, const std::string &text)
+{
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
+
+/** The documented canonical order, spelled out independently. */
+bool
+canonicalLess(const mac::PacketTrace::Entry &a,
+              const mac::PacketTrace::Entry &b)
+{
+    return std::tie(a.cell, a.user, a.seq, a.slot, a.event, a.arg0,
+                    a.arg1, a.cls) < std::tie(b.cell, b.user, b.seq,
+                                              b.slot, b.event, b.arg0,
+                                              b.arg1, b.cls);
+}
+
+/**
+ * @p n seeded random entries over small field ranges, so the same
+ * user recurs at many keys and (cell, user, seq) ties are common --
+ * slot, event, the arguments and the class must break them.
+ */
+std::vector<mac::PacketTrace::Entry>
+randomEntries(std::uint64_t seed, size_t n)
+{
+    const CounterRng rng(seed);
+    std::vector<mac::PacketTrace::Entry> out(n);
+    std::uint64_t k = 0;
+    const auto draw = [&](std::uint64_t range) {
+        return static_cast<std::int64_t>(rng.at(k++) % range);
+    };
+    for (mac::PacketTrace::Entry &e : out) {
+        e.slot = static_cast<std::uint64_t>(draw(6));
+        e.cell = static_cast<std::int32_t>(draw(3));
+        e.user = static_cast<std::int32_t>(draw(5));
+        e.cls = draw(2) ? mac::TrafficClass::Data
+                        : mac::TrafficClass::Control;
+        e.seq = static_cast<std::uint64_t>(draw(4));
+        e.event = static_cast<mac::PacketEvent>(draw(9));
+        e.arg0 = draw(5) - 2;
+        e.arg1 = draw(4);
+    }
+    return out;
 }
 
 } // namespace
@@ -222,6 +276,151 @@ TEST(PacketTrace, SaveLoadDiffRoundTrip)
         ASSERT_TRUE(loaded.entries()[i] == res.trace->entries()[i])
             << "entry " << i;
     EXPECT_EQ(mac::PacketTrace::diff(loaded, *res.trace), "");
+    std::remove(path.c_str());
+}
+
+TEST(PacketTrace, FinalizeEqualsOneSortForAnyShardingAndThreads)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        const std::vector<mac::PacketTrace::Entry> all =
+            randomEntries(seed, 3000);
+        std::vector<mac::PacketTrace::Entry> want = all;
+        std::sort(want.begin(), want.end(), canonicalLess);
+        for (int shards : {1, 3, 16}) {
+            for (int threads : {1, 4}) {
+                // Round-robin spreads every user over all shards (the
+                // key ranges interleave); by-cell is the engines'
+                // disjoint sharding, with empty shards when
+                // shards > 3.
+                for (bool by_cell : {false, true}) {
+                    mac::PacketTrace trace(shards);
+                    int i = 0;
+                    for (const mac::PacketTrace::Entry &e : all)
+                        trace.record(by_cell ? e.cell % shards
+                                             : i++ % shards,
+                                     e);
+                    trace.finalize(threads);
+                    EXPECT_TRUE(trace.entries() == want)
+                        << "seed " << seed << ", " << shards
+                        << " shards, " << threads << " threads"
+                        << (by_cell ? ", by cell" : ", interleaved");
+                }
+            }
+        }
+    }
+}
+
+TEST(PacketTrace, SavedBytesEqualToText)
+{
+    NetworkResult res = NetworkSim(tracedGrid()).run(80, 4);
+    ASSERT_NE(res.trace, nullptr);
+    const std::string path =
+        testing::TempDir() + "/wilis_trace_bytes.txt";
+    res.trace->save(path);
+    EXPECT_EQ(readFile(path), res.trace->toText());
+    std::remove(path.c_str());
+
+    // An empty trace is the two header lines.
+    mac::PacketTrace empty;
+    empty.finalize(4);
+    empty.save(path);
+    const std::string text = empty.toText();
+    EXPECT_EQ(readFile(path), text);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+    std::remove(path.c_str());
+}
+
+TEST(PacketTrace, UrbanMobileSurvivesSaveLoadToText)
+{
+    NetworkSpec spec = networkPreset("urban-mobile");
+    spec.calibrationFile = calibrationPath();
+    spec.trace = true;
+    NetworkResult res = NetworkSim(spec).run(400, 4);
+    ASSERT_NE(res.trace, nullptr);
+    const std::string path =
+        testing::TempDir() + "/wilis_trace_mobile.txt";
+    res.trace->save(path);
+    EXPECT_EQ(mac::PacketTrace::load(path).toText(),
+              res.trace->toText());
+    std::remove(path.c_str());
+}
+
+TEST(PacketTrace, SaveFailureIsFatalNamingThePath)
+{
+    mac::PacketTrace trace;
+    trace.record(0, mac::PacketTrace::Entry{});
+    trace.finalize();
+    EXPECT_EXIT(trace.save("/dev/full"), testing::ExitedWithCode(1),
+                "cannot write packet trace '/dev/full': ");
+    EXPECT_EXIT(trace.save(testing::TempDir() + "/no/such/dir/t.txt"),
+                testing::ExitedWithCode(1),
+                "cannot write packet trace '.*/no/such/dir/t.txt': ");
+}
+
+TEST(PacketTrace, LoadAcceptsEveryColumnsFullRange)
+{
+    const std::string path = writeTemp(
+        "wilis_trace_range.txt",
+        "# wilis packet trace v1\n"
+        "18446744073709551615 2147483647 0 ctrl 18446744073709551615 "
+        "leave -9223372036854775808 9223372036854775807\n"
+        "0\t0  0 data 0 enq -1 0\r\n");
+    const mac::PacketTrace t = mac::PacketTrace::load(path);
+    ASSERT_EQ(t.entries().size(), 2u);
+    const mac::PacketTrace::Entry &e = t.entries()[1];
+    EXPECT_EQ(e.slot, 18446744073709551615ULL);
+    EXPECT_EQ(e.cell, 2147483647);
+    EXPECT_EQ(e.cls, mac::TrafficClass::Control);
+    EXPECT_EQ(e.event, mac::PacketEvent::Leave);
+    EXPECT_EQ(e.arg0, INT64_MIN);
+    EXPECT_EQ(e.arg1, INT64_MAX);
+    EXPECT_EQ(t.entries()[0].arg0, -1);
+    std::remove(path.c_str());
+}
+
+TEST(PacketTrace, LoadRejectsMalformedLinesWithPathAndLine)
+{
+    const struct {
+        const char *line;
+        const char *why;
+    } cases[] = {
+        {"0 0 0 data 0 grant 1 0 junk", "more than 8 fields"},
+        {"0 0 0 data 0 grant 1", "expected 8 fields, got 7"},
+        {"0 0 0 data 99999999999999999999999 grant 1 0",
+         "seq '99999999999999999999999' is out of range"},
+        {"18446744073709551616 0 0 data 0 grant 1 0",
+         "slot '18446744073709551616' is out of range"},
+        {"0 2147483648 0 data 0 grant 1 0",
+         "cell '2147483648' is out of range"},
+        {"0 0 0 data 0 grant 9223372036854775808 0",
+         "arg0 '9223372036854775808' is out of range"},
+        {"0 -1 0 data 0 grant 1 0", "cell id is negative"},
+        {"0 0 -3 data 0 grant 1 0", "user id is negative"},
+        {"-1 0 0 data 0 grant 1 0", "slot '-1' is not an integer"},
+        {"0 0 0 data 1x grant 1 0", "seq '1x' is not an integer"},
+        {"0 0 0 data +1 grant 1 0", "seq '\\+1' is not an integer"},
+        {"0 0 0 bulk 0 grant 1 0", "unknown traffic class 'bulk'"},
+        {"0 0 0 data 0 retx 1 0", "unknown packet event 'retx'"},
+    };
+    for (const auto &c : cases) {
+        const std::string path = writeTemp(
+            "wilis_trace_bad.txt", std::string("# wilis packet trace "
+                                               "v1\n# comment\n") +
+                                       c.line + "\n");
+        EXPECT_EXIT(mac::PacketTrace::load(path),
+                    testing::ExitedWithCode(1),
+                    std::string("wilis_trace_bad.txt:3: malformed "
+                                "packet-trace line .*") +
+                        c.why)
+            << c.line;
+        std::remove(path.c_str());
+    }
+    const std::string path = writeTemp("wilis_trace_bad.txt",
+                                       "# wilis packet trace v2\n");
+    EXPECT_EXIT(mac::PacketTrace::load(path),
+                testing::ExitedWithCode(1),
+                "wilis_trace_bad.txt:1: packet trace has version "
+                "header");
     std::remove(path.c_str());
 }
 
