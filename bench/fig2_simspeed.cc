@@ -11,7 +11,8 @@
  *     row the shape claim rests on,
  *  3. this host's measured speeds: the software channel throughput
  *     measured live, fed into the same model, plus the raw
- *     full-pipeline (tx+channel+rx) simulation speed of the kernels.
+ *     full-pipeline (tx+channel+rx) simulation speed of the kernels
+ *     over AWGN and, at one rate, over Rayleigh fading.
  *
  * Also reports the link-bandwidth accounting of section 3 (~55 MB/s
  * of 700 MB/s used => the software channel, not the link, is the
@@ -19,6 +20,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "common/cpu_features.hh"
@@ -41,7 +43,8 @@ const double kPaperMbps[phy::kNumRates] = {2.033, 2.953, 4.040,
 
 double
 measureHostSimSpeed(phy::RateIndex rate, std::uint64_t bits,
-                    kernels::Backend backend)
+                    kernels::Backend backend,
+                    const std::string &channel = "awgn")
 {
     // This bench's whole purpose is backend comparison, so select
     // the table directly -- bypassing the WILIS_KERNEL_BACKEND
@@ -53,6 +56,7 @@ measureHostSimSpeed(phy::RateIndex rate, std::uint64_t bits,
     sim::ScenarioSpec cfg;
     cfg.rate = rate;
     cfg.rx.decoder = "viterbi";
+    cfg.channel = channel;
     cfg.channelCfg = li::Config::fromString("snr_db=10,seed=7");
     cfg.payloadBits = 1704;
     std::uint64_t packets = bits / cfg.payloadBits + 1;
@@ -116,6 +120,15 @@ main(int argc, char **argv)
     }
     t.print();
     report.metric("channel_msps_1t", host_msps_1t, "Msamples/s");
+
+    // The same full pipeline over the 20 Hz Rayleigh channel: a
+    // Jakes sum per OFDM symbol in the channel and one in the
+    // receiver's CSI. Gates the fading receiver's cost per symbol.
+    const double rayleigh_mbps =
+        measureHostSimSpeed(1, bits, best, "rayleigh");
+    report.metric("sim_speed_rayleigh_r1_mbps", rayleigh_mbps, "Mb/s");
+    std::printf("full pipeline over Rayleigh fading, %s: %.3f Mb/s\n",
+                phy::rateTable(1).name().c_str(), rayleigh_mbps);
     report.metric("channel_msps_mt", host_msps_mt, "Msamples/s");
 
     // SIMD kernel backend A/B: the same full pipeline (tx + channel

@@ -10,7 +10,7 @@ namespace channel {
 
 AwgnChannel::AwgnChannel(const li::Config &cfg)
     : AwgnChannel(cfg.getDouble("snr_db", 10.0),
-                  static_cast<std::uint64_t>(cfg.getInt("seed", 1)),
+                  cfg.getUint64("seed", 1),
                   static_cast<int>(cfg.getInt("threads", 1)),
                   cfg.getBool("common_noise", false))
 {}

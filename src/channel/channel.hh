@@ -15,6 +15,7 @@
 #ifndef WILIS_CHANNEL_CHANNEL_HH
 #define WILIS_CHANNEL_CHANNEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,9 +56,9 @@ class Channel
                                 std::uint64_t sample_index) const = 0;
 
     /**
-     * Complex channel gain the receiver equalizes with (perfect CSI;
-     * the paper models neither channel estimation nor
-     * synchronization). Flat fading: one gain per OFDM symbol.
+     * Flat complex channel gain of OFDM symbol @p symbol_index: one
+     * gain per symbol. Frequency-selective channels report their DC
+     * bin response.
      */
     virtual Sample
     gain(std::uint64_t packet_index, int symbol_index) const
@@ -68,15 +69,20 @@ class Channel
     }
 
     /**
-     * Per-subcarrier channel gain for frequency-selective channels;
-     * flat channels return gain(). @p bin is the FFT bin (0..63).
+     * Channel state the receiver equalizes with (perfect CSI; the
+     * paper models neither channel estimation nor synchronization):
+     * the complex gain of every FFT bin of OFDM symbol
+     * @p symbol_index, bin k written to @p bins[k] (64 bins).
+     * Receivers ask once per symbol. Flat channels inherit this
+     * default, which evaluates gain() once and fills every bin;
+     * frequency-selective channels override it.
      */
-    virtual Sample
-    binGain(std::uint64_t packet_index, int symbol_index,
-            int bin) const
+    virtual void
+    binGains(std::uint64_t packet_index, int symbol_index,
+             SampleSpan bins) const
     {
-        (void)bin;
-        return gain(packet_index, symbol_index);
+        std::fill(bins.begin(), bins.end(),
+                  gain(packet_index, symbol_index));
     }
 
     /** Noise variance N0 per complex sample (for eq. 3 scaling). */

@@ -55,7 +55,7 @@ RayleighChannel::RayleighChannel(const li::Config &cfg)
     : RayleighChannel(
           cfg.getDouble("snr_db", 10.0),
           cfg.getDouble("doppler_hz", 20.0),
-          static_cast<std::uint64_t>(cfg.getInt("seed", 1)),
+          cfg.getUint64("seed", 1),
           cfg.getDouble("packet_interval_us", 2000.0),
           static_cast<int>(cfg.getInt("threads", 1)),
           cfg.getBool("common_noise", false),

@@ -12,11 +12,11 @@ namespace channel {
 
 InterferenceChannel::InterferenceChannel(const li::Config &cfg)
     : awgn(cfg.getDouble("snr_db", 10.0),
-           static_cast<std::uint64_t>(cfg.getInt("seed", 1)),
+           cfg.getUint64("seed", 1),
            static_cast<int>(cfg.getInt("threads", 1)),
            cfg.getBool("common_noise", false)),
       bin(static_cast<int>(cfg.getInt("interferer_bin", 10))),
-      seed(static_cast<std::uint64_t>(cfg.getInt("seed", 1)))
+      seed(cfg.getUint64("seed", 1))
 {
     wilis_assert(bin >= -26 && bin <= 26,
                  "interferer bin %d out of range", bin);

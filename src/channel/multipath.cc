@@ -4,14 +4,13 @@
 #include <numbers>
 
 #include "common/logging.hh"
-#include "phy/ofdm_symbol.hh"
 
 namespace wilis {
 namespace channel {
 
 MultipathChannel::MultipathChannel(const li::Config &cfg)
     : awgn(cfg.getDouble("snr_db", 10.0),
-           static_cast<std::uint64_t>(cfg.getInt("seed", 1)),
+           cfg.getUint64("seed", 1),
            static_cast<int>(cfg.getInt("threads", 1)),
            cfg.getBool("common_noise", false)),
       packet_interval_us(cfg.getDouble("packet_interval_us", 2000.0))
@@ -19,11 +18,10 @@ MultipathChannel::MultipathChannel(const li::Config &cfg)
     const int num_taps = static_cast<int>(cfg.getInt("num_taps", 4));
     const double spread = cfg.getDouble("delay_spread", 3.0);
     const double doppler = cfg.getDouble("doppler_hz", 20.0);
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    const std::uint64_t seed = cfg.getUint64("seed", 1);
 
     wilis_assert(num_taps >= 1, "need at least one tap");
-    wilis_assert(num_taps - 1 <= phy::OfdmGeometry::kCpLen,
+    wilis_assert(num_taps <= kMaxTaps,
                  "delay spread of %d taps exceeds the %d-sample "
                  "cyclic prefix",
                  num_taps, phy::OfdmGeometry::kCpLen);
@@ -49,7 +47,15 @@ MultipathChannel::MultipathChannel(const li::Config &cfg)
             packet_interval_us);
         taps.push_back(std::move(t));
     }
-    tap_cache.resize(static_cast<size_t>(num_taps));
+
+    const int n = phy::OfdmGeometry::kFftSize;
+    twiddle.reserve(static_cast<size_t>(n * num_taps));
+    for (int bin = 0; bin < n; ++bin) {
+        for (const Tap &t : taps) {
+            double ang = -2.0 * std::numbers::pi * bin * t.delay / n;
+            twiddle.emplace_back(std::cos(ang), std::sin(ang));
+        }
+    }
 }
 
 Sample
@@ -60,28 +66,47 @@ MultipathChannel::tapValue(std::uint64_t packet_index,
     return t.weight * t.process->gain(packet_index, symbol_index);
 }
 
+MultipathChannel::TapValues
+MultipathChannel::tapValues(std::uint64_t packet_index,
+                            int symbol_index) const
+{
+    TapValues h;
+    for (int l = 0; l < numTaps(); ++l)
+        h[static_cast<size_t>(l)] =
+            tapValue(packet_index, symbol_index, l);
+    return h;
+}
+
+Sample
+MultipathChannel::binResponse(const TapValues &h, int bin) const
+{
+    const Sample *w =
+        &twiddle[static_cast<size_t>(bin) * taps.size()];
+    Sample acc(0.0, 0.0);
+    for (size_t l = 0; l < taps.size(); ++l)
+        acc += h[l] * w[l];
+    return acc;
+}
+
 Sample
 MultipathChannel::gain(std::uint64_t packet_index,
                        int symbol_index) const
 {
     // The "flat equivalent" gain is the DC bin response.
-    return binGain(packet_index, symbol_index, 0);
+    return binResponse(tapValues(packet_index, symbol_index), 0);
 }
 
-Sample
-MultipathChannel::binGain(std::uint64_t packet_index,
-                          int symbol_index, int bin) const
+void
+MultipathChannel::binGains(std::uint64_t packet_index,
+                           int symbol_index, SampleSpan bins) const
 {
-    // H[k] = sum_l h_l e^{-j 2 pi k d_l / N}.
-    Sample h(0.0, 0.0);
-    for (int l = 0; l < numTaps(); ++l) {
-        double ang = -2.0 * std::numbers::pi * bin *
-                     taps[static_cast<size_t>(l)].delay /
-                     phy::OfdmGeometry::kFftSize;
-        h += tapValue(packet_index, symbol_index, l) *
-             Sample(std::cos(ang), std::sin(ang));
-    }
-    return h;
+    wilis_assert(bins.size() ==
+                     static_cast<size_t>(phy::OfdmGeometry::kFftSize),
+                 "%zu CSI bins for a %d-point FFT", bins.size(),
+                 phy::OfdmGeometry::kFftSize);
+    const TapValues h = tapValues(packet_index, symbol_index);
+    for (size_t bin = 0; bin < bins.size(); ++bin)
+        bins[bin] = binResponse(h, static_cast<int>(bin));
 }
 
 void
@@ -95,14 +120,13 @@ MultipathChannel::apply(SampleSpan samples,
     // a descending sweep has not yet overwritten. Tap values change
     // only at symbol boundaries, so they are cached per symbol.
     const int sym_len = phy::OfdmGeometry::kSymbolLen;
+    TapValues tap_cache;
     int cached_symbol = -1;
     for (size_t i = samples.size(); i-- > 0;) {
         int symbol =
             static_cast<int>(i / static_cast<size_t>(sym_len));
         if (symbol != cached_symbol) {
-            for (int l = 0; l < numTaps(); ++l)
-                tap_cache[static_cast<size_t>(l)] =
-                    tapValue(packet_index, symbol, l);
+            tap_cache = tapValues(packet_index, symbol);
             cached_symbol = symbol;
         }
         Sample acc(0.0, 0.0);

@@ -15,12 +15,14 @@
 #ifndef WILIS_CHANNEL_MULTIPATH_HH
 #define WILIS_CHANNEL_MULTIPATH_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
 #include "channel/awgn.hh"
 #include "channel/channel.hh"
 #include "channel/fading.hh"
+#include "phy/ofdm_symbol.hh"
 
 namespace wilis {
 namespace channel {
@@ -48,8 +50,9 @@ class MultipathChannel : public Channel
                         std::uint64_t sample_index) const override;
     Sample gain(std::uint64_t packet_index,
                 int symbol_index) const override;
-    Sample binGain(std::uint64_t packet_index, int symbol_index,
-                   int bin) const override;
+    /** Evaluates each tap once, then sums it per bin. */
+    void binGains(std::uint64_t packet_index, int symbol_index,
+                  SampleSpan bins) const override;
     double noiseVariance() const override
     {
         return awgn.noiseVariance();
@@ -63,6 +66,19 @@ class MultipathChannel : public Channel
                     int l) const;
 
   private:
+    /** Maximum taps: delays 0..kCpLen stay within the prefix. */
+    static constexpr int kMaxTaps = phy::OfdmGeometry::kCpLen + 1;
+
+    /** One symbol's tap values, tap l at [l]. */
+    using TapValues = std::array<Sample, kMaxTaps>;
+
+    /** Every tap's value for @p symbol_index of @p packet_index. */
+    TapValues tapValues(std::uint64_t packet_index,
+                        int symbol_index) const;
+
+    /** H[bin] = sum_l h_l e^{-j 2 pi bin d_l / N} for taps @p h. */
+    Sample binResponse(const TapValues &h, int bin) const;
+
     struct Tap {
         /** Sample delay. */
         int delay;
@@ -75,9 +91,8 @@ class MultipathChannel : public Channel
     AwgnChannel awgn;
     double packet_interval_us;
     std::vector<Tap> taps;
-    /** Per-symbol tap values cached during apply() (no per-packet
-     *  allocation: sized once at construction). */
-    std::vector<Sample> tap_cache;
+    /** e^{-j 2 pi bin d_l / N} at [bin * numTaps() + l]. */
+    std::vector<Sample> twiddle;
 
     // Streaming state for impairSample(): a per-packet delay line.
     mutable SampleVec history;

@@ -37,6 +37,7 @@ void
 BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
 {
     const int steps = static_cast<int>(soft.size() / 2);
+    const TrellisKernels trellis;
 
     // --- Forward PMU: alpha for every step boundary.
     std::vector<std::int32_t> &alpha = alpha_i;
@@ -51,8 +52,8 @@ BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
         std::int32_t *a_j = &alpha[static_cast<size_t>(j) * kStates];
         std::int32_t *a_j1 =
             &alpha[(static_cast<size_t>(j) + 1) * kStates];
-        acsForward(a_j, bm, a_j1, dummy, nullptr);
-        normalizeMetrics(a_j1);
+        trellis.acsForward(a_j, bm, a_j1, dummy, nullptr);
+        trellis.normalizeMetrics(a_j1);
     }
 
     // --- Sliding-window backward passes + decision unit.
@@ -84,9 +85,10 @@ BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
                 branchMetrics(soft[2 * static_cast<size_t>(j)],
                               soft[2 * static_cast<size_t>(j) + 1],
                               bm);
-                acsBackward(beta.data(), bm, beta_prev.data());
+                trellis.acsBackward(beta.data(), bm,
+                                    beta_prev.data());
                 beta = beta_prev;
-                normalizeMetrics(beta.data());
+                trellis.normalizeMetrics(beta.data());
             }
         }
 
@@ -99,15 +101,15 @@ BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
                 &alpha[static_cast<size_t>(j) * kStates];
             std::int32_t best1 = kMetricFloor;
             std::int32_t best0 = kMetricFloor;
-            bcjrDecision(a_j, bm, beta.data(), best0, best1);
+            trellis.bcjrDecision(a_j, bm, beta.data(), best0, best1);
             std::int32_t llr = best1 - best0;
             out[static_cast<size_t>(j)].bit = llr > 0 ? 1 : 0;
             out[static_cast<size_t>(j)].llr =
                 std::abs(static_cast<double>(llr));
 
-            acsBackward(beta.data(), bm, beta_prev.data());
+            trellis.acsBackward(beta.data(), bm, beta_prev.data());
             beta = beta_prev;
-            normalizeMetrics(beta.data());
+            trellis.normalizeMetrics(beta.data());
         }
     }
 }

@@ -28,6 +28,7 @@ SovaDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
     wilis_assert(out.size() == static_cast<size_t>(steps),
                  "decision span size %zu for %d trellis steps",
                  out.size(), steps);
+    const TrellisKernels trellis;
 
     // --- BMU + PMU sweep: record survivor choices, metric deltas and
     // the best state after each step.
@@ -44,12 +45,13 @@ SovaDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
     for (int j = 0; j < steps; ++j) {
         branchMetrics(soft[2 * static_cast<size_t>(j)],
                       soft[2 * static_cast<size_t>(j) + 1], bm);
-        acsForward(pm.data(), bm, pm_next.data(),
-                   choices[static_cast<size_t>(j)],
-                   &delta[static_cast<size_t>(j) * kStates]);
+        trellis.acsForward(pm.data(), bm, pm_next.data(),
+                           choices[static_cast<size_t>(j)],
+                           &delta[static_cast<size_t>(j) * kStates]);
         pm = pm_next;
-        normalizeMetrics(pm.data());
-        best_end[static_cast<size_t>(j) + 1] = bestState(pm.data());
+        trellis.normalizeMetrics(pm.data());
+        best_end[static_cast<size_t>(j) + 1] =
+            trellis.bestState(pm.data());
     }
 
     auto survivor = [&](int state, int j) {

@@ -1,6 +1,5 @@
 #include "decode/trellis_kernels.hh"
 
-#include "common/kernels.hh"
 #include "common/logging.hh"
 
 namespace wilis {
@@ -75,46 +74,6 @@ TrellisTables::view()
         };
     }();
     return v;
-}
-
-void
-acsForward(const std::int32_t pm_in[kStates], const std::int32_t bm[4],
-           std::int32_t pm_out[kStates], std::uint64_t &choices,
-           std::int32_t *delta)
-{
-    kernels::ops().acsForward(TrellisTables::view(), pm_in, bm,
-                              pm_out, &choices, delta);
-}
-
-void
-acsBackward(const std::int32_t beta_next[kStates],
-            const std::int32_t bm[4], std::int32_t beta_out[kStates])
-{
-    kernels::ops().acsBackward(TrellisTables::view(), beta_next, bm,
-                               beta_out);
-}
-
-void
-bcjrDecision(const std::int32_t alpha[kStates],
-             const std::int32_t bm[4],
-             const std::int32_t beta[kStates], std::int32_t &best0,
-             std::int32_t &best1)
-{
-    kernels::ops().bcjrDecision(TrellisTables::view(), alpha, bm,
-                                beta, &best0, &best1);
-}
-
-void
-normalizeMetrics(std::int32_t pm[kStates])
-{
-    kernels::ops().normalizeMetrics(pm, kStates, kMetricFloor / 2,
-                                    kMetricFloor);
-}
-
-int
-bestState(const std::int32_t pm[kStates])
-{
-    return kernels::ops().bestState(pm, kStates);
 }
 
 } // namespace decode

@@ -84,47 +84,83 @@ branchMetrics(SoftBit la0, SoftBit la1, std::int32_t bm[4])
 }
 
 /**
- * One add-compare-select step over all states (the PMU of Figure 3/4
- * in the forward direction).
- *
- * @param pm_in   Path metrics at time j (per state).
- * @param bm      Output of branchMetrics() for this step's soft pair.
- * @param pm_out  Path metrics at time j+1.
- * @param choices Bit s set if the surviving predecessor of arrival
- *                state s was predecessor(s, 1).
- * @param delta   If non-null, |winner - loser| metric difference per
- *                arrival state (the SOVA soft input).
+ * The PMU kernels of one decode: the active backend's kernel table
+ * and the process-wide trellis view, looked up once at construction
+ * instead of once per trellis step. Build one per decode, so a
+ * backend switch between decodes takes effect at the next decode.
  */
-void acsForward(const std::int32_t pm_in[kStates],
+class TrellisKernels
+{
+  public:
+    TrellisKernels() : k(kernels::ops()), tv(TrellisTables::view()) {}
+
+    /**
+     * One add-compare-select step over all states (the PMU of
+     * Figure 3/4 in the forward direction).
+     *
+     * @param pm_in   Path metrics at time j (per state).
+     * @param bm      Output of branchMetrics() for this step's pair.
+     * @param pm_out  Path metrics at time j+1.
+     * @param choices Bit s set if the surviving predecessor of
+     *                arrival state s was predecessor(s, 1).
+     * @param delta   If non-null, |winner - loser| metric difference
+     *                per arrival state (the SOVA soft input).
+     */
+    void
+    acsForward(const std::int32_t pm_in[kStates],
+               const std::int32_t bm[4], std::int32_t pm_out[kStates],
+               std::uint64_t &choices, std::int32_t *delta) const
+    {
+        k.acsForward(tv, pm_in, bm, pm_out, &choices, delta);
+    }
+
+    /**
+     * One backward path-metric step (the reverse-permutation PMU
+     * used by BCJR): beta[j][s] = max over inputs x of
+     * (bm(out(s,x)) + beta[j+1][next(s,x)]).
+     */
+    void
+    acsBackward(const std::int32_t beta_next[kStates],
                 const std::int32_t bm[4],
-                std::int32_t pm_out[kStates], std::uint64_t &choices,
-                std::int32_t *delta);
+                std::int32_t beta_out[kStates]) const
+    {
+        k.acsBackward(tv, beta_next, bm, beta_out);
+    }
 
-/**
- * One backward path-metric step (the reverse-permutation PMU used by
- * BCJR): beta[j][s] = max over inputs x of (bm(out(s,x)) +
- * beta[j+1][next(s,x)]).
- */
-void acsBackward(const std::int32_t beta_next[kStates],
+    /**
+     * Max-log BCJR decision unit for one trellis step: folds
+     * max(alpha[s] + bm[out(s,x)] + beta[next(s,x)]) over all states
+     * into @p best0 / @p best1 (per input hypothesis x), which the
+     * caller must pre-seed (typically with kMetricFloor).
+     */
+    void
+    bcjrDecision(const std::int32_t alpha[kStates],
                  const std::int32_t bm[4],
-                 std::int32_t beta_out[kStates]);
+                 const std::int32_t beta[kStates], std::int32_t &best0,
+                 std::int32_t &best1) const
+    {
+        k.bcjrDecision(tv, alpha, bm, beta, &best0, &best1);
+    }
 
-/**
- * Max-log BCJR decision unit for one trellis step: folds
- * max(alpha[s] + bm[out(s,x)] + beta[next(s,x)]) over all states
- * into @p best0 / @p best1 (per input hypothesis x), which the
- * caller must pre-seed (typically with kMetricFloor).
- */
-void bcjrDecision(const std::int32_t alpha[kStates],
-                  const std::int32_t bm[4],
-                  const std::int32_t beta[kStates],
-                  std::int32_t &best0, std::int32_t &best1);
+    /** Subtract the maximum from @p pm so metrics stay bounded. */
+    void
+    normalizeMetrics(std::int32_t pm[kStates]) const
+    {
+        k.normalizeMetrics(pm, kStates, kMetricFloor / 2,
+                           kMetricFloor);
+    }
 
-/** Subtract the maximum from @p pm so metrics stay bounded. */
-void normalizeMetrics(std::int32_t pm[kStates]);
+    /** Index of the maximum path metric. */
+    int
+    bestState(const std::int32_t pm[kStates]) const
+    {
+        return k.bestState(pm, kStates);
+    }
 
-/** Index of the maximum path metric. */
-int bestState(const std::int32_t pm[kStates]);
+  private:
+    const kernels::Ops &k;
+    const kernels::TrellisView &tv;
+};
 
 } // namespace decode
 } // namespace wilis

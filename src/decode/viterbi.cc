@@ -24,6 +24,7 @@ ViterbiDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
     wilis_assert(out.size() == steps,
                  "decision span size %zu for %zu trellis steps",
                  out.size(), steps);
+    const TrellisKernels trellis;
 
     std::array<std::int32_t, kStates> pm;
     std::array<std::int32_t, kStates> pm_next;
@@ -35,9 +36,10 @@ ViterbiDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
 
     for (size_t j = 0; j < steps; ++j) {
         branchMetrics(soft[2 * j], soft[2 * j + 1], bm);
-        acsForward(pm.data(), bm, pm_next.data(), choices[j], nullptr);
+        trellis.acsForward(pm.data(), bm, pm_next.data(), choices[j],
+                           nullptr);
         pm = pm_next;
-        normalizeMetrics(pm.data());
+        trellis.normalizeMetrics(pm.data());
     }
 
     // Terminated trellis: trace back from state 0.

@@ -113,10 +113,14 @@ Config::getInt(const std::string &key, long def) const
         return def;
     const char *text = it->second.c_str();
     char *end = nullptr;
+    errno = 0;
     long v = std::strtol(text, &end, 0);
     if (end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an integer",
                     key.c_str(), text);
+    if (errno == ERANGE)
+        wilis_fatal("config key '%s': %s is outside the integer "
+                    "range", key.c_str(), text);
     return v;
 }
 

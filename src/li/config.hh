@@ -39,10 +39,8 @@ class Config
                           const std::string &def = "") const;
 
     /**
-     * Integer value or @p def; fatal on malformed numbers and empty
-     * values. Values a long cannot hold saturate (the channel
-     * configs read 64-bit seeds through here; pinned outputs rely
-     * on that).
+     * Integer value or @p def; fatal on malformed numbers, empty
+     * values and values a long cannot hold.
      */
     long getInt(const std::string &key, long def = 0) const;
 

@@ -1,5 +1,7 @@
 #include "phy/ofdm_rx.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "phy/conv_code.hh"
 #include "phy/cyclic_prefix.hh"
@@ -80,6 +82,10 @@ OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
     SampleSpan eq = arena.alloc<Sample>(OfdmGeometry::kDataCarriers);
     std::span<double> csi_w =
         arena.alloc<double>(OfdmGeometry::kDataCarriers);
+    // Channel state of the current symbol, one gain per FFT bin
+    // (unit gains without CSI).
+    SampleSpan h = arena.alloc<Sample>(OfdmGeometry::kFftSize);
+    std::fill(h.begin(), h.end(), Sample(1.0, 0.0));
     for (int s = 0; s < nsym; ++s) {
         const size_t base = static_cast<size_t>(s) *
                             OfdmGeometry::kSymbolLen;
@@ -90,14 +96,14 @@ OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
 
         // Equalize the data carriers, then soft-demap the whole
         // symbol in one batched kernel call.
+        if (csi)
+            csi->binGains(packet_index, s, h);
         for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-            int bin = OfdmGeometry::dataBin(d);
-            Sample h = csi ? csi->binGain(packet_index, s, bin)
-                           : Sample(1.0, 0.0);
-            eq[static_cast<size_t>(d)] =
-                body[static_cast<size_t>(bin)] / h;
+            const size_t bin =
+                static_cast<size_t>(OfdmGeometry::dataBin(d));
+            eq[static_cast<size_t>(d)] = body[bin] / h[bin];
             if (cfg.applyCsiWeight)
-                csi_w[static_cast<size_t>(d)] = std::abs(h);
+                csi_w[static_cast<size_t>(d)] = std::abs(h[bin]);
         }
         demapper.demapBatch(eq.data(),
                             cfg.applyCsiWeight ? csi_w.data()

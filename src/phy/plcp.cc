@@ -1,5 +1,7 @@
 #include "phy/plcp.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "decode/soft_decoder.hh"
 #include "phy/conv_code.hh"
@@ -30,36 +32,15 @@ const unsigned rate_codes[kNumRates] = {
     0b0011, // 54
 };
 
-/** Fixed per-bin CSI wrapper for preamble-estimated channels. */
-class StaticCsi : public channel::Channel
-{
-  public:
-    explicit StaticCsi(SampleVec h_bins_) : h(std::move(h_bins_)) {}
-
-    std::string name() const override { return "static-csi"; }
-    void apply(SampleSpan, std::uint64_t) override {}
-    Sample
-    impairSample(Sample s, std::uint64_t, std::uint64_t) const override
-    {
-        return s;
-    }
-    double noiseVariance() const override { return 0.0; }
-    Sample
-    binGain(std::uint64_t, int, int bin) const override
-    {
-        return h[static_cast<size_t>(bin)];
-    }
-    Sample
-    gain(std::uint64_t, int) const override
-    {
-        return h[0];
-    }
-
-  private:
-    SampleVec h;
-};
-
 } // namespace
+
+void
+StaticCsi::binGains(std::uint64_t, int, SampleSpan bins) const
+{
+    wilis_assert(bins.size() == h.size(), "%zu CSI bins for %zu",
+                 bins.size(), h.size());
+    std::copy(h.begin(), h.end(), bins.begin());
+}
 
 unsigned
 Signal::rateBits(RateIndex rate)

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "channel/channel.hh"
 #include "common/types.hh"
@@ -99,6 +101,32 @@ struct PlcpRxResult {
     BitVec payload;
     /** Per-bit SoftPHY hints for the payload. */
     std::vector<SoftDecision> soft;
+};
+
+/**
+ * Fixed per-bin CSI for preamble-estimated channels: the channel
+ * state of every symbol is the same set of bin gains.
+ */
+class StaticCsi : public channel::Channel
+{
+  public:
+    /** @param h_bins The gain of each FFT bin. */
+    explicit StaticCsi(SampleVec h_bins) : h(std::move(h_bins)) {}
+
+    std::string name() const override { return "static-csi"; }
+    void apply(SampleSpan, std::uint64_t) override {}
+    Sample
+    impairSample(Sample s, std::uint64_t, std::uint64_t) const override
+    {
+        return s;
+    }
+    double noiseVariance() const override { return 0.0; }
+    /** Copies the fixed bins. */
+    void binGains(std::uint64_t packet_index, int symbol_index,
+                  SampleSpan bins) const override;
+
+  private:
+    SampleVec h;
 };
 
 /**

@@ -518,7 +518,8 @@ class EqualizerMod : public li::Module
   public:
     EqualizerMod(Fifo<SampleVec> *in_, Fifo<SampleVec> *out_,
                  const channel::Channel *chan_)
-        : li::Module("equalizer"), in(in_), out(out_), chan(chan_)
+        : li::Module("equalizer"), in(in_), out(out_), chan(chan_),
+          h(phy::OfdmGeometry::kFftSize, Sample(1.0, 0.0))
     {}
 
     void
@@ -535,12 +536,12 @@ class EqualizerMod : public li::Module
             return false;
         SampleVec bins = in->deq();
         SampleVec data(phy::OfdmGeometry::kDataCarriers);
+        if (chan)
+            chan->binGains(packet_index, symbol, h);
         for (int d = 0; d < phy::OfdmGeometry::kDataCarriers; ++d) {
-            int bin = phy::OfdmGeometry::dataBin(d);
-            Sample h = chan ? chan->binGain(packet_index, symbol, bin)
-                            : Sample(1.0, 0.0);
-            data[static_cast<size_t>(d)] =
-                bins[static_cast<size_t>(bin)] / h;
+            const size_t bin =
+                static_cast<size_t>(phy::OfdmGeometry::dataBin(d));
+            data[static_cast<size_t>(d)] = bins[bin] / h[bin];
         }
         ++symbol;
         out->enq(std::move(data));
@@ -551,6 +552,8 @@ class EqualizerMod : public li::Module
     Fifo<SampleVec> *in;
     Fifo<SampleVec> *out;
     const channel::Channel *chan;
+    /** The current symbol's bin gains (unit gains without CSI). */
+    SampleVec h;
     std::uint64_t packet_index = 0;
     int symbol = 0;
 };

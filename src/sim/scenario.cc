@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "phy/ofdm_symbol.hh"
 
 namespace wilis {
 namespace sim {
@@ -426,6 +427,24 @@ rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
     }
 }
 
+/**
+ * Range-check the channel. sub-keys whose channel constructors
+ * assert on a bad value, so a bad value is fatal naming the key.
+ */
+void
+checkChannelKeys(const li::Config &cfg)
+{
+    const auto check = [&](const char *key, const auto &range) {
+        if (cfg.has(key))
+            readNumber(cfg, key, range);
+    };
+    check("channel.doppler_hz", atLeast(0.0));
+    // Tap delays 0..num_taps-1 must fit in the cyclic prefix.
+    check("channel.num_taps",
+          within(1L, long{phy::OfdmGeometry::kCpLen + 1}));
+    check("channel.delay_spread", above(0.0));
+}
+
 /** Copy the @p prefix family of @p cfg into @p sub, prefix stripped. */
 void
 copyPrefixed(const li::Config &cfg, const std::string &prefix,
@@ -536,6 +555,7 @@ ScenarioSpec::applyConfig(const li::Config &cfg)
 
     ApplyKeys apply(cfg);
     visitScenarioKeys(*this, apply);
+    checkChannelKeys(cfg);
     copyPrefixed(cfg, kChannelPrefix, channelCfg);
     copyPrefixed(cfg, kDecoderPrefix, rx.decoderCfg);
     for (const char *alias : kChannelAliases)

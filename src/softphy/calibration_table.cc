@@ -1,8 +1,11 @@
 #include "softphy/calibration_table.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -111,12 +114,18 @@ CalibrationTable::build(const BuildSpec &spec)
             scen.channelCfg.set(
                 "snr_db",
                 strprintf("%.17g", t.binCenterDb(bin)));
+            // Channel seeds are clamped to 2^63 - 1: channel configs
+            // once parsed seeds as a saturating signed long, and the
+            // committed data/network_calibration.txt and the outputs
+            // pinned on a table built here come from that sweep.
+            // Lifting the clamp means regenerating both.
+            const std::uint64_t channel_seed = std::min<std::uint64_t>(
+                rate_rng.at(2 * static_cast<std::uint64_t>(bin)),
+                std::numeric_limits<std::int64_t>::max());
             scen.channelCfg.set(
                 "seed",
                 strprintf("%llu",
-                          static_cast<unsigned long long>(
-                              rate_rng.at(2 * static_cast<std::uint64_t>(
-                                                  bin)))));
+                          static_cast<unsigned long long>(channel_seed)));
             scen.payloadBits = spec.payloadBits;
             scen.payloadSeed =
                 rate_rng.at(2 * static_cast<std::uint64_t>(bin) + 1);

@@ -1,17 +1,24 @@
 /**
  * @file
  * Channel model tests: AWGN statistics, replay determinism (the
- * SoftRate oracle requirement), thread-count invariance, and Rayleigh
- * fading statistics/time-correlation.
+ * SoftRate oracle requirement), thread-count invariance, Rayleigh
+ * fading statistics/time-correlation, the per-symbol CSI contract
+ * and full-range seeds.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <utility>
 
 #include "channel/awgn.hh"
 #include "channel/fading.hh"
+#include "channel/multipath.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
+#include "phy/ofdm_symbol.hh"
+#include "phy/plcp.hh"
 
 using namespace wilis;
 using namespace wilis::channel;
@@ -210,4 +217,113 @@ TEST(ChannelRegistry, CreatesByName)
 
     auto ray = makeChannel("rayleigh", cfg);
     EXPECT_EQ(ray->name(), "rayleigh");
+}
+
+namespace {
+
+constexpr int kBins = phy::OfdmGeometry::kFftSize;
+
+/**
+ * binGains() at several (packet, symbol) points must equal
+ * @p old_bin_gain(packet, symbol, bin) -- the per-bin CSI the
+ * receiver used to ask for -- bit for bit in every bin.
+ */
+template <typename OldBinGain>
+void
+expectBinGainsMatch(const Channel &ch, OldBinGain old_bin_gain)
+{
+    const std::pair<std::uint64_t, int> points[] = {
+        {0, 0}, {0, 7}, {3, 1}, {17, 40}, {250, 3}};
+    SampleVec bins(kBins);
+    for (const auto &[p, s] : points) {
+        ch.binGains(p, s, bins);
+        for (int k = 0; k < kBins; ++k)
+            ASSERT_EQ(bins[static_cast<size_t>(k)], old_bin_gain(p, s, k))
+                << ch.name() << " packet " << p << " symbol " << s
+                << " bin " << k;
+    }
+}
+
+} // namespace
+
+TEST(ChannelCsi, FlatChannelsFillEveryBinWithTheSymbolGain)
+{
+    const std::pair<const char *, const char *> flat[] = {
+        {"awgn", "snr_db=10,seed=3"},
+        {"rayleigh", "snr_db=10,doppler_hz=20,seed=3"},
+        {"rayleigh", "snr_db=10,doppler_hz=200,seed=4,block_fading=true"},
+        {"ar1", "snr_db=10,doppler_hz=30,seed=5"},
+        {"interference", "snr_db=15,sir_db=10,seed=6"},
+    };
+    for (const auto &[name, cfg] : flat) {
+        auto ch = makeChannel(name, li::Config::fromString(cfg));
+        // A flat channel's per-bin gain was gain() in every bin.
+        expectBinGainsMatch(*ch, [&](std::uint64_t p, int s, int) {
+            return ch->gain(p, s);
+        });
+    }
+}
+
+TEST(ChannelCsi, MultipathEvaluatesTheTapSumPerBin)
+{
+    for (const char *cfg : {"snr_db=10,num_taps=4,delay_spread=3,seed=7",
+                            "snr_db=10,num_taps=1,seed=8",
+                            "snr_db=10,num_taps=17,delay_spread=5,seed=9"}) {
+        MultipathChannel ch(li::Config::fromString(cfg));
+        // The per-bin formula binGains() replaced: every tap's value
+        // and twiddle evaluated for each bin (tap l sits at delay l).
+        const auto old_bin_gain = [&](std::uint64_t p, int s, int bin) {
+            Sample h(0.0, 0.0);
+            for (int l = 0; l < ch.numTaps(); ++l) {
+                double ang =
+                    -2.0 * std::numbers::pi * bin * l / kBins;
+                h += ch.tapValue(p, s, l) *
+                     Sample(std::cos(ang), std::sin(ang));
+            }
+            return h;
+        };
+        expectBinGainsMatch(ch, old_bin_gain);
+        EXPECT_EQ(ch.gain(5, 2), old_bin_gain(5, 2, 0)) << cfg;
+    }
+}
+
+TEST(ChannelCsi, StaticCsiCopiesItsBins)
+{
+    SplitMix64 rng(11);
+    SampleVec h(kBins);
+    for (auto &v : h)
+        v = Sample(rng.nextDouble() - 0.5, rng.nextDouble() - 0.5);
+    const phy::StaticCsi csi(h);
+    expectBinGainsMatch(csi, [&](std::uint64_t, int, int bin) {
+        return h[static_cast<size_t>(bin)];
+    });
+}
+
+TEST(ChannelSeeds, SeedsKeepTheirFull64BitRange)
+{
+    // Seeds at and past 2^63 used to saturate to 2^63 - 1 in the
+    // config parse, so all four of these ran the same channel.
+    const char *seeds[] = {"9223372036854775807", "9223372036854775808",
+                           "9223372036854775809",
+                           "18446744073709551615"};
+    for (const char *name :
+         {"awgn", "rayleigh", "ar1", "interference", "multipath"}) {
+        std::vector<SampleVec> out;
+        for (const char *seed : seeds) {
+            auto ch = makeChannel(
+                name, li::Config::fromString(
+                          std::string("snr_db=10,seed=") + seed));
+            SampleVec samples(160, Sample(1.0, 0.0));
+            ch->apply(samples, 2);
+            for (const SampleVec &prev : out)
+                EXPECT_NE(prev, samples) << name << " seed " << seed;
+            out.push_back(samples);
+        }
+    }
+}
+
+TEST(ChannelSeedsDeath, NegativeSeedIsFatal)
+{
+    EXPECT_EXIT(makeChannel("awgn", li::Config::fromString("seed=-1")),
+                testing::ExitedWithCode(1), "'seed'");
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "li/config.hh"
 #include "li/fifo.hh"
 #include "li/registry.hh"
@@ -151,6 +153,13 @@ TEST(ConfigDeath, EmptyOverflowingAndOutOfRangeNumbersAreFatal)
                 "'empty'");
     EXPECT_EXIT(cfg.getUint64("big"), testing::ExitedWithCode(1),
                 "'big'");
+    // strtol saturates out-of-range values; getInt must not.
+    EXPECT_EXIT(cfg.getInt("big"), testing::ExitedWithCode(1),
+                "'big': 99999999999999999999999 is outside the integer");
+    EXPECT_EXIT(Config::fromString("s=-9223372036854775809").getInt("s"),
+                testing::ExitedWithCode(1), "'s'");
+    EXPECT_EQ(Config::fromString("s=-9223372036854775808").getInt("s"),
+              std::numeric_limits<long>::min());
     EXPECT_EQ(cfg.getInt("three", 0, 1, 3), 3);
     EXPECT_EQ(cfg.getInt("missing", 2, 1, 3), 2);
     EXPECT_EXIT(cfg.getInt("three", 0, 0, 2), testing::ExitedWithCode(1),

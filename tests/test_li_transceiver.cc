@@ -76,26 +76,45 @@ TEST_P(LiTransceiverMatrix, BitExactAgainstKernelPath)
     }
 }
 
-TEST(LiTransceiver, BitExactOverFadingChannel)
+class LiTransceiverChannels
+    : public ::testing::TestWithParam<std::tuple<int, const char *>>
+{};
+
+INSTANTIATE_TEST_SUITE_P(
+    RatesAndChannels, LiTransceiverChannels,
+    ::testing::Combine(::testing::Range(0, phy::kNumRates),
+                       ::testing::Values("rayleigh", "multipath")));
+
+TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
 {
+    // The LI equalizer and the batch receiver both ask the channel
+    // for a symbol's bin gains; on a time-varying (rayleigh) and a
+    // frequency-selective (multipath) channel they must agree.
+    auto [rate, channel] = GetParam();
     phy::OfdmReceiver::Config rxc;
     rxc.decoder = "bcjr";
     li::Config chan_cfg = li::Config::fromString(
-        "snr_db=12,doppler_hz=20,seed=5");
+        "snr_db=12,doppler_hz=20,num_taps=4,delay_spread=3,seed=5");
 
     ScenarioSpec spec;
-    spec.rate = 2;
+    spec.rate = rate;
     spec.rx = rxc;
-    spec.channel = "rayleigh";
+    spec.channel = channel;
     spec.channelCfg = chan_cfg;
     Testbench tb(spec);
 
-    LiTransceiver li_tx(2, rxc, "rayleigh", chan_cfg);
+    LiTransceiver li_tx(rate, rxc, channel, chan_cfg);
 
-    BitVec payload = randomPayload(1000, 9);
-    PacketResult kernel = tb.runPacketWithPayload(payload, 4);
-    LiPacketResult streamed = li_tx.runPacket(payload, 4);
-    EXPECT_EQ(streamed.payload, kernel.rx.payload);
+    for (std::uint64_t p : {0u, 4u}) {
+        BitVec payload = randomPayload(1000, 9 + p);
+        PacketResult kernel = tb.runPacketWithPayload(payload, p);
+        LiPacketResult streamed = li_tx.runPacket(payload, p);
+        EXPECT_EQ(streamed.payload, kernel.rx.payload) << "packet " << p;
+        ASSERT_EQ(streamed.soft.size(), kernel.rx.soft.size());
+        for (size_t i = 0; i < streamed.soft.size(); ++i)
+            ASSERT_EQ(streamed.soft[i].llr, kernel.rx.soft[i].llr)
+                << "packet " << p << " hint " << i;
+    }
 }
 
 TEST(LiTransceiver, CrossDomainSynchronizersInserted)

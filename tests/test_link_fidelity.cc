@@ -192,6 +192,21 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
 
 // A bad table file is a clean exit(1) naming the file, not an abort.
 
+TEST(CalibrationTable, CommittedTableIsTheCell16Sweep)
+{
+    // data/network_calibration.txt is build_calibration's cell-16
+    // output. A PHY, channel or seed-parsing change that moves the
+    // sweep must regenerate it, and every output pinned on it.
+    const softphy::CalibrationTable built =
+        softphy::CalibrationTable::build(
+            NetworkSim::calibrationBuildSpec(networkPreset("cell-16")));
+    std::ifstream in(std::string(WILIS_SOURCE_DIR) +
+                     "/data/network_calibration.txt");
+    std::ostringstream committed;
+    committed << in.rdbuf();
+    EXPECT_EQ(built.serialize(), committed.str());
+}
+
 TEST(CalibrationTableDeath, MissingFileExitsNamingThePath)
 {
     EXPECT_EXIT(softphy::CalibrationTable::load("/nonexistent/table.txt"),

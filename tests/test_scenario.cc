@@ -60,6 +60,22 @@ TEST(ScenarioSpec, FullRangeSeedsSurviveRoundTrip)
     EXPECT_EQ(back.payloadSeed, 0xFEDCBA9876543210ull);
 }
 
+TEST(ScenarioSpec, ChannelSeedsPast2To63RunDistinctNoise)
+{
+    // Both seeds used to saturate to 2^63 - 1 and print the same run.
+    std::vector<std::vector<double>> hints;
+    for (const char *seed : {"9223372036854775808", "9223372036854775809"}) {
+        ScenarioSpec s = scenarioPreset("awgn-mid");
+        s.applyConfig(li::Config::fromString(std::string("seed=") + seed));
+        Testbench tb(s.withPayloadBits(200));
+        PacketResult r = tb.runPacket(200, 0);
+        hints.emplace_back();
+        for (const SoftDecision &d : r.rx.soft)
+            hints.back().push_back(d.llr);
+    }
+    EXPECT_NE(hints[0], hints[1]);
+}
+
 TEST(ScenarioSpec, FromConfigString)
 {
     ScenarioSpec s = ScenarioSpec::fromConfig(li::Config::fromString(
@@ -107,6 +123,38 @@ TEST(ScenarioSpec, RejectsMalformedValues)
                     li::Config::fromString("rate=9")),
                 testing::ExitedWithCode(1),
                 "rate index 9 out of range");
+}
+
+TEST(ScenarioSpec, ChannelValuesTheConstructorsAssertOnExitNamingTheKey)
+{
+    // These reached the channel constructors' asserts (exit 134).
+    const struct {
+        const char *spec;
+        const char *error;
+    } cases[] = {
+        {"channel=rayleigh,channel.doppler_hz=-5",
+         "channel.doppler_hz must be >= 0"},
+        {"channel=multipath,channel.num_taps=0",
+         "channel.num_taps must be >= 1"},
+        {"channel=multipath,channel.num_taps=18",
+         "channel.num_taps must be in \\[1,17\\]"},
+        {"channel=multipath,channel.delay_spread=0",
+         "channel.delay_spread must be > 0"},
+        {"channel=multipath,channel.delay_spread=nan",
+         "channel.delay_spread must be > 0"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(ScenarioSpec::fromConfig(li::Config::fromString(c.spec)),
+                    testing::ExitedWithCode(1), c.error)
+            << c.spec;
+    // The link template of a network spec is checked the same way.
+    EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
+                    "link.channel.doppler_hz=-1")),
+                testing::ExitedWithCode(1), "channel.doppler_hz");
+    // The edges of each range are accepted.
+    const ScenarioSpec edges = ScenarioSpec::fromConfig(li::Config::fromString(
+        "channel.doppler_hz=0,channel.num_taps=17,channel.delay_spread=0.1"));
+    EXPECT_EQ(edges.channelCfg.getInt("num_taps"), 17);
 }
 
 TEST(NetworkSpecStrict, RejectsUnknownKeysWithAPinnedError)
