@@ -9,7 +9,7 @@
  *    count.
  *  - dense-urban-10k analytic throughput -- the headline: a 100-cell,
  *    10k+-user deployment on the calibrated analytic rung. The
- *    bench fails below 1M user-slots/sec (user-slots = users x
+ *    bench fails below 3M user-slots/sec (user-slots = users x
  *    simulated slots, the timeline coverage per wall-clock second).
  *  - urban-mobile mobility -- the waypoint-mobility preset with A3
  *    handover and session churn: throughput of the mobile
@@ -40,7 +40,6 @@
 #include "common/logging.hh"
 #include "mac/packet_trace.hh"
 #include "sim/network_sim.hh"
-#include "tests/peruser_reference.hh"
 
 using namespace wilis;
 
@@ -70,20 +69,11 @@ userSlotsPerSec(const sim::NetworkSim &sim, std::uint64_t slots,
     return user_slots * static_cast<double>(reps) / secs;
 }
 
-/**
- * userSlotsPerSec() of NetworkSim::run() -- the SoA engine -- or,
- * with @p per_user, of the per-user reference engine.
- */
+/** userSlotsPerSec() of NetworkSim::run(). */
 double
-userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads,
-                bool per_user = false)
+userSlotsPerSec(sim::NetworkSim &sim, std::uint64_t slots, int threads)
 {
-    return userSlotsPerSec(sim, slots, [&] {
-        if (per_user)
-            sim::runPerUserReference(sim, slots, threads);
-        else
-            sim.run(slots, threads);
-    });
+    return userSlotsPerSec(sim, slots, [&] { sim.run(slots, threads); });
 }
 
 /** Jain's fairness index over per-user delivered bits. */
@@ -149,18 +139,11 @@ main(int argc, char **argv)
     bench::banner("dense-urban-10k analytic: 100 cells, 10k+ users");
     {
         const std::uint64_t slots = bench::scaled(200, 50);
-        // A/B the SoA engine behind NetworkSim::run() (the
-        // headline) against the bit-identical per-user reference
-        // walk, which keeps the historical metric comparable. Both
-        // reuse one NetworkSim across reps, so the SoA number
-        // includes its cross-run cache -- that is the configuration
-        // the sweep layer actually runs.
+        // The reps reuse one NetworkSim, so the number includes the
+        // engine's cross-run cache -- the configuration the sweep
+        // layer actually runs.
         sim::NetworkSim sim(sim::networkPreset("dense-urban-10k"));
-        const double uslots_peruser =
-            userSlotsPerSec(sim, slots, 4, /*per_user=*/true);
         const double uslots_soa = userSlotsPerSec(sim, slots, 4);
-        report.metric("uslots_dense10k_analytic", uslots_peruser,
-                      "user-slots/s");
         report.metric("uslots_dense10k_soa", uslots_soa, "user-slots/s");
         const sim::NetworkResult res = sim.run(slots, 4);
         std::printf("%d users  %d cells  %.1f Mb/s goodput  "
@@ -168,27 +151,13 @@ main(int argc, char **argv)
                     sim.spec().numUsers, res.cells,
                     res.aggregateGoodputMbps(),
                     res.aggregate.sinrDb.mean());
-        std::printf("peruser  %-14.0f user-slots/sec\n", uslots_peruser);
         std::printf("soa      %-14.0f user-slots/sec\n", uslots_soa);
-        std::printf("soa speedup over peruser: %.2fx\n",
-                    uslots_peruser > 0.0
-                        ? uslots_soa / uslots_peruser
-                        : 0.0);
         // The deployment-scale contract: analytic fidelity must
-        // keep a 10k-user grid above 1M simulated user-slots per
-        // second (measured ~3M single-core; the floor leaves room
-        // for slow CI hardware, not for a broken fast path).
-        if (uslots_peruser < 1e6) {
-            std::fprintf(stderr,
-                         "FAIL: dense-urban-10k analytic "
-                         "throughput %.0f user-slots/s below the "
-                         "1M floor\n",
-                         uslots_peruser);
-            ++failures;
-        }
-        // The SoA engine owes a further 3x on top of that floor
-        // (measured >=11M on the baseline box; the real >=3x-over-
-        // baseline gate runs in CI via BENCH_multicell.json).
+        // keep a 10k-user grid above 3M simulated user-slots per
+        // second (measured >=11M on the baseline box; the floor
+        // leaves room for slow CI hardware, not for a broken fast
+        // path -- the regression gate against the baseline runs in
+        // CI via BENCH_multicell.json).
         if (uslots_soa < 3e6) {
             std::fprintf(stderr,
                          "FAIL: dense-urban-10k SoA throughput "

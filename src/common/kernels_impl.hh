@@ -479,7 +479,7 @@ sinrAccumBatchKernel(const double *const *gain_rows,
     size_t i = 0;
     for (; i + L <= n; i += L) {
         // Interference accumulates per lane in the same ascending
-        // cell order as the per-user engine's scalar loop (FP
+        // cell order as the per-user oracle's scalar loop (FP
         // addition is order-sensitive); only the counter mixing
         // vectorizes across the block's entries.
         double interf[L] = {};

@@ -154,7 +154,7 @@ SnapshotReader::fromBytes(const std::string &bytes,
 void
 SnapshotReader::need(size_t n) const
 {
-    if (pos + n > buf.size())
+    if (n > buf.size() - pos)
         wilis_fatal("snapshot '%s' is truncated: need %zu bytes at "
                     "offset %zu, have %zu",
                     origin_.c_str(), n, pos, buf.size());
@@ -224,6 +224,47 @@ SnapshotReader::marker(std::uint32_t tag)
                     "offset %zu (expected 0x%08x, found 0x%08x) -- "
                     "writer/reader field skew",
                     origin_.c_str(), pos - 4, tag, got);
+}
+
+std::uint64_t
+SnapshotReader::count(size_t min_bytes)
+{
+    const std::uint64_t n = u64();
+    if (n > (buf.size() - pos) / min_bytes)
+        fail(strprintf("count %llu of %zu-byte elements overruns "
+                       "the %zu bytes left",
+                       static_cast<unsigned long long>(n), min_bytes,
+                       buf.size() - pos));
+    return n;
+}
+
+std::uint8_t
+SnapshotReader::u8Below(unsigned bound, const char *what)
+{
+    const std::uint8_t v = u8();
+    if (v >= bound)
+        fail(strprintf("%s %u out of range [0, %u)", what, v, bound));
+    return v;
+}
+
+std::int64_t
+SnapshotReader::i64In(std::int64_t lo, std::int64_t hi,
+                      const char *what)
+{
+    const std::int64_t v = i64();
+    if (v < lo || v >= hi)
+        fail(strprintf("%s %lld outside [%lld, %lld)", what,
+                       static_cast<long long>(v),
+                       static_cast<long long>(lo),
+                       static_cast<long long>(hi)));
+    return v;
+}
+
+void
+SnapshotReader::fail(const std::string &what) const
+{
+    wilis_fatal("snapshot '%s': %s (offset %zu)", origin_.c_str(),
+                what.c_str(), pos);
 }
 
 void

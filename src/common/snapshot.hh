@@ -15,10 +15,10 @@
  * and reader must agree field for field. Callers bracket logical
  * sections with marker() tags (cheap u32 guards) so a skew between
  * the two sides fails at the section boundary that introduced it,
- * not megabytes later. The engine-level serialization order is
- * canonical (global user id / cell index), which is what lets a
- * snapshot written by one multi-cell engine resume under the other
- * (docs/ARCHITECTURE.md, "Campaign layer").
+ * not megabytes later. A file that decodes but carries a value no
+ * run can produce (an out-of-range enum, index or count) is fatal
+ * too: decoders check restored values with the typed reads below
+ * or fail(), naming the file and the offset.
  */
 
 #ifndef WILIS_COMMON_SNAPSHOT_HH
@@ -97,7 +97,24 @@ class SnapshotReader
     /** Consume a section guard; fatal if @p tag does not match. */
     void marker(std::uint32_t tag);
 
-    /** Assert the whole payload was consumed. */
+    /**
+     * Read an element count; fatal unless the rest of the payload
+     * can hold that many elements of at least @p min_bytes each, so
+     * a corrupt count never drives a huge allocation.
+     */
+    std::uint64_t count(size_t min_bytes);
+    /** Read a u8 below @p bound; fatal naming @p what otherwise. */
+    std::uint8_t u8Below(unsigned bound, const char *what);
+    /** Read an i64 in [@p lo, @p hi); fatal naming @p what otherwise. */
+    std::int64_t i64In(std::int64_t lo, std::int64_t hi,
+                       const char *what);
+    /**
+     * fatal(): the payload decoded but holds @p what, a value no run
+     * can produce. The message names the file and the read offset.
+     */
+    [[noreturn]] void fail(const std::string &what) const;
+
+    /** fatal() unless the whole payload was consumed. */
     void done() const;
 
   private:

@@ -20,10 +20,14 @@ Histogram::add(double x)
 {
     if (counts.empty())
         counts.assign(static_cast<size_t>(nbins_), 0);
-    double idx = (x - lo_) / width_;
-    int bin = idx <= 0.0 ? 0 : static_cast<int>(idx);
-    if (bin >= numBins())
-        bin = numBins() - 1;
+    // Clamp in double before the cast: converting a NaN or an
+    // out-of-range double to int is undefined. NaN lands in bin 0.
+    const double idx = (x - lo_) / width_;
+    int bin = 0;
+    if (idx >= static_cast<double>(nbins_ - 1))
+        bin = nbins_ - 1;
+    else if (idx > 0.0)
+        bin = static_cast<int>(idx);
     counts[static_cast<size_t>(bin)] += 1;
     total_ += 1;
 }
@@ -61,25 +65,24 @@ Histogram::merge(const Histogram &other)
     total_ += other.total_;
 }
 
-void
+bool
 Histogram::restore(const std::vector<std::uint64_t> &bin_counts,
                    std::uint64_t total)
 {
-    wilis_assert(bin_counts.empty() ||
-                     bin_counts.size() ==
-                         static_cast<size_t>(nbins_),
-                 "restoring %zu bin counts into a %d-bin histogram",
-                 bin_counts.size(), nbins_);
+    if (!bin_counts.empty() &&
+        bin_counts.size() != static_cast<size_t>(nbins_))
+        return false;
     std::uint64_t sum = 0;
-    for (std::uint64_t c : bin_counts)
+    for (std::uint64_t c : bin_counts) {
+        if (c > total - sum)
+            return false;
         sum += c;
-    wilis_assert(sum == total,
-                 "restored histogram counts sum to %llu, total says "
-                 "%llu",
-                 static_cast<unsigned long long>(sum),
-                 static_cast<unsigned long long>(total));
+    }
+    if (sum != total)
+        return false;
     counts = bin_counts;
     total_ = total;
+    return true;
 }
 
 ErrorStats

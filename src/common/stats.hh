@@ -270,9 +270,11 @@ class Histogram
      * Replace the contents with transported counts (snapshot resume
      * and campaign report merge). @p bin_counts must either be empty
      * (a histogram that never saw a sample) or have exactly
-     * numBins() entries summing to @p total.
+     * numBins() entries summing to @p total; otherwise the
+     * histogram is left untouched and false is returned, for the
+     * caller to reject the input that carried the counts.
      */
-    void restore(const std::vector<std::uint64_t> &bin_counts,
+    [[nodiscard]] bool restore(const std::vector<std::uint64_t> &bin_counts,
                  std::uint64_t total);
 
   private:

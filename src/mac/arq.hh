@@ -16,7 +16,9 @@
 #ifndef WILIS_MAC_ARQ_HH
 #define WILIS_MAC_ARQ_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -397,37 +399,92 @@ class Arq
         w.u64(retrans);
     }
 
-    /** Restore state written by saveState() (same Config). */
+    /**
+     * Restore state written by saveState() (same Config) into a run
+     * resuming at slot @p now, fatal unless it is a state the
+     * protocol can reach by then: the in-window slots hold frames
+     * and the others are free, no frame has more attempts than the
+     * retry budget or the slots run, the resend counter matches the
+     * NACKed frames, and the pending acknowledgements name each
+     * in-flight frame exactly once.
+     */
     void
-    loadState(SnapshotReader &r)
+    loadState(SnapshotReader &r, std::uint64_t now)
     {
         r.marker(0x00515241);
+        // One attempt per slot, so a frame has at most `now`.
+        const std::int64_t max_attempts = static_cast<std::int64_t>(
+            std::min<std::uint64_t>(
+                now, cfg_.maxAttempts > 0
+                         ? static_cast<std::uint64_t>(cfg_.maxAttempts)
+                         : std::numeric_limits<int>::max()));
+        int in_flight = 0;
+        int needs_resend = 0;
         for (Slot &slot : win) {
-            const std::uint8_t s = r.u8();
-            wilis_assert(
-                s <= static_cast<std::uint8_t>(State::Failed),
-                "snapshot ARQ slot state %u out of range", s);
-            slot.state = static_cast<State>(s);
+            slot.state = static_cast<State>(r.u8Below(
+                static_cast<unsigned>(State::Failed) + 1,
+                "ARQ slot state"));
             slot.firstTx = r.u64();
             slot.sentAt = r.u64();
-            slot.attempts = static_cast<int>(r.i64());
+            slot.attempts = static_cast<int>(
+                r.i64In(0, max_attempts + 1, "ARQ attempt count"));
+            in_flight += slot.state == State::AwaitingAck ? 1 : 0;
+            needs_resend += slot.state == State::NeedsResend ? 1 : 0;
         }
         const std::uint64_t n = r.u64();
-        wilis_assert(n <= pending.size(),
-                     "snapshot ARQ pending count %llu > window %zu",
-                     static_cast<unsigned long long>(n),
-                     pending.size());
+        if (n != static_cast<std::uint64_t>(in_flight))
+            r.fail(strprintf("%llu pending ARQ acks for %d frames in "
+                             "flight",
+                             static_cast<unsigned long long>(n),
+                             in_flight));
         pending_head = 0;
         pending_count = static_cast<size_t>(n);
         for (size_t i = 0; i < pending_count; ++i) {
             pending[i].seq = r.u64();
             pending[i].dueSlot = r.u64();
-            pending[i].ok = r.u8() != 0;
+            pending[i].ok = r.u8Below(2, "ARQ ack flag") != 0;
         }
-        resend_count = static_cast<int>(r.i64());
+        const std::int64_t resends = r.i64();
         next_new = r.u64();
         deliver_next = r.u64();
         retrans = r.u64();
+
+        if (resends != needs_resend)
+            r.fail(strprintf("ARQ resend count %lld for %d NACKed "
+                             "frames",
+                             static_cast<long long>(resends),
+                             needs_resend));
+        resend_count = needs_resend;
+        if (deliver_next > next_new ||
+            next_new - deliver_next > win.size())
+            r.fail(strprintf("ARQ window [%llu, %llu) is not within "
+                             "%zu slots",
+                             static_cast<unsigned long long>(
+                                 deliver_next),
+                             static_cast<unsigned long long>(next_new),
+                             win.size()));
+        // Exactly the slots of seqs [deliver_next, next_new) hold
+        // frames.
+        bool framed = static_cast<std::uint64_t>(std::count_if(
+                          win.begin(), win.end(), [](const Slot &s) {
+                              return s.state != State::Unused;
+                          })) == next_new - deliver_next;
+        for (std::uint64_t s = deliver_next; s < next_new; ++s)
+            framed = framed && slotFor(s).state != State::Unused;
+        if (!framed)
+            r.fail("ARQ frames outside the window [deliver, next)");
+        std::vector<bool> acked(win.size(), false);
+        for (size_t i = 0; i < pending_count; ++i) {
+            const std::uint64_t s = pending[i].seq;
+            const size_t k = static_cast<size_t>(
+                s % static_cast<std::uint64_t>(win.size()));
+            if (s < deliver_next || s >= next_new || acked[k] ||
+                win[k].state != State::AwaitingAck)
+                r.fail(strprintf("pending ARQ ack for seq %llu, not "
+                                 "a distinct frame in flight",
+                                 static_cast<unsigned long long>(s)));
+            acked[k] = true;
+        }
     }
 
   private:

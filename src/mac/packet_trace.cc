@@ -485,29 +485,35 @@ PacketTrace::saveState(SnapshotWriter &w) const
 }
 
 void
-PacketTrace::loadState(SnapshotReader &r)
+PacketTrace::loadState(SnapshotReader &r, int cells, int users)
 {
     wilis_assert(!finalized_,
                  "loadState() on a finalized packet trace");
     r.marker(0x43415254);
     const std::uint64_t shards = r.u64();
-    wilis_assert(shards == shards_.size(),
-                 "snapshot trace has %llu shards, this trace has "
-                 "%zu",
-                 static_cast<unsigned long long>(shards),
-                 shards_.size());
+    if (shards != shards_.size())
+        r.fail(strprintf("%llu trace shards, the run records %zu",
+                         static_cast<unsigned long long>(shards),
+                         shards_.size()));
+    // Serialized size of one entry: six 8-byte fields and two
+    // one-byte enums.
+    constexpr size_t kEntryBytes = 6 * 8 + 2;
     for (std::vector<Entry> &shard : shards_) {
         shard.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(kEntryBytes);
         shard.reserve(static_cast<size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
             Entry e;
             e.slot = r.u64();
-            e.cell = static_cast<std::int32_t>(r.i64());
-            e.user = static_cast<std::int32_t>(r.i64());
-            e.cls = static_cast<TrafficClass>(r.u8());
+            e.cell = static_cast<std::int32_t>(
+                r.i64In(0, cells, "trace entry cell"));
+            e.user = static_cast<std::int32_t>(
+                r.i64In(0, users, "trace entry user"));
+            e.cls = static_cast<TrafficClass>(
+                r.u8Below(kNumTrafficClasses, "trace entry class"));
             e.seq = r.u64();
-            e.event = static_cast<PacketEvent>(r.u8());
+            e.event = static_cast<PacketEvent>(
+                r.u8Below(kNumPacketEvents, "trace entry event"));
             e.arg0 = r.i64();
             e.arg1 = r.i64();
             shard.push_back(e);

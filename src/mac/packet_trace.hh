@@ -16,8 +16,8 @@
  *
  * That makes the finalized trace a pure function of the NetworkSpec:
  * independent of the worker-thread count, of the cell sharding, and
- * of whether the SoA engine or the per-user reference engine the
- * tests compare it with produced it -- so a saved trace is
+ * of whether the SoA engine or the per-user oracle the tests
+ * compare it with produced it -- so a saved trace is
  * byte-diffable against any later run of the same spec, which is
  * the differential-testing workhorse pinning every MAC, scheduler
  * and engine change (tests/test_packet_trace.cc and the committed
@@ -90,6 +90,10 @@ enum class PacketEvent : std::uint8_t {
      */
     Leave,
 };
+
+/** Number of PacketEvent values. */
+constexpr unsigned kNumPacketEvents =
+    static_cast<unsigned>(PacketEvent::Leave) + 1;
 
 /** Trace-file name of @p ev ("enq", "qdrop", "grant", ...). */
 const char *packetEventName(PacketEvent ev);
@@ -192,8 +196,12 @@ class PacketTrace
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restore state written by saveState() (same shard count). */
-    void loadState(SnapshotReader &r);
+    /**
+     * Restore state written by saveState() (same shard count);
+     * fatal unless every entry's cell lies in [0, @p cells) and its
+     * user in [0, @p users).
+     */
+    void loadState(SnapshotReader &r, int cells, int users);
 
   private:
     std::vector<std::vector<Entry>> shards_;

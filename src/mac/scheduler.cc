@@ -1,5 +1,8 @@
 #include "mac/scheduler.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/kernels.hh"
 #include "common/logging.hh"
 
@@ -146,7 +149,7 @@ CellScheduler::insertUser(int pos, double avg_rate)
     // The cursor names a local index; an insertion below it shifts
     // the user it pointed at up by one. Inserting *at* the cursor
     // leaves it alone: the newcomer inherits the next turn, a pure
-    // function of (pos, cursor) in both engines.
+    // function of (pos, cursor) in the engine and the test oracle.
     if (pos < cursor_)
         ++cursor_;
     if (cfg_.kind == SchedulerKind::ProportionalFair)
@@ -182,14 +185,18 @@ void
 CellScheduler::loadState(SnapshotReader &r)
 {
     r.marker(0x44454853);
-    cursor_ = static_cast<int>(r.i64());
+    cursor_ = static_cast<int>(r.i64In(
+        0, std::max(num_users_, 1), "round-robin cursor"));
     const std::uint64_t n = r.u64();
-    wilis_assert(n == avg_.size(),
-                 "snapshot PF average count %llu != %zu users the "
-                 "scheduler was rebuilt with",
-                 static_cast<unsigned long long>(n), avg_.size());
-    for (double &a : avg_)
+    if (n != avg_.size())
+        r.fail(strprintf("%llu PF averages for a %zu-user cell",
+                         static_cast<unsigned long long>(n),
+                         avg_.size()));
+    for (double &a : avg_) {
         a = r.f64();
+        if (!(std::isfinite(a) && a >= 0.0))
+            r.fail(strprintf("PF average %g", a));
+    }
 }
 
 double

@@ -130,11 +130,12 @@ class CellScheduler
      * Admit a user at local index @p pos, shifting higher indices
      * up (the engines keep cell membership sorted by global user
      * id, so @p pos is that order's insertion point -- identical in
-     * both engines, which is what keeps scheduler state bit-exact
-     * across them). The round-robin cursor moves with the user it
-     * pointed at; @p avg_rate seeds the proportional-fair
-     * throughput average -- the pre-handover value to migrate EWMA
-     * state across cells, or 0 for a fresh session.
+     * the SoA engine and the per-user test oracle, which is what
+     * keeps scheduler state bit-exact across them). The round-robin
+     * cursor moves with the user it pointed at; @p avg_rate seeds
+     * the proportional-fair throughput average -- the pre-handover
+     * value to migrate EWMA state across cells, or 0 for a fresh
+     * session.
      */
     void insertUser(int pos, double avg_rate);
 

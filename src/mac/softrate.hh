@@ -77,7 +77,8 @@ class SoftRateMac
     void
     loadState(SnapshotReader &r)
     {
-        current = static_cast<phy::RateIndex>(r.i64());
+        current = static_cast<phy::RateIndex>(
+            r.i64In(0, phy::kNumRates, "SoftRate rate index"));
     }
 
   private:

@@ -266,16 +266,19 @@ loadRing(SnapshotReader &r, int &depth, int &head,
          std::vector<Packet> &slots)
 {
     const std::uint64_t n = r.u64();
-    wilis_assert(n <= slots.size(),
-                 "snapshot queue depth %llu > ring capacity %zu",
-                 static_cast<unsigned long long>(n), slots.size());
+    if (n > slots.size())
+        r.fail(strprintf("traffic queue depth %llu over its "
+                         "%zu-packet capacity",
+                         static_cast<unsigned long long>(n),
+                         slots.size()));
     head = 0;
     depth = static_cast<int>(n);
     for (int i = 0; i < depth; ++i) {
         Packet &p = slots[static_cast<size_t>(i)];
         p.arrival = r.u64();
         p.seq = r.u64();
-        p.cls = static_cast<TrafficClass>(r.u8());
+        p.cls = static_cast<TrafficClass>(
+            r.u8Below(kNumTrafficClasses, "packet class"));
     }
 }
 
@@ -297,7 +300,7 @@ void
 TrafficSource::loadState(SnapshotReader &r)
 {
     r.marker(0x46464152);
-    on_ = r.u8() != 0;
+    on_ = r.u8Below(2, "traffic on/off flag") != 0;
     loadRing(r, ctrl_.depth, ctrl_.head, ctrl_.slots);
     loadRing(r, data_.depth, data_.head, data_.slots);
     arrivals_ = r.u64();

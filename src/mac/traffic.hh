@@ -67,6 +67,10 @@ enum class TrafficClass : std::uint8_t {
     Data,
 };
 
+/** Number of TrafficClass values. */
+constexpr unsigned kNumTrafficClasses =
+    static_cast<unsigned>(TrafficClass::Data) + 1;
+
 /** Trace-file name of @p cls ("ctrl" / "data"). */
 const char *trafficClassName(TrafficClass cls);
 

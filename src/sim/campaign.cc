@@ -87,33 +87,12 @@ writeUserStats(json::JsonWriter &w, const char *name,
                const UserStats &s)
 {
     w.key(name).beginObject();
-    w.key("frames_sent").value(s.framesSent);
-    w.key("frames_ok").value(s.framesOk);
-    w.key("stalled_slots").value(s.stalledSlots);
-    w.key("retransmissions").value(s.retransmissions);
-    w.key("delivered").value(s.delivered);
-    w.key("dropped").value(s.dropped);
-    w.key("goodput_bits").value(s.goodputBits);
-    w.key("full_phy_frames").value(s.fullPhyFrames);
-    w.key("analytic_frames").value(s.analyticFrames);
-    w.key("arrivals").value(s.arrivals);
-    w.key("queue_drops").value(s.queueDrops);
-    w.key("handovers").value(s.handovers);
-    w.key("ping_pongs").value(s.pingPongs);
-    w.key("joins").value(s.joins);
-    w.key("leaves").value(s.leaves);
-    w.key("goodput_bits_pre_ho").value(s.goodputBitsPreHo);
-    w.key("goodput_bits_post_ho").value(s.goodputBitsPostHo);
-    w.key("pre_ho_slots").value(s.preHoSlots);
-    w.key("post_ho_slots").value(s.postHoSlots);
-    writeStatsState(w, "latency_slots", s.latencySlots);
-    writeStatsState(w, "queue_wait_slots", s.queueWaitSlots);
-    writeStatsState(w, "sinr_db", s.sinrDb);
-    writeHist(w, "latency_hist", s.latencyHist);
-    writeHist(w, "attempts_hist", s.attemptsHist);
-    writeHist(w, "rate_hist", s.rateHist);
-    writeHist(w, "queue_wait_hist", s.queueWaitHist);
-    writeHist(w, "e2e_latency_hist", s.e2eLatencyHist);
+    for (const auto &f : kUserStatsCounters)
+        w.key(f.name).value(s.*f.member);
+    for (const auto &f : kUserStatsMoments)
+        writeStatsState(w, f.name, s.*f.member);
+    for (const auto &f : kUserStatsHists)
+        writeHist(w, f.name, s.*f.member);
     w.endObject();
 }
 
@@ -157,40 +136,25 @@ readHist(const json::JsonValue &v, Histogram &h)
     std::vector<std::uint64_t> counts;
     for (const auto &c : v.at("counts").items())
         counts.push_back(c.asU64());
-    h.restore(counts, v.at("total").asU64());
+    const std::uint64_t total = v.at("total").asU64();
+    wilis_fatal_if(!h.restore(counts, total),
+                   "report histogram has %zu bin counts that do not "
+                   "add up to its total %llu (%d bins expected)",
+                   counts.size(),
+                   static_cast<unsigned long long>(total),
+                   h.numBins());
 }
 
 UserStats
 readUserStats(const json::JsonValue &v)
 {
     UserStats s;
-    s.framesSent = v.at("frames_sent").asU64();
-    s.framesOk = v.at("frames_ok").asU64();
-    s.stalledSlots = v.at("stalled_slots").asU64();
-    s.retransmissions = v.at("retransmissions").asU64();
-    s.delivered = v.at("delivered").asU64();
-    s.dropped = v.at("dropped").asU64();
-    s.goodputBits = v.at("goodput_bits").asU64();
-    s.fullPhyFrames = v.at("full_phy_frames").asU64();
-    s.analyticFrames = v.at("analytic_frames").asU64();
-    s.arrivals = v.at("arrivals").asU64();
-    s.queueDrops = v.at("queue_drops").asU64();
-    s.handovers = v.at("handovers").asU64();
-    s.pingPongs = v.at("ping_pongs").asU64();
-    s.joins = v.at("joins").asU64();
-    s.leaves = v.at("leaves").asU64();
-    s.goodputBitsPreHo = v.at("goodput_bits_pre_ho").asU64();
-    s.goodputBitsPostHo = v.at("goodput_bits_post_ho").asU64();
-    s.preHoSlots = v.at("pre_ho_slots").asU64();
-    s.postHoSlots = v.at("post_ho_slots").asU64();
-    s.latencySlots = readStatsState(v.at("latency_slots"));
-    s.queueWaitSlots = readStatsState(v.at("queue_wait_slots"));
-    s.sinrDb = readStatsState(v.at("sinr_db"));
-    readHist(v.at("latency_hist"), s.latencyHist);
-    readHist(v.at("attempts_hist"), s.attemptsHist);
-    readHist(v.at("rate_hist"), s.rateHist);
-    readHist(v.at("queue_wait_hist"), s.queueWaitHist);
-    readHist(v.at("e2e_latency_hist"), s.e2eLatencyHist);
+    for (const auto &f : kUserStatsCounters)
+        s.*f.member = v.at(f.name).asU64();
+    for (const auto &f : kUserStatsMoments)
+        s.*f.member = readStatsState(v.at(f.name));
+    for (const auto &f : kUserStatsHists)
+        readHist(v.at(f.name), s.*f.member);
     return s;
 }
 

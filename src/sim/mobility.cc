@@ -404,23 +404,30 @@ MobilityRuntime::saveState(SnapshotWriter &w) const
 }
 
 void
-MobilityRuntime::loadState(SnapshotReader &r)
+MobilityRuntime::loadState(SnapshotReader &r, std::uint64_t slot)
 {
     r.marker(0x4C49424D);
     const std::uint64_t n = r.u64();
-    wilis_assert(n == gains_.size(),
-                 "snapshot gain matrix has %llu entries, this "
-                 "deployment needs %zu",
-                 static_cast<unsigned long long>(n), gains_.size());
-    for (double &g : gains_)
+    if (n != gains_.size())
+        r.fail(strprintf("gain matrix of %llu entries, this "
+                         "deployment has %zu links",
+                         static_cast<unsigned long long>(n),
+                         gains_.size()));
+    for (double &g : gains_) {
         g = r.f64();
+        if (!(std::isfinite(g) && g >= 0.0))
+            r.fail(strprintf("link gain %g", g));
+    }
     for (int u = 0; u < users_; ++u) {
         const size_t ui = static_cast<size_t>(u);
-        serving_[ui] = static_cast<int>(r.i64());
-        active_[ui] = r.u8();
-        hoCand_[ui] = static_cast<int>(r.i64());
+        serving_[ui] =
+            static_cast<int>(r.i64In(0, cells_, "serving cell"));
+        active_[ui] = r.u8Below(2, "session flag");
+        hoCand_[ui] = static_cast<int>(
+            r.i64In(-1, cells_, "handover candidate cell"));
         hoSince_[ui] = r.u64();
-        prevCell_[ui] = static_cast<int>(r.i64());
+        prevCell_[ui] =
+            static_cast<int>(r.i64In(-1, cells_, "previous cell"));
         lastHoSlot_[ui] = r.u64();
         nextToggle_[ui] = r.u64();
         toggleIdx_[ui] = r.u64();
@@ -431,6 +438,11 @@ MobilityRuntime::loadState(SnapshotReader &r)
         firstHoSlot_[ui] = r.u64();
     }
     lastEpochT_ = r.u64();
+    if (lastEpochT_ != UINT64_MAX && lastEpochT_ >= slot)
+        r.fail(strprintf("last mobility epoch at slot %llu, not "
+                         "before the snapshot's slot %llu",
+                         static_cast<unsigned long long>(lastEpochT_),
+                         static_cast<unsigned long long>(slot)));
 }
 
 } // namespace sim

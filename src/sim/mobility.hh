@@ -276,8 +276,12 @@ class MobilityRuntime
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restore state written by saveState() (same spec and topo). */
-    void loadState(SnapshotReader &r);
+    /**
+     * Restore state written by saveState() (same spec and topo) into
+     * a run resuming at slot @p slot; fatal on a cell index, flag,
+     * gain or last-epoch slot no run can reach by @p slot.
+     */
+    void loadState(SnapshotReader &r, std::uint64_t slot);
 
   private:
     /** Reflect @p p into [lo, hi] by triangle-wave folding. */

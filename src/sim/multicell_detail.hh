@@ -1,10 +1,10 @@
 /**
  * @file
- * Pieces shared by the two multi-cell engine implementations
- * (multicell_sim.cc, multicell_soa.cc) that must stay textually
- * identical between them: statistics recording, packet-trace
- * plumbing and the scalar interference fade. Internal to the sim
- * module (the single-cell engine reuses the trace plumbing too).
+ * Pieces shared by the multi-cell SoA engine (multicell_soa.cc), the
+ * single-cell engine (network_sim.cc) and the per-user test oracle
+ * (tests/peruser_reference.cc) that must stay textually identical
+ * between them: statistics recording, packet-trace plumbing and the
+ * scalar interference fade. Internal to the sim module.
  *
  * Concurrency discipline for everything in this header: all state
  * (TraceCtx, per-user stats, the seq ring) is *barrier-phase
@@ -27,11 +27,8 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "common/snapshot.hh"
 #include "mac/arq.hh"
 #include "mac/packet_trace.hh"
-#include "mac/scheduler.hh"
-#include "mac/softrate.hh"
 #include "mac/traffic.hh"
 #include "sim/mobility.hh"
 #include "sim/network_sim.hh"
@@ -122,47 +119,6 @@ struct TraceCtx {
     {
         return ring[static_cast<size_t>(
             seq % static_cast<std::uint64_t>(ring.size()))];
-    }
-
-    /**
-     * Serialize the recording lane and the seq ring (checkpoint).
-     * The trace pointer is not stored -- the engine re-binds it on
-     * resume (bind() then loadState(), restoring the lane and the
-     * in-flight packet identities bind() wiped). The lane *is*
-     * stored because a churned-out user keeps its pre-departure
-     * binding until the next join rebinds it, and the resumed run
-     * must reproduce that exactly.
-     */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.i64(shard);
-        w.i64(cell);
-        w.u64(ring.size());
-        for (const PktRef &r : ring) {
-            w.u64(r.pkt);
-            w.u64(r.arrival);
-            w.u8(static_cast<std::uint8_t>(r.cls));
-        }
-    }
-
-    /** Restore state written by saveState() (after bind()). */
-    void
-    loadState(SnapshotReader &r)
-    {
-        shard = static_cast<int>(r.i64());
-        cell = static_cast<int>(r.i64());
-        const std::uint64_t n = r.u64();
-        wilis_assert(n == ring.size(),
-                     "snapshot trace ring has %llu slots, bound "
-                     "ring has %zu",
-                     static_cast<unsigned long long>(n),
-                     ring.size());
-        for (PktRef &p : ring) {
-            p.pkt = r.u64();
-            p.arrival = r.u64();
-            p.cls = static_cast<mac::TrafficClass>(r.u8());
-        }
     }
 };
 
@@ -282,234 +238,6 @@ recordMobilityEvent(mac::PacketTrace *trace, std::uint64_t t,
         break;
     }
     trace->record(e.cell, e);
-}
-
-/** Serialize one RunningStats by raw accumulator state (exact). */
-inline void
-saveStats(SnapshotWriter &w, const RunningStats &s)
-{
-    const RunningStats::State st = s.state();
-    w.u64(st.n);
-    w.f64(st.offset);
-    w.f64(st.sum);
-    w.f64(st.sum_sq);
-}
-
-/** Inverse of saveStats(). */
-inline RunningStats
-loadStats(SnapshotReader &r)
-{
-    RunningStats::State st;
-    st.n = r.u64();
-    st.offset = r.f64();
-    st.sum = r.f64();
-    st.sum_sq = r.f64();
-    return RunningStats::fromState(st);
-}
-
-/**
- * Serialize one Histogram's counts. An empty histogram writes only
- * its zero total, preserving the lazy-allocation state on resume.
- */
-inline void
-saveHist(SnapshotWriter &w, const Histogram &h)
-{
-    w.u64(h.total());
-    if (h.total() == 0)
-        return;
-    for (int b = 0; b < h.numBins(); ++b)
-        w.u64(h.count(b));
-}
-
-/** Inverse of saveHist() (into a same-binning histogram). */
-inline void
-loadHist(SnapshotReader &r, Histogram &h)
-{
-    const std::uint64_t total = r.u64();
-    std::vector<std::uint64_t> counts;
-    if (total > 0) {
-        counts.resize(static_cast<size_t>(h.numBins()));
-        for (std::uint64_t &c : counts)
-            c = r.u64();
-    }
-    h.restore(counts, total);
-}
-
-/**
- * Serialize one user's statistics (checkpoint). Field order is
- * declaration order in UserStats; both engines call this from the
- * same canonical global-user-id loop.
- */
-inline void
-saveUserStats(SnapshotWriter &w, const UserStats &st)
-{
-    w.marker(0x54415355); // "USAT"
-    w.i64(st.user);
-    w.f64(st.snrOffsetDb);
-    w.i64(st.servingCell);
-    w.f64(st.meanSnrDb);
-    w.u64(st.framesSent);
-    w.u64(st.framesOk);
-    w.u64(st.stalledSlots);
-    w.u64(st.retransmissions);
-    w.u64(st.delivered);
-    w.u64(st.dropped);
-    w.u64(st.goodputBits);
-    w.u64(st.fullPhyFrames);
-    w.u64(st.analyticFrames);
-    w.u64(st.arrivals);
-    w.u64(st.queueDrops);
-    w.u64(st.handovers);
-    w.u64(st.pingPongs);
-    w.u64(st.joins);
-    w.u64(st.leaves);
-    w.u64(st.goodputBitsPreHo);
-    w.u64(st.goodputBitsPostHo);
-    w.u64(st.preHoSlots);
-    w.u64(st.postHoSlots);
-    saveStats(w, st.latencySlots);
-    saveStats(w, st.queueWaitSlots);
-    saveStats(w, st.sinrDb);
-    saveHist(w, st.latencyHist);
-    saveHist(w, st.attemptsHist);
-    saveHist(w, st.rateHist);
-    saveHist(w, st.queueWaitHist);
-    saveHist(w, st.e2eLatencyHist);
-}
-
-/** Inverse of saveUserStats(). */
-inline void
-loadUserStats(SnapshotReader &r, UserStats &st)
-{
-    r.marker(0x54415355);
-    st.user = static_cast<int>(r.i64());
-    st.snrOffsetDb = r.f64();
-    st.servingCell = static_cast<int>(r.i64());
-    st.meanSnrDb = r.f64();
-    st.framesSent = r.u64();
-    st.framesOk = r.u64();
-    st.stalledSlots = r.u64();
-    st.retransmissions = r.u64();
-    st.delivered = r.u64();
-    st.dropped = r.u64();
-    st.goodputBits = r.u64();
-    st.fullPhyFrames = r.u64();
-    st.analyticFrames = r.u64();
-    st.arrivals = r.u64();
-    st.queueDrops = r.u64();
-    st.handovers = r.u64();
-    st.pingPongs = r.u64();
-    st.joins = r.u64();
-    st.leaves = r.u64();
-    st.goodputBitsPreHo = r.u64();
-    st.goodputBitsPostHo = r.u64();
-    st.preHoSlots = r.u64();
-    st.postHoSlots = r.u64();
-    st.latencySlots = loadStats(r);
-    st.queueWaitSlots = loadStats(r);
-    st.sinrDb = loadStats(r);
-    loadHist(r, st.latencyHist);
-    loadHist(r, st.attemptsHist);
-    loadHist(r, st.rateHist);
-    loadHist(r, st.queueWaitHist);
-    loadHist(r, st.e2eLatencyHist);
-}
-
-// ------------------------------------------------ checkpointing
-
-/** Payload version of the multi-cell checkpoint format. */
-constexpr std::uint32_t kMcCheckpointVersion = 1;
-
-/**
- * Serialize a full mid-run engine state to
- * spec.checkpoint.file. @p E adapts one engine's layout (AoS or
- * SoA) to a common accessor surface; the byte order below is the
- * canonical one, shared by both engines, which is what makes a
- * snapshot written by either engine resumable by the other:
- *
- *   slot, then per-user blocks in global-user-id order (member
- *   cell or -1, serving gain, SoftRate, ARQ, traffic, trace ctx if
- *   tracing, UserStats), then per-cell blocks in cell order
- *   (member ids, scheduler, busy-until slot), then the mobility
- *   runtime if enabled, then the packet trace if tracing.
- *
- * Must run with every worker parked at a barrier (single-writer).
- */
-template <typename E>
-void
-saveMcCheckpoint(const NetworkSpec &spec, E &e, std::uint64_t slot)
-{
-    SnapshotWriter w(kMcCheckpointVersion, spec.fingerprint());
-    w.u64(slot);
-    const int users = e.numUsers();
-    for (int id = 0; id < users; ++id) {
-        w.i64(e.memberCellOf(id));
-        w.f64(e.servGainOf(id));
-        e.softrateOf(id).saveState(w);
-        e.arqOf(id).saveState(w);
-        e.trafficOf(id).saveState(w);
-        if (e.trace())
-            e.tctxOf(id).saveState(w);
-        saveUserStats(w, e.statsOf(id));
-    }
-    const int cells = e.numCells();
-    for (int c = 0; c < cells; ++c) {
-        const std::vector<int> ids = e.memberIdsOf(c);
-        w.u64(ids.size());
-        for (int id : ids)
-            w.i64(id);
-        e.schedOf(c).saveState(w);
-        w.u64(e.busyUntilOf(c));
-    }
-    if (e.mob())
-        e.mob()->saveState(w);
-    if (e.trace())
-        e.trace()->saveState(w);
-    w.save(spec.checkpoint.file);
-}
-
-/**
- * Inverse of saveMcCheckpoint(): restore the engine state from
- * spec.checkpoint.file into a freshly constructed engine (initial
- * bindings done, no slots run) and return the slot to resume at.
- * Fatal on a missing file, version skew or a spec whose
- * fingerprint differs from the snapshot's.
- */
-template <typename E>
-std::uint64_t
-loadMcCheckpoint(const NetworkSpec &spec, E &e)
-{
-    SnapshotReader r(spec.checkpoint.file, kMcCheckpointVersion,
-                     spec.fingerprint());
-    const std::uint64_t slot = r.u64();
-    const int users = e.numUsers();
-    for (int id = 0; id < users; ++id) {
-        e.setMemberCell(id, static_cast<int>(r.i64()));
-        e.setServGain(id, r.f64());
-        e.softrateOf(id).loadState(r);
-        e.arqOf(id).loadState(r);
-        e.trafficOf(id).loadState(r);
-        if (e.trace())
-            e.tctxOf(id).loadState(r);
-        loadUserStats(r, e.statsOf(id));
-    }
-    const int cells = e.numCells();
-    for (int c = 0; c < cells; ++c) {
-        const std::uint64_t n = r.u64();
-        std::vector<int> ids;
-        ids.reserve(static_cast<size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            ids.push_back(static_cast<int>(r.i64()));
-        e.resetCell(c, ids);
-        e.schedOf(c).loadState(r);
-        e.setBusyUntil(c, r.u64());
-    }
-    if (e.mob())
-        e.mob()->loadState(r);
-    if (e.trace())
-        e.trace()->loadState(r);
-    r.done();
-    return slot;
 }
 
 } // namespace detail

@@ -22,18 +22,14 @@
  *       (calibrated analytic draw, or the bit-exact PHY at the
  *       conditioned SINR), and feed ARQ/SoftRate.
  *
- * Two implementations of this model produce bit-identical
- * NetworkResults for any spec, thread count and kernel backend:
- *
- *  - runMulticellSoa()     -- the structure-of-arrays engine
- *    (multicell_soa.cc) that NetworkSim::run() executes: per-cell
- *    contiguous state blocks, with the phase-2 SINR accumulation,
- *    counter-RNG fades and calibrated PER draws batched through the
- *    runtime-dispatched kernels in common/kernels.hh
- *    (docs/ARCHITECTURE.md, "Structure-of-arrays analytic engine").
- *  - runMulticellPerUser() -- the original per-user object walk,
- *    kept only as the readable bit-exact reference the equivalence
- *    tests compare the SoA engine against (no spec key selects it).
+ * runMulticellSoa() implements this model as a structure-of-arrays
+ * engine (multicell_soa.cc): per-cell contiguous state blocks, with
+ * the phase-2 SINR accumulation, counter-RNG fades and calibrated
+ * PER draws batched through the runtime-dispatched kernels in
+ * common/kernels.hh (docs/ARCHITECTURE.md, "Structure-of-arrays
+ * analytic engine"). Its results are checked bit-for-bit against a
+ * plain single-threaded per-user walk of the same model that lives
+ * with the tests (tests/peruser_reference.hh).
  *
  * All mutable state is owned by exactly one cell (its users'
  * queues, ARQ windows, schedulers, statistics) or one worker (PHY
@@ -42,8 +38,7 @@
  * activity set each cell observes independent of sharding -- so a
  * deployment of any size is bit-identical at any thread count.
  *
- * Internal to sim::NetworkSim (and, for the reference engine, the
- * equivalence tests); call NetworkSim::run() instead.
+ * Internal to sim::NetworkSim; call NetworkSim::run() instead.
  */
 
 #ifndef WILIS_SIM_MULTICELL_SIM_HH
@@ -70,16 +65,6 @@ namespace sim {
  * rederivation; caching cannot change results.
  */
 struct McSoaCache;
-
-/**
- * The per-user reference engine (see file comment): same contract
- * as runMulticellSoa(), without the derived-state cache.
- */
-NetworkResult runMulticellPerUser(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads);
 
 /**
  * Run @p slots frame slots of the multi-cell deployment @p topo

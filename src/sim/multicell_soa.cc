@@ -1,11 +1,9 @@
 /**
  * @file
- * The structure-of-arrays multi-cell engine: the batched twin of
- * runMulticellPerUser() (multicell_sim.cc). Identical simulation
- * semantics -- same phases, same random streams, same update order
- * per user -- but per-user state lives in per-cell contiguous
- * arrays instead of McUser objects, and phase 2's math runs through
- * the runtime-dispatched kernels:
+ * The structure-of-arrays multi-cell engine behind NetworkSim::run()
+ * (model and execution contract in multicell_sim.hh). Per-user state
+ * lives in per-cell contiguous arrays, and phase 2's math runs
+ * through the runtime-dispatched kernels:
  *
  *   sinrAccumBatch -- interference fades (counter-RNG in u64
  *       lanes), gain-weighted accumulation and dB conversion for
@@ -14,20 +12,28 @@
  *       frame draws over the flattened table for the same batch.
  *
  * Because every kernel lane computes the textually identical scalar
- * expression (see kernels_impl.hh), the engine reproduces the
- * per-user engine's NetworkResult bit-for-bit at any thread count
- * and any kernel backend -- pinned by tests/test_multicell.cc and
- * the slow-label equivalence test in tests/test_simd_kernels.cc.
+ * expression (see kernels_impl.hh), the engine reproduces the plain
+ * per-user walk of the same model (the single-threaded test oracle,
+ * tests/peruser_reference.cc) bit-for-bit at any thread count and
+ * any kernel backend -- pinned by tests/test_multicell.cc and the
+ * slow-label equivalence test in tests/test_simd_kernels.cc.
  *
  * Immutable derived per-user state (Jakes oscillator banks, forked
  * stream keys, serving gains, the flattened calibration table) is a
  * pure function of (spec, topology, table) and is cached across
  * run() calls in McSoaCache, owned by NetworkSim.
+ *
+ * Checkpoint/resume (saveCheckpoint() / loadCheckpoint()) serializes
+ * the mutable run state in a canonical order -- global user id, then
+ * cell index -- so a snapshot is byte-identical at any thread count,
+ * and every restored value is checked before the run uses it.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,7 +43,9 @@
 #include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "mac/arq.hh"
+#include "mac/packet_trace.hh"
 #include "mac/scheduler.hh"
 #include "mac/softrate.hh"
 #include "mac/traffic.hh"
@@ -162,7 +170,7 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
         cache->servGain[i] = topo.linkGainLin(id, cell);
         cache->meanSnr[i] = topo.servingSnrDb(id);
         cache->gainRows[i] = topo.gainRow(id);
-        // The exact seed chain of McUser: one purpose family, then
+        // The per-user seed chain: one purpose family, then
         // the user id, then the per-purpose counters.
         const CounterRng seeds =
             CounterRng(spec.seed)
@@ -186,121 +194,337 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
 }
 
 /**
- * Adapter mapping this engine's SoA layout onto the canonical
- * checkpoint byte order (detail::saveMcCheckpoint() /
- * detail::loadMcCheckpoint() in multicell_detail.hh): accessors
- * translate global user ids to SoA indices, so the serialized
- * stream is byte-identical to the per-user engine's. sync()
- * derives the user -> member-cell map; call it before a save.
+ * The engine's mutable run state -- per-user lanes (soa-indexed),
+ * per-cell blocks (cell-indexed), and the mobility runtime and
+ * packet trace when enabled: everything a checkpoint carries.
  */
-struct SoaCheckpoint {
-    const McSoaCache *cache;
-    std::vector<mac::Arq> *arqs;
-    std::vector<mac::TrafficSource> *traffic;
-    std::vector<mac::SoftRateMac> *softrate;
-    std::vector<UserStats> *stats;
-    std::vector<detail::TraceCtx> *tctx;
-    std::vector<double> *servGain;
-    std::vector<std::vector<std::uint32_t>> *members;
-    std::vector<mac::CellScheduler> *scheds;
-    std::vector<std::vector<std::uint8_t>> *eligible;
-    std::vector<std::vector<std::uint8_t>> *urgent;
-    std::vector<std::vector<double>> *instRate;
-    std::vector<std::uint64_t> *busy;
-    const mac::CellScheduler::Config *schedCfg;
-    MobilityRuntime *mobp;
-    mac::PacketTrace *tracep;
-    std::vector<int> cellOf; // user id -> member cell, -1 = none
+struct SoaState {
+    std::vector<mac::Arq> arqs;
+    std::vector<mac::TrafficSource> traffic;
+    std::vector<mac::SoftRateMac> softrate;
+    std::vector<UserStats> stats;
+    std::vector<detail::TraceCtx> tctx;
+    /** Serving-link gains, moved by the mobility epochs. */
+    std::vector<double> servGain;
+    /** Cell membership: SoA indices ordered by global user id. */
+    std::vector<std::vector<std::uint32_t>> members;
+    std::vector<mac::CellScheduler> scheds;
+    std::vector<std::vector<std::uint8_t>> eligible;
+    std::vector<std::vector<std::uint8_t>> urgent;
+    std::vector<std::vector<double>> instRate;
+    /** Fixed-contention airtime: a cell is busy until this slot. */
+    std::vector<std::uint64_t> busyUntil;
+    std::unique_ptr<MobilityRuntime> mob;
+    std::shared_ptr<mac::PacketTrace> trace;
 
-    size_t
-    soa(int id) const
-    {
-        return static_cast<size_t>(
-            cache->soaOf[static_cast<size_t>(id)]);
-    }
-
+    /** Size cell @p c's per-member scratch to its membership. */
     void
-    sync()
+    resizeCell(int c)
     {
-        cellOf.assign(cache->order.size(), -1);
-        for (size_t c = 0; c < members->size(); ++c)
-            for (std::uint32_t i : (*members)[c])
-                cellOf[static_cast<size_t>(
-                    cache->order[static_cast<size_t>(i)])] =
-                    static_cast<int>(c);
-    }
-
-    int numUsers() const { return static_cast<int>(cache->order.size()); }
-    int numCells() const { return static_cast<int>(members->size()); }
-    MobilityRuntime *mob() const { return mobp; }
-    mac::PacketTrace *trace() const { return tracep; }
-    int memberCellOf(int id) { return cellOf[static_cast<size_t>(id)]; }
-    double servGainOf(int id) { return (*servGain)[soa(id)]; }
-    mac::SoftRateMac &softrateOf(int id) { return (*softrate)[soa(id)]; }
-    mac::Arq &arqOf(int id) { return (*arqs)[soa(id)]; }
-    mac::TrafficSource &trafficOf(int id) { return (*traffic)[soa(id)]; }
-    detail::TraceCtx &tctxOf(int id) { return (*tctx)[soa(id)]; }
-    UserStats &statsOf(int id) { return (*stats)[soa(id)]; }
-
-    std::vector<int>
-    memberIdsOf(int c)
-    {
-        std::vector<int> ids;
-        ids.reserve((*members)[static_cast<size_t>(c)].size());
-        for (std::uint32_t i : (*members)[static_cast<size_t>(c)])
-            ids.push_back(
-                cache->order[static_cast<size_t>(i)]);
-        return ids;
-    }
-
-    mac::CellScheduler &
-    schedOf(int c)
-    {
-        return (*scheds)[static_cast<size_t>(c)];
-    }
-
-    std::uint64_t
-    busyUntilOf(int c)
-    {
-        return (*busy)[static_cast<size_t>(c)];
-    }
-
-    void
-    setMemberCell(int id, int c)
-    {
-        if (cellOf.size() != cache->order.size())
-            cellOf.assign(cache->order.size(), -1);
-        cellOf[static_cast<size_t>(id)] = c;
-    }
-
-    void
-    setServGain(int id, double g)
-    {
-        (*servGain)[soa(id)] = g;
-    }
-
-    void
-    resetCell(int c, const std::vector<int> &ids)
-    {
-        std::vector<std::uint32_t> &mem =
-            (*members)[static_cast<size_t>(c)];
-        mem.clear();
-        for (int id : ids)
-            mem.push_back(static_cast<std::uint32_t>(
-                cache->soaOf[static_cast<size_t>(id)]));
-        (*scheds)[static_cast<size_t>(c)] = mac::CellScheduler(
-            *schedCfg, static_cast<int>(ids.size()));
-        (*eligible)[static_cast<size_t>(c)].resize(mem.size());
-        (*urgent)[static_cast<size_t>(c)].assign(mem.size(), 0);
-        (*instRate)[static_cast<size_t>(c)].assign(mem.size(), 0.0);
-    }
-
-    void
-    setBusyUntil(int c, std::uint64_t v)
-    {
-        (*busy)[static_cast<size_t>(c)] = v;
+        const size_t cn = members[static_cast<size_t>(c)].size();
+        eligible[static_cast<size_t>(c)].resize(cn);
+        urgent[static_cast<size_t>(c)].assign(cn, 0);
+        instRate[static_cast<size_t>(c)].assign(cn, 0.0);
     }
 };
+
+// ------------------------------------------------ checkpointing
+//
+// Snapshot payload, in order: the slot to resume at; per-user blocks
+// in global-user-id order (member cell or -1, serving gain,
+// SoftRate, ARQ, traffic, trace context if tracing, UserStats);
+// per-cell blocks in cell order (member ids, scheduler, busy-until
+// slot); the mobility runtime if enabled; the packet trace if
+// tracing.
+
+/** Payload version of the multi-cell checkpoint format. */
+constexpr std::uint32_t kMcCheckpointVersion = 1;
+
+/** Serialize one RunningStats by raw accumulator state (exact). */
+void
+saveStats(SnapshotWriter &w, const RunningStats &s)
+{
+    const RunningStats::State st = s.state();
+    w.u64(st.n);
+    w.f64(st.offset);
+    w.f64(st.sum);
+    w.f64(st.sum_sq);
+}
+
+/** Inverse of saveStats(). */
+RunningStats
+loadStats(SnapshotReader &r)
+{
+    RunningStats::State st;
+    st.n = r.u64();
+    st.offset = r.f64();
+    st.sum = r.f64();
+    st.sum_sq = r.f64();
+    return RunningStats::fromState(st);
+}
+
+/**
+ * Serialize one Histogram's counts. An empty histogram writes only
+ * its zero total, preserving the lazy-allocation state on resume.
+ */
+void
+saveHist(SnapshotWriter &w, const Histogram &h)
+{
+    w.u64(h.total());
+    if (h.total() == 0)
+        return;
+    for (int b = 0; b < h.numBins(); ++b)
+        w.u64(h.count(b));
+}
+
+/** Inverse of saveHist() (into a same-binning histogram). */
+void
+loadHist(SnapshotReader &r, Histogram &h)
+{
+    const std::uint64_t total = r.u64();
+    std::vector<std::uint64_t> counts;
+    if (total > 0) {
+        counts.resize(static_cast<size_t>(h.numBins()));
+        for (std::uint64_t &c : counts)
+            c = r.u64();
+    }
+    if (!h.restore(counts, total))
+        r.fail(strprintf("histogram counts that do not add up to "
+                         "their total %llu",
+                         static_cast<unsigned long long>(total)));
+}
+
+/**
+ * Serialize one user's statistics: the identity fields, then the
+ * accumulated members in kUserStatsCounters / Moments / Hists order.
+ */
+void
+saveUserStats(SnapshotWriter &w, const UserStats &st)
+{
+    w.marker(0x54415355); // "USAT"
+    w.i64(st.user);
+    w.f64(st.snrOffsetDb);
+    w.i64(st.servingCell);
+    w.f64(st.meanSnrDb);
+    for (const auto &f : kUserStatsCounters)
+        w.u64(st.*f.member);
+    for (const auto &f : kUserStatsMoments)
+        saveStats(w, st.*f.member);
+    for (const auto &f : kUserStatsHists)
+        saveHist(w, st.*f.member);
+}
+
+/** Inverse of saveUserStats() for user @p id of a @p cells grid. */
+void
+loadUserStats(SnapshotReader &r, UserStats &st, int id, int cells)
+{
+    r.marker(0x54415355);
+    st.user = static_cast<int>(r.i64In(id, id + 1, "user-stats id"));
+    st.snrOffsetDb = r.f64();
+    st.servingCell =
+        static_cast<int>(r.i64In(0, cells, "user-stats serving cell"));
+    st.meanSnrDb = r.f64();
+    for (const auto &f : kUserStatsCounters)
+        st.*f.member = r.u64();
+    for (const auto &f : kUserStatsMoments)
+        st.*f.member = loadStats(r);
+    for (const auto &f : kUserStatsHists)
+        loadHist(r, st.*f.member);
+}
+
+/**
+ * Serialize a user's trace lane and seq ring. The trace pointer is
+ * not stored -- the engine binds it before loadTraceCtx() restores
+ * the lane and the in-flight packet identities bind() wiped. The
+ * lane *is* stored because a churned-out user keeps its
+ * pre-departure binding until the next join rebinds it, and the
+ * resumed run must reproduce that exactly.
+ */
+void
+saveTraceCtx(SnapshotWriter &w, const detail::TraceCtx &tc)
+{
+    w.i64(tc.shard);
+    w.i64(tc.cell);
+    w.u64(tc.ring.size());
+    for (const detail::PktRef &p : tc.ring) {
+        w.u64(p.pkt);
+        w.u64(p.arrival);
+        w.u8(static_cast<std::uint8_t>(p.cls));
+    }
+}
+
+/** Inverse of saveTraceCtx() (after bind()) on a @p cells grid. */
+void
+loadTraceCtx(SnapshotReader &r, detail::TraceCtx &tc, int cells)
+{
+    tc.shard = static_cast<int>(r.i64In(0, cells, "trace lane"));
+    tc.cell = static_cast<int>(r.i64In(0, cells, "trace cell"));
+    const std::uint64_t n = r.u64();
+    if (n != tc.ring.size())
+        r.fail(strprintf("trace ring of %llu slots for an ARQ window "
+                         "of %zu",
+                         static_cast<unsigned long long>(n),
+                         tc.ring.size()));
+    for (detail::PktRef &p : tc.ring) {
+        p.pkt = r.u64();
+        p.arrival = r.u64();
+        p.cls = static_cast<mac::TrafficClass>(
+            r.u8Below(mac::kNumTrafficClasses, "packet class"));
+    }
+}
+
+/**
+ * Write @p st as the state after slot @p slot - 1 to
+ * spec.checkpoint.file. Must run with every worker parked at a
+ * barrier (single writer).
+ */
+void
+saveCheckpoint(const NetworkSpec &spec, const McSoaCache &cache,
+               const SoaState &st, std::uint64_t slot)
+{
+    const int users = static_cast<int>(cache.order.size());
+    const int cells = static_cast<int>(st.members.size());
+    std::vector<int> cell_of(static_cast<size_t>(users), -1);
+    for (int c = 0; c < cells; ++c)
+        for (std::uint32_t i : st.members[static_cast<size_t>(c)])
+            cell_of[static_cast<size_t>(cache.order[i])] = c;
+
+    SnapshotWriter w(kMcCheckpointVersion, spec.fingerprint());
+    w.u64(slot);
+    for (int id = 0; id < users; ++id) {
+        const size_t i =
+            static_cast<size_t>(cache.soaOf[static_cast<size_t>(id)]);
+        w.i64(cell_of[static_cast<size_t>(id)]);
+        w.f64(st.servGain[i]);
+        st.softrate[i].saveState(w);
+        st.arqs[i].saveState(w);
+        st.traffic[i].saveState(w);
+        if (st.trace)
+            saveTraceCtx(w, st.tctx[i]);
+        saveUserStats(w, st.stats[i]);
+    }
+    for (int c = 0; c < cells; ++c) {
+        const std::vector<std::uint32_t> &mem =
+            st.members[static_cast<size_t>(c)];
+        w.u64(mem.size());
+        for (std::uint32_t i : mem)
+            w.i64(cache.order[i]);
+        st.scheds[static_cast<size_t>(c)].saveState(w);
+        w.u64(st.busyUntil[static_cast<size_t>(c)]);
+    }
+    if (st.mob)
+        st.mob->saveState(w);
+    if (st.trace)
+        st.trace->saveState(w);
+    w.save(spec.checkpoint.file);
+}
+
+/**
+ * Inverse of saveCheckpoint(): restore spec.checkpoint.file into
+ * the freshly built state @p st (initial bindings done, no slot run)
+ * and return the slot to resume at. Fatal on a missing file,
+ * version or spec skew, a snapshot past the @p slots horizon, and
+ * any restored value no run can reach -- an out-of-range enum,
+ * index or count, or a cell membership that disagrees with the
+ * mobility runtime (or, without mobility, with the topology).
+ */
+std::uint64_t
+loadCheckpoint(const NetworkSpec &spec, const McSoaCache &cache,
+               SoaState &st, std::uint64_t slots)
+{
+    const std::string &path = spec.checkpoint.file;
+    SnapshotReader r(path, kMcCheckpointVersion, spec.fingerprint());
+    const std::uint64_t slot = r.u64();
+    wilis_fatal_if(slot > slots,
+                   "checkpoint '%s' is at slot %llu, past the "
+                   "%llu-slot horizon",
+                   path.c_str(), static_cast<unsigned long long>(slot),
+                   static_cast<unsigned long long>(slots));
+    const int users = static_cast<int>(cache.order.size());
+    const int cells = static_cast<int>(st.members.size());
+    auto soa = [&](int id) {
+        return static_cast<size_t>(
+            cache.soaOf[static_cast<size_t>(id)]);
+    };
+
+    std::vector<int> cell_of(static_cast<size_t>(users));
+    for (int id = 0; id < users; ++id) {
+        const size_t i = soa(id);
+        cell_of[static_cast<size_t>(id)] =
+            static_cast<int>(r.i64In(-1, cells, "member cell"));
+        st.servGain[i] = r.f64();
+        if (!(std::isfinite(st.servGain[i]) && st.servGain[i] >= 0.0))
+            r.fail(strprintf("serving gain %g", st.servGain[i]));
+        st.softrate[i].loadState(r);
+        st.arqs[i].loadState(r, slot);
+        st.traffic[i].loadState(r);
+        if (st.trace)
+            loadTraceCtx(r, st.tctx[i], cells);
+        loadUserStats(r, st.stats[i], id, cells);
+    }
+    for (int c = 0; c < cells; ++c) {
+        // Member lists are increasing ids whose member cell is c,
+        // and every such user is listed.
+        std::vector<std::uint32_t> &mem =
+            st.members[static_cast<size_t>(c)];
+        mem.clear();
+        const std::uint64_t n = r.count(sizeof(std::int64_t));
+        const auto want = static_cast<std::uint64_t>(
+            std::count(cell_of.begin(), cell_of.end(), c));
+        for (std::uint64_t k = 0; k < n; ++k) {
+            const int lo = mem.empty() ? 0 : cache.order[mem.back()] + 1;
+            const int id =
+                static_cast<int>(r.i64In(lo, users, "member id"));
+            if (cell_of[static_cast<size_t>(id)] != c)
+                r.fail(strprintf("user %d listed in cell %d, its "
+                                 "member cell is %d",
+                                 id, c,
+                                 cell_of[static_cast<size_t>(id)]));
+            mem.push_back(static_cast<std::uint32_t>(soa(id)));
+        }
+        if (n != want)
+            r.fail(strprintf("cell %d lists %llu of its %llu members",
+                             c, static_cast<unsigned long long>(n),
+                             static_cast<unsigned long long>(want)));
+        st.scheds[static_cast<size_t>(c)] = mac::CellScheduler(
+            spec.scheduler, static_cast<int>(mem.size()));
+        st.resizeCell(c);
+        st.scheds[static_cast<size_t>(c)].loadState(r);
+        st.busyUntil[static_cast<size_t>(c)] = r.u64();
+    }
+    if (st.mob)
+        st.mob->loadState(r, slot);
+    if (st.trace)
+        st.trace->loadState(r, cells, users);
+    r.done();
+
+    // Membership is what the run reached: the mobility runtime's
+    // active users in their serving cells, or the static topology.
+    for (int id = 0; id < users; ++id) {
+        const int want =
+            !st.mob ? cache.serving[soa(id)]
+            : st.mob->userActive(id) ? st.mob->servingCell(id)
+                                     : -1;
+        if (cell_of[static_cast<size_t>(id)] != want)
+            r.fail(strprintf("user %d in cell %d, the run places it "
+                             "in %d",
+                             id, cell_of[static_cast<size_t>(id)],
+                             want));
+    }
+    // Re-point the traffic sources' trace lanes at the restored
+    // member cells (the trace contexts restore their own lane; a
+    // churned-out user keeps its initial binding, which is dormant
+    // until the next join rebinds it).
+    if (st.trace) {
+        for (int id = 0; id < users; ++id) {
+            const int c = cell_of[static_cast<size_t>(id)];
+            if (c >= 0)
+                st.traffic[soa(id)].bindTrace(st.trace.get(), c, c,
+                                              id);
+        }
+    }
+    return slot;
+}
 
 } // namespace
 
@@ -366,74 +590,95 @@ runMulticellSoa(
     ac.maxAttempts = spec.arqMaxAttempts;
     ac.ackDelaySlots = spec.ackDelaySlots;
 
-    std::vector<mac::Arq> arqs;
-    std::vector<mac::TrafficSource> traffic;
-    std::vector<mac::SoftRateMac> softrate;
-    std::vector<UserStats> stats(nu);
-    arqs.reserve(nu);
-    traffic.reserve(nu);
-    softrate.reserve(nu);
+    SoaState st;
+    st.arqs.reserve(nu);
+    st.traffic.reserve(nu);
+    st.softrate.reserve(nu);
+    st.stats.resize(nu);
     for (size_t i = 0; i < nu; ++i) {
-        arqs.emplace_back(ac);
-        traffic.emplace_back(spec.traffic, cache.trafficSeed[i]);
-        softrate.emplace_back(src);
-        stats[i].user = cache.order[i];
-        stats[i].servingCell = cache.serving[i];
-        stats[i].meanSnrDb = cache.meanSnr[i];
+        st.arqs.emplace_back(ac);
+        st.traffic.emplace_back(spec.traffic, cache.trafficSeed[i]);
+        st.softrate.emplace_back(src);
+        st.stats[i].user = cache.order[i];
+        st.stats[i].servingCell = cache.serving[i];
+        st.stats[i].meanSnrDb = cache.meanSnr[i];
     }
     // The packet trace records per-cell (one shard per cell, each
     // written only by the cell's owning worker).
-    std::vector<detail::TraceCtx> tctx(nu);
-    std::shared_ptr<mac::PacketTrace> trace;
+    st.tctx.resize(nu);
     if (spec.trace) {
-        trace = std::make_shared<mac::PacketTrace>(cells);
+        st.trace = std::make_shared<mac::PacketTrace>(cells);
         for (size_t i = 0; i < nu; ++i) {
             const int cell = static_cast<int>(cache.serving[i]);
             const int id = cache.order[i];
-            tctx[i].bind(trace.get(), cell, cell, id,
-                         arqs[i].windowSize());
-            traffic[i].bindTrace(trace.get(), cell, cell, id);
+            st.tctx[i].bind(st.trace.get(), cell, cell, id,
+                            st.arqs[i].windowSize());
+            st.traffic[i].bindTrace(st.trace.get(), cell, cell, id);
         }
     }
-    // Mobility / handover / churn: the same shared decision engine
-    // the per-user engine drives, so both apply identical epochs.
-    // The cache stays immutable (it is shared across runs); all
-    // membership-dependent state below is run-local.
-    std::unique_ptr<MobilityRuntime> mob;
+    // Mobility / handover / churn: one decision engine applying its
+    // epochs between barriers. The cache stays immutable (it is
+    // shared across runs); all membership-dependent state is
+    // run-local.
     if (spec.mobility.enabled())
-        mob = std::make_unique<MobilityRuntime>(
+        st.mob = std::make_unique<MobilityRuntime>(
             spec.mobility, topo, spec.seed, spec.frameIntervalUs);
+    // Run-local serving gains start as the cache's static values and
+    // move with the epochs under mobility (the fader, payload,
+    // traffic and draw streams are serving-cell-independent by
+    // construction, so they stay cached).
+    st.servGain = cache.servGain;
+    // Run-local cell membership: SoA indices ordered by global user
+    // id, which is what keeps scheduler local indices identical to
+    // the per-user walk's. Static runs never mutate it, so it is
+    // exactly the cache's cell-major blocks.
+    st.members.resize(static_cast<size_t>(cells));
+    st.eligible.resize(static_cast<size_t>(cells));
+    st.urgent.resize(static_cast<size_t>(cells));
+    st.instRate.resize(static_cast<size_t>(cells));
+    st.scheds.reserve(static_cast<size_t>(cells));
+    for (int c = 0; c < cells; ++c) {
+        for (std::uint32_t i =
+                 cache.cellBegin[static_cast<size_t>(c)];
+             i < cache.cellBegin[static_cast<size_t>(c) + 1]; ++i)
+            st.members[static_cast<size_t>(c)].push_back(i);
+        st.scheds.emplace_back(
+            spec.scheduler,
+            static_cast<int>(st.members[static_cast<size_t>(c)].size()));
+        st.resizeCell(c);
+    }
+    st.busyUntil.assign(static_cast<size_t>(cells), 0);
+
+    // Short names for the slot loop below.
+    auto &arqs = st.arqs;
+    auto &traffic = st.traffic;
+    auto &softrate = st.softrate;
+    auto &stats = st.stats;
+    auto &tctx = st.tctx;
+    auto &serv_gain = st.servGain;
+    auto &members = st.members;
+    auto &scheds = st.scheds;
+    auto &eligible = st.eligible;
+    auto &urgent = st.urgent;
+    auto &inst_rate = st.instRate;
+    auto &busy_until = st.busyUntil;
+    const auto &mob = st.mob;
+    const auto &trace = st.trace;
+
     auto post_ho = [&](std::uint32_t i) {
         return mob &&
                mob->handovers(cache.order[static_cast<size_t>(i)]) >
                    0;
     };
-    // Run-local serving gains and gain-row pointers: start as the
-    // cache's static values, move with the epochs under mobility
-    // (the fader, payload, traffic and draw streams are serving-
-    // cell-independent by construction, so they stay cached).
-    std::vector<double> serv_gain(cache.servGain);
+    // Gain-row pointers: the topology's, or the live mobility rows.
     std::vector<const double *> rows(cache.gainRows);
     if (mob) {
         for (size_t i = 0; i < nu; ++i)
             rows[i] = mob->gainRow(cache.order[i]);
     }
-    // Run-local cell membership: SoA indices ordered by global user
-    // id (identical to the per-user engine's per-cell user lists,
-    // which is what keeps scheduler local indices bit-exact across
-    // engines). Static runs never mutate it, so it is exactly the
-    // cache's cell-major blocks.
-    std::vector<std::vector<std::uint32_t>> members(
-        static_cast<size_t>(cells));
-    for (int c = 0; c < cells; ++c) {
-        for (std::uint32_t i =
-                 cache.cellBegin[static_cast<size_t>(c)];
-             i < cache.cellBegin[static_cast<size_t>(c) + 1]; ++i)
-            members[static_cast<size_t>(c)].push_back(i);
-    }
 
     // Serving-link |h|^2 memo (per user, per slot), matching
-    // McUser::fadingPower().
+    // the per-user oracle's fadingPower().
     std::vector<double> h2val(nu, 0.0);
     std::vector<std::uint64_t> h2slot(nu, 0);
     std::vector<std::uint8_t> h2valid(nu, 0);
@@ -457,38 +702,18 @@ runMulticellSoa(
         }
         return h2val[s];
     };
-    // Full-PHY rung only, lazily constructed like McUser::awgn.
+    // Full-PHY rung only, lazily constructed.
     std::vector<std::unique_ptr<channel::AwgnChannel>> awgn(nu);
 
-    // ---- per-cell state ----------------------------------------
-    std::vector<mac::CellScheduler> scheds;
-    scheds.reserve(static_cast<size_t>(cells));
-    std::vector<std::vector<std::uint8_t>> eligible(
-        static_cast<size_t>(cells));
-    std::vector<std::vector<std::uint8_t>> urgent(
-        static_cast<size_t>(cells));
-    std::vector<std::vector<double>> inst_rate(
-        static_cast<size_t>(cells));
+    // ---- per-cell slot scratch ---------------------------------
     std::vector<std::vector<mac::Arq::Delivery>> deliveries(
         static_cast<size_t>(cells));
-    for (int c = 0; c < cells; ++c) {
-        const size_t cn = cache.cellBegin[static_cast<size_t>(c) + 1] -
-                          cache.cellBegin[static_cast<size_t>(c)];
-        scheds.emplace_back(spec.scheduler, static_cast<int>(cn));
-        eligible[static_cast<size_t>(c)].resize(cn);
-        urgent[static_cast<size_t>(c)].assign(cn, 0);
-        inst_rate[static_cast<size_t>(c)].assign(cn, 0.0);
-        deliveries[static_cast<size_t>(c)].reserve(
-            static_cast<size_t>(spec.arqWindow) + 1);
-    }
+    for (auto &d : deliveries)
+        d.reserve(static_cast<size_t>(spec.arqWindow) + 1);
     std::vector<int> granted_soa(static_cast<size_t>(cells), -1);
     std::vector<std::uint64_t> granted_seq(
         static_cast<size_t>(cells), 0);
     std::vector<std::uint8_t> active(static_cast<size_t>(cells), 0);
-    // Fixed-contention airtime: a cell whose last grant saw k > 1
-    // contenders is busy (no grants) until this slot.
-    std::vector<std::uint64_t> busy_until(
-        static_cast<size_t>(cells), 0);
     const bool class_aware =
         spec.traffic.qdisc == mac::QdiscKind::StrictPriority;
     const bool fixed_contention =
@@ -652,7 +877,7 @@ runMulticellSoa(
 
         if (spec.fidelity.fullPhySlot(t)) {
             // The bit-exact rung, one frame at a time -- identical
-            // to the per-user engine's full-PHY branch, fed by the
+            // to the per-user oracle's full-PHY branch, fed by the
             // batch-computed SINR (same bits as the scalar sum).
             for (size_t j = 0; j < k; ++j) {
                 const size_t g = static_cast<size_t>(sc.gi[j]);
@@ -728,10 +953,10 @@ runMulticellSoa(
 
     // ---- mobility epochs: apply membership events ---------------
     // Runs single-threaded on worker 0 with the team held at a
-    // barrier; mirrors the per-user engine's application exactly
+    // barrier; mirrors the per-user oracle's application exactly
     // (same event list, same sorted-membership positions, same
-    // scheduler ops), which is what keeps the engines bit-exact
-    // under mobility.
+    // scheduler ops), which is what keeps the two bit-exact under
+    // mobility.
     auto member_pos = [&](const std::vector<std::uint32_t> &mem,
                           int uid) {
         return static_cast<int>(
@@ -742,12 +967,6 @@ runMulticellSoa(
                              }) -
             mem.begin());
     };
-    auto resize_cell = [&](int c) {
-        const size_t cn = members[static_cast<size_t>(c)].size();
-        eligible[static_cast<size_t>(c)].resize(cn);
-        urgent[static_cast<size_t>(c)].assign(cn, 0);
-        inst_rate[static_cast<size_t>(c)].assign(cn, 0.0);
-    };
     auto remove_member = [&](int c, int uid, double *pf_carry) {
         std::vector<std::uint32_t> &mem =
             members[static_cast<size_t>(c)];
@@ -757,7 +976,7 @@ runMulticellSoa(
                 scheds[static_cast<size_t>(c)].averageRate(pos);
         scheds[static_cast<size_t>(c)].removeUser(pos);
         mem.erase(mem.begin() + pos);
-        resize_cell(c);
+        st.resizeCell(c);
     };
     auto insert_member = [&](int c, int uid, double pf_carry) {
         std::vector<std::uint32_t> &mem =
@@ -767,7 +986,7 @@ runMulticellSoa(
         mem.insert(mem.begin() + pos,
                    static_cast<std::uint32_t>(
                        cache.soaOf[static_cast<size_t>(uid)]));
-        resize_cell(c);
+        st.resizeCell(c);
     };
     std::vector<MobilityRuntime::Event> mob_events;
     std::vector<mac::Arq::Delivery> mob_deliv;
@@ -830,54 +1049,10 @@ runMulticellSoa(
             serv_gain[i2] = mob->servingGainLin(cache.order[i2]);
     };
 
-    // ---- checkpoint/resume --------------------------------------
-    // The adapter maps this engine onto the canonical snapshot
-    // order; a fresh one is built per use (sync() re-derives the
-    // membership map).
-    auto make_ckpt = [&]() {
-        SoaCheckpoint a;
-        a.cache = &cache;
-        a.arqs = &arqs;
-        a.traffic = &traffic;
-        a.softrate = &softrate;
-        a.stats = &stats;
-        a.tctx = &tctx;
-        a.servGain = &serv_gain;
-        a.members = &members;
-        a.scheds = &scheds;
-        a.eligible = &eligible;
-        a.urgent = &urgent;
-        a.instRate = &inst_rate;
-        a.busy = &busy_until;
-        a.schedCfg = &spec.scheduler;
-        a.mobp = mob.get();
-        a.tracep = trace.get();
-        a.sync();
-        return a;
-    };
-    std::uint64_t start_slot = 0;
-    if (spec.checkpoint.enabled() && spec.checkpoint.resume) {
-        SoaCheckpoint a = make_ckpt();
-        start_slot = detail::loadMcCheckpoint(spec, a);
-        wilis_assert(start_slot <= slots,
-                     "checkpoint '%s' is at slot %llu, past the "
-                     "%llu-slot horizon",
-                     spec.checkpoint.file.c_str(),
-                     static_cast<unsigned long long>(start_slot),
-                     static_cast<unsigned long long>(slots));
-        // Re-point the traffic sources' trace lanes at the restored
-        // serving cells (the trace contexts restore their own lane;
-        // a churned-out user keeps its initial binding, which is
-        // dormant until the next join rebinds it).
-        if (trace) {
-            for (int id = 0; id < num_users; ++id) {
-                const int c = a.cellOf[static_cast<size_t>(id)];
-                if (c >= 0)
-                    traffic[a.soa(id)].bindTrace(trace.get(), c, c,
-                                                 id);
-            }
-        }
-    }
+    const std::uint64_t start_slot =
+        spec.checkpoint.enabled() && spec.checkpoint.resume
+            ? loadCheckpoint(spec, cache, st, slots)
+            : 0;
     const std::uint64_t ckpt_every =
         spec.checkpoint.enabled() ? spec.checkpoint.everySlots : 0;
 
@@ -887,10 +1062,12 @@ runMulticellSoa(
                       1u, std::thread::hardware_concurrency()));
     n = std::min(n, cells);
 
-    // Same barrier-phase ownership as the per-user engine: the SoA
-    // lanes have one writer per phase and publication rides the
-    // barrier's release/acquire edges, so there is no lock for the
-    // static analysis to check -- the CI TSan leg enforces this
+    // The whole slot loop runs inside one LockstepTeam::run():
+    // cells are statically partitioned across workers and the two
+    // phases are separated by barriers. The SoA lanes have one
+    // writer per phase and publication rides the barrier's
+    // release/acquire edges, so there is no lock for the static
+    // analysis to check -- the CI TSan leg enforces this
     // (docs/ARCHITECTURE.md, "Static determinism guarantees").
     LockstepTeam team(n);
     const int chunk = (cells + n - 1) / n;
@@ -906,10 +1083,8 @@ runMulticellSoa(
                 // whole team is parked at this barrier while worker
                 // 0 serializes -- the snapshot sees the state after
                 // slot t - 1, before slot t's mobility epoch.
-                if (w == 0) {
-                    SoaCheckpoint a = make_ckpt();
-                    detail::saveMcCheckpoint(spec, a, t);
-                }
+                if (w == 0)
+                    saveCheckpoint(spec, cache, st, t);
                 team.barrier();
             }
             if (mob && t % epoch_slots == 0) {
@@ -932,7 +1107,7 @@ runMulticellSoa(
     });
 
     // Drain acknowledgements still in flight at the horizon, in
-    // user-id order like the per-user engine.
+    // user-id order.
     std::vector<mac::Arq::Delivery> tail;
     for (int id = 0; id < num_users; ++id) {
         const size_t i = static_cast<size_t>(

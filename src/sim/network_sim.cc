@@ -28,33 +28,12 @@ namespace sim {
 void
 UserStats::merge(const UserStats &other)
 {
-    framesSent += other.framesSent;
-    framesOk += other.framesOk;
-    stalledSlots += other.stalledSlots;
-    retransmissions += other.retransmissions;
-    delivered += other.delivered;
-    dropped += other.dropped;
-    goodputBits += other.goodputBits;
-    fullPhyFrames += other.fullPhyFrames;
-    analyticFrames += other.analyticFrames;
-    arrivals += other.arrivals;
-    queueDrops += other.queueDrops;
-    handovers += other.handovers;
-    pingPongs += other.pingPongs;
-    joins += other.joins;
-    leaves += other.leaves;
-    goodputBitsPreHo += other.goodputBitsPreHo;
-    goodputBitsPostHo += other.goodputBitsPostHo;
-    preHoSlots += other.preHoSlots;
-    postHoSlots += other.postHoSlots;
-    latencySlots.merge(other.latencySlots);
-    queueWaitSlots.merge(other.queueWaitSlots);
-    sinrDb.merge(other.sinrDb);
-    latencyHist.merge(other.latencyHist);
-    attemptsHist.merge(other.attemptsHist);
-    rateHist.merge(other.rateHist);
-    queueWaitHist.merge(other.queueWaitHist);
-    e2eLatencyHist.merge(other.e2eLatencyHist);
+    for (const auto &f : kUserStatsCounters)
+        this->*f.member += other.*f.member;
+    for (const auto &f : kUserStatsMoments)
+        (this->*f.member).merge(other.*f.member);
+    for (const auto &f : kUserStatsHists)
+        (this->*f.member).merge(other.*f.member);
 }
 
 namespace {

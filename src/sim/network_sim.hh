@@ -177,6 +177,58 @@ struct UserStats {
     void merge(const UserStats &other);
 };
 
+/** One accumulated UserStats member: its report key and pointer. */
+template <typename T>
+struct UserStatsField {
+    /** Key in the JSON run report. */
+    const char *name;
+    /** The member. */
+    T UserStats::*member;
+};
+
+/**
+ * UserStats' accumulated members, in the one order that merge(), the
+ * JSON run report and the checkpoint snapshot all walk: the counters,
+ * then the running moments, then the histograms.
+ */
+inline constexpr UserStatsField<std::uint64_t> kUserStatsCounters[] = {
+    {"frames_sent", &UserStats::framesSent},
+    {"frames_ok", &UserStats::framesOk},
+    {"stalled_slots", &UserStats::stalledSlots},
+    {"retransmissions", &UserStats::retransmissions},
+    {"delivered", &UserStats::delivered},
+    {"dropped", &UserStats::dropped},
+    {"goodput_bits", &UserStats::goodputBits},
+    {"full_phy_frames", &UserStats::fullPhyFrames},
+    {"analytic_frames", &UserStats::analyticFrames},
+    {"arrivals", &UserStats::arrivals},
+    {"queue_drops", &UserStats::queueDrops},
+    {"handovers", &UserStats::handovers},
+    {"ping_pongs", &UserStats::pingPongs},
+    {"joins", &UserStats::joins},
+    {"leaves", &UserStats::leaves},
+    {"goodput_bits_pre_ho", &UserStats::goodputBitsPreHo},
+    {"goodput_bits_post_ho", &UserStats::goodputBitsPostHo},
+    {"pre_ho_slots", &UserStats::preHoSlots},
+    {"post_ho_slots", &UserStats::postHoSlots},
+};
+
+/** See kUserStatsCounters. */
+inline constexpr UserStatsField<RunningStats> kUserStatsMoments[] = {
+    {"latency_slots", &UserStats::latencySlots},
+    {"queue_wait_slots", &UserStats::queueWaitSlots},
+    {"sinr_db", &UserStats::sinrDb},
+};
+
+/** See kUserStatsCounters. */
+inline constexpr UserStatsField<Histogram> kUserStatsHists[] = {
+    {"latency_hist", &UserStats::latencyHist},
+    {"attempts_hist", &UserStats::attemptsHist},
+    {"rate_hist", &UserStats::rateHist},
+    {"queue_wait_hist", &UserStats::queueWaitHist},
+    {"e2e_latency_hist", &UserStats::e2eLatencyHist},
+};
+
 /** Result of NetworkSim::run(). */
 struct NetworkResult {
     /** The network description the run executed. */

@@ -5,7 +5,7 @@
  * never visits QAM64 never pays for it) and the frame arena backing
  * the zero-copy packet path, plus the mutex-guarded free list that
  * leases contexts to work items. Both the single-cell engine
- * (network_sim.cc) and the multi-cell engine (multicell_sim.cc)
+ * (network_sim.cc) and the multi-cell engine (multicell_soa.cc)
  * draw from this pool, so at most `threads` contexts ever exist
  * regardless of the user or cell count.
  *

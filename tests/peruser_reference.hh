@@ -1,41 +1,32 @@
 /**
  * @file
- * Test-side entry to the per-user multi-cell engine, the bit-exact
- * reference the SoA engine behind NetworkSim::run() is compared
- * against. No spec key or NetworkSim option selects it.
+ * The per-user multi-cell oracle: a plain, single-threaded object
+ * walk of the lockstep slot model that the SoA engine behind
+ * NetworkSim::run() must reproduce bit-for-bit. Test-only code (the
+ * peruser_reference static library the test executables link); no
+ * spec key, NetworkSim option or library entry point reaches it.
  */
 
 #ifndef WILIS_TESTS_PERUSER_REFERENCE_HH
 #define WILIS_TESTS_PERUSER_REFERENCE_HH
 
 #include <cstdint>
-#include <memory>
 
-#include "common/logging.hh"
-#include "sim/multicell_sim.hh"
 #include "sim/network_sim.hh"
-#include "softphy/softphy.hh"
 
 namespace wilis {
 namespace sim {
 
 /**
- * Run @p sim's multi-cell deployment on the per-user engine, with
- * the topology, calibration and rate estimator NetworkSim::run() uses.
+ * Run @p sim's multi-cell deployment for @p slots slots on the
+ * per-user oracle, with the topology, calibration and rate
+ * estimator NetworkSim::run() uses. Each slot runs the mobility
+ * epoch, then phase 1 over every cell, then phase 2 over every
+ * cell, on the calling thread. The spec must not set any
+ * checkpoint key: the oracle neither saves nor resumes.
  */
-inline NetworkResult
-runPerUserReference(const NetworkSim &sim, std::uint64_t slots,
-                    int threads)
-{
-    wilis_assert(sim.topology(), "per-user reference needs a grid");
-    // Non-owning: @p sim keeps the table alive for the whole run.
-    const std::shared_ptr<const softphy::CalibrationTable> calib(
-        std::shared_ptr<const void>(), sim.calibration());
-    return runMulticellPerUser(
-        sim.spec(), *sim.topology(),
-        softphy::analyticRateEstimator(sim.spec().link.rx), calib,
-        slots, threads);
-}
+NetworkResult runPerUserReference(const NetworkSim &sim,
+                                  std::uint64_t slots);
 
 } // namespace sim
 } // namespace wilis

@@ -318,6 +318,29 @@ TEST(CampaignDeath, WrongTypedReportFieldExitsCleanly)
     std::remove(path.c_str());
 }
 
+TEST(CampaignDeath, HistogramCountsOffTheirTotalExitCleanly)
+{
+    // A histogram whose counts do not add up to its total is a
+    // clean exit(1) naming the mismatch.
+    RunReport rep;
+    rep.kind = "network";
+    rep.slots = 40;
+    rep.unitsTotal = 1;
+    rep.units.emplace_back();
+    std::string text = rep.toJsonText();
+    const std::string total = "\"total\": 0";
+    const size_t at = text.find(total);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, total.size(), "\"total\": 5");
+    const std::string path =
+        ::testing::TempDir() + "wilis_bad_histogram_report.json";
+    std::ofstream(path) << text;
+    EXPECT_EXIT(RunReport::load(path), testing::ExitedWithCode(1),
+                "fatal: report histogram has 0 bin counts that do not "
+                "add up to its total 5");
+    std::remove(path.c_str());
+}
+
 TEST(CampaignDeath, ShardRunRejectsInvalidRequests)
 {
     // Tracing a replicated campaign would interleave trace files.

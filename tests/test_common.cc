@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the shared utilities: printf-style formatting, the text
- * table renderer, the worker pool, and the logging death paths.
+ * Tests for the shared utilities: statistics accumulators,
+ * printf-style formatting, the text table renderer, the worker pool,
+ * and the logging death paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -78,6 +81,36 @@ TEST(RunningStats, ShardMergeIsBitEqualToSinglePass)
     EXPECT_EQ(shard_a.mean(), whole.mean());
     EXPECT_EQ(shard_a.variance(), whole.variance());
     EXPECT_EQ(shard_a.stddev(), whole.stddev());
+}
+
+TEST(Histogram, OutOfRangeAndNanSamplesClampToTheEdgeBins)
+{
+    // Huge and infinite samples land in the top bin, -inf and NaN in
+    // bin 0; in-range samples keep their bins.
+    Histogram h(10, 1.0, 0.0);
+    h.add(1e300);
+    h.add(std::numeric_limits<double>::infinity());
+    h.add(-std::numeric_limits<double>::infinity());
+    h.add(std::numeric_limits<double>::quiet_NaN());
+    h.add(-1e300);
+    h.add(3.5);
+    h.add(9.99);
+    EXPECT_EQ(h.total(), 7u);
+    EXPECT_EQ(h.count(0), 3u);
+    EXPECT_EQ(h.count(3), 1u);
+    EXPECT_EQ(h.count(9), 3u);
+}
+
+TEST(Histogram, RestoreRejectsCountsThatDoNotAddUp)
+{
+    Histogram h(3, 1.0, 0.0);
+    EXPECT_FALSE(h.restore({1, 2}, 3));
+    EXPECT_FALSE(h.restore({1, 2, 3}, 7));
+    // A sum that wraps around 2^64 onto the total is no match either.
+    EXPECT_FALSE(h.restore({~0ull, 2, 0}, 1));
+    EXPECT_EQ(h.total(), 0u);
+    EXPECT_TRUE(h.restore({1, 2, 3}, 6));
+    EXPECT_EQ(h.count(2), 3u);
 }
 
 TEST(Strprintf, FormatsLikePrintf)

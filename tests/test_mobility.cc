@@ -4,8 +4,8 @@
  * functions of (seed, user, slot); A3 handover respects hysteresis
  * and time-to-trigger; churn departures settle every in-flight
  * packet (trace conservation); and the `urban-mobile` preset runs
- * bit-identically across 1/2/8 worker threads and both multi-cell
- * engines, packet trace included.
+ * bit-identically across 1/2/8 worker threads and equal to the
+ * per-user oracle, packet trace included.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mac/packet_trace.hh"
@@ -414,35 +415,31 @@ TEST(MobilityRun, DepartedUsersSettleEveryPacketInTheTrace)
     EXPECT_GT(settled_users, 0);
 }
 
-TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndEngines)
+TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndOracle)
 {
     NetworkSpec spec = urbanMobileSpec();
     spec.trace = true;
     const std::uint64_t slots = 600;
 
-    const NetworkSim reference(spec);
     NetworkResult ref = NetworkSim(spec).run(slots, 1);
     ASSERT_NE(ref.trace, nullptr);
     EXPECT_GT(ref.aggregate.handovers, 0u);
     const std::string ref_text = ref.trace->toText();
 
-    struct Case {
-        bool reference;
-        int threads;
-    } cases[] = {{false, 2}, {false, 8}, {true, 1}, {true, 2}, {true, 8}};
-    for (const Case &c : cases) {
-        NetworkResult r =
-            c.reference ? runPerUserReference(reference, slots, c.threads)
-                        : NetworkSim(spec).run(slots, c.threads);
+    const std::pair<const char *, NetworkResult> runs[] = {
+        {"soa @ 2 threads", NetworkSim(spec).run(slots, 2)},
+        {"soa @ 8 threads", NetworkSim(spec).run(slots, 8)},
+        {"the per-user oracle",
+         runPerUserReference(NetworkSim(spec), slots)},
+    };
+    for (const auto &[name, r] : runs) {
         ASSERT_EQ(r.users.size(), ref.users.size());
         for (size_t u = 0; u < ref.users.size(); ++u)
             expectSameMobileStats(ref.users[u], r.users[u],
                                   static_cast<int>(u));
         expectSameMobileStats(ref.aggregate, r.aggregate, -1);
         ASSERT_NE(r.trace, nullptr);
-        EXPECT_EQ(ref_text, r.trace->toText())
-            << (c.reference ? "peruser" : "soa") << " @ " << c.threads
-            << " threads diverged";
+        EXPECT_EQ(ref_text, r.trace->toText()) << name << " diverged";
     }
 }
 

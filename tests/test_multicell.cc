@@ -226,7 +226,7 @@ expectSameResult(const NetworkResult &a, const NetworkResult &b)
 
 TEST(Multicell, EngineIsNotASpecKey)
 {
-    // The per-user engine is a test-only reference: no spec string
+    // The per-user walk is a test-only oracle: no spec string
     // selects an engine.
     li::Config cfg = networkPreset("grid-3x3").toConfig();
     cfg.set("engine", "soa");
@@ -235,10 +235,10 @@ TEST(Multicell, EngineIsNotASpecKey)
                 "unknown NetworkSpec key 'engine'");
 }
 
-TEST(Multicell, SoaEngineMatchesPerUserEngine)
+TEST(Multicell, SoaEngineMatchesPerUserOracle)
 {
-    // The acceptance property of the SoA refactor: both engines
-    // produce the same NetworkResult bit-for-bit, including
+    // The acceptance property of the SoA engine: it produces the
+    // per-user oracle's NetworkResult bit-for-bit, including
     // floating-point moments, on a mixed RR/PF x fidelity grid.
     NetworkSpec spec = networkPreset("grid-3x3");
     spec.calibrationFile = calibrationPath();
@@ -246,12 +246,12 @@ TEST(Multicell, SoaEngineMatchesPerUserEngine)
                       mac::SchedulerKind::ProportionalFair}) {
         spec.scheduler.kind = kind;
         NetworkSim sim(spec);
-        expectSameResult(runPerUserReference(sim, 120, 2),
+        expectSameResult(runPerUserReference(sim, 120),
                          sim.run(120, 2));
     }
 }
 
-TEST(Multicell, SoaEngineMatchesPerUserOnFullPhyRung)
+TEST(Multicell, SoaEngineMatchesPerUserOracleOnFullPhyRung)
 {
     NetworkSpec spec = networkPreset("grid-3x3");
     spec.numUsers = 8;
@@ -261,7 +261,7 @@ TEST(Multicell, SoaEngineMatchesPerUserOnFullPhyRung)
     spec.fidelity.mode = FidelityMode::Full;
     spec.calibrationFile.clear();
     NetworkSim sim(spec);
-    expectSameResult(runPerUserReference(sim, 40, 2), sim.run(40, 2));
+    expectSameResult(runPerUserReference(sim, 40), sim.run(40, 2));
 }
 
 TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
@@ -280,12 +280,12 @@ TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
 /**
  * The dense-urban-10k acceptance bar of the SoA refactor, pinned
  * under the forced scalar kernel backend: the batched engine must
- * reproduce the per-user engine's UserStats bit-for-bit for every
+ * reproduce the per-user oracle's UserStats bit-for-bit for every
  * one of the 10k+ users. Cross-backend exactness of the kernels
  * themselves is pinned in test_simd_kernels.cc, so scalar here
  * extends to every backend by transitivity.
  */
-TEST(Multicell, SoaMatchesPerUserOnDenseUrban10kScalarBackend)
+TEST(Multicell, SoaMatchesPerUserOracleOnDenseUrban10kScalarBackend)
 {
     struct RestoreBackend {
         ~RestoreBackend()
@@ -299,7 +299,7 @@ TEST(Multicell, SoaMatchesPerUserOnDenseUrban10kScalarBackend)
     NetworkSpec spec = networkPreset("dense-urban-10k");
     spec.calibrationFile = calibrationPath();
     NetworkSim sim(spec);
-    expectSameResult(runPerUserReference(sim, 16, 2), sim.run(16, 2));
+    expectSameResult(runPerUserReference(sim, 16), sim.run(16, 2));
 }
 
 // ------------------------------------------------ engine behavior

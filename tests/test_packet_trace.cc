@@ -2,8 +2,8 @@
  * @file
  * Packet event trace tests: the acceptance bar is that the finalized
  * trace is a pure function of the NetworkSpec -- bit-identical at 1,
- * 2 and 8 worker threads and between the SoA engine and the per-user
- * reference engine on both the grid-3x3 and dense-urban-10k presets
+ * 2 and 8 worker threads and equal to the single-threaded per-user
+ * oracle's on both the grid-3x3 and dense-urban-10k presets
  * -- and that the committed goldens under data/ pin grid-3x3
  * byte-for-byte and the urban-mobile trace and dense-urban-10k
  * report by digest. Around it:
@@ -60,15 +60,21 @@ tracedGrid()
     return spec;
 }
 
-/** The trace of a run on the SoA engine, or the per-user one. */
+/** The trace of a run on the SoA engine. */
 std::string
 runTraceText(const NetworkSpec &spec, std::uint64_t slots,
-             int threads, bool per_user = false)
+             int threads)
 {
-    NetworkSim sim(spec);
-    NetworkResult res = per_user
-                            ? runPerUserReference(sim, slots, threads)
-                            : sim.run(slots, threads);
+    NetworkResult res = NetworkSim(spec).run(slots, threads);
+    EXPECT_NE(res.trace, nullptr);
+    return res.trace->toText();
+}
+
+/** The trace of the same run on the per-user oracle. */
+std::string
+oracleTraceText(const NetworkSpec &spec, std::uint64_t slots)
+{
+    NetworkResult res = runPerUserReference(NetworkSim(spec), slots);
     EXPECT_NE(res.trace, nullptr);
     return res.trace->toText();
 }
@@ -181,7 +187,7 @@ TEST(PacketTrace, GoldenGrid3x3TraceMatchesByteForByte)
 }
 
 // Digest pins that hold the SoA engine's outputs fixed independently
-// of the per-user reference the equivalence tests below compare with.
+// of the per-user oracle the equivalence tests below compare with.
 
 TEST(PacketTrace, GoldenUrbanMobileTraceDigest)
 {
@@ -218,7 +224,7 @@ TEST(PacketTrace, GoldenDenseUrban10kReportDigest)
     }
 }
 
-// ------------------------------ thread / engine independence (bar)
+// ------------------------ thread independence, oracle equality (bar)
 
 TEST(PacketTrace, Grid3x3TraceBitIdenticalAt1_2_8Threads)
 {
@@ -228,13 +234,13 @@ TEST(PacketTrace, Grid3x3TraceBitIdenticalAt1_2_8Threads)
     EXPECT_EQ(t1, runTraceText(spec, 120, 8));
 }
 
-TEST(PacketTrace, Grid3x3TraceIdenticalAcrossEngines)
+TEST(PacketTrace, Grid3x3TraceMatchesPerUserOracle)
 {
-    EXPECT_EQ(runTraceText(tracedGrid(), 120, 2, true),
+    EXPECT_EQ(oracleTraceText(tracedGrid(), 120),
               runTraceText(tracedGrid(), 120, 2));
 }
 
-TEST(PacketTrace, DenseUrban10kTraceThreadAndEngineInvariant)
+TEST(PacketTrace, DenseUrban10kTraceThreadInvariantAndMatchesOracle)
 {
     NetworkSpec spec = networkPreset("dense-urban-10k");
     spec.calibrationFile = calibrationPath();
@@ -242,19 +248,19 @@ TEST(PacketTrace, DenseUrban10kTraceThreadAndEngineInvariant)
     const std::string t1 = runTraceText(spec, 16, 1);
     EXPECT_FALSE(t1.empty());
     EXPECT_EQ(t1, runTraceText(spec, 16, 8));
-    EXPECT_EQ(t1, runTraceText(spec, 16, 2, true));
+    EXPECT_EQ(t1, oracleTraceText(spec, 16));
 }
 
-TEST(PacketTrace, NewClassAwarePathsAreEngineInvariantToo)
+TEST(PacketTrace, NewClassAwarePathsMatchOracleToo)
 {
     // The qdisc / control-class / contention wiring is duplicated
-    // across both engines; the trace is the strongest equivalence
-    // witness for it.
+    // in the engine and the oracle; the trace is the strongest
+    // equivalence witness for it.
     NetworkSpec spec = tracedGrid();
     spec.traffic.qdisc = mac::QdiscKind::StrictPriority;
     spec.traffic.controlRate = 0.05;
     spec.scheduler.contention = mac::ContentionMode::Fixed;
-    const std::string t_per = runTraceText(spec, 100, 1, true);
+    const std::string t_per = oracleTraceText(spec, 100);
     EXPECT_EQ(t_per, runTraceText(spec, 100, 4));
     EXPECT_NE(t_per.find(" ctrl "), std::string::npos)
         << "control arrivals must appear in the trace";

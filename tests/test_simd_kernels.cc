@@ -409,7 +409,7 @@ TEST_F(SimdKernelTest, SinrAccumBatchMatchesScalarReference)
     for (std::uint64_t t :
          {std::uint64_t(0), std::uint64_t(7),
           std::uint64_t(91234)}) {
-        // Reference: the per-user engine's scalar expression,
+        // Reference: the per-user oracle's scalar expression,
         // written out longhand.
         std::vector<double> want(n);
         for (size_t i = 0; i < n; ++i) {

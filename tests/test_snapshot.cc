@@ -5,16 +5,22 @@
  * bounds-checked read, and the engine-level checkpoint/resume is a
  * pure observer -- a run that saves checkpoints, and a run resumed
  * from one, both produce byte-identical run reports and packet
- * traces vs an uninterrupted run, across 1/2/8 threads, the SoA
- * engine and the per-user reference engine, and a cross-engine
- * save/resume pair.
+ * traces vs an uninterrupted run and vs the single-threaded per-user
+ * oracle, with saves and resumes at 1/2/8 threads. A snapshot that
+ * is past the horizon, truncated or corrupted resumes or exits
+ * through fatal(), never through an abort or a crash.
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
+#include "common/random.hh"
 #include "common/snapshot.hh"
 #include "mac/packet_trace.hh"
 #include "peruser_reference.hh"
@@ -45,26 +51,38 @@ mobileSpec()
     return spec;
 }
 
+/** @p base saving a snapshot to @p file every @p every slots. */
+NetworkSpec
+savingSpec(const NetworkSpec &base, const std::string &file,
+           std::uint64_t every)
+{
+    NetworkSpec spec = base;
+    spec.checkpoint.file = file;
+    spec.checkpoint.everySlots = every;
+    return spec;
+}
+
+/** @p base resuming from the snapshot @p file. */
+NetworkSpec
+resumingSpec(const NetworkSpec &base, const std::string &file)
+{
+    NetworkSpec spec = base;
+    spec.checkpoint.file = file;
+    spec.checkpoint.resume = true;
+    return spec;
+}
+
 /** One run's report (as runCampaignShard() writes it) + trace. */
 struct RunArtifacts {
     std::string report;
     std::string trace;
 };
 
-/**
- * Run @p spec traced on the SoA engine, or on the per-user reference
- * engine when @p per_user is set.
- */
+/** The artifacts of @p res, a run of @p spec over @p slots slots. */
 RunArtifacts
-runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads,
-        bool per_user = false)
+artifactsOf(const NetworkSpec &spec, std::uint64_t slots,
+            const NetworkResult &res)
 {
-    NetworkSpec traced = spec;
-    traced.trace = true;
-    NetworkSim sim(traced);
-    const NetworkResult res = per_user
-                                  ? runPerUserReference(sim, slots, threads)
-                                  : sim.run(slots, threads);
     // The config echo is left out: checkpointed, resumed and
     // uninterrupted runs intentionally differ in their checkpoint
     // keys, and the comparisons isolate the *results*.
@@ -79,6 +97,49 @@ runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads,
     unit.stats = res.aggregate;
     rep.units = {unit};
     return {rep.toJsonText(), res.trace->toText()};
+}
+
+/** Run @p spec traced on the SoA engine. */
+RunArtifacts
+runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads)
+{
+    NetworkSpec traced = spec;
+    traced.trace = true;
+    return artifactsOf(spec, slots,
+                       NetworkSim(traced).run(slots, threads));
+}
+
+/** Run @p spec traced on the per-user oracle. */
+RunArtifacts
+runOracle(const NetworkSpec &spec, std::uint64_t slots)
+{
+    NetworkSpec traced = spec;
+    traced.trace = true;
+    return artifactsOf(spec, slots,
+                       runPerUserReference(NetworkSim(traced), slots));
+}
+
+void
+expectSameArtifacts(const RunArtifacts &got, const RunArtifacts &want)
+{
+    EXPECT_EQ(got.report, want.report);
+    EXPECT_EQ(got.trace, want.trace);
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    ASSERT_TRUE(out.good()) << path;
 }
 
 } // namespace
@@ -165,66 +226,56 @@ TEST(SnapshotDeath, RejectsMissingFileAndMarkerSkew)
 
 // ------------------------------------------- checkpoint / resume
 
-TEST(CheckpointResume, BitIdenticalAcrossThreadsAndEngines)
+TEST(CheckpointResume, SaveAndResumeMatchUninterruptedRunAndOracle)
 {
     constexpr std::uint64_t kSlots = 200;
     constexpr std::uint64_t kEvery = 100;
+    const NetworkSpec base = mobileSpec();
+    const RunArtifacts oracle = runOracle(base, kSlots);
+    const RunArtifacts reference = runOnce(base, kSlots, 2);
+    expectSameArtifacts(reference, oracle);
+    const std::string ckpt =
+        ::testing::TempDir() + "wilis_ckpt_threads.snap";
 
-    for (const bool per_user : {false, true}) {
-        const std::string engine = per_user ? "peruser" : "soa";
-        SCOPED_TRACE(engine);
-        const NetworkSpec base = mobileSpec();
-        const RunArtifacts reference = runOnce(base, kSlots, 2, per_user);
-        const std::string ckpt =
-            ::testing::TempDir() + "wilis_ckpt_" + engine + ".snap";
-
-        // A run that *saves* checkpoints is a pure observer: same
-        // report, same trace.
-        NetworkSpec saving = base;
-        saving.checkpoint.file = ckpt;
-        saving.checkpoint.everySlots = kEvery;
-        const RunArtifacts observed = runOnce(saving, kSlots, 2, per_user);
-        EXPECT_EQ(observed.report, reference.report);
-        EXPECT_EQ(observed.trace, reference.trace);
-
-        // Resuming from the slot-100 snapshot must replay slots
-        // 100..200 into byte-identical artifacts, at any thread
-        // count.
-        NetworkSpec resuming = base;
-        resuming.checkpoint.file = ckpt;
-        resuming.checkpoint.resume = true;
-        for (int threads : {1, 2, 8}) {
-            SCOPED_TRACE(threads);
-            const RunArtifacts resumed =
-                runOnce(resuming, kSlots, threads, per_user);
-            EXPECT_EQ(resumed.report, reference.report);
-            EXPECT_EQ(resumed.trace, reference.trace);
-        }
-        std::remove(ckpt.c_str());
+    // A run that *saves* checkpoints is a pure observer (same
+    // report, same trace), and its snapshot bytes do not depend on
+    // the thread count.
+    std::string snapshot;
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        expectSameArtifacts(
+            runOnce(savingSpec(base, ckpt, kEvery), kSlots, threads),
+            oracle);
+        const std::string bytes = readBytes(ckpt);
+        if (snapshot.empty())
+            snapshot = bytes;
+        EXPECT_EQ(bytes, snapshot);
     }
+
+    // Resuming from the slot-100 snapshot must replay slots 100..200
+    // into byte-identical artifacts, at any thread count.
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        const RunArtifacts resumed =
+            runOnce(resumingSpec(base, ckpt), kSlots, threads);
+        expectSameArtifacts(resumed, reference);
+        expectSameArtifacts(resumed, oracle);
+    }
+    std::remove(ckpt.c_str());
 }
 
-TEST(CheckpointResume, SnapshotResumesUnderTheOtherEngine)
+TEST(CheckpointResume, SnapshotSavedAt8ThreadsResumesAt1)
 {
     constexpr std::uint64_t kSlots = 160;
-    const RunArtifacts reference = runOnce(mobileSpec(), kSlots, 2);
+    const NetworkSpec base = mobileSpec();
     const std::string ckpt =
-        ::testing::TempDir() + "wilis_ckpt_cross.snap";
+        ::testing::TempDir() + "wilis_ckpt_8to1.snap";
+    runOnce(savingSpec(base, ckpt, 80), kSlots, 8);
 
-    // Save under SoA; the canonical serialization order (global
-    // user id / cell index) is engine-neutral, so the per-user
-    // engine must resume it bit-identically.
-    NetworkSpec saving = mobileSpec();
-    saving.checkpoint.file = ckpt;
-    saving.checkpoint.everySlots = 80;
-    runOnce(saving, kSlots, 2);
-
-    NetworkSpec resuming = mobileSpec();
-    resuming.checkpoint.file = ckpt;
-    resuming.checkpoint.resume = true;
-    const RunArtifacts resumed = runOnce(resuming, kSlots, 2, true);
-    EXPECT_EQ(resumed.report, reference.report);
-    EXPECT_EQ(resumed.trace, reference.trace);
+    const RunArtifacts resumed =
+        runOnce(resumingSpec(base, ckpt), kSlots, 1);
+    expectSameArtifacts(resumed, runOnce(base, kSlots, 2));
+    expectSameArtifacts(resumed, runOracle(base, kSlots));
     std::remove(ckpt.c_str());
 }
 
@@ -239,4 +290,57 @@ TEST(CheckpointResumeDeath, ResumeWithoutSnapshotIsFatal)
     req.slots = 40;
     req.threads = 1;
     EXPECT_DEATH(runCampaignShard(req), "");
+}
+
+TEST(CheckpointResumeDeath, ResumePastTheHorizonIsFatal)
+{
+    const std::string ckpt =
+        ::testing::TempDir() + "wilis_ckpt_horizon.snap";
+    runOnce(savingSpec(mobileSpec(), ckpt, 100), 200, 1);
+    EXPECT_EXIT(runOnce(resumingSpec(mobileSpec(), ckpt), 50, 1),
+                testing::ExitedWithCode(1),
+                "fatal: checkpoint '.*wilis_ckpt_horizon.snap' is at "
+                "slot 100, past the 50-slot horizon");
+    std::remove(ckpt.c_str());
+}
+
+/**
+ * Seeded single-byte corruption of a traced mobile snapshot: each
+ * damaged file must either resume to completion (exit 0) or be
+ * rejected through fatal() (exit 1) -- never abort, crash or hit
+ * undefined behavior on a restored value.
+ */
+TEST(CheckpointResumeDeath, CorruptSnapshotsResumeOrExitFatal)
+{
+    constexpr std::uint64_t kSlots = 120;
+    constexpr int kFlips = 200;
+    const std::string ckpt =
+        ::testing::TempDir() + "wilis_ckpt_corrupt.snap";
+    runOnce(savingSpec(mobileSpec(), ckpt, 60), kSlots, 1);
+    const std::string good = readBytes(ckpt);
+    ASSERT_FALSE(good.empty());
+
+    const CounterRng rng(0x5EEDF11Bull);
+    for (int k = 0; k < kFlips; ++k) {
+        const std::uint64_t draw = rng.at(static_cast<std::uint64_t>(k));
+        std::string bad = good;
+        const size_t pos = static_cast<size_t>(draw % bad.size());
+        bad[pos] = static_cast<char>(
+            bad[pos] ^ static_cast<char>(1 + (draw >> 32) % 255));
+        writeBytes(ckpt, bad);
+        SCOPED_TRACE(testing::Message() << "byte " << pos);
+        EXPECT_EXIT(
+            {
+                runOnce(resumingSpec(mobileSpec(), ckpt), kSlots, 1);
+                std::fputs("resumed\n", stderr);
+                std::exit(0);
+            },
+            [](int status) {
+                return WIFEXITED(status) &&
+                       (WEXITSTATUS(status) == 0 ||
+                        WEXITSTATUS(status) == 1);
+            },
+            "resumed|fatal:");
+    }
+    std::remove(ckpt.c_str());
 }
