@@ -10,6 +10,7 @@
 #include <string_view>
 #include <tuple>
 
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -36,6 +37,25 @@ constexpr size_t kMaxLine = 6 * 21 + 2 * 8 + 8;
 
 /** Bytes the text writer buffers before handing them to its sink. */
 constexpr size_t kChunk = 64 * 1024;
+
+/**
+ * Entries save() formats per block: at most kSaveBlock * kMaxLine
+ * bytes of text, typically ~70 KiB.
+ */
+constexpr size_t kSaveBlock = 2048;
+
+/**
+ * A lane's (user, seq) key space may span at most this many times
+ * its entry count to be counting-sorted; sparser lanes are
+ * comparison-sorted.
+ */
+constexpr std::uint64_t kMaxSparsity = 4;
+
+/** Largest tie bucket insertion-sorted; bigger ones use std::sort. */
+constexpr std::ptrdiff_t kInsertionMax = 32;
+
+using Entry = PacketTrace::Entry;
+static_assert(sizeof(Entry) == 48, "trace entries pack into 48 bytes");
 
 /** The trace-file name of @p ev; "?" outside the enum. */
 std::string_view
@@ -74,6 +94,17 @@ putName(char *p, std::string_view name)
     return p + name.size();
 }
 
+/** Append the two header lines at @p p; returns the end. */
+char *
+putHeader(char *p)
+{
+    for (const char *line : {kHeader, kColumns}) {
+        p = putName(p, line);
+        *p++ = '\n';
+    }
+    return p;
+}
+
 /** Append @p v in decimal and a separator at @p p; returns the end. */
 template <class T>
 char *
@@ -90,7 +121,7 @@ putInt(char *p, T v, char sep)
  * behind save(), toText() and diff().
  */
 char *
-formatEntry(char *p, const PacketTrace::Entry &e)
+formatEntry(char *p, const Entry &e)
 {
     p = putInt(p, e.slot, ' ');
     p = putInt(p, e.cell, ' ');
@@ -106,7 +137,7 @@ formatEntry(char *p, const PacketTrace::Entry &e)
 
 /** One entry as its text line, without the newline. */
 std::string
-entryText(const PacketTrace::Entry &e)
+entryText(const Entry &e)
 {
     char buf[kMaxLine];
     return std::string(buf, formatEntry(buf, e) - 1);
@@ -119,16 +150,12 @@ entryText(const PacketTrace::Entry &e)
  */
 template <class Sink>
 void
-writeText(const std::vector<PacketTrace::Entry> &entries, Sink &&sink)
+writeText(std::span<const Entry> entries, Sink &&sink)
 {
     std::vector<char> buf(kChunk);
     char *const begin = buf.data();
-    char *p = begin;
-    for (const char *line : {kHeader, kColumns}) {
-        p = putName(p, line);
-        *p++ = '\n';
-    }
-    for (const PacketTrace::Entry &e : entries) {
+    char *p = putHeader(begin);
+    for (const Entry &e : entries) {
         if (static_cast<size_t>(begin + kChunk - p) < kMaxLine) {
             sink(begin, static_cast<size_t>(p - begin));
             p = begin;
@@ -138,9 +165,59 @@ writeText(const std::vector<PacketTrace::Entry> &entries, Sink &&sink)
     sink(begin, static_cast<size_t>(p - begin));
 }
 
+/**
+ * The same bytes as writeText(), formatted in parallel: workers
+ * 1..@p formatters each format one block of kSaveBlock entries per
+ * round into their half of a double buffer, while worker 0 hands
+ * the previous round's blocks to @p sink in order. One barrier per
+ * round passes the buffers over, so at most 2 * @p formatters
+ * blocks of text exist at once.
+ */
+template <class Sink>
+void
+writeTextParallel(std::span<const Entry> entries, int formatters,
+                  Sink &&sink)
+{
+    char header[2 * kMaxLine];
+    sink(header, static_cast<size_t>(putHeader(header) - header));
+    const size_t f = static_cast<size_t>(formatters);
+    const size_t blocks = (entries.size() + kSaveBlock - 1) / kSaveBlock;
+    const size_t rounds = (blocks + f - 1) / f;
+    std::vector<std::unique_ptr<char[]>> buf(2 * f);
+    std::vector<size_t> len(2 * f, 0);
+    LockstepTeam team(formatters + 1);
+    team.run([&](int w) {
+        for (size_t r = 0; r <= rounds; ++r) {
+            if (w == 0 && r > 0) {
+                for (size_t j = 0; j < f; ++j) {
+                    const size_t k = ((r - 1) & 1) * f + j;
+                    if (len[k] > 0)
+                        sink(buf[k].get(), len[k]);
+                }
+            } else if (w > 0 && r < rounds) {
+                const size_t b = r * f + static_cast<size_t>(w - 1);
+                const size_t k = (r & 1) * f + static_cast<size_t>(w - 1);
+                len[k] = 0;
+                if (b < blocks) {
+                    if (!buf[k])
+                        buf[k].reset(new char[kSaveBlock * kMaxLine]);
+                    char *p = buf[k].get();
+                    for (const Entry &e : entries.subspan(
+                             b * kSaveBlock,
+                             std::min(kSaveBlock,
+                                      entries.size() - b * kSaveBlock)))
+                        p = formatEntry(p, e);
+                    len[k] = static_cast<size_t>(p - buf[k].get());
+                }
+            }
+            team.barrier();
+        }
+    });
+}
+
 /** The canonical total order (see the file comment). */
 bool
-entryLess(const PacketTrace::Entry &a, const PacketTrace::Entry &b)
+entryLess(const Entry &a, const Entry &b)
 {
     return std::tie(a.cell, a.user, a.seq, a.slot, a.event, a.arg0,
                     a.arg1, a.cls) < std::tie(b.cell, b.user, b.seq,
@@ -149,55 +226,59 @@ entryLess(const PacketTrace::Entry &a, const PacketTrace::Entry &b)
 }
 
 /**
- * K-way merge of the individually sorted @p shards into @p out,
- * freeing each shard as soon as it is consumed. Each step copies the
- * smallest head's whole run up to the next shard's head, so shards
- * whose key ranges do not overlap -- every engine trace, sharded by
- * cell or by user -- merge as one block copy per shard. Under the
- * total order, equal entries are identical, so the result is the
- * sort of the concatenation whatever the shard boundaries.
+ * Order one (user, seq) bucket by entryLess. Recording order is not
+ * canonical within a bucket (a handover at seq 0 is recorded before
+ * packet 0's enqueue in the same slot), but buckets are a handful
+ * of mostly ordered entries, so insertion sort is linear in
+ * practice; a large hand-built bucket gets std::sort.
  */
 void
-mergeShards(std::vector<std::vector<PacketTrace::Entry>> &shards,
-            std::vector<PacketTrace::Entry> &out)
+orderTies(Entry *first, Entry *last)
 {
-    using Entry = PacketTrace::Entry;
-    struct Cursor {
-        std::vector<Entry> *shard;
-        size_t pos;
-        const Entry &head() const { return (*shard)[pos]; }
-    };
-    // std heap functions keep the max on top; invert for a min-heap.
-    const auto later = [](const Cursor &a, const Cursor &b) {
-        return entryLess(b.head(), a.head());
-    };
-    size_t total = 0;
-    std::vector<Cursor> heap;
-    for (std::vector<Entry> &s : shards) {
-        total += s.size();
-        if (!s.empty())
-            heap.push_back(Cursor{&s, 0});
+    if (last - first > kInsertionMax) {
+        std::sort(first, last, entryLess);
+        return;
     }
-    out.reserve(total);
-    std::make_heap(heap.begin(), heap.end(), later);
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), later);
-        Cursor c = heap.back();
-        heap.pop_back();
-        std::vector<Entry> &s = *c.shard;
-        auto first = s.begin() + static_cast<std::ptrdiff_t>(c.pos);
-        auto last = heap.empty()
-                        ? s.end()
-                        : std::upper_bound(first, s.end(),
-                                           heap.front().head(),
-                                           entryLess);
-        out.insert(out.end(), first, last);
-        if (last == s.end()) {
-            std::vector<Entry>().swap(s);
-        } else {
-            c.pos = static_cast<size_t>(last - s.begin());
-            heap.push_back(c);
-            std::push_heap(heap.begin(), heap.end(), later);
+    for (Entry *i = first + 1; i < last; ++i) {
+        const Entry e = *i;
+        Entry *j = i;
+        for (; j != first && entryLess(e, j[-1]); --j)
+            *j = j[-1];
+        *j = e;
+    }
+}
+
+/**
+ * K-way merge of the individually sorted @p runs into @p out. Each
+ * step copies the smallest head's whole run up to the next run's
+ * head, so runs whose key ranges barely overlap merge in a few
+ * block copies. Under the total order, equal entries are identical,
+ * so the result is the sort of the concatenation whatever the run
+ * boundaries.
+ */
+void
+mergeShards(std::vector<std::span<const Entry>> runs, Entry *out)
+{
+    // std heap functions keep the max on top; invert for a min-heap.
+    const auto later = [](std::span<const Entry> a,
+                          std::span<const Entry> b) {
+        return entryLess(b.front(), a.front());
+    };
+    std::make_heap(runs.begin(), runs.end(), later);
+    while (!runs.empty()) {
+        std::pop_heap(runs.begin(), runs.end(), later);
+        const std::span<const Entry> run = runs.back();
+        runs.pop_back();
+        const auto last =
+            runs.empty() ? run.end()
+                         : std::upper_bound(run.begin(), run.end(),
+                                            runs.front().front(),
+                                            entryLess);
+        out = std::copy(run.begin(), last, out);
+        if (last != run.end()) {
+            runs.push_back(run.subspan(
+                static_cast<size_t>(last - run.begin())));
+            std::push_heap(runs.begin(), runs.end(), later);
         }
     }
 }
@@ -218,7 +299,7 @@ badLine(const std::string &path, int lineno, std::string_view line,
  * column, cell and user non-negative, known class and event names.
  * Anything else is fatal naming @p path and @p lineno.
  */
-PacketTrace::Entry
+Entry
 parseEntry(std::string_view line, const std::string &path, int lineno)
 {
     static const char *const kFields[] = {
@@ -255,7 +336,7 @@ parseEntry(std::string_view line, const std::string &path, int lineno)
                     std::string(kFields[k]) + " '" + std::string(f) +
                         "' is not an integer");
     };
-    PacketTrace::Entry e;
+    Entry e;
     number(0, e.slot);
     number(1, e.cell);
     number(2, e.user);
@@ -302,24 +383,95 @@ packetEventFromName(const std::string &name)
 PacketTrace::PacketTrace(int shards)
 {
     wilis_assert(shards >= 1, "packet trace needs >= 1 shard");
-    shards_.resize(static_cast<size_t>(shards));
+    lanes_.resize(static_cast<size_t>(shards));
 }
 
 void
-PacketTrace::record(int shard, const Entry &e)
+PacketTrace::sortLane(Lane &lane, Entry *out)
 {
-    // Shard ownership (one recording worker per shard, finalize only
-    // after the team joins) is barrier-phase discipline: no lock to
-    // annotate, so it is checked dynamically -- these panics catch
-    // lifecycle misuse, the CI TSan leg catches two workers sharing
-    // a shard index.
-    wilis_assert(!finalized_,
-                 "record() into a finalized packet trace");
-    wilis_assert(shard >= 0 &&
-                     shard < static_cast<int>(shards_.size()),
-                 "trace shard %d out of %zu", shard,
-                 shards_.size());
-    shards_[static_cast<size_t>(shard)].push_back(e);
+    const size_t n = lane.size();
+    if (n == 0)
+        return;
+    // Visit every recorded entry, block by block; @p done(b) runs
+    // after block b.
+    const auto each = [&lane](auto &&fn, auto &&done) {
+        for (size_t b = 0; b < lane.blocks.size(); ++b) {
+            const Entry *p = lane.blocks[b].get();
+            const Entry *const end = p + lane.blockSize(b);
+            for (; p != end; ++p)
+                fn(*p);
+            done(b);
+        }
+    };
+    const auto keep = [](size_t) {};
+    const auto free_block = [&lane](size_t b) { lane.blocks[b].reset(); };
+    // The fallback: copy the blocks out, then one comparison sort.
+    const auto copy_and_sort = [&] {
+        Entry *o = out;
+        each([&o](const Entry &e) { *o++ = e; }, free_block);
+        lane.clear();
+        std::sort(out, out + n, entryLess);
+    };
+
+    const Entry &first = lane.blocks.front()[0];
+    std::int32_t cell_lo = first.cell, cell_hi = first.cell;
+    std::int32_t user_lo = first.user, user_hi = first.user;
+    each([&](const Entry &e) {
+        cell_lo = std::min(cell_lo, e.cell);
+        cell_hi = std::max(cell_hi, e.cell);
+        user_lo = std::min(user_lo, e.user);
+        user_hi = std::max(user_hi, e.user);
+    }, keep);
+    const std::uint64_t budget = kMaxSparsity * n;
+    const std::uint64_t user_span = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(user_hi) - user_lo);
+    if (cell_lo != cell_hi || n > UINT32_MAX || user_span >= budget)
+        return copy_and_sort();
+
+    // Each user's seq range, then one bucket per (user, seq) in
+    // canonical order: key = off[user] + seq, wrapping arithmetic
+    // folding in the user's first bucket and lowest seq.
+    const size_t users = static_cast<size_t>(user_span) + 1;
+    // Wrapping size_t arithmetic: user - user_lo without int32
+    // overflow.
+    const size_t user_base = static_cast<size_t>(user_lo);
+    std::vector<std::uint64_t> seq_lo(users, UINT64_MAX);
+    std::vector<std::uint64_t> seq_hi(users, 0);
+    each([&](const Entry &e) {
+        const size_t u = static_cast<size_t>(e.user) - user_base;
+        seq_lo[u] = std::min(seq_lo[u], e.seq);
+        seq_hi[u] = std::max(seq_hi[u], e.seq);
+    }, keep);
+    std::vector<std::uint64_t> off(users, 0);
+    std::uint64_t buckets = 0;
+    for (size_t u = 0; u < users; ++u) {
+        if (seq_lo[u] > seq_hi[u])
+            continue;
+        const std::uint64_t span = seq_hi[u] - seq_lo[u];
+        if (span >= budget - buckets)
+            return copy_and_sort();
+        off[u] = buckets - seq_lo[u];
+        buckets += span + 1;
+    }
+    const auto key = [&](const Entry &e) {
+        return static_cast<size_t>(
+            off[static_cast<size_t>(e.user) - user_base] + e.seq);
+    };
+
+    // Counting sort: pos[k] becomes bucket k's first slot, then,
+    // after the scatter, its end.
+    std::vector<std::uint32_t> pos(static_cast<size_t>(buckets) + 1, 0);
+    each([&](const Entry &e) { ++pos[key(e) + 1]; }, keep);
+    for (size_t k = 1; k < pos.size(); ++k)
+        pos[k] += pos[k - 1];
+    each([&](const Entry &e) { out[pos[key(e)]++] = e; }, free_block);
+    lane.clear();
+    std::uint32_t begin = 0;
+    for (size_t k = 0; k < buckets; ++k) {
+        if (pos[k] - begin > 1)
+            orderTies(out + begin, out + pos[k]);
+        begin = pos[k];
+    }
 }
 
 void
@@ -327,43 +479,70 @@ PacketTrace::finalize(int threads)
 {
     if (finalized_)
         return;
-    // Shards sort independently, so the merge is the same whichever
-    // worker sorted what. The sort key is total, so the result is
-    // independent of the per-shard generation order -- the property
-    // every thread-count and engine equivalence test rides on.
-    const auto sort_shard = [this](std::uint64_t i) {
-        std::sort(shards_[i].begin(), shards_[i].end(), entryLess);
+    threads_ = std::max(threads, 1);
+    std::vector<size_t> offset(lanes_.size() + 1, 0);
+    for (size_t i = 0; i < lanes_.size(); ++i)
+        offset[i + 1] = offset[i] + lanes_[i].size();
+    size_ = offset.back();
+    // Every lane sorts straight into its own slice of the one final
+    // array, so the worker that fills a slice touches its pages
+    // first. The sort key is total, so the result is independent of
+    // the per-lane recording order and of which worker sorted what
+    // -- the property every thread-count and engine equivalence
+    // test rides on.
+    entries_ = allocEntries(size_);
+    const auto sort_lane = [this, &offset](std::uint64_t i) {
+        sortLane(lanes_[i], entries_.get() + offset[i]);
     };
     const size_t workers = std::min(
-        static_cast<size_t>(std::max(threads, 1)), shards_.size());
+        static_cast<size_t>(threads_), lanes_.size());
     if (workers > 1) {
         // The calling thread is the pool's last worker.
         ThreadPool pool(static_cast<int>(workers) - 1);
-        pool.parallelFor(shards_.size(), sort_shard);
+        pool.parallelFor(lanes_.size(), sort_lane);
     } else {
-        for (size_t i = 0; i < shards_.size(); ++i)
-            sort_shard(i);
+        for (size_t i = 0; i < lanes_.size(); ++i)
+            sort_lane(i);
     }
-    mergeShards(shards_, entries_);
+
+    // Engine lanes hold disjoint key ranges in lane order (one cell
+    // each, or one user each of one cell), so the sorted slices
+    // already concatenate in canonical order. Lanes whose ranges
+    // overlap (hand-built traces) are merged.
+    std::vector<std::span<const Entry>> runs;
+    bool ordered = true;
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+        if (offset[i] == offset[i + 1])
+            continue;
+        const std::span<const Entry> run(entries_.get() + offset[i],
+                                         offset[i + 1] - offset[i]);
+        if (!runs.empty() && entryLess(run.front(), runs.back().back()))
+            ordered = false;
+        runs.push_back(run);
+    }
+    if (!ordered) {
+        EntryBuf merged = allocEntries(size_);
+        mergeShards(std::move(runs), merged.get());
+        entries_ = std::move(merged);
+    }
+    lanes_.clear();
     finalized_ = true;
 }
 
-const std::vector<PacketTrace::Entry> &
+std::span<const PacketTrace::Entry>
 PacketTrace::entries() const
 {
     wilis_assert(finalized_,
                  "entries() before finalize() on a packet trace");
-    return entries_;
+    return {entries_.get(), size_};
 }
 
 std::string
 PacketTrace::toText() const
 {
-    wilis_assert(finalized_,
-                 "toText() before finalize() on a packet trace");
     std::string out;
-    out.reserve(entries_.size() * 40 + 64);
-    writeText(entries_, [&out](const char *data, size_t n) {
+    out.reserve(entries().size() * 40 + 64);
+    writeText(entries(), [&out](const char *data, size_t n) {
         out.append(data, n);
     });
     return out;
@@ -374,22 +553,35 @@ PacketTrace::save(const std::string &path) const
 {
     wilis_assert(finalized_,
                  "save() before finalize() on a packet trace");
-    const auto fail = [&path] {
+    const auto fail = [&path](int err) {
         wilis_fatal("cannot write packet trace '%s': %s",
-                    path.c_str(), std::strerror(errno));
+                    path.c_str(), std::strerror(err));
     };
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
-        fail();
-    // writeText() hands over whole chunks; a stdio buffer would only
-    // add a copy.
+        fail(errno);
+    // The writers hand over whole chunks; a stdio buffer would only
+    // add a copy. The first write error is kept and reported once
+    // every worker has stopped.
     std::setvbuf(f, nullptr, _IONBF, 0);
-    writeText(entries_, [&](const char *data, size_t n) {
-        if (std::fwrite(data, 1, n, f) != n)
-            fail();
-    });
+    int err = 0;
+    const auto sink = [&](const char *data, size_t n) {
+        if (err == 0 && std::fwrite(data, 1, n, f) != n)
+            err = errno != 0 ? errno : EIO;
+    };
+    const size_t blocks = (size_ + kSaveBlock - 1) / kSaveBlock;
+    const int formatters = static_cast<int>(
+        std::min(static_cast<size_t>(threads_ - 1), blocks));
+    if (formatters > 0)
+        writeTextParallel(entries(), formatters, sink);
+    else
+        writeText(entries(), sink);
+    if (err != 0) {
+        std::fclose(f);
+        fail(err);
+    }
     if (std::fclose(f) != 0)
-        fail();
+        fail(errno);
 }
 
 PacketTrace
@@ -446,8 +638,8 @@ PacketTrace::load(const std::string &path)
 std::string
 PacketTrace::diff(const PacketTrace &a, const PacketTrace &b)
 {
-    const std::vector<Entry> &ea = a.entries();
-    const std::vector<Entry> &eb = b.entries();
+    const std::span<const Entry> ea = a.entries();
+    const std::span<const Entry> eb = b.entries();
     const size_t n = std::min(ea.size(), eb.size());
     for (size_t i = 0; i < n; ++i) {
         if (!(ea[i] == eb[i]))
@@ -468,18 +660,21 @@ PacketTrace::saveState(SnapshotWriter &w) const
     wilis_assert(!finalized_,
                  "saveState() on a finalized packet trace");
     w.marker(0x43415254); // "TRAC"
-    w.u64(shards_.size());
-    for (const std::vector<Entry> &shard : shards_) {
-        w.u64(shard.size());
-        for (const Entry &e : shard) {
-            w.u64(e.slot);
-            w.i64(e.cell);
-            w.i64(e.user);
-            w.u8(static_cast<std::uint8_t>(e.cls));
-            w.u64(e.seq);
-            w.u8(static_cast<std::uint8_t>(e.event));
-            w.i64(e.arg0);
-            w.i64(e.arg1);
+    w.u64(lanes_.size());
+    for (const Lane &lane : lanes_) {
+        w.u64(lane.size());
+        for (size_t b = 0; b < lane.blocks.size(); ++b) {
+            const Entry *p = lane.blocks[b].get();
+            for (const Entry *e = p; e != p + lane.blockSize(b); ++e) {
+                w.u64(e->slot);
+                w.i64(e->cell);
+                w.i64(e->user);
+                w.u8(static_cast<std::uint8_t>(e->cls));
+                w.u64(e->seq);
+                w.u8(static_cast<std::uint8_t>(e->event));
+                w.i64(e->arg0);
+                w.i64(e->arg1);
+            }
         }
     }
 }
@@ -491,17 +686,16 @@ PacketTrace::loadState(SnapshotReader &r, int cells, int users)
                  "loadState() on a finalized packet trace");
     r.marker(0x43415254);
     const std::uint64_t shards = r.u64();
-    if (shards != shards_.size())
+    if (shards != lanes_.size())
         r.fail(strprintf("%llu trace shards, the run records %zu",
                          static_cast<unsigned long long>(shards),
-                         shards_.size()));
+                         lanes_.size()));
     // Serialized size of one entry: six 8-byte fields and two
     // one-byte enums.
     constexpr size_t kEntryBytes = 6 * 8 + 2;
-    for (std::vector<Entry> &shard : shards_) {
-        shard.clear();
+    for (size_t shard = 0; shard < lanes_.size(); ++shard) {
+        lanes_[shard].clear();
         const std::uint64_t n = r.count(kEntryBytes);
-        shard.reserve(static_cast<size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
             Entry e;
             e.slot = r.u64();
@@ -516,7 +710,7 @@ PacketTrace::loadState(SnapshotReader &r, int cells, int users)
                 r.u8Below(kNumPacketEvents, "trace entry event"));
             e.arg0 = r.i64();
             e.arg1 = r.i64();
-            shard.push_back(e);
+            record(static_cast<int>(shard), e);
         }
     }
 }

@@ -6,13 +6,13 @@
  * grant, transmission, in-order delivery (ack) and retry-budget
  * expiry -- is recorded with its slot timestamp and packet identity
  * (cell, user, traffic class, per-user sequence number). Engines
- * record into per-shard buffers (one shard per cell in the
+ * record into per-shard lanes (one shard per cell in the
  * multi-cell engines, one per user in the single-cell engine), so
  * recording is race-free without locks; finalize() then sorts each
- * shard in parallel and merges them into the canonical order
- * (cell, user, seq, slot, event), which is a total key over the
- * events one run can produce (the arguments and then the class
- * break any tie a hand-built trace has).
+ * shard in parallel straight into its slice of one array, in the
+ * canonical order (cell, user, seq, slot, event), which is a total
+ * key over the events one run can produce (the arguments and then
+ * the class break any tie a hand-built trace has).
  *
  * That makes the finalized trace a pure function of the NetworkSpec:
  * independent of the worker-thread count, of the cell sharding, and
@@ -32,9 +32,13 @@
 #define WILIS_MAC_PACKET_TRACE_HH
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "mac/traffic.hh"
 
@@ -104,37 +108,54 @@ PacketEvent packetEventFromName(const std::string &name);
 /**
  * The per-packet event log. Thread contract: record() calls must be
  * partitioned by shard (each shard written by exactly one thread at
- * a time); finalize() and everything after it are single-threaded.
+ * a time); finalize() and everything after it are called from one
+ * thread (finalize() and save() fan out over their own workers).
  *
  * The contract is ownership-based, not lock-based, so it is outside
  * what the clang thread-safety analysis can express; it is checked
  * dynamically instead: the CI TSan leg runs every threaded suite
  * over this class (shard-partitioned recording from all workers,
  * finalize on the joining thread), record()/finalize() misuse
- * panics via the assertions in packet_trace.cc, and the byte-exact
- * trace smokes pin the result against re-sharding.
+ * panics via their assertions, and the byte-exact trace smokes pin
+ * the result against re-sharding.
  */
 class PacketTrace
 {
   public:
-    /** One traced event. */
+    /**
+     * One traced event. The 64-bit fields come first so an entry
+     * packs into 48 bytes; the constructor takes the fields in
+     * trace-column order.
+     */
     struct Entry {
         /** Slot timestamp. */
         std::uint64_t slot = 0;
+        /** Per-user packet sequence number (arrival order). */
+        std::uint64_t seq = 0;
+        /** Event-specific argument (see PacketEvent). */
+        std::int64_t arg0 = 0;
+        /** Event-specific argument (see PacketEvent). */
+        std::int64_t arg1 = 0;
         /** Serving cell (0 in single-cell runs). */
         std::int32_t cell = 0;
         /** Global user id. */
         std::int32_t user = 0;
         /** Traffic class of the packet. */
         TrafficClass cls = TrafficClass::Data;
-        /** Per-user packet sequence number (arrival order). */
-        std::uint64_t seq = 0;
         /** What happened. */
         PacketEvent event = PacketEvent::Enqueue;
-        /** Event-specific argument (see PacketEvent). */
-        std::int64_t arg0 = 0;
-        /** Event-specific argument (see PacketEvent). */
-        std::int64_t arg1 = 0;
+
+        /** An all-zero enqueue of a data packet. */
+        Entry() = default;
+
+        /** The fields in the order a trace line prints them. */
+        Entry(std::uint64_t slot_, std::int32_t cell_,
+              std::int32_t user_, TrafficClass cls_,
+              std::uint64_t seq_, PacketEvent event_,
+              std::int64_t arg0_, std::int64_t arg1_)
+            : slot(slot_), seq(seq_), arg0(arg0_), arg1(arg1_),
+              cell(cell_), user(user_), cls(cls_), event(event_)
+        {}
 
         /** Field-wise equality. */
         bool operator==(const Entry &other) const = default;
@@ -147,11 +168,15 @@ class PacketTrace
     void record(int shard, const Entry &e);
 
     /**
-     * Sort every shard on its own, @p threads at a time, then merge
-     * them into the canonical (cell, user, seq, slot, event) order.
-     * Pass the run's worker count; the result does not depend on
-     * it. Idempotent; required before entries() / toText() / save()
-     * / diff().
+     * Sort every shard on its own, @p threads at a time, into the
+     * canonical (cell, user, seq, slot, event) order. A shard that
+     * holds one cell is counting-sorted on (user, seq) straight into
+     * its slice of the final array; a shard spanning several cells
+     * or too sparse a (user, seq) range falls back to a comparison
+     * sort, and shards whose key ranges overlap are merged. Pass the run's worker count; the result does not
+     * depend on it, and save() formats on as many workers.
+     * Idempotent; required before entries() / toText() / save() /
+     * diff().
      */
     void finalize(int threads = 1);
 
@@ -159,15 +184,17 @@ class PacketTrace
     bool finalized() const { return finalized_; }
 
     /** The canonically ordered events (finalized traces only). */
-    const std::vector<Entry> &entries() const;
+    std::span<const Entry> entries() const;
 
     /** Serialize to the versioned text format. */
     std::string toText() const;
 
     /**
-     * Stream the toText() bytes to @p path in fixed-size chunks,
-     * without building the file in memory; fatal naming the path
-     * and the OS error on any open, write or close failure.
+     * Write the toText() bytes to @p path without building the file
+     * in memory: fixed-size blocks of entries are formatted on the
+     * worker count finalize() was given and written in order from a
+     * bounded set of buffers. Fatal naming the path and the OS
+     * error on any open, write or close failure.
      */
     void save(const std::string &path) const;
 
@@ -204,10 +231,100 @@ class PacketTrace
     void loadState(SnapshotReader &r, int cells, int users);
 
   private:
-    std::vector<std::vector<Entry>> shards_;
-    std::vector<Entry> entries_;
+    /** Frees storage from allocEntries(). */
+    struct FreeEntries {
+        void operator()(Entry *p) const { ::operator delete(p); }
+    };
+    /** Uninitialized entry storage: written before it is read. */
+    using EntryBuf = std::unique_ptr<Entry[], FreeEntries>;
+
+    /** Storage for @p n entries, untouched until first written. */
+    static EntryBuf
+    allocEntries(size_t n)
+    {
+        return EntryBuf(
+            static_cast<Entry *>(::operator new(n * sizeof(Entry))));
+    }
+
+    /**
+     * One shard's recording lane: fixed-size blocks that are
+     * appended to and never reallocated, so no entry is copied
+     * before finalize().
+     */
+    struct Lane {
+        /** Entries per block (192 KiB). */
+        static constexpr size_t kBlock = 4096;
+
+        std::vector<EntryBuf> blocks;
+        /** Next free entry of the last block. */
+        Entry *cur = nullptr;
+        /** End of the last block. */
+        Entry *end = nullptr;
+
+        /** Entries recorded so far. */
+        size_t
+        size() const
+        {
+            return blocks.empty()
+                       ? 0
+                       : (blocks.size() - 1) * kBlock +
+                             static_cast<size_t>(
+                                 cur - blocks.back().get());
+        }
+
+        /** Entries in block @p b. */
+        size_t
+        blockSize(size_t b) const
+        {
+            return b + 1 < blocks.size() ? kBlock : size() - b * kBlock;
+        }
+
+        /** Open a fresh block (the last one is full). */
+        void
+        grow()
+        {
+            blocks.push_back(allocEntries(kBlock));
+            cur = blocks.back().get();
+            end = cur + kBlock;
+        }
+
+        /** Drop every block. */
+        void
+        clear()
+        {
+            blocks.clear();
+            cur = end = nullptr;
+        }
+    };
+
+    static void sortLane(Lane &lane, Entry *out);
+
+    std::vector<Lane> lanes_;
+    EntryBuf entries_;
+    size_t size_ = 0;
+    /** Worker count finalize() was given, reused by save(). */
+    int threads_ = 1;
     bool finalized_ = false;
 };
+
+inline void
+PacketTrace::record(int shard, const Entry &e)
+{
+    // Shard ownership (one recording worker per shard, finalize only
+    // after the team joins) is barrier-phase discipline: no lock to
+    // annotate, so it is checked dynamically -- these panics catch
+    // lifecycle misuse, the CI TSan leg catches two workers sharing
+    // a shard index.
+    wilis_assert(!finalized_,
+                 "record() into a finalized packet trace");
+    wilis_assert(shard >= 0 &&
+                     shard < static_cast<int>(lanes_.size()),
+                 "trace shard %d out of %zu", shard, lanes_.size());
+    Lane &lane = lanes_[static_cast<size_t>(shard)];
+    if (lane.cur == lane.end)
+        lane.grow();
+    ::new (lane.cur++) Entry(e);
+}
 
 } // namespace mac
 } // namespace wilis

@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -302,10 +303,10 @@ RunReport::load(const std::string &path)
 RunReport
 runCampaignShard(const RunRequest &req, const UnitObserver &observe)
 {
-    wilis_assert(req.shardCount >= 1 && req.shardIndex >= 0 &&
-                     req.shardIndex < req.shardCount,
-                 "campaign shard %d/%d out of range", req.shardIndex,
-                 req.shardCount);
+    wilis_fatal_if(req.shardCount < 1 || req.shardIndex < 0 ||
+                       req.shardIndex >= req.shardCount,
+                   "campaign shard %d/%d out of range", req.shardIndex,
+                   req.shardCount);
     const int units_total = req.spec.reps;
     wilis_assert(units_total >= 1, "campaign needs >= 1 rep");
     // A packet trace names one run; checkpoint files likewise hold
@@ -394,19 +395,35 @@ runGridShard(const GridRunRequest &req)
 RunReport
 mergeReports(const std::vector<RunReport> &shards)
 {
-    wilis_assert(!shards.empty(), "mergeReports needs >= 1 shard");
+    // Shard reports are files read back from disk: every check on
+    // their content is a fatal naming the offending config or unit.
+    wilis_fatal_if(shards.empty(), "no shard reports to merge");
     const RunReport &first = shards.front();
     for (const RunReport &s : shards) {
-        wilis_assert(!s.merged,
-                     "cannot merge an already-merged report");
-        wilis_assert(s.kind == first.kind && s.config == first.config,
-                     "shard reports describe different campaigns "
-                     "('%s' vs '%s')",
-                     s.config.c_str(), first.config.c_str());
-        wilis_assert(s.slots == first.slots &&
-                         s.packetsPerCell == first.packetsPerCell &&
-                         s.unitsTotal == first.unitsTotal,
-                     "shard reports disagree on the campaign shape");
+        wilis_fatal_if(s.merged,
+                       "cannot merge an already-merged report "
+                       "(config '%s')",
+                       s.config.c_str());
+        wilis_fatal_if(s.kind != first.kind || s.config != first.config,
+                       "shard reports describe different campaigns "
+                       "(%s '%s' vs %s '%s')",
+                       s.kind.c_str(), s.config.c_str(),
+                       first.kind.c_str(), first.config.c_str());
+        wilis_fatal_if(s.slots != first.slots ||
+                           s.packetsPerCell != first.packetsPerCell ||
+                           s.unitsTotal != first.unitsTotal,
+                       "shard reports of config '%s' disagree on the "
+                       "campaign shape (%llu slots, %llu packets per "
+                       "cell, %d units vs %llu, %llu, %d)",
+                       s.config.c_str(),
+                       static_cast<unsigned long long>(s.slots),
+                       static_cast<unsigned long long>(
+                           s.packetsPerCell),
+                       s.unitsTotal,
+                       static_cast<unsigned long long>(first.slots),
+                       static_cast<unsigned long long>(
+                           first.packetsPerCell),
+                       first.unitsTotal);
     }
 
     // Reassemble the campaign's unit list in unit order -- the
@@ -414,14 +431,17 @@ mergeReports(const std::vector<RunReport> &shards)
     // insist the shards partition it exactly.
     const int total = first.unitsTotal;
     std::vector<const UnitReport *> slots_by_unit(
-        static_cast<size_t>(total), nullptr);
+        static_cast<size_t>(std::max(total, 0)), nullptr);
     for (const RunReport &s : shards) {
         for (const UnitReport &u : s.units) {
-            wilis_assert(u.unit >= 0 && u.unit < total,
-                         "unit %d out of campaign range %d", u.unit,
-                         total);
-            wilis_assert(!slots_by_unit[static_cast<size_t>(u.unit)],
-                         "unit %d reported by two shards", u.unit);
+            wilis_fatal_if(u.unit < 0 || u.unit >= total,
+                           "unit %d out of campaign range [0, %d) "
+                           "(config '%s')",
+                           u.unit, total, s.config.c_str());
+            wilis_fatal_if(slots_by_unit[static_cast<size_t>(u.unit)],
+                           "unit %d reported by two shards "
+                           "(config '%s')",
+                           u.unit, s.config.c_str());
             slots_by_unit[static_cast<size_t>(u.unit)] = &u;
         }
     }
@@ -433,8 +453,9 @@ mergeReports(const std::vector<RunReport> &shards)
     out.packetsPerCell = first.packetsPerCell;
     out.unitsTotal = total;
     for (int u = 0; u < total; ++u) {
-        wilis_assert(slots_by_unit[static_cast<size_t>(u)],
-                     "no shard reported unit %d", u);
+        wilis_fatal_if(!slots_by_unit[static_cast<size_t>(u)],
+                       "no shard reported unit %d of %d (config '%s')",
+                       u, total, first.config.c_str());
         out.units.push_back(*slots_by_unit[static_cast<size_t>(u)]);
     }
     out.merged = true;

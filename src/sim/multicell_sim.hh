@@ -10,6 +10,11 @@
  *
  * Execution model: each slot runs two phases separated by a
  * LockstepTeam barrier, cells statically partitioned across workers.
+ * That is the only barrier of an ordinary slot: the activity flags
+ * are double-buffered by slot parity, so a worker may run phase 1
+ * of slot t + 1 while another finishes phase 2 of slot t. Mobility
+ * epoch and checkpoint slots add one barrier before worker 0
+ * mutates or serializes the shared state and one after.
  *
  *   Phase 1 (schedule) -- per cell: deliver due ACKs, draw traffic
  *       arrivals, evaluate eligibility and (for proportional fair)

@@ -713,7 +713,13 @@ runMulticellSoa(
     std::vector<int> granted_soa(static_cast<size_t>(cells), -1);
     std::vector<std::uint64_t> granted_seq(
         static_cast<size_t>(cells), 0);
-    std::vector<std::uint8_t> active(static_cast<size_t>(cells), 0);
+    // Granted-cell flags, double-buffered by slot parity: a worker
+    // already in phase 1 of slot t + 1 writes active[(t + 1) & 1]
+    // while a slower one's phase 2 of slot t still reads
+    // active[t & 1], so no barrier has to separate the two.
+    std::vector<std::uint8_t> active[2] = {
+        std::vector<std::uint8_t>(static_cast<size_t>(cells), 0),
+        std::vector<std::uint8_t>(static_cast<size_t>(cells), 0)};
     const bool class_aware =
         spec.traffic.qdisc == mac::QdiscKind::StrictPriority;
     const bool fixed_contention =
@@ -735,6 +741,7 @@ runMulticellSoa(
             inst_rate[static_cast<size_t>(c)];
         std::vector<mac::Arq::Delivery> &del =
             deliveries[static_cast<size_t>(c)];
+        std::vector<std::uint8_t> &act = active[t & 1];
         // Under fixed contention the medium may still be occupied
         // by the previous grant's contention charge: per-user
         // processes advance, but no grant is issued.
@@ -769,7 +776,7 @@ runMulticellSoa(
             // The contention charge consumes the slot: everyone
             // with traffic stalls, the scheduler's clock advances.
             granted_soa[static_cast<size_t>(c)] = -1;
-            active[static_cast<size_t>(c)] = 0;
+            act[static_cast<size_t>(c)] = 0;
             scheds[static_cast<size_t>(c)].update(-1, 0.0);
             for (size_t m = 0; m < mem.size(); ++m) {
                 if (elig[m])
@@ -782,7 +789,7 @@ runMulticellSoa(
             elig, inst, class_aware ? &urg : nullptr);
         if (pick < 0) {
             granted_soa[static_cast<size_t>(c)] = -1;
-            active[static_cast<size_t>(c)] = 0;
+            act[static_cast<size_t>(c)] = 0;
             scheds[static_cast<size_t>(c)].update(-1, 0.0);
             return;
         }
@@ -807,7 +814,7 @@ runMulticellSoa(
                     first_wait);
         granted_soa[static_cast<size_t>(c)] = static_cast<int>(g);
         granted_seq[static_cast<size_t>(c)] = seq;
-        active[static_cast<size_t>(c)] = 1;
+        act[static_cast<size_t>(c)] = 1;
         scheds[static_cast<size_t>(c)].update(
             pick, static_cast<double>(payload_bits));
         int contenders = 0;
@@ -871,7 +878,7 @@ runMulticellSoa(
 
         const kernels::Ops &ops = kernels::ops();
         ops.sinrAccumBatch(sc.rows.data(), sc.serving.data(),
-                           sc.fade_keys.data(), active.data(),
+                           sc.fade_keys.data(), active[t & 1].data(),
                            cells, t, sc.sig.data(), k, kZeroSinrDb,
                            sc.sinr_db.data());
 
@@ -1063,8 +1070,12 @@ runMulticellSoa(
     n = std::min(n, cells);
 
     // The whole slot loop runs inside one LockstepTeam::run():
-    // cells are statically partitioned across workers and the two
-    // phases are separated by barriers. The SoA lanes have one
+    // cells are statically partitioned across workers and one
+    // barrier per slot separates phase 1 (per-cell scheduling) from
+    // phase 2 (transmission). Phase 2 reads other cells' state only
+    // through active[] (double-buffered by slot parity) and the gain
+    // rows (written only by mobility epochs), so a worker may start
+    // slot t + 1 while others finish slot t. The SoA lanes have one
     // writer per phase and publication rides the barrier's
     // release/acquire edges, so there is no lock for the static
     // analysis to check -- the CI TSan leg enforces this
@@ -1077,32 +1088,28 @@ runMulticellSoa(
         const int c_hi = std::min(cells, c_lo + chunk);
         Scratch sc(static_cast<size_t>(c_hi - c_lo));
         for (std::uint64_t t = start_slot; t < slots; ++t) {
-            if (ckpt_every != 0 && t > start_slot &&
-                t % ckpt_every == 0) {
-                // Every worker evaluates the same condition, so the
-                // whole team is parked at this barrier while worker
-                // 0 serializes -- the snapshot sees the state after
-                // slot t - 1, before slot t's mobility epoch.
-                if (w == 0)
-                    saveCheckpoint(spec, cache, st, t);
+            const bool ckpt = ckpt_every != 0 && t > start_slot &&
+                              t % ckpt_every == 0;
+            const bool epoch = mob && t % epoch_slots == 0;
+            if (ckpt || epoch) {
+                // Worker 0 serializes or mutates every cell's state:
+                // the first barrier waits out every worker's phase 2
+                // of slot t - 1, the second releases the team. The
+                // snapshot sees the state after slot t - 1, before
+                // slot t's mobility epoch.
                 team.barrier();
-            }
-            if (mob && t % epoch_slots == 0) {
-                // The previous slot's trailing barrier (or run()
-                // entry at t = 0) already synced the team, so
-                // worker 0 may mutate any cell's state here; one
-                // barrier releases the others afterwards.
-                if (w == 0)
-                    apply_mobility(t);
+                if (w == 0) {
+                    if (ckpt)
+                        saveCheckpoint(spec, cache, st, t);
+                    if (epoch)
+                        apply_mobility(t);
+                }
                 team.barrier();
             }
             for (int c = c_lo; c < c_hi; ++c)
                 phase_schedule(c, t);
             team.barrier();
             phase_transmit(sc, c_lo, c_hi, t);
-            // Phase 1 of slot t+1 rewrites active[] -- every
-            // worker's phase 2 must have read it first.
-            team.barrier();
         }
     });
 

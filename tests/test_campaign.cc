@@ -279,21 +279,40 @@ TEST(Campaign, ReportSaveLoadRoundTripsByteExactly)
 
 TEST(CampaignDeath, MergeRejectsMalformedShardSets)
 {
+    // Shard reports are read back from files, so a bad shard set is
+    // a clean exit(1) naming the unit or config, never an abort.
     const RunReport a = runCampaignShard(campaignRequest(0, 2, 1));
     const RunReport b = runCampaignShard(campaignRequest(1, 2, 1));
+    const auto rejects = [](const std::vector<RunReport> &shards,
+                            const std::string &why) {
+        EXPECT_EXIT(mergeReports(shards), testing::ExitedWithCode(1),
+                    "fatal: " + why)
+            << why;
+    };
 
-    EXPECT_DEATH(mergeReports({}), "");
+    rejects({}, "no shard reports to merge");
     // Overlap: the same units reported twice.
-    EXPECT_DEATH(mergeReports({a, a}), "two shards");
+    rejects({a, a}, "unit 0 reported by two shards \\(config '");
     // Gap: shard 1 of 2 missing.
-    EXPECT_DEATH(mergeReports({a}), "no shard reported");
+    rejects({a}, "no shard reported unit 1 of 4 \\(config '");
     // Mixed campaigns: configs differ.
     RunReport other = b;
     other.config += ",x";
-    EXPECT_DEATH(mergeReports({a, other}), "different campaigns");
-    // Merging a merged report is a programming error.
+    rejects({a, other},
+            "shard reports describe different campaigns "
+            "\\(network '.*,x' vs network '");
+    // Shape disagreement: same config, another horizon.
+    RunReport longer = b;
+    longer.slots += 1;
+    rejects({a, longer}, "shard reports of config '.*' disagree on "
+                         "the campaign shape \\(41 slots");
+    // A unit index outside the campaign.
+    RunReport stray = b;
+    stray.units.back().unit = 4;
+    rejects({a, stray}, "unit 4 out of campaign range \\[0, 4\\)");
+    // A merged report is not a shard.
     const RunReport merged = mergeReports({a, b});
-    EXPECT_DEATH(mergeReports({merged}), "already-merged");
+    rejects({merged}, "cannot merge an already-merged report");
 }
 
 TEST(CampaignDeath, WrongTypedReportFieldExitsCleanly)
@@ -362,5 +381,7 @@ TEST(CampaignDeath, ShardRunRejectsInvalidRequests)
     EXPECT_DEATH(runCampaignShard(ckpt), "single shard");
 
     // Shard index out of range.
-    EXPECT_DEATH(runCampaignShard(campaignRequest(3, 2, 1)), "");
+    EXPECT_EXIT(runCampaignShard(campaignRequest(3, 2, 1)),
+                testing::ExitedWithCode(1),
+                "fatal: campaign shard 3/2 out of range");
 }

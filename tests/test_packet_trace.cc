@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -167,6 +169,59 @@ randomEntries(std::uint64_t seed, size_t n)
     return out;
 }
 
+/**
+ * A trace shaped like an engine's, in recording (slot) order:
+ * @p users users per cell over @p cells cells, each sending @p seqs
+ * packets through enq, grant, tx and ack, with a retransmission on
+ * every fifth packet and a handover at seq 0 recorded before packet
+ * 0's enqueue in the same slot.
+ */
+std::vector<mac::PacketTrace::Entry>
+engineLikeEntries(int cells, int users, int seqs)
+{
+    using mac::PacketEvent;
+    std::vector<mac::PacketTrace::Entry> out;
+    for (int c = 0; c < cells; ++c) {
+        for (int u = 0; u < users; ++u) {
+            const int user = c * users + u;
+            const auto put = [&](std::uint64_t slot, std::uint64_t seq,
+                                 PacketEvent ev, std::int64_t arg0) {
+                out.emplace_back(slot, c, user, mac::TrafficClass::Data,
+                                 seq, ev, arg0, 0);
+            };
+            put(static_cast<std::uint64_t>(u), 0,
+                PacketEvent::Handover, 0);
+            for (int s = 0; s < seqs; ++s) {
+                const std::uint64_t t =
+                    static_cast<std::uint64_t>(u + 3 * s);
+                const std::uint64_t seq = static_cast<std::uint64_t>(s);
+                put(t, seq, PacketEvent::Enqueue, 1);
+                put(t + 1, seq, PacketEvent::Grant, 1);
+                put(t + 1, seq, PacketEvent::Tx, s % 5 != 0);
+                if (s % 5 == 0) {
+                    put(t + 2, seq, PacketEvent::Grant, 2);
+                    put(t + 2, seq, PacketEvent::Tx, 1);
+                }
+                put(t + 4, seq, PacketEvent::Ack, 1);
+            }
+        }
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const mac::PacketTrace::Entry &a,
+                        const mac::PacketTrace::Entry &b) {
+                         return a.slot < b.slot;
+                     });
+    return out;
+}
+
+/** The finalized entries of @p trace, as a vector. */
+std::vector<mac::PacketTrace::Entry>
+entriesOf(const mac::PacketTrace &trace)
+{
+    const std::span<const mac::PacketTrace::Entry> e = trace.entries();
+    return {e.begin(), e.end()};
+}
+
 } // namespace
 
 // ------------------------------------------------- the golden pin
@@ -287,31 +342,101 @@ TEST(PacketTrace, SaveLoadDiffRoundTrip)
 
 TEST(PacketTrace, FinalizeEqualsOneSortForAnyShardingAndThreads)
 {
+    using Entry = mac::PacketTrace::Entry;
+    using Lane = std::function<int(const Entry &, int)>;
+    // Each case is a recording order and a lane per entry; the
+    // finalized trace must equal one sort of the whole input at 1
+    // and 4 threads.
+    struct Case {
+        std::string name;
+        std::vector<Entry> entries;
+        int shards;
+        Lane lane;
+    };
+    const Lane by_cell = [](const Entry &e, int) { return e.cell; };
+    std::vector<Case> cases;
     for (std::uint64_t seed : {1u, 2u, 3u}) {
-        const std::vector<mac::PacketTrace::Entry> all =
-            randomEntries(seed, 3000);
-        std::vector<mac::PacketTrace::Entry> want = all;
-        std::sort(want.begin(), want.end(), canonicalLess);
+        const std::vector<Entry> all = randomEntries(seed, 3000);
         for (int shards : {1, 3, 16}) {
-            for (int threads : {1, 4}) {
-                // Round-robin spreads every user over all shards (the
-                // key ranges interleave); by-cell is the engines'
-                // disjoint sharding, with empty shards when
-                // shards > 3.
-                for (bool by_cell : {false, true}) {
-                    mac::PacketTrace trace(shards);
-                    int i = 0;
-                    for (const mac::PacketTrace::Entry &e : all)
-                        trace.record(by_cell ? e.cell % shards
-                                             : i++ % shards,
-                                     e);
-                    trace.finalize(threads);
-                    EXPECT_TRUE(trace.entries() == want)
-                        << "seed " << seed << ", " << shards
-                        << " shards, " << threads << " threads"
-                        << (by_cell ? ", by cell" : ", interleaved");
-                }
-            }
+            const std::string tag = "seed " + std::to_string(seed) +
+                                    ", " + std::to_string(shards) +
+                                    " shards";
+            // Round-robin spreads every user over all shards (the
+            // key ranges interleave: the merge); by-cell is the
+            // engines' disjoint sharding, with empty shards when
+            // shards > 3 and all three cells in one shard when 1.
+            cases.push_back({tag + ", interleaved", all, shards,
+                             [shards](const Entry &, int i) {
+                                 return i % shards;
+                             }});
+            cases.push_back({tag + ", by cell", all, shards,
+                             [shards](const Entry &e, int) {
+                                 return e.cell % shards;
+                             }});
+        }
+    }
+
+    // Engine-shaped traces span many recording blocks per shard.
+    const std::vector<Entry> engine = engineLikeEntries(3, 12, 120);
+    cases.push_back({"engine-like, by cell", engine, 3, by_cell});
+    // Several cells per shard: adjacent cells (slices still in
+    // order) and alternate cells (slices overlap: the merge).
+    cases.push_back({"engine-like, cells 0-1 | 2", engine, 2,
+                     [](const Entry &e, int) {
+                         return e.cell < 2 ? 0 : 1;
+                     }});
+    cases.push_back({"engine-like, cells 0,2 | 1", engine, 2,
+                     [](const Entry &e, int) { return e.cell % 2; }});
+    // Per-user shards of one cell, as the single-cell engine
+    // records them, with empty shards past the last user.
+    std::vector<Entry> one_cell = engineLikeEntries(1, 20, 60);
+    cases.push_back({"per-user shards", one_cell, 24,
+                     [](const Entry &e, int) { return e.user; }});
+    // Empty shards around duplicated entries.
+    std::vector<Entry> dup = engineLikeEntries(2, 4, 30);
+    dup.insert(dup.end(), dup.begin(), dup.begin() + 200);
+    cases.push_back({"duplicates, empty shards", dup, 5,
+                     [](const Entry &e, int) { return 2 * e.cell; }});
+    // A handover at seq 0 is recorded before packet 0's enqueue in
+    // the same slot, but the enqueue sorts first: ties must be
+    // ordered, not left in recording order.
+    const Entry ho(7, 1, 4, mac::TrafficClass::Data, 0,
+                   mac::PacketEvent::Handover, 0, 0);
+    const Entry enq(7, 1, 4, mac::TrafficClass::Data, 0,
+                    mac::PacketEvent::Enqueue, 1, 0);
+    const Entry grant(8, 1, 4, mac::TrafficClass::Data, 0,
+                      mac::PacketEvent::Grant, 1, 1);
+    cases.push_back({"ho before enq", {ho, enq, grant}, 2, by_cell});
+    // A user whose seqs are 0 and UINT64_MAX spans too many keys to
+    // count (the comparison-sort path); the same lane with seqs
+    // just inside the 4x-entries bound is counted.
+    Entry hi = grant;
+    hi.seq = UINT64_MAX;
+    cases.push_back({"seqs 0 and max", {ho, hi, enq, grant}, 2,
+                     by_cell});
+    hi.seq = 15;
+    cases.push_back({"seq span 16 for 4 entries", {hi, ho, enq, grant},
+                     2, by_cell});
+    hi.seq = 16;
+    cases.push_back({"seq span 17 for 4 entries", {hi, ho, enq, grant},
+                     2, by_cell});
+    // Users far apart in one cell: too sparse to count by user.
+    Entry far = enq;
+    far.user = 1 << 30;
+    cases.push_back({"users 4 and 2^30", {far, grant, ho, enq}, 2,
+                     by_cell});
+
+    for (const Case &c : cases) {
+        std::vector<Entry> want = c.entries;
+        std::sort(want.begin(), want.end(), canonicalLess);
+        for (int threads : {1, 4}) {
+            mac::PacketTrace trace(c.shards);
+            int i = 0;
+            for (const Entry &e : c.entries)
+                trace.record(c.lane(e, i++), e);
+            trace.finalize(threads);
+            EXPECT_TRUE(entriesOf(trace) == want)
+                << c.name << ", " << threads << " threads";
         }
     }
 }
@@ -325,6 +450,22 @@ TEST(PacketTrace, SavedBytesEqualToText)
     res.trace->save(path);
     EXPECT_EQ(readFile(path), res.trace->toText());
     std::remove(path.c_str());
+
+    // Traces that span many formatting blocks, written by one
+    // formatter and by three while the saving thread writes.
+    const std::vector<mac::PacketTrace::Entry> big =
+        engineLikeEntries(3, 20, 200);
+    for (int threads : {2, 4}) {
+        mac::PacketTrace trace(3);
+        for (const mac::PacketTrace::Entry &e : big)
+            trace.record(e.cell, e);
+        trace.finalize(threads);
+        trace.save(path);
+        const std::string text = trace.toText();
+        EXPECT_GT(std::count(text.begin(), text.end(), '\n'), 40000);
+        EXPECT_EQ(readFile(path), text) << threads << " threads";
+        std::remove(path.c_str());
+    }
 
     // An empty trace is the two header lines.
     mac::PacketTrace empty;
@@ -361,6 +502,14 @@ TEST(PacketTrace, SaveFailureIsFatalNamingThePath)
     EXPECT_EXIT(trace.save(testing::TempDir() + "/no/such/dir/t.txt"),
                 testing::ExitedWithCode(1),
                 "cannot write packet trace '.*/no/such/dir/t.txt': ");
+
+    // The parallel writer reports the first failed block write.
+    mac::PacketTrace big(3);
+    for (const mac::PacketTrace::Entry &e : engineLikeEntries(3, 8, 200))
+        big.record(e.cell, e);
+    big.finalize(4);
+    EXPECT_EXIT(big.save("/dev/full"), testing::ExitedWithCode(1),
+                "cannot write packet trace '/dev/full': ");
 }
 
 TEST(PacketTrace, LoadAcceptsEveryColumnsFullRange)
