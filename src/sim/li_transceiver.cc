@@ -323,20 +323,21 @@ class MapperPilotMod : public li::Module
     void
     emitSymbol()
     {
+        // Check for room first: insertPilots() advances the pilot
+        // sequence, so a retried emit must not run it twice.
+        if (!out->canEnq()) {
+            out->noteFullStall();
+            busy = 1;
+            return;
+        }
         SampleVec bins(phy::OfdmGeometry::kFftSize, Sample(0, 0));
         for (int d = 0; d < phy::OfdmGeometry::kDataCarriers; ++d) {
             bins[static_cast<size_t>(phy::OfdmGeometry::dataBin(d))] =
                 mapper.map(&staged[static_cast<size_t>(d * n_bpsc)]);
         }
         pilots.insertPilots(bins);
-        if (out->canEnq()) {
-            out->enq(std::move(bins));
-            staged.clear();
-        } else {
-            // Retry next cycle: keep the staged block, redo emit.
-            out->noteFullStall();
-            busy = 1;
-        }
+        out->enq(std::move(bins));
+        staged.clear();
     }
 
     Fifo<BitVec> *in;

@@ -11,7 +11,9 @@
 
 #include <tuple>
 
+#include "common/frame_arena.hh"
 #include "common/random.hh"
+#include "phy/ofdm_tx.hh"
 #include "sim/li_transceiver.hh"
 #include "sim/testbench.hh"
 
@@ -29,6 +31,42 @@ randomPayload(size_t n, std::uint64_t seed)
         b = rng.nextBit();
     return v;
 }
+
+/** Every sample the capture channel has seen, by sample index. */
+SampleVec captured_tx;
+
+/**
+ * A pass-through channel that records what the transmitter sent, so
+ * a test can compare the LI pipeline's samples with the batch
+ * transmitter's.
+ */
+class CaptureChannel : public channel::Channel
+{
+  public:
+    explicit CaptureChannel(const li::Config &) {}
+
+    std::string name() const override { return "li_tx_capture"; }
+
+    void
+    apply(SampleSpan samples, std::uint64_t) override
+    {
+        captured_tx.assign(samples.begin(), samples.end());
+    }
+
+    Sample
+    impairSample(Sample s, std::uint64_t,
+                 std::uint64_t sample_index) const override
+    {
+        if (captured_tx.size() <= sample_index)
+            captured_tx.resize(sample_index + 1);
+        captured_tx[sample_index] = s;
+        return s;
+    }
+
+    double noiseVariance() const override { return 1e-3; }
+};
+
+WILIS_REGISTER_IMPL(channel::Channel, "li_tx_capture", CaptureChannel);
 
 } // namespace
 
@@ -73,6 +111,39 @@ TEST_P(LiTransceiverMatrix, BitExactAgainstKernelPath)
             ASSERT_EQ(streamed.soft[i].llr, kernel.rx.soft[i].llr)
                 << "hint " << i;
         }
+    }
+}
+
+TEST(LiTransceiver, TransmitSamplesMatchBatchModulator)
+{
+    // The streaming transmitter must put the batch modulator's
+    // samples on the air bit for bit, pilots included: the equalizer
+    // reads only the data bins, so a wrong pilot would never show in
+    // the payload or the hints.
+    const size_t bits = 1704;
+    BitVec payload = randomPayload(bits, 41);
+    for (int rate = 0; rate < phy::kNumRates; ++rate) {
+        ScenarioSpec spec;
+        spec.rate = rate;
+        spec.channel = "li_tx_capture";
+        LiTransceiver li_tx(spec);
+        captured_tx.clear();
+        LiPacketResult res = li_tx.runPacket(payload, 0);
+        EXPECT_EQ(res.payload, payload) << "rate " << rate;
+
+        phy::OfdmTransmitter tx(rate, spec.rx.scramblerSeed);
+        FrameArena arena;
+        FrameContext ctx(arena);
+        SampleSpan want = tx.modulate(BitView(payload), ctx);
+        ASSERT_EQ(captured_tx.size(), want.size()) << "rate " << rate;
+        size_t first_diff = want.size();
+        for (size_t i = 0; i < want.size() && first_diff == want.size();
+             ++i) {
+            if (captured_tx[i] != want[i])
+                first_diff = i;
+        }
+        EXPECT_EQ(first_diff, want.size())
+            << "rate " << rate << ": first differing sample";
     }
 }
 
