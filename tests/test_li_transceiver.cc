@@ -147,6 +147,48 @@ TEST(LiTransceiver, TransmitSamplesMatchBatchModulator)
     }
 }
 
+TEST(LiTransceiver, CycleCountsPinned)
+{
+    // Exact cycle counts of a 1704-bit packet at the paper's clocks
+    // (35 / 60 / 100 MHz). fig2_simspeed's "FPGA pipeline" table is
+    // computed from these, so a change to any module's timing must
+    // show up here.
+    struct Golden {
+        int rate;
+        const char *decoder;
+        std::uint64_t baseband, decoder_cycles, samples;
+    };
+    static const Golden golden[] = {
+        {0, "viterbi", 6710, 11504, 5760}, {1, "viterbi", 4773, 8182, 3840},
+        {2, "viterbi", 3807, 6527, 2880},  {3, "viterbi", 2843, 4875, 1920},
+        {4, "viterbi", 2377, 4076, 1440},  {5, "viterbi", 1905, 3267, 960},
+        {6, "viterbi", 1686, 2891, 720},   {7, "viterbi", 1612, 2764, 640},
+        {0, "sova", 6750, 11572, 5760},    {1, "sova", 4812, 8250, 3840},
+        {2, "sova", 3847, 6595, 2880},     {3, "sova", 2883, 4943, 1920},
+        {4, "sova", 2417, 4144, 1440},     {5, "sova", 1945, 3335, 960},
+        {6, "sova", 1726, 2959, 720},      {7, "sova", 1652, 2832, 640},
+        {0, "bcjr", 6747, 11567, 5760},    {1, "bcjr", 4809, 8245, 3840},
+        {2, "bcjr", 3844, 6590, 2880},     {3, "bcjr", 2880, 4938, 1920},
+        {4, "bcjr", 2414, 4139, 1440},     {5, "bcjr", 1942, 3330, 960},
+        {6, "bcjr", 1723, 2954, 720},      {7, "bcjr", 1649, 2827, 640},
+    };
+    for (const Golden &g : golden) {
+        ScenarioSpec spec;
+        spec.rate = g.rate;
+        spec.rx.decoder = g.decoder;
+        spec.channelCfg = li::Config::fromString("snr_db=30,seed=1");
+        LiTransceiver t(spec);
+        LiPacketResult res = t.runPacket(
+            randomPayload(1704, static_cast<std::uint64_t>(g.rate)), 0);
+        EXPECT_EQ(res.basebandCycles, g.baseband)
+            << "rate " << g.rate << " " << g.decoder;
+        EXPECT_EQ(res.decoderCycles, g.decoder_cycles)
+            << "rate " << g.rate << " " << g.decoder;
+        EXPECT_EQ(res.samples, g.samples)
+            << "rate " << g.rate << " " << g.decoder;
+    }
+}
+
 class LiTransceiverChannels
     : public ::testing::TestWithParam<std::tuple<int, const char *>>
 {};
