@@ -15,11 +15,9 @@ InterferenceChannel::InterferenceChannel(const li::Config &cfg)
            cfg.getUint64("seed", 1),
            static_cast<int>(cfg.getInt("threads", 1)),
            cfg.getBool("common_noise", false)),
-      bin(static_cast<int>(cfg.getInt("interferer_bin", 10))),
+      bin(static_cast<int>(cfg.getInt("interferer_bin", 10, -26, 26))),
       seed(cfg.getUint64("seed", 1))
 {
-    wilis_assert(bin >= -26 && bin <= 26,
-                 "interferer bin %d out of range", bin);
     double sir_db = cfg.getDouble("sir_db", 10.0);
     // Signal power is 1 (normalized constellations); the tone
     // carries all its power on one subcarrier.

@@ -12,12 +12,11 @@ namespace wilis {
 namespace decode {
 
 BcjrDecoder::BcjrDecoder(const li::Config &cfg)
-    : block_len(static_cast<int>(cfg.getInt("block_len", 64))),
+    : block_len(static_cast<int>(cfg.getInt("block_len", 64,
+                                            phy::ConvCode::kConstraint,
+                                            kMaxDecoderWindow))),
       logmap(cfg.getBool("logmap", false))
-{
-    wilis_assert(block_len >= phy::ConvCode::kConstraint,
-                 "BCJR block length %d too short", block_len);
-}
+{}
 
 void
 BcjrDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)

@@ -31,9 +31,9 @@ class BcjrDecoder : public SoftDecoder
   public:
     /**
      * Config keys:
-     *  - block_len: sliding-window / reversal-buffer size n (default
-     *    64; the paper finds n >= 32 is required for reasonable
-     *    performance).
+     *  - block_len: sliding-window / reversal-buffer size n, 7 to
+     *    kMaxDecoderWindow (default 64; the paper finds n >= 32 is
+     *    required for reasonable performance).
      *  - logmap: use exact log-MAP (max*) arithmetic instead of
      *    max-log (default false).
      */

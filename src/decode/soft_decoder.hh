@@ -75,6 +75,13 @@ class SoftDecoder
     virtual int pipelineLatencyCycles() const = 0;
 };
 
+/**
+ * Largest traceback or block window a decoder config may ask for, in
+ * trellis steps: far past any packet, and small enough that the
+ * latency formulas above stay inside an int.
+ */
+constexpr long kMaxDecoderWindow = 1L << 20;
+
 /** Shorthand for the decoder plug-n-play registry. */
 using DecoderRegistry = li::Registry<SoftDecoder>;
 

@@ -11,13 +11,12 @@ namespace wilis {
 namespace decode {
 
 SovaDecoder::SovaDecoder(const li::Config &cfg)
-    : tb_l(static_cast<int>(cfg.getInt("traceback_l", 64))),
-      tb_k(static_cast<int>(cfg.getInt("traceback_k", 64)))
-{
-    wilis_assert(tb_l >= phy::ConvCode::kConstraint,
-                 "traceback l=%d too short", tb_l);
-    wilis_assert(tb_k >= 1, "traceback k=%d too short", tb_k);
-}
+    : tb_l(static_cast<int>(cfg.getInt("traceback_l", 64,
+                                       phy::ConvCode::kConstraint,
+                                       kMaxDecoderWindow))),
+      tb_k(static_cast<int>(
+          cfg.getInt("traceback_k", 64, 1, kMaxDecoderWindow)))
+{}
 
 void
 SovaDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)

@@ -27,8 +27,10 @@ class SovaDecoder : public SoftDecoder
   public:
     /**
      * Config keys:
-     *  - traceback_l: first traceback unit length (default 64)
-     *  - traceback_k: second traceback unit length (default 64)
+     *  - traceback_l: first traceback unit length, 7 to
+     *    kMaxDecoderWindow (default 64)
+     *  - traceback_k: second traceback unit length, 1 to
+     *    kMaxDecoderWindow (default 64)
      */
     explicit SovaDecoder(const li::Config &cfg = li::Config());
 

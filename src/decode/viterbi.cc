@@ -9,11 +9,10 @@ namespace wilis {
 namespace decode {
 
 ViterbiDecoder::ViterbiDecoder(const li::Config &cfg)
-    : tb_len(static_cast<int>(cfg.getInt("traceback_len", 64)))
-{
-    wilis_assert(tb_len >= phy::ConvCode::kConstraint,
-                 "traceback length %d too short", tb_len);
-}
+    : tb_len(static_cast<int>(cfg.getInt("traceback_len", 64,
+                                         phy::ConvCode::kConstraint,
+                                         kMaxDecoderWindow)))
+{}
 
 void
 ViterbiDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)

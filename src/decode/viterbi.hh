@@ -19,9 +19,10 @@ class ViterbiDecoder : public SoftDecoder
   public:
     /**
      * Config keys:
-     *  - traceback_len: modeled hardware traceback window (default
-     *    64); affects only the latency/area model, the software
-     *    kernel always tracebacks the full block.
+     *  - traceback_len: modeled hardware traceback window, 7 to
+     *    kMaxDecoderWindow (default 64); affects only the
+     *    latency/area model, the software kernel always tracebacks
+     *    the full block.
      */
     explicit ViterbiDecoder(const li::Config &cfg = li::Config());
 

@@ -327,3 +327,12 @@ TEST(ChannelSeedsDeath, NegativeSeedIsFatal)
     EXPECT_EXIT(makeChannel("awgn", li::Config::fromString("seed=-1")),
                 testing::ExitedWithCode(1), "'seed'");
 }
+
+TEST(ChannelSeedsDeath, InterfererBinOutsideTheBandIsFatal)
+{
+    for (const char *bin : {"interferer_bin=40", "interferer_bin=-27"}) {
+        EXPECT_EXIT(makeChannel("interference", li::Config::fromString(bin)),
+                    testing::ExitedWithCode(1), "fatal:.*'interferer_bin'")
+            << bin;
+    }
+}

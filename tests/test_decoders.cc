@@ -266,3 +266,22 @@ TEST(DecodersDeath, OddStreamPanics)
     SoftVec bad(15, 1);
     EXPECT_DEATH(dec->decodeBlock(bad), "odd");
 }
+
+TEST(DecodersDeath, OutOfRangeWindowsAreFatal)
+{
+    // A window below the constraint length (or past
+    // kMaxDecoderWindow) is a user error: exit 1 naming the key, not
+    // an abort.
+    const std::pair<const char *, const char *> bad[] = {
+        {"viterbi", "traceback_len=2"}, {"sova", "traceback_l=6"},
+        {"sova", "traceback_k=0"},      {"bcjr", "block_len=3"},
+        {"bcjr", "block_len=1048577"},
+    };
+    for (const auto &[name, cfg] : bad) {
+        const std::string key =
+            std::string(cfg).substr(0, std::string(cfg).find('='));
+        EXPECT_EXIT(makeDecoder(name, li::Config::fromString(cfg)),
+                    testing::ExitedWithCode(1), "fatal:.*'" + key + "'")
+            << name << " " << cfg;
+    }
+}
