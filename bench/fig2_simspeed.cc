@@ -178,11 +178,11 @@ main(int argc, char **argv)
     // bottleneck applies).
     Table lt({"Modulation", "FPGA pipeline (Mb/s)", "x line rate"});
     for (int r = 0; r < phy::kNumRates; ++r) {
-        phy::OfdmReceiver::Config rxc;
-        rxc.decoder = "viterbi";
-        sim::LiTransceiver t(r, rxc, "awgn",
-                             li::Config::fromString(
-                                 "snr_db=30,seed=1"));
+        sim::ScenarioSpec spec;
+        spec.rate = r;
+        spec.rx.decoder = "viterbi";
+        spec.channelCfg = li::Config::fromString("snr_db=30,seed=1");
+        sim::LiTransceiver t(spec);
         SplitMix64 rng(static_cast<std::uint64_t>(r));
         BitVec payload(1704);
         for (auto &b : payload)

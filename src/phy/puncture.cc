@@ -32,6 +32,15 @@ Puncturer::pattern(const Bit *&pat, size_t &period) const
     wilis_panic("bad code rate");
 }
 
+bool
+Puncturer::kept(size_t i) const
+{
+    const Bit *pat;
+    size_t period;
+    pattern(pat, period);
+    return pat[i % period] != 0;
+}
+
 BitVec
 Puncturer::puncture(const BitVec &coded) const
 {

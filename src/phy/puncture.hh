@@ -56,6 +56,12 @@ class Puncturer
      */
     void depuncture(SoftView soft, SoftSpan out) const;
 
+    /**
+     * True if position @p i of the rate-1/2 stream (A1 B1 A2 B2 ...)
+     * survives puncturing.
+     */
+    bool kept(size_t i) const;
+
   private:
     /**
      * Keep-pattern over one puncturing period of the rate-1/2 output

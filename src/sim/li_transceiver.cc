@@ -1,19 +1,22 @@
 #include "sim/li_transceiver.hh"
 
 #include <deque>
+#include <functional>
+#include <limits>
 
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "decode/soft_decoder.hh"
+#include "li/scheduler.hh"
 #include "phy/conv_code.hh"
 #include "phy/cyclic_prefix.hh"
 #include "phy/fft.hh"
 #include "phy/interleaver.hh"
 #include "phy/mapper.hh"
 #include "phy/ofdm_symbol.hh"
+#include "phy/ofdm_tx.hh"
 #include "phy/puncture.hh"
 #include "phy/scrambler.hh"
-#include "sim/scenario.hh"
 
 namespace wilis {
 namespace sim {
@@ -21,6 +24,7 @@ namespace sim {
 namespace {
 
 using li::Fifo;
+using phy::OfdmGeometry;
 
 /** Two soft values for one trellis step. */
 struct SoftPairTok {
@@ -28,1035 +32,544 @@ struct SoftPairTok {
     SoftBit b = 0;
 };
 
-/** Emits the (padded) payload bit stream, one bit per cycle. */
-class BitSourceMod : public li::Module
-{
-  public:
-    BitSourceMod(Fifo<Bit> *out_, int lanes_)
-        : li::Module("bit_source"), out(out_), lanes(lanes_)
-    {}
-
-    void
-    load(const BitVec &bits)
-    {
-        pending.assign(bits.begin(), bits.end());
-    }
-
-    bool
-    tick() override
-    {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (pending.empty() || !out->canEnq())
-                break;
-            out->enq(pending.front());
-            pending.pop_front();
-            busy = true;
-        }
-        return busy;
-    }
-
-  private:
-    Fifo<Bit> *out;
-    int lanes;
-    std::deque<Bit> pending;
-};
-
-/** Frame-synchronous scrambler, one bit per cycle. */
-class ScramblerMod : public li::Module
-{
-  public:
-    ScramblerMod(Fifo<Bit> *in_, Fifo<Bit> *out_, std::uint8_t seed_,
-                 int lanes_)
-        : li::Module("scrambler"), in(in_), out(out_), seed(seed_),
-          scrambler(seed_), lanes(lanes_)
-    {}
-
-    void reset() { scrambler.reset(seed); }
-
-    bool
-    tick() override
-    {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!in->canDeq() || !out->canEnq())
-                break;
-            out->enq(scrambler.process(in->deq()));
-            busy = true;
-        }
-        return busy;
-    }
-
-  private:
-    Fifo<Bit> *in;
-    Fifo<Bit> *out;
-    std::uint8_t seed;
-    phy::Scrambler scrambler;
-    int lanes;
+/** The packet geometry every stage is handed before a packet. */
+struct Packet {
+    /** Packet index: the channel's replay key. */
+    std::uint64_t index = 0;
+    /** Payload bits the sink collects. */
+    size_t payloadBits = 0;
+    /** Payload padded to whole OFDM symbols, before the tail. */
+    size_t infoBits = 0;
 };
 
 /**
- * Rate-1/2 convolutional encoder: one input bit per cycle, one coded
- * pair per cycle; appends the terminating tail itself.
+ * A module restarted before every packet. Stalls are recorded here
+ * and nowhere else: a stage asks ready() before it takes a token and
+ * room() before it emits.
  */
-class EncoderMod : public li::Module
+class Stage : public li::Module
 {
   public:
-    EncoderMod(Fifo<Bit> *in_, Fifo<std::uint8_t> *out_, int lanes_)
-        : li::Module("encoder"), in(in_), out(out_), lanes(lanes_)
-    {}
+    using li::Module::Module;
 
+    /** Resets the stage's own state and sizes it for a packet. */
+    std::function<void(const Packet &)> onStart;
+
+    /** Clear the stage's buffers, then run onStart. */
     void
-    reset(size_t info_bits_)
+    start(const Packet &p)
     {
-        info_bits = info_bits_;
-        consumed = 0;
-        tail_fed = 0;
-        state = 0;
+        clear();
+        if (onStart)
+            onStart(p);
     }
 
-    bool
-    tick() override
-    {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!out->canEnq())
-                break;
-            Bit x;
-            if (consumed < info_bits) {
-                if (!in->canDeq())
-                    break;
-                x = in->deq() & 1;
-                ++consumed;
-            } else if (tail_fed < phy::ConvCode::kTailBits) {
-                x = 0;
-                ++tail_fed;
-            } else {
-                break;
-            }
-            unsigned o = phy::convCode().outputBits(state, x);
-            state = phy::convCode().nextState(state, x);
-            out->enq(static_cast<std::uint8_t>(o));
-            busy = true;
-        }
-        return busy;
-    }
+  protected:
+    virtual void clear() = 0;
 
-  private:
-    Fifo<Bit> *in;
-    Fifo<std::uint8_t> *out;
-    int lanes = 1;
-    size_t info_bits = 0;
-    size_t consumed = 0;
-    int tail_fed = 0;
-    int state = 0;
-};
-
-/** Puncturer: consumes one coded pair, emits the surviving bits. */
-class PuncturerMod : public li::Module
-{
-  public:
-    PuncturerMod(Fifo<std::uint8_t> *in_, Fifo<Bit> *out_,
-                 phy::CodeRate rate, int lanes_)
-        : li::Module("puncturer"), in(in_), out(out_), punct(rate),
-          lanes(lanes_)
-    {
-        // Keep-pattern over the interleaved A/B stream, one period.
-        keep.resize(identityPeriod(rate));
-        for (size_t i = 0; i < keep.size(); ++i)
-            keep[i] = isKept(rate, i);
-    }
-
-    void reset() { pos = 0; }
-
-    bool
-    tick() override
-    {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!in->canDeq())
-                break;
-            // Need room for up to two bits from this pair.
-            int needed = keep[pos % keep.size()] +
-                         keep[(pos + 1) % keep.size()];
-            if (out->capacity() - out->size() <
-                static_cast<size_t>(needed)) {
-                out->noteFullStall();
-                break;
-            }
-            std::uint8_t pair = in->deq();
-            if (keep[pos % keep.size()])
-                out->enq(static_cast<Bit>(pair & 1));
-            if (keep[(pos + 1) % keep.size()])
-                out->enq(static_cast<Bit>((pair >> 1) & 1));
-            pos += 2;
-            busy = true;
-        }
-        return busy;
-    }
-
-  private:
-    static size_t
-    identityPeriod(phy::CodeRate rate)
-    {
-        switch (rate) {
-          case phy::CodeRate::R12:
-            return 2;
-          case phy::CodeRate::R23:
-            return 4;
-          case phy::CodeRate::R34:
-            return 6;
-        }
-        wilis_panic("bad rate");
-    }
-
+    /** True if @p in holds a token; else notes an empty stall. */
     static bool
-    isKept(phy::CodeRate rate, size_t i)
+    ready(li::FifoBase *in)
     {
-        static const bool r12[2] = {true, true};
-        static const bool r23[4] = {true, true, true, false};
-        static const bool r34[6] = {true, true, true,
-                                    false, false, true};
-        switch (rate) {
-          case phy::CodeRate::R12:
-            return r12[i % 2];
-          case phy::CodeRate::R23:
-            return r23[i % 4];
-          case phy::CodeRate::R34:
-            return r34[i % 6];
-        }
-        wilis_panic("bad rate");
-    }
-
-    Fifo<std::uint8_t> *in;
-    Fifo<Bit> *out;
-    phy::Puncturer punct;
-    int lanes;
-    std::vector<bool> keep;
-    size_t pos = 0;
-};
-
-/** Collects N_CBPS bits and emits one interleaved block token. */
-class InterleaverMod : public li::Module
-{
-  public:
-    InterleaverMod(Fifo<Bit> *in_, Fifo<BitVec> *out_,
-                   phy::Modulation mod, int lanes_)
-        : li::Module("interleaver"), in(in_), out(out_), il(mod),
-          lanes(lanes_)
-    {}
-
-    void reset() { buf.clear(); }
-
-    bool
-    tick() override
-    {
-        if (buf.size() == static_cast<size_t>(il.blockSize())) {
-            if (!out->canEnq()) {
-                out->noteFullStall();
-                return false;
-            }
-            out->enq(il.interleave(buf));
-            buf.clear();
+        if (in->canDeq())
             return true;
-        }
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!in->canDeq() ||
-                buf.size() == static_cast<size_t>(il.blockSize()))
-                break;
-            buf.push_back(in->deq());
-            busy = true;
-        }
-        return busy;
+        in->noteEmptyStall();
+        return false;
     }
 
-  private:
-    Fifo<Bit> *in;
-    Fifo<BitVec> *out;
-    phy::Interleaver il;
-    int lanes;
-    BitVec buf;
+    /** True if @p out has room for @p n more; else a full stall. */
+    static bool
+    room(li::FifoBase *out, size_t n = 1)
+    {
+        if (n == 0 || out->capacity() - out->size() >= n)
+            return true;
+        out->noteFullStall();
+        return false;
+    }
 };
 
 /**
- * Maps one interleaved block onto the 48 data subcarriers, inserts
- * pilots, and emits the 64-bin frequency-domain symbol. Models the
- * 48-cycle streaming cost of the mapper.
+ * Per-item stage: up to `lanes` items a cycle, each taken only when
+ * the output has room for all it emits. Item n of a packet is the
+ * n-th input token or, once `inputs` are in, one of `extra` made-up
+ * In{} items (zero padding, the encoder tail). The bit source,
+ * scrambler, encoder, puncturer, channel, descrambler and sink.
  */
-class MapperPilotMod : public li::Module
+template <typename In, typename Out>
+class StreamStage : public Stage
 {
   public:
-    MapperPilotMod(Fifo<BitVec> *in_, Fifo<SampleVec> *out_,
-                   phy::Modulation mod)
-        : li::Module("mapper"), in(in_), out(out_), mapper(mod),
-          n_bpsc(phy::bitsPerSubcarrier(mod))
+    StreamStage(std::string name, Fifo<In> *in_, Fifo<Out> *out_,
+                int lanes_)
+        : Stage(std::move(name)), in(in_), out(out_), lanes(lanes_)
     {}
 
-    void
-    reset()
-    {
-        pilots.reset();
-        busy = 0;
-        staged.clear();
-    }
+    /** Takes item n and emits its outputs. */
+    std::function<void(In x, size_t n)> fire;
+    /** Outputs item n emits; one if unset (none without an output). */
+    std::function<size_t(size_t n)> width;
+    /** Input tokens per packet. */
+    size_t inputs = std::numeric_limits<size_t>::max();
+    /** Made-up items after the inputs. */
+    size_t extra = 0;
 
     bool
     tick() override
     {
-        if (busy > 0) {
-            if (--busy == 0)
-                emitSymbol();
-            return true;
-        }
-        if (!staged.empty())
-            return false; // waiting for output space
-        if (!in->canDeq())
-            return false;
-        BitVec block = in->deq();
-        staged = std::move(block);
-        busy = phy::OfdmGeometry::kDataCarriers;
-        return true;
-    }
-
-  private:
-    void
-    emitSymbol()
-    {
-        // Check for room first: insertPilots() advances the pilot
-        // sequence, so a retried emit must not run it twice.
-        if (!out->canEnq()) {
-            out->noteFullStall();
-            busy = 1;
-            return;
-        }
-        SampleVec bins(phy::OfdmGeometry::kFftSize, Sample(0, 0));
-        for (int d = 0; d < phy::OfdmGeometry::kDataCarriers; ++d) {
-            bins[static_cast<size_t>(phy::OfdmGeometry::dataBin(d))] =
-                mapper.map(&staged[static_cast<size_t>(d * n_bpsc)]);
-        }
-        pilots.insertPilots(bins);
-        out->enq(std::move(bins));
-        staged.clear();
-    }
-
-    Fifo<BitVec> *in;
-    Fifo<SampleVec> *out;
-    phy::Mapper mapper;
-    phy::PilotTracker pilots;
-    int n_bpsc;
-    int busy = 0;
-    BitVec staged;
-};
-
-/** Streaming (I)FFT: 64-cycle initiation interval and latency. */
-class FftMod : public li::Module
-{
-  public:
-    FftMod(std::string name, Fifo<SampleVec> *in_,
-           Fifo<SampleVec> *out_, bool inverse_)
-        : li::Module(std::move(name)), in(in_), out(out_),
-          fft(phy::OfdmGeometry::kFftSize), inverse(inverse_)
-    {}
-
-    void
-    reset()
-    {
-        busy = 0;
-        staged.clear();
-    }
-
-    bool
-    tick() override
-    {
-        if (busy > 0) {
-            if (--busy == 0)
-                emit();
-            return true;
-        }
-        if (!staged.empty())
-            return false;
-        if (!in->canDeq())
-            return false;
-        staged = in->deq();
-        busy = phy::OfdmGeometry::kFftSize;
-        return true;
-    }
-
-  private:
-    void
-    emit()
-    {
-        if (!out->canEnq()) {
-            out->noteFullStall();
-            busy = 1;
-            return;
-        }
-        if (inverse)
-            fft.inverse(staged);
-        else
-            fft.forward(staged);
-        out->enq(std::move(staged));
-        staged.clear();
-    }
-
-    Fifo<SampleVec> *in;
-    Fifo<SampleVec> *out;
-    phy::Fft fft;
-    bool inverse;
-    int busy = 0;
-    SampleVec staged;
-};
-
-/** Prepends the cyclic prefix and streams samples one per cycle. */
-class CpStreamMod : public li::Module
-{
-  public:
-    CpStreamMod(Fifo<SampleVec> *in_, Fifo<Sample> *out_)
-        : li::Module("cp_insert"), in(in_), out(out_)
-    {}
-
-    void reset() { pending.clear(); }
-
-    bool
-    tick() override
-    {
-        if (!pending.empty()) {
-            if (!out->canEnq()) {
-                out->noteFullStall();
-                return false;
-            }
-            out->enq(pending.front());
-            pending.pop_front();
-            return true;
-        }
-        if (!in->canDeq())
-            return false;
-        SampleVec body = in->deq();
-        SampleVec sym = phy::addCyclicPrefix(body);
-        pending.assign(sym.begin(), sym.end());
-        return true;
-    }
-
-  private:
-    Fifo<SampleVec> *in;
-    Fifo<Sample> *out;
-    std::deque<Sample> pending;
-};
-
-/** The software channel partition: impairs one sample per cycle. */
-class ChannelMod : public li::Module
-{
-  public:
-    ChannelMod(Fifo<Sample> *in_, Fifo<Sample> *out_,
-               channel::Channel *chan_)
-        : li::Module("sw_channel"), in(in_), out(out_), chan(chan_)
-    {}
-
-    void
-    reset(std::uint64_t packet_index_)
-    {
-        packet_index = packet_index_;
-        sample_index = 0;
-    }
-
-    bool
-    tick() override
-    {
-        if (!in->canDeq() || !out->canEnq())
-            return false;
-        out->enq(chan->impairSample(in->deq(), packet_index,
-                                    sample_index++));
-        return true;
-    }
-
-  private:
-    Fifo<Sample> *in;
-    Fifo<Sample> *out;
-    channel::Channel *chan;
-    std::uint64_t packet_index = 0;
-    std::uint64_t sample_index = 0;
-};
-
-/** Collects 80 samples, strips the CP, emits the 64-sample body. */
-class SymbolCollectMod : public li::Module
-{
-  public:
-    SymbolCollectMod(Fifo<Sample> *in_, Fifo<SampleVec> *out_)
-        : li::Module("cp_remove"), in(in_), out(out_)
-    {}
-
-    void reset() { buf.clear(); }
-
-    bool
-    tick() override
-    {
-        if (buf.size() ==
-            static_cast<size_t>(phy::OfdmGeometry::kSymbolLen)) {
-            if (!out->canEnq()) {
-                out->noteFullStall();
-                return false;
-            }
-            out->enq(phy::removeCyclicPrefix(buf));
-            buf.clear();
-            return true;
-        }
-        if (!in->canDeq())
-            return false;
-        buf.push_back(in->deq());
-        return true;
-    }
-
-  private:
-    Fifo<Sample> *in;
-    Fifo<SampleVec> *out;
-    SampleVec buf;
-};
-
-/** Extracts and equalizes the 48 data subcarriers (perfect CSI). */
-class EqualizerMod : public li::Module
-{
-  public:
-    EqualizerMod(Fifo<SampleVec> *in_, Fifo<SampleVec> *out_,
-                 const channel::Channel *chan_)
-        : li::Module("equalizer"), in(in_), out(out_), chan(chan_),
-          h(phy::OfdmGeometry::kFftSize, Sample(1.0, 0.0))
-    {}
-
-    void
-    reset(std::uint64_t packet_index_)
-    {
-        packet_index = packet_index_;
-        symbol = 0;
-    }
-
-    bool
-    tick() override
-    {
-        if (!in->canDeq() || !out->canEnq())
-            return false;
-        SampleVec bins = in->deq();
-        SampleVec data(phy::OfdmGeometry::kDataCarriers);
-        if (chan)
-            chan->binGains(packet_index, symbol, h);
-        for (int d = 0; d < phy::OfdmGeometry::kDataCarriers; ++d) {
-            const size_t bin =
-                static_cast<size_t>(phy::OfdmGeometry::dataBin(d));
-            data[static_cast<size_t>(d)] = bins[bin] / h[bin];
-        }
-        ++symbol;
-        out->enq(std::move(data));
-        return true;
-    }
-
-  private:
-    Fifo<SampleVec> *in;
-    Fifo<SampleVec> *out;
-    const channel::Channel *chan;
-    /** The current symbol's bin gains (unit gains without CSI). */
-    SampleVec h;
-    std::uint64_t packet_index = 0;
-    int symbol = 0;
-};
-
-/** Soft demapper: one symbol's data carriers -> N_CBPS soft bits. */
-class DemapperMod : public li::Module
-{
-  public:
-    DemapperMod(Fifo<SampleVec> *in_, Fifo<SoftVec> *out_,
-                phy::Modulation mod, const phy::Demapper::Config &cfg)
-        : li::Module("demapper"), in(in_), out(out_),
-          demapper(mod, cfg)
-    {}
-
-    void
-    reset()
-    {
-        busy = 0;
-        staged.clear();
-    }
-
-    bool
-    tick() override
-    {
-        if (busy > 0) {
-            if (--busy == 0)
-                emit();
-            return true;
-        }
-        if (!staged.empty())
-            return false;
-        if (!in->canDeq())
-            return false;
-        staged = in->deq();
-        busy = phy::OfdmGeometry::kDataCarriers;
-        return true;
-    }
-
-  private:
-    void
-    emit()
-    {
-        if (!out->canEnq()) {
-            out->noteFullStall();
-            busy = 1;
-            return;
-        }
-        out->enq(demapper.demapStream(staged));
-        staged.clear();
-    }
-
-    Fifo<SampleVec> *in;
-    Fifo<SoftVec> *out;
-    phy::Demapper demapper;
-    int busy = 0;
-    SampleVec staged;
-};
-
-/** Per-symbol soft deinterleaver. */
-class DeinterleaverMod : public li::Module
-{
-  public:
-    DeinterleaverMod(Fifo<SoftVec> *in_, Fifo<SoftVec> *out_,
-                     phy::Modulation mod)
-        : li::Module("deinterleaver"), in(in_), out(out_), il(mod)
-    {}
-
-    void
-    reset()
-    {
-        busy = 0;
-        staged.clear();
-    }
-
-    bool
-    tick() override
-    {
-        if (busy > 0) {
-            if (--busy == 0)
-                emit();
-            return true;
-        }
-        if (!staged.empty())
-            return false;
-        if (!in->canDeq())
-            return false;
-        staged = in->deq();
-        // Per-subcarrier granularity: nBpsc bits move in parallel.
-        busy = phy::OfdmGeometry::kDataCarriers;
-        return true;
-    }
-
-  private:
-    void
-    emit()
-    {
-        if (!out->canEnq()) {
-            out->noteFullStall();
-            busy = 1;
-            return;
-        }
-        out->enq(il.deinterleave(staged));
-        staged.clear();
-    }
-
-    Fifo<SoftVec> *in;
-    Fifo<SoftVec> *out;
-    phy::Interleaver il;
-    int busy = 0;
-    SoftVec staged;
-};
-
-/** Depuncturer: one rate-1/2 soft pair per cycle, with erasures. */
-class DepuncturerMod : public li::Module
-{
-  public:
-    DepuncturerMod(Fifo<SoftVec> *in_, Fifo<SoftPairTok> *out_,
-                   phy::CodeRate rate, int lanes_)
-        : li::Module("depuncturer"), in(in_), out(out_), punct(rate),
-          lanes(lanes_)
-    {}
-
-    void reset() { staged.clear(); }
-
-    bool
-    tick() override
-    {
-        bool busy = false;
+        bool moved = false;
         for (int i = 0; i < lanes; ++i) {
-            if (staged.size() < 2 || !out->canEnq())
+            const bool made_up = n >= inputs;
+            if (made_up ? n - inputs >= extra : !ready(in))
                 break;
-            SoftPairTok tok;
-            tok.a = staged.front();
-            staged.pop_front();
-            tok.b = staged.front();
-            staged.pop_front();
-            out->enq(tok);
-            busy = true;
+            if (!room(out, width ? width(n) : out != nullptr))
+                break;
+            fire(made_up ? In{} : in->deq(), n++);
+            moved = true;
         }
-        if (busy)
-            return true;
-        if (!in->canDeq())
-            return false;
-        SoftVec full = punct.depuncture(in->deq());
-        staged.insert(staged.end(), full.begin(), full.end());
-        return true;
+        return moved;
     }
 
   private:
-    Fifo<SoftVec> *in;
-    Fifo<SoftPairTok> *out;
-    phy::Puncturer punct;
+    void clear() override { n = 0; }
+
+    Fifo<In> *in;
+    Fifo<Out> *out;
     int lanes;
-    std::deque<SoftBit> staged;
+    /** Items taken this packet. */
+    size_t n = 0;
 };
 
 /**
- * The decoder / BER unit (runs in its own 60 MHz domain): consumes
- * one soft pair per cycle, decodes the terminated block with the
- * pluggable kernel, then streams decisions out one per cycle after
- * the modeled pipeline latency.
+ * Holds one token for `interval` cycles, then emits f(token, n) -- n
+ * counts the packet's tokens -- once the output has room, retrying
+ * every cycle until it does. A zero interval is combinational: the
+ * stage takes a token only when it can pass it on at once. Mapper and
+ * pilots, IFFT, FFT, equalizer, demapper and deinterleaver.
  */
-class DecoderMod : public li::Module
+template <typename In, typename Out>
+class BlockStage : public Stage
 {
   public:
-    DecoderMod(Fifo<SoftPairTok> *in_, Fifo<SoftDecision> *out_,
-               decode::SoftDecoder *dec_, int lanes_)
-        : li::Module("decoder"), in(in_), out(out_), dec(dec_),
-          lanes(lanes_)
+    BlockStage(std::string name, Fifo<In> *in_, Fifo<Out> *out_,
+               int interval_)
+        : Stage(std::move(name)), in(in_), out(out_),
+          interval(interval_)
     {}
 
-    void
-    reset(size_t total_steps_)
-    {
-        total_steps = total_steps_;
-        soft.clear();
-        soft.reserve(2 * total_steps_);
-        decisions.clear();
-        latency_wait = 0;
-        emitted = 0;
-    }
+    /** The stage's function of token n. */
+    std::function<Out(In &token, size_t n)> f;
 
     bool
     tick() override
     {
-        // Phase 3: stream decoded bits (the extra lane models the
-        // streaming hardware's ability to overlap decode output with
-        // input collection, which the block-kernel form serializes).
-        if (!decisions.empty()) {
-            if (latency_wait > 0) {
-                --latency_wait;
+        if (!held) {
+            if (!ready(in) || (interval == 0 && !room(out)))
+                return false;
+            token = in->deq();
+            held = true;
+            wait = interval;
+            if (wait > 0)
                 return true;
-            }
-            bool busy = false;
-            for (int i = 0; i < lanes; ++i) {
-                if (decisions.empty() || !out->canEnq())
-                    break;
-                out->enq(decisions.front());
-                decisions.pop_front();
-                ++emitted;
-                busy = true;
-            }
-            return busy;
+        } else if (wait > 0 && --wait > 0) {
+            return true;
         }
-        // Phase 1: collect the block.
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (soft.size() >= 2 * total_steps || !in->canDeq())
-                break;
-            SoftPairTok tok = in->deq();
-            soft.push_back(tok.a);
-            soft.push_back(tok.b);
-            busy = true;
-            // Phase 2: decode once the terminated block is in.
-            if (soft.size() == 2 * total_steps) {
-                auto dv = dec->decodeBlock(soft);
-                decisions.assign(dv.begin(), dv.end());
-                latency_wait = dec->pipelineLatencyCycles();
-            }
+        if (room(out)) {
+            out->enq(f(token, n++));
+            held = false;
         }
-        return busy;
+        return true;
     }
 
   private:
-    Fifo<SoftPairTok> *in;
-    Fifo<SoftDecision> *out;
-    decode::SoftDecoder *dec;
-    int lanes;
-    size_t total_steps = 0;
-    SoftVec soft;
-    std::deque<SoftDecision> decisions;
-    int latency_wait = 0;
-    size_t emitted = 0;
+    void
+    clear() override
+    {
+        held = false;
+        wait = 0;
+        n = 0;
+    }
+
+    Fifo<In> *in;
+    Fifo<Out> *out;
+    int interval;
+    In token{};
+    bool held = false;
+    int wait = 0;
+    size_t n = 0;
 };
 
-/** Descrambles decisions and keeps only the payload bits. */
-class DescramblerMod : public li::Module
+/**
+ * Gather/scatter stage: gathers `need` inputs (up to `lanes` a
+ * cycle), turns them into a burst of outputs with f, waits `delay`
+ * cycles, then drains the burst up to `lanes` a cycle. Gathers (the
+ * interleaver, the CP strip, the decoder) turn many items into one
+ * token or one decoded block; scatters (CP insert, the depuncturer)
+ * turn one token into many items. A stage with a burst left does not
+ * gather; a blocked burst idles it.
+ */
+template <typename In, typename Out>
+class GatherScatterStage : public Stage
 {
   public:
-    DescramblerMod(Fifo<SoftDecision> *in_, Fifo<SoftDecision> *out_,
-                   std::uint8_t seed_, int lanes_)
-        : li::Module("descrambler"), in(in_), out(out_), seed(seed_),
-          scrambler(seed_), lanes(lanes_)
+    GatherScatterStage(std::string name, Fifo<In> *in_, Fifo<Out> *out_,
+                       size_t need_, int lanes_)
+        : Stage(std::move(name)), need(need_), in(in_), out(out_),
+          lanes(lanes_)
     {}
 
-    void
-    reset(size_t payload_bits_, size_t info_bits_)
-    {
-        payload_bits = payload_bits_;
-        info_bits = info_bits_;
-        consumed = 0;
-        scrambler.reset(seed);
-    }
+    /** Appends the outputs of one full gather buffer to the burst. */
+    std::function<void(std::vector<In> &buf, std::deque<Out> &burst)> f;
+    /** Inputs per burst. */
+    size_t need;
+    /** Cycles between a completed gather and its first output. */
+    int delay = 0;
 
     bool
     tick() override
     {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!in->canDeq())
-                break;
-            if (consumed < payload_bits && !out->canEnq()) {
-                out->noteFullStall();
-                break;
-            }
-            SoftDecision d = in->deq();
-            if (consumed < info_bits) {
-                Bit prbs = scrambler.nextPrbsBit();
-                if (consumed < payload_bits) {
-                    d.bit = d.bit ^ prbs;
-                    out->enq(d);
-                }
-            }
-            // Tail decisions beyond info_bits consumed silently.
-            ++consumed;
-            busy = true;
+        if (wait > 0) {
+            --wait;
+            return true;
         }
-        return busy;
+        bool moved = false;
+        if (!burst.empty()) {
+            for (int i = 0; i < lanes && !burst.empty() && room(out); ++i) {
+                out->enq(std::move(burst.front()));
+                burst.pop_front();
+                moved = true;
+            }
+            return moved;
+        }
+        for (int i = 0; i < lanes && buf.size() < need && ready(in); ++i) {
+            buf.push_back(in->deq());
+            moved = true;
+        }
+        if (buf.size() == need) {
+            f(buf, burst);
+            buf.clear();
+            wait = delay;
+        }
+        return moved;
     }
 
   private:
-    Fifo<SoftDecision> *in;
-    Fifo<SoftDecision> *out;
-    std::uint8_t seed;
-    phy::Scrambler scrambler;
-    int lanes;
-    size_t payload_bits = 0;
-    size_t info_bits = 0;
-    size_t consumed = 0;
-};
-
-/** Terminal sink collecting the payload decisions. */
-class RxSinkMod : public li::Module
-{
-  public:
-    RxSinkMod(Fifo<SoftDecision> *in_, int lanes_)
-        : li::Module("rx_sink"), in(in_), lanes(lanes_)
-    {}
-
     void
-    reset(size_t expected_)
+    clear() override
     {
-        expected = expected_;
-        got.clear();
+        buf.clear();
+        burst.clear();
+        wait = 0;
     }
 
-    bool done() const { return got.size() == expected; }
-    const std::vector<SoftDecision> &received() const { return got; }
-
-    bool
-    tick() override
-    {
-        bool busy = false;
-        for (int i = 0; i < lanes; ++i) {
-            if (!in->canDeq())
-                break;
-            got.push_back(in->deq());
-            busy = true;
-        }
-        return busy;
-    }
-
-  private:
-    Fifo<SoftDecision> *in;
+    Fifo<In> *in;
+    Fifo<Out> *out;
     int lanes;
-    size_t expected = 0;
-    std::vector<SoftDecision> got;
+    std::vector<In> buf;
+    std::deque<Out> burst;
+    int wait = 0;
 };
 
 } // namespace
 
 struct LiTransceiver::Impl {
     phy::RateParams params;
-    phy::OfdmReceiver::Config rx_cfg;
+    std::uint8_t seed;
     li::Scheduler sched;
     li::ClockDomain *baseband = nullptr;
     li::ClockDomain *decoder_clk = nullptr;
-    li::ClockDomain *host = nullptr;
 
     std::unique_ptr<channel::Channel> chan;
     std::unique_ptr<decode::SoftDecoder> dec;
     phy::OfdmTransmitter geometry; // frame geometry queries only
 
-    // Modules (owned by the scheduler).
-    BitSourceMod *source = nullptr;
-    ScramblerMod *scrambler = nullptr;
-    EncoderMod *encoder = nullptr;
-    PuncturerMod *puncturer = nullptr;
-    InterleaverMod *interleaver = nullptr;
-    MapperPilotMod *mapper = nullptr;
-    FftMod *ifft = nullptr;
-    CpStreamMod *cp = nullptr;
-    ChannelMod *channel_mod = nullptr;
-    SymbolCollectMod *collector = nullptr;
-    FftMod *fft = nullptr;
-    EqualizerMod *equalizer = nullptr;
-    DemapperMod *demapper = nullptr;
-    DeinterleaverMod *deinterleaver = nullptr;
-    DepuncturerMod *depuncturer = nullptr;
-    DecoderMod *decoder = nullptr;
-    DescramblerMod *descrambler = nullptr;
-    RxSinkMod *sink = nullptr;
+    // The batch path's own kernels, and the per-packet state the
+    // stages keep between items.
+    phy::Scrambler scrambler;
+    phy::Scrambler descrambler;
+    int enc_state = 0;
+    phy::Puncturer puncturer;
+    phy::Interleaver interleaver;
+    phy::Mapper mapper;
+    phy::PilotTracker pilots;
+    phy::Fft fft;
+    /** The current symbol's bin gains (perfect CSI). */
+    SampleVec h;
+    phy::Demapper demapper;
 
-    Impl(phy::RateIndex rate, const phy::OfdmReceiver::Config &cfg,
-         const std::string &channel_name,
-         const li::Config &channel_cfg,
-         const LiTransceiverClocks &clocks)
-        : params(phy::rateTable(rate)), rx_cfg(cfg),
-          geometry(rate, cfg.scramblerSeed)
+    /** The packet in flight. */
+    Packet pkt;
+    /** The host's write port into the bit source. */
+    Fifo<Bit> *tx_payload = nullptr;
+    std::vector<SoftDecision> received;
+    /** Every stage, in pipeline (and tick) order. */
+    std::vector<Stage *> stages;
+
+    /** A FIFO from @p src to @p dst (the baseband by default). */
+    template <typename T>
+    Fifo<T> *
+    fifo(const char *name, size_t capacity, li::ClockDomain *src = nullptr,
+         li::ClockDomain *dst = nullptr)
     {
-        chan = channel::makeChannel(channel_name, channel_cfg);
-        dec = decode::makeDecoder(cfg.decoder, cfg.decoderCfg);
-
-        baseband =
-            sched.createDomain("baseband", clocks.basebandMhz);
-        decoder_clk =
-            sched.createDomain("ber_unit", clocks.decoderMhz);
-        host = sched.createDomain("host", clocks.hostMhz);
-
-        // --- FIFOs. Names follow the Figure 1 block boundaries.
-        auto *f_bits = sched.connectFifo<Bit>("tx_bits", 8, baseband,
-                                              baseband);
-        auto *f_scr = sched.connectFifo<Bit>("scrambled", 8, baseband,
-                                             baseband);
-        auto *f_pairs = sched.connectFifo<std::uint8_t>(
-            "coded_pairs", 8, baseband, baseband);
-        auto *f_punct = sched.connectFifo<Bit>("punctured", 8,
-                                               baseband, baseband);
-        auto *f_blocks = sched.connectFifo<BitVec>(
-            "interleaved_blocks", 4, baseband, baseband);
-        auto *f_freq = sched.connectFifo<SampleVec>(
-            "freq_symbols", 4, baseband, baseband);
-        auto *f_time = sched.connectFifo<SampleVec>(
-            "time_symbols", 4, baseband, baseband);
-        auto *f_tx_samp = sched.connectFifo<Sample>(
-            "tx_samples", 256, baseband, host);
-        auto *f_rx_samp = sched.connectFifo<Sample>(
-            "rx_samples", 256, host, baseband);
-        auto *f_rx_sym = sched.connectFifo<SampleVec>(
-            "rx_symbols", 4, baseband, baseband);
-        auto *f_rx_freq = sched.connectFifo<SampleVec>(
-            "rx_freq", 4, baseband, baseband);
-        auto *f_rx_data = sched.connectFifo<SampleVec>(
-            "rx_data_carriers", 4, baseband, baseband);
-        auto *f_soft_sym = sched.connectFifo<SoftVec>(
-            "soft_symbols", 4, baseband, baseband);
-        auto *f_soft_deint = sched.connectFifo<SoftVec>(
-            "soft_deinterleaved", 4, baseband, baseband);
-        auto *f_soft_pairs = sched.connectFifo<SoftPairTok>(
-            "soft_pairs", 16, baseband, decoder_clk);
-        auto *f_decisions = sched.connectFifo<SoftDecision>(
-            "decisions", 16, decoder_clk, decoder_clk);
-        auto *f_payload = sched.connectFifo<SoftDecision>(
-            "payload", 16, decoder_clk, decoder_clk);
-
-        // --- Modules, registered in pipeline order. Bit-granularity
-        // stages get a datapath wide enough to keep up with one
-        // OFDM symbol (80 baseband cycles) per N_CBPS coded bits --
-        // exactly why real basebands use multi-bit buses for the
-        // bit-level blocks.
-        const int lanes = (params.nCbps + 79) / 80 + 1;
-        const int dec_lanes = 2;
-        auto adopt = [&](auto mod, li::ClockDomain *dom) {
-            auto *raw = mod.get();
-            sched.adopt(std::move(mod), dom);
-            return raw;
-        };
-        source = adopt(std::make_unique<BitSourceMod>(f_bits, lanes),
-                       baseband);
-        scrambler = adopt(std::make_unique<ScramblerMod>(
-                              f_bits, f_scr, cfg.scramblerSeed,
-                              lanes),
-                          baseband);
-        encoder = adopt(std::make_unique<EncoderMod>(f_scr, f_pairs,
-                                                     lanes),
-                        baseband);
-        puncturer = adopt(std::make_unique<PuncturerMod>(
-                              f_pairs, f_punct, params.codeRate,
-                              lanes),
-                          baseband);
-        interleaver = adopt(std::make_unique<InterleaverMod>(
-                                f_punct, f_blocks, params.modulation,
-                                lanes),
-                            baseband);
-        mapper = adopt(std::make_unique<MapperPilotMod>(
-                           f_blocks, f_freq, params.modulation),
-                       baseband);
-        ifft = adopt(std::make_unique<FftMod>("ifft", f_freq, f_time,
-                                              true),
-                     baseband);
-        cp = adopt(std::make_unique<CpStreamMod>(f_time, f_tx_samp),
-                   baseband);
-        channel_mod = adopt(std::make_unique<ChannelMod>(
-                                f_tx_samp, f_rx_samp, chan.get()),
-                            host);
-        collector = adopt(std::make_unique<SymbolCollectMod>(
-                              f_rx_samp, f_rx_sym),
-                          baseband);
-        fft = adopt(std::make_unique<FftMod>("fft", f_rx_sym,
-                                             f_rx_freq, false),
-                    baseband);
-        equalizer = adopt(std::make_unique<EqualizerMod>(
-                              f_rx_freq, f_rx_data, chan.get()),
-                          baseband);
-        demapper = adopt(std::make_unique<DemapperMod>(
-                             f_rx_data, f_soft_sym, params.modulation,
-                             cfg.demapper),
-                         baseband);
-        deinterleaver = adopt(std::make_unique<DeinterleaverMod>(
-                                  f_soft_sym, f_soft_deint,
-                                  params.modulation),
-                              baseband);
-        depuncturer = adopt(std::make_unique<DepuncturerMod>(
-                                f_soft_deint, f_soft_pairs,
-                                params.codeRate, lanes),
-                            baseband);
-        decoder = adopt(std::make_unique<DecoderMod>(
-                            f_soft_pairs, f_decisions, dec.get(),
-                            dec_lanes),
-                        decoder_clk);
-        descrambler = adopt(std::make_unique<DescramblerMod>(
-                                f_decisions, f_payload,
-                                cfg.scramblerSeed, dec_lanes),
-                            decoder_clk);
-        sink = adopt(std::make_unique<RxSinkMod>(f_payload,
-                                                 dec_lanes),
-                     decoder_clk);
+        return sched.connectFifo<T>(name, capacity, src ? src : baseband,
+                                    dst ? dst : baseband);
     }
+
+    template <typename S, typename... Args>
+    S *
+    add(li::ClockDomain *dom, Args... args)
+    {
+        auto s = std::make_unique<S>(args...);
+        S *raw = s.get();
+        stages.push_back(raw);
+        sched.adopt(std::move(s), dom);
+        return raw;
+    }
+
+    template <typename In, typename Out>
+    StreamStage<In, Out> *
+    stream(li::ClockDomain *dom, const char *name, Fifo<In> *in,
+           Fifo<Out> *out, int lanes)
+    {
+        return add<StreamStage<In, Out>>(dom, name, in, out, lanes);
+    }
+
+    template <typename In, typename Out>
+    BlockStage<In, Out> *
+    block(const char *name, Fifo<In> *in, Fifo<Out> *out, int interval)
+    {
+        return add<BlockStage<In, Out>>(baseband, name, in, out,
+                                        interval);
+    }
+
+    template <typename In, typename Out>
+    GatherScatterStage<In, Out> *
+    gatherScatter(li::ClockDomain *dom, const char *name, Fifo<In> *in,
+                  Fifo<Out> *out, size_t need, int lanes)
+    {
+        return add<GatherScatterStage<In, Out>>(dom, name, in, out, need,
+                                                lanes);
+    }
+
+    explicit Impl(const ScenarioSpec &spec);
 };
 
-LiTransceiver::LiTransceiver(phy::RateIndex rate,
-                             const phy::OfdmReceiver::Config &rx_cfg,
-                             const std::string &channel_name,
-                             const li::Config &channel_cfg,
-                             const LiTransceiverClocks &clocks)
-    : impl(std::make_unique<Impl>(rate, rx_cfg, channel_name,
-                                  channel_cfg, clocks))
-{}
+LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
+    : params(phy::rateTable(spec.rate)), seed(spec.rx.scramblerSeed),
+      chan(channel::makeChannel(spec.channel, spec.channelCfg)),
+      dec(decode::makeDecoder(spec.rx.decoder, spec.rx.decoderCfg)),
+      geometry(spec.rate, seed), scrambler(seed), descrambler(seed),
+      puncturer(params.codeRate), interleaver(params.modulation),
+      mapper(params.modulation), fft(OfdmGeometry::kFftSize),
+      h(OfdmGeometry::kFftSize),
+      demapper(params.modulation, spec.rx.demapper)
+{
+    baseband = sched.createDomain("baseband", spec.clocks.basebandMhz);
+    decoder_clk = sched.createDomain("ber_unit", spec.clocks.decoderMhz);
+    li::ClockDomain *host = sched.createDomain("host", spec.clocks.hostMhz);
+
+    // --- FIFOs. Names follow the Figure 1 block boundaries.
+    tx_payload = fifo<Bit>("tx_payload", std::numeric_limits<size_t>::max());
+    auto *f_bits = fifo<Bit>("tx_bits", 8);
+    auto *f_scr = fifo<Bit>("scrambled", 8);
+    auto *f_pairs = fifo<std::uint8_t>("coded_pairs", 8);
+    auto *f_punct = fifo<Bit>("punctured", 8);
+    auto *f_blocks = fifo<BitVec>("interleaved_blocks", 4);
+    auto *f_freq = fifo<SampleVec>("freq_symbols", 4);
+    auto *f_time = fifo<SampleVec>("time_symbols", 4);
+    auto *f_tx_samp = fifo<Sample>("tx_samples", 256, baseband, host);
+    auto *f_rx_samp = fifo<Sample>("rx_samples", 256, host, baseband);
+    auto *f_rx_sym = fifo<SampleVec>("rx_symbols", 4);
+    auto *f_rx_freq = fifo<SampleVec>("rx_freq", 4);
+    auto *f_rx_data = fifo<SampleVec>("rx_data_carriers", 4);
+    auto *f_soft_sym = fifo<SoftVec>("soft_symbols", 4);
+    auto *f_soft_deint = fifo<SoftVec>("soft_deinterleaved", 4);
+    auto *f_soft_pairs =
+        fifo<SoftPairTok>("soft_pairs", 16, baseband, decoder_clk);
+    auto *f_decisions =
+        fifo<SoftDecision>("decisions", 16, decoder_clk, decoder_clk);
+    auto *f_payload =
+        fifo<SoftDecision>("payload", 16, decoder_clk, decoder_clk);
+
+    // --- Stages, registered in pipeline order. Bit-granularity
+    // stages get a datapath wide enough to keep up with one OFDM
+    // symbol (80 baseband cycles) per N_CBPS coded bits -- exactly
+    // why real basebands use multi-bit buses for the bit-level
+    // blocks.
+    const int lanes = (params.nCbps + 79) / 80 + 1;
+    const int dec_lanes = 2;
+    constexpr int kCarriers = OfdmGeometry::kDataCarriers;
+
+    // The payload, then zero padding to whole symbols.
+    auto *source = stream(baseband, "bit_source", tx_payload, f_bits, lanes);
+    source->fire = [f_bits](Bit b, size_t) { f_bits->enq(b); };
+    source->onStart = [source](const Packet &p) {
+        source->inputs = p.payloadBits;
+        source->extra = p.infoBits - p.payloadBits;
+    };
+
+    auto *scr = stream(baseband, "scrambler", f_bits, f_scr, lanes);
+    scr->fire = [this, f_scr](Bit b, size_t) {
+        f_scr->enq(scrambler.process(b));
+    };
+    scr->onStart = [this](const Packet &) { scrambler.reset(seed); };
+
+    // Rate 1/2, one coded pair per bit; appends the tail itself.
+    auto *enc = stream(baseband, "encoder", f_scr, f_pairs, lanes);
+    enc->fire = [this, f_pairs](Bit b, size_t) {
+        const Bit x = b & 1;
+        const unsigned o = phy::convCode().outputBits(enc_state, x);
+        enc_state = phy::convCode().nextState(enc_state, x);
+        f_pairs->enq(static_cast<std::uint8_t>(o));
+    };
+    enc->onStart = [this, enc](const Packet &p) {
+        enc->inputs = p.infoBits;
+        enc->extra = phy::ConvCode::kTailBits;
+        enc_state = 0;
+    };
+
+    // Pair n is positions 2n and 2n+1 of the rate-1/2 stream.
+    auto *punct = stream(baseband, "puncturer", f_pairs, f_punct, lanes);
+    punct->fire = [this, f_punct](std::uint8_t pair, size_t n) {
+        if (puncturer.kept(2 * n))
+            f_punct->enq(static_cast<Bit>(pair & 1));
+        if (puncturer.kept(2 * n + 1))
+            f_punct->enq(static_cast<Bit>((pair >> 1) & 1));
+    };
+    punct->width = [this](size_t n) {
+        return size_t{puncturer.kept(2 * n)} +
+               size_t{puncturer.kept(2 * n + 1)};
+    };
+
+    auto *il = gatherScatter(baseband, "interleaver", f_punct, f_blocks,
+                             static_cast<size_t>(params.nCbps), lanes);
+    il->f = [this](BitVec &bits, std::deque<BitVec> &burst) {
+        burst.push_back(interleaver.interleave(bits));
+    };
+
+    // The data subcarriers plus pilots, one carrier a cycle.
+    auto *map = block("mapper", f_blocks, f_freq, kCarriers);
+    map->f = [this](BitVec &bits, size_t) {
+        const size_t n_bpsc = static_cast<size_t>(params.nBpsc);
+        SampleVec bins(OfdmGeometry::kFftSize, Sample(0, 0));
+        for (int d = 0; d < kCarriers; ++d) {
+            bins[static_cast<size_t>(OfdmGeometry::dataBin(d))] =
+                mapper.map(&bits[static_cast<size_t>(d) * n_bpsc]);
+        }
+        pilots.insertPilots(bins);
+        return bins;
+    };
+    map->onStart = [this](const Packet &) { pilots.reset(); };
+
+    // Streaming (I)FFT: 64-cycle initiation interval and latency.
+    auto *ifft = block("ifft", f_freq, f_time, OfdmGeometry::kFftSize);
+    ifft->f = [this](SampleVec &v, size_t) {
+        fft.inverse(v);
+        return std::move(v);
+    };
+
+    auto *cp_ins = gatherScatter(baseband, "cp_insert", f_time, f_tx_samp,
+                                 1, 1);
+    cp_ins->f = [](std::vector<SampleVec> &body, std::deque<Sample> &out) {
+        SampleVec sym = phy::addCyclicPrefix(body[0]);
+        out.insert(out.end(), sym.begin(), sym.end());
+    };
+
+    // The software channel partition, one sample a cycle.
+    auto *sw = stream(host, "sw_channel", f_tx_samp, f_rx_samp, 1);
+    sw->fire = [this, f_rx_samp](Sample s, size_t n) {
+        f_rx_samp->enq(chan->impairSample(s, pkt.index, n));
+    };
+
+    auto *cp_rm = gatherScatter(baseband, "cp_remove", f_rx_samp, f_rx_sym,
+                                OfdmGeometry::kSymbolLen, 1);
+    cp_rm->f = [](SampleVec &sym, std::deque<SampleVec> &burst) {
+        burst.push_back(phy::removeCyclicPrefix(sym));
+    };
+
+    auto *rx_fft = block("fft", f_rx_sym, f_rx_freq, OfdmGeometry::kFftSize);
+    rx_fft->f = [this](SampleVec &v, size_t) {
+        fft.forward(v);
+        return std::move(v);
+    };
+
+    // Equalizes the data subcarriers of symbol n with the channel's
+    // own bin gains for it, as the batch receiver does.
+    auto *eq = block("equalizer", f_rx_freq, f_rx_data, 0);
+    eq->f = [this](SampleVec &bins, size_t n) {
+        chan->binGains(pkt.index, static_cast<int>(n), h);
+        SampleVec data(kCarriers);
+        for (int d = 0; d < kCarriers; ++d) {
+            const auto bin = static_cast<size_t>(OfdmGeometry::dataBin(d));
+            data[static_cast<size_t>(d)] = bins[bin] / h[bin];
+        }
+        return data;
+    };
+
+    auto *demap = block("demapper", f_rx_data, f_soft_sym, kCarriers);
+    demap->f = [this](SampleVec &data, size_t) {
+        return demapper.demapStream(data);
+    };
+
+    // Per-subcarrier granularity: nBpsc bits move in parallel.
+    auto *deint = block("deinterleaver", f_soft_sym, f_soft_deint, kCarriers);
+    deint->f = [this](SoftVec &soft, size_t) {
+        return interleaver.deinterleave(soft);
+    };
+
+    // One rate-1/2 soft pair per lane, erasures included.
+    auto *depunct = gatherScatter(baseband, "depuncturer", f_soft_deint,
+                                  f_soft_pairs, 1, lanes);
+    depunct->f = [this](std::vector<SoftVec> &soft,
+                        std::deque<SoftPairTok> &burst) {
+        SoftVec full = puncturer.depuncture(soft[0]);
+        for (size_t i = 0; i < full.size(); i += 2)
+            burst.push_back({full[i], full[i + 1]});
+    };
+
+    // The decoder / BER unit, in its own domain: collects the
+    // terminated block, decodes it with the pluggable kernel, and
+    // streams the decisions out after the modeled pipeline latency.
+    auto *decoder = gatherScatter(decoder_clk, "decoder", f_soft_pairs,
+                                  f_decisions, 0, dec_lanes);
+    decoder->f = [this](std::vector<SoftPairTok> &pairs,
+                        std::deque<SoftDecision> &burst) {
+        SoftVec soft;
+        soft.reserve(2 * pairs.size());
+        for (const SoftPairTok &t : pairs) {
+            soft.push_back(t.a);
+            soft.push_back(t.b);
+        }
+        std::vector<SoftDecision> dv = dec->decodeBlock(soft);
+        burst.insert(burst.end(), dv.begin(), dv.end());
+    };
+    decoder->delay = dec->pipelineLatencyCycles();
+    decoder->onStart = [decoder](const Packet &p) {
+        decoder->need = p.infoBits + phy::ConvCode::kTailBits;
+    };
+
+    // Descrambles the info decisions and keeps the payload's; the
+    // tail's are consumed silently.
+    auto *descr = stream(decoder_clk, "descrambler", f_decisions,
+                         f_payload, dec_lanes);
+    descr->fire = [this, f_payload](SoftDecision d, size_t n) {
+        if (n >= pkt.infoBits)
+            return;
+        const Bit prbs = descrambler.nextPrbsBit();
+        if (n < pkt.payloadBits) {
+            d.bit = d.bit ^ prbs;
+            f_payload->enq(d);
+        }
+    };
+    descr->width = [this](size_t n) { return size_t{n < pkt.payloadBits}; };
+    descr->onStart = [this](const Packet &) { descrambler.reset(seed); };
+
+    auto *sink = stream<SoftDecision, SoftDecision>(
+        decoder_clk, "rx_sink", f_payload, nullptr, dec_lanes);
+    sink->fire = [this](SoftDecision d, size_t) { received.push_back(d); };
+}
 
 LiTransceiver::LiTransceiver(const ScenarioSpec &spec)
-    : LiTransceiver(spec.rate, spec.rx, spec.channel, spec.channelCfg,
-                    spec.clocks)
+    : impl(std::make_unique<Impl>(spec))
 {
     kernels::applyPolicy(spec.kernel);
 }
@@ -1069,12 +582,6 @@ LiTransceiver::syncFifoCount() const
     return impl->sched.syncFifoCount();
 }
 
-li::Scheduler &
-LiTransceiver::scheduler()
-{
-    return impl->sched;
-}
-
 LiPacketResult
 LiTransceiver::runPacket(const BitVec &payload,
                          std::uint64_t packet_index)
@@ -1082,44 +589,28 @@ LiTransceiver::runPacket(const BitVec &payload,
     Impl &im = *impl;
     wilis_assert(!payload.empty(), "empty payload");
 
-    const size_t info_bits = im.geometry.paddedInfoBits(payload.size());
-    const size_t total_steps = info_bits + phy::ConvCode::kTailBits;
-
-    BitVec padded = payload;
-    padded.resize(info_bits, 0);
-
-    im.source->load(padded);
-    im.scrambler->reset();
-    im.encoder->reset(info_bits);
-    im.puncturer->reset();
-    im.interleaver->reset();
-    im.mapper->reset();
-    im.ifft->reset();
-    im.cp->reset();
-    im.channel_mod->reset(packet_index);
-    im.collector->reset();
-    im.fft->reset();
-    im.equalizer->reset(packet_index);
-    im.demapper->reset();
-    im.deinterleaver->reset();
-    im.depuncturer->reset();
-    im.decoder->reset(total_steps);
-    im.descrambler->reset(payload.size(), info_bits);
-    im.sink->reset(payload.size());
+    im.pkt.index = packet_index;
+    im.pkt.payloadBits = payload.size();
+    im.pkt.infoBits = im.geometry.paddedInfoBits(payload.size());
+    for (Bit b : payload)
+        im.tx_payload->enq(b);
+    im.received.clear();
+    for (Stage *s : im.stages)
+        s->start(im.pkt);
 
     const std::uint64_t bb_start = im.baseband->cycles();
     const std::uint64_t dec_start = im.decoder_clk->cycles();
 
     // Generous bound: ~100 edges per payload bit across 3 domains.
-    const std::uint64_t max_edges =
-        400ull * static_cast<std::uint64_t>(total_steps) + 200000;
-    im.sched.runUntilIdle(32, max_edges);
-    wilis_assert(im.sink->done(),
+    const std::uint64_t steps =
+        im.pkt.infoBits + phy::ConvCode::kTailBits;
+    im.sched.runUntilIdle(32, 400 * steps + 200000);
+    wilis_assert(im.received.size() == payload.size(),
                  "LI pipeline stalled: sink has %zu of %zu bits",
-                 im.sink->received().size(), payload.size());
+                 im.received.size(), payload.size());
 
     LiPacketResult res;
-    res.soft = im.sink->received();
+    res.soft = im.received;
     res.payload.resize(res.soft.size());
     for (size_t i = 0; i < res.soft.size(); ++i)
         res.payload[i] = res.soft[i].bit;

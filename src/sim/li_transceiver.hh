@@ -7,11 +7,14 @@
  * at 60 MHz, and the software channel on the host. Cross-domain
  * hops use automatically inserted synchronizing FIFOs.
  *
- * Every module delegates its mathematics to the same kernels the
- * batch path (sim::Testbench) uses, so the two execution styles are
- * bit-exact by construction -- the WiLIS property that lets a design
+ * Every block is one of three stage shapes -- a per-item stream, a
+ * block with a fixed initiation interval, or a gather/scatter -- and
+ * delegates its mathematics to the same kernels the batch path
+ * (sim::Testbench) uses, so the two execution styles are bit-exact
+ * by construction -- the WiLIS property that lets a design
  * "transition to the FPGA from software simulation without modifying
- * any source" (section 2). Tests assert the equivalence.
+ * any source" (section 2). Tests assert the equivalence for the
+ * transmitted samples, the payload and every SoftPHY hint.
  */
 
 #ifndef WILIS_SIM_LI_TRANSCEIVER_HH
@@ -19,26 +22,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "channel/channel.hh"
 #include "common/types.hh"
-#include "li/scheduler.hh"
-#include "phy/demapper.hh"
-#include "phy/ofdm_rx.hh"
-#include "phy/ofdm_tx.hh"
 #include "sim/scenario.hh"
 
 namespace wilis {
 namespace sim {
-
-/**
- * Clock frequencies of the three partitions -- the same struct the
- * unified ScenarioSpec carries, so the spec stays the single source
- * of truth for clock assignment.
- */
-using LiTransceiverClocks = ScenarioClocks;
 
 /** Result of one packet through the LI pipeline. */
 struct LiPacketResult {
@@ -56,32 +46,18 @@ struct LiPacketResult {
 
 /**
  * A complete streaming transceiver instance. Construction wires up
- * ~15 modules and their FIFOs inside a private scheduler; runPacket()
- * feeds payload bits in at one end and runs the scheduler to
- * quiescence.
+ * the pipeline's stages and their FIFOs inside a private scheduler;
+ * runPacket() feeds payload bits in at one end and runs the
+ * scheduler to quiescence.
  */
 class LiTransceiver
 {
   public:
     /**
-     * @param rate        802.11a/g rate index.
-     * @param rx_cfg      Receiver configuration (decoder slot,
-     *                    demapper quantization, scrambler seed).
-     * @param channel_name Channel registry name.
-     * @param channel_cfg Channel parameters.
-     * @param clocks      Clock-domain frequencies.
-     */
-    LiTransceiver(phy::RateIndex rate,
-                  const phy::OfdmReceiver::Config &rx_cfg,
-                  const std::string &channel_name,
-                  const li::Config &channel_cfg,
-                  const LiTransceiverClocks &clocks =
-                      LiTransceiverClocks());
-
-    /**
      * Build from the same unified scenario description the batch
      * testbench consumes -- the single source of truth for the
-     * bit-exactness tests between the two execution styles.
+     * bit-exactness tests between the two execution styles. Reads
+     * the rate, receiver, channel, clocks and kernel backend.
      */
     explicit LiTransceiver(const ScenarioSpec &spec);
 
@@ -93,9 +69,6 @@ class LiTransceiver
 
     /** Number of auto-inserted cross-domain synchronizers. */
     int syncFifoCount() const;
-
-    /** The scheduler (for inspection in tests). */
-    li::Scheduler &scheduler();
 
   private:
     struct Impl;

@@ -32,6 +32,19 @@ randomPayload(size_t n, std::uint64_t seed)
     return v;
 }
 
+/** A scenario on @p channel configured by @p channel_cfg. */
+ScenarioSpec
+liSpec(int rate, const char *decoder, const char *channel_cfg,
+       const char *channel = "awgn")
+{
+    ScenarioSpec spec;
+    spec.rate = rate;
+    spec.rx.decoder = decoder;
+    spec.channel = channel;
+    spec.channelCfg = li::Config::fromString(channel_cfg);
+    return spec;
+}
+
 /** Every sample the capture channel has seen, by sample index. */
 SampleVec captured_tx;
 
@@ -82,20 +95,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(LiTransceiverMatrix, BitExactAgainstKernelPath)
 {
     auto [rate, decoder] = GetParam();
-
-    phy::OfdmReceiver::Config rxc;
-    rxc.decoder = decoder;
-    li::Config chan_cfg = li::Config::fromString("snr_db=8,seed=77");
-
-    // Batch kernel path.
-    ScenarioSpec spec;
-    spec.rate = rate;
-    spec.rx = rxc;
-    spec.channelCfg = chan_cfg;
-    Testbench tb(spec);
-
-    // Streaming LI path.
-    LiTransceiver li_tx(rate, rxc, "awgn", chan_cfg);
+    ScenarioSpec spec = liSpec(rate, decoder, "snr_db=8,seed=77");
+    Testbench tb(spec);        // batch kernel path
+    LiTransceiver li_tx(spec); // streaming LI path
 
     for (std::uint64_t p = 0; p < 3; ++p) {
         BitVec payload = randomPayload(700, 1000 + p);
@@ -123,9 +125,7 @@ TEST(LiTransceiver, TransmitSamplesMatchBatchModulator)
     const size_t bits = 1704;
     BitVec payload = randomPayload(bits, 41);
     for (int rate = 0; rate < phy::kNumRates; ++rate) {
-        ScenarioSpec spec;
-        spec.rate = rate;
-        spec.channel = "li_tx_capture";
+        ScenarioSpec spec = liSpec(rate, "bcjr", "", "li_tx_capture");
         LiTransceiver li_tx(spec);
         captured_tx.clear();
         LiPacketResult res = li_tx.runPacket(payload, 0);
@@ -173,11 +173,7 @@ TEST(LiTransceiver, CycleCountsPinned)
         {6, "bcjr", 1723, 2954, 720},      {7, "bcjr", 1649, 2827, 640},
     };
     for (const Golden &g : golden) {
-        ScenarioSpec spec;
-        spec.rate = g.rate;
-        spec.rx.decoder = g.decoder;
-        spec.channelCfg = li::Config::fromString("snr_db=30,seed=1");
-        LiTransceiver t(spec);
+        LiTransceiver t(liSpec(g.rate, g.decoder, "snr_db=30,seed=1"));
         LiPacketResult res = t.runPacket(
             randomPayload(1704, static_cast<std::uint64_t>(g.rate)), 0);
         EXPECT_EQ(res.basebandCycles, g.baseband)
@@ -204,19 +200,12 @@ TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
     // for a symbol's bin gains; on a time-varying (rayleigh) and a
     // frequency-selective (multipath) channel they must agree.
     auto [rate, channel] = GetParam();
-    phy::OfdmReceiver::Config rxc;
-    rxc.decoder = "bcjr";
-    li::Config chan_cfg = li::Config::fromString(
-        "snr_db=12,doppler_hz=20,num_taps=4,delay_spread=3,seed=5");
-
-    ScenarioSpec spec;
-    spec.rate = rate;
-    spec.rx = rxc;
-    spec.channel = channel;
-    spec.channelCfg = chan_cfg;
+    ScenarioSpec spec = liSpec(
+        rate, "bcjr",
+        "snr_db=12,doppler_hz=20,num_taps=4,delay_spread=3,seed=5",
+        channel);
     Testbench tb(spec);
-
-    LiTransceiver li_tx(rate, rxc, channel, chan_cfg);
+    LiTransceiver li_tx(spec);
 
     for (std::uint64_t p : {0u, 4u}) {
         BitVec payload = randomPayload(1000, 9 + p);
@@ -232,44 +221,41 @@ TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
 
 TEST(LiTransceiver, CrossDomainSynchronizersInserted)
 {
-    phy::OfdmReceiver::Config rxc;
-    LiTransceiver t(2, rxc, "awgn",
-                    li::Config::fromString("snr_db=10,seed=1"));
+    LiTransceiver t(liSpec(2, "bcjr", "snr_db=10,seed=1"));
     // baseband->host, host->baseband, baseband->decoder.
     EXPECT_EQ(t.syncFifoCount(), 3);
 }
 
 TEST(LiTransceiver, ResultsInvariantUnderClockAssignment)
 {
-    // The system-level latency-insensitivity property: change every
-    // clock frequency and the decoded packet is bit-identical.
-    phy::OfdmReceiver::Config rxc;
-    rxc.decoder = "sova";
-    li::Config chan_cfg = li::Config::fromString("snr_db=6,seed=3");
-    BitVec payload = randomPayload(600, 21);
-
-    LiTransceiverClocks paper; // 35 / 60 / 100
-    LiTransceiverClocks swapped;
-    swapped.basebandMhz = 60.0;
-    swapped.decoderMhz = 35.0;
-    swapped.hostMhz = 13.0;
-    LiTransceiverClocks odd;
-    odd.basebandMhz = 17.3;
-    odd.decoderMhz = 91.0;
-    odd.hostMhz = 44.4;
-
-    LiTransceiver a(2, rxc, "awgn", chan_cfg, paper);
-    LiTransceiver b(2, rxc, "awgn", chan_cfg, swapped);
-    LiTransceiver c(2, rxc, "awgn", chan_cfg, odd);
-
-    LiPacketResult ra = a.runPacket(payload, 0);
-    LiPacketResult rb = b.runPacket(payload, 0);
-    LiPacketResult rc = c.runPacket(payload, 0);
-    EXPECT_EQ(ra.payload, rb.payload);
-    EXPECT_EQ(ra.payload, rc.payload);
-    for (size_t i = 0; i < ra.soft.size(); ++i) {
-        ASSERT_EQ(ra.soft[i].llr, rb.soft[i].llr);
-        ASSERT_EQ(ra.soft[i].llr, rc.soft[i].llr);
+    // The system-level latency-insensitivity property: draw every
+    // clock frequency at random and the decoded packet -- payload
+    // and every SoftPHY hint -- still equals the batch path's. Only
+    // the cycle counts may move.
+    SplitMix64 rng(0xC10C);
+    auto mhz = [&rng] { return 5.0 + 195.0 * rng.nextDouble(); };
+    for (int rate = 0; rate < phy::kNumRates; ++rate) {
+        for (const char *channel : {"awgn", "rayleigh"}) {
+            ScenarioSpec spec =
+                liSpec(rate, "sova", "snr_db=6,doppler_hz=30,seed=3",
+                       channel);
+            spec.clocks.basebandMhz = mhz();
+            spec.clocks.decoderMhz = mhz();
+            spec.clocks.hostMhz = mhz();
+            BitVec payload = randomPayload(600, 21 + rate);
+            PacketResult kernel = Testbench(spec).runPacketWithPayload(
+                payload, 1);
+            LiPacketResult streamed = LiTransceiver(spec).runPacket(
+                payload, 1);
+            const std::string where =
+                std::string(channel) + " rate " + std::to_string(rate);
+            EXPECT_EQ(streamed.payload, kernel.rx.payload) << where;
+            ASSERT_EQ(streamed.soft.size(), kernel.rx.soft.size())
+                << where;
+            for (size_t i = 0; i < streamed.soft.size(); ++i)
+                ASSERT_EQ(streamed.soft[i].llr, kernel.rx.soft[i].llr)
+                    << where << " hint " << i;
+        }
     }
 }
 
@@ -279,10 +265,7 @@ TEST(LiTransceiver, StreamingThroughputIsSampleBound)
     // inserter is the 80-cycles-per-symbol stage), so a packet of N
     // samples should take ~N baseband cycles plus pipeline fill, not
     // many multiples of it.
-    phy::OfdmReceiver::Config rxc;
-    rxc.decoder = "viterbi";
-    LiTransceiver t(4, rxc, "awgn",
-                    li::Config::fromString("snr_db=20,seed=2"));
+    LiTransceiver t(liSpec(4, "viterbi", "snr_db=20,seed=2"));
     BitVec payload = randomPayload(1704, 3);
     LiPacketResult res = t.runPacket(payload, 0);
 
@@ -296,9 +279,7 @@ TEST(LiTransceiver, DecoderDomainRunsFasterThanBaseband)
 {
     // 60 MHz vs 35 MHz: over the same wall-clock run the decoder
     // domain must have ticked ~60/35 times as often.
-    phy::OfdmReceiver::Config rxc;
-    LiTransceiver t(2, rxc, "awgn",
-                    li::Config::fromString("snr_db=10,seed=4"));
+    LiTransceiver t(liSpec(2, "bcjr", "snr_db=10,seed=4"));
     BitVec payload = randomPayload(800, 5);
     LiPacketResult res = t.runPacket(payload, 0);
     double ratio = static_cast<double>(res.decoderCycles) /
@@ -308,10 +289,7 @@ TEST(LiTransceiver, DecoderDomainRunsFasterThanBaseband)
 
 TEST(LiTransceiver, ReusableAcrossPackets)
 {
-    phy::OfdmReceiver::Config rxc;
-    rxc.decoder = "bcjr";
-    li::Config chan_cfg = li::Config::fromString("snr_db=30,seed=6");
-    LiTransceiver t(4, rxc, "awgn", chan_cfg);
+    LiTransceiver t(liSpec(4, "bcjr", "snr_db=30,seed=6"));
     for (std::uint64_t p = 0; p < 4; ++p) {
         BitVec payload = randomPayload(500 + 100 * p, p);
         LiPacketResult res = t.runPacket(payload, p);
