@@ -328,7 +328,7 @@ TEST(ChannelSeedsDeath, NegativeSeedIsFatal)
                 testing::ExitedWithCode(1), "'seed'");
 }
 
-TEST(ChannelSeedsDeath, InterfererBinOutsideTheBandIsFatal)
+TEST(ChannelConfigDeath, InterfererBinOutsideTheBandIsFatal)
 {
     for (const char *bin : {"interferer_bin=40", "interferer_bin=-27"}) {
         EXPECT_EXIT(makeChannel("interference", li::Config::fromString(bin)),
