@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "phy/ofdm_symbol.hh"
 
