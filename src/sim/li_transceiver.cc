@@ -360,8 +360,7 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
       geometry(spec.rate, seed), scrambler(seed), descrambler(seed),
       puncturer(params.codeRate), interleaver(params.modulation),
       mapper(params.modulation), fft(OfdmGeometry::kFftSize),
-      h(OfdmGeometry::kFftSize),
-      demapper(params.modulation, spec.rx.demapper)
+      h(OfdmGeometry::kFftSize), demapper(params.modulation, spec.rx.demapper)
 {
     baseband = sched.createDomain("baseband", spec.clocks.basebandMhz);
     decoder_clk = sched.createDomain("ber_unit", spec.clocks.decoderMhz);
