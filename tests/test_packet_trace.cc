@@ -5,8 +5,9 @@
  * 2 and 8 worker threads and equal to the single-threaded per-user
  * oracle's on both the grid-3x3 and dense-urban-10k presets
  * -- and that the committed goldens under data/ pin grid-3x3
- * byte-for-byte and the urban-mobile trace and dense-urban-10k
- * report by digest. Around it:
+ * byte-for-byte and the urban-mobile trace, the dense-urban-10k
+ * report and the single-cell engine's cell-16 report and cell-auto
+ * trace by digest. Around it:
  * the per-shard sort and merge of finalize() equals one sort of the
  * whole trace for any sharding and worker count, the text format
  * round-trips through save()/load() (save() writes exactly the
@@ -254,6 +255,43 @@ TEST(PacketTrace, GoldenUrbanMobileTraceDigest)
         spec.link.kernel.backend = backend;
         const std::string line = digestLine(
             "urban-mobile-trace-400", runTraceText(spec, 400, 2));
+        EXPECT_NE(goldens.find(line), std::string::npos)
+            << backend << " backend: " << line;
+    }
+}
+
+// The single-cell engine: cell-16 on the full rung by its report,
+// cell-auto (full-PHY warm-up and refresh slots, analytic between) by
+// its trace.
+
+TEST(PacketTrace, GoldenCell16ReportDigest)
+{
+    const std::string goldens = goldenDigests();
+    RunRequest req;
+    req.spec = networkPreset("cell-16");
+    req.slots = 40;
+    req.threads = 2;
+    for (const std::string &backend : goldenBackends()) {
+        req.spec.link.kernel.backend = backend;
+        RunReport rep = runCampaignShard(req);
+        rep.config.clear();
+        const std::string line =
+            digestLine("cell-16-report-40", rep.toJsonText());
+        EXPECT_NE(goldens.find(line), std::string::npos)
+            << backend << " backend: " << line;
+    }
+}
+
+TEST(PacketTrace, GoldenCellAutoTraceDigest)
+{
+    const std::string goldens = goldenDigests();
+    NetworkSpec spec = networkPreset("cell-auto");
+    spec.calibrationFile = calibrationPath();
+    spec.trace = true;
+    for (const std::string &backend : goldenBackends()) {
+        spec.link.kernel.backend = backend;
+        const std::string line = digestLine(
+            "cell-auto-trace-200", runTraceText(spec, 200, 2));
         EXPECT_NE(goldens.find(line), std::string::npos)
             << backend << " backend: " << line;
     }
