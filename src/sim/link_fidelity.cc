@@ -1,9 +1,5 @@
 #include "sim/link_fidelity.hh"
 
-#include <cmath>
-#include <complex>
-
-#include "channel/channel.hh"
 #include "common/logging.hh"
 #include "softphy/calibration_table.hh"
 
@@ -56,43 +52,16 @@ FidelityPolicy::fullPhySlot(std::uint64_t t) const
 }
 
 AnalyticLink::AnalyticLink(const softphy::CalibrationTable *table,
-                           const channel::Channel *chan,
-                           double mean_snr_db,
                            std::uint64_t draw_stream)
-    : table_(table), chan_(chan), mean_snr_db_(mean_snr_db),
-      draws_(draw_stream)
+    : table_(table), draws_(draw_stream)
 {
     wilis_assert(table_ && table_->valid(),
                  "analytic link needs a calibration table");
-    wilis_assert(chan_ != nullptr, "analytic link needs a channel");
-}
-
-AnalyticLink::AnalyticLink(const softphy::CalibrationTable *table,
-                           std::uint64_t draw_stream)
-    : table_(table), chan_(nullptr), mean_snr_db_(0.0),
-      draws_(draw_stream)
-{
-    wilis_assert(table_ && table_->valid(),
-                 "analytic link needs a calibration table");
-}
-
-double
-AnalyticLink::effectiveSnrDb(std::uint64_t t) const
-{
-    wilis_assert(chan_ != nullptr,
-                 "channel-less analytic link: use drawAt()");
-    // Block fading: one gain per slot; conditioning on |h|^2 turns
-    // the slot into a flat channel at the effective SNR, which is
-    // exactly what the table was calibrated against.
-    const double h2 = std::norm(chan_->gain(t, 0));
-    if (h2 <= 0.0)
-        return kZeroSinrDb; // a dropped slot
-    return mean_snr_db_ + 10.0 * std::log10(h2);
 }
 
 LinkFrameResult
 AnalyticLink::drawAt(phy::RateIndex rate, std::uint64_t t,
-                     double snr_eff_db)
+                     double snr_eff_db) const
 {
     const double per = table_->per(rate, snr_eff_db);
     LinkFrameResult res;
@@ -103,33 +72,6 @@ AnalyticLink::drawAt(phy::RateIndex rate, std::uint64_t t,
     res.pber = table_->pberFeedback(rate, snr_eff_db, res.ok);
     res.fullPhy = false;
     return res;
-}
-
-void
-AnalyticLink::drawBatch(const kernels::PerTableView &tv,
-                        std::span<const std::int32_t> rates,
-                        std::span<const double> snr_eff_db,
-                        std::span<const std::uint64_t> draw_keys,
-                        std::uint64_t t, std::span<std::uint8_t> ok,
-                        std::span<double> pber)
-{
-    const size_t n = rates.size();
-    wilis_assert(snr_eff_db.size() == n && draw_keys.size() == n &&
-                     ok.size() == n && pber.size() == n,
-                 "drawBatch spans disagree on length");
-    if (n == 0)
-        return;
-    kernels::ops().perDrawBatch(tv, rates.data(), snr_eff_db.data(),
-                                draw_keys.data(), t, n, ok.data(),
-                                pber.data());
-}
-
-LinkFrameResult
-AnalyticLink::transmit(phy::RateIndex rate, std::uint64_t seq,
-                       std::uint64_t t)
-{
-    (void)seq; // payload content does not exist on the fast path
-    return drawAt(rate, t, effectiveSnrDb(t));
 }
 
 } // namespace sim

@@ -1,49 +1,46 @@
 /**
  * @file
- * The per-link fidelity ladder of the hybrid network simulator: one
- * interface, two interchangeable backends.
+ * The per-link fidelity ladder of the hybrid network simulator: which
+ * rung simulates a frame slot, and what either rung hands the MAC.
  *
- *  - "full"     -- the bit-exact PHY path (tx -> channel -> rx ->
- *                  decode), unchanged from sim::NetworkSim's
- *                  original frame loop.
- *  - "analytic" -- a calibrated fast path: the slot's fading gain is
- *                  folded into an effective SNR, the frame outcome
- *                  is drawn from a softphy::CalibrationTable
- *                  (per-rate, per-SNR-bin frame error rates measured
- *                  offline against the full PHY), and the SoftRate
- *                  feedback is the table's calibrated packet-BER
- *                  statistic. Roughly three orders of magnitude
- *                  cheaper per slot.
+ *  - "full"     -- the bit-exact PHY path (payload -> tx -> channel
+ *                  -> rx -> decode), WorkerPhy::frame()
+ *                  (sim/worker_phy.hh).
+ *  - "analytic" -- a calibrated fast path: the slot's fading gain
+ *                  (and, multi-cell, interference) is folded into an
+ *                  effective SNR, the frame outcome is drawn from a
+ *                  softphy::CalibrationTable (per-rate, per-SNR-bin
+ *                  frame error rates measured offline against the
+ *                  full PHY), and the SoftRate feedback is the
+ *                  table's calibrated packet-BER statistic
+ *                  (AnalyticLink::drawAt() or its batched kernel).
+ *                  Roughly three orders of magnitude cheaper per slot.
  *  - "auto"     -- full PHY for a per-user warm-up prefix and
  *                  periodic refresh windows, analytic in between:
  *                  the mixed-fidelity operating point WiLIS argues
  *                  for (bit-exact where it matters, modeled where it
  *                  does not).
  *
- * Both backends produce the same LinkFrameResult, so SoftRate and
- * ARQ consume frame outcomes without knowing which fidelity produced
- * them. All analytic randomness is keyed by (master seed, user,
- * slot) through the counter generator -- never by worker id -- so
- * every mode stays bit-identical across thread counts, and the
- * fidelity schedule itself is a pure function of the slot index.
+ * Each engine picks the rung with one FidelityPolicy::fullPhySlot(t)
+ * branch per slot. Both rungs produce the same LinkFrameResult, so
+ * SoftRate and ARQ consume frame outcomes without knowing which
+ * fidelity produced them. All analytic randomness is keyed by (master
+ * seed, user, slot) through the counter generator -- never by worker
+ * id -- so every mode stays bit-identical across thread counts, and
+ * the fidelity schedule itself is a pure function of the slot index.
  */
 
 #ifndef WILIS_SIM_LINK_FIDELITY_HH
 #define WILIS_SIM_LINK_FIDELITY_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 
-#include "common/kernels.hh"
 #include "common/random.hh"
 #include "phy/modulation.hh"
 
 namespace wilis {
 
-namespace channel {
-class Channel;
-}
 namespace softphy {
 class CalibrationTable;
 }
@@ -54,9 +51,9 @@ namespace sim {
  * Effective SNR/SINR assigned to a slot with no usable signal (a
  * dropped fade, or a zero signal term in the multi-cell SINR): far
  * below any calibrated bin, so the PER lookup saturates at the
- * worst-case row edge. Shared by the scalar per-user path, the
- * batched SoA kernels and the analytic link so every path bins a
- * dead slot identically.
+ * worst-case row edge. Shared by the single-cell engine, the
+ * scalar per-user path and the batched SoA kernels so every path
+ * bins a dead slot identically.
  */
 inline constexpr double kZeroSinrDb = -300.0;
 
@@ -109,100 +106,37 @@ struct LinkFrameResult {
 };
 
 /**
- * One link's frame-slot simulator. Implementations are created per
- * user timeline by sim::NetworkSim and hold only borrowed state
- * (worker PHY context, channel, calibration table), so they are
- * cheap to construct and never shared across workers.
+ * The calibrated analytic rung as a scalar reference: one draw per
+ * call, from the caller's effective SNR. Both network engines draw
+ * their analytic slots through it or its batched twin, the
+ * perDrawBatch kernel (common/kernels.hh), which replicates it bit
+ * for bit; the per-user oracle and the kernel tests compare the two.
  */
-class LinkFidelity
-{
-  public:
-    virtual ~LinkFidelity() = default;
-
-    /**
-     * Simulate the transmission of sequence number @p seq at slot
-     * @p t with rate @p rate.
-     */
-    virtual LinkFrameResult transmit(phy::RateIndex rate,
-                                     std::uint64_t seq,
-                                     std::uint64_t t) = 0;
-
-    /** Registry-style backend name ("full", "analytic", "auto"). */
-    virtual const char *name() const = 0;
-};
-
-/**
- * The calibrated analytic backend, exposed for tests and for
- * composition by the Auto backend (sim::NetworkSim instantiates it
- * internally; the full-PHY backend lives in network_sim.cc because
- * it borrows the worker PHY context defined there).
- *
- * Per transmit(): effective SNR = mean link SNR + 10 log10 |h(t)|^2,
- * success drawn as uniform(seed, t) >= PER(rate, snr_eff), feedback
- * = calibrated packet BER conditioned on the outcome.
- */
-class AnalyticLink : public LinkFidelity
+class AnalyticLink
 {
   public:
     /**
-     * @param table     Calibration table (borrowed, non-null).
-     * @param chan      The link's fading channel (borrowed); only
-     *                  gain() is consulted -- no samples flow.
-     * @param mean_snr_db Link mean SNR incl. the user's offset.
+     * @param table       Calibration table (borrowed, non-null).
      * @param draw_stream Per-user stream key for the success draws
-     *                  ((master seed, user)-derived by NetworkSim).
-     */
-    AnalyticLink(const softphy::CalibrationTable *table,
-                 const channel::Channel *chan, double mean_snr_db,
-                 std::uint64_t draw_stream);
-
-    /**
-     * Channel-less form for callers that supply the effective SNR
-     * themselves through drawAt() -- the multi-cell simulator folds
-     * pathloss, shadowing, fading and same-slot interference into
-     * one SINR and reuses this link's calibrated draw unchanged.
-     * transmit() is invalid on a channel-less link.
+     *                    ((master seed, user)-derived by the engine).
      */
     AnalyticLink(const softphy::CalibrationTable *table,
                  std::uint64_t draw_stream);
 
-    LinkFrameResult transmit(phy::RateIndex rate, std::uint64_t seq,
-                             std::uint64_t t) override;
-    const char *name() const override { return "analytic"; }
-
     /**
-     * The effective-SNR hook shared by every analytic caller: draw
-     * the frame outcome of slot @p t at @p snr_eff_db from the
+     * Draw the frame outcome of slot @p t at @p snr_eff_db from the
      * calibration table -- success as uniform(stream, t) >=
      * PER(rate, snr), feedback as the calibrated packet BER
-     * conditioned on the outcome.
+     * conditioned on the outcome. The single-cell engine folds the
+     * slot's fading gain into @p snr_eff_db; the multi-cell engine
+     * folds pathloss, shadowing, fading and same-slot interference
+     * into one SINR.
      */
     LinkFrameResult drawAt(phy::RateIndex rate, std::uint64_t t,
-                           double snr_eff_db);
-
-    /**
-     * Span-based batch sibling of drawAt(): one calibrated draw per
-     * entry for slot @p t, evaluated by the runtime-dispatched
-     * perDrawBatch kernel over a flattened table
-     * (CalibrationTable::flatten()). Entry i replicates bit-for-bit
-     * what drawAt(rates[i], t, snr_eff_db[i]) returns on an
-     * AnalyticLink whose draw stream is keyed @p draw_keys[i].
-     * All spans must have equal length.
-     */
-    static void drawBatch(const kernels::PerTableView &tv,
-                          std::span<const std::int32_t> rates,
-                          std::span<const double> snr_eff_db,
-                          std::span<const std::uint64_t> draw_keys,
-                          std::uint64_t t, std::span<std::uint8_t> ok,
-                          std::span<double> pber);
-
-    /** Effective SNR of slot @p t in dB (fading folded in). */
-    double effectiveSnrDb(std::uint64_t t) const;
+                           double snr_eff_db) const;
 
   private:
     const softphy::CalibrationTable *table_;
-    const channel::Channel *chan_;
-    double mean_snr_db_;
     CounterRng draws_;
 };
 

@@ -899,38 +899,22 @@ runMulticellSoa(
                     awgn[g]->setSnrDb(sinr_db);
                 const std::uint64_t seq =
                     granted_seq[static_cast<size_t>(sc.cell[j])];
-                std::unique_ptr<WorkerPhy> phy =
-                    phy_pool.acquire();
-                phy->arena.reset();
-                BitSpan payload =
-                    phy->arena.alloc<Bit>(payload_bits);
-                fillDeterministicBits(payload,
-                                      cache.payloadSeed[g], seq);
-                FrameContext ctx(phy->arena);
-                SampleSpan samples =
-                    phy->txAt(rate, spec.link.rx)
-                        .modulate(payload, ctx);
-                awgn[g]->apply(samples, t);
-                phy::RxFrame rx_frame =
-                    phy->rxAt(rate, spec.link.rx)
-                        .demodulate(samples, payload_bits,
-                                    awgn[g].get(), t, ctx);
-                const bool ok =
-                    rx_frame.bitErrors(payload) == 0;
-                const double pber = estimator.packetBerForRate(
-                    rate, rx_frame.soft);
+                std::unique_ptr<WorkerPhy> phy = phy_pool.acquire();
+                const LinkFrameResult fr =
+                    phy->frame(rate, spec.link, *awgn[g], estimator,
+                               cache.payloadSeed[g], seq, t);
                 phy_pool.release(std::move(phy));
 
                 UserStats &st = stats[g];
                 ++st.framesSent;
-                st.framesOk += ok ? 1 : 0;
+                st.framesOk += fr.ok ? 1 : 0;
                 ++st.fullPhyFrames;
                 st.rateHist.add(static_cast<double>(rate));
                 st.sinrDb.add(sinr_db);
-                recordTx(tctx[g], t, seq, ok,
+                recordTx(tctx[g], t, seq, fr.ok,
                          static_cast<int>(rate));
-                softrate[g].onFeedback(pber);
-                arqs[g].onSendResult(seq, ok);
+                softrate[g].onFeedback(fr.pber);
+                arqs[g].onSendResult(seq, fr.ok);
             }
             return;
         }

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "channel/fading.hh"
-#include "common/frame_arena.hh"
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "mac/arq.hh"
 #include "mac/softrate.hh"
-#include "phy/ofdm_rx.hh"
-#include "phy/ofdm_tx.hh"
 #include "sim/link_fidelity.hh"
 #include "sim/multicell_detail.hh"
 #include "sim/multicell_sim.hh"
@@ -35,93 +33,6 @@ UserStats::merge(const UserStats &other)
     for (const auto &f : kUserStatsHists)
         (this->*f.member).merge(other.*f.member);
 }
-
-namespace {
-
-/**
- * The bit-exact fidelity backend: the original NetworkSim frame
- * transaction (tx -> channel -> rx -> decode) behind the
- * LinkFidelity interface. Borrows the leased worker PHY context and
- * the user's channel for the duration of one user timeline.
- */
-class FullPhyLink : public LinkFidelity
-{
-  public:
-    FullPhyLink(WorkerPhy &phy, const ScenarioSpec &link,
-                channel::Channel &chan,
-                const softphy::BerEstimator &estimator,
-                std::uint64_t payload_seed)
-        : phy_(phy), link_(link), chan_(chan), est_(estimator),
-          payload_seed_(payload_seed)
-    {}
-
-    LinkFrameResult
-    transmit(phy::RateIndex rate, std::uint64_t seq,
-             std::uint64_t t) override
-    {
-        phy_.arena.reset();
-        BitSpan payload = phy_.arena.alloc<Bit>(link_.payloadBits);
-        // Same derivation as Testbench::makePayloadInto, keyed by
-        // sequence number so a retransmission resends the same bits.
-        fillDeterministicBits(payload, payload_seed_, seq);
-
-        FrameContext ctx(phy_.arena);
-        SampleSpan samples =
-            phy_.txAt(rate, link_.rx).modulate(payload, ctx);
-        chan_.apply(samples, t);
-        phy::RxFrame rx_frame =
-            phy_.rxAt(rate, link_.rx)
-                .demodulate(samples, link_.payloadBits, &chan_, t,
-                            ctx);
-
-        LinkFrameResult res;
-        res.ok = rx_frame.bitErrors(payload) == 0;
-        res.pber = est_.packetBerForRate(rate, rx_frame.soft);
-        res.fullPhy = true;
-        return res;
-    }
-
-    const char *name() const override { return "full"; }
-
-  private:
-    WorkerPhy &phy_;
-    const ScenarioSpec &link_;
-    channel::Channel &chan_;
-    const softphy::BerEstimator &est_;
-    std::uint64_t payload_seed_;
-};
-
-/**
- * The mixed-fidelity backend: full PHY on the policy's warm-up and
- * refresh slots, calibrated analytic in between. The schedule is a
- * pure function of the slot index (FidelityPolicy::fullPhySlot), so
- * it cannot depend on sharding.
- */
-class AutoLink : public LinkFidelity
-{
-  public:
-    AutoLink(const FidelityPolicy &policy, FullPhyLink &full,
-             AnalyticLink &fast)
-        : policy_(policy), full_(full), fast_(fast)
-    {}
-
-    LinkFrameResult
-    transmit(phy::RateIndex rate, std::uint64_t seq,
-             std::uint64_t t) override
-    {
-        return policy_.fullPhySlot(t) ? full_.transmit(rate, seq, t)
-                                      : fast_.transmit(rate, seq, t);
-    }
-
-    const char *name() const override { return "auto"; }
-
-  private:
-    const FidelityPolicy &policy_;
-    FullPhyLink &full_;
-    AnalyticLink &fast_;
-};
-
-} // namespace
 
 NetworkSim::NetworkSim(const NetworkSpec &spec)
     : NetworkSim(spec, nullptr)
@@ -277,34 +188,6 @@ NetworkSim::userSeeds(int user) const
     return s;
 }
 
-double
-NetworkSim::userSnrOffsetDb(int user) const
-{
-    return userSeeds(user).snrOffsetDb;
-}
-
-ScenarioSpec
-NetworkSim::userLinkSpec(int user) const
-{
-    const UserSeeds seeds = userSeeds(user);
-    ScenarioSpec s = spec_.link;
-    s.name = strprintf("%s/u%d", spec_.name.c_str(), user);
-    s.channel = "ar1";
-    s.channelCfg = li::Config();
-    s.channelCfg.set("snr_db",
-                     strprintf("%.17g",
-                               spec_.link.snrDb() + seeds.snrOffsetDb));
-    s.channelCfg.set("doppler_hz",
-                     strprintf("%.17g", spec_.dopplerHz));
-    s.channelCfg.set("frame_interval_us",
-                     strprintf("%.17g", spec_.frameIntervalUs));
-    s.channelCfg.set(
-        "seed", strprintf("%llu", static_cast<unsigned long long>(
-                                      seeds.channelSeed)));
-    s.payloadSeed = seeds.payloadSeed;
-    return s;
-}
-
 NetworkResult
 NetworkSim::run(std::uint64_t slots, int threads)
 {
@@ -346,34 +229,11 @@ NetworkSim::run(std::uint64_t slots, int threads)
             seeds.channelSeed);
         const CounterRng arrivals(seeds.arrivalStream);
 
-        // The fidelity ladder: both backends are constructed (they
-        // are cheap shells over borrowed state) and the policy picks
-        // which one -- or, under "auto", which mix -- simulates this
-        // user's slots.
-        FullPhyLink full_link(*phy, spec_.link, chan, estimator,
-                              seeds.payloadSeed);
-        std::unique_ptr<AnalyticLink> fast_link;
+        // The analytic rung's draws; the full rung needs no state
+        // beyond the leased PHY context and the user's channel.
+        std::optional<AnalyticLink> analytic;
         if (spec_.fidelity.mode != FidelityMode::Full)
-            fast_link = std::make_unique<AnalyticLink>(
-                calib.get(), &chan, mean_snr_db,
-                seeds.fidelityStream);
-        std::unique_ptr<AutoLink> auto_link;
-        if (spec_.fidelity.mode == FidelityMode::Auto)
-            auto_link = std::make_unique<AutoLink>(
-                spec_.fidelity, full_link, *fast_link);
-        LinkFidelity *link = nullptr;
-        switch (spec_.fidelity.mode) {
-          case FidelityMode::Full:
-            link = &full_link;
-            break;
-          case FidelityMode::Analytic:
-            link = fast_link.get();
-            break;
-          case FidelityMode::Auto:
-            link = auto_link.get();
-            break;
-        }
-        wilis_assert(link != nullptr, "no fidelity backend selected");
+            analytic.emplace(calib.get(), seeds.fidelityStream);
 
         mac::SoftRateMac::Config src;
         src.pberLo = spec_.pberLo;
@@ -429,7 +289,21 @@ NetworkSim::run(std::uint64_t slots, int threads)
                                 0);
 
             const phy::RateIndex rate = softrate.currentRate();
-            const LinkFrameResult res = link->transmit(rate, seq, t);
+            LinkFrameResult res;
+            if (spec_.fidelity.fullPhySlot(t)) {
+                res = phy->frame(rate, spec_.link, chan, estimator,
+                                 seeds.payloadSeed, seq, t);
+            } else {
+                // Block fading: one gain per slot; conditioning on
+                // |h|^2 turns the slot into a flat channel at the
+                // effective SNR, which is exactly what the table was
+                // calibrated against.
+                const double h2 = std::norm(chan.gain(t, 0));
+                res = analytic->drawAt(
+                    rate, t,
+                    h2 <= 0.0 ? kZeroSinrDb
+                              : mean_snr_db + 10.0 * std::log10(h2));
+            }
 
             ++st.framesSent;
             st.framesOk += res.ok ? 1 : 0;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Multi-user cell simulator: N independent link sessions -- each
- * owning a per-user ScenarioSpec derivation, a time-correlated AR(1)
- * fading process, a SoftRate adapter and a windowed ARQ instance --
- * evolving frame slot by frame slot over a shared simulated
- * timeline. This is the system-level payoff WiLIS argues for:
+ * owning its derived seeds and mean-SNR offset, a time-correlated
+ * AR(1) fading process, a SoftRate adapter and a windowed ARQ
+ * instance -- evolving frame slot by frame slot over a shared
+ * simulated timeline. This is the system-level payoff WiLIS argues for:
  * rate adaptation and ARQ evaluated on top of the bit-exact PHY,
  * scaled from one link to a whole cell.
  *
@@ -309,22 +309,11 @@ class NetworkSim
     static softphy::CalibrationTable::BuildSpec
     calibrationBuildSpec(const NetworkSpec &spec);
 
-    /** Deterministic mean-SNR offset of @p user in dB. */
-    double userSnrOffsetDb(int user) const;
-
     /**
      * The realized deployment geometry; non-null only for
      * multi-cell specs (spec().multicell()).
      */
     const Topology *topology() const { return topo.get(); }
-
-    /**
-     * Fully resolved per-user link scenario: the link template with
-     * the user's AR(1) channel configuration and derived seeds
-     * substituted (exported for tools and tests; run() derives the
-     * same values internally).
-     */
-    ScenarioSpec userLinkSpec(int user) const;
 
     /**
      * Simulate @p slots frame slots for every user.

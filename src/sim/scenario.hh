@@ -253,7 +253,7 @@ struct NetworkSpec {
     int reps = 1;
 
     /**
-     * Per-link fidelity ladder (see sim::LinkFidelity): "full" runs
+     * Per-link fidelity ladder (sim/link_fidelity.hh): "full" runs
      * the bit-exact PHY every slot, "analytic" draws frame outcomes
      * from a calibrated softphy::CalibrationTable, "auto" mixes the
      * two on a warm-up + periodic-refresh schedule.

@@ -2,9 +2,9 @@
  * @file
  * End-to-end transceiver testbench: transmitter -> software channel
  * -> receiver, the co-simulation arrangement of Figure 1 at the
- * functional-kernel level. The latency-insensitive cycle-counted
- * pipeline lives in sim/li_pipeline; both are built from the same
- * blocks, which is what lets WiLIS move between software simulation
+ * functional-kernel level. The latency-insensitive, cycle-counted
+ * streaming transceiver lives in sim/li_transceiver; both are built
+ * from the same blocks, which is what lets WiLIS move between software simulation
  * and the FPGA "without modifying any source" (section 2).
  */
 

@@ -4,10 +4,11 @@
  * transmitter/receiver pair per rate (built lazily -- a run that
  * never visits QAM64 never pays for it) and the frame arena backing
  * the zero-copy packet path, plus the mutex-guarded free list that
- * leases contexts to work items. Both the single-cell engine
- * (network_sim.cc) and the multi-cell engine (multicell_soa.cc)
- * draw from this pool, so at most `threads` contexts ever exist
- * regardless of the user or cell count.
+ * leases contexts to work items. Its frame() is the one full-PHY
+ * frame of both the single-cell engine (network_sim.cc) and the
+ * multi-cell engine (multicell_soa.cc); both draw from this pool,
+ * so at most `threads` contexts ever exist regardless of the user or
+ * cell count.
  *
  * Internal to src/sim -- not part of the public simulator API.
  */
@@ -19,11 +20,16 @@
 #include <memory>
 #include <vector>
 
+#include "channel/channel.hh"
 #include "common/frame_arena.hh"
+#include "common/random.hh"
 #include "common/sync.hh"
 #include "common/thread_annotations.hh"
 #include "phy/ofdm_rx.hh"
 #include "phy/ofdm_tx.hh"
+#include "sim/link_fidelity.hh"
+#include "sim/scenario.hh"
+#include "softphy/ber_estimator.hh"
 
 namespace wilis {
 namespace sim {
@@ -57,6 +63,36 @@ struct WorkerPhy {
         if (!slot)
             slot = std::make_unique<phy::OfdmReceiver>(r, cfg);
         return *slot;
+    }
+
+    /**
+     * One bit-exact frame of @p link at rate @p rate: the payload of
+     * sequence number @p seq (keyed by @p payload_seed, so a
+     * retransmission resends the same bits), modulated, sent through
+     * @p chan at slot @p t, demodulated and decoded. The frame is ok
+     * when the payload decodes error-free; the feedback is @p est's
+     * SoftPHY packet BER.
+     */
+    LinkFrameResult
+    frame(phy::RateIndex rate, const ScenarioSpec &link,
+          channel::Channel &chan, const softphy::BerEstimator &est,
+          std::uint64_t payload_seed, std::uint64_t seq,
+          std::uint64_t t)
+    {
+        arena.reset();
+        BitSpan payload = arena.alloc<Bit>(link.payloadBits);
+        // Same derivation as Testbench::makePayloadInto.
+        fillDeterministicBits(payload, payload_seed, seq);
+        FrameContext ctx(arena);
+        SampleSpan samples = txAt(rate, link.rx).modulate(payload, ctx);
+        chan.apply(samples, t);
+        phy::RxFrame rx_frame = rxAt(rate, link.rx).demodulate(
+            samples, link.payloadBits, &chan, t, ctx);
+        LinkFrameResult res;
+        res.ok = rx_frame.bitErrors(payload) == 0;
+        res.pber = est.packetBerForRate(rate, rx_frame.soft);
+        res.fullPhy = true;
+        return res;
     }
 };
 

@@ -5,7 +5,7 @@
  * rates and SoftPHY packet-BER statistics measured against the
  * bit-exact PHY by a scenario-grid sweep.
  *
- * The analytic fast path of sim::NetworkSim (sim::LinkFidelity mode
+ * The analytic fast path of sim::NetworkSim (sim::FidelityPolicy mode
  * "analytic"/"auto") conditions each frame slot on the link's fading
  * gain, forms the *effective* SNR of that slot, and draws the frame
  * outcome from this table instead of running tx -> channel -> rx ->

@@ -4,17 +4,21 @@
  * transceiver must be bit-exact against the batch kernel path (the
  * WiLIS "same source, both execution styles" property) from the
  * transmitted samples to the SoftPHY hints, keep its pinned cycle
- * counts, sustain the expected streaming throughput, and produce
- * identical results under any clock assignment.
+ * counts, charge each decoder's own pipeline latency exactly,
+ * sustain the expected streaming throughput, and produce identical
+ * results under any clock assignment.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "channel/channel.hh"
 #include "common/frame_arena.hh"
 #include "common/random.hh"
+#include "decode/soft_decoder.hh"
 #include "phy/ofdm_tx.hh"
 #include "sim/li_transceiver.hh"
 #include "sim/testbench.hh"
@@ -179,6 +183,40 @@ TEST(LiTransceiver, CycleCountsPinned)
             << "rate " << g.rate << " " << g.decoder;
         EXPECT_EQ(res.samples, g.samples)
             << "rate " << g.rate << " " << g.decoder;
+    }
+}
+
+TEST(LiTransceiver, DecoderLatencyIsChargedExactly)
+{
+    // The decoder stage charges its decoder's own pipeline latency
+    // (section 4.3: SOVA l + k + 12, BCJR 2n + 7) on top of the
+    // packet's streaming time, cycle for cycle: what is left of the
+    // decoder-domain cycles is the same for every window and both
+    // decoders (the rate-2 row of CycleCountsPinned, less 140 or 135).
+    struct Window {
+        const char *decoder;
+        std::string cfg;
+    };
+    std::vector<Window> windows;
+    for (int w : {16, 32, 64, 128})
+        windows.push_back(
+            {"sova", "traceback_l=" + std::to_string(w) +
+                         ",traceback_k=" + std::to_string(w)});
+    for (int n : {16, 32, 64, 128, 256})
+        windows.push_back({"bcjr", "block_len=" + std::to_string(n)});
+
+    const BitVec payload = randomPayload(1704, 2);
+    for (const Window &w : windows) {
+        ScenarioSpec spec = liSpec(2, w.decoder, "snr_db=30,seed=1");
+        spec.rx.decoderCfg = li::Config::fromString(w.cfg);
+        const int latency =
+            decode::makeDecoder(w.decoder, spec.rx.decoderCfg)
+                ->pipelineLatencyCycles();
+        LiPacketResult res = LiTransceiver(spec).runPacket(payload, 0);
+        EXPECT_EQ(res.payload, payload) << w.cfg;
+        EXPECT_EQ(res.decoderCycles - static_cast<std::uint64_t>(latency),
+                  6455u)
+            << w.decoder << " " << w.cfg;
     }
 }
 

@@ -23,11 +23,11 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/kernels.hh"
 #include "common/random.hh"
 #include "sim/link_fidelity.hh"
 #include "sim/network_sim.hh"
@@ -261,8 +261,9 @@ TEST(LinkFidelity, DrawBatchMatchesDrawAtBitForBit)
          {std::uint64_t(0), std::uint64_t(421)}) {
         std::vector<std::uint8_t> ok(n, 9);
         std::vector<double> pber(n, -1.0);
-        AnalyticLink::drawBatch(flat.view(), rates, snr, keys, slot,
-                                ok, pber);
+        kernels::ops().perDrawBatch(flat.view(), rates.data(),
+                                    snr.data(), keys.data(), slot, n,
+                                    ok.data(), pber.data());
         for (size_t i = 0; i < n; ++i) {
             AnalyticLink link(t.get(), keys[i]);
             const LinkFrameResult fr = link.drawAt(
@@ -281,7 +282,7 @@ TEST(LinkFidelity, DrawBatchMatchesDrawAtBitForBit)
  * A zero-signal user (sig = 0, so SINR collapses to the shared
  * kZeroSinrDb sentinel rather than -inf) must see identical frame
  * statistics through the scalar drawAt() path and the batched
- * drawBatch() path -- the guarantee that lets the SoA engine feed
+ * perDrawBatch kernel -- the guarantee that lets the SoA engine feed
  * the sentinel through the kernels unchanged.
  */
 TEST(LinkFidelity, ZeroSignalUserIdenticalInScalarAndBatchedPaths)
@@ -299,11 +300,8 @@ TEST(LinkFidelity, ZeroSignalUserIdenticalInScalarAndBatchedPaths)
             static_cast<phy::RateIndex>(rate), slot, kZeroSinrDb);
         std::uint8_t ok = 9;
         double pber = -1.0;
-        AnalyticLink::drawBatch(
-            flat.view(), std::span(&rate, 1),
-            std::span<const double>(&kZeroSinrDb, 1),
-            std::span(&key, 1), slot, std::span(&ok, 1),
-            std::span(&pber, 1));
+        kernels::ops().perDrawBatch(flat.view(), &rate, &kZeroSinrDb,
+                                    &key, slot, 1, &ok, &pber);
         ASSERT_EQ(fr.ok, ok != 0) << "slot " << slot;
         ASSERT_EQ(fr.pber, pber) << "slot " << slot;
         ++sent;

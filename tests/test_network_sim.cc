@@ -219,20 +219,6 @@ TEST(NetworkSim, SixteenUserSweepBitIdenticalAt1_2_8Threads)
     EXPECT_GT(t1.aggregateGoodputMbps(), 0.0);
 }
 
-TEST(NetworkSim, PerUserSpecsDeriveDistinctSeeds)
-{
-    NetworkSim sim(testCell(4));
-    ScenarioSpec u0 = sim.userLinkSpec(0);
-    ScenarioSpec u1 = sim.userLinkSpec(1);
-    EXPECT_EQ(u0.channel, "ar1");
-    EXPECT_NE(u0.payloadSeed, u1.payloadSeed);
-    EXPECT_NE(u0.channelCfg.getString("seed"),
-              u1.channelCfg.getString("seed"));
-    EXPECT_NE(u0.channelCfg.getString("snr_db"),
-              u1.channelCfg.getString("snr_db"));
-    EXPECT_DOUBLE_EQ(u0.channelCfg.getDouble("doppler_hz"), 60.0);
-}
-
 TEST(NetworkSim, SelectiveRepeatOutperformsStopAndWait)
 {
     // At a 2-slot ack delay, stop-and-wait can use at most every
