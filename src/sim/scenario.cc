@@ -120,9 +120,14 @@ readNumber(const li::Config &cfg, const char *key, const Range<T> &range)
     const bool high = range.hiOpen ? !(v < hi) : !(v <= hi);
     if (!low && !high)
         return static_cast<T>(v);
-    // Below the range names the lower bound; above it, the interval.
+    // Below the range names the lower bound; above it, the interval;
+    // an unbounded floating-point range only rejects NaN and +-inf.
     std::string must;
-    if (low)
+    if (std::is_floating_point_v<T> &&
+        range.lo == std::numeric_limits<T>::lowest() &&
+        range.hi == std::numeric_limits<T>::max())
+        must = "finite";
+    else if (low)
         must = (range.loOpen ? "> " : ">= ") + formatValue(range.lo);
     else
         must = std::string("in ") + (range.loOpen ? "(" : "[") +
@@ -428,8 +433,9 @@ rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
 }
 
 /**
- * Range-check the channel. sub-keys whose channel constructors
- * assert on a bad value, so a bad value is fatal naming the key.
+ * Range-check the channel. sub-keys (and the snr_db alias) whose
+ * channel constructors assert on, or silently run with, a bad value,
+ * so a bad value is fatal naming the key.
  */
 void
 checkChannelKeys(const li::Config &cfg)
@@ -438,7 +444,14 @@ checkChannelKeys(const li::Config &cfg)
         if (cfg.has(key))
             readNumber(cfg, key, range);
     };
+    // Finite: the default range rejects NaN and +-inf.
+    check("snr_db", Range<double>{});
+    check("channel.snr_db", Range<double>{});
+    check("channel.sir_db", Range<double>{});
     check("channel.doppler_hz", atLeast(0.0));
+    check("channel.packet_interval_us", above(0.0));
+    // Noise worker threads; 0 is the hardware concurrency.
+    check("channel.threads", within(0L, 1024L));
     // Tap delays 0..num_taps-1 must fit in the cyclic prefix.
     check("channel.num_taps",
           within(1L, long{phy::OfdmGeometry::kCpLen + 1}));

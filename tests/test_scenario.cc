@@ -157,6 +157,45 @@ TEST(ScenarioSpec, ChannelValuesTheConstructorsAssertOnExitNamingTheKey)
     EXPECT_EQ(edges.channelCfg.getInt("num_taps"), 17);
 }
 
+TEST(ScenarioSpec, ChannelValuesThatRunSilentlyOrCrashExitNamingTheKey)
+{
+    // These ran to a meaningless result (PER 1, 0 Mb/s) or aborted
+    // when the channel spawned its noise threads.
+    const struct {
+        const char *spec;
+        const char *error;
+    } cases[] = {
+        {"snr_db=nan", "snr_db nan out of range: snr_db must be finite"},
+        {"channel.snr_db=inf", "channel.snr_db must be finite"},
+        {"channel.snr_db=-inf", "channel.snr_db must be finite"},
+        {"channel=interference,channel.sir_db=nan",
+         "channel.sir_db must be finite"},
+        {"channel=rayleigh,channel.packet_interval_us=-1",
+         "channel.packet_interval_us must be > 0"},
+        {"channel=rayleigh,channel.packet_interval_us=0",
+         "channel.packet_interval_us must be > 0"},
+        {"channel.threads=100000",
+         "channel.threads must be in \\[0,1024\\]"},
+        {"channel.threads=-1", "channel.threads must be >= 0"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(ScenarioSpec::fromConfig(li::Config::fromString(c.spec)),
+                    testing::ExitedWithCode(1), c.error)
+            << c.spec;
+    // A network spec's snr_db shorthand reaches the same check.
+    EXPECT_EXIT(parseNetworkSpecArg("cell-16,snr_db=nan"),
+                testing::ExitedWithCode(1), "snr_db must be finite");
+    // The edges of each range are accepted.
+    const ScenarioSpec edges = ScenarioSpec::fromConfig(li::Config::fromString(
+        "snr_db=-40,channel.sir_db=1e300,channel.packet_interval_us=1e-9,"
+        "channel.threads=1024"));
+    EXPECT_EQ(edges.channelCfg.getInt("threads"), 1024);
+    EXPECT_EQ(ScenarioSpec::fromConfig(
+                  li::Config::fromString("channel.threads=0"))
+                  .channelCfg.getInt("threads"),
+              0);
+}
+
 TEST(NetworkSpecStrict, RejectsUnknownKeysWithAPinnedError)
 {
     EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
