@@ -39,10 +39,10 @@ main(int argc, char **argv)
     // Decoder-domain cycles beyond the latency; equal for all rows.
     std::optional<std::uint64_t> streaming;
     bool constant = true;
-    // One row: the window config, its formula latency and what the
-    // transceiver charges for it.
-    const auto row = [&](const char *decoder, const std::string &cfg,
-                         std::vector<std::string> cells) {
+    // Appends to a row's @p cells the window's formula latency, in us
+    // against the budget, and as the transceiver charges it.
+    const auto charged = [&](const char *decoder, const std::string &cfg,
+                             std::vector<std::string> cells) {
         ScenarioSpec spec;
         spec.rate = 2;
         spec.rx.decoder = decoder;
@@ -65,36 +65,26 @@ main(int argc, char **argv)
                                             cycles)),
                       strprintf("%llu", static_cast<unsigned long long>(
                                             rest))});
-        return std::pair{cells, us};
+        return cells;
     };
 
     banner("SOVA decoder latency: l + k + 12");
     Table sova({"l", "k", "formula (cycles)", "us @ 60 MHz",
                 "fits 25 us budget", "transceiver cycles",
                 "cycles - formula"});
-    for (int w : {16, 32, 64, 128}) {
-        auto [cells, us] =
-            row("sova", strprintf("traceback_l=%d,traceback_k=%d", w, w),
-                {strprintf("%d", w), strprintf("%d", w)});
-        sova.addRow(cells);
-        if (w == 64)
-            report.metric("sova_latency_us", us, "us",
-                          /*higher_is_better=*/false);
-    }
+    for (int w : {16, 32, 64, 128})
+        sova.addRow(charged(
+            "sova", strprintf("traceback_l=%d,traceback_k=%d", w, w),
+            {strprintf("%d", w), strprintf("%d", w)}));
     sova.print();
 
     banner("BCJR decoder latency: 2n + 7");
     Table bcjr({"n", "formula (cycles)", "us @ 60 MHz",
                 "fits 25 us budget", "transceiver cycles",
                 "cycles - formula"});
-    for (int n : {16, 32, 64, 128, 256}) {
-        auto [cells, us] = row("bcjr", strprintf("block_len=%d", n),
-                               {strprintf("%d", n)});
-        bcjr.addRow(cells);
-        if (n == 64)
-            report.metric("bcjr_latency_us", us, "us",
-                          /*higher_is_better=*/false);
-    }
+    for (int n : {16, 32, 64, 128, 256})
+        bcjr.addRow(charged("bcjr", strprintf("block_len=%d", n),
+                            {strprintf("%d", n)}));
     bcjr.print();
 
     std::printf("transceiver charges exactly the formula latency: %s\n",

@@ -299,10 +299,10 @@ NetworkSim::run(std::uint64_t slots, int threads)
                 // effective SNR, which is exactly what the table was
                 // calibrated against.
                 const double h2 = std::norm(chan.gain(t, 0));
-                res = analytic->drawAt(
-                    rate, t,
+                const double snr_db =
                     h2 <= 0.0 ? kZeroSinrDb
-                              : mean_snr_db + 10.0 * std::log10(h2));
+                              : mean_snr_db + 10.0 * std::log10(h2);
+                res = analytic->drawAt(rate, t, snr_db);
             }
 
             ++st.framesSent;

@@ -4,8 +4,9 @@
  * -> receiver, the co-simulation arrangement of Figure 1 at the
  * functional-kernel level. The latency-insensitive, cycle-counted
  * streaming transceiver lives in sim/li_transceiver; both are built
- * from the same blocks, which is what lets WiLIS move between software simulation
- * and the FPGA "without modifying any source" (section 2).
+ * from the same blocks, which is what lets WiLIS move between
+ * software simulation and the FPGA "without modifying any source"
+ * (section 2).
  */
 
 #ifndef WILIS_SIM_TESTBENCH_HH

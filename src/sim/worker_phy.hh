@@ -86,8 +86,9 @@ struct WorkerPhy {
         FrameContext ctx(arena);
         SampleSpan samples = txAt(rate, link.rx).modulate(payload, ctx);
         chan.apply(samples, t);
-        phy::RxFrame rx_frame = rxAt(rate, link.rx).demodulate(
-            samples, link.payloadBits, &chan, t, ctx);
+        phy::RxFrame rx_frame =
+            rxAt(rate, link.rx)
+                .demodulate(samples, link.payloadBits, &chan, t, ctx);
         LinkFrameResult res;
         res.ok = rx_frame.bitErrors(payload) == 0;
         res.pber = est.packetBerForRate(rate, rx_frame.soft);
