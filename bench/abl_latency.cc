@@ -39,7 +39,7 @@ main(int argc, char **argv)
     // Decoder-domain cycles beyond the latency; equal for all rows.
     std::optional<std::uint64_t> streaming;
     bool constant = true;
-    // Appends to a row's @p cells the window's formula latency, in us
+    // Appends to a row's cells the window's formula latency, in us
     // against the budget, and as the transceiver charges it.
     const auto charged = [&](const char *decoder, const std::string &cfg,
                              std::vector<std::string> cells) {
@@ -58,13 +58,11 @@ main(int argc, char **argv)
             streaming = rest;
         constant = constant && rest == *streaming;
         const double us = latency / spec.clocks.decoderMhz;
-        cells.insert(cells.end(),
-                     {strprintf("%d", latency), strprintf("%.2f", us),
-                      us < 25.0 ? "yes" : "NO",
-                      strprintf("%llu", static_cast<unsigned long long>(
-                                            cycles)),
-                      strprintf("%llu", static_cast<unsigned long long>(
-                                            rest))});
+        cells.push_back(std::to_string(latency));
+        cells.push_back(strprintf("%.2f", us));
+        cells.push_back(us < 25.0 ? "yes" : "NO");
+        cells.push_back(std::to_string(cycles));
+        cells.push_back(std::to_string(rest));
         return cells;
     };
 
@@ -73,9 +71,9 @@ main(int argc, char **argv)
                 "fits 25 us budget", "transceiver cycles",
                 "cycles - formula"});
     for (int w : {16, 32, 64, 128})
-        sova.addRow(charged(
-            "sova", strprintf("traceback_l=%d,traceback_k=%d", w, w),
-            {strprintf("%d", w), strprintf("%d", w)}));
+        sova.addRow(charged("sova",
+                            strprintf("traceback_l=%d,traceback_k=%d", w, w),
+                            {std::to_string(w), std::to_string(w)}));
     sova.print();
 
     banner("BCJR decoder latency: 2n + 7");
@@ -84,7 +82,7 @@ main(int argc, char **argv)
                 "cycles - formula"});
     for (int n : {16, 32, 64, 128, 256})
         bcjr.addRow(charged("bcjr", strprintf("block_len=%d", n),
-                            {strprintf("%d", n)}));
+                            {std::to_string(n)}));
     bcjr.print();
 
     std::printf("transceiver charges exactly the formula latency: %s\n",

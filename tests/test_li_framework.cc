@@ -13,8 +13,8 @@
 
 #include "li/config.hh"
 #include "li/fifo.hh"
-#include "li/registry.hh"
 #include "li/module.hh"
+#include "li/registry.hh"
 #include "li/scheduler.hh"
 
 using namespace wilis;

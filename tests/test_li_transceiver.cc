@@ -198,10 +198,10 @@ TEST(LiTransceiver, DecoderLatencyIsChargedExactly)
         std::string cfg;
     };
     std::vector<Window> windows;
-    for (int w : {16, 32, 64, 128})
-        windows.push_back(
-            {"sova", "traceback_l=" + std::to_string(w) +
-                         ",traceback_k=" + std::to_string(w)});
+    for (int w : {16, 32, 64, 128}) {
+        const std::string l = std::to_string(w);
+        windows.push_back({"sova", "traceback_l=" + l + ",traceback_k=" + l});
+    }
     for (int n : {16, 32, 64, 128, 256})
         windows.push_back({"bcjr", "block_len=" + std::to_string(n)});
 

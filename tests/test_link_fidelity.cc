@@ -261,9 +261,9 @@ TEST(LinkFidelity, DrawBatchMatchesDrawAtBitForBit)
          {std::uint64_t(0), std::uint64_t(421)}) {
         std::vector<std::uint8_t> ok(n, 9);
         std::vector<double> pber(n, -1.0);
-        kernels::ops().perDrawBatch(flat.view(), rates.data(),
-                                    snr.data(), keys.data(), slot, n,
-                                    ok.data(), pber.data());
+        kernels::ops().perDrawBatch(flat.view(), rates.data(), snr.data(),
+                                    keys.data(), slot, n, ok.data(),
+                                    pber.data());
         for (size_t i = 0; i < n; ++i) {
             AnalyticLink link(t.get(), keys[i]);
             const LinkFrameResult fr = link.drawAt(
@@ -300,8 +300,8 @@ TEST(LinkFidelity, ZeroSignalUserIdenticalInScalarAndBatchedPaths)
             static_cast<phy::RateIndex>(rate), slot, kZeroSinrDb);
         std::uint8_t ok = 9;
         double pber = -1.0;
-        kernels::ops().perDrawBatch(flat.view(), &rate, &kZeroSinrDb,
-                                    &key, slot, 1, &ok, &pber);
+        kernels::ops().perDrawBatch(flat.view(), &rate, &kZeroSinrDb, &key,
+                                    slot, 1, &ok, &pber);
         ASSERT_EQ(fr.ok, ok != 0) << "slot " << slot;
         ASSERT_EQ(fr.pber, pber) << "slot " << slot;
         ++sent;
