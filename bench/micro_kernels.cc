@@ -118,7 +118,8 @@ BENCHMARK(BM_MapDemap)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 void
 BM_AwgnNoise(benchmark::State &state)
 {
-    channel::AwgnChannel ch(10.0, 1, static_cast<int>(state.range(0)));
+    channel::AwgnChannel ch(
+        {.threads = static_cast<int>(state.range(0))});
     SampleVec buf(1 << 14, Sample(1.0, 0.0));
     std::uint64_t p = 0;
     for (auto _ : state) {
@@ -160,7 +161,7 @@ BM_FullPipeline(benchmark::State &state)
     OfdmReceiver::Config rxc;
     rxc.decoder = "bcjr";
     OfdmReceiver rx(4, rxc);
-    channel::AwgnChannel ch(9.0, 1);
+    channel::AwgnChannel ch({.snrDb = 9.0});
     BitVec payload = randomBits(1704, 8);
     FrameArena arena;
     std::uint64_t p = 0;

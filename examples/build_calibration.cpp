@@ -23,7 +23,6 @@
  * file; default cell-16).
  */
 
-#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -58,12 +57,10 @@ main(int argc, char **argv)
         args.set("threads", argv[4]);
     softphy::CalibrationTable::BuildSpec build =
         sim::NetworkSim::calibrationBuildSpec(spec);
-    build.packetsPerCell = static_cast<std::uint64_t>(
-        args.getInt("packets_per_cell",
-                    static_cast<long>(build.packetsPerCell), 1,
-                    LONG_MAX));
-    build.threads = static_cast<int>(
-        args.getInt("threads", build.threads, 0, INT_MAX));
+    const li::ApplyKeys read(args);
+    read("packets_per_cell", build.packetsPerCell,
+         li::atLeast<std::uint64_t>(1));
+    read("threads", build.threads, li::atLeast(0));
 
     std::printf("calibrating %s: %d rates x %d bins "
                 "[%g..%g dB step %g], %llu packets/cell, "

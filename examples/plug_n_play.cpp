@@ -24,7 +24,6 @@ main(int argc, char **argv)
     double snr_db = argc > 1 ? std::atof(argv[1]) : 3.0;
 
     // What's on the shelf?
-    decode::linkDecoders();
     auto decoders = decode::DecoderRegistry::global().names();
     auto channels = channel::ChannelRegistry::global().names();
     std::printf("registered decoders: ");

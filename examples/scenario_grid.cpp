@@ -12,7 +12,6 @@
  * Usage: ./build/scenario_grid [packets-per-cell] [threads]
  */
 
-#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -58,10 +57,11 @@ main(int argc, char **argv)
         args.set("packets_per_cell", argv[1]);
     if (argc > 2)
         args.set("threads", argv[2]);
-    const auto packets = static_cast<std::uint64_t>(
-        args.getInt("packets_per_cell", 40, 1, LONG_MAX));
-    const int threads =
-        static_cast<int>(args.getInt("threads", 0, 0, INT_MAX));
+    std::uint64_t packets = 40;
+    int threads = 0;
+    const li::ApplyKeys read(args);
+    read("packets_per_cell", packets, li::atLeast<std::uint64_t>(1));
+    read("threads", threads, li::atLeast(0));
 
     sim::ScenarioGrid grid;
     grid.base = sim::scenarioPreset("awgn-mid");

@@ -49,7 +49,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -62,7 +61,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "decode/soft_decoder.hh"
+#include "decode/bcjr.hh"
 #include "mac/packet_trace.hh"
 #include "phy/modulation.hh"
 #include "sim/campaign.hh"
@@ -83,10 +82,7 @@ ull(std::uint64_t v)
 }
 
 /** Keys the CLI consumes itself, peeled before the spec parser. */
-const char *const kCliKeys[] = {
-    "packets",     "threads",     "doppler_hz", "num_taps",
-    "block_len",   "traceback_l", "traceback_k",
-};
+const char *const kCliKeys[] = {"packets", "threads"};
 
 /**
  * Resolve a link-experiment argument the same way
@@ -123,7 +119,7 @@ runLinkExperiment(int argc, char **argv)
     defaults.channelCfg = li::Config::fromString("snr_db=8,seed=1");
 
     sim::ScenarioSpec spec = defaults;
-    li::Config cli; // the CLI-only keys (packets, shorthands)
+    li::Config cli; // the CLI-only keys
     wilis_fatal_if(argc > 2, "link mode takes one argument, got '%s'",
                    argv[2]);
     if (argc > 1) {
@@ -147,21 +143,9 @@ runLinkExperiment(int argc, char **argv)
                      argv[0]);
     }
 
-    // The CLI's historical shorthand keys forward into the spec's
-    // sub-configs by hand; everything else went through the parser.
-    for (const char *key : {"doppler_hz", "num_taps"}) {
-        if (cli.has(key))
-            spec.channelCfg.set(key, cli.getString(key));
-    }
-    for (const char *key :
-         {"block_len", "traceback_l", "traceback_k"}) {
-        if (cli.has(key))
-            spec.rx.decoderCfg.set(key, cli.getString(key));
-    }
-
     const std::uint64_t packets = cli.getUint64("packets", 100);
-    const int threads =
-        static_cast<int>(cli.getInt("threads", 0, 0, INT_MAX));
+    int threads = 0;
+    li::ApplyKeys{cli}("threads", threads, li::atLeast(0));
 
     std::printf("WiLIS experiment: %s, %s decoder, %s channel @ %.1f "
                 "dB, %llu packets x %zu bits\n\n",
@@ -213,9 +197,8 @@ runLinkExperiment(int argc, char **argv)
                                          60.0))});
     synth::DecoderAreaParams ap;
     ap.softWidth = spec.rx.demapper.softWidth;
-    ap.window = static_cast<int>(
-        cli.getInt("block_len", spec.rx.decoderCfg.getInt(
-                                    "block_len", 64)));
+    ap.window = static_cast<int>(spec.rx.decoderCfg.getInt(
+        "block_len", decode::BcjrParams{}.blockLen));
     std::string area_name = spec.rx.decoder == "bcjr-logmap"
                                 ? "bcjr"
                                 : spec.rx.decoder;
@@ -633,9 +616,9 @@ runNetworkMode(int argc, char **argv)
                    "--json needs --shards N");
 
     sim::RunRequest req;
+    const li::ApplyKeys read(flags);
     req.slots = flags.getUint64("--slots", req.slots);
-    req.threads =
-        static_cast<int>(flags.getInt("--threads", 0, 0, INT_MAX));
+    read("--threads", req.threads, li::atLeast(0));
     if (flags.has("--shard")) {
         const std::string v = flags.getString("--shard");
         const size_t slash = v.find('/');
@@ -644,15 +627,13 @@ runNetworkMode(int argc, char **argv)
         li::Config shard;
         shard.set("--shard I", v.substr(0, slash));
         shard.set("--shard N", v.substr(slash + 1));
-        req.shardCount =
-            static_cast<int>(shard.getInt("--shard N", 1, 1, INT_MAX));
-        req.shardIndex = static_cast<int>(
-            shard.getInt("--shard I", 0, 0, req.shardCount - 1));
+        const li::ApplyKeys read_shard(shard);
+        read_shard("--shard N", req.shardCount, li::atLeast(1));
+        read_shard("--shard I", req.shardIndex,
+                   li::within(0, req.shardCount - 1));
     }
-    const int shards =
-        flags.has("--shards")
-            ? static_cast<int>(flags.getInt("--shards", 1, 1, INT_MAX))
-            : 0;
+    int shards = 0;
+    read("--shards", shards, li::atLeast(1));
     const std::string report_file = flags.getString("--report");
     req.traceFile = flags.getString("--trace");
     req.spec = sim::parseNetworkSpecArg(flags.getString("--network"));

@@ -8,26 +8,17 @@
 namespace wilis {
 namespace channel {
 
-AwgnChannel::AwgnChannel(const li::Config &cfg)
-    : AwgnChannel(cfg.getDouble("snr_db", 10.0),
-                  cfg.getUint64("seed", 1),
-                  static_cast<int>(cfg.getInt("threads", 1)),
-                  cfg.getBool("common_noise", false))
-{}
-
-AwgnChannel::AwgnChannel(double snr_db, std::uint64_t seed_,
-                         int threads, bool common_noise)
-    : seed(seed_), common_noise_(common_noise)
+AwgnChannel::AwgnChannel(const Params &p)
+    : seed(p.seed), common_noise_(p.commonNoise)
 {
-    setSnrDb(snr_db);
-    if (threads != 1)
-        pool = std::make_unique<ThreadPool>(threads);
+    setSnrDb(p.snrDb);
+    if (p.threads != 1)
+        pool = std::make_unique<ThreadPool>(p.threads);
 }
 
 void
 AwgnChannel::setSnrDb(double snr_db)
 {
-    snr_db_ = snr_db;
     // Unit average symbol energy and unitary FFTs make the
     // per-subcarrier Es/N0 equal to 1/N0 with N0 the per-sample
     // time-domain noise variance.

@@ -22,38 +22,52 @@
 namespace wilis {
 namespace channel {
 
+/** AwgnChannel's parameters, one field per config key. */
+struct AwgnParams {
+    /** Key snr_db: per-subcarrier Es/N0 in dB. */
+    double snrDb = 10.0;
+    /** Key seed: noise stream seed. */
+    std::uint64_t seed = 1;
+    /** Key threads: noise workers (0 = hardware concurrency). */
+    int threads = 1;
+    /**
+     * Key common_noise: every packet sees the *same* noise (the
+     * paper's section 4.4.2 "pseudo-random noise model"), so whether
+     * a rate survives is a deterministic function of the fading
+     * level and the optimal-rate oracle is well-posed.
+     */
+    bool commonNoise = false;
+
+    /** snr_db, seed and threads: the keys every channel shares. */
+    template <typename V>
+    void visitNoiseKeys(V &v)
+    {
+        // Finite: the default range rejects NaN and +-inf.
+        v("snr_db", snrDb, li::Range<double>{});
+        v("seed", seed);
+        v("threads", threads, li::within(0, 1024));
+    }
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        visitNoiseKeys(v);
+        v("common_noise", commonNoise);
+    }
+};
+
 /** Multi-threaded AWGN channel. */
 class AwgnChannel : public Channel
 {
   public:
-    /**
-     * Config keys:
-     *  - snr_db:  per-subcarrier Es/N0 in dB (default 10)
-     *  - seed:    noise stream seed (default 1)
-     *  - threads: noise-generation worker threads (default 1;
-     *             0 = hardware concurrency)
-     *  - common_noise: if true, every packet sees the *same*
-     *    pseudo-noise sequence (keyed by sample position only).
-     *    This is the paper's section 4.4.2 "pseudo-random noise
-     *    model": with noise fixed across time, whether a given rate
-     *    survives becomes a deterministic function of the fading
-     *    level, which makes the optimal-rate oracle well-posed.
-     *    Default false (independent noise per packet).
-     */
-    explicit AwgnChannel(const li::Config &cfg = li::Config());
-
-    /** Direct constructor. */
-    AwgnChannel(double snr_db, std::uint64_t seed, int threads = 1,
-                bool common_noise = false);
+    using Params = AwgnParams;
+    explicit AwgnChannel(const Params &p = {});
 
     std::string name() const override { return "awgn"; }
     void apply(SampleSpan samples, std::uint64_t packet_index) override;
     Sample impairSample(Sample s, std::uint64_t packet_index,
                         std::uint64_t sample_index) const override;
     double noiseVariance() const override { return n0; }
-
-    /** Configured SNR in dB. */
-    double snrDb() const { return snr_db_; }
 
     /** Change the SNR (the "variable SNR" knob). */
     void setSnrDb(double snr_db);
@@ -65,7 +79,6 @@ class AwgnChannel : public Channel
     void addNoiseBlock(SampleSpan samples, std::uint64_t packet_index,
                        size_t block) const;
 
-    double snr_db_;
     double n0;     // noise variance per complex sample
     double sigma;  // per-dimension standard deviation
     std::uint64_t seed;

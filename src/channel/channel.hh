@@ -92,9 +92,15 @@ class Channel
 /** Shorthand for the channel plug-n-play registry. */
 using ChannelRegistry = li::Registry<Channel>;
 
+/** The built-in channels; ChannelRegistry::global() is this. */
+ChannelRegistry builtinRegistry(const Channel *);
+
 /** Create a channel by registry name ("awgn", "rayleigh"). */
-std::unique_ptr<Channel> makeChannel(
-    const std::string &name, const li::Config &cfg = li::Config());
+inline std::unique_ptr<Channel>
+makeChannel(const std::string &name, const li::Config &cfg = li::Config())
+{
+    return ChannelRegistry::global().create(name, cfg);
+}
 
 } // namespace channel
 } // namespace wilis

@@ -1,6 +1,6 @@
 /**
  * @file
- * Channel registry entries and factory helper.
+ * Channel registry entries.
  */
 
 #include "channel/channel.hh"
@@ -13,41 +13,22 @@
 namespace wilis {
 namespace channel {
 
-namespace {
-
-const bool registered = [] {
-    auto &reg = ChannelRegistry::global();
-    reg.add("awgn", [](const li::Config &cfg) {
-        return std::unique_ptr<Channel>(
-            std::make_unique<AwgnChannel>(cfg));
-    });
-    reg.add("rayleigh", [](const li::Config &cfg) {
-        return std::unique_ptr<Channel>(
-            std::make_unique<RayleighChannel>(cfg));
-    });
-    reg.add("ar1", [](const li::Config &cfg) {
-        return std::unique_ptr<Channel>(
-            std::make_unique<Ar1FadingChannel>(cfg));
-    });
-    reg.add("multipath", [](const li::Config &cfg) {
-        return std::unique_ptr<Channel>(
-            std::make_unique<MultipathChannel>(cfg));
-    });
-    reg.add("interference", [](const li::Config &cfg) {
-        return std::unique_ptr<Channel>(
-            std::make_unique<InterferenceChannel>(cfg));
-    });
-    return true;
-}();
-
-} // namespace
-
-std::unique_ptr<Channel>
-makeChannel(const std::string &name, const li::Config &cfg)
+ChannelRegistry
+builtinRegistry(const Channel *)
 {
-    (void)registered;
-    return ChannelRegistry::global().create(name, cfg);
+    ChannelRegistry reg("channel");
+    reg.add<AwgnChannel>("awgn");
+    reg.add<RayleighChannel>("rayleigh");
+    reg.add<Ar1FadingChannel>("ar1");
+    reg.add<MultipathChannel>("multipath");
+    reg.add<InterferenceChannel>("interference");
+    return reg;
 }
+
+namespace {
+// Built at startup, so that forked workers inherit it ready.
+const ChannelRegistry &startup = ChannelRegistry::global();
+} // namespace
 
 } // namespace channel
 } // namespace wilis

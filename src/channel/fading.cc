@@ -51,26 +51,10 @@ JakesFader::gainAt(double t_us) const
     return Sample(re * norm, im * norm);
 }
 
-RayleighChannel::RayleighChannel(const li::Config &cfg)
-    : RayleighChannel(
-          cfg.getDouble("snr_db", 10.0),
-          cfg.getDouble("doppler_hz", 20.0),
-          cfg.getUint64("seed", 1),
-          cfg.getDouble("packet_interval_us", 2000.0),
-          static_cast<int>(cfg.getInt("threads", 1)),
-          cfg.getBool("common_noise", false),
-          cfg.getBool("block_fading", false))
-{}
-
-RayleighChannel::RayleighChannel(double snr_db, double doppler_hz,
-                                 std::uint64_t seed,
-                                 double packet_interval_us_,
-                                 int threads, bool common_noise,
-                                 bool block_fading)
-    : awgn(snr_db, seed, threads, common_noise),
-      fader(doppler_hz, seed),
-      packet_interval_us(packet_interval_us_),
-      block_fading_(block_fading)
+RayleighChannel::RayleighChannel(const Params &p)
+    : awgn(p.awgn), fader(p.dopplerHz, p.awgn.seed),
+      packet_interval_us(p.packetIntervalUs),
+      block_fading_(p.blockFading)
 {}
 
 Sample
@@ -161,32 +145,20 @@ besselJ0(double x)
 
 } // namespace
 
-Ar1FadingChannel::Ar1FadingChannel(const li::Config &cfg)
-    : Ar1FadingChannel(
-          cfg.getDouble("snr_db", 10.0),
-          cfg.getDouble("doppler_hz", 30.0),
-          cfg.getDouble("frame_interval_us", 2000.0),
-          cfg.getUint64("seed", 1),
-          static_cast<int>(cfg.getInt("threads", 1)))
-{}
-
-Ar1FadingChannel::Ar1FadingChannel(double snr_db, double doppler_hz,
-                                   double frame_interval_us,
-                                   std::uint64_t seed, int threads)
-    : awgn(snr_db, seed, threads), doppler(doppler_hz),
-      frame_interval_us_(frame_interval_us),
-      innovations(CounterRng(seed ^ 0xA21FAD0ull).fork(0x1117))
+Ar1FadingChannel::Ar1FadingChannel(const Params &p)
+    : awgn(p.awgn),
+      innovations(CounterRng(p.awgn.seed ^ 0xA21FAD0ull).fork(0x1117))
 {
-    wilis_assert(doppler_hz >= 0.0, "negative Doppler %f", doppler_hz);
-    wilis_assert(frame_interval_us > 0.0,
-                 "frame interval %f us <= 0", frame_interval_us);
+    wilis_assert(p.dopplerHz >= 0.0, "negative Doppler %f", p.dopplerHz);
+    wilis_assert(p.frameIntervalUs > 0.0, "frame interval %f us <= 0",
+                 p.frameIntervalUs);
     // Clarke autocorrelation sampled at the slot interval. J0 goes
     // negative past its first zero (very fast fading); clamp to the
     // memoryless process there, and keep rho < 1 so the innovation
     // never degenerates even at doppler 0 -- a static link is then
     // rho ~ 1 with a vanishing innovation, which is the intent.
-    double r = besselJ0(2.0 * std::numbers::pi * doppler_hz *
-                        frame_interval_us * 1e-6);
+    double r = besselJ0(2.0 * std::numbers::pi * p.dopplerHz *
+                        p.frameIntervalUs * 1e-6);
     rho_ = std::min(std::max(r, 0.0), 0.999999);
     innov_scale = std::sqrt(1.0 - rho_ * rho_);
 }

@@ -38,9 +38,6 @@ class JakesFader
      */
     JakesFader(double doppler_hz, std::uint64_t seed);
 
-    /** Maximum Doppler frequency in Hz. */
-    double dopplerHz() const { return doppler; }
-
     /** Complex fading gain at absolute time @p t_us. */
     Sample gainAt(double t_us) const;
 
@@ -53,25 +50,33 @@ class JakesFader
     std::array<double, kOscillators> phase_q;
 };
 
+/** RayleighChannel's parameters, one field per config key. */
+struct RayleighParams {
+    /** Keys snr_db (mean Es/N0), seed, threads, common_noise. */
+    AwgnParams awgn = {};
+    /** Key doppler_hz: maximum Doppler frequency. */
+    double dopplerHz = 20.0;
+    /** Key packet_interval_us: packet start spacing. */
+    double packetIntervalUs = 2000.0;
+    /** Key block_fading: one gain per packet, not per OFDM symbol. */
+    bool blockFading = false;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        awgn.visitKeys(v);
+        v("doppler_hz", dopplerHz, li::atLeast(0.0));
+        v("packet_interval_us", packetIntervalUs, li::above(0.0));
+        v("block_fading", blockFading);
+    }
+};
+
 /** Rayleigh flat-fading + AWGN channel. */
 class RayleighChannel : public Channel
 {
   public:
-    /**
-     * Config keys:
-     *  - snr_db:          mean Es/N0 in dB (default 10)
-     *  - doppler_hz:      maximum Doppler frequency (default 20)
-     *  - seed:            random stream seed (default 1)
-     *  - packet_interval_us: packet start spacing (default 2000)
-     *  - threads:         AWGN worker threads (default 1)
-     */
-    explicit RayleighChannel(const li::Config &cfg = li::Config());
-
-    /** Direct constructor (seeds keep their full 64-bit range). */
-    RayleighChannel(double snr_db, double doppler_hz,
-                    std::uint64_t seed, double packet_interval_us = 2000.0,
-                    int threads = 1, bool common_noise = false,
-                    bool block_fading = false);
+    using Params = RayleighParams;
+    explicit RayleighChannel(const Params &p = {});
 
     std::string name() const override { return "rayleigh"; }
     void apply(SampleSpan samples, std::uint64_t packet_index) override;
@@ -84,9 +89,6 @@ class RayleighChannel : public Channel
         return awgn.noiseVariance();
     }
 
-    /** Maximum Doppler frequency in Hz. */
-    double dopplerHz() const { return fader.dopplerHz(); }
-
   private:
     /** Fading gain at absolute time @p t_us (microseconds). */
     Sample gainAt(double t_us) const { return fader.gainAt(t_us); }
@@ -95,6 +97,24 @@ class RayleighChannel : public Channel
     JakesFader fader;
     double packet_interval_us;
     bool block_fading_;
+};
+
+/** Ar1FadingChannel's parameters, one field per config key. */
+struct Ar1Params {
+    /** Keys snr_db (mean Es/N0), seed and threads. */
+    AwgnParams awgn = {};
+    /** Key doppler_hz: maximum Doppler frequency. */
+    double dopplerHz = 30.0;
+    /** Key frame_interval_us: slot spacing, the AR(1) sampling interval. */
+    double frameIntervalUs = 2000.0;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        awgn.visitNoiseKeys(v);
+        v("doppler_hz", dopplerHz, li::atLeast(0.0));
+        v("frame_interval_us", frameIntervalUs, li::above(0.0));
+    }
 };
 
 /**
@@ -120,21 +140,8 @@ class RayleighChannel : public Channel
 class Ar1FadingChannel : public Channel
 {
   public:
-    /**
-     * Config keys:
-     *  - snr_db:            mean Es/N0 in dB (default 10)
-     *  - doppler_hz:        maximum Doppler frequency (default 30)
-     *  - frame_interval_us: slot spacing in microseconds, the AR(1)
-     *                       sampling interval (default 2000)
-     *  - seed:              random stream seed (default 1)
-     *  - threads:           AWGN worker threads (default 1)
-     */
-    explicit Ar1FadingChannel(const li::Config &cfg = li::Config());
-
-    /** Direct constructor (seeds keep their full 64-bit range). */
-    Ar1FadingChannel(double snr_db, double doppler_hz,
-                     double frame_interval_us, std::uint64_t seed,
-                     int threads = 1);
+    using Params = Ar1Params;
+    explicit Ar1FadingChannel(const Params &p = {});
 
     std::string name() const override { return "ar1"; }
     void apply(SampleSpan samples, std::uint64_t packet_index) override;
@@ -148,9 +155,6 @@ class Ar1FadingChannel : public Channel
         return awgn.noiseVariance();
     }
 
-    /** Maximum Doppler frequency in Hz. */
-    double dopplerHz() const { return doppler; }
-
     /** AR(1) coefficient J0(2 pi f_d T), clamped to [0, 1). */
     double rho() const { return rho_; }
 
@@ -162,8 +166,6 @@ class Ar1FadingChannel : public Channel
     Sample innovation(std::uint64_t n) const;
 
     AwgnChannel awgn;
-    double doppler;
-    double frame_interval_us_;
     double rho_;
     double innov_scale; // sqrt(1 - rho^2)
     CounterRng innovations;

@@ -9,19 +9,13 @@
 namespace wilis {
 namespace channel {
 
-InterferenceChannel::InterferenceChannel(const li::Config &cfg)
-    : awgn(cfg.getDouble("snr_db", 10.0),
-           cfg.getUint64("seed", 1),
-           static_cast<int>(cfg.getInt("threads", 1)),
-           cfg.getBool("common_noise", false)),
-      bin(static_cast<int>(cfg.getInt("interferer_bin", 10, -26, 26))),
-      seed(cfg.getUint64("seed", 1))
-{
-    double sir_db = cfg.getDouble("sir_db", 10.0);
-    // Signal power is 1 (normalized constellations); the tone
-    // carries all its power on one subcarrier.
-    amp = std::sqrt(std::pow(10.0, -sir_db / 10.0));
-}
+InterferenceChannel::InterferenceChannel(const Params &p)
+    : awgn(p.awgn),
+      // Signal power is 1 (normalized constellations); the tone
+      // carries all its power on one subcarrier.
+      amp(std::sqrt(std::pow(10.0, -p.sirDb / 10.0))),
+      bin(p.interfererBin), seed(p.awgn.seed)
+{}
 
 Sample
 InterferenceChannel::toneAt(std::uint64_t packet_index,

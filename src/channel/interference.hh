@@ -17,20 +17,33 @@
 namespace wilis {
 namespace channel {
 
+/** InterferenceChannel's parameters, one field per config key. */
+struct InterferenceParams {
+    /** Keys snr_db (background noise), seed, threads, common_noise. */
+    AwgnParams awgn = {};
+    /** Key sir_db: signal-to-interference ratio in dB. */
+    double sirDb = 10.0;
+    /**
+     * Key interferer_bin: logical subcarrier of the tone (+-7 and
+     * +-21 are pilots the data path never demaps).
+     */
+    int interfererBin = 10;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        awgn.visitKeys(v);
+        v("sir_db", sirDb, li::Range<double>{});
+        v("interferer_bin", interfererBin, li::within(-26, 26));
+    }
+};
+
 /** AWGN + complex-tone interferer. */
 class InterferenceChannel : public Channel
 {
   public:
-    /**
-     * Config keys:
-     *  - snr_db: Es/N0 of the background noise (default 10)
-     *  - sir_db: signal-to-interference ratio (default 10)
-     *  - interferer_bin: center subcarrier of the tone, logical
-     *    index -26..26 (default 10; note +-7 and +-21 are pilot
-     *    tones the data path never demaps)
-     *  - seed, threads, common_noise: as for AWGN.
-     */
-    explicit InterferenceChannel(const li::Config &cfg = li::Config());
+    using Params = InterferenceParams;
+    explicit InterferenceChannel(const Params &p = {});
 
     std::string name() const override { return "interference"; }
     void apply(SampleSpan samples, std::uint64_t packet_index) override;
@@ -40,12 +53,6 @@ class InterferenceChannel : public Channel
     {
         return awgn.noiseVariance();
     }
-
-    /** Interferer amplitude (per-sample). */
-    double interfererAmplitude() const { return amp; }
-
-    /** Logical subcarrier the tone sits on. */
-    int interfererBin() const { return bin; }
 
   private:
     Sample toneAt(std::uint64_t packet_index,

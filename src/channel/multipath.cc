@@ -8,31 +8,23 @@
 namespace wilis {
 namespace channel {
 
-MultipathChannel::MultipathChannel(const li::Config &cfg)
-    : awgn(cfg.getDouble("snr_db", 10.0),
-           cfg.getUint64("seed", 1),
-           static_cast<int>(cfg.getInt("threads", 1)),
-           cfg.getBool("common_noise", false)),
-      packet_interval_us(cfg.getDouble("packet_interval_us", 2000.0))
+MultipathChannel::MultipathChannel(const Params &p)
+    : awgn(p.awgn)
 {
-    const int num_taps = static_cast<int>(cfg.getInt("num_taps", 4));
-    const double spread = cfg.getDouble("delay_spread", 3.0);
-    const double doppler = cfg.getDouble("doppler_hz", 20.0);
-    const std::uint64_t seed = cfg.getUint64("seed", 1);
-
+    const int num_taps = p.numTaps;
     wilis_assert(num_taps >= 1, "need at least one tap");
-    wilis_assert(num_taps <= kMaxTaps,
+    wilis_assert(num_taps <= Params::kMaxTaps,
                  "delay spread of %d taps exceeds the %d-sample "
                  "cyclic prefix",
                  num_taps, phy::OfdmGeometry::kCpLen);
-    wilis_assert(spread > 0.0, "delay spread must be positive");
+    wilis_assert(p.delaySpread > 0.0, "delay spread must be positive");
 
     // Exponential power-delay profile, normalized to unit total
     // power so the mean SNR matches the flat channels.
     double total = 0.0;
     std::vector<double> pdp(static_cast<size_t>(num_taps));
     for (int l = 0; l < num_taps; ++l) {
-        pdp[static_cast<size_t>(l)] = std::exp(-l / spread);
+        pdp[static_cast<size_t>(l)] = std::exp(-l / p.delaySpread);
         total += pdp[static_cast<size_t>(l)];
     }
     taps.reserve(static_cast<size_t>(num_taps));
@@ -42,9 +34,11 @@ MultipathChannel::MultipathChannel(const li::Config &cfg)
         t.weight = std::sqrt(pdp[static_cast<size_t>(l)] / total);
         // Each tap gets an independent unit-power fading process
         // (noiseless: the AWGN member adds the noise once).
-        t.process = std::make_unique<RayleighChannel>(
-            300.0, doppler, seed ^ (0xBEEF0000ull + 131ull * l),
-            packet_interval_us);
+        t.process = std::make_unique<RayleighChannel>(RayleighParams{
+            .awgn = {.snrDb = 300.0,
+                     .seed = p.awgn.seed ^ (0xBEEF0000ull + 131ull * l)},
+            .dopplerHz = p.dopplerHz,
+            .packetIntervalUs = p.packetIntervalUs});
         taps.push_back(std::move(t));
     }
 

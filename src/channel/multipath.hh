@@ -27,22 +27,39 @@
 namespace wilis {
 namespace channel {
 
+/** MultipathChannel's parameters, one field per config key. */
+struct MultipathParams {
+    /** Most taps: delays 0..kCpLen stay within the cyclic prefix. */
+    static constexpr int kMaxTaps = phy::OfdmGeometry::kCpLen + 1;
+
+    /** Keys snr_db (mean Es/N0), seed, threads, common_noise. */
+    AwgnParams awgn = {};
+    /** Key doppler_hz: Doppler of every tap process. */
+    double dopplerHz = 20.0;
+    /** Key num_taps: taps, at delays 0..num_taps-1 within the prefix. */
+    int numTaps = 4;
+    /** Key delay_spread: RMS delay spread in samples. */
+    double delaySpread = 3.0;
+    /** Key packet_interval_us: packet start spacing. */
+    double packetIntervalUs = 2000.0;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        awgn.visitKeys(v);
+        v("doppler_hz", dopplerHz, li::atLeast(0.0));
+        v("num_taps", numTaps, li::within(1, kMaxTaps));
+        v("delay_spread", delaySpread, li::above(0.0));
+        v("packet_interval_us", packetIntervalUs, li::above(0.0));
+    }
+};
+
 /** L-tap frequency-selective Rayleigh channel + AWGN. */
 class MultipathChannel : public Channel
 {
   public:
-    /**
-     * Config keys:
-     *  - snr_db:       mean Es/N0 in dB (default 10)
-     *  - doppler_hz:   Doppler of every tap process (default 20)
-     *  - num_taps:     discrete taps (default 4)
-     *  - delay_spread: RMS delay spread in samples (default 3;
-     *                  taps sit at delays 0..num_taps-1 and must
-     *                  stay within the 16-sample cyclic prefix)
-     *  - seed, threads, common_noise, packet_interval_us: as for
-     *    the flat channels.
-     */
-    explicit MultipathChannel(const li::Config &cfg = li::Config());
+    using Params = MultipathParams;
+    explicit MultipathChannel(const Params &p = {});
 
     std::string name() const override { return "multipath"; }
     void apply(SampleSpan samples, std::uint64_t packet_index) override;
@@ -66,11 +83,8 @@ class MultipathChannel : public Channel
                     int l) const;
 
   private:
-    /** Maximum taps: delays 0..kCpLen stay within the prefix. */
-    static constexpr int kMaxTaps = phy::OfdmGeometry::kCpLen + 1;
-
     /** One symbol's tap values, tap l at [l]. */
-    using TapValues = std::array<Sample, kMaxTaps>;
+    using TapValues = std::array<Sample, Params::kMaxTaps>;
 
     /** Every tap's value for @p symbol_index of @p packet_index. */
     TapValues tapValues(std::uint64_t packet_index,
@@ -89,7 +103,6 @@ class MultipathChannel : public Channel
     };
 
     AwgnChannel awgn;
-    double packet_interval_us;
     std::vector<Tap> taps;
     /** e^{-j 2 pi bin d_l / N} at [bin * numTaps() + l]. */
     std::vector<Sample> twiddle;

@@ -11,11 +11,8 @@
 namespace wilis {
 namespace decode {
 
-BcjrDecoder::BcjrDecoder(const li::Config &cfg)
-    : block_len(static_cast<int>(cfg.getInt("block_len", 64,
-                                            phy::ConvCode::kConstraint,
-                                            kMaxDecoderWindow))),
-      logmap(cfg.getBool("logmap", false))
+BcjrDecoder::BcjrDecoder(const Params &p)
+    : block_len(p.blockLen), logmap(p.logMap)
 {}
 
 void

@@ -25,19 +25,27 @@
 namespace wilis {
 namespace decode {
 
+/** BcjrDecoder's parameters, one field per config key. */
+struct BcjrParams {
+    /** Key block_len: window size n (the paper needs n >= 32). */
+    int blockLen = 64;
+    /** Exact log-MAP arithmetic; the name "bcjr-logmap", not a key. */
+    bool logMap = false;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        v("block_len", blockLen,
+          li::within(phy::ConvCode::kConstraint, kMaxDecoderWindow));
+    }
+};
+
 /** Sliding-window BCJR decoder with the Figure 4 microarchitecture. */
 class BcjrDecoder : public SoftDecoder
 {
   public:
-    /**
-     * Config keys:
-     *  - block_len: sliding-window / reversal-buffer size n, 7 to
-     *    kMaxDecoderWindow (default 64; the paper finds n >= 32 is
-     *    required for reasonable performance).
-     *  - logmap: use exact log-MAP (max*) arithmetic instead of
-     *    max-log (default false).
-     */
-    explicit BcjrDecoder(const li::Config &cfg = li::Config());
+    using Params = BcjrParams;
+    explicit BcjrDecoder(const Params &p = {});
 
     std::string name() const override
     {
@@ -47,11 +55,6 @@ class BcjrDecoder : public SoftDecoder
     void decodeInto(SoftView soft,
                     std::span<SoftDecision> out) override;
     int pipelineLatencyCycles() const override;
-
-    /** Sliding-window block size n. */
-    int blockLen() const { return block_len; }
-    /** True if running exact log-MAP arithmetic. */
-    bool isLogMap() const { return logmap; }
 
   private:
     void decodeMaxLog(SoftView soft, std::span<SoftDecision> out);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Decoder registry entries and factory helpers.
+ * Decoder registry entries.
  */
 
 #include "decode/soft_decoder.hh"
@@ -12,53 +12,21 @@
 namespace wilis {
 namespace decode {
 
+DecoderRegistry
+builtinRegistry(const SoftDecoder *)
+{
+    DecoderRegistry reg("decoder");
+    reg.add<ViterbiDecoder>("viterbi");
+    reg.add<SovaDecoder>("sova");
+    reg.add<BcjrDecoder>("bcjr");
+    reg.add<BcjrDecoder>("bcjr-logmap", {.logMap = true});
+    return reg;
+}
+
 namespace {
-
-/** BCJR with the logmap flag forced on, for registry purposes. */
-class LogMapBcjrFactory
-{
-  public:
-    static std::unique_ptr<SoftDecoder>
-    make(const li::Config &cfg)
-    {
-        li::Config c = cfg;
-        c.set("logmap", "true");
-        return std::make_unique<BcjrDecoder>(c);
-    }
-};
-
-const bool registered = [] {
-    auto &reg = DecoderRegistry::global();
-    reg.add("viterbi", [](const li::Config &cfg) {
-        return std::unique_ptr<SoftDecoder>(
-            std::make_unique<ViterbiDecoder>(cfg));
-    });
-    reg.add("sova", [](const li::Config &cfg) {
-        return std::unique_ptr<SoftDecoder>(
-            std::make_unique<SovaDecoder>(cfg));
-    });
-    reg.add("bcjr", [](const li::Config &cfg) {
-        return std::unique_ptr<SoftDecoder>(
-            std::make_unique<BcjrDecoder>(cfg));
-    });
-    reg.add("bcjr-logmap", LogMapBcjrFactory::make);
-    return true;
-}();
-
+// Built at startup, so that forked workers inherit it ready.
+const DecoderRegistry &startup = DecoderRegistry::global();
 } // namespace
-
-std::unique_ptr<SoftDecoder>
-makeDecoder(const std::string &name, const li::Config &cfg)
-{
-    return DecoderRegistry::global().create(name, cfg);
-}
-
-void
-linkDecoders()
-{
-    // Referencing `registered` pins this translation unit.
-    (void)registered;
-}
 
 } // namespace decode
 } // namespace wilis

@@ -18,6 +18,7 @@
 #include "common/types.hh"
 #include "li/config.hh"
 #include "li/registry.hh"
+#include "phy/conv_code.hh"
 
 namespace wilis {
 namespace decode {
@@ -76,24 +77,23 @@ class SoftDecoder
 };
 
 /**
- * Largest traceback or block window a decoder config may ask for, in
- * trellis steps: far past any packet, and small enough that the
- * latency formulas above stay inside an int.
+ * Largest decoder window a config may ask for, in trellis steps: far
+ * past any packet, small enough for the latency formulas' int.
  */
-constexpr long kMaxDecoderWindow = 1L << 20;
+constexpr int kMaxDecoderWindow = 1 << 20;
 
 /** Shorthand for the decoder plug-n-play registry. */
 using DecoderRegistry = li::Registry<SoftDecoder>;
 
-/** Create a decoder by registry name. */
-std::unique_ptr<SoftDecoder> makeDecoder(
-    const std::string &name, const li::Config &cfg = li::Config());
+/** The built-in decoders; DecoderRegistry::global() is this. */
+DecoderRegistry builtinRegistry(const SoftDecoder *);
 
-/**
- * Force-link the decoder implementations so their static registry
- * entries exist even when nothing else references the object files.
- */
-void linkDecoders();
+/** Create a decoder by registry name. */
+inline std::unique_ptr<SoftDecoder>
+makeDecoder(const std::string &name, const li::Config &cfg = li::Config())
+{
+    return DecoderRegistry::global().create(name, cfg);
+}
 
 } // namespace decode
 } // namespace wilis

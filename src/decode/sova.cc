@@ -10,12 +10,8 @@
 namespace wilis {
 namespace decode {
 
-SovaDecoder::SovaDecoder(const li::Config &cfg)
-    : tb_l(static_cast<int>(cfg.getInt("traceback_l", 64,
-                                       phy::ConvCode::kConstraint,
-                                       kMaxDecoderWindow))),
-      tb_k(static_cast<int>(
-          cfg.getInt("traceback_k", 64, 1, kMaxDecoderWindow)))
+SovaDecoder::SovaDecoder(const Params &p)
+    : tb_l(p.tracebackL), tb_k(p.tracebackK)
 {}
 
 void

@@ -21,29 +21,34 @@
 namespace wilis {
 namespace decode {
 
+/** SovaDecoder's parameters, one field per config key. */
+struct SovaParams {
+    /** Key traceback_l: first traceback unit length. */
+    int tracebackL = 64;
+    /** Key traceback_k: second traceback unit length. */
+    int tracebackK = 64;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        v("traceback_l", tracebackL,
+          li::within(phy::ConvCode::kConstraint, kMaxDecoderWindow));
+        v("traceback_k", tracebackK, li::within(1, kMaxDecoderWindow));
+    }
+};
+
 /** SOVA decoder with the Figure 3 two-traceback microarchitecture. */
 class SovaDecoder : public SoftDecoder
 {
   public:
-    /**
-     * Config keys:
-     *  - traceback_l: first traceback unit length, 7 to
-     *    kMaxDecoderWindow (default 64)
-     *  - traceback_k: second traceback unit length, 1 to
-     *    kMaxDecoderWindow (default 64)
-     */
-    explicit SovaDecoder(const li::Config &cfg = li::Config());
+    using Params = SovaParams;
+    explicit SovaDecoder(const Params &p = {});
 
     std::string name() const override { return "sova"; }
     bool producesSoftOutput() const override { return true; }
     void decodeInto(SoftView soft,
                     std::span<SoftDecision> out) override;
     int pipelineLatencyCycles() const override;
-
-    /** First traceback unit length l. */
-    int tracebackL() const { return tb_l; }
-    /** Second traceback unit length k. */
-    int tracebackK() const { return tb_k; }
 
   private:
     int tb_l;

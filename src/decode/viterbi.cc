@@ -8,10 +8,7 @@
 namespace wilis {
 namespace decode {
 
-ViterbiDecoder::ViterbiDecoder(const li::Config &cfg)
-    : tb_len(static_cast<int>(cfg.getInt("traceback_len", 64,
-                                         phy::ConvCode::kConstraint,
-                                         kMaxDecoderWindow)))
+ViterbiDecoder::ViterbiDecoder(const Params &p) : tb_len(p.tracebackLen)
 {}
 
 void

@@ -13,27 +13,34 @@
 namespace wilis {
 namespace decode {
 
+/** ViterbiDecoder's parameters, one field per config key. */
+struct ViterbiParams {
+    /**
+     * Key traceback_len: modeled hardware traceback window; affects
+     * only the latency/area model (the kernel tracebacks the block).
+     */
+    int tracebackLen = 64;
+
+    template <typename V>
+    void visitKeys(V &v)
+    {
+        v("traceback_len", tracebackLen,
+          li::within(phy::ConvCode::kConstraint, kMaxDecoderWindow));
+    }
+};
+
 /** Block Viterbi decoder over the terminated K=7 trellis. */
 class ViterbiDecoder : public SoftDecoder
 {
   public:
-    /**
-     * Config keys:
-     *  - traceback_len: modeled hardware traceback window, 7 to
-     *    kMaxDecoderWindow (default 64); affects only the
-     *    latency/area model, the software kernel always tracebacks
-     *    the full block.
-     */
-    explicit ViterbiDecoder(const li::Config &cfg = li::Config());
+    using Params = ViterbiParams;
+    explicit ViterbiDecoder(const Params &p = {});
 
     std::string name() const override { return "viterbi"; }
     bool producesSoftOutput() const override { return false; }
     void decodeInto(SoftView soft,
                     std::span<SoftDecision> out) override;
     int pipelineLatencyCycles() const override;
-
-    /** Modeled traceback window length. */
-    int tracebackLen() const { return tb_len; }
 
   private:
     int tb_len;

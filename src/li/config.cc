@@ -124,16 +124,6 @@ Config::getInt(const std::string &key, long def) const
     return v;
 }
 
-long
-Config::getInt(const std::string &key, long def, long lo, long hi) const
-{
-    const long v = getInt(key, def);
-    wilis_fatal_if(v < lo || v > hi,
-                   "config key '%s': %ld is outside [%ld, %ld]",
-                   key.c_str(), v, lo, hi);
-    return v;
-}
-
 std::uint64_t
 Config::getUint64(const std::string &key, std::uint64_t def) const
 {

@@ -5,11 +5,18 @@
  * to factories taking a Config. Pipelines look implementations up by
  * name at construction time, so swapping e.g. the soft decoder from
  * "sova" to "bcjr" is a configuration change, not a source change.
+ *
+ * Each implementation declares its keys once, as a Params struct
+ * beside its class (one field per key, initialized to its default)
+ * with a visitKeys() list of (key, field, li::Range). Every config
+ * is parsed through that list, so a key the chosen implementation
+ * does not read is fatal instead of a different experiment.
  */
 
 #ifndef WILIS_LI_REGISTRY_HH
 #define WILIS_LI_REGISTRY_HH
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,53 +29,75 @@
 namespace wilis {
 namespace li {
 
-/**
- * Registry of named factories producing implementations of interface
- * @tparam I. One global registry exists per interface type.
- */
+/** Registry of named implementations of interface @tparam I. */
 template <typename I>
 class Registry
 {
   public:
-    using Factory = std::function<std::unique_ptr<I>(const Config &)>;
+    /** @param kind_ What an implementation is called in errors. */
+    explicit Registry(std::string kind_) : kind(std::move(kind_)) {}
 
-    /** The process-wide registry for interface I. */
+    /**
+     * The process-wide registry for I, built on first use by the
+     * `builtinRegistry(const I *)` declared beside I.
+     */
     static Registry &
     global()
     {
-        static Registry instance;
+        static Registry instance =
+            builtinRegistry(static_cast<const I *>(nullptr));
         return instance;
     }
 
     /**
-     * Register a factory under @p name.
-     * @return true (usable as a static initializer).
+     * Register @tparam Impl under @p name, built from @p defaults
+     * overlaid with the keys `Impl::Params::visitKeys()` lists.
      */
-    bool
-    add(const std::string &name, Factory factory)
+    template <typename Impl>
+    void
+    add(const std::string &name,
+        const typename Impl::Params &defaults = {})
     {
-        wilis_assert(!factories.count(name),
-                     "duplicate registration '%s'", name.c_str());
-        factories[name] = std::move(factory);
-        return true;
+        wilis_assert(!impls.count(name), "duplicate registration '%s'",
+                     name.c_str());
+        Entry &e = impls[name];
+        auto list = [&e](const char *key, auto &&...) {
+            e.keys.emplace_back(key);
+        };
+        typename Impl::Params(defaults).visitKeys(list);
+        std::ranges::sort(e.keys);
+        e.parse = [defaults](const Config &cfg, const std::string &prefix,
+                             bool build) -> std::unique_ptr<I> {
+            typename Impl::Params p = defaults;
+            const ApplyKeys apply(cfg, prefix);
+            p.visitKeys(apply);
+            return build ? std::make_unique<Impl>(p) : nullptr;
+        };
     }
 
-    /** True if an implementation named @p name exists. */
-    bool has(const std::string &name) const
-    {
-        return factories.count(name) > 0;
-    }
-
-    /** Instantiate @p name with @p cfg; fatal if unknown. */
+    /** Instantiate @p name; fatal on a key outside keys(name). */
     std::unique_ptr<I>
     create(const std::string &name, const Config &cfg = Config()) const
     {
-        auto it = factories.find(name);
-        if (it == factories.end()) {
-            wilis_fatal("no implementation '%s' registered (known: %s)",
-                        name.c_str(), knownList().c_str());
-        }
-        return it->second(cfg);
+        return parse(name, cfg, "", true);
+    }
+
+    /**
+     * create()'s checks without constructing; errors name each key
+     * as @p prefix + key, the way the user wrote it.
+     */
+    void
+    check(const std::string &name, const Config &cfg,
+          const std::string &prefix) const
+    {
+        parse(name, cfg, prefix, false);
+    }
+
+    /** The config keys @p name accepts, sorted; fatal if unknown. */
+    const std::vector<std::string> &
+    keys(const std::string &name) const
+    {
+        return find(name).keys;
     }
 
     /** Names of all registered implementations, sorted. */
@@ -76,39 +105,63 @@ class Registry
     names() const
     {
         std::vector<std::string> out;
-        for (const auto &kv : factories)
+        for (const auto &kv : impls)
             out.push_back(kv.first);
         return out;
     }
 
   private:
-    std::string
-    knownList() const
+    struct Entry {
+        /** Accepted keys, sorted. */
+        std::vector<std::string> keys;
+        /** Parse a config of known keys; construct only if build. */
+        std::function<std::unique_ptr<I>(const Config &,
+                                         const std::string &, bool)>
+            parse;
+    };
+
+    const Entry &
+    find(const std::string &name) const
+    {
+        auto it = impls.find(name);
+        if (it == impls.end())
+            wilis_fatal("no %s implementation '%s' registered "
+                        "(known: %s)",
+                        kind.c_str(), name.c_str(),
+                        join(names()).c_str());
+        return it->second;
+    }
+
+    std::unique_ptr<I>
+    parse(const std::string &name, const Config &cfg,
+          const std::string &prefix, bool build) const
+    {
+        const Entry &e = find(name);
+        Config shown; // keys as the user wrote them
+        for (const auto &kv : cfg.entries()) {
+            if (!std::ranges::binary_search(e.keys, kv.first))
+                wilis_fatal("unknown %s key '%s' for %s (valid keys: "
+                            "%s)",
+                            kind.c_str(), (prefix + kv.first).c_str(),
+                            name.c_str(), join(e.keys).c_str());
+            if (!prefix.empty())
+                shown.set(prefix + kv.first, kv.second);
+        }
+        return e.parse(prefix.empty() ? cfg : shown, prefix, build);
+    }
+
+    static std::string
+    join(const std::vector<std::string> &items)
     {
         std::string s;
-        for (const auto &kv : factories) {
-            if (!s.empty())
-                s += ", ";
-            s += kv.first;
-        }
+        for (const std::string &item : items)
+            s += (s.empty() ? "" : ", ") + item;
         return s.empty() ? "<none>" : s;
     }
 
-    std::map<std::string, Factory> factories;
+    std::string kind;
+    std::map<std::string, Entry> impls;
 };
-
-/**
- * Register @p impl_class as implementation @p name_str of interface
- * @p iface. The class must have a constructor taking const Config&.
- */
-#define WILIS_REGISTER_IMPL(iface, name_str, impl_class) \
-    static const bool wilis_reg_##impl_class = \
-        ::wilis::li::Registry<iface>::global().add( \
-            name_str, \
-            [](const ::wilis::li::Config &cfg) \
-                -> std::unique_ptr<iface> { \
-                return std::make_unique<impl_class>(cfg); \
-            })
 
 } // namespace li
 } // namespace wilis

@@ -1,17 +1,7 @@
 #include "platform/link.hh"
 
-#include "common/logging.hh"
-
 namespace wilis {
 namespace platform {
-
-LinkModel::LinkModel(const li::Config &cfg)
-    : LinkModel(Params{cfg.getDouble("bandwidth_mbps", 700.0),
-                       cfg.getDouble("overhead_us", 20.0)})
-{
-    wilis_assert(params.bandwidthMBps > 0.0,
-                 "link bandwidth must be positive");
-}
 
 double
 LinkModel::transferUs(std::uint64_t bytes) const

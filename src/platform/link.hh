@@ -14,8 +14,6 @@
 
 #include <cstdint>
 
-#include "li/config.hh"
-
 namespace wilis {
 namespace platform {
 
@@ -36,9 +34,6 @@ class LinkModel
 
     LinkModel() : LinkModel(Params()) {}
     explicit LinkModel(const Params &p) : params(p) {}
-
-    /** Construct from config keys bandwidth_mbps / overhead_us. */
-    explicit LinkModel(const li::Config &cfg);
 
     /** Modeled duration of one transfer of @p bytes, microseconds. */
     double transferUs(std::uint64_t bytes) const;

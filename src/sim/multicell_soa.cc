@@ -894,7 +894,9 @@ runMulticellSoa(
                 if (!awgn[g])
                     awgn[g] =
                         std::make_unique<channel::AwgnChannel>(
-                            sinr_db, cache.awgnSeed[g]);
+                            channel::AwgnParams{
+                                .snrDb = sinr_db,
+                                .seed = cache.awgnSeed[g]});
                 else
                     awgn[g]->setSnrDb(sinr_db);
                 const std::uint64_t seq =

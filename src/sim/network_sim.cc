@@ -225,8 +225,9 @@ NetworkSim::run(std::uint64_t slots, int threads)
             spec_.link.snrDb() + seeds.snrOffsetDb;
 
         channel::Ar1FadingChannel chan(
-            mean_snr_db, spec_.dopplerHz, spec_.frameIntervalUs,
-            seeds.channelSeed);
+            {.awgn = {.snrDb = mean_snr_db, .seed = seeds.channelSeed},
+             .dopplerHz = spec_.dopplerHz,
+             .frameIntervalUs = spec_.frameIntervalUs});
         const CounterRng arrivals(seeds.arrivalStream);
 
         // The analytic rung's draws; the full rung needs no state

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
+#include "channel/awgn.hh"
 #include "common/logging.hh"
-#include "phy/ofdm_symbol.hh"
+#include "decode/soft_decoder.hh"
 
 namespace wilis {
 namespace sim {
@@ -27,116 +27,12 @@ namespace {
 // link. prefix families, the link shorthands, the snr_db/seed
 // aliases and the checks that relate two keys.
 
-/** Valid values of a numeric key: [lo, hi], either end may be open. */
-template <typename T>
-struct Range {
-    T lo = std::numeric_limits<T>::lowest();
-    T hi = std::numeric_limits<T>::max();
-    bool loOpen = false;
-    bool hiOpen = false;
-    /** What the value is called in errors (default: the key). */
-    const char *noun = nullptr;
-};
-
-template <typename T>
-Range<T>
-atLeast(T lo)
-{
-    return {.lo = lo};
-}
-
-template <typename T>
-Range<T>
-above(T lo)
-{
-    return {.lo = lo, .loOpen = true};
-}
-
-template <typename T>
-Range<T>
-within(T lo, T hi)
-{
-    return {.lo = lo, .hi = hi};
-}
-
-/** An enum key's config-file names, both ways (fatal on unknown). */
-template <typename E>
-struct Names {
-    const char *(*name)(E);
-    E (*parse)(const std::string &);
-};
-
-template <typename E>
-Names<E>
-names(const char *(*name)(E), E (*parse)(const std::string &))
-{
-    return {name, parse};
-}
-
-/** No constraint beyond what the field's type can hold. */
-struct NoCheck {};
-
-/** Any value; serialized only when set (non-empty, non-zero, true). */
-struct Optional {};
-
-/** A field's value as toConfig() writes it. */
-template <typename T>
-std::string
-formatValue(const T &v)
-{
-    if constexpr (std::is_same_v<T, std::string>)
-        return v;
-    else if constexpr (std::is_same_v<T, bool>)
-        return v ? "true" : "false";
-    else if constexpr (std::is_floating_point_v<T>)
-        return strprintf("%g", v);
-    else
-        return std::to_string(+v);
-}
-
-/**
- * Read @p key as a T within @p range; fatal, naming the key, if it is
- * outside. Integers are read at the widest type of their signedness,
- * so a value T cannot hold fails the check instead of being narrowed,
- * and 64-bit values never pass through a double.
- */
-template <typename T>
-T
-readNumber(const li::Config &cfg, const char *key, const Range<T> &range)
-{
-    const auto v = [&] {
-        if constexpr (std::is_floating_point_v<T>)
-            return cfg.getDouble(key);
-        else if constexpr (std::is_signed_v<T>)
-            return cfg.getInt(key);
-        else
-            return cfg.getUint64(key);
-    }();
-    using Wide = std::remove_const_t<decltype(v)>;
-    const Wide lo = range.lo;
-    const Wide hi = range.hi;
-    // Written so that NaN fails both tests.
-    const bool low = range.loOpen ? !(v > lo) : !(v >= lo);
-    const bool high = range.hiOpen ? !(v < hi) : !(v <= hi);
-    if (!low && !high)
-        return static_cast<T>(v);
-    // Below the range names the lower bound; above it, the interval;
-    // an unbounded floating-point range only rejects NaN and +-inf.
-    std::string must;
-    if (std::is_floating_point_v<T> &&
-        range.lo == std::numeric_limits<T>::lowest() &&
-        range.hi == std::numeric_limits<T>::max())
-        must = "finite";
-    else if (low)
-        must = (range.loOpen ? "> " : ">= ") + formatValue(range.lo);
-    else
-        must = std::string("in ") + (range.loOpen ? "(" : "[") +
-               formatValue(range.lo) + "," + formatValue(range.hi) +
-               (range.hiOpen ? ")" : "]");
-    wilis_fatal("%s %s out of range: %s must be %s",
-                range.noun ? range.noun : key, cfg.getString(key).c_str(),
-                key, must.c_str());
-}
+using li::above;
+using li::atLeast;
+using li::Names;
+using li::Optional;
+using li::Range;
+using li::within;
 
 /** What every pass over a key list tracks: the current section. */
 struct KeyPass {
@@ -203,7 +99,7 @@ visitNetworkKeys(S &s, V &v)
     v("users", s.numUsers, atLeast(1));
     v("doppler_hz", s.dopplerHz, atLeast(0.0));
     v("frame_interval_us", s.frameIntervalUs, above(0.0));
-    v("arq", s.arqMode, names(mac::arqModeName, mac::arqModeFromName));
+    v("arq", s.arqMode, Names{mac::arqModeName, mac::arqModeFromName});
     v("arq_window", s.arqWindow, atLeast(1));
     // 0 retries forever.
     v("arq_max_attempts", s.arqMaxAttempts, atLeast(0));
@@ -212,7 +108,7 @@ visitNetworkKeys(S &s, V &v)
     v("pber_hi", s.pberHi, atLeast(0.0));
     v("net_seed", s.seed);
     v("fidelity", s.fidelity.mode,
-      names(fidelityModeName, fidelityModeFromName));
+      Names{fidelityModeName, fidelityModeFromName});
     v("fidelity_warmup", s.fidelity.warmupSlots);
     // 0 never refreshes after the warm-up.
     v("fidelity_refresh_period", s.fidelity.refreshPeriod);
@@ -235,22 +131,22 @@ visitNetworkKeys(S &s, V &v)
     v("shadow_sigma_db", s.topology.pathloss.shadowSigmaDb,
       atLeast(0.0));
     v("traffic", s.traffic.kind,
-      names(mac::trafficKindName, mac::trafficKindFromName));
+      Names{mac::trafficKindName, mac::trafficKindFromName});
     // Frames/slot; the Poisson sampler's working range.
     v("traffic_load", s.traffic.load, within(0.0, 64.0));
     v("on_slots", s.traffic.onSlots, atLeast(1.0));
     v("off_slots", s.traffic.offSlots, atLeast(1.0));
     v("queue_limit", s.traffic.queueLimit, atLeast(1));
     v("qdisc", s.traffic.qdisc,
-      names(mac::qdiscKindName, mac::qdiscKindFromName));
+      Names{mac::qdiscKindName, mac::qdiscKindFromName});
     v("control_rate", s.traffic.controlRate, within(0.0, 64.0));
     v("scheduler", s.scheduler.kind,
-      names(mac::schedulerKindName, mac::schedulerKindFromName));
+      Names{mac::schedulerKindName, mac::schedulerKindFromName});
     v("pf_horizon", s.scheduler.pfHorizonSlots, atLeast(1.0));
     v("contention", s.scheduler.contention,
-      names(mac::contentionModeName, mac::contentionModeFromName));
+      Names{mac::contentionModeName, mac::contentionModeFromName});
     v("mobility", s.mobility.model,
-      names(mobilityModelName, mobilityModelFromName));
+      Names{mobilityModelName, mobilityModelFromName});
     v("speed_mps", s.mobility.speedMps, above(0.0));
     v("handover_hyst_db", s.mobility.handoverHystDb, atLeast(0.0));
     v("handover_ttt_slots", s.mobility.handoverTttSlots);
@@ -265,24 +161,22 @@ visitNetworkKeys(S &s, V &v)
     v("checkpoint_resume", s.checkpoint.resume, Optional{});
 }
 
-/** applyConfig(): parse each key present in the config. */
-class ApplyKeys : public KeyPass
+/** applyConfig(): parse each key present, checking its scope. */
+class ApplyKeys : public li::ApplyKeys, public KeyPass
 {
   public:
     /** @param grid Deployment the scope check tests (NetworkSpec). */
-    explicit ApplyKeys(const li::Config &cfg_,
+    explicit ApplyKeys(const li::Config &cfg,
                        const TopologySpec *grid_ = nullptr)
-        : cfg(cfg_), grid(grid_)
+        : li::ApplyKeys(cfg), grid(grid_)
     {}
 
-    template <typename T, typename Check = NoCheck>
+    template <typename T, typename Check = li::NoCheck>
     void
     operator()(const char *key, T &field, const Check &check = {})
     {
-        if (!cfg.has(key))
-            return;
-        field = parse<T>(key, check);
-        requireScope(key, scope);
+        if (li::ApplyKeys::operator()(key, field, check))
+            requireScope(key, scope);
     }
 
     /**
@@ -304,29 +198,6 @@ class ApplyKeys : public KeyPass
     }
 
   private:
-    template <typename T, typename Check>
-    T
-    parse(const char *key, const Check &check) const
-    {
-        if constexpr (std::is_same_v<Check, Names<T>>) {
-            return check.parse(cfg.getString(key));
-        } else {
-            static_assert(std::is_same_v<Check, Range<T>> ||
-                              std::is_same_v<Check, NoCheck> ||
-                              std::is_same_v<Check, Optional>,
-                          "key check does not match the field type");
-            if constexpr (std::is_same_v<T, std::string>)
-                return cfg.getString(key);
-            else if constexpr (std::is_same_v<T, bool>)
-                return cfg.getBool(key);
-            else if constexpr (std::is_same_v<Check, Range<T>>)
-                return readNumber(cfg, key, check);
-            else
-                return readNumber(cfg, key, Range<T>{});
-        }
-    }
-
-    const li::Config &cfg;
     const TopologySpec *grid;
 };
 
@@ -340,7 +211,7 @@ class EmitKeys : public KeyPass
           withRunPolicy(with_run_policy)
     {}
 
-    template <typename T, typename Check = NoCheck>
+    template <typename T, typename Check = li::NoCheck>
     void
     operator()(const char *key, const T &field, const Check &check = {})
     {
@@ -348,10 +219,10 @@ class EmitKeys : public KeyPass
                                 : KeyScope::MultiCell) ||
             (runPolicy && !withRunPolicy))
             return;
-        if constexpr (std::is_same_v<Check, Names<T>>)
+        if constexpr (std::is_same_v<Check, li::Names<T>>)
             out.set(key, check.name(field));
         else if (!std::is_same_v<Check, Optional> || field != T{})
-            out.set(key, formatValue(field));
+            out.set(key, li::formatValue(field));
     }
 
   private:
@@ -369,7 +240,7 @@ class ListKeys : public KeyPass
         : out(out_), only(only_)
     {}
 
-    template <typename T, typename Check = NoCheck>
+    template <typename T, typename Check = li::NoCheck>
     void
     operator()(const char *key, const T &, const Check & = {})
     {
@@ -430,32 +301,6 @@ rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
         wilis_fatal("unknown %s key '%s' (valid keys: %s)", spec_name,
                     key.c_str(), valid.c_str());
     }
-}
-
-/**
- * Range-check the channel. sub-keys (and the snr_db alias) whose
- * channel constructors assert on, or silently run with, a bad value,
- * so a bad value is fatal naming the key.
- */
-void
-checkChannelKeys(const li::Config &cfg)
-{
-    const auto check = [&](const char *key, const auto &range) {
-        if (cfg.has(key))
-            readNumber(cfg, key, range);
-    };
-    // Finite: the default range rejects NaN and +-inf.
-    check("snr_db", Range<double>{});
-    check("channel.snr_db", Range<double>{});
-    check("channel.sir_db", Range<double>{});
-    check("channel.doppler_hz", atLeast(0.0));
-    check("channel.packet_interval_us", above(0.0));
-    // Noise worker threads; 0 is the hardware concurrency.
-    check("channel.threads", within(0L, 1024L));
-    // Tap delays 0..num_taps-1 must fit in the cyclic prefix.
-    check("channel.num_taps",
-          within(1L, long{phy::OfdmGeometry::kCpLen + 1}));
-    check("channel.delay_spread", above(0.0));
 }
 
 /** Copy the @p prefix family of @p cfg into @p sub, prefix stripped. */
@@ -550,7 +395,7 @@ ScenarioSpec::withChannelSeed(std::uint64_t seed) const
 double
 ScenarioSpec::snrDb() const
 {
-    return channelCfg.getDouble("snr_db", 10.0);
+    return channelCfg.getDouble("snr_db", channel::AwgnParams{}.snrDb);
 }
 
 std::string
@@ -568,12 +413,22 @@ ScenarioSpec::applyConfig(const li::Config &cfg)
 
     ApplyKeys apply(cfg);
     visitScenarioKeys(*this, apply);
-    checkChannelKeys(cfg);
-    copyPrefixed(cfg, kChannelPrefix, channelCfg);
-    copyPrefixed(cfg, kDecoderPrefix, rx.decoderCfg);
+    // The aliases are checked on their own first, so that an error
+    // names them the way the user wrote them.
+    li::Config aliases;
     for (const char *alias : kChannelAliases)
         if (cfg.has(alias))
-            channelCfg.set(alias, cfg.getString(alias));
+            aliases.set(alias, cfg.getString(alias));
+    const auto &channels = channel::ChannelRegistry::global();
+    channels.check(channel, aliases, "");
+    copyPrefixed(cfg, kChannelPrefix, channelCfg);
+    copyPrefixed(cfg, kDecoderPrefix, rx.decoderCfg);
+    copyPrefixed(aliases, "", channelCfg);
+    // The final pairs, on the caller's thread: a bad value is fatal
+    // here, not in a constructor on several sweep workers at once.
+    channels.check(channel, channelCfg, kChannelPrefix);
+    decode::DecoderRegistry::global().check(rx.decoder, rx.decoderCfg,
+                                            kDecoderPrefix);
 }
 
 ScenarioSpec
@@ -732,6 +587,19 @@ NetworkSpec::applyConfig(const li::Config &cfg)
                        (checkpoint.everySlots != 0 || checkpoint.resume),
                    "checkpoint_every/checkpoint_resume need "
                    "checkpoint_file");
+
+    // Both engines build their own channel (ar1 per user, or AWGN at
+    // the SINR); only the single-cell one reads the template's SNR.
+    for (const auto &[key, value] : cfg.entries())
+        wilis_fatal_if(key == "link.channel"
+                           ? value != "awgn"
+                           : key == "link.seed" ||
+                                 (key.rfind("link.channel.", 0) == 0 &&
+                                  key != "link.channel.snr_db"),
+                       "link key '%s' has no effect: the network "
+                       "engines build their own channel (only "
+                       "link.channel.snr_db is read)",
+                       key.c_str());
 
     // The link template: explicit "link.<k>" keys plus the
     // shorthands.

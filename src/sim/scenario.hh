@@ -108,11 +108,11 @@ struct ScenarioSpec {
     /**
      * Overlay the keys present in @p cfg onto this spec (absent
      * keys keep their current values); the keys are those of
-     * scenarioSpecKeys(). "channel.<k>" and "decoder.<k>" pass <k>
-     * through to the channel / decoder sub-configs; "snr_db" and
-     * "seed" are forwarded to the channel as the common shorthand.
-     * An unknown key or an out-of-range value is fatal, naming the
-     * key.
+     * scenarioSpecKeys(). "channel.<k>" and "decoder.<k>" set <k> in
+     * the channel / decoder sub-configs; "snr_db" and "seed" are
+     * forwarded to the channel as the common shorthand. A key that
+     * neither this spec nor the selected channel or decoder declares,
+     * or an out-of-range value, is fatal, naming the key.
      */
     void applyConfig(const li::Config &cfg);
 
@@ -196,7 +196,7 @@ struct NetworkSpec {
      * Per-link template: rate is the initial SoftRate rate, channel
      * configuration supplies the mean SNR. The channel itself is
      * replaced per user by an AR(1) fading instance with a derived
-     * seed, so `channel`/seed fields of the template are ignored.
+     * seed, so applyConfig() rejects any other template channel key.
      */
     ScenarioSpec link;
 

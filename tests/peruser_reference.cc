@@ -343,7 +343,8 @@ runPerUserReference(const NetworkSim &sim, std::uint64_t slots)
             // conditioning the calibration table uses).
             if (!u.awgn)
                 u.awgn = std::make_unique<channel::AwgnChannel>(
-                    sinr_db, u.awgnSeed);
+                    channel::AwgnParams{.snrDb = sinr_db,
+                                        .seed = u.awgnSeed});
             else
                 u.awgn->setSnrDb(sinr_db);
             phy.arena.reset();

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "li/config.hh"
 #include "li/fifo.hh"
@@ -97,36 +99,86 @@ TEST(SyncFifo, ImposesCrossingLatency)
     EXPECT_EQ(f->deq(), 42);
 }
 
+namespace {
+
+struct Iface {
+    virtual ~Iface() = default;
+    virtual int id() const = 0;
+};
+
+/** ImplA reads one key, "gain", at least 1. */
+struct ImplA : Iface {
+    struct Params {
+        int gain = 1;
+
+        template <typename V>
+        void visitKeys(V &v)
+        {
+            v("gain", gain, atLeast(1));
+        }
+    };
+    explicit ImplA(const Params &p) : gain(p.gain) {}
+    int id() const override { return gain; }
+    int gain;
+};
+
+/** ImplB reads no key. */
+struct ImplB : Iface {
+    struct Params {
+        template <typename V>
+        void visitKeys(V &) {}
+    };
+    explicit ImplB(const Params &) {}
+    int id() const override { return -1; }
+};
+
+Registry<Iface>
+testRegistry()
+{
+    Registry<Iface> reg("widget");
+    reg.add<ImplA>("a");
+    reg.add<ImplA>("a-big", {.gain = 100});
+    reg.add<ImplB>("b");
+    return reg;
+}
+
+} // namespace
+
 TEST(Registry, PlugNPlayCreateAndList)
 {
-    struct Iface {
-        virtual ~Iface() = default;
-        virtual int id() const = 0;
-    };
-    struct ImplA : Iface {
-        explicit ImplA(const Config &) {}
-        int id() const override { return 1; }
-    };
-    struct ImplB : Iface {
-        explicit ImplB(const Config &) {}
-        int id() const override { return 2; }
-    };
-
-    Registry<Iface> reg;
-    reg.add("a", [](const Config &c) -> std::unique_ptr<Iface> {
-        return std::make_unique<ImplA>(c);
-    });
-    reg.add("b", [](const Config &c) -> std::unique_ptr<Iface> {
-        return std::make_unique<ImplB>(c);
-    });
-    EXPECT_TRUE(reg.has("a"));
-    EXPECT_FALSE(reg.has("c"));
+    const Registry<Iface> reg = testRegistry();
     EXPECT_EQ(reg.create("a")->id(), 1);
-    EXPECT_EQ(reg.create("b")->id(), 2);
-    auto names = reg.names();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "a");
-    EXPECT_EQ(names[1], "b");
+    EXPECT_EQ(reg.create("a", Config::fromString("gain=7"))->id(), 7);
+    // A registration's defaults are the Params it starts from.
+    EXPECT_EQ(reg.create("a-big")->id(), 100);
+    EXPECT_EQ(reg.create("b")->id(), -1);
+    EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "a-big", "b"}));
+    EXPECT_EQ(reg.keys("a"), std::vector<std::string>{"gain"});
+    EXPECT_TRUE(reg.keys("b").empty());
+}
+
+TEST(RegistryDeath, KeysOutsideTheListOrRangeAreFatal)
+{
+    const Registry<Iface> reg = testRegistry();
+    EXPECT_EXIT(reg.create("b", Config::fromString("gain=2")),
+                testing::ExitedWithCode(1),
+                "unknown widget key 'gain' for b \\(valid keys: <none>\\)");
+    EXPECT_EXIT(reg.create("a", Config::fromString("gain=0")),
+                testing::ExitedWithCode(1),
+                "gain 0 out of range: gain must be >= 1");
+    EXPECT_EXIT(reg.create("c"), testing::ExitedWithCode(1),
+                "no widget implementation 'c' registered \\(known: a, "
+                "a-big, b\\)");
+    // check() parses without constructing and names each key the
+    // way the caller's config spelled it.
+    reg.check("a", Config::fromString("gain=3"), "widget.");
+    EXPECT_EXIT(reg.check("a", Config::fromString("gain=0"), "widget."),
+                testing::ExitedWithCode(1),
+                "widget.gain 0 out of range: widget.gain must be >= 1");
+    EXPECT_EXIT(reg.check("a", Config::fromString("gian=3"), "widget."),
+                testing::ExitedWithCode(1),
+                "unknown widget key 'widget.gian' for a \\(valid keys: "
+                "gain\\)");
 }
 
 TEST(Config, ParseStringAndTypes)
@@ -160,10 +212,18 @@ TEST(ConfigDeath, EmptyOverflowingAndOutOfRangeNumbersAreFatal)
                 testing::ExitedWithCode(1), "'s'");
     EXPECT_EQ(Config::fromString("s=-9223372036854775808").getInt("s"),
               std::numeric_limits<long>::min());
-    EXPECT_EQ(cfg.getInt("three", 0, 1, 3), 3);
-    EXPECT_EQ(cfg.getInt("missing", 2, 1, 3), 2);
-    EXPECT_EXIT(cfg.getInt("three", 0, 0, 2), testing::ExitedWithCode(1),
-                "'three': 3 is outside \\[0, 2\\]");
+    // The ranged reader: a present key is read and checked, an
+    // absent one keeps the field's value.
+    int three = 0;
+    int missing = 2;
+    const ApplyKeys read(cfg);
+    EXPECT_TRUE(read("three", three, within(1, 3)));
+    EXPECT_FALSE(read("missing", missing, within(1, 3)));
+    EXPECT_EQ(three, 3);
+    EXPECT_EQ(missing, 2);
+    EXPECT_EXIT(read("three", three, within(0, 2)),
+                testing::ExitedWithCode(1),
+                "three 3 out of range: three must be in \\[0,2\\]");
 }
 
 TEST(SchedulerDeath, UnknownDomainPanics)

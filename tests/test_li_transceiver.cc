@@ -62,7 +62,13 @@ SampleVec captured_tx;
 class CaptureChannel : public channel::Channel
 {
   public:
-    explicit CaptureChannel(const li::Config &) {}
+    /** Reads no config key. */
+    struct Params {
+        template <typename V>
+        void visitKeys(V &) {}
+    };
+
+    explicit CaptureChannel(const Params &) {}
 
     std::string name() const override { return "li_tx_capture"; }
 
@@ -81,7 +87,10 @@ class CaptureChannel : public channel::Channel
     double noiseVariance() const override { return 1e-3; }
 };
 
-WILIS_REGISTER_IMPL(channel::Channel, "li_tx_capture", CaptureChannel);
+const bool capture_registered = [] {
+    channel::ChannelRegistry::global().add<CaptureChannel>("li_tx_capture");
+    return true;
+}();
 
 } // namespace
 
@@ -235,10 +244,11 @@ TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
     // for a symbol's bin gains; on a time-varying (rayleigh) and a
     // frequency-selective (multipath) channel they must agree.
     auto [rate, channel] = GetParam();
-    ScenarioSpec spec = liSpec(
-        rate, "bcjr",
-        "snr_db=12,doppler_hz=20,num_taps=4,delay_spread=3,seed=5",
-        channel);
+    const std::string cfg =
+        std::string("snr_db=12,doppler_hz=20,seed=5") +
+        (std::string(channel) == "multipath" ? ",num_taps=4,delay_spread=3"
+                                             : "");
+    ScenarioSpec spec = liSpec(rate, "bcjr", cfg.c_str(), channel);
     Testbench tb(spec);
     LiTransceiver li_tx(spec);
 
@@ -271,9 +281,12 @@ TEST(LiTransceiver, ResultsInvariantUnderClockAssignment)
     auto mhz = [&rng] { return 5.0 + 195.0 * rng.nextDouble(); };
     for (int rate = 0; rate < phy::kNumRates; ++rate) {
         for (const char *channel : {"awgn", "rayleigh"}) {
-            ScenarioSpec spec =
-                liSpec(rate, "sova", "snr_db=6,doppler_hz=30,seed=3",
-                       channel);
+            ScenarioSpec spec = liSpec(
+                rate, "sova",
+                std::string(channel) == "awgn"
+                    ? "snr_db=6,seed=3"
+                    : "snr_db=6,doppler_hz=30,seed=3",
+                channel);
             spec.clocks.basebandMhz = mhz();
             spec.clocks.decoderMhz = mhz();
             spec.clocks.hostMhz = mhz();

@@ -21,9 +21,7 @@ using namespace wilis::channel;
 
 TEST(Multipath, BinGainsVaryAcrossSubcarriers)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=100,num_taps=4,delay_spread=3,seed=3");
-    MultipathChannel ch(cfg);
+    MultipathChannel ch({.awgn = {.snrDb = 100, .seed = 3}});
     SampleVec h(64);
     ch.binGains(0, 0, h);
     double min_mag = 1e18;
@@ -39,9 +37,7 @@ TEST(Multipath, BinGainsVaryAcrossSubcarriers)
 
 TEST(Multipath, SingleTapIsFlat)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=100,num_taps=1,seed=3");
-    MultipathChannel ch(cfg);
+    MultipathChannel ch({.awgn = {.snrDb = 100, .seed = 3}, .numTaps = 1});
     SampleVec h(64);
     ch.binGains(0, 0, h);
     for (int bin = 0; bin < 64; ++bin)
@@ -50,9 +46,7 @@ TEST(Multipath, SingleTapIsFlat)
 
 TEST(Multipath, UnitMeanPower)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=100,num_taps=4,delay_spread=3,seed=5");
-    MultipathChannel ch(cfg);
+    MultipathChannel ch({.awgn = {.snrDb = 100, .seed = 5}});
     RunningStats pwr;
     SampleVec h(64);
     for (std::uint64_t p = 0; p < 4000; ++p) {
@@ -65,10 +59,9 @@ TEST(Multipath, UnitMeanPower)
 
 TEST(Multipath, BatchAndStreamingAgree)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=10,num_taps=4,delay_spread=3,seed=7");
-    MultipathChannel batch(cfg);
-    MultipathChannel stream(cfg);
+    const MultipathChannel::Params p{.awgn = {.snrDb = 10, .seed = 7}};
+    MultipathChannel batch(p);
+    MultipathChannel stream(p);
 
     SplitMix64 rng(4);
     SampleVec samples(400);
@@ -85,8 +78,7 @@ TEST(Multipath, BatchAndStreamingAgree)
 
 TEST(MultipathDeath, OutOfOrderStreamingPanics)
 {
-    li::Config cfg = li::Config::fromString("snr_db=10,seed=7");
-    MultipathChannel ch(cfg);
+    MultipathChannel ch({.awgn = {.snrDb = 10, .seed = 7}});
     ch.impairSample(Sample(1, 0), 0, 0);
     EXPECT_DEATH(ch.impairSample(Sample(1, 0), 0, 5), "out of order");
 }

@@ -22,22 +22,22 @@ using namespace wilis::sim;
 
 TEST(Ar1Fading, GainSequenceIsReplayable)
 {
-    channel::Ar1FadingChannel a(10.0, 30.0, 2000.0, 42);
-    channel::Ar1FadingChannel b(10.0, 30.0, 2000.0, 42);
+    channel::Ar1FadingChannel a({.awgn = {.seed = 42}});
+    channel::Ar1FadingChannel b({.awgn = {.seed = 42}});
 
     // Forward, backward and repeated queries all agree between
     // instances (the gain is a pure function of (seed, slot)).
     for (std::uint64_t n : {0ull, 3ull, 7ull, 2ull, 7ull, 0ull})
         EXPECT_EQ(a.gain(n, 0), b.gain(n, 0)) << "slot " << n;
 
-    channel::Ar1FadingChannel c(10.0, 30.0, 2000.0, 43);
+    channel::Ar1FadingChannel c({.awgn = {.seed = 43}});
     EXPECT_NE(a.gain(5, 0), c.gain(5, 0))
         << "different seeds, different fading";
 }
 
 TEST(Ar1Fading, BlockFadingHoldsGainWithinASlot)
 {
-    channel::Ar1FadingChannel chan(10.0, 30.0, 2000.0, 7);
+    channel::Ar1FadingChannel chan({.awgn = {.seed = 7}});
     EXPECT_EQ(chan.gain(4, 0), chan.gain(4, 13));
     EXPECT_NE(chan.gain(4, 0), chan.gain(5, 0));
 }
@@ -46,8 +46,8 @@ TEST(Ar1Fading, DopplerControlsCorrelation)
 {
     // rho = J0(2 pi fd T): slow fading is heavily correlated, fast
     // fading decorrelates.
-    channel::Ar1FadingChannel slow(10.0, 5.0, 2000.0, 1);
-    channel::Ar1FadingChannel fast(10.0, 200.0, 2000.0, 1);
+    channel::Ar1FadingChannel slow({.dopplerHz = 5.0});
+    channel::Ar1FadingChannel fast({.dopplerHz = 200.0});
     EXPECT_GT(slow.rho(), 0.99);
     EXPECT_LT(fast.rho(), slow.rho());
     EXPECT_GE(fast.rho(), 0.0);

@@ -199,7 +199,7 @@ TEST(Plcp, FullChainWithOffsetCfoAndNoise)
     SampleVec rx_stream(123, Sample(0, 0));
     rx_stream.insert(rx_stream.end(), frame.begin(), frame.end());
     Synchronizer::applyCfo(rx_stream, 40000.0);
-    channel::AwgnChannel chan(20.0, 3);
+    channel::AwgnChannel chan({.snrDb = 20.0, .seed = 3});
     chan.apply(rx_stream, 0);
 
     Synchronizer sync;

@@ -228,9 +228,9 @@ TEST_P(BerMonotoneInSnr, WaterfallDecreases)
 
 TEST(Interference, ToneConcentratesOnOneSubcarrier)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=100,sir_db=0,interferer_bin=10,seed=2");
-    channel::InterferenceChannel ch(cfg);
+    channel::InterferenceChannel ch({.awgn = {.snrDb = 100, .seed = 2},
+                                     .sirDb = 0,
+                                     .interfererBin = 10});
     // Push a silent symbol through and look at the FFT.
     SampleVec s(80, Sample(0, 0));
     ch.apply(s, 0);
@@ -268,10 +268,10 @@ TEST(Interference, StrongerInterferenceRaisesBer)
 
 TEST(Interference, BatchAndStreamingAgree)
 {
-    li::Config cfg = li::Config::fromString(
-        "snr_db=10,sir_db=5,interferer_bin=-13,seed=4");
-    channel::InterferenceChannel batch(cfg);
-    channel::InterferenceChannel stream(cfg);
+    const channel::InterferenceChannel::Params p{
+        .awgn = {.snrDb = 10, .seed = 4}, .sirDb = 5, .interfererBin = -13};
+    channel::InterferenceChannel batch(p);
+    channel::InterferenceChannel stream(p);
     SampleVec s(320, Sample(0.5, -0.25));
     SampleVec expect = s;
     batch.apply(expect, 6);

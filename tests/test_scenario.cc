@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "channel/channel.hh"
+#include "decode/soft_decoder.hh"
 #include "sim/scenario.hh"
 #include "sim/testbench.hh"
 
@@ -102,10 +105,17 @@ TEST(ScenarioSpec, RejectsUnknownKeysWithAPinnedError)
                     li::Config::fromString("snr=10")),
                 testing::ExitedWithCode(1),
                 "unknown ScenarioSpec key 'snr'");
-    // Prefixed pass-throughs stay open: their sub-config owns them.
-    ScenarioSpec s = ScenarioSpec::fromConfig(li::Config::fromString(
-        "channel.custom_knob=1,decoder.window=9"));
-    EXPECT_EQ(s.channelCfg.getInt("custom_knob", 0), 1);
+    // Prefixed keys are checked against the selected channel's and
+    // decoder's own key lists.
+    EXPECT_EXIT(ScenarioSpec::fromConfig(li::Config::fromString(
+                    "channel.custom_knob=1,decoder.window=9")),
+                testing::ExitedWithCode(1),
+                "unknown channel key 'channel.custom_knob' for awgn");
+    EXPECT_EXIT(ScenarioSpec::fromConfig(
+                    li::Config::fromString("decoder.window=9")),
+                testing::ExitedWithCode(1),
+                "unknown decoder key 'decoder.window' for bcjr "
+                "\\(valid keys: block_len\\)");
     // A bare prefix is not a key.
     EXPECT_EXIT(ScenarioSpec::fromConfig(
                     li::Config::fromString("channel.=1")),
@@ -147,13 +157,17 @@ TEST(ScenarioSpec, ChannelValuesTheConstructorsAssertOnExitNamingTheKey)
         EXPECT_EXIT(ScenarioSpec::fromConfig(li::Config::fromString(c.spec)),
                     testing::ExitedWithCode(1), c.error)
             << c.spec;
-    // The link template of a network spec is checked the same way.
+    // A network spec rejects the link channel key outright: the
+    // engines build their own channel.
     EXPECT_EXIT(NetworkSpec::fromConfig(li::Config::fromString(
                     "link.channel.doppler_hz=-1")),
                 testing::ExitedWithCode(1), "channel.doppler_hz");
-    // The edges of each range are accepted.
+    // The edges of each range are accepted, each on a channel that
+    // reads the key.
+    ScenarioSpec::fromConfig(li::Config::fromString(
+        "channel=rayleigh,channel.doppler_hz=0"));
     const ScenarioSpec edges = ScenarioSpec::fromConfig(li::Config::fromString(
-        "channel.doppler_hz=0,channel.num_taps=17,channel.delay_spread=0.1"));
+        "channel=multipath,channel.num_taps=17,channel.delay_spread=0.1"));
     EXPECT_EQ(edges.channelCfg.getInt("num_taps"), 17);
 }
 
@@ -185,15 +199,166 @@ TEST(ScenarioSpec, ChannelValuesThatRunSilentlyOrCrashExitNamingTheKey)
     // A network spec's snr_db shorthand reaches the same check.
     EXPECT_EXIT(parseNetworkSpecArg("cell-16,snr_db=nan"),
                 testing::ExitedWithCode(1), "snr_db must be finite");
-    // The edges of each range are accepted.
+    // The edges of each range are accepted, each on a channel that
+    // reads the key.
     const ScenarioSpec edges = ScenarioSpec::fromConfig(li::Config::fromString(
-        "snr_db=-40,channel.sir_db=1e300,channel.packet_interval_us=1e-9,"
+        "channel=interference,snr_db=-40,channel.sir_db=1e300,"
         "channel.threads=1024"));
     EXPECT_EQ(edges.channelCfg.getInt("threads"), 1024);
+    ScenarioSpec::fromConfig(li::Config::fromString(
+        "channel=rayleigh,channel.packet_interval_us=1e-9"));
     EXPECT_EQ(ScenarioSpec::fromConfig(
                   li::Config::fromString("channel.threads=0"))
                   .channelCfg.getInt("threads"),
               0);
+}
+
+TEST(ScenarioSpec, KeysTheImplementationDoesNotReadExitNamingTheKey)
+{
+    // Each of these used to run with the key ignored (exit 0) or
+    // abort in a constructor (exit 134).
+    const struct {
+        const char *spec;
+        const char *error;
+    } cases[] = {
+        {"awgn-mid,decoder.bogus_key=7,channel.nonsense=3",
+         "unknown channel key 'channel.nonsense' for awgn"},
+        {"awgn-mid,decoder.bogus_key=7",
+         "unknown decoder key 'decoder.bogus_key' for bcjr"},
+        {"awgn-mid,decoder.traceback_len=2",
+         "unknown decoder key 'decoder.traceback_len' for bcjr"},
+        {"awgn-mid,channel.doppler_hz=40",
+         "unknown channel key 'channel.doppler_hz' for awgn"},
+        {"awgn-mid,channel=ar1,channel.common_noise=true",
+         "unknown channel key 'channel.common_noise' for ar1"},
+        {"awgn-mid,decoder=bcjr-logmap,decoder.logmap=false",
+         "unknown decoder key 'decoder.logmap' for bcjr-logmap"},
+        {"awgn-mid,channel=ar1,channel.frame_interval_us=-1",
+         "channel.frame_interval_us must be > 0"},
+        {"awgn-mid,channel=ar1,channel.frame_interval_us=nan",
+         "channel.frame_interval_us must be > 0"},
+        // A key the preset set for its own channel does not carry
+        // over to another.
+        {"rayleigh-fading,channel=awgn",
+         "unknown channel key 'channel.doppler_hz' for awgn"},
+        {"interference-tone,decoder=sova,decoder.block_len=32",
+         "unknown decoder key 'decoder.block_len' for sova"},
+        // The link CLI used to forward these by hand, unchecked.
+        {"multipath-selective,num_taps=0",
+         "unknown ScenarioSpec key 'num_taps'"},
+        {"multipath-selective,num_taps=40",
+         "unknown ScenarioSpec key 'num_taps'"},
+        {"rayleigh-fading,doppler_hz=-5",
+         "unknown ScenarioSpec key 'doppler_hz'"},
+        {"awgn-mid,num_taps=0", "unknown ScenarioSpec key 'num_taps'"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(parseScenarioSpecArg(c.spec), testing::ExitedWithCode(1),
+                    std::string("fatal: .*") + c.error)
+            << c.spec;
+}
+
+TEST(NetworkSpecStrict, RejectsTheLinkChannelKeysNoEngineReads)
+{
+    // The engines build their own channel per user; these ran the
+    // same experiment as plain cell-16.
+    for (const char *spec :
+         {"cell-16,link.channel=multipath,link.channel.num_taps=4",
+          "cell-16,link.channel.doppler_hz=500",
+          "cell-16,link.channel.bogus=1", "cell-16,link.seed=3",
+          "grid-3x3,link.channel=rayleigh"}) {
+        const std::string key =
+            std::string(spec).substr(std::string(spec).find(',') + 1);
+        EXPECT_EXIT(parseNetworkSpecArg(spec), testing::ExitedWithCode(1),
+                    "fatal: link key '" + key.substr(0, key.find('=')) +
+                        "' has no effect: the network engines build "
+                        "their own channel")
+            << spec;
+    }
+    // The canonical link channel still round-trips.
+    const NetworkSpec s =
+        parseNetworkSpecArg("cell-16,link.channel=awgn,link.channel.snr_db=9");
+    EXPECT_DOUBLE_EQ(s.link.snrDb(), 9.0);
+    EXPECT_EQ(NetworkSpec::fromConfig(s.toConfig()).toConfig().toString(),
+              s.toConfig().toString());
+}
+
+namespace {
+
+/** A channel or decoder implementation, by its spec prefix. */
+struct Implementation {
+    /** "channel" or "decoder". */
+    std::string kind;
+    std::string name;
+    /** The registry's accepted keys. */
+    std::vector<std::string> keys;
+};
+
+std::vector<Implementation>
+allImplementations()
+{
+    std::vector<Implementation> out;
+    const auto &channels = channel::ChannelRegistry::global();
+    for (const std::string &name : channels.names())
+        out.push_back({"channel", name, channels.keys(name)});
+    const auto &decoders = decode::DecoderRegistry::global();
+    for (const std::string &name : decoders.names())
+        out.push_back({"decoder", name, decoders.keys(name)});
+    return out;
+}
+
+/** A valid value for every declared channel and decoder key. */
+const std::map<std::string, std::string> kSampleValues = {
+    {"snr_db", "12"},           {"seed", "5"},
+    {"threads", "2"},           {"common_noise", "true"},
+    {"doppler_hz", "5"},        {"packet_interval_us", "1000"},
+    {"block_fading", "true"},   {"frame_interval_us", "1000"},
+    {"num_taps", "3"},          {"delay_spread", "2"},
+    {"sir_db", "8"},            {"interferer_bin", "-5"},
+    {"traceback_len", "32"},    {"traceback_l", "32"},
+    {"traceback_k", "16"},      {"block_len", "32"},
+};
+
+} // namespace
+
+class ImplementationKeys : public ::testing::TestWithParam<Implementation>
+{};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryChannelAndDecoder, ImplementationKeys,
+    ::testing::ValuesIn(allImplementations()),
+    [](const testing::TestParamInfo<Implementation> &info) {
+        std::string id = info.param.kind + "_" + info.param.name;
+        std::replace(id.begin(), id.end(), '-', '_');
+        return id;
+    });
+
+TEST_P(ImplementationKeys, AcceptsItsOwnKeysAndRejectsTheOthers)
+{
+    const Implementation &impl = GetParam();
+    const std::string select = impl.kind + "=" + impl.name + ",";
+    std::set<std::string> others;
+    for (const Implementation &other : allImplementations())
+        if (other.kind == impl.kind)
+            others.insert(other.keys.begin(), other.keys.end());
+    for (const std::string &key : others) {
+        ASSERT_TRUE(kSampleValues.count(key)) << "no sample for " << key;
+        const std::string spec =
+            select + impl.kind + "." + key + "=" + kSampleValues.at(key);
+        const li::Config cfg = li::Config::fromString(spec);
+        if (std::count(impl.keys.begin(), impl.keys.end(), key)) {
+            const ScenarioSpec s = ScenarioSpec::fromConfig(cfg);
+            const li::Config &sub =
+                impl.kind == "channel" ? s.channelCfg : s.rx.decoderCfg;
+            EXPECT_EQ(sub.getString(key), kSampleValues.at(key)) << spec;
+        } else {
+            EXPECT_EXIT(ScenarioSpec::fromConfig(cfg),
+                        testing::ExitedWithCode(1),
+                        "unknown " + impl.kind + " key '" + impl.kind +
+                            "." + key + "' for " + impl.name)
+                << spec;
+        }
+    }
 }
 
 TEST(NetworkSpecStrict, RejectsUnknownKeysWithAPinnedError)
@@ -460,10 +625,12 @@ TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
     // docs/SCENARIOS.md documents every accepted config key in
     // "## ... keys" tables whose first column is the backticked key
     // name; the NetworkSpec tables sit under "Common keys",
-    // "Single-cell keys" and "Multi-cell keys" paragraphs. This walk
-    // keeps the reference and the parser in lockstep -- a key added
-    // to one without the other, or documented under the wrong
-    // engine, fails here.
+    // "Single-cell keys" and "Multi-cell keys" paragraphs, and each
+    // channel's and decoder's under a "### channel=<name>" or
+    // "### decoder=<name>" heading. This walk keeps the reference
+    // and the parsers in lockstep -- a key added to one without the
+    // other, or documented under the wrong engine or implementation,
+    // fails here.
     std::ifstream in(std::string(WILIS_SOURCE_DIR) +
                      "/docs/SCENARIOS.md");
     ASSERT_TRUE(in.good()) << "docs/SCENARIOS.md missing";
@@ -478,6 +645,8 @@ TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
         for (const char *scope : {"Common", "Single-cell", "Multi-cell"})
             if (!section.empty() && line.rfind(scope, 0) == 0)
                 section = std::string("NetworkSpec ") + scope;
+        if (!section.empty() && line.rfind("### ", 0) == 0)
+            section = line.substr(4);
         if (section.empty() || line.rfind("| `", 0) != 0)
             continue;
         const size_t end = line.find('`', 3);
@@ -487,7 +656,7 @@ TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
     const auto asSet = [](const std::vector<std::string> &keys) {
         return std::set<std::string>(keys.begin(), keys.end());
     };
-    const std::map<std::string, std::set<std::string>> accepted = {
+    std::map<std::string, std::set<std::string>> accepted = {
         {"ScenarioSpec keys", asSet(scenarioSpecKeys())},
         {"NetworkSpec Common", asSet(networkSpecKeys(KeyScope::Any))},
         {"NetworkSpec Single-cell",
@@ -495,6 +664,8 @@ TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
         {"NetworkSpec Multi-cell",
          asSet(networkSpecKeys(KeyScope::MultiCell))},
     };
+    for (const Implementation &impl : allImplementations())
+        accepted[impl.kind + "=" + impl.name] = asSet(impl.keys);
     EXPECT_EQ(documented, accepted);
     EXPECT_EQ(networkSpecKeys().size(),
               accepted.at("NetworkSpec Common").size() +

@@ -565,7 +565,9 @@ TEST_F(SimdKernelTest, ScalarBackendReproducesGridResults)
         spec.rate = cell.rate;
         spec.channel = cell.channel;
         spec.channelCfg = li::Config::fromString(
-            "snr_db=9,doppler_hz=25,seed=77");
+            std::string(cell.channel) == "awgn"
+                ? "snr_db=9,seed=77"
+                : "snr_db=9,doppler_hz=25,seed=77");
         spec.rx.decoder = cell.decoder;
         spec.payloadBits = 300;
 

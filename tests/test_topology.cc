@@ -170,7 +170,7 @@ TEST(JakesFader, PinsTheRayleighChannelFadingProcess)
     // (the refactor may not move any PR 1-4 physics).
     const std::uint64_t seed = 77;
     channel::JakesFader fader(20.0, seed);
-    channel::RayleighChannel chan(10.0, 20.0, seed);
+    channel::RayleighChannel chan({.awgn = {.seed = seed}});
     for (std::uint64_t p : {0ull, 1ull, 5ull, 9ull}) {
         for (int s : {0, 1, 3}) {
             const double t_us =

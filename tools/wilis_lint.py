@@ -33,9 +33,11 @@ determinism smoke:
                      (src/sim/scenario.cc: the v("<key>", ...) rows
                      and the hand-written k...Prefix/k...Key
                      constants, kChannelAliases and kLinkShorthands)
-                     but absent from docs/SCENARIOS.md -- the
-                     reference must cover the whole accepted
-                     surface.
+                     or in a channel's or decoder's key list (the
+                     v("<key>", ...) rows of the Params structs in
+                     src/channel/*.hh and src/decode/*.hh) but absent
+                     from docs/SCENARIOS.md -- the reference must
+                     cover the whole accepted surface.
 
 Suppression: a line carrying `wilis-lint: allow(<rule>)` (in a
 comment, with a justification) disables that rule for that line;
@@ -351,6 +353,10 @@ def spec_keys(scenario_cc_text):
     return keys
 
 
+# Directories whose headers declare channel and decoder key lists.
+IMPL_KEY_DIRS = ("src/channel", "src/decode")
+
+
 def rule_undocumented_keys(root,
                            scenario_path="src/sim/scenario.cc",
                            doc_path="docs/SCENARIOS.md"):
@@ -363,18 +369,23 @@ def rule_undocumented_keys(root,
     if not os.path.exists(doc):
         return [Finding(doc_path, 1, "undocumented-key",
                         "scenario reference missing")]
-    keys = spec_keys(read_file(cc))
-    if not keys:
+    declared = [(scenario_path, key)
+                for key in spec_keys(read_file(cc))]
+    if not declared:
         return [Finding(scenario_path, 1, "undocumented-key",
                         "no keys parsed from the spec key lists "
                         "(declaration format changed?)")]
+    for d in IMPL_KEY_DIRS:
+        for path in iter_files(os.path.join(root, d), (".hh",)):
+            declared += [(rel(path, root), key) for key in
+                         KEY_ROW_RE.findall(read_file(path))]
     documented = set(re.findall(r"`([A-Za-z0-9_.]+)`",
                                 read_file(doc)))
-    for key in sorted(keys - documented):
-        findings.append(Finding(
-            scenario_path, 1, "undocumented-key",
-            "spec key '%s' is not documented in %s"
-            % (key, doc_path)))
+    for path, key in sorted(declared):
+        if key not in documented:
+            findings.append(Finding(
+                path, 1, "undocumented-key",
+                "key '%s' is not documented in %s" % (key, doc_path)))
     return findings
 
 
@@ -544,13 +555,21 @@ def self_test():
                    '    v("users", s.numUsers, atLeast(1));\n'
                    '    v("zz_internal", s.x);\n')
 
+        channel_hh = ('struct KnobParams {\n'
+                      '    template <typename V> void visitKeys(V &v)\n'
+                      '    { v("zz_knob", knob, li::atLeast(0)); }\n'
+                      '};\n')
+
         def keys(doc_text):
             d = tempfile.mkdtemp(dir=tmp)
-            os.makedirs(os.path.join(d, "src/sim"))
-            os.makedirs(os.path.join(d, "docs"))
+            for sub in ("src/sim", "src/channel", "docs"):
+                os.makedirs(os.path.join(d, sub))
             with open(os.path.join(d, "src/sim/scenario.cc"),
                       "w") as f:
                 f.write(cc_text)
+            with open(os.path.join(d, "src/channel/knob.hh"),
+                      "w") as f:
+                f.write(channel_hh)
             with open(os.path.join(d, "docs/SCENARIOS.md"),
                       "w") as f:
                 f.write(doc_text)
@@ -558,14 +577,20 @@ def self_test():
 
         check("undocumented key is caught",
               any("zz_internal" in f.message for f in keys(
-                  "| `rate` | `snr_db` | `users` | `link.` |\n")))
+                  "| `rate` | `snr_db` | `users` | `link.` | "
+                  "`zz_knob` |\n")))
         check("undocumented hand-written key is caught",
               any("link." in f.message for f in keys(
                   "| `rate` | `snr_db` | `users` | "
-                  "`zz_internal` |\n")))
+                  "`zz_internal` | `zz_knob` |\n")))
+        check("undocumented channel key is caught",
+              [f.path for f in keys(
+                  "| `rate` | `snr_db` | `users` | "
+                  "`zz_internal` | `link.` |\n")]
+              == ["src/channel/knob.hh"])
         check("fully documented tables pass",
               not keys("| `rate` | `snr_db` | `users` | "
-                       "`zz_internal` | `link.` |\n"))
+                       "`zz_internal` | `link.` | `zz_knob` |\n"))
         check("parse of the key list format works",
               len(spec_keys(cc_text)) == 5)
 
