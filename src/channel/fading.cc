@@ -149,6 +149,7 @@ Ar1FadingChannel::Ar1FadingChannel(const Params &p)
     : awgn(p.awgn),
       innovations(CounterRng(p.awgn.seed ^ 0xA21FAD0ull).fork(0x1117))
 {
+    wilis_assert(!p.awgn.commonNoise, "ar1 has no common-noise mode");
     wilis_assert(p.dopplerHz >= 0.0, "negative Doppler %f", p.dopplerHz);
     wilis_assert(p.frameIntervalUs > 0.0, "frame interval %f us <= 0",
                  p.frameIntervalUs);

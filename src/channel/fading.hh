@@ -101,7 +101,7 @@ class RayleighChannel : public Channel
 
 /** Ar1FadingChannel's parameters, one field per config key. */
 struct Ar1Params {
-    /** Keys snr_db (mean Es/N0), seed and threads. */
+    /** Keys snr_db (mean Es/N0), seed, threads; no common_noise. */
     AwgnParams awgn = {};
     /** Key doppler_hz: maximum Doppler frequency. */
     double dopplerHz = 30.0;

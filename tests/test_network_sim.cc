@@ -61,6 +61,15 @@ TEST(Ar1Fading, DopplerControlsCorrelation)
     EXPECT_NEAR(acc / n, 1.0, 0.15);
 }
 
+TEST(Ar1FadingDeath, CommonNoiseIsNotAnAr1Setting)
+{
+    // ar1 declares snr_db, seed and threads only; the AWGN block's
+    // fourth field must not switch on a mode the key list omits.
+    EXPECT_DEATH(
+        channel::Ar1FadingChannel({.awgn = {.commonNoise = true}}),
+        "ar1 has no common-noise mode");
+}
+
 // ----------------------------------------------------- NetworkSpec
 
 TEST(NetworkSpec, ConfigRoundTrips)
