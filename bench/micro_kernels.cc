@@ -15,6 +15,7 @@
 #include "channel/awgn.hh"
 #include "common/kernels.hh"
 #include "common/random.hh"
+#include "decode/bcjr.hh"
 #include "decode/soft_decoder.hh"
 #include "decode/trellis_kernels.hh"
 #include "phy/conv_code.hh"
@@ -219,28 +220,6 @@ BM_KernelAcsForward(benchmark::State &state)
 BENCHMARK(BM_KernelAcsForward)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_KernelAcsForwardI16(benchmark::State &state)
-{
-    if (!selectBackendArg(state))
-        return;
-    const auto &tv = decode::TrellisTables::view();
-    SplitMix64 rng(22);
-    std::int16_t pm[decode::kStates];
-    std::int16_t pm_next[decode::kStates];
-    for (auto &x : pm)
-        x = static_cast<std::int16_t>(rng.next());
-    std::int16_t bm[4] = {-24, 3, -3, 24};
-    std::uint64_t choices = 0;
-    for (auto _ : state) {
-        kernels::ops().acsForwardI16(tv, pm, bm, pm_next, &choices);
-        benchmark::DoNotOptimize(pm_next);
-        benchmark::DoNotOptimize(choices);
-    }
-    state.SetItemsProcessed(state.iterations() * decode::kStates);
-}
-BENCHMARK(BM_KernelAcsForwardI16)->Arg(0)->Arg(1)->Arg(2);
-
-void
 BM_KernelDemapBatch(benchmark::State &state)
 {
     if (!selectBackendArg(state))
@@ -282,24 +261,31 @@ BM_KernelScaleComplex(benchmark::State &state)
 BENCHMARK(BM_KernelScaleComplex)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_KernelAxpyF32(benchmark::State &state)
+BM_BcjrMaxLog(benchmark::State &state)
 {
     if (!selectBackendArg(state))
         return;
-    SplitMix64 rng(25);
-    std::vector<float> x(1 << 14), y(1 << 14);
-    for (size_t i = 0; i < x.size(); ++i) {
-        x[i] = static_cast<float>(rng.nextDouble());
-        y[i] = static_cast<float>(rng.nextDouble());
-    }
+    // One 1704-bit payload block through the whole-block kernel, as
+    // the default bcjr decoder runs it; reported per trellis step.
+    decode::BcjrDecoder dec;
+    BitVec coded = convCode().encode(randomBits(1704, 26), true);
+    GaussianSource g(27);
+    SoftVec soft(coded.size());
+    for (size_t i = 0; i < coded.size(); ++i)
+        soft[i] = static_cast<SoftBit>(
+            std::lround((coded[i] ? 12.0 : -12.0) + 8.0 * g.next()));
+    std::vector<SoftDecision> out(soft.size() / 2);
     for (auto _ : state) {
-        kernels::ops().axpyF32(y.data(), x.data(), y.size(), 0.5f);
-        benchmark::DoNotOptimize(y.data());
+        dec.decodeInto(soft, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(y.size()));
+    state.counters["per_step"] = benchmark::Counter(
+        static_cast<double>(out.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KernelAxpyF32)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BcjrMaxLog)->Arg(0)->Arg(1)->Arg(2);
 
 } // namespace
 

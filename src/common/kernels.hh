@@ -21,10 +21,8 @@
  * scalar code, and never fuse into FMA. Backend selection therefore
  * changes simulation *speed* only, never simulation *physics* --
  * pinned by tests/test_simd_kernels.cc on randomized inputs and by
- * the rate x channel grid. The layer also exposes packed f32/i16 ops
- * (e.g. the saturating i16 ACS prototype below); those trade
- * precision for width and are benchmarked but deliberately not wired
- * into the decode path.
+ * the rate x channel grid. Every entry has a caller in the simulator
+ * (tools/wilis_lint.py enforces it): the layer holds no prototypes.
  */
 
 #ifndef WILIS_COMMON_KERNELS_HH
@@ -71,35 +69,24 @@ struct KernelPolicy {
 
 /**
  * Trellis structure handed to the ACS kernels as flat i32 arrays (one
- * entry per state, SIMD-friendly). The vector backends additionally
- * rely on the butterfly layout of a shift-register code --
- * pred0[s] = 2*(s % (n/2)), pred1[s] = pred0[s] + 1,
- * next0[s] = s / 2, next1[s] = n/2 + s / 2 -- which
- * decode/trellis_kernels.cc asserts once when building the view.
+ * entry per state, SIMD-friendly). The kernels address states through
+ * the butterfly layout of a shift-register code -- predecessors of
+ * arrival state s are 2*(s % (n/2)) and 2*(s % (n/2)) + 1, the
+ * successors of s are s / 2 and n/2 + s / 2 -- and the whole-block
+ * BCJR kernel also relies on complementary branch outputs (the two
+ * transitions into, or out of, a state carry outputs o and o ^ 3, so
+ * their branch metrics are m and -m). decode/trellis_kernels.cc
+ * asserts all of it once when building the view.
  */
 struct TrellisView {
     /** Number of states (a multiple of the widest vector width). */
     int nStates;
-    /** Predecessor state of arrival state s via choice 0. */
-    const std::int32_t *pred0;
-    /** Predecessor state of arrival state s via choice 1. */
-    const std::int32_t *pred1;
     /** Branch-metric index (0..3) of reverse transition choice 0. */
     const std::int32_t *revOut0;
     /** Branch-metric index (0..3) of reverse transition choice 1. */
     const std::int32_t *revOut1;
-    /** Forward next state for input 0. */
-    const std::int32_t *next0;
-    /** Forward next state for input 1. */
-    const std::int32_t *next1;
     /** Branch-metric index (0..3) of the forward transition for 0. */
     const std::int32_t *fwdOut0;
-    /** Branch-metric index (0..3) of the forward transition for 1. */
-    const std::int32_t *fwdOut1;
-    /** i16 copy of revOut0 for the narrow ACS prototype. */
-    const std::int16_t *revOut0_16;
-    /** i16 copy of revOut1 for the narrow ACS prototype. */
-    const std::int16_t *revOut1_16;
 };
 
 /** Modulation kind for the batched demapper (matches phy::Modulation). */
@@ -161,23 +148,21 @@ struct Ops {
                        std::uint64_t *choices, std::int32_t *delta);
 
     /**
-     * Backward path-metric step: beta_out[s] = max over x of
-     * (bm[fwdOut_x[s]] + beta_next[next_x[s]]).
+     * Whole-block sliding-window max-log BCJR over a terminated
+     * trellis of @p steps steps (2 * steps soft values): the forward
+     * recursion into @p alpha, then per window of @p block_len steps,
+     * last window first, a provisional backward pass over the next
+     * window (seeded uniform, or exact at the trellis end) and the
+     * exact backward pass with the decision unit. Writes one
+     * decision per step to @p out: bit = (best1 > best0), llr =
+     * |best1 - best0|. @p alpha holds (steps + 1) * nStates metrics
+     * and the caller fills row 0 (the start metrics); @p floor is
+     * the impossible-state metric, and metrics at or below floor / 2
+     * are pinned to it when normalized.
      */
-    void (*acsBackward)(const TrellisView &tv,
-                        const std::int32_t *beta_next,
-                        const std::int32_t bm[4],
-                        std::int32_t *beta_out);
-
-    /**
-     * Max-log BCJR decision unit for one step: best_x =
-     * max over s of (alpha[s] + bm[fwdOut_x[s]] + beta[next_x[s]]).
-     */
-    void (*bcjrDecision)(const TrellisView &tv,
-                         const std::int32_t *alpha,
-                         const std::int32_t bm[4],
-                         const std::int32_t *beta,
-                         std::int32_t *best0, std::int32_t *best1);
+    void (*bcjrMaxLog)(const TrellisView &tv, const SoftBit *soft,
+                       int steps, int block_len, std::int32_t floor,
+                       std::int32_t *alpha, SoftDecision *out);
 
     /**
      * Subtract the maximum from every metric; entries at or below
@@ -213,25 +198,6 @@ struct Ops {
     void (*axpyNoise)(Sample *s, size_t n, double sigma,
                       const double *gauss);
 
-    /**
-     * Prototype saturating i16 ACS (the narrow path-metric variant
-     * the hardware uses). NOT bit-compatible with the i32 decode
-     * path -- exposed for benchmarking the extra vector width and
-     * pinned scalar<->SIMD-exact by tests, but not dispatched from
-     * the decoders (see the numerical-equivalence policy above).
-     */
-    void (*acsForwardI16)(const TrellisView &tv,
-                          const std::int16_t *pm_in,
-                          const std::int16_t bm[4],
-                          std::int16_t *pm_out,
-                          std::uint64_t *choices);
-
-    /**
-     * Packed f32 axpy, y[i] += a * x[i]: the layer's f32 contract
-     * (mul + add, no FMA), bit-exact across backends.
-     */
-    void (*axpyF32)(float *y, const float *x, size_t n, float a);
-
     // ---- structure-of-arrays analytic-engine kernels -------------
     // (see docs/ARCHITECTURE.md "Structure-of-arrays analytic
     // engine"). Transcendentals (log, log10, exp) are evaluated by
@@ -239,16 +205,6 @@ struct Ops {
     // backend -- only the surrounding integer mixing and IEEE-exact
     // f64 arithmetic is vectorized, which is what keeps the batched
     // paths bit-identical to the per-user scalar walks they replace.
-
-    /**
-     * Batched keyed counter-RNG draw: out[i] = the u01 double
-     * common::CounterRng(keys[i]).doubleAt(counter) yields -- many
-     * independent per-user streams sampled at one shared counter
-     * (one slot), the multi-cell engine's (seed, user, cell, slot)
-     * key scheme evaluated in lanes.
-     */
-    void (*rngU01Keyed)(const std::uint64_t *keys, size_t n,
-                        std::uint64_t counter, double *out);
 
     /**
      * Batched SINR accumulation over the users x cells linear gain

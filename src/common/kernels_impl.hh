@@ -20,7 +20,11 @@
  * The ACS kernels additionally rely on the shift-register butterfly
  * asserted by decode/trellis_kernels.cc:
  *   pred0[s] = 2*(s % (n/2)),  pred1[s] = pred0[s] + 1,
- *   next0[s] = s / 2,          next1[s] = n/2 + s / 2.
+ *   next0[s] = s / 2,          next1[s] = n/2 + s / 2,
+ * and the BCJR kernel on complementary branch outputs,
+ *   revOut1[s] = revOut0[s] ^ 3,  fwdOut1[s] = fwdOut0[s] ^ 3,
+ * so the second branch metric of every butterfly is the negated
+ * first (bm[o ^ 3] == -bm[o], see decode::branchMetrics()).
  *
  * libm policy: kernel bodies may call at most one transcendental
  * per lane and only from the whitelist on the next line, which the
@@ -37,6 +41,7 @@
 #ifndef WILIS_COMMON_KERNELS_IMPL_HH
 #define WILIS_COMMON_KERNELS_IMPL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -47,13 +52,10 @@ namespace wilis {
 namespace kernels {
 namespace WILIS_SIMD_NS {
 
-using simd::WILIS_SIMD_NS::VecF32;
 using simd::WILIS_SIMD_NS::VecF64;
-using simd::WILIS_SIMD_NS::VecI16;
 using simd::WILIS_SIMD_NS::VecI32;
 using simd::WILIS_SIMD_NS::VecU64;
 
-using i16 = std::int16_t;
 using i32 = std::int32_t;
 using u8 = std::uint8_t;
 using u64 = std::uint64_t;
@@ -82,49 +84,6 @@ acsForwardKernel(const TrellisView &tv, const i32 *pm_in,
             VecI32::abs(m1 - m0).store(delta + s);
     }
     *choices = ch;
-}
-
-inline void
-acsBackwardKernel(const TrellisView &tv, const i32 *beta_next,
-                  const i32 bm[4], i32 *beta_out)
-{
-    const int n = tv.nStates;
-    const int half = n / 2;
-    constexpr int L = VecI32::kLanes;
-    for (int s = 0; s < n; s += L) {
-        VecI32 m0 =
-            VecI32::loadHalfDup(beta_next + s / 2) +
-            VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s));
-        VecI32 m1 =
-            VecI32::loadHalfDup(beta_next + half + s / 2) +
-            VecI32::lookup4(bm, VecI32::load(tv.fwdOut1 + s));
-        VecI32::max(m0, m1).store(beta_out + s);
-    }
-}
-
-inline void
-bcjrDecisionKernel(const TrellisView &tv, const i32 *alpha,
-                   const i32 bm[4], const i32 *beta, i32 *best0,
-                   i32 *best1)
-{
-    const int n = tv.nStates;
-    const int half = n / 2;
-    constexpr int L = VecI32::kLanes;
-    VecI32 acc0 = VecI32::broadcast(*best0);
-    VecI32 acc1 = VecI32::broadcast(*best1);
-    for (int s = 0; s < n; s += L) {
-        VecI32 a = VecI32::load(alpha + s);
-        VecI32 c0 =
-            a + VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s)) +
-            VecI32::loadHalfDup(beta + s / 2);
-        VecI32 c1 =
-            a + VecI32::lookup4(bm, VecI32::load(tv.fwdOut1 + s)) +
-            VecI32::loadHalfDup(beta + half + s / 2);
-        acc0 = VecI32::max(acc0, c0);
-        acc1 = VecI32::max(acc1, c1);
-    }
-    *best0 = acc0.reduceMax();
-    *best1 = acc1.reduceMax();
 }
 
 inline void
@@ -161,27 +120,204 @@ bestStateKernel(const i32 *pm, int n)
     return 0;
 }
 
+// ------------------------------------------------ whole-block BCJR
+
+/**
+ * Largest max|soft| for which bcjrMaxLogKernel may normalize without
+ * the floor clamp. Once every state is live, the pre-normalization
+ * metrics of a step are at least -22 * max|soft| (the derivation is
+ * in docs/ARCHITECTURE.md, "The whole-block BCJR kernel"); the clamp
+ * never fires while that stays above the threshold floor / 2.
+ */
+inline i32
+clampFreeMaxSoft(i32 floor)
+{
+    return (-(floor / 2) - 1) / 22;
+}
+
+/**
+ * The four branch metrics of one soft pair, decode::branchMetrics()
+ * restated inside the level namespace: an inline helper shared with
+ * the baseline TUs could be emitted with this level's -m flags.
+ */
 inline void
-acsForwardI16Kernel(const TrellisView &tv, const i16 *pm_in,
-                    const i16 bm[4], i16 *pm_out, u64 *choices)
+bcjrBranchMetrics(const SoftBit *pair, i32 bm[4])
+{
+    bm[0] = -pair[0] - pair[1];
+    bm[1] = pair[0] - pair[1];
+    bm[2] = -pair[0] + pair[1];
+    bm[3] = pair[0] + pair[1];
+}
+
+/**
+ * Normalize @p n metrics whose maximum is broadcast in @p vmx. With
+ * @p clamp this is normalizeMetricsKernel (entries at or below @p thr
+ * pinned to @p fl); without it every entry is shifted by the maximum.
+ */
+inline void
+bcjrNormalize(i32 *pm, int n, VecI32 vmx, bool clamp, i32 thr, i32 fl)
+{
+    if (clamp) {
+        normalizeMetricsKernel(pm, n, thr, fl);
+        return;
+    }
+    for (int s = 0; s < n; s += VecI32::kLanes)
+        (VecI32::load(pm + s) - vmx).store(pm + s);
+}
+
+/**
+ * One backward step, beta_out[s] = max over x of (bm[fwdOut_x[s]] +
+ * beta[next_x[s]]), with the branch metric of input 1 taken as the
+ * negated metric of input 0. With @p kDecide the decision unit runs
+ * on the same sums: *best_x = max(floor, max over s of alpha[s] +
+ * bm[fwdOut_x[s]] + beta[next_x[s]]). Returns the maximum of
+ * beta_out.
+ */
+template <bool kDecide>
+inline i32
+bcjrBackwardStep(const TrellisView &tv, const i32 *beta, const i32 bm[4],
+                 i32 *beta_out, const i32 *alpha, i32 floor, i32 *best0,
+                 i32 *best1)
 {
     const int n = tv.nStates;
     const int half = n / 2;
-    constexpr int L = VecI16::kLanes;
-    u64 ch = 0;
+    constexpr int L = VecI32::kLanes;
+    VecI32 mv = VecI32::broadcast(floor);
+    VecI32 acc0 = mv;
+    VecI32 acc1 = mv;
     for (int s = 0; s < n; s += L) {
-        const int base = 2 * (s & (half - 1));
-        VecI16 m0 = VecI16::adds(
-            VecI16::loadEven(pm_in + base),
-            VecI16::lookup4(bm, VecI16::load(tv.revOut0_16 + s)));
-        VecI16 m1 = VecI16::adds(
-            VecI16::loadOdd(pm_in + base),
-            VecI16::lookup4(bm, VecI16::load(tv.revOut1_16 + s)));
-        VecI16 mask = VecI16::gtMask(m1, m0);
-        VecI16::blend(m0, m1, mask).store(pm_out + s);
-        ch |= static_cast<u64>(mask.moveMask()) << s;
+        const VecI32 c = VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s));
+        const VecI32 t0 = VecI32::loadHalfDup(beta + s / 2) + c;
+        const VecI32 t1 = VecI32::loadHalfDup(beta + half + s / 2) - c;
+        const VecI32 r = VecI32::max(t0, t1);
+        r.store(beta_out + s);
+        mv = VecI32::max(mv, r);
+        if constexpr (kDecide) {
+            const VecI32 a = VecI32::load(alpha + s);
+            acc0 = VecI32::max(acc0, a + t0);
+            acc1 = VecI32::max(acc1, a + t1);
+        }
     }
-    *choices = ch;
+    if constexpr (kDecide) {
+        *best0 = acc0.reduceMax();
+        *best1 = acc1.reduceMax();
+    }
+    return mv.reduceMax();
+}
+
+inline void
+bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
+                 int block_len, i32 floor, i32 *alpha, SoftDecision *out)
+{
+    if (steps <= 0)
+        return;
+    const int n = tv.nStates;
+    const int half = n / 2;
+    constexpr int L = VecI32::kLanes;
+    // Steps from a single live state (the trellis start, or an exact
+    // end) until every state is live: log2(n), the code memory.
+    int mem = 0;
+    while ((1 << mem) < n)
+        ++mem;
+    const i32 thr = floor / 2;
+
+    // One scan decides whether clamp-free normalization is exact.
+    const i32 bound = clampFreeMaxSoft(floor);
+    bool clamp_free = true;
+    for (int i = 0; i < 2 * steps; ++i) {
+        if (soft[i] > bound || soft[i] < -bound) {
+            clamp_free = false;
+            break;
+        }
+    }
+
+    // --- Forward recursion. Arrival states s and s + n/2 share the
+    // predecessor pair (2 * (s % (n/2)), +1), so one even/odd load
+    // feeds both; the choice-1 branch metric is the negated choice-0
+    // one (complementary outputs). BCJR keeps no survivor choices,
+    // so the ACS is max-only.
+    i32 bm[4];
+    for (int j = 0; j < steps; ++j) {
+        bcjrBranchMetrics(soft + 2 * j, bm);
+        const i32 *a = alpha + static_cast<size_t>(j) * n;
+        i32 *a1 = alpha + (static_cast<size_t>(j) + 1) * n;
+        VecI32 mv = VecI32::broadcast(floor);
+        for (int s = 0; s < half; s += L) {
+            const VecI32 e = VecI32::loadEven(a + 2 * s);
+            const VecI32 o = VecI32::loadOdd(a + 2 * s);
+            const VecI32 blo =
+                VecI32::lookup4(bm, VecI32::load(tv.revOut0 + s));
+            const VecI32 bhi =
+                VecI32::lookup4(bm, VecI32::load(tv.revOut0 + half + s));
+            const VecI32 lo = VecI32::max(e + blo, o - blo);
+            const VecI32 hi = VecI32::max(e + bhi, o - bhi);
+            lo.store(a1 + s);
+            hi.store(a1 + half + s);
+            mv = VecI32::max(mv, VecI32::max(lo, hi));
+        }
+        bcjrNormalize(a1, n, VecI32::broadcast(mv.reduceMax()),
+                      !clamp_free || j < mem, thr, floor);
+    }
+
+    // --- Sliding-window backward passes, last window first.
+    constexpr int kMaxStates = 64; // the K = 7 trellis
+    i32 buf[2][kMaxStates];
+    i32 *beta = buf[0];
+    i32 *next = buf[1];
+    int live = 0; // backward steps since the last exact end
+    auto exact_end = [&] {
+        for (int s = 0; s < n; ++s)
+            beta[s] = floor;
+        beta[0] = 0; // terminated trellis ends in state 0
+        live = 0;
+    };
+    // Normalize the step's output into beta.
+    auto advance = [&](i32 mx) {
+        bcjrNormalize(next, n, VecI32::broadcast(mx),
+                      !clamp_free || live < mem, thr, floor);
+        ++live;
+        i32 *t = beta;
+        beta = next;
+        next = t;
+    };
+
+    for (int w = ((steps - 1) / block_len) * block_len; w >= 0;
+         w -= block_len) {
+        const int w_end = std::min(w + block_len, steps);
+        if (w_end == steps) {
+            exact_end();
+        } else {
+            // Provisional pass over the following window, seeded with
+            // the uniform ("uncertain") metric: every state is live.
+            const int p_end = std::min(w_end + block_len, steps);
+            if (p_end == steps) {
+                exact_end();
+            } else {
+                for (int s = 0; s < n; ++s)
+                    beta[s] = 0;
+                live = mem;
+            }
+            for (int j = p_end - 1; j >= w_end; --j) {
+                bcjrBranchMetrics(soft + 2 * j, bm);
+                advance(bcjrBackwardStep<false>(tv, beta, bm, next,
+                                                nullptr, floor, nullptr,
+                                                nullptr));
+            }
+        }
+        // Exact pass with the decision unit: at step j, beta holds
+        // the metrics of boundary j + 1.
+        for (int j = w_end - 1; j >= w; --j) {
+            bcjrBranchMetrics(soft + 2 * j, bm);
+            i32 best0 = floor;
+            i32 best1 = floor;
+            advance(bcjrBackwardStep<true>(
+                tv, beta, bm, next, alpha + static_cast<size_t>(j) * n,
+                floor, &best0, &best1));
+            const i32 llr = best1 - best0;
+            out[j].bit = llr > 0 ? 1 : 0;
+            out[j].llr = static_cast<double>(llr < 0 ? -llr : llr);
+        }
+    }
 }
 
 // --------------------------------------------------------- demapper
@@ -396,18 +532,6 @@ axpyNoiseKernel(Sample *s, size_t n, double sigma,
         d[i] = d[i] + sigma * gauss[i];
 }
 
-inline void
-axpyF32Kernel(float *y, const float *x, size_t n, float a)
-{
-    constexpr int L = VecF32::kLanes;
-    const VecF32 va = VecF32::broadcast(a);
-    size_t i = 0;
-    for (; i + L <= n; i += L)
-        (VecF32::load(y + i) + va * VecF32::load(x + i)).store(y + i);
-    for (; i < n; ++i)
-        y[i] = y[i] + a * x[i];
-}
-
 // ---------------------------------- SoA analytic-engine kernels
 //
 // Batched twins of the multi-cell analytic fast path's scalar
@@ -449,21 +573,6 @@ inline double
 u01FromBits(u64 bits)
 {
     return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-inline void
-rngU01KeyedKernel(const u64 *keys, size_t n, u64 counter, double *out)
-{
-    constexpr int L = VecU64::kLanes;
-    u64 bits[L];
-    size_t i = 0;
-    for (; i + L <= n; i += L) {
-        mixKeyedLanes(VecU64::load(keys + i), counter).store(bits);
-        for (int l = 0; l < L; ++l)
-            out[i + l] = u01FromBits(bits[l]);
-    }
-    for (; i < n; ++i)
-        out[i] = u01FromBits(mixKeyedOne(keys[i], counter));
 }
 
 inline void
@@ -614,16 +723,12 @@ inline const Ops kOps = {
     kBackend,
     simd::WILIS_SIMD_NS::kLevelName,
     &acsForwardKernel,
-    &acsBackwardKernel,
-    &bcjrDecisionKernel,
+    &bcjrMaxLogKernel,
     &normalizeMetricsKernel,
     &bestStateKernel,
     &demapBatchKernel,
     &scaleComplexKernel,
     &axpyNoiseKernel,
-    &acsForwardI16Kernel,
-    &axpyF32Kernel,
-    &rngU01KeyedKernel,
     &sinrAccumBatchKernel,
     &perDrawBatchKernel,
     &pfDecayKernel,

@@ -2,7 +2,7 @@
  * @file
  * Portable packed-vector layer under the runtime-dispatched kernels
  * (common/kernels.hh). One set of small wrapper types -- VecF64,
- * VecF32, VecI32, VecI16 -- is compiled per backend level:
+ * VecI32, VecU64 -- is compiled per backend level:
  *
  *   WILIS_SIMD_LEVEL 0  scalar reference   (1 f64 / 1 i32 lane)
  *   WILIS_SIMD_LEVEL 1  SSE4.2             (2 f64 / 4 i32 lanes)
@@ -222,66 +222,6 @@ struct VecF64 {
 #endif
 };
 
-// ------------------------------------------------------------- VecF32
-
-/** Packed f32 lanes (1 / 4 / 8 by level). */
-struct VecF32 {
-#if WILIS_SIMD_LEVEL == 2
-    static constexpr int kLanes = 8;
-    __m256 v;
-
-    static VecF32 load(const float *p) { return {_mm256_loadu_ps(p)}; }
-    static VecF32 broadcast(float x) { return {_mm256_set1_ps(x)}; }
-    void store(float *p) const { _mm256_storeu_ps(p, v); }
-
-    friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm256_add_ps(a.v, b.v)}; }
-    friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm256_sub_ps(a.v, b.v)}; }
-    friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm256_mul_ps(a.v, b.v)}; }
-
-    static VecF32
-    abs(VecF32 a)
-    {
-        return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.v)};
-    }
-    static VecF32 min(VecF32 a, VecF32 b) { return {_mm256_min_ps(a.v, b.v)}; }
-    static VecF32 max(VecF32 a, VecF32 b) { return {_mm256_max_ps(a.v, b.v)}; }
-#elif WILIS_SIMD_LEVEL == 1
-    static constexpr int kLanes = 4;
-    __m128 v;
-
-    static VecF32 load(const float *p) { return {_mm_loadu_ps(p)}; }
-    static VecF32 broadcast(float x) { return {_mm_set1_ps(x)}; }
-    void store(float *p) const { _mm_storeu_ps(p, v); }
-
-    friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm_add_ps(a.v, b.v)}; }
-    friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm_sub_ps(a.v, b.v)}; }
-    friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm_mul_ps(a.v, b.v)}; }
-
-    static VecF32
-    abs(VecF32 a)
-    {
-        return {_mm_andnot_ps(_mm_set1_ps(-0.0f), a.v)};
-    }
-    static VecF32 min(VecF32 a, VecF32 b) { return {_mm_min_ps(a.v, b.v)}; }
-    static VecF32 max(VecF32 a, VecF32 b) { return {_mm_max_ps(a.v, b.v)}; }
-#else
-    static constexpr int kLanes = 1;
-    float v;
-
-    static VecF32 load(const float *p) { return {*p}; }
-    static VecF32 broadcast(float x) { return {x}; }
-    void store(float *p) const { *p = v; }
-
-    friend VecF32 operator+(VecF32 a, VecF32 b) { return {a.v + b.v}; }
-    friend VecF32 operator-(VecF32 a, VecF32 b) { return {a.v - b.v}; }
-    friend VecF32 operator*(VecF32 a, VecF32 b) { return {a.v * b.v}; }
-
-    static VecF32 abs(VecF32 a) { return {std::fabs(a.v)}; }
-    static VecF32 min(VecF32 a, VecF32 b) { return {std::fmin(a.v, b.v)}; }
-    static VecF32 max(VecF32 a, VecF32 b) { return {std::fmax(a.v, b.v)}; }
-#endif
-};
-
 // ------------------------------------------------------------- VecI32
 
 /** Packed i32 lanes (1 / 4 / 8 by level). */
@@ -488,195 +428,6 @@ struct VecI32 {
     }
     unsigned moveMask() const { return v ? 1u : 0u; }
     std::int32_t reduceMax() const { return v; }
-#endif
-};
-
-// ------------------------------------------------------------- VecI16
-
-/** Packed i16 lanes (1 / 8 / 16 by level) with saturating adds. */
-struct VecI16 {
-#if WILIS_SIMD_LEVEL == 2
-    static constexpr int kLanes = 16;
-    __m256i v;
-
-    static VecI16
-    load(const std::int16_t *p)
-    {
-        return {_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p))};
-    }
-    static VecI16 broadcast(std::int16_t x) { return {_mm256_set1_epi16(x)}; }
-    void
-    store(std::int16_t *p) const
-    {
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
-    }
-
-    static VecI16
-    deinterleave(const std::int16_t *p, int phase)
-    {
-        // Gather p[2i + phase] for i = 0..15 (per 128-bit lane, then
-        // compact the qwords).
-        const __m256i ctrl =
-            phase == 0
-                ? _mm256_setr_epi8(0, 1, 4, 5, 8, 9, 12, 13, -1, -1,
-                                   -1, -1, -1, -1, -1, -1, 0, 1, 4, 5,
-                                   8, 9, 12, 13, -1, -1, -1, -1, -1,
-                                   -1, -1, -1)
-                : _mm256_setr_epi8(2, 3, 6, 7, 10, 11, 14, 15, -1, -1,
-                                   -1, -1, -1, -1, -1, -1, 2, 3, 6, 7,
-                                   10, 11, 14, 15, -1, -1, -1, -1, -1,
-                                   -1, -1, -1);
-        __m256i a = _mm256_shuffle_epi8(load(p).v, ctrl);
-        __m256i b = _mm256_shuffle_epi8(load(p + 16).v, ctrl);
-        __m256i qa = _mm256_permute4x64_epi64(a, _MM_SHUFFLE(3, 1, 2, 0));
-        __m256i qb = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(3, 1, 2, 0));
-        return {_mm256_inserti128_si256(qa,
-                                        _mm256_castsi256_si128(qb), 1)};
-    }
-    static VecI16 loadEven(const std::int16_t *p) { return deinterleave(p, 0); }
-    static VecI16 loadOdd(const std::int16_t *p) { return deinterleave(p, 1); }
-
-    static VecI16
-    lookup4(const std::int16_t tbl[4], VecI16 idx)
-    {
-        std::int64_t t64;
-        std::memcpy(&t64, tbl, sizeof(t64));
-        __m256i t = _mm256_set1_epi64x(t64);
-        __m256i ctrl = _mm256_add_epi8(
-            _mm256_mullo_epi16(idx.v, _mm256_set1_epi16(0x0202)),
-            _mm256_set1_epi16(0x0100));
-        return {_mm256_shuffle_epi8(t, ctrl)};
-    }
-
-    /** Saturating add / subtract. */
-    static VecI16 adds(VecI16 a, VecI16 b) { return {_mm256_adds_epi16(a.v, b.v)}; }
-    static VecI16 subs(VecI16 a, VecI16 b) { return {_mm256_subs_epi16(a.v, b.v)}; }
-    static VecI16 max(VecI16 a, VecI16 b) { return {_mm256_max_epi16(a.v, b.v)}; }
-
-    static VecI16
-    gtMask(VecI16 a, VecI16 b)
-    {
-        return {_mm256_cmpgt_epi16(a.v, b.v)};
-    }
-    static VecI16
-    blend(VecI16 a, VecI16 b, VecI16 mask)
-    {
-        return {_mm256_blendv_epi8(a.v, b.v, mask.v)};
-    }
-    unsigned
-    moveMask() const
-    {
-        __m256i packed = _mm256_packs_epi16(v, _mm256_setzero_si256());
-        packed = _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
-        return static_cast<unsigned>(_mm_movemask_epi8(
-                   _mm256_castsi256_si128(packed))) &
-               0xFFFFu;
-    }
-#elif WILIS_SIMD_LEVEL == 1
-    static constexpr int kLanes = 8;
-    __m128i v;
-
-    static VecI16
-    load(const std::int16_t *p)
-    {
-        return {_mm_loadu_si128(reinterpret_cast<const __m128i *>(p))};
-    }
-    static VecI16 broadcast(std::int16_t x) { return {_mm_set1_epi16(x)}; }
-    void
-    store(std::int16_t *p) const
-    {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
-    }
-
-    static VecI16
-    deinterleave(const std::int16_t *p, int phase)
-    {
-        const __m128i ctrl =
-            phase == 0
-                ? _mm_setr_epi8(0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1,
-                                -1, -1, -1, -1, -1)
-                : _mm_setr_epi8(2, 3, 6, 7, 10, 11, 14, 15, -1, -1,
-                                -1, -1, -1, -1, -1, -1);
-        __m128i a = _mm_shuffle_epi8(load(p).v, ctrl);
-        __m128i b = _mm_shuffle_epi8(load(p + 8).v, ctrl);
-        return {_mm_unpacklo_epi64(a, b)};
-    }
-    static VecI16 loadEven(const std::int16_t *p) { return deinterleave(p, 0); }
-    static VecI16 loadOdd(const std::int16_t *p) { return deinterleave(p, 1); }
-
-    static VecI16
-    lookup4(const std::int16_t tbl[4], VecI16 idx)
-    {
-        __m128i t =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(tbl));
-        __m128i ctrl = _mm_add_epi8(
-            _mm_mullo_epi16(idx.v, _mm_set1_epi16(0x0202)),
-            _mm_set1_epi16(0x0100));
-        return {_mm_shuffle_epi8(t, ctrl)};
-    }
-
-    static VecI16 adds(VecI16 a, VecI16 b) { return {_mm_adds_epi16(a.v, b.v)}; }
-    static VecI16 subs(VecI16 a, VecI16 b) { return {_mm_subs_epi16(a.v, b.v)}; }
-    static VecI16 max(VecI16 a, VecI16 b) { return {_mm_max_epi16(a.v, b.v)}; }
-
-    static VecI16
-    gtMask(VecI16 a, VecI16 b)
-    {
-        return {_mm_cmpgt_epi16(a.v, b.v)};
-    }
-    static VecI16
-    blend(VecI16 a, VecI16 b, VecI16 mask)
-    {
-        return {_mm_blendv_epi8(a.v, b.v, mask.v)};
-    }
-    unsigned
-    moveMask() const
-    {
-        __m128i packed = _mm_packs_epi16(v, _mm_setzero_si128());
-        return static_cast<unsigned>(_mm_movemask_epi8(packed)) &
-               0xFFu;
-    }
-#else
-    static constexpr int kLanes = 1;
-    std::int16_t v;
-
-    static VecI16 load(const std::int16_t *p) { return {*p}; }
-    static VecI16 broadcast(std::int16_t x) { return {x}; }
-    void store(std::int16_t *p) const { *p = v; }
-    static VecI16 loadEven(const std::int16_t *p) { return {p[0]}; }
-    static VecI16 loadOdd(const std::int16_t *p) { return {p[1]}; }
-    static VecI16
-    lookup4(const std::int16_t tbl[4], VecI16 idx)
-    {
-        return {tbl[idx.v]};
-    }
-
-    static VecI16
-    adds(VecI16 a, VecI16 b)
-    {
-        int s = static_cast<int>(a.v) + b.v;
-        return {static_cast<std::int16_t>(std::clamp(s, -32768, 32767))};
-    }
-    static VecI16
-    subs(VecI16 a, VecI16 b)
-    {
-        int s = static_cast<int>(a.v) - b.v;
-        return {static_cast<std::int16_t>(std::clamp(s, -32768, 32767))};
-    }
-    static VecI16 max(VecI16 a, VecI16 b) { return {std::max(a.v, b.v)}; }
-
-    static VecI16
-    gtMask(VecI16 a, VecI16 b)
-    {
-        return {static_cast<std::int16_t>(a.v > b.v ? -1 : 0)};
-    }
-    static VecI16
-    blend(VecI16 a, VecI16 b, VecI16 mask)
-    {
-        return {mask.v ? b.v : a.v};
-    }
-    unsigned moveMask() const { return v ? 1u : 0u; }
 #endif
 };
 

@@ -32,82 +32,17 @@ BcjrDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
 void
 BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
 {
-    const int steps = static_cast<int>(soft.size() / 2);
-    const TrellisKernels trellis;
-
-    // --- Forward PMU: alpha for every step boundary.
-    std::vector<std::int32_t> &alpha = alpha_i;
-    alpha.assign((static_cast<size_t>(steps) + 1) * kStates,
-                 kMetricFloor);
-    alpha[0] = 0; // trellis starts in state 0
-    std::int32_t bm[4];
-    std::uint64_t dummy;
-    for (int j = 0; j < steps; ++j) {
-        branchMetrics(soft[2 * static_cast<size_t>(j)],
-                      soft[2 * static_cast<size_t>(j) + 1], bm);
-        std::int32_t *a_j = &alpha[static_cast<size_t>(j) * kStates];
-        std::int32_t *a_j1 =
-            &alpha[(static_cast<size_t>(j) + 1) * kStates];
-        trellis.acsForward(a_j, bm, a_j1, dummy, nullptr);
-        trellis.normalizeMetrics(a_j1);
-    }
-
-    // --- Sliding-window backward passes + decision unit.
-    std::array<std::int32_t, kStates> beta;
-    std::array<std::int32_t, kStates> beta_prev;
-
-    auto exact_end = [](std::array<std::int32_t, kStates> &b) {
-        b.fill(kMetricFloor);
-        b[0] = 0; // terminated trellis ends in state 0
-    };
-
-    const int n = block_len;
-    const int last_start = ((steps - 1) / n) * n;
-    for (int w = last_start; w >= 0; w -= n) {
-        const int w_end = std::min(w + n, steps);
-
-        // Entry metric for this window's backward pass.
-        if (w_end == steps) {
-            exact_end(beta);
-        } else {
-            // Provisional backward PMU over the following block,
-            // seeded with the "uncertain" (uniform) metric.
-            const int p_end = std::min(w_end + n, steps);
-            if (p_end == steps)
-                exact_end(beta);
-            else
-                beta.fill(0);
-            for (int j = p_end - 1; j >= w_end; --j) {
-                branchMetrics(soft[2 * static_cast<size_t>(j)],
-                              soft[2 * static_cast<size_t>(j) + 1],
-                              bm);
-                trellis.acsBackward(beta.data(), bm,
-                                    beta_prev.data());
-                beta = beta_prev;
-                trellis.normalizeMetrics(beta.data());
-            }
-        }
-
-        // Exact backward pass over [w, w_end) with the decision unit:
-        // at step j, beta holds the metrics for boundary j+1.
-        for (int j = w_end - 1; j >= w; --j) {
-            branchMetrics(soft[2 * static_cast<size_t>(j)],
-                          soft[2 * static_cast<size_t>(j) + 1], bm);
-            const std::int32_t *a_j =
-                &alpha[static_cast<size_t>(j) * kStates];
-            std::int32_t best1 = kMetricFloor;
-            std::int32_t best0 = kMetricFloor;
-            trellis.bcjrDecision(a_j, bm, beta.data(), best0, best1);
-            std::int32_t llr = best1 - best0;
-            out[static_cast<size_t>(j)].bit = llr > 0 ? 1 : 0;
-            out[static_cast<size_t>(j)].llr =
-                std::abs(static_cast<double>(llr));
-
-            trellis.acsBackward(beta.data(), bm, beta_prev.data());
-            beta = beta_prev;
-            trellis.normalizeMetrics(beta.data());
-        }
-    }
+    // One kernel call runs the whole Figure 4 pipeline: forward PMU,
+    // provisional and exact backward PMUs, decision unit.
+    const size_t steps = soft.size() / 2;
+    const size_t lattice = (steps + 1) * kStates;
+    if (alpha_i.size() < lattice)
+        alpha_i.resize(lattice);
+    std::fill_n(alpha_i.begin(), kStates, kMetricFloor);
+    alpha_i[0] = 0; // trellis starts in state 0
+    kernels::ops().bcjrMaxLog(TrellisTables::view(), soft.data(),
+                              static_cast<int>(steps), block_len,
+                              kMetricFloor, alpha_i.data(), out.data());
 }
 
 void

@@ -63,7 +63,7 @@ class BcjrDecoder : public SoftDecoder
     int block_len;
     bool logmap;
     // Forward-metric scratch, reused across blocks (max-log uses the
-    // integer lattice, log-MAP the double one).
+    // integer lattice, which only grows, log-MAP the double one).
     std::vector<std::int32_t> alpha_i;
     std::vector<double> alpha_d;
 };

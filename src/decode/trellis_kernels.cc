@@ -26,33 +26,34 @@ TrellisTables::get()
             }
         }
 
-        // Flat SIMD-friendly copies plus the butterfly-layout
-        // assertions the vector ACS kernels rely on (see
-        // common/kernels.hh): a shift-register code addresses
-        // predecessors as adjacent even/odd pairs and forward
-        // successors as half-offset duplicates.
+        // Flat SIMD-friendly copies plus the layout assertions the
+        // vector kernels rely on (see common/kernels.hh): a
+        // shift-register code addresses predecessors as adjacent
+        // even/odd pairs and forward successors as half-offset
+        // duplicates, and a code whose generators all tap both the
+        // newest and the oldest register bit (133/171 does) gives the
+        // two branches of every butterfly complementary outputs, so
+        // their branch metrics are m and -m.
         Flat &f = t.flat;
         for (int s = 0; s < kStates; ++s) {
-            f.pred0[s] = phy::ConvCode::predecessor(s, 0);
-            f.pred1[s] = phy::ConvCode::predecessor(s, 1);
             f.revOut0[s] = t.revOut[s][0];
             f.revOut1[s] = t.revOut[s][1];
-            f.next0[s] = t.fwdNext[s][0];
-            f.next1[s] = t.fwdNext[s][1];
             f.fwdOut0[s] = t.fwdOut[s][0];
-            f.fwdOut1[s] = t.fwdOut[s][1];
-            f.revOut0_16[s] =
-                static_cast<std::int16_t>(t.revOut[s][0]);
-            f.revOut1_16[s] =
-                static_cast<std::int16_t>(t.revOut[s][1]);
 
-            wilis_assert(f.pred0[s] == 2 * (s % (kStates / 2)) &&
-                             f.pred1[s] == f.pred0[s] + 1,
+            const int pred0 = phy::ConvCode::predecessor(s, 0);
+            wilis_assert(pred0 == 2 * (s % (kStates / 2)) &&
+                             phy::ConvCode::predecessor(s, 1) ==
+                                 pred0 + 1,
                          "state %d breaks the predecessor butterfly",
                          s);
-            wilis_assert(f.next0[s] == s / 2 &&
-                             f.next1[s] == kStates / 2 + s / 2,
+            wilis_assert(t.fwdNext[s][0] == s / 2 &&
+                             t.fwdNext[s][1] == kStates / 2 + s / 2,
                          "state %d breaks the successor butterfly",
+                         s);
+            wilis_assert(t.revOut[s][1] == (t.revOut[s][0] ^ 3) &&
+                             t.fwdOut[s][1] == (t.fwdOut[s][0] ^ 3),
+                         "state %d has non-complementary branch "
+                         "outputs",
                          s);
         }
         return t;
@@ -67,11 +68,8 @@ TrellisTables::view()
     // pointers stay valid for the process lifetime.
     static const kernels::TrellisView v = [] {
         const Flat &f = get().flat;
-        return kernels::TrellisView{
-            kStates,   f.pred0,      f.pred1,      f.revOut0,
-            f.revOut1, f.next0,      f.next1,      f.fwdOut0,
-            f.fwdOut1, f.revOut0_16, f.revOut1_16,
-        };
+        return kernels::TrellisView{kStates, f.revOut0, f.revOut1,
+                                    f.fwdOut0};
     }();
     return v;
 }

@@ -42,22 +42,17 @@ struct TrellisTables {
     std::uint8_t fwdOut[kStates][2];
 
     /**
-     * The same structure as flat i32/i16 arrays plus the
-     * kernels::TrellisView over them, the form the SIMD kernel
-     * backends consume (see common/kernels.hh). Building it asserts
-     * the shift-register butterfly layout the vector ACS relies on.
+     * The output tables as flat i32 arrays, the form the SIMD kernel
+     * backends consume through kernels::TrellisView (see
+     * common/kernels.hh). Building them asserts the shift-register
+     * butterfly layout and the complementary branch outputs the
+     * vector kernels rely on.
      */
     struct Flat {
-        /** Predecessor state per arrival state, choice 0 / 1. */
-        std::int32_t pred0[kStates], pred1[kStates];
         /** Reverse-transition output index, choice 0 / 1. */
         std::int32_t revOut0[kStates], revOut1[kStates];
-        /** Forward next state, input 0 / 1. */
-        std::int32_t next0[kStates], next1[kStates];
-        /** Forward-transition output index, input 0 / 1. */
-        std::int32_t fwdOut0[kStates], fwdOut1[kStates];
-        /** i16 copies of revOut0/revOut1 for the narrow ACS. */
-        std::int16_t revOut0_16[kStates], revOut1_16[kStates];
+        /** Forward-transition output index for input 0. */
+        std::int32_t fwdOut0[kStates];
     };
     /** The flat arrays kernels::TrellisView points into. */
     Flat flat;
@@ -84,10 +79,11 @@ branchMetrics(SoftBit la0, SoftBit la1, std::int32_t bm[4])
 }
 
 /**
- * The PMU kernels of one decode: the active backend's kernel table
- * and the process-wide trellis view, looked up once at construction
- * instead of once per trellis step. Build one per decode, so a
- * backend switch between decodes takes effect at the next decode.
+ * The PMU kernels of one Viterbi or SOVA decode: the active backend's
+ * kernel table and the process-wide trellis view, looked up once at
+ * construction instead of once per trellis step. Build one per
+ * decode, so a backend switch between decodes takes effect at the
+ * next decode.
  */
 class TrellisKernels
 {
@@ -112,34 +108,6 @@ class TrellisKernels
                std::uint64_t &choices, std::int32_t *delta) const
     {
         k.acsForward(tv, pm_in, bm, pm_out, &choices, delta);
-    }
-
-    /**
-     * One backward path-metric step (the reverse-permutation PMU
-     * used by BCJR): beta[j][s] = max over inputs x of
-     * (bm(out(s,x)) + beta[j+1][next(s,x)]).
-     */
-    void
-    acsBackward(const std::int32_t beta_next[kStates],
-                const std::int32_t bm[4],
-                std::int32_t beta_out[kStates]) const
-    {
-        k.acsBackward(tv, beta_next, bm, beta_out);
-    }
-
-    /**
-     * Max-log BCJR decision unit for one trellis step: folds
-     * max(alpha[s] + bm[out(s,x)] + beta[next(s,x)]) over all states
-     * into @p best0 / @p best1 (per input hypothesis x), which the
-     * caller must pre-seed (typically with kMetricFloor).
-     */
-    void
-    bcjrDecision(const std::int32_t alpha[kStates],
-                 const std::int32_t bm[4],
-                 const std::int32_t beta[kStates], std::int32_t &best0,
-                 std::int32_t &best1) const
-    {
-        k.bcjrDecision(tv, alpha, bm, beta, &best0, &best1);
     }
 
     /** Subtract the maximum from @p pm so metrics stay bounded. */

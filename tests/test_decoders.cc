@@ -2,13 +2,17 @@
  * @file
  * Decoder tests: noiseless exactness for Viterbi/SOVA/BCJR, decode
  * quality under noise, soft-output sanity (higher LLR -> lower error
- * probability), latency formulas, and registry plug-n-play.
+ * probability), latency formulas, registry plug-n-play, and the
+ * whole-block max-log BCJR kernel against its per-step oracle on
+ * every kernel backend.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "bcjr_reference.hh"
+#include "common/kernels.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "decode/bcjr.hh"
@@ -251,6 +255,151 @@ TEST(Decoders, BcjrSmallWindowDegrades)
         errs_big += countBitErrors(big.decodeBlock(soft), data);
     }
     EXPECT_GT(errs_small, errs_big);
+}
+
+// ---------------------------------------------------------------
+// The whole-block max-log kernel against the per-step oracle
+
+namespace {
+
+/** Soft-value regimes the property test draws from. */
+enum class SoftRegime {
+    /** A noisy codeword, the decoder's everyday input. */
+    Codeword,
+    /** Uniform in [-2^23, 2^23]: the soft_width 24 quantizer range. */
+    Width24,
+    /** Every value on a rail of +-M, random signs (widest spread). */
+    Rails,
+    /** Uniform in [-2^26, 2^26], where the clamp fires. */
+    PastBound,
+    /** Small values with one spike past the clamp-free bound. */
+    Spike,
+};
+
+SoftVec
+regimeSoft(SoftRegime r, int steps, SplitMix64 &rng)
+{
+    SoftVec soft(2 * static_cast<size_t>(steps));
+    auto uniform = [&](std::int64_t mag) {
+        return static_cast<SoftBit>(
+            static_cast<std::int64_t>(rng.nextBelow(
+                static_cast<std::uint64_t>(2 * mag + 1))) -
+            mag);
+    };
+    switch (r) {
+      case SoftRegime::Codeword: {
+        // steps - 6 data bits plus the 6 tail bits of the encoder.
+        const int data_bits = steps > 6 ? steps - 6 : 0;
+        BitVec data = randomBits(static_cast<size_t>(data_bits),
+                                 rng.next());
+        BitVec coded = convCode().encode(data, true);
+        coded.resize(soft.size(), 0);
+        GaussianSource g(rng.next());
+        for (size_t i = 0; i < soft.size(); ++i)
+            soft[i] = static_cast<SoftBit>(
+                std::lround((coded[i] ? 12.0 : -12.0) + 9.0 * g.next()));
+        break;
+      }
+      case SoftRegime::Width24:
+        for (auto &x : soft)
+            x = uniform(1 << 23);
+        // Both quantizer rails appear at least once.
+        soft.front() = -(1 << 23);
+        soft.back() = (1 << 23) - 1;
+        break;
+      case SoftRegime::Rails: {
+        // The largest magnitude the clamp-free path takes, the
+        // smallest one past it, and one where the clamp fires on live
+        // states.
+        const SoftBit rails[] = {12201611, 12201612, 1 << 26};
+        const SoftBit m = rails[rng.nextBelow(3)];
+        for (auto &x : soft)
+            x = rng.nextBelow(2) ? m : -m;
+        break;
+      }
+      case SoftRegime::PastBound:
+        for (auto &x : soft)
+            x = uniform(1 << 26);
+        break;
+      case SoftRegime::Spike:
+        for (auto &x : soft)
+            x = uniform(40);
+        soft[rng.nextBelow(soft.size())] = (1 << 24) + 3;
+        break;
+    }
+    return soft;
+}
+
+class BcjrKernelProperty : public ::testing::Test
+{
+  protected:
+    void
+    TearDown() override
+    {
+        kernels::setBackend(kernels::availableBackends().back());
+    }
+};
+
+} // namespace
+
+TEST_F(BcjrKernelProperty, MatchesPerStepReferenceOnEveryBackend)
+{
+    SplitMix64 rng(0xBC5A);
+    const SoftRegime regimes[] = {
+        SoftRegime::Codeword, SoftRegime::Width24, SoftRegime::Rails,
+        SoftRegime::PastBound, SoftRegime::Spike,
+    };
+    int cases = 0;
+    for (int block_len : {7, 32, 64, 1000}) {
+        // Shorter than the code memory, around one and two windows,
+        // exact multiples of the window, and random lengths to 2000.
+        std::vector<int> lengths = {1,
+                                    2,
+                                    5,
+                                    6,
+                                    7,
+                                    13,
+                                    block_len - 1,
+                                    block_len,
+                                    block_len + 1,
+                                    2 * block_len,
+                                    2 * block_len + 5,
+                                    3 * block_len,
+                                    2000};
+        for (int i = 0; i < 4; ++i)
+            lengths.push_back(1 + static_cast<int>(rng.nextBelow(2000)));
+        for (int steps : lengths) {
+            if (steps > 2000)
+                continue;
+            for (SoftRegime r : regimes) {
+                SoftVec soft = regimeSoft(r, steps, rng);
+                std::vector<SoftDecision> want(
+                    static_cast<size_t>(steps));
+                bcjrMaxLogReference(soft, block_len, want);
+                BcjrDecoder dec({.blockLen = block_len});
+                for (kernels::Backend b : kernels::availableBackends()) {
+                    ASSERT_TRUE(kernels::setBackend(b));
+                    std::vector<SoftDecision> got =
+                        dec.decodeBlock(soft);
+                    ASSERT_EQ(got.size(), want.size());
+                    for (size_t j = 0; j < want.size(); ++j) {
+                        ASSERT_EQ(got[j].bit, want[j].bit)
+                            << kernels::backendName(b) << " block_len "
+                            << block_len << " steps " << steps
+                            << " regime " << static_cast<int>(r)
+                            << " step " << j;
+                        ASSERT_EQ(got[j].llr, want[j].llr)
+                            << kernels::backendName(b) << " block_len "
+                            << block_len << " steps " << steps
+                            << " regime " << static_cast<int>(r)
+                            << " step " << j;
+                    }
+                }
+                ++cases;
+            }
+        }
+    }
+    EXPECT_GT(cases, 300);
 }
 
 TEST(DecodersDeath, OddStreamPanics)

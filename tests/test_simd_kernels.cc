@@ -2,13 +2,13 @@
  * @file
  * Kernel-dispatch test suite: every SIMD backend available on the
  * host must be BIT-EXACT with the scalar reference on randomized
- * inputs for each kernel in the table (demapper LLRs, forward /
- * backward ACS, the BCJR decision unit, metric normalization,
- * channel complex scale and noise injection, and the prototype i16
- * saturating ACS), and forcing the scalar backend must reproduce the
- * full-pipeline results of the widest backend on a rate x channel
- * grid -- the property that makes test_bitexact_grid's pins
- * backend-independent.
+ * inputs for each kernel in the table (demapper LLRs, forward ACS,
+ * metric normalization, channel complex scale and noise injection,
+ * the SoA analytic-engine kernels; test_decoders holds the
+ * whole-block BCJR kernel to its per-step reference), and forcing
+ * the scalar backend must reproduce the full-pipeline results of the
+ * widest backend on a rate x channel grid -- the property that makes
+ * test_bitexact_grid's pins backend-independent.
  */
 
 #include <gtest/gtest.h>
@@ -141,43 +141,6 @@ TEST_F(SimdKernelTest, AcsForwardMatchesScalar)
     }
 }
 
-TEST_F(SimdKernelTest, AcsBackwardAndBcjrDecisionMatchScalar)
-{
-    const auto &tv = decode::TrellisTables::view();
-    SplitMix64 rng(0xBC38);
-    for (Backend b : vectorBackends()) {
-        const Ops &vec = tableOf(b);
-        const Ops &ref = tableOf(Backend::Scalar);
-        for (int round = 0; round < 200; ++round) {
-            auto beta = randomMetrics(rng, decode::kStates, 1 << 20);
-            auto alpha = randomMetrics(rng, decode::kStates, 1 << 20);
-            std::int32_t bm[4];
-            for (auto &x : bm)
-                x = static_cast<std::int32_t>(rng.nextBelow(4096)) -
-                    2048;
-
-            std::int32_t out_ref[decode::kStates];
-            std::int32_t out_vec[decode::kStates];
-            ref.acsBackward(tv, beta.data(), bm, out_ref);
-            vec.acsBackward(tv, beta.data(), bm, out_vec);
-            ASSERT_EQ(0, std::memcmp(out_ref, out_vec,
-                                     sizeof(out_ref)))
-                << kernels::backendName(b) << " round " << round;
-
-            std::int32_t b0r = decode::kMetricFloor;
-            std::int32_t b1r = decode::kMetricFloor;
-            std::int32_t b0v = decode::kMetricFloor;
-            std::int32_t b1v = decode::kMetricFloor;
-            ref.bcjrDecision(tv, alpha.data(), bm, beta.data(), &b0r,
-                             &b1r);
-            vec.bcjrDecision(tv, alpha.data(), bm, beta.data(), &b0v,
-                             &b1v);
-            ASSERT_EQ(b0r, b0v) << kernels::backendName(b);
-            ASSERT_EQ(b1r, b1v) << kernels::backendName(b);
-        }
-    }
-}
-
 TEST_F(SimdKernelTest, NormalizeAndBestStateMatchScalar)
 {
     SplitMix64 rng(0x4049);
@@ -204,35 +167,6 @@ TEST_F(SimdKernelTest, NormalizeAndBestStateMatchScalar)
         ties[5] = 9;
         ties[40] = 9;
         EXPECT_EQ(5, vec.bestState(ties.data(), decode::kStates));
-    }
-}
-
-TEST_F(SimdKernelTest, AcsForwardI16MatchesScalar)
-{
-    const auto &tv = decode::TrellisTables::view();
-    SplitMix64 rng(0x116A);
-    for (Backend b : vectorBackends()) {
-        const Ops &vec = tableOf(b);
-        const Ops &ref = tableOf(Backend::Scalar);
-        for (int round = 0; round < 200; ++round) {
-            std::int16_t pm[decode::kStates];
-            for (auto &x : pm)
-                x = static_cast<std::int16_t>(rng.next());
-            std::int16_t bm[4];
-            for (auto &x : bm)
-                x = static_cast<std::int16_t>(rng.nextBelow(512)) -
-                    256;
-            std::int16_t out_ref[decode::kStates];
-            std::int16_t out_vec[decode::kStates];
-            std::uint64_t ch_ref = 0, ch_vec = 0;
-            ref.acsForwardI16(tv, pm, bm, out_ref, &ch_ref);
-            vec.acsForwardI16(tv, pm, bm, out_vec, &ch_vec);
-            ASSERT_EQ(ch_ref, ch_vec)
-                << kernels::backendName(b) << " round " << round;
-            ASSERT_EQ(0, std::memcmp(out_ref, out_vec,
-                                     sizeof(out_ref)))
-                << kernels::backendName(b) << " round " << round;
-        }
     }
 }
 
@@ -324,61 +258,7 @@ TEST_F(SimdKernelTest, ChannelKernelsMatchScalar)
     }
 }
 
-TEST_F(SimdKernelTest, AxpyF32MatchesScalar)
-{
-    SplitMix64 rng(0xF32A);
-    const size_t n = 517;
-    std::vector<float> x(n), y0(n);
-    for (size_t i = 0; i < n; ++i) {
-        x[i] = static_cast<float>(rng.nextDouble() * 2.0 - 1.0);
-        y0[i] = static_cast<float>(rng.nextDouble() * 2.0 - 1.0);
-    }
-    const float a = 0.33719f;
-    const Ops &ref = tableOf(Backend::Scalar);
-    std::vector<float> want = y0;
-    ref.axpyF32(want.data(), x.data(), n, a);
-    for (Backend b : vectorBackends()) {
-        const Ops &vec = tableOf(b);
-        std::vector<float> got = y0;
-        vec.axpyF32(got.data(), x.data(), n, a);
-        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                 n * sizeof(float)))
-            << kernels::backendName(b);
-    }
-}
-
 // ------------------------- SoA analytic-engine kernels (PR 6) ----
-
-TEST_F(SimdKernelTest, RngU01KeyedMatchesCounterRngAndScalar)
-{
-    SplitMix64 rng(0x9E37);
-    const size_t n = 517; // odd tail on purpose
-    std::vector<std::uint64_t> keys(n);
-    for (auto &k : keys)
-        k = rng.next();
-    for (std::uint64_t counter :
-         {std::uint64_t(0), std::uint64_t(1), std::uint64_t(12345),
-          std::uint64_t(0x7FFFFFFFFFFFull)}) {
-        const Ops &ref = tableOf(Backend::Scalar);
-        std::vector<double> want(n, -1.0);
-        ref.rngU01Keyed(keys.data(), n, counter, want.data());
-        // The scalar kernel must itself be the CounterRng
-        // expression it batches.
-        for (size_t i = 0; i < n; ++i)
-            ASSERT_EQ(CounterRng(keys[i]).doubleAt(counter),
-                      want[i])
-                << "lane " << i << " counter " << counter;
-        for (Backend b : vectorBackends()) {
-            const Ops &vec = tableOf(b);
-            std::vector<double> got(n, -2.0);
-            vec.rngU01Keyed(keys.data(), n, counter, got.data());
-            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                     n * sizeof(double)))
-                << kernels::backendName(b) << " counter "
-                << counter;
-        }
-    }
-}
 
 TEST_F(SimdKernelTest, SinrAccumBatchMatchesScalarReference)
 {

@@ -29,6 +29,11 @@ determinism smoke:
                      files: contraction and reassociation break the
                      scalar<->SIMD bit-exactness the kernel tests
                      pin.
+  kernel-caller      a kernels::Ops member (src/common/kernels.hh)
+                     that nothing in src/ outside
+                     src/common/kernels* calls: the kernel layer
+                     holds no prototypes, only kernels the simulator
+                     runs.
   undocumented-key   a key declared in the spec key lists
                      (src/sim/scenario.cc: the v("<key>", ...) rows
                      and the hand-written k...Prefix/k...Key
@@ -336,6 +341,55 @@ def rule_fast_math(root):
     return findings
 
 
+# A function-pointer member declaration, `void (*name)(...`.
+OPS_MEMBER_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
+
+
+def ops_members(stripped_header):
+    """(name, line) of every function-pointer member of struct Ops."""
+    m = re.search(r"\bstruct\s+Ops\s*\{(.*?)\n\};", stripped_header,
+                  re.S)
+    if not m:
+        return []
+    first_line = stripped_header.count("\n", 0, m.start(1)) + 1
+    members = []
+    for lineno, line in enumerate(m.group(1).splitlines(), first_line):
+        members += [(name, lineno) for name in OPS_MEMBER_RE.findall(line)]
+    return members
+
+
+def rule_kernel_callers(root, header="src/common/kernels.hh"):
+    path = os.path.join(root, header)
+    if not os.path.exists(path):
+        return [Finding(header, 1, "kernel-caller",
+                        "kernel registry header missing")]
+    raw = read_file(path)
+    members = ops_members(strip_code(raw))
+    if not members:
+        return [Finding(header, 1, "kernel-caller",
+                        "no kernels::Ops members parsed (declaration "
+                        "format changed?)")]
+    callers = []
+    for src in iter_files(os.path.join(root, "src"), CODE_SUFFIXES):
+        if rel(src, root).startswith(os.path.join("src", "common",
+                                                  "kernels")):
+            continue
+        callers.append(strip_code(read_file(src)))
+    code = "\n".join(callers)
+    allowed = allowed_lines(raw, "kernel-caller")
+    findings = []
+    for name, lineno in members:
+        if lineno in allowed:
+            continue
+        if not re.search(r"(?:\.|->)\s*%s\s*\(" % re.escape(name),
+                         code):
+            findings.append(Finding(
+                header, lineno, "kernel-caller",
+                "kernels::Ops member '%s' has no caller in src/ "
+                "outside src/common/kernels*" % name))
+    return findings
+
+
 KEY_ROW_RE = re.compile(r'\bv\("([^"]+)"')
 HAND_KEY_RE = re.compile(r'const char k\w+(?:Prefix|Key)\[\] = "([^"]+)";')
 HAND_LIST_RE = re.compile(
@@ -414,6 +468,7 @@ def run_all(root):
     findings += rule_omp(root)
     findings += rule_kernel_libm(root)
     findings += rule_fast_math(root)
+    findings += rule_kernel_callers(root)
     findings += rule_undocumented_keys(root)
     return findings
 
@@ -547,6 +602,44 @@ def self_test():
               not fm('add_compile_options(-mavx2)\n'))
         check("cmake comment passes",
               not fm("# never pass -ffast-math here\n"))
+
+        # ---- kernel-caller ----------------------------------------
+        ops_hh = ("struct Ops {\n"
+                  "    Backend backend;\n"
+                  "    void (*acsForward)(const TrellisView &tv,\n"
+                  "                       const std::int32_t *pm);\n"
+                  "    void (*zzOrphan)(float *y, size_t n);\n"
+                  "};\n")
+
+        def callers(files):
+            d = tempfile.mkdtemp(dir=tmp)
+            files = dict(files)
+            files["src/common/kernels.hh"] = ops_hh
+            for relpath, content in files.items():
+                full = os.path.join(d, relpath)
+                os.makedirs(os.path.dirname(full), exist_ok=True)
+                with open(full, "w") as f:
+                    f.write(content)
+            return rule_kernel_callers(d)
+
+        caller_cc = "void f() { kernels::ops().acsForward(tv, pm); }\n"
+        orphan = callers({"src/decode/x.cc": caller_cc})
+        check("Ops member with no caller is caught",
+              [(f.lineno, "zzOrphan" in f.message) for f in orphan]
+              == [(5, True)])
+        check("a call inside src/common/kernels* does not count",
+              len(callers({
+                  "src/decode/x.cc": caller_cc,
+                  "src/common/kernels_impl.hh":
+                      "void g() { t->zzOrphan(y, n); }\n"})) == 1)
+        check("a comment mentioning the member does not count",
+              len(callers({
+                  "src/decode/x.cc": caller_cc +
+                  "// k.zzOrphan(y, n) someday\n"})) == 1)
+        check("every Ops member called passes",
+              not callers({
+                  "src/decode/x.cc": caller_cc,
+                  "src/sim/y.cc": "void g() { k->zzOrphan(y, n); }\n"}))
 
         # ---- undocumented-key -------------------------------------
         cc_text = ('    v("rate", s.rate);\n'
