@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "decode/bcjr.hh"
@@ -155,8 +156,8 @@ runLinkExperiment(int argc, char **argv)
 
     // BER + PER sweep on the zero-copy frame path; one accumulator
     // slot per worker the sweep will actually spawn.
-    const size_t slots = static_cast<size_t>(
-        sim::sweepWorkerCount(threads, packets));
+    const size_t slots =
+        static_cast<size_t>(LockstepTeam::workerCount(threads, packets));
     std::uint64_t packet_errors = 0;
     ErrorStats bits;
     {

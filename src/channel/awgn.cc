@@ -1,19 +1,19 @@
 #include "channel/awgn.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/kernels.hh"
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 
 namespace wilis {
 namespace channel {
 
 AwgnChannel::AwgnChannel(const Params &p)
-    : seed(p.seed), common_noise_(p.commonNoise)
+    : seed(p.seed), common_noise_(p.commonNoise), threads_(p.threads)
 {
     setSnrDb(p.snrDb);
-    if (p.threads != 1)
-        pool = std::make_unique<ThreadPool>(p.threads);
 }
 
 void
@@ -41,7 +41,7 @@ AwgnChannel::addNoiseBlock(SampleSpan samples,
     // Deviate generation stays scalar (Box-Muller's log/cos/sin have
     // no bit-exact vector form); the injection itself goes through
     // the SIMD kernel layer. Stack scratch keeps the block
-    // allocation-free and thread-safe under parallelFor.
+    // allocation-free and thread-safe on a team.
     double gauss[2 * kBlockSize];
     for (size_t i = 0; i < count; ++i)
         GaussianSource::pairAt(rng, i, gauss[2 * i],
@@ -69,8 +69,12 @@ AwgnChannel::apply(SampleSpan samples, std::uint64_t packet_index)
 {
     const size_t blocks =
         (samples.size() + kBlockSize - 1) / kBlockSize;
-    if (pool && blocks > 1) {
-        pool->parallelFor(blocks, [&](std::uint64_t b) {
+    // A team is spawned per call: the single-threaded default (every
+    // network engine's channel) pays nothing for it.
+    const int workers = LockstepTeam::workerCount(threads_, blocks);
+    if (workers > 1) {
+        LockstepTeam team(workers);
+        team.forEach(blocks, [&](int, std::uint64_t b) {
             addNoiseBlock(samples, packet_index,
                           static_cast<size_t>(b));
         });

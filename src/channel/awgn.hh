@@ -7,17 +7,15 @@
  *
  * Noise is generated per 1024-sample block from a counter-based
  * generator, so output is bit-identical for any worker thread count
- * and any packet replay order.
+ * and any packet replay order. With threads != 1, each apply()
+ * spreads its blocks over a LockstepTeam of its own.
  */
 
 #ifndef WILIS_CHANNEL_AWGN_HH
 #define WILIS_CHANNEL_AWGN_HH
 
-#include <memory>
-
 #include "channel/channel.hh"
 #include "common/random.hh"
-#include "common/thread_pool.hh"
 
 namespace wilis {
 namespace channel {
@@ -83,7 +81,7 @@ class AwgnChannel : public Channel
     double sigma;  // per-dimension standard deviation
     std::uint64_t seed;
     bool common_noise_;
-    std::unique_ptr<ThreadPool> pool; // null => single-threaded
+    int threads_; // noise workers per apply() (0 = hardware)
 };
 
 } // namespace channel

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/cpu_features.hh"
 #include "common/logging.hh"
@@ -99,28 +98,21 @@ activeTable()
     const Ops *t = g_active.load(std::memory_order_acquire);
     if (t)
         return t;
-    // The mutex only serializes concurrent *initializers* (so the
-    // env var is parsed, and its warnings printed, once). It cannot
-    // order us against a concurrent explicit setBackend(), which
-    // stores without taking it -- so the install must be a CAS from
-    // nullptr: if anything (another initializer or a user-forced
-    // setBackend) won the race, their table stands and the
-    // env-derived default is discarded, never stomped on top.
-    static std::mutex init_mutex;
-    std::lock_guard<std::mutex> lock(init_mutex);
-    t = g_active.load(std::memory_order_acquire);
-    if (!t) {
-        const Ops *init = initialTable();
-        const Ops *expected = nullptr;
-        if (g_active.compare_exchange_strong(
-                expected, init, std::memory_order_acq_rel,
-                std::memory_order_acquire)) {
-            t = init;
-        } else {
-            t = expected; // a concurrent setBackend() beat us to it
-        }
-    }
-    return t;
+    // The function-local static runs initialTable() exactly once
+    // (so the env var is parsed, and its warnings printed, once),
+    // however many initializers race here. It cannot order us
+    // against a concurrent explicit setBackend() -- so the install
+    // must be a CAS from nullptr: if anything (another initializer
+    // or a user-forced setBackend) won the race, their table stands
+    // and the env-derived default is discarded, never stomped on
+    // top.
+    static const Ops *const init = initialTable();
+    const Ops *expected = nullptr;
+    if (g_active.compare_exchange_strong(expected, init,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire))
+        return init;
+    return expected; // a concurrent setBackend() beat us to it
 }
 
 } // namespace

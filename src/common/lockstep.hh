@@ -1,23 +1,32 @@
 /**
  * @file
- * Lockstep worker team for slot-synchronous simulation loops.
+ * The worker team behind every parallel loop in src/: the slot loops
+ * of the network engines, the packet and grid sweeps, the packet
+ * trace's sort and format passes and the multi-threaded AWGN
+ * channel. It is the only place in src/ that starts a thread.
  *
- * ThreadPool::parallelFor pays two condition-variable handshakes per
- * call (wake + join), so a slot loop that calls it twice per slot --
- * schedule phase, transmit phase -- spends four mutex round trips
- * per simulated slot. That fixed cost is what made the grid-3x3
- * 4-thread bench *slower* than the single-thread run. LockstepTeam
- * keeps its workers inside the slot loop for the whole run and
- * separates phases with a counter/generation barrier: a bounded spin
- * (cheap when each worker owns a core) that falls back to yielding
- * (so oversubscribed hosts -- CI runners, laptops -- make progress
- * instead of burning the shared core).
+ * A team keeps its workers inside the caller's loop for the whole
+ * run() and separates phases with a counter/generation barrier: a
+ * bounded spin (cheap when each worker owns a core) that falls back
+ * to yielding (so oversubscribed hosts -- CI runners, laptops --
+ * make progress instead of burning the shared core).
  *
  * Usage: run(body) executes body(worker) concurrently on size()
  * workers, the calling thread acting as worker 0; inside the body,
  * barrier() separates phases. Every worker must reach every
  * barrier() the same number of times, and a team must not be
  * re-entered while a run() is in flight (asserted in run()).
+ * forEach(n, fn) is run() over a shared next-index counter: workers
+ * claim the items of [0, n) one at a time and call fn(worker, item),
+ * so per-worker state (a PHY context, an accumulator) is indexed by
+ * worker, never locked. workerCount() is the one place that turns a
+ * requested thread count into a team size: `threads=N` means at
+ * most N concurrent workers, the caller included.
+ *
+ * run() joins every worker before it returns, so everything a
+ * worker wrote happens-before the caller's next statement; that
+ * join and the barrier are the only cross-thread orderings the
+ * engines use.
  *
  * Memory-ordering contract (this is what makes the barrier visible
  * to ThreadSanitizer without suppressions -- every synchronizing
@@ -40,9 +49,9 @@
 #ifndef WILIS_COMMON_LOCKSTEP_HH
 #define WILIS_COMMON_LOCKSTEP_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -60,16 +69,26 @@ class LockstepTeam
           // Spinning only pays when every worker owns a hardware
           // thread; on an oversubscribed host the spinner is
           // stealing cycles from the worker it is waiting for.
-          spin_iters_(static_cast<unsigned>(n_) <=
-                              std::thread::hardware_concurrency()
-                          ? kSpinIters
-                          : 0)
+          spin_iters_(n_ <= hardwareThreads() ? kSpinIters : 0)
     {}
 
     /** Teams are tied to their barrier state: not copyable. */
     LockstepTeam(const LockstepTeam &) = delete;
     /** Teams are tied to their barrier state: not copyable. */
     LockstepTeam &operator=(const LockstepTeam &) = delete;
+
+    /**
+     * Team size for @p threads requested workers over @p items work
+     * items: 0 means the hardware concurrency; the result is clamped
+     * to the item count and is at least 1.
+     */
+    static int
+    workerCount(int threads, std::uint64_t items)
+    {
+        const int n = threads > 0 ? threads : hardwareThreads();
+        return static_cast<int>(std::max<std::uint64_t>(
+            1, std::min(static_cast<std::uint64_t>(n), items)));
+    }
 
     /** Number of workers, the calling thread included. */
     int size() const { return n_; }
@@ -78,10 +97,12 @@ class LockstepTeam
      * Execute body(worker) for worker in [0, size()) concurrently;
      * the calling thread runs worker 0. Returns when every worker
      * has finished. Threads are spawned per run(), which is in the
-     * noise for anything that iterates a slot loop inside the body.
+     * noise for anything that iterates a slot loop or a packet
+     * sweep inside the body.
      */
+    template <typename Body>
     void
-    run(const std::function<void(int)> &body)
+    run(const Body &body)
     {
         // Overlapping runs would share arrived_/generation_ and
         // deadlock or tear the barrier; catching the misuse here
@@ -103,6 +124,26 @@ class LockstepTeam
         for (std::thread &t : extras)
             t.join();
         in_run_.store(false, std::memory_order_release);
+    }
+
+    /**
+     * Call fn(worker, i) exactly once for every i in [0, n), items
+     * claimed dynamically by the size() workers; returns when all
+     * are done. fn must only touch item- or worker-indexed state.
+     */
+    template <typename Fn>
+    void
+    forEach(std::uint64_t n, const Fn &fn)
+    {
+        if (n == 0)
+            return;
+        // The counter only hands out distinct indices; the join at
+        // the end of run() orders the items' writes.
+        std::atomic<std::uint64_t> next{0};
+        run([&](int w) {
+            for (std::uint64_t i = next++; i < n; i = next++)
+                fn(w, i);
+        });
     }
 
     /**
@@ -133,6 +174,15 @@ class LockstepTeam
   private:
     /** Spins before conceding the core to whoever holds the work. */
     static constexpr int kSpinIters = 256;
+
+    /** The host's hardware threads (at least 1), read once. */
+    static int
+    hardwareThreads()
+    {
+        static const int hw = static_cast<int>(
+            std::max(1u, std::thread::hardware_concurrency()));
+        return hw;
+    }
 
     int n_;
     int spin_iters_;

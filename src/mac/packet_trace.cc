@@ -12,7 +12,6 @@
 
 #include "common/lockstep.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace wilis {
 namespace mac {
@@ -491,19 +490,10 @@ PacketTrace::finalize(int threads)
     // -- the property every thread-count and engine equivalence
     // test rides on.
     entries_ = allocEntries(size_);
-    const auto sort_lane = [this, &offset](std::uint64_t i) {
+    LockstepTeam team(LockstepTeam::workerCount(threads_, lanes_.size()));
+    team.forEach(lanes_.size(), [this, &offset](int, std::uint64_t i) {
         sortLane(lanes_[i], entries_.get() + offset[i]);
-    };
-    const size_t workers = std::min(
-        static_cast<size_t>(threads_), lanes_.size());
-    if (workers > 1) {
-        // The calling thread is the pool's last worker.
-        ThreadPool pool(static_cast<int>(workers) - 1);
-        pool.parallelFor(lanes_.size(), sort_lane);
-    } else {
-        for (size_t i = 0; i < lanes_.size(); ++i)
-            sort_lane(i);
-    }
+    });
 
     // Engine lanes hold disjoint key ranges in lane order (one cell
     // each, or one user each of one cell), so the sorted slices

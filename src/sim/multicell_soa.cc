@@ -34,7 +34,6 @@
 #include <complex>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "channel/awgn.hh"
@@ -725,7 +724,6 @@ runMulticellSoa(
     const bool fixed_contention =
         spec.scheduler.contention == mac::ContentionMode::Fixed;
 
-    WorkerPhyPool phy_pool;
     const bool pf = spec.scheduler.kind ==
                     mac::SchedulerKind::ProportionalFair;
 
@@ -833,7 +831,8 @@ runMulticellSoa(
     };
 
     // ---- phase 2: batched SINR + draws over the active set -----
-    // Worker-local gather buffers: one entry per granted cell.
+    // Worker-local gather buffers (one entry per granted cell) and
+    // the worker's PHY context for full-PHY slots.
     struct Scratch {
         std::vector<int> gi;            // soa index
         std::vector<int> cell;          // owning cell
@@ -846,6 +845,7 @@ runMulticellSoa(
         std::vector<double> sinr_db;
         std::vector<double> pber;
         std::vector<std::uint8_t> ok;
+        WorkerPhy phy;
 
         explicit Scratch(size_t cap)
             : gi(cap), cell(cap), serving(cap), rows(cap),
@@ -901,11 +901,9 @@ runMulticellSoa(
                     awgn[g]->setSnrDb(sinr_db);
                 const std::uint64_t seq =
                     granted_seq[static_cast<size_t>(sc.cell[j])];
-                std::unique_ptr<WorkerPhy> phy = phy_pool.acquire();
                 const LinkFrameResult fr =
-                    phy->frame(rate, spec.link, *awgn[g], estimator,
-                               cache.payloadSeed[g], seq, t);
-                phy_pool.release(std::move(phy));
+                    sc.phy.frame(rate, spec.link, *awgn[g], estimator,
+                                 cache.payloadSeed[g], seq, t);
 
                 UserStats &st = stats[g];
                 ++st.framesSent;
@@ -1049,11 +1047,8 @@ runMulticellSoa(
     const std::uint64_t ckpt_every =
         spec.checkpoint.enabled() ? spec.checkpoint.everySlots : 0;
 
-    int n = threads > 0
-                ? threads
-                : static_cast<int>(std::max(
-                      1u, std::thread::hardware_concurrency()));
-    n = std::min(n, cells);
+    const int n =
+        LockstepTeam::workerCount(threads, static_cast<std::uint64_t>(cells));
 
     // The whole slot loop runs inside one LockstepTeam::run():
     // cells are statically partitioned across workers and one
@@ -1063,9 +1058,9 @@ runMulticellSoa(
     // rows (written only by mobility epochs), so a worker may start
     // slot t + 1 while others finish slot t. The SoA lanes have one
     // writer per phase and publication rides the barrier's
-    // release/acquire edges, so there is no lock for the static
-    // analysis to check -- the CI TSan leg enforces this
-    // (docs/ARCHITECTURE.md, "Static determinism guarantees").
+    // release/acquire edges, so nothing is locked -- the CI TSan
+    // leg enforces this (docs/ARCHITECTURE.md, "Static determinism
+    // guarantees").
     LockstepTeam team(n);
     const int chunk = (cells + n - 1) / n;
     const std::uint64_t epoch_slots = mob ? mob->epochSlots() : 1;

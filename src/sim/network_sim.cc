@@ -5,13 +5,12 @@
 #include <complex>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "channel/fading.hh"
 #include "common/kernels.hh"
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/thread_pool.hh"
 #include "mac/arq.hh"
 #include "mac/softrate.hh"
 #include "sim/link_fidelity.hh"
@@ -200,7 +199,6 @@ NetworkSim::run(std::uint64_t slots, int threads)
     res.slots = slots;
     res.users.resize(static_cast<size_t>(spec_.numUsers));
 
-    WorkerPhyPool phy_pool;
     const size_t payload_bits = spec_.link.payloadBits;
     const bool bernoulli = spec_.arrivalModel == "bernoulli";
 
@@ -218,8 +216,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
     // ARQ, SoftRate, stats) or per-worker (kernels + arena), and
     // every random stream is keyed by (seed, user, slot/seq), so
     // results are independent of the sharding.
-    auto run_user = [&](std::uint64_t u) {
-        std::unique_ptr<WorkerPhy> phy = phy_pool.acquire();
+    auto run_user = [&](WorkerPhy &phy, std::uint64_t u) {
         const UserSeeds seeds = userSeeds(static_cast<int>(u));
         const double mean_snr_db =
             spec_.link.snrDb() + seeds.snrOffsetDb;
@@ -231,7 +228,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
         const CounterRng arrivals(seeds.arrivalStream);
 
         // The analytic rung's draws; the full rung needs no state
-        // beyond the leased PHY context and the user's channel.
+        // beyond the worker's PHY context and the user's channel.
         std::optional<AnalyticLink> analytic;
         if (spec_.fidelity.mode != FidelityMode::Full)
             analytic.emplace(calib.get(), seeds.fidelityStream);
@@ -292,8 +289,8 @@ NetworkSim::run(std::uint64_t slots, int threads)
             const phy::RateIndex rate = softrate.currentRate();
             LinkFrameResult res;
             if (spec_.fidelity.fullPhySlot(t)) {
-                res = phy->frame(rate, spec_.link, chan, estimator,
-                                 seeds.payloadSeed, seq, t);
+                res = phy.frame(rate, spec_.link, chan, estimator,
+                                seeds.payloadSeed, seq, t);
             } else {
                 // Block fading: one gain per slot; conditioning on
                 // |h|^2 turns the slot into a flat channel at the
@@ -335,25 +332,17 @@ NetworkSim::run(std::uint64_t slots, int threads)
         // "before the first handover".
         st.preHoSlots = slots;
         res.users[static_cast<size_t>(u)] = st;
-        phy_pool.release(std::move(phy));
     };
 
-    int n = threads > 0
-                ? threads
-                : static_cast<int>(std::max(
-                      1u, std::thread::hardware_concurrency()));
-    n = std::min(n, spec_.numUsers);
-    if (n <= 1) {
-        for (int u = 0; u < spec_.numUsers; ++u)
-            run_user(static_cast<std::uint64_t>(u));
-    } else {
-        ThreadPool pool(n);
-        pool.parallelFor(
-            static_cast<std::uint64_t>(spec_.numUsers), run_user);
-    }
+    const auto num_users = static_cast<std::uint64_t>(spec_.numUsers);
+    LockstepTeam team(LockstepTeam::workerCount(threads, num_users));
+    std::vector<WorkerPhy> phys(static_cast<size_t>(team.size()));
+    team.forEach(num_users, [&](int w, std::uint64_t u) {
+        run_user(phys[static_cast<size_t>(w)], u);
+    });
 
     if (trace) {
-        trace->finalize(n);
+        trace->finalize(team.size());
         // End-to-end latency from the Ack events, in canonical
         // trace order.
         for (const mac::PacketTrace::Entry &e : trace->entries()) {

@@ -8,10 +8,10 @@
  * rate adaptation and ARQ evaluated on top of the bit-exact PHY,
  * scaled from one link to a whole cell.
  *
- * Execution model: users are sharded across the common::ThreadPool,
- * one whole user timeline per work item. The heavy per-rate
- * transmitter/receiver kernels and the frame arena live in a
- * per-worker PHY context leased for the duration of a user, so the
+ * Execution model: the workers of a LockstepTeam claim users one at
+ * a time (LockstepTeam::forEach), one whole user timeline per work
+ * item. The heavy per-rate transmitter/receiver kernels and the
+ * frame arena live in a PHY context owned by each worker, so the
  * steady state performs no heap allocations in the frame path and
  * workers never contend on the allocator. Every random stream
  * (payload bits, fading innovations, channel noise, traffic

@@ -1,8 +1,8 @@
 #include "sim/scenario_grid.hh"
 
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/thread_pool.hh"
 #include "sim/testbench.hh"
 
 namespace wilis {
@@ -78,10 +78,10 @@ sweepGrid(const ScenarioGrid &grid, const GridSweepOptions &opt)
         owned.push_back(c);
     std::vector<CellResult> results(owned.size());
 
-    // Shard by cell: each worker claims whole cells from the pool's
-    // dynamic queue and owns a private Testbench (arena included)
-    // while it runs one. Writes go to the worker's own results slot,
-    // so no synchronization beyond the pool's queue is needed.
+    // Shard by cell: each worker claims whole cells from the team's
+    // shared counter and owns a private Testbench (arena included)
+    // while it runs one. Writes go to the cell's own results slot,
+    // ordered before the return by the team's join.
     auto run_cell = [&](std::uint64_t c) {
         const size_t idx = owned[static_cast<size_t>(c)];
         CellResult &res = results[static_cast<size_t>(c)];
@@ -100,13 +100,8 @@ sweepGrid(const ScenarioGrid &grid, const GridSweepOptions &opt)
             opt.onCell(res);
     };
 
-    if (opt.threads == 1 || owned.size() <= 1) {
-        for (size_t c = 0; c < owned.size(); ++c)
-            run_cell(c);
-    } else {
-        ThreadPool pool(opt.threads);
-        pool.parallelFor(owned.size(), run_cell);
-    }
+    LockstepTeam team(LockstepTeam::workerCount(opt.threads, owned.size()));
+    team.forEach(owned.size(), [&](int, std::uint64_t c) { run_cell(c); });
     return results;
 }
 

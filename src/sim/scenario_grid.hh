@@ -2,7 +2,7 @@
  * @file
  * Scenario-grid sweeps: the cartesian product of rate x channel x
  * SNR x payload axes over a base ScenarioSpec, sharded across a
- * worker pool cell by cell. Each worker owns a per-cell Testbench
+ * LockstepTeam cell by cell. Each worker owns a per-cell Testbench
  * (and with it a private frame arena), so the grid runs allocation-
  * free in steady state and workers never share mutable state.
  *
@@ -106,8 +106,8 @@ struct GridSweepOptions {
 /**
  * Run this shard's cells of @p grid for opt.packetsPerCell packets
  * and return their aggregates in cell order (all cells with the
- * default 1-shard options). Cells are sharded dynamically across
- * the pool; results are independent of the thread count.
+ * default 1-shard options). Cells are claimed dynamically by the
+ * team's workers; results are independent of the thread count.
  */
 std::vector<CellResult> sweepGrid(const ScenarioGrid &grid,
                                   const GridSweepOptions &opt);

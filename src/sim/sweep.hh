@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel packet sweeps: run many packets of one scenario across
- * worker threads, each thread owning its own Testbench instance (and
+ * Parallel packet sweeps: run many packets of one scenario on a
+ * LockstepTeam, each worker owning its own Testbench instance (and
  * with it a private frame arena, so the steady-state hot path makes
  * no heap allocations and workers never contend on the allocator).
  *
@@ -26,22 +26,17 @@ namespace wilis {
 namespace sim {
 
 /**
- * Worker count a sweep of @p num_packets packets will actually use
- * for a requested @p threads (0 = hardware concurrency, clamped to
- * the packet count). Callbacks receive worker indices in
- * [0, sweepWorkerCount()); size per-worker accumulators with this.
- */
-int sweepWorkerCount(int threads, std::uint64_t num_packets);
-
-/**
  * Zero-copy sweep: run packets [0, num_packets) of @p spec through
  * per-thread testbenches on their arena-backed fast path.
  *
  * @param spec        Scenario (payloadBits taken from the spec).
  * @param num_packets Number of packets to run.
  * @param threads     Worker threads (0 = hardware concurrency).
- * @param per_frame   Called for every packet with the worker index;
- *                    must only touch worker-indexed state. The
+ * @param per_frame   Called for every packet with the worker index,
+ *                    in [0, LockstepTeam::workerCount(threads,
+ *                    num_packets)) -- size per-worker accumulators
+ *                    with that; must only touch worker-indexed
+ *                    state. The
  *                    FrameResult views die when the callback
  *                    returns (the next packet reuses the arena).
  */

@@ -3,12 +3,13 @@
  * Shared worker-thread PHY context of the network simulators: one
  * transmitter/receiver pair per rate (built lazily -- a run that
  * never visits QAM64 never pays for it) and the frame arena backing
- * the zero-copy packet path, plus the mutex-guarded free list that
- * leases contexts to work items. Its frame() is the one full-PHY
- * frame of both the single-cell engine (network_sim.cc) and the
- * multi-cell engine (multicell_soa.cc); both draw from this pool,
- * so at most `threads` contexts ever exist regardless of the user or
- * cell count.
+ * the zero-copy packet path (also allocated on first use, so a run
+ * that never takes a full-PHY slot pays nothing). Its frame() is the
+ * one full-PHY frame of both the single-cell engine (network_sim.cc)
+ * and the multi-cell engine (multicell_soa.cc). Each engine owns one
+ * context per LockstepTeam worker and indexes it by the worker, so
+ * at most `threads` contexts ever exist regardless of the user or
+ * cell count, and none is ever shared between threads.
  *
  * Internal to src/sim -- not part of the public simulator API.
  */
@@ -18,13 +19,10 @@
 
 #include <array>
 #include <memory>
-#include <vector>
 
 #include "channel/channel.hh"
 #include "common/frame_arena.hh"
 #include "common/random.hh"
-#include "common/sync.hh"
-#include "common/thread_annotations.hh"
 #include "phy/ofdm_rx.hh"
 #include "phy/ofdm_tx.hh"
 #include "sim/link_fidelity.hh"
@@ -34,7 +32,7 @@
 namespace wilis {
 namespace sim {
 
-/** Per-worker PHY context, leased to one work item at a time. */
+/** Per-worker PHY context, owned by one worker of a run. */
 struct WorkerPhy {
     /** Per-rate transmitters, built on first use. */
     std::array<std::unique_ptr<phy::OfdmTransmitter>, phy::kNumRates>
@@ -94,38 +92,6 @@ struct WorkerPhy {
         res.fullPhy = true;
         return res;
     }
-};
-
-/** Mutex-guarded free list of worker PHY contexts. */
-class WorkerPhyPool
-{
-  public:
-    /** Lease a context (reused if available, else built fresh). */
-    std::unique_ptr<WorkerPhy>
-    acquire()
-    {
-        MutexLock lock(mtx);
-        if (!free_.empty()) {
-            auto w = std::move(free_.back());
-            free_.pop_back();
-            return w;
-        }
-        return std::make_unique<WorkerPhy>();
-    }
-
-    /** Return a leased context to the free list. */
-    void
-    release(std::unique_ptr<WorkerPhy> w)
-    {
-        MutexLock lock(mtx);
-        free_.push_back(std::move(w));
-    }
-
-  private:
-    Mutex mtx;
-    /** Idle contexts; a leased context is owned by its work item. */
-    std::vector<std::unique_ptr<WorkerPhy>> free_
-        WILIS_GUARDED_BY(mtx);
 };
 
 } // namespace sim

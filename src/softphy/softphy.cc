@@ -1,9 +1,9 @@
 #include "softphy/softphy.hh"
 
 #include <cmath>
-#include <mutex>
 #include <vector>
 
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "sim/sweep.hh"
 
@@ -70,7 +70,9 @@ measureLlrCurve(phy::RateIndex rate, double snr_db,
                   static_cast<unsigned long long>(spec.seed)));
     scen.payloadBits = spec.payloadBits;
 
-    const int threads = spec.threads > 0 ? spec.threads : 2;
+    // The bins are integer counts, so the merged curve does not
+    // depend on the worker count.
+    const int threads = LockstepTeam::workerCount(spec.threads, spec.packets);
     std::vector<LlrCalibrator> per_thread(
         static_cast<size_t>(threads),
         LlrCalibrator(spec.llrMax()));

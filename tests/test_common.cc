@@ -1,22 +1,27 @@
 /**
  * @file
  * Tests for the shared utilities: statistics accumulators,
- * printf-style formatting, the text table renderer, the worker pool,
- * and the logging death paths.
+ * printf-style formatting, the text table renderer, the worker
+ * team's forEach and worker-count resolver, and the logging death
+ * paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <set>
+#include <thread>
 
+#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 
 using namespace wilis;
 
@@ -154,44 +159,91 @@ TEST(TableDeath, WrongArityPanics)
     EXPECT_DEATH(t.addRow({"only one"}), "cells");
 }
 
-TEST(ThreadPool, RunsEveryChunkExactlyOnce)
+TEST(LockstepForEach, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
+    LockstepTeam team(4);
     std::vector<std::atomic<int>> hits(257);
-    pool.parallelFor(257, [&](std::uint64_t i) {
+    team.forEach(257, [&](int, std::uint64_t i) {
         hits[static_cast<size_t>(i)]++;
     });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossJobs)
+TEST(LockstepForEach, ReusableAcrossCalls)
 {
-    ThreadPool pool(2);
+    LockstepTeam team(2);
     std::atomic<long> sum{0};
     for (int round = 0; round < 5; ++round) {
         sum = 0;
-        pool.parallelFor(100, [&](std::uint64_t i) {
+        team.forEach(100, [&](int, std::uint64_t i) {
             sum += static_cast<long>(i);
         });
         EXPECT_EQ(sum.load(), 4950);
     }
 }
 
-TEST(ThreadPool, ZeroChunksIsNoOp)
+TEST(LockstepForEach, ZeroItemsIsNoOp)
 {
-    ThreadPool pool(2);
+    LockstepTeam team(2);
     bool ran = false;
-    pool.parallelFor(0, [&](std::uint64_t) { ran = true; });
+    team.forEach(0, [&](int, std::uint64_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPool, SingleThreadStillWorks)
+TEST(LockstepForEach, SingleWorkerRunsInline)
 {
-    ThreadPool pool(1);
-    std::atomic<int> n{0};
-    pool.parallelFor(10, [&](std::uint64_t) { n++; });
-    EXPECT_EQ(n.load(), 10);
+    LockstepTeam team(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    int n = 0;
+    team.forEach(10, [&](int w, std::uint64_t) {
+        EXPECT_EQ(w, 0);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        n++;
+    });
+    EXPECT_EQ(n, 10);
+}
+
+TEST(LockstepForEach, AtMostTeamSizeWorkersRun)
+{
+    // Items block briefly, so every worker the team has gets to claim
+    // some; a team that let its caller help on top of four workers
+    // would show a fifth thread id.
+    constexpr int kWorkers = 4;
+    LockstepTeam team(kWorkers);
+    std::vector<std::thread::id> ids(64);
+    std::vector<int> workers(64, -1);
+    team.forEach(64, [&](int w, std::uint64_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ids[static_cast<size_t>(i)] = std::this_thread::get_id();
+        workers[static_cast<size_t>(i)] = w;
+    });
+    std::set<std::thread::id> distinct(ids.begin(), ids.end());
+    EXPECT_LE(distinct.size(), static_cast<size_t>(kWorkers));
+    for (int w : workers) {
+        EXPECT_GE(w, 0);
+        EXPECT_LT(w, kWorkers);
+    }
+}
+
+TEST(LockstepWorkerCount, ZeroMeansHardwareConcurrency)
+{
+    const int hw =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_EQ(LockstepTeam::workerCount(0, 1u << 20), hw);
+}
+
+TEST(LockstepWorkerCount, ClampsToTheItemCount)
+{
+    EXPECT_EQ(LockstepTeam::workerCount(8, 3), 3);
+    EXPECT_EQ(LockstepTeam::workerCount(4, 100), 4);
+    EXPECT_LE(LockstepTeam::workerCount(0, 2), 2);
+}
+
+TEST(LockstepWorkerCount, IsAtLeastOne)
+{
+    EXPECT_EQ(LockstepTeam::workerCount(4, 0), 1);
+    EXPECT_EQ(LockstepTeam::workerCount(0, 0), 1);
 }
 
 TEST(LoggingDeath, PanicAborts)

@@ -1,101 +1,21 @@
 /**
  * @file
- * Semantics of the annotated synchronization layer (common/sync.hh)
- * and the LockstepTeam barrier protocol (common/lockstep.hh): the
- * primitives every engine's determinism contract stands on. These
- * run under the CI TSan leg (threaded label), so the assertions
- * here double as race detectors over the primitives themselves.
+ * Semantics of the LockstepTeam (common/lockstep.hh): its barrier
+ * protocol and its forEach loop, the primitives every engine's
+ * determinism contract stands on. These run under the CI TSan leg
+ * (threaded label), so the assertions here double as race detectors
+ * over the primitives themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "common/lockstep.hh"
-#include "common/sync.hh"
-#include "common/thread_pool.hh"
 
 using namespace wilis;
-
-TEST(SyncMutex, ExclusionUnderContention)
-{
-    Mutex mu;
-    std::int64_t counter = 0;
-    constexpr int kThreads = 8;
-    constexpr int kIters = 20000;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i) {
-        threads.emplace_back([&] {
-            for (int k = 0; k < kIters; ++k) {
-                MutexLock lk(mu);
-                ++counter;
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(counter, static_cast<std::int64_t>(kThreads) * kIters);
-}
-
-TEST(SyncMutex, ScopedUnlockRelockSuspendsTheCriticalSection)
-{
-    Mutex mu;
-    int guarded = 0;
-    MutexLock lk(mu);
-    guarded = 1;
-    lk.unlock();
-    // While suspended another thread must be able to take the lock.
-    std::thread other([&] {
-        MutexLock inner(mu);
-        guarded = 2;
-    });
-    other.join();
-    lk.lock();
-    EXPECT_EQ(guarded, 2);
-    guarded = 3;
-    // Destructor releases the resumed lock (no deadlock below).
-    lk.unlock();
-    MutexLock again(mu);
-    EXPECT_EQ(guarded, 3);
-}
-
-TEST(SyncMutex, TryLockReportsContention)
-{
-    Mutex mu;
-    ASSERT_TRUE(mu.try_lock());
-    std::thread other([&] { EXPECT_FALSE(mu.try_lock()); });
-    other.join();
-    mu.unlock();
-    ASSERT_TRUE(mu.try_lock());
-    mu.unlock();
-}
-
-TEST(SyncConditionVariable, HandsOffThroughThePredicateLoop)
-{
-    Mutex mu;
-    ConditionVariable cv;
-    int stage = 0;
-    std::thread consumer([&] {
-        MutexLock lk(mu);
-        while (stage != 1)
-            cv.wait(mu);
-        stage = 2;
-        cv.notify_all();
-    });
-    {
-        MutexLock lk(mu);
-        stage = 1;
-        cv.notify_all();
-        while (stage != 2)
-            cv.wait(mu);
-    }
-    consumer.join();
-    EXPECT_EQ(stage, 2);
-}
 
 TEST(Lockstep, BarrierSeparatesPhasesAcrossGenerations)
 {
@@ -158,17 +78,17 @@ TEST(Lockstep, SingleWorkerDegeneratesToInlineCall)
     EXPECT_EQ(calls, 1);
 }
 
-TEST(SyncThreadPool, ParallelForUnderConditionChurn)
+TEST(Lockstep, ForEachUnderChurn)
 {
-    // Many small jobs back to back stress the worker wake/join
-    // handshake that the annotated explicit-loop waits rewrote.
-    ThreadPool pool(4);
+    // Many small jobs back to back: each forEach spawns and joins
+    // its workers, and the shared index counter is rebuilt per call.
+    LockstepTeam team(4);
     for (int job = 0; job < 50; ++job) {
         std::atomic<std::uint64_t> sum{0};
-        const std::uint64_t chunks = 64;
-        pool.parallelFor(chunks, [&](std::uint64_t c) {
-            sum.fetch_add(c + 1, std::memory_order_relaxed);
+        const std::uint64_t items = 64;
+        team.forEach(items, [&](int, std::uint64_t i) {
+            sum.fetch_add(i + 1, std::memory_order_relaxed);
         });
-        EXPECT_EQ(sum.load(), chunks * (chunks + 1) / 2);
+        EXPECT_EQ(sum.load(), items * (items + 1) / 2);
     }
 }

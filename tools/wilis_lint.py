@@ -18,7 +18,12 @@ determinism smoke:
                      per-user loop silently reorders output.
   omp-pragma         #pragma omp in src/: OpenMP scheduling is
                      nondeterministic by default and invisible to
-                     the LockstepTeam/ThreadPool determinism story.
+                     the LockstepTeam determinism story.
+  raw-thread         std::thread, std::jthread or
+                     hardware_concurrency in src/ outside
+                     src/common/lockstep.hh: every parallel loop
+                     runs on a LockstepTeam, and its workerCount()
+                     is the one place that sizes a team.
   kernel-libm        calls in src/common/kernels_impl.hh to libm
                      functions outside the whitelist documented in
                      that file's `wilis-lint: kernel-libm-whitelist:`
@@ -214,7 +219,16 @@ UNORDERED_PATTERNS = {
 OMP_PATTERNS = {
     r"#\s*pragma\s+omp\b":
         "#pragma omp: OpenMP scheduling bypasses the deterministic "
-        "LockstepTeam/ThreadPool sharding",
+        "LockstepTeam sharding",
+}
+
+RAW_THREAD_PATTERNS = {
+    r"\bstd::j?thread\b":
+        "raw thread outside common/lockstep.hh: run the loop on a "
+        "LockstepTeam (run() or forEach())",
+    r"\bhardware_concurrency\b":
+        "hardware_concurrency outside common/lockstep.hh: size the "
+        "team with LockstepTeam::workerCount()",
 }
 
 FAST_MATH_PATTERNS = {
@@ -256,6 +270,18 @@ def rule_omp(root):
         raw = read_file(path)
         findings += scan_lines(rel(path, root), raw, "omp-pragma",
                                OMP_PATTERNS)
+    return findings
+
+
+def rule_raw_thread(root, owner="src/common/lockstep.hh"):
+    findings = []
+    src = os.path.join(root, "src")
+    for path in iter_files(src, CODE_SUFFIXES):
+        relpath = rel(path, root)
+        if relpath == os.path.normpath(owner):
+            continue
+        findings += scan_lines(relpath, read_file(path), "raw-thread",
+                               RAW_THREAD_PATTERNS)
     return findings
 
 
@@ -466,6 +492,7 @@ def run_all(root):
     findings += rule_banned_calls(root)
     findings += rule_unordered(root)
     findings += rule_omp(root)
+    findings += rule_raw_thread(root)
     findings += rule_kernel_libm(root)
     findings += rule_fast_math(root)
     findings += rule_kernel_callers(root)
@@ -560,6 +587,29 @@ def self_test():
         check("#pragma omp is caught",
               omp("#pragma omp parallel for\nfor (...) {}"))
         check("#pragma once passes", not omp("#pragma once\n"))
+
+        # ---- raw-thread -------------------------------------------
+        def raw_thread(relpath, content):
+            d = tempfile.mkdtemp(dir=tmp)
+            return one_file_findings(rule_raw_thread, relpath,
+                                     content, d)
+
+        check("std::thread in src/sim is caught",
+              raw_thread("src/sim/x.cc",
+                         "std::thread t([] {});\nt.join();"))
+        check("std::jthread is caught",
+              raw_thread("src/mac/x.cc", "std::jthread t(f);"))
+        check("hardware_concurrency is caught",
+              raw_thread("src/sim/x.cc",
+                         "int n = std::thread::hardware_concurrency();"))
+        check("std::thread in common/lockstep.hh passes",
+              not raw_thread("src/common/lockstep.hh",
+                             "std::vector<std::thread> extras;\n"
+                             "unsigned hw = "
+                             "std::thread::hardware_concurrency();"))
+        check("std::this_thread::yield passes",
+              not raw_thread("src/sim/x.cc",
+                             "std::this_thread::yield();"))
 
         # ---- kernel-libm ------------------------------------------
         directive = ("// wilis-lint: kernel-libm-whitelist: "
