@@ -32,6 +32,16 @@ struct SoftPairTok {
     SoftBit b = 0;
 };
 
+/**
+ * One OFDM symbol's equalized data carriers, with each carrier's
+ * channel amplitude |H| when the demapper weights by CSI (empty
+ * otherwise).
+ */
+struct EqSymbolTok {
+    SampleVec data;
+    std::vector<double> weight;
+};
+
 /** The packet geometry every stage is handed before a packet. */
 struct Packet {
     /** Packet index: the channel's replay key. */
@@ -295,6 +305,8 @@ struct LiTransceiver::Impl {
     /** The current symbol's bin gains (perfect CSI). */
     SampleVec h;
     phy::Demapper demapper;
+    /** Weight each carrier's soft metrics by |H| (csi_weight). */
+    bool csi_weight;
 
     /** The packet in flight. */
     Packet pkt;
@@ -360,7 +372,8 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
       geometry(spec.rate, seed), scrambler(seed), descrambler(seed),
       puncturer(params.codeRate), interleaver(params.modulation),
       mapper(params.modulation), fft(OfdmGeometry::kFftSize),
-      h(OfdmGeometry::kFftSize), demapper(params.modulation, spec.rx.demapper)
+      h(OfdmGeometry::kFftSize), demapper(params.modulation, spec.rx.demapper),
+      csi_weight(spec.rx.applyCsiWeight)
 {
     baseband = sched.createDomain("baseband", spec.clocks.basebandMhz);
     decoder_clk = sched.createDomain("ber_unit", spec.clocks.decoderMhz);
@@ -379,7 +392,7 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     auto *f_rx_samp = fifo<Sample>("rx_samples", 256, host, baseband);
     auto *f_rx_sym = fifo<SampleVec>("rx_symbols", 4);
     auto *f_rx_freq = fifo<SampleVec>("rx_freq", 4);
-    auto *f_rx_data = fifo<SampleVec>("rx_data_carriers", 4);
+    auto *f_rx_data = fifo<EqSymbolTok>("rx_data_carriers", 4);
     auto *f_soft_sym = fifo<SoftVec>("soft_symbols", 4);
     auto *f_soft_deint = fifo<SoftVec>("soft_deinterleaved", 4);
     auto *f_soft_pairs =
@@ -492,21 +505,32 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     };
 
     // Equalizes the data subcarriers of symbol n with the channel's
-    // own bin gains for it, as the batch receiver does.
+    // own bin gains for it, as the batch receiver does, and passes
+    // on each carrier's |H| when the demapper weights by it.
     auto *eq = block("equalizer", f_rx_freq, f_rx_data, 0);
     eq->f = [this](SampleVec &bins, size_t n) {
         chan->binGains(pkt.index, static_cast<int>(n), h);
-        SampleVec data(kCarriers);
+        EqSymbolTok sym;
+        sym.data.resize(kCarriers);
+        if (csi_weight)
+            sym.weight.resize(kCarriers);
         for (int d = 0; d < kCarriers; ++d) {
             const auto bin = static_cast<size_t>(OfdmGeometry::dataBin(d));
-            data[static_cast<size_t>(d)] = bins[bin] / h[bin];
+            sym.data[static_cast<size_t>(d)] = bins[bin] / h[bin];
+            if (csi_weight)
+                sym.weight[static_cast<size_t>(d)] = std::abs(h[bin]);
         }
-        return data;
+        return sym;
     };
 
+    // The batch receiver's batched demap call, weights included.
     auto *demap = block("demapper", f_rx_data, f_soft_sym, kCarriers);
-    demap->f = [this](SampleVec &data, size_t) {
-        return demapper.demapStream(data);
+    demap->f = [this](EqSymbolTok &sym, size_t) {
+        SoftVec soft(static_cast<size_t>(params.nCbps));
+        demapper.demapBatch(sym.data.data(),
+                            csi_weight ? sym.weight.data() : nullptr,
+                            sym.data.size(), soft.data());
+        return soft;
     };
 
     // Per-subcarrier granularity: nBpsc bits move in parallel.

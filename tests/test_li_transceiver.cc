@@ -230,25 +230,28 @@ TEST(LiTransceiver, DecoderLatencyIsChargedExactly)
 }
 
 class LiTransceiverChannels
-    : public ::testing::TestWithParam<std::tuple<int, const char *>>
+    : public ::testing::TestWithParam<std::tuple<int, const char *, bool>>
 {};
 
 INSTANTIATE_TEST_SUITE_P(
     RatesAndChannels, LiTransceiverChannels,
     ::testing::Combine(::testing::Range(0, phy::kNumRates),
-                       ::testing::Values("rayleigh", "multipath")));
+                       ::testing::Values("rayleigh", "multipath"),
+                       ::testing::Bool()));
 
 TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
 {
     // The LI equalizer and the batch receiver both ask the channel
     // for a symbol's bin gains; on a time-varying (rayleigh) and a
-    // frequency-selective (multipath) channel they must agree.
-    auto [rate, channel] = GetParam();
+    // frequency-selective (multipath) channel they must agree, with
+    // and without the demapper's |H| weighting (csi_weight).
+    auto [rate, channel, csi_weight] = GetParam();
     const std::string cfg =
         std::string("snr_db=12,doppler_hz=20,seed=5") +
         (std::string(channel) == "multipath" ? ",num_taps=4,delay_spread=3"
                                              : "");
     ScenarioSpec spec = liSpec(rate, "bcjr", cfg.c_str(), channel);
+    spec.rx.applyCsiWeight = csi_weight;
     Testbench tb(spec);
     LiTransceiver li_tx(spec);
 
