@@ -43,11 +43,12 @@ determinism smoke:
                      (src/sim/scenario.cc: the v("<key>", ...) rows
                      and the hand-written k...Prefix/k...Key
                      constants, kChannelAliases and kLinkShorthands)
-                     or in a channel's or decoder's key list (the
-                     v("<key>", ...) rows of the Params structs in
-                     src/channel/*.hh and src/decode/*.hh) but absent
-                     from docs/SCENARIOS.md -- the reference must
-                     cover the whole accepted surface.
+                     but absent from docs/SCENARIOS.md -- the
+                     reference must cover the whole accepted surface.
+                     Channel and decoder keys are checked by the test
+                     ScenarioDocs.ScenariosDocCoversExactlyTheAcceptedKeys
+                     against each implementation's key list, in both
+                     directions.
 
 Suppression: a line carrying `wilis-lint: allow(<rule>)` (in a
 comment, with a justification) disables that rule for that line;
@@ -433,10 +434,6 @@ def spec_keys(scenario_cc_text):
     return keys
 
 
-# Directories whose headers declare channel and decoder key lists.
-IMPL_KEY_DIRS = ("src/channel", "src/decode")
-
-
 def rule_undocumented_keys(root,
                            scenario_path="src/sim/scenario.cc",
                            doc_path="docs/SCENARIOS.md"):
@@ -455,10 +452,6 @@ def rule_undocumented_keys(root,
         return [Finding(scenario_path, 1, "undocumented-key",
                         "no keys parsed from the spec key lists "
                         "(declaration format changed?)")]
-    for d in IMPL_KEY_DIRS:
-        for path in iter_files(os.path.join(root, d), (".hh",)):
-            declared += [(rel(path, root), key) for key in
-                         KEY_ROW_RE.findall(read_file(path))]
     documented = set(re.findall(r"`([A-Za-z0-9_.]+)`",
                                 read_file(doc)))
     for path, key in sorted(declared):
@@ -698,21 +691,13 @@ def self_test():
                    '    v("users", s.numUsers, atLeast(1));\n'
                    '    v("zz_internal", s.x);\n')
 
-        channel_hh = ('struct KnobParams {\n'
-                      '    template <typename V> void visitKeys(V &v)\n'
-                      '    { v("zz_knob", knob, li::atLeast(0)); }\n'
-                      '};\n')
-
         def keys(doc_text):
             d = tempfile.mkdtemp(dir=tmp)
-            for sub in ("src/sim", "src/channel", "docs"):
+            for sub in ("src/sim", "docs"):
                 os.makedirs(os.path.join(d, sub))
             with open(os.path.join(d, "src/sim/scenario.cc"),
                       "w") as f:
                 f.write(cc_text)
-            with open(os.path.join(d, "src/channel/knob.hh"),
-                      "w") as f:
-                f.write(channel_hh)
             with open(os.path.join(d, "docs/SCENARIOS.md"),
                       "w") as f:
                 f.write(doc_text)
@@ -720,20 +705,14 @@ def self_test():
 
         check("undocumented key is caught",
               any("zz_internal" in f.message for f in keys(
-                  "| `rate` | `snr_db` | `users` | `link.` | "
-                  "`zz_knob` |\n")))
+                  "| `rate` | `snr_db` | `users` | `link.` |\n")))
         check("undocumented hand-written key is caught",
               any("link." in f.message for f in keys(
                   "| `rate` | `snr_db` | `users` | "
-                  "`zz_internal` | `zz_knob` |\n")))
-        check("undocumented channel key is caught",
-              [f.path for f in keys(
-                  "| `rate` | `snr_db` | `users` | "
-                  "`zz_internal` | `link.` |\n")]
-              == ["src/channel/knob.hh"])
+                  "`zz_internal` |\n")))
         check("fully documented tables pass",
               not keys("| `rate` | `snr_db` | `users` | "
-                       "`zz_internal` | `link.` | `zz_knob` |\n"))
+                       "`zz_internal` | `link.` |\n"))
         check("parse of the key list format works",
               len(spec_keys(cc_text)) == 5)
 
