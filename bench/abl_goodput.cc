@@ -68,7 +68,7 @@ runFixed(phy::RateIndex rate, std::uint64_t packets,
         int tries = 0;
         while (tries < kMaxTries && !ok) {
             ++tries;
-            ok = tb.runPacket(kPayloadBits, slot++).ok;
+            ok = tb.runFrame(kPayloadBits, slot++).ok;
             airtime_us += airtimeUs(rate);
         }
         tries_total += static_cast<std::uint64_t>(tries);
@@ -119,7 +119,7 @@ runSoftRate(std::uint64_t packets, const li::Config &chan_cfg,
         while (tries < kMaxTries && !ok) {
             ++tries;
             phy::RateIndex rate = softrate.currentRate();
-            auto res = benches[static_cast<size_t>(rate)]->runPacket(
+            auto res = benches[static_cast<size_t>(rate)]->runFrame(
                 kPayloadBits, slot++);
             airtime_us += airtimeUs(rate);
             softrate.onFeedback(
@@ -162,7 +162,7 @@ runPpr(phy::RateIndex rate, std::uint64_t packets,
     std::uint64_t slot = 0;
     const double full_us = airtimeUs(rate);
     for (std::uint64_t p = 0; p < packets; ++p) {
-        auto res = tb.runPacket(kPayloadBits, slot++);
+        auto res = tb.runFrame(kPayloadBits, slot++);
         airtime_us += full_us;
         int tries = 1;
         bool ok = res.ok;
@@ -181,7 +181,7 @@ runPpr(phy::RateIndex rate, std::uint64_t packets,
                 // Fall back to full ARQ.
                 while (tries < kMaxTries && !ok) {
                     ++tries;
-                    ok = tb.runPacket(kPayloadBits, slot++).ok;
+                    ok = tb.runFrame(kPayloadBits, slot++).ok;
                     airtime_us += full_us;
                 }
             }

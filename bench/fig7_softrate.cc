@@ -75,7 +75,7 @@ runSoftRate(const char *decoder, std::uint64_t packets,
     const size_t payload = 1704;
     for (std::uint64_t p = 0; p < packets; ++p) {
         phy::RateIndex chosen = softrate.currentRate();
-        sim::PacketResult res = oracle.runAtRate(chosen, payload, p);
+        sim::FrameResult res = oracle.runFrameAtRate(chosen, payload, p);
         double pber = est.packetBerForRate(chosen, res.rx.soft);
         softrate.onFeedback(pber);
 

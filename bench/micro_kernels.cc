@@ -42,6 +42,15 @@ randomBits(size_t n, std::uint64_t seed)
     return v;
 }
 
+/** Rate-1/2 encode @p data, terminated, into a fresh vector. */
+BitVec
+encoded(const BitVec &data)
+{
+    BitVec out(2 * (data.size() + ConvCode::kTailBits));
+    convCode().encode(data, true, out);
+    return out;
+}
+
 void
 BM_Fft64(benchmark::State &state)
 {
@@ -63,8 +72,9 @@ BM_Scrambler(benchmark::State &state)
 {
     Scrambler s(0x5D);
     BitVec data = randomBits(4096, 2);
+    BitVec out(data.size());
     for (auto _ : state) {
-        BitVec out = s.process(data);
+        s.process(data, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * 4096);
@@ -75,8 +85,9 @@ void
 BM_ConvEncode(benchmark::State &state)
 {
     BitVec data = randomBits(4096, 3);
+    BitVec out(2 * (data.size() + ConvCode::kTailBits));
     for (auto _ : state) {
-        BitVec out = convCode().encode(data, true);
+        convCode().encode(data, true, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * 4096);
@@ -89,8 +100,9 @@ BM_Interleave(benchmark::State &state)
     Interleaver il(Modulation::QAM16);
     BitVec data = randomBits(static_cast<size_t>(il.blockSize()) * 16,
                              4);
+    BitVec out(data.size());
     for (auto _ : state) {
-        BitVec out = il.interleaveStream(data);
+        il.interleaveStream(data, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -106,9 +118,11 @@ BM_MapDemap(benchmark::State &state)
     Demapper dm(mod);
     BitVec bits = randomBits(
         static_cast<size_t>(bitsPerSubcarrier(mod)) * 1024, 5);
+    SoftVec soft(bits.size());
     for (auto _ : state) {
         SampleVec symbols = m.mapStream(bits);
-        SoftVec soft = dm.demapStream(symbols);
+        dm.demapBatch(symbols.data(), nullptr, symbols.size(),
+                      soft.data());
         benchmark::DoNotOptimize(soft.data());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -137,14 +151,15 @@ BM_Decoder(benchmark::State &state, const char *name)
 {
     auto dec = decode::makeDecoder(name);
     BitVec data = randomBits(2048, 7);
-    BitVec coded = convCode().encode(data, true);
+    BitVec coded = encoded(data);
     GaussianSource g(11);
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i)
         soft[i] = static_cast<SoftBit>(
             std::lround((coded[i] ? 12.0 : -12.0) + 8.0 * g.next()));
+    std::vector<SoftDecision> out(soft.size() / 2);
     for (auto _ : state) {
-        auto out = dec->decodeBlock(soft);
+        dec->decodeInto(soft, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -268,7 +283,7 @@ BM_BcjrMaxLog(benchmark::State &state)
     // One 1704-bit payload block through the whole-block kernel, as
     // the default bcjr decoder runs it; reported per trellis step.
     decode::BcjrDecoder dec;
-    BitVec coded = convCode().encode(randomBits(1704, 26), true);
+    BitVec coded = encoded(randomBits(1704, 26));
     GaussianSource g(27);
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i)

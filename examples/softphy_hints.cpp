@@ -47,7 +47,7 @@ main()
     std::uint64_t arq_bits = 0;
     std::uint64_t ppr_bits = 0;
     for (std::uint64_t p = 0; p < 20; ++p) {
-        sim::PacketResult res = tb.runPacket(1704, p);
+        sim::FrameResult res = tb.runFrame(1704, p);
         double pber =
             est.packetBer(phy::Modulation::QAM16, res.rx.soft);
         mac::PprOutcome out = ppr.evaluate(

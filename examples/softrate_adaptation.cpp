@@ -45,7 +45,7 @@ main()
     mac::SelectionStats stats;
     for (std::uint64_t p = 0; p < 60; ++p) {
         phy::RateIndex chosen = softrate.currentRate();
-        sim::PacketResult res = oracle.runAtRate(chosen, 1704, p);
+        sim::FrameResult res = oracle.runFrameAtRate(chosen, 1704, p);
         double pber = est.packetBerForRate(chosen, res.rx.soft);
         int optimal = oracle.optimalRate(1704, p);
 

@@ -13,7 +13,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
+#include <span>
 
 #include "common/types.hh"
 #include "li/config.hh"
@@ -29,7 +29,7 @@ namespace decode {
  * Input is a depunctured rate-1/2 soft stream: two quantized soft
  * values per trellis step, positive favouring coded bit = 1, zero
  * meaning erasure. The trellis is assumed to start and end in state 0
- * (the encoder appends tail bits). decodeBlock() returns one
+ * (the encoder appends tail bits). decodeInto() writes one
  * SoftDecision per trellis step, including the tail steps; callers
  * strip the tail.
  */
@@ -46,8 +46,7 @@ class SoftDecoder
     virtual bool producesSoftOutput() const = 0;
 
     /**
-     * Decode one terminated block into caller-owned storage (the
-     * zero-copy pipeline's entry point).
+     * Decode one terminated block into caller-owned storage.
      * @param soft 2*T soft values for a T-step trellis.
      * @param out  Exactly T decision slots.
      *
@@ -56,18 +55,6 @@ class SoftDecoder
      */
     virtual void decodeInto(SoftView soft,
                             std::span<SoftDecision> out) = 0;
-
-    /**
-     * Convenience form: decode one terminated block into a fresh
-     * vector of T soft decisions.
-     */
-    std::vector<SoftDecision>
-    decodeBlock(const SoftVec &soft)
-    {
-        std::vector<SoftDecision> out(soft.size() / 2);
-        decodeInto(SoftView(soft), std::span<SoftDecision>(out));
-        return out;
-    }
 
     /**
      * Decode latency of the modeled hardware pipeline, in cycles of

@@ -24,14 +24,6 @@ RateOracle::optimalRate(size_t payload_bits,
     return -1;
 }
 
-sim::PacketResult
-RateOracle::runAtRate(phy::RateIndex rate, size_t payload_bits,
-                      std::uint64_t packet_index)
-{
-    return runFrameAtRate(rate, payload_bits, packet_index)
-        .toPacketResult();
-}
-
 sim::FrameResult
 RateOracle::runFrameAtRate(phy::RateIndex rate, size_t payload_bits,
                            std::uint64_t packet_index)

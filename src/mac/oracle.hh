@@ -40,14 +40,10 @@ class RateOracle
      */
     int optimalRate(size_t payload_bits, std::uint64_t packet_index);
 
-    /** Run one packet at an explicit rate (shares the testbenches). */
-    sim::PacketResult runAtRate(phy::RateIndex rate,
-                                size_t payload_bits,
-                                std::uint64_t packet_index);
-
     /**
-     * Zero-copy form of runAtRate(): views die at the next call on
-     * the same rate's testbench.
+     * Run one packet at an explicit rate on the oracle's own
+     * testbench for it: the views die at the next call on that
+     * rate's testbench, optimalRate() included.
      */
     sim::FrameResult runFrameAtRate(phy::RateIndex rate,
                                     size_t payload_bits,

@@ -9,15 +9,6 @@ namespace mac {
 
 PprOutcome
 PprPolicy::evaluate(phy::Modulation mod,
-                    const std::vector<SoftDecision> &soft,
-                    const BitVec &ref) const
-{
-    return evaluate(mod, std::span<const SoftDecision>(soft),
-                    BitView(ref));
-}
-
-PprOutcome
-PprPolicy::evaluate(phy::Modulation mod,
                     std::span<const SoftDecision> soft,
                     BitView ref) const
 {

@@ -10,7 +10,7 @@
 #define WILIS_MAC_PPR_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/types.hh"
 #include "phy/modulation.hh"
@@ -62,18 +62,11 @@ class PprPolicy
     {}
 
     /**
-     * Evaluate PPR on one received packet.
+     * Evaluate PPR on one received packet (allocation-free: the
+     * chunk scan needs no flag buffer).
      * @param mod  Modulation (selects the estimator table).
      * @param soft Per-bit decisions with hints.
      * @param ref  Ground-truth payload for outcome accounting.
-     */
-    PprOutcome evaluate(phy::Modulation mod,
-                        const std::vector<SoftDecision> &soft,
-                        const BitVec &ref) const;
-
-    /**
-     * Zero-copy form over frame-arena views (allocation-free: the
-     * chunk scan is restructured so no flag buffer is needed).
      */
     PprOutcome evaluate(phy::Modulation mod,
                         std::span<const SoftDecision> soft,

@@ -26,15 +26,6 @@ ConvCode::ConvCode()
     }
 }
 
-BitVec
-ConvCode::encode(const BitVec &data, bool terminate) const
-{
-    BitVec out(2 * (data.size() +
-                    (terminate ? static_cast<size_t>(kTailBits) : 0)));
-    encode(BitView(data), terminate, BitSpan(out));
-    return out;
-}
-
 void
 ConvCode::encode(BitView data, bool terminate, BitSpan out) const
 {

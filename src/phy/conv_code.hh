@@ -38,18 +38,13 @@ class ConvCode
     ConvCode();
 
     /**
-     * Encode @p data at rate 1/2.
+     * Encode @p data at rate 1/2 into @p out: g0 output then g1
+     * output per input bit.
      * @param data      Information bits.
      * @param terminate Append kTailBits zeros to drive the encoder
      *                  back to state 0 (802.11a behaviour).
-     * @return Coded bits, interleaved (g0 output then g1 output per
-     *         input bit).
-     */
-    BitVec encode(const BitVec &data, bool terminate = true) const;
-
-    /**
-     * Encode into caller-owned storage. @p out must hold exactly
-     * 2 * (data.size() + kTailBits-if-terminated) bits.
+     * @param out       Exactly 2 * (data.size() +
+     *                  kTailBits-if-terminated) bits.
      */
     void encode(BitView data, bool terminate, BitSpan out) const;
 

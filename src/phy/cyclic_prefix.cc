@@ -7,14 +7,6 @@
 namespace wilis {
 namespace phy {
 
-SampleVec
-addCyclicPrefix(const SampleVec &body)
-{
-    SampleVec out(OfdmGeometry::kSymbolLen);
-    addCyclicPrefix(SampleView(body), SampleSpan(out));
-    return out;
-}
-
 void
 addCyclicPrefix(SampleView body, SampleSpan out)
 {
@@ -26,14 +18,6 @@ addCyclicPrefix(SampleView body, SampleSpan out)
               out.begin());
     std::copy(body.begin(), body.end(),
               out.begin() + OfdmGeometry::kCpLen);
-}
-
-SampleVec
-removeCyclicPrefix(const SampleVec &symbol)
-{
-    SampleVec out(OfdmGeometry::kFftSize);
-    removeCyclicPrefix(SampleView(symbol), SampleSpan(out));
-    return out;
 }
 
 void

@@ -13,16 +13,10 @@
 namespace wilis {
 namespace phy {
 
-/** Prepend the cyclic prefix to one 64-sample symbol body. */
-SampleVec addCyclicPrefix(const SampleVec &body);
-
-/** Strip the cyclic prefix from one 80-sample symbol. */
-SampleVec removeCyclicPrefix(const SampleVec &symbol);
-
-/** Write CP + body (80 samples) into caller-owned @p out. */
+/** Write CP + the 64-sample @p body (80 samples) into @p out. */
 void addCyclicPrefix(SampleView body, SampleSpan out);
 
-/** Write the 64-sample body of @p symbol into caller-owned @p out. */
+/** Write the 64-sample body of the 80-sample @p symbol into @p out. */
 void removeCyclicPrefix(SampleView symbol, SampleSpan out);
 
 } // namespace phy

@@ -85,14 +85,6 @@ Demapper::demapReal(Sample y, double *out) const
     wilis_panic("bad modulation");
 }
 
-void
-Demapper::demapReal(Sample y, std::vector<double> &out) const
-{
-    double metrics[6];
-    int n = demapReal(y, metrics);
-    out.insert(out.end(), metrics, metrics + n);
-}
-
 int
 Demapper::demap(Sample y, SoftBit *out, double weight) const
 {
@@ -105,14 +97,6 @@ Demapper::demap(Sample y, SoftBit *out, double weight) const
 }
 
 void
-Demapper::demap(Sample y, SoftVec &out, double weight) const
-{
-    SoftBit soft[6];
-    int n = demap(y, soft, weight);
-    out.insert(out.end(), soft, soft + n);
-}
-
-void
 Demapper::demapBatch(const Sample *ys, const double *weights,
                      size_t n, SoftBit *out) const
 {
@@ -121,17 +105,6 @@ Demapper::demapBatch(const Sample *ys, const double *weights,
     kernels::ops().demapBatch(static_cast<int>(mod), ys, weights, n,
                               scale, cfg.softWidth, cfg.fullScale,
                               out);
-}
-
-SoftVec
-Demapper::demapStream(const SampleVec &symbols) const
-{
-    SoftVec out;
-    out.reserve(symbols.size() *
-                static_cast<size_t>(bitsPerSubcarrier(mod)));
-    for (Sample y : symbols)
-        demap(y, out);
-    return out;
 }
 
 } // namespace phy

@@ -62,24 +62,16 @@ class Demapper
     const Config &config() const { return cfg; }
 
     /**
-     * Demap one (equalized) received symbol into bitsPerSubcarrier()
-     * quantized soft values, appended to @p out. Positive values
-     * favour bit = 1.
+     * Demap one (equalized) received symbol: writes
+     * bitsPerSubcarrier() quantized soft values to @p out and returns
+     * the count. Positive values favour bit = 1.
      *
-     * @param weight Optional per-subcarrier confidence weight
-     *        (typically |H| of the zero-forced bin): metrics are
-     *        scaled before quantization so the decoder trusts
-     *        notched subcarriers less. 1.0 = the paper's unweighted
-     *        hardware path.
+     * @param weight Per-subcarrier confidence weight (typically |H|
+     *        of the zero-forced bin): metrics are scaled before
+     *        quantization so the decoder trusts notched subcarriers
+     *        less. 1.0 = the paper's unweighted hardware path.
      */
-    void demap(Sample y, SoftVec &out, double weight = 1.0) const;
-
-    /**
-     * Allocation-free demap: writes bitsPerSubcarrier() quantized
-     * soft values to @p out and returns the count. This is the form
-     * the zero-copy frame pipeline uses.
-     */
-    int demap(Sample y, SoftBit *out, double weight) const;
+    int demap(Sample y, SoftBit *out, double weight = 1.0) const;
 
     /**
      * Batched demap of @p n equalized symbols (typically one OFDM
@@ -94,19 +86,10 @@ class Demapper
                     SoftBit *out) const;
 
     /**
-     * Demap one symbol into real-valued (unquantized) metrics,
-     * appended to @p out. Used by calibration and tests.
-     */
-    void demapReal(Sample y, std::vector<double> &out) const;
-
-    /**
-     * Allocation-free real-metric demap: writes at most 6 metrics to
-     * @p out and returns the count.
+     * Demap one symbol into real-valued (unquantized) metrics:
+     * writes at most 6 metrics to @p out and returns the count.
      */
     int demapReal(Sample y, double *out) const;
-
-    /** Demap a stream of symbols. */
-    SoftVec demapStream(const SampleVec &symbols) const;
 
   private:
     /** Simplified per-axis metrics (1, 2, or 3 per axis). */

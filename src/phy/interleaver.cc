@@ -28,27 +28,6 @@ Interleaver::Interleaver(Modulation mod)
         inv[static_cast<size_t>(fwd[static_cast<size_t>(k)])] = k;
 }
 
-BitVec
-Interleaver::interleave(const BitVec &in) const
-{
-    wilis_assert(static_cast<int>(in.size()) == n_cbps,
-                 "interleave block size %zu != N_CBPS %d", in.size(),
-                 n_cbps);
-    BitVec out(in.size());
-    for (int k = 0; k < n_cbps; ++k)
-        out[static_cast<size_t>(fwd[static_cast<size_t>(k)])] =
-            in[static_cast<size_t>(k)];
-    return out;
-}
-
-SoftVec
-Interleaver::deinterleave(const SoftVec &in) const
-{
-    SoftVec out(in.size());
-    deinterleave(SoftView(in), SoftSpan(out));
-    return out;
-}
-
 void
 Interleaver::deinterleave(SoftView in, SoftSpan out) const
 {
@@ -60,14 +39,6 @@ Interleaver::deinterleave(SoftView in, SoftSpan out) const
     for (int j = 0; j < n_cbps; ++j)
         out[static_cast<size_t>(inv[static_cast<size_t>(j)])] =
             in[static_cast<size_t>(j)];
-}
-
-BitVec
-Interleaver::interleaveStream(const BitVec &in) const
-{
-    BitVec out(in.size());
-    interleaveStream(BitView(in), BitSpan(out));
-    return out;
 }
 
 void
@@ -84,32 +55,6 @@ Interleaver::interleaveStream(BitView in, BitSpan out) const
             out[base + static_cast<size_t>(
                            fwd[static_cast<size_t>(k)])] =
                 in[base + static_cast<size_t>(k)];
-        }
-    }
-}
-
-SoftVec
-Interleaver::deinterleaveStream(const SoftVec &in) const
-{
-    SoftVec out(in.size());
-    deinterleaveStream(SoftView(in), SoftSpan(out));
-    return out;
-}
-
-void
-Interleaver::deinterleaveStream(SoftView in, SoftSpan out) const
-{
-    wilis_assert(in.size() % static_cast<size_t>(n_cbps) == 0,
-                 "stream length %zu not a multiple of N_CBPS %d",
-                 in.size(), n_cbps);
-    wilis_assert(out.size() == in.size(),
-                 "deinterleave output span size %zu", out.size());
-    for (size_t base = 0; base < in.size();
-         base += static_cast<size_t>(n_cbps)) {
-        for (int j = 0; j < n_cbps; ++j) {
-            out[base + static_cast<size_t>(
-                           inv[static_cast<size_t>(j)])] =
-                in[base + static_cast<size_t>(j)];
         }
     }
 }

@@ -28,29 +28,14 @@ class Interleaver
     /** Coded bits per interleaving block. */
     int blockSize() const { return n_cbps; }
 
-    /** Interleave one symbol's worth of bits. */
-    BitVec interleave(const BitVec &in) const;
-
-    /** Deinterleave one symbol's worth of soft values. */
-    SoftVec deinterleave(const SoftVec &in) const;
-
     /**
-     * Interleave a whole stream (length must be a multiple of
-     * blockSize()).
+     * Interleave a stream of whole blocks (its length a multiple of
+     * blockSize()) into @p out (same length).
      */
-    BitVec interleaveStream(const BitVec &in) const;
-
-    /** Deinterleave a whole soft stream. */
-    SoftVec deinterleaveStream(const SoftVec &in) const;
-
-    /** Interleave a stream into caller-owned storage (same length). */
     void interleaveStream(BitView in, BitSpan out) const;
 
-    /** Deinterleave one block into caller-owned storage. */
+    /** Deinterleave one block's soft values into @p out. */
     void deinterleave(SoftView in, SoftSpan out) const;
-
-    /** Deinterleave a stream into caller-owned storage. */
-    void deinterleaveStream(SoftView in, SoftSpan out) const;
 
     /** Position bit k moves to after interleaving. */
     int

@@ -10,41 +10,16 @@
 namespace wilis {
 namespace phy {
 
-namespace {
-
-std::uint64_t
-countBitErrors(BitView ref, BitView got)
-{
-    wilis_assert(ref.size() == got.size(),
-                 "payload size mismatch: %zu vs %zu", ref.size(),
-                 got.size());
-    std::uint64_t errors = 0;
-    for (size_t i = 0; i < ref.size(); ++i)
-        errors += (ref[i] != got[i]) ? 1u : 0u;
-    return errors;
-}
-
-} // namespace
-
-std::uint64_t
-RxResult::bitErrors(const BitVec &ref) const
-{
-    return countBitErrors(BitView(ref), BitView(payload));
-}
-
 std::uint64_t
 RxFrame::bitErrors(BitView ref) const
 {
-    return countBitErrors(ref, BitView(payload));
-}
-
-RxResult
-RxFrame::toResult() const
-{
-    RxResult res;
-    res.payload.assign(payload.begin(), payload.end());
-    res.soft.assign(soft.begin(), soft.end());
-    return res;
+    wilis_assert(ref.size() == payload.size(),
+                 "payload size mismatch: %zu vs %zu", ref.size(),
+                 payload.size());
+    std::uint64_t errors = 0;
+    for (size_t i = 0; i < ref.size(); ++i)
+        errors += (ref[i] != payload[i]) ? 1u : 0u;
+    return errors;
 }
 
 OfdmReceiver::OfdmReceiver(RateIndex rate_idx)

@@ -30,41 +30,22 @@
 namespace wilis {
 namespace phy {
 
-/** Output of demodulating one packet. */
-struct RxResult {
-    /** Decoded, descrambled payload bits. */
-    BitVec payload;
-    /**
-     * Per-payload-bit decisions with the decoder's LLR hints (the
-     * SoftPHY export). payload[i] == soft[i].bit.
-     */
-    std::vector<SoftDecision> soft;
-
-    /** Bit errors against a reference payload. */
-    std::uint64_t bitErrors(const BitVec &ref) const;
-
-    /** True if the payload matches @p ref exactly. */
-    bool packetOk(const BitVec &ref) const { return bitErrors(ref) == 0; }
-};
-
 /**
- * Zero-copy variant of RxResult: views into the frame arena, valid
- * until the arena is reset. payload[i] == soft[i].bit.
+ * Output of demodulating one packet: views into the frame arena,
+ * valid until the arena is reset. Callers that keep a result past
+ * that copy it out themselves. payload[i] == soft[i].bit.
  */
 struct RxFrame {
     /** Decoded, descrambled payload bits (arena view). */
     BitSpan payload;
-    /** Per-payload-bit decisions with LLR hints (arena view). */
+    /**
+     * Per-payload-bit decisions with the decoder's LLR hints (the
+     * SoftPHY export; arena view).
+     */
     std::span<SoftDecision> soft;
 
     /** Bit errors against a reference payload. */
     std::uint64_t bitErrors(BitView ref) const;
-
-    /** True if the payload matches @p ref exactly. */
-    bool packetOk(BitView ref) const { return bitErrors(ref) == 0; }
-
-    /** Deep copy into an owning RxResult. */
-    RxResult toResult() const;
 };
 
 /** Full OFDM receiver for one 802.11a/g rate. */
@@ -106,7 +87,7 @@ class OfdmReceiver
      * Demodulate a packet. All intermediate stages and the returned
      * payload/soft views live in @p ctx's arena; a warmed-up arena
      * makes this path allocation-free end to end (the decoder keeps
-     * its scratch in members). RxFrame::toResult() deep-copies.
+     * its scratch in members).
      * @param samples      Received time-domain samples.
      * @param payload_bits Expected payload length in bits (from the
      *                     PLCP header in a real system).

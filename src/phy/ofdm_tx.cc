@@ -38,8 +38,7 @@ OfdmTransmitter::numSamples(size_t payload_bits) const
 }
 
 SampleSpan
-OfdmTransmitter::modulate(BitView payload, FrameContext &ctx,
-                          Debug *dbg)
+OfdmTransmitter::modulate(BitView payload, FrameContext &ctx)
 {
     wilis_assert(!payload.empty(), "empty payload");
     FrameArena &arena = ctx.arena;
@@ -62,14 +61,6 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx,
     puncturer.puncture(coded, punctured);
     BitSpan interleaved = arena.alloc<Bit>(punctured.size());
     interleaver.interleaveStream(punctured, interleaved);
-
-    if (dbg) {
-        dbg->scrambled.assign(scrambled.begin(), scrambled.end());
-        dbg->coded.assign(coded.begin(), coded.end());
-        dbg->punctured.assign(punctured.begin(), punctured.end());
-        dbg->interleaved.assign(interleaved.begin(),
-                                interleaved.end());
-    }
 
     // Map each symbol's coded bits to the 48 data subcarriers; the
     // IFFT runs in the bins buffer and the CP copy lands directly in

@@ -30,18 +30,6 @@ namespace phy {
 class OfdmTransmitter
 {
   public:
-    /** Intermediate stages exposed for tests. */
-    struct Debug {
-        /** Payload after scrambling. */
-        BitVec scrambled;
-        /** Scrambled bits after rate-1/2 encoding. */
-        BitVec coded;
-        /** Coded bits after puncturing. */
-        BitVec punctured;
-        /** Punctured bits after interleaving. */
-        BitVec interleaved;
-    };
-
     /**
      * @param rate_idx       802.11a/g rate (0..7).
      * @param scrambler_seed Initial scrambler state.
@@ -68,10 +56,8 @@ class OfdmTransmitter
      * and a warmed-up arena makes this path allocation-free.
      * @param payload Data bits.
      * @param ctx     Frame context whose arena backs the output.
-     * @param dbg     Optional tap of the intermediate stages.
      */
-    SampleSpan modulate(BitView payload, FrameContext &ctx,
-                        Debug *dbg = nullptr);
+    SampleSpan modulate(BitView payload, FrameContext &ctx);
 
   private:
     RateParams params;

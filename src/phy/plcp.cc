@@ -1,6 +1,7 @@
 #include "phy/plcp.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "decode/soft_decoder.hh"
@@ -18,6 +19,9 @@ namespace wilis {
 namespace phy {
 
 namespace {
+
+/** SIGNAL's 24 bits, rate-1/2 coded onto one BPSK symbol. */
+constexpr size_t kSignalCodedBits = OfdmGeometry::kDataCarriers;
 
 // Clause 17.3.4.1 RATE encodings, indexed by our rate table order
 // (R1 in the MSB).
@@ -112,13 +116,14 @@ Signal::modulate(const SignalField &f)
 {
     // 24 bits -> rate-1/2 coded 48 bits (tail included in the 24)
     // -> BPSK interleaving -> one OFDM symbol.
-    BitVec bits = encodeBits(f);
-    BitVec coded = convCode().encode(bits, /*terminate=*/false);
-    Interleaver il(Modulation::BPSK);
-    BitVec inter = il.interleave(coded);
+    const BitVec bits = encodeBits(f);
+    std::array<Bit, kSignalCodedBits> coded;
+    std::array<Bit, kSignalCodedBits> inter;
+    convCode().encode(bits, /*terminate=*/false, coded);
+    Interleaver(Modulation::BPSK).interleaveStream(coded, inter);
     Mapper mapper(Modulation::BPSK);
 
-    SampleVec bins(OfdmGeometry::kFftSize, Sample(0, 0));
+    std::array<Sample, OfdmGeometry::kFftSize> bins{};
     for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
         bins[static_cast<size_t>(OfdmGeometry::dataBin(d))] =
             mapper.map(&inter[static_cast<size_t>(d)]);
@@ -128,7 +133,9 @@ Signal::modulate(const SignalField &f)
 
     Fft fft(OfdmGeometry::kFftSize);
     fft.inverse(bins);
-    return addCyclicPrefix(bins);
+    SampleVec symbol(OfdmGeometry::kSymbolLen);
+    addCyclicPrefix(bins, symbol);
+    return symbol;
 }
 
 bool
@@ -137,23 +144,24 @@ Signal::demodulate(const SampleVec &symbol, const SampleVec &h_bins,
 {
     wilis_assert(symbol.size() == OfdmGeometry::kSymbolLen,
                  "SIGNAL symbol size %zu", symbol.size());
-    SampleVec body = removeCyclicPrefix(symbol);
+    std::array<Sample, OfdmGeometry::kFftSize> body;
+    removeCyclicPrefix(symbol, body);
     Fft fft(OfdmGeometry::kFftSize);
     fft.forward(body);
 
-    Demapper demapper(Modulation::BPSK);
-    SoftVec soft;
+    std::array<Sample, OfdmGeometry::kDataCarriers> eq;
     for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-        int bin = OfdmGeometry::dataBin(d);
-        Sample y = body[static_cast<size_t>(bin)] /
-                   h_bins[static_cast<size_t>(bin)];
-        demapper.demap(y, soft);
+        const auto bin = static_cast<size_t>(OfdmGeometry::dataBin(d));
+        eq[static_cast<size_t>(d)] = body[bin] / h_bins[bin];
     }
-    Interleaver il(Modulation::BPSK);
-    SoftVec deint = il.deinterleave(soft);
+    std::array<SoftBit, kSignalCodedBits> soft;
+    std::array<SoftBit, kSignalCodedBits> deint;
+    Demapper(Modulation::BPSK)
+        .demapBatch(eq.data(), nullptr, eq.size(), soft.data());
+    Interleaver(Modulation::BPSK).deinterleave(soft, deint);
 
-    auto dec = decode::makeDecoder("viterbi");
-    auto decisions = dec->decodeBlock(deint);
+    std::array<SoftDecision, kSignalCodedBits / 2> decisions;
+    decode::makeDecoder("viterbi")->decodeInto(deint, decisions);
     BitVec bits(24);
     for (int i = 0; i < 24; ++i)
         bits[static_cast<size_t>(i)] =
@@ -238,9 +246,8 @@ PlcpReceiver::receiveFrame(const SampleVec &frame)
     PlcpRxResult res;
     const size_t header_end = static_cast<size_t>(
         Preamble::kTotalLen + OfdmGeometry::kSymbolLen);
-    wilis_assert(frame.size() >= header_end,
-                 "frame too short for preamble + SIGNAL (%zu)",
-                 frame.size());
+    if (frame.size() < header_end)
+        return res; // too short for preamble + SIGNAL
 
     SampleVec h = estimateChannel(frame);
 
@@ -248,15 +255,14 @@ PlcpReceiver::receiveFrame(const SampleVec &frame)
                   frame.begin() + static_cast<long>(header_end));
     if (!Signal::demodulate(sig, h, res.header))
         return res; // headerOk stays false
-    res.headerOk = true;
 
     const size_t payload_bits =
         static_cast<size_t>(res.header.lengthBytes) * 8;
     OfdmTransmitter geom(res.header.rate, cfg.scramblerSeed);
     const size_t need = geom.numSamples(payload_bits);
-    wilis_assert(frame.size() >= header_end + need,
-                 "frame truncated: %zu < %zu", frame.size(),
-                 header_end + need);
+    if (frame.size() < header_end + need)
+        return res; // shorter than the LENGTH its SIGNAL announces
+    res.headerOk = true;
 
     auto &rx = data_rx[static_cast<size_t>(res.header.rate)];
     if (!rx) {

@@ -91,11 +91,19 @@ class PlcpTransmitter
     std::uint8_t seed;
 };
 
-/** Result of receiving one PLCP frame. */
+/**
+ * Result of receiving one PLCP frame. A frame too short for its
+ * preamble and SIGNAL, or for the LENGTH its SIGNAL decodes to (a
+ * corrupt LENGTH can pass the 1-bit parity), is rejected like a bad
+ * header: headerOk is false and the payload empty.
+ */
 struct PlcpRxResult {
-    /** Header parsed successfully (parity + rate pattern valid). */
+    /**
+     * Header parsed successfully (parity + rate pattern valid) and
+     * the frame holds the payload it announces.
+     */
     bool headerOk = false;
-    /** The decoded SIGNAL field. */
+    /** The decoded SIGNAL field (meaningful only if headerOk). */
     SignalField header;
     /** Decoded payload (empty if headerOk is false). */
     BitVec payload;
@@ -144,7 +152,8 @@ class PlcpReceiver
     /**
      * Receive a frame starting at @p frame (the first preamble
      * sample). Uses preamble-based per-bin channel estimation -- no
-     * external CSI.
+     * external CSI. A truncated frame is rejected, never fatal (see
+     * PlcpRxResult).
      */
     PlcpRxResult receiveFrame(const SampleVec &frame);
 

@@ -41,14 +41,6 @@ Puncturer::kept(size_t i) const
     return pat[i % period] != 0;
 }
 
-BitVec
-Puncturer::puncture(const BitVec &coded) const
-{
-    BitVec out(puncturedLength(coded.size()));
-    puncture(BitView(coded), BitSpan(out));
-    return out;
-}
-
 void
 Puncturer::puncture(BitView coded, BitSpan out) const
 {
@@ -66,14 +58,6 @@ Puncturer::puncture(BitView coded, BitSpan out) const
         if (pat[i % period])
             out[w++] = coded[i];
     }
-}
-
-SoftVec
-Puncturer::depuncture(const SoftVec &soft) const
-{
-    SoftVec out(unpuncturedLength(soft.size()));
-    depuncture(SoftView(soft), SoftSpan(out));
-    return out;
 }
 
 void

@@ -25,19 +25,6 @@ class Puncturer
     /** Code rate handled. */
     CodeRate codeRate() const { return rate; }
 
-    /**
-     * Remove punctured positions from rate-1/2 @p coded bits.
-     * For R12 this is the identity.
-     */
-    BitVec puncture(const BitVec &coded) const;
-
-    /**
-     * Reinsert erasures (soft value 0) at punctured positions.
-     * @param soft  Received soft bits in punctured order.
-     * @return Soft stream matching the rate-1/2 coded length.
-     */
-    SoftVec depuncture(const SoftVec &soft) const;
-
     /** Punctured length for a rate-1/2 stream of @p coded_len bits. */
     size_t puncturedLength(size_t coded_len) const;
 
@@ -45,13 +32,15 @@ class Puncturer
     size_t unpuncturedLength(size_t punct_len) const;
 
     /**
-     * Puncture into caller-owned storage; @p out must hold exactly
+     * Remove punctured positions from rate-1/2 @p coded bits (the
+     * identity for R12); @p out must hold exactly
      * puncturedLength(coded.size()) bits.
      */
     void puncture(BitView coded, BitSpan out) const;
 
     /**
-     * Depuncture into caller-owned storage; @p out must hold exactly
+     * Reinsert erasures (soft value 0) at punctured positions of
+     * @p soft, received in punctured order; @p out must hold exactly
      * unpuncturedLength(soft.size()) values.
      */
     void depuncture(SoftView soft, SoftSpan out) const;

@@ -26,14 +26,6 @@ Scrambler::nextPrbsBit()
     return fb;
 }
 
-BitVec
-Scrambler::process(const BitVec &in)
-{
-    BitVec out(in.size());
-    process(BitView(in), BitSpan(out));
-    return out;
-}
-
 void
 Scrambler::process(BitView in, BitSpan out)
 {

@@ -34,9 +34,6 @@ class Scrambler
     /** Scramble (or descramble) one bit. */
     Bit process(Bit in) { return in ^ nextPrbsBit(); }
 
-    /** Scramble (or descramble) a whole stream. */
-    BitVec process(const BitVec &in);
-
     /**
      * Scramble (or descramble) @p in into @p out (same length).
      * In-place operation (out.data() == in.data()) is allowed.

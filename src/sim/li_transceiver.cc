@@ -1,5 +1,6 @@
 #include "sim/li_transceiver.hh"
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -307,6 +308,9 @@ struct LiTransceiver::Impl {
     phy::Demapper demapper;
     /** Weight each carrier's soft metrics by |H| (csi_weight). */
     bool csi_weight;
+    /** The decoder stage's input block and its decisions. */
+    SoftVec dec_in;
+    std::vector<SoftDecision> dec_out;
 
     /** The packet in flight. */
     Packet pkt;
@@ -455,7 +459,9 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     auto *il = gatherScatter(baseband, "interleaver", f_punct, f_blocks,
                              static_cast<size_t>(params.nCbps), lanes);
     il->f = [this](BitVec &bits, std::deque<BitVec> &burst) {
-        burst.push_back(interleaver.interleave(bits));
+        BitVec block(bits.size());
+        interleaver.interleaveStream(bits, block);
+        burst.push_back(std::move(block));
     };
 
     // The data subcarriers plus pilots, one carrier a cycle.
@@ -482,7 +488,8 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     auto *cp_ins = gatherScatter(baseband, "cp_insert", f_time, f_tx_samp,
                                  1, 1);
     cp_ins->f = [](std::vector<SampleVec> &body, std::deque<Sample> &out) {
-        SampleVec sym = phy::addCyclicPrefix(body[0]);
+        std::array<Sample, OfdmGeometry::kSymbolLen> sym;
+        phy::addCyclicPrefix(body[0], sym);
         out.insert(out.end(), sym.begin(), sym.end());
     };
 
@@ -495,7 +502,9 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     auto *cp_rm = gatherScatter(baseband, "cp_remove", f_rx_samp, f_rx_sym,
                                 OfdmGeometry::kSymbolLen, 1);
     cp_rm->f = [](SampleVec &sym, std::deque<SampleVec> &burst) {
-        burst.push_back(phy::removeCyclicPrefix(sym));
+        SampleVec body(OfdmGeometry::kFftSize);
+        phy::removeCyclicPrefix(sym, body);
+        burst.push_back(std::move(body));
     };
 
     auto *rx_fft = block("fft", f_rx_sym, f_rx_freq, OfdmGeometry::kFftSize);
@@ -536,7 +545,9 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     // Per-subcarrier granularity: nBpsc bits move in parallel.
     auto *deint = block("deinterleaver", f_soft_sym, f_soft_deint, kCarriers);
     deint->f = [this](SoftVec &soft, size_t) {
-        return interleaver.deinterleave(soft);
+        SoftVec out(soft.size());
+        interleaver.deinterleave(soft, out);
+        return out;
     };
 
     // One rate-1/2 soft pair per lane, erasures included.
@@ -544,7 +555,8 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
                                   f_soft_pairs, 1, lanes);
     depunct->f = [this](std::vector<SoftVec> &soft,
                         std::deque<SoftPairTok> &burst) {
-        SoftVec full = puncturer.depuncture(soft[0]);
+        SoftVec full(puncturer.unpuncturedLength(soft[0].size()));
+        puncturer.depuncture(soft[0], full);
         for (size_t i = 0; i < full.size(); i += 2)
             burst.push_back({full[i], full[i + 1]});
     };
@@ -556,14 +568,14 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
                                   f_decisions, 0, dec_lanes);
     decoder->f = [this](std::vector<SoftPairTok> &pairs,
                         std::deque<SoftDecision> &burst) {
-        SoftVec soft;
-        soft.reserve(2 * pairs.size());
+        dec_in.clear();
         for (const SoftPairTok &t : pairs) {
-            soft.push_back(t.a);
-            soft.push_back(t.b);
+            dec_in.push_back(t.a);
+            dec_in.push_back(t.b);
         }
-        std::vector<SoftDecision> dv = dec->decodeBlock(soft);
-        burst.insert(burst.end(), dv.begin(), dv.end());
+        dec_out.resize(pairs.size());
+        dec->decodeInto(dec_in, dec_out);
+        burst.insert(burst.end(), dec_out.begin(), dec_out.end());
     };
     decoder->delay = dec->pipelineLatencyCycles();
     decoder->onStart = [decoder](const Packet &p) {
@@ -606,8 +618,7 @@ LiTransceiver::syncFifoCount() const
 }
 
 LiPacketResult
-LiTransceiver::runPacket(const BitVec &payload,
-                         std::uint64_t packet_index)
+LiTransceiver::runPacket(BitView payload, std::uint64_t packet_index)
 {
     Impl &im = *impl;
     wilis_assert(!payload.empty(), "empty payload");

@@ -64,8 +64,7 @@ class LiTransceiver
     ~LiTransceiver();
 
     /** Run one packet end to end through the streaming pipeline. */
-    LiPacketResult runPacket(const BitVec &payload,
-                             std::uint64_t packet_index);
+    LiPacketResult runPacket(BitView payload, std::uint64_t packet_index);
 
     /** Number of auto-inserted cross-domain synchronizers. */
     int syncFifoCount() const;

@@ -22,31 +22,6 @@ Testbench::makePayloadInto(BitSpan out,
     fillDeterministicBits(out, spec_.payloadSeed, packet_index);
 }
 
-PacketResult
-FrameResult::toPacketResult() const
-{
-    PacketResult res;
-    res.txPayload.assign(txPayload.begin(), txPayload.end());
-    res.rx = rx.toResult();
-    res.bitErrors = bitErrors;
-    res.ok = ok;
-    return res;
-}
-
-PacketResult
-Testbench::runPacket(size_t payload_bits, std::uint64_t packet_index)
-{
-    return runFrame(payload_bits, packet_index).toPacketResult();
-}
-
-PacketResult
-Testbench::runPacketWithPayload(const BitVec &payload,
-                                std::uint64_t packet_index)
-{
-    return runFrameWithPayload(BitView(payload), packet_index)
-        .toPacketResult();
-}
-
 FrameResult
 Testbench::runFrame(size_t payload_bits, std::uint64_t packet_index)
 {

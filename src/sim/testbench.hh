@@ -26,22 +26,10 @@
 namespace wilis {
 namespace sim {
 
-/** One packet's worth of results. */
-struct PacketResult {
-    /** The transmitted payload bits. */
-    BitVec txPayload;
-    /** Receiver output (decoded payload + SoftPHY hints). */
-    phy::RxResult rx;
-    /** Decoded-payload bit errors against txPayload. */
-    std::uint64_t bitErrors = 0;
-    /** True if the payload decoded error-free. */
-    bool ok = false;
-};
-
 /**
- * Zero-copy packet result: views into the testbench's frame arena,
- * valid until the next runFrame()/runPacket() call on the same
- * testbench.
+ * One packet's results: views into the testbench's frame arena,
+ * valid until the next runFrame() or runFrameWithPayload() call on
+ * the same testbench. A caller that keeps them copies them out.
  */
 struct FrameResult {
     /** View of the transmitted payload bits. */
@@ -52,9 +40,6 @@ struct FrameResult {
     std::uint64_t bitErrors = 0;
     /** True if the payload decoded error-free. */
     bool ok = false;
-
-    /** Deep copy into an owning PacketResult. */
-    PacketResult toPacketResult() const;
 };
 
 /** A single-threaded transceiver instance. */
@@ -84,34 +69,21 @@ class Testbench
                          std::uint64_t packet_index) const;
 
     /**
-     * Run one packet end to end.
+     * Run one packet end to end: rewinds the per-testbench frame
+     * arena and runs the packet entirely inside it. After a
+     * one-packet warm-up this performs no heap allocations. The
+     * returned views die at the next run on this testbench.
      * @param payload_bits  Payload length in bits.
      * @param packet_index  Packet index (selects payload and the
      *                      replayable channel realization).
-     */
-    PacketResult runPacket(size_t payload_bits,
-                           std::uint64_t packet_index);
-
-    /**
-     * Run one packet of known payload through the channel at this
-     * testbench's rate (used by the oracle, which replays the same
-     * packet index at several rates).
-     */
-    PacketResult runPacketWithPayload(const BitVec &payload,
-                                      std::uint64_t packet_index);
-
-    /**
-     * Zero-copy form of runPacket(): rewinds the per-testbench frame
-     * arena and runs one packet end to end entirely inside it. After
-     * a one-packet warm-up this performs no heap allocations. The
-     * returned views die at the next runFrame()/runPacket() call.
      */
     FrameResult runFrame(size_t payload_bits,
                          std::uint64_t packet_index);
 
     /**
-     * Zero-copy replay form: run a caller-owned payload (which must
-     * outlive the call and not live in this testbench's arena).
+     * Run a caller-owned payload (which must outlive the call and
+     * not live in this testbench's arena) through the channel at
+     * this testbench's rate.
      */
     FrameResult runFrameWithPayload(BitView payload,
                                     std::uint64_t packet_index);

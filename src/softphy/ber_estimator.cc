@@ -93,13 +93,6 @@ BerEstimator::packetBer(phy::Modulation mod,
     return sum / static_cast<double>(soft.size());
 }
 
-double
-BerEstimator::packetBer(phy::Modulation mod,
-                        const std::vector<SoftDecision> &soft) const
-{
-    return packetBer(mod, std::span<const SoftDecision>(soft));
-}
-
 void
 BerEstimator::setRateTable(phy::RateIndex rate, BerTable table)
 {
@@ -137,14 +130,6 @@ BerEstimator::packetBerForRate(
     for (const auto &d : soft)
         sum += t.lookup(d.llr);
     return sum / static_cast<double>(soft.size());
-}
-
-double
-BerEstimator::packetBerForRate(
-    phy::RateIndex rate, const std::vector<SoftDecision> &soft) const
-{
-    return packetBerForRate(rate,
-                            std::span<const SoftDecision>(soft));
 }
 
 } // namespace softphy

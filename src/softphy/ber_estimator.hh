@@ -18,7 +18,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "common/types.hh"
 #include "phy/modulation.hh"
@@ -89,15 +88,10 @@ class BerEstimator
 
     /**
      * Per-packet BER: the arithmetic mean of the per-bit estimates
-     * (section 4.4.2). The span form serves the zero-copy frame
-     * pipeline (phy::RxFrame::soft) without a copy.
+     * (section 4.4.2).
      */
     double packetBer(phy::Modulation mod,
                      std::span<const SoftDecision> soft) const;
-
-    /** Owning-vector convenience form of packetBer(). */
-    double packetBer(phy::Modulation mod,
-                     const std::vector<SoftDecision> &soft) const;
 
     /** Install the table for @p rate (per-rate dispatch). */
     void setRateTable(phy::RateIndex rate, BerTable table);
@@ -108,14 +102,9 @@ class BerEstimator
     /** Per-bit BER under per-rate dispatch. */
     double perBitBerForRate(phy::RateIndex rate, double hint) const;
 
-    /** Per-packet BER under per-rate dispatch (zero-copy form). */
+    /** Per-packet BER under per-rate dispatch. */
     double packetBerForRate(phy::RateIndex rate,
                             std::span<const SoftDecision> soft) const;
-
-    /** Owning-vector convenience form of packetBerForRate(). */
-    double packetBerForRate(
-        phy::RateIndex rate,
-        const std::vector<SoftDecision> &soft) const;
 
   private:
     const BerTable &tableFor(phy::Modulation mod) const;

@@ -12,20 +12,38 @@
 using namespace wilis;
 using namespace wilis::phy;
 
+namespace {
+
+/** Rate-1/2 encode @p data into a fresh vector. */
+BitVec
+encoded(const BitVec &data, bool terminate)
+{
+    BitVec out(2 * (data.size() +
+                    (terminate ? size_t{ConvCode::kTailBits} : 0)));
+    convCode().encode(data, terminate, out);
+    return out;
+}
+
+} // namespace
+
 TEST(ConvCode, AllZeroInputGivesAllZeroOutput)
 {
     BitVec data(100, 0);
-    BitVec coded = convCode().encode(data, true);
+    BitVec coded = encoded(data, true);
     EXPECT_EQ(coded.size(), 2 * (data.size() + 6));
     for (Bit b : coded)
         EXPECT_EQ(b, 0);
 }
 
-TEST(ConvCode, RateIsHalf)
+TEST(ConvCodeDeathTest, OutputSpanMustHoldRateHalfLength)
 {
+    // 33 bits code to 66, or 78 with the 6 tail bits.
     BitVec data(33, 1);
-    EXPECT_EQ(convCode().encode(data, false).size(), 66u);
-    EXPECT_EQ(convCode().encode(data, true).size(), 78u);
+    BitVec out(78);
+    convCode().encode(data, true, out);
+    convCode().encode(data, false, BitSpan(out).first(66));
+    EXPECT_DEATH(convCode().encode(data, false, out),
+                 "encoder output span size");
 }
 
 TEST(ConvCode, ImpulseResponseMatchesGenerators)
@@ -34,7 +52,7 @@ TEST(ConvCode, ImpulseResponseMatchesGenerators)
     // output pair k is (g0 bit, g1 bit) for delay k.
     BitVec data(7, 0);
     data[0] = 1;
-    BitVec coded = convCode().encode(data, false);
+    BitVec coded = encoded(data, false);
     // g0 = 133 octal = 1011011b, taps at delays 0,2,3,5,6.
     const Bit g0_taps[7] = {1, 0, 1, 1, 0, 1, 1};
     // g1 = 171 octal = 1111001b, taps at delays 0,1,2,3,6.
@@ -97,7 +115,6 @@ TEST(ConvCode, FreeDistanceIsTen)
 {
     // The K=7 (133,171) code has free distance 10: the minimum
     // Hamming weight over all nonzero terminated codewords.
-    const ConvCode &code = convCode();
     int best = 1000;
     // Breadth-first over short input patterns (12 info bits covers
     // the minimum-weight paths of this code).
@@ -106,7 +123,7 @@ TEST(ConvCode, FreeDistanceIsTen)
         for (int i = 0; i < 12; ++i)
             data[static_cast<size_t>(i)] =
                 static_cast<Bit>((pattern >> i) & 1);
-        BitVec coded = code.encode(data, true);
+        BitVec coded = encoded(data, true);
         int w = 0;
         for (Bit b : coded)
             w += b;

@@ -27,11 +27,29 @@ using namespace wilis::decode;
 
 namespace {
 
+/** Rate-1/2 encode @p data, terminated, into a fresh vector. */
+BitVec
+encoded(const BitVec &data)
+{
+    BitVec out(2 * (data.size() + ConvCode::kTailBits));
+    convCode().encode(data, true, out);
+    return out;
+}
+
+/** Decode one terminated block into a fresh vector of decisions. */
+std::vector<SoftDecision>
+decoded(SoftDecoder &dec, SoftView soft)
+{
+    std::vector<SoftDecision> out(soft.size() / 2);
+    dec.decodeInto(soft, out);
+    return out;
+}
+
 /** Encode data (terminated) and map bits to +-amp soft values. */
 SoftVec
 cleanSoft(const BitVec &data, int amp)
 {
-    BitVec coded = convCode().encode(data, true);
+    BitVec coded = encoded(data);
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i)
         soft[i] = coded[i] ? amp : -amp;
@@ -53,7 +71,7 @@ SoftVec
 noisySoft(const BitVec &data, double amp, double sigma,
           std::uint64_t seed)
 {
-    BitVec coded = convCode().encode(data, true);
+    BitVec coded = encoded(data);
     GaussianSource g(seed);
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i) {
@@ -93,7 +111,7 @@ TEST_P(DecoderNames, NoiselessDecodeIsExact)
     auto dec = makeDecoder(GetParam());
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
         BitVec data = randomBits(500, seed);
-        auto out = dec->decodeBlock(cleanSoft(data, 15));
+        auto out = decoded(*dec, cleanSoft(data, 15));
         ASSERT_EQ(out.size(), data.size() + ConvCode::kTailBits);
         EXPECT_EQ(countBitErrors(out, data), 0u) << "seed " << seed;
         // Tail bits decode to zero.
@@ -107,7 +125,7 @@ TEST_P(DecoderNames, ShortBlocksDecode)
     auto dec = makeDecoder(GetParam());
     for (size_t n : {1u, 2u, 7u, 13u, 64u}) {
         BitVec data = randomBits(n, 77 + n);
-        auto out = dec->decodeBlock(cleanSoft(data, 7));
+        auto out = decoded(*dec, cleanSoft(data, 7));
         EXPECT_EQ(countBitErrors(out, data), 0u) << "len " << n;
     }
 }
@@ -120,7 +138,7 @@ TEST_P(DecoderNames, CorrectsBurstsOfErasures)
     // Erase 8 consecutive coded bits (as a puncturer would).
     for (size_t i = 100; i < 108; ++i)
         soft[i] = 0;
-    auto out = dec->decodeBlock(soft);
+    auto out = decoded(*dec, soft);
     EXPECT_EQ(countBitErrors(out, data), 0u);
 }
 
@@ -134,7 +152,7 @@ TEST_P(DecoderNames, CorrectsModerateNoise)
     std::uint64_t errs = 0;
     for (std::uint64_t p = 0; p < 30; ++p) {
         BitVec data = randomBits(1000, 1000 + p);
-        auto out = dec->decodeBlock(noisySoft(data, 15.0, 9.0, p));
+        auto out = decoded(*dec, noisySoft(data, 15.0, 9.0, p));
         errs += countBitErrors(out, data);
         bits += data.size();
     }
@@ -193,7 +211,7 @@ TEST_P(SoftHintQuality, HigherLlrMeansFewerErrors)
     for (std::uint64_t p = 0; p < 60; ++p) {
         BitVec data = randomBits(1000, 31337 + p);
         SoftVec soft = noisySoft(data, 10.0, 9.0, 555 + p);
-        auto out = dec->decodeBlock(soft);
+        auto out = decoded(*dec, soft);
         for (size_t i = 0; i < data.size(); ++i)
             samples.emplace_back(out[i].llr, out[i].bit != data[i]);
     }
@@ -228,8 +246,8 @@ TEST(Decoders, SovaAndBcjrAgreeOnHardBitsMostly)
     for (std::uint64_t p = 0; p < 10; ++p) {
         BitVec data = randomBits(1000, 999 + p);
         SoftVec soft = noisySoft(data, 12.0, 8.0, 3 + p);
-        auto a = sova->decodeBlock(soft);
-        auto b = bcjr->decodeBlock(soft);
+        auto a = decoded(*sova, soft);
+        auto b = decoded(*bcjr, soft);
         for (size_t i = 0; i < data.size(); ++i)
             diff += a[i].bit != b[i].bit;
         total += data.size();
@@ -251,8 +269,8 @@ TEST(Decoders, BcjrSmallWindowDegrades)
     for (std::uint64_t p = 0; p < 40; ++p) {
         BitVec data = randomBits(800, 123456 + p);
         SoftVec soft = noisySoft(data, 8.0, 9.5, 77 + p);
-        errs_small += countBitErrors(small.decodeBlock(soft), data);
-        errs_big += countBitErrors(big.decodeBlock(soft), data);
+        errs_small += countBitErrors(decoded(small, soft), data);
+        errs_big += countBitErrors(decoded(big, soft), data);
     }
     EXPECT_GT(errs_small, errs_big);
 }
@@ -292,7 +310,7 @@ regimeSoft(SoftRegime r, int steps, SplitMix64 &rng)
         const int data_bits = steps > 6 ? steps - 6 : 0;
         BitVec data = randomBits(static_cast<size_t>(data_bits),
                                  rng.next());
-        BitVec coded = convCode().encode(data, true);
+        BitVec coded = encoded(data);
         coded.resize(soft.size(), 0);
         GaussianSource g(rng.next());
         for (size_t i = 0; i < soft.size(); ++i)
@@ -380,7 +398,7 @@ TEST_F(BcjrKernelProperty, MatchesPerStepReferenceOnEveryBackend)
                 for (kernels::Backend b : kernels::availableBackends()) {
                     ASSERT_TRUE(kernels::setBackend(b));
                     std::vector<SoftDecision> got =
-                        dec.decodeBlock(soft);
+                        decoded(dec, soft);
                     ASSERT_EQ(got.size(), want.size());
                     for (size_t j = 0; j < want.size(); ++j) {
                         ASSERT_EQ(got[j].bit, want[j].bit)
@@ -406,7 +424,7 @@ TEST(DecodersDeath, OddStreamPanics)
 {
     auto dec = makeDecoder("viterbi");
     SoftVec bad(15, 1);
-    EXPECT_DEATH(dec->decodeBlock(bad), "odd");
+    EXPECT_DEATH(decoded(*dec, bad), "odd");
 }
 
 TEST(DecodersDeath, OutOfRangeWindowsAreFatal)

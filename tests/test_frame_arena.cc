@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -205,29 +206,29 @@ TEST(ZeroCopyPipeline, ArenaBlockCountStableAcrossPackets)
     EXPECT_EQ(tb.arena().blockAllocations(), warmed);
 }
 
-TEST(ZeroCopyPipeline, FrameMatchesLegacyPacketPath)
+TEST(ZeroCopyPipeline, WarmedArenaMatchesFreshTestbench)
 {
+    // Reusing a testbench's arena must not leak one packet into the
+    // next: frame p from a warmed testbench equals frame p from a
+    // fresh one.
     sim::ScenarioSpec spec;
     spec.rate = 5;
     spec.channelCfg = li::Config::fromString("snr_db=7,seed=11");
-    sim::Testbench arena_tb(spec);
-    sim::Testbench legacy_tb(spec);
+    sim::Testbench warmed_tb(spec);
 
     for (std::uint64_t p = 0; p < 5; ++p) {
-        sim::FrameResult fr = arena_tb.runFrame(900, p);
-        // Copy out before the next runFrame invalidates the views.
-        sim::PacketResult from_frame = fr.toPacketResult();
-        sim::PacketResult legacy = legacy_tb.runPacket(900, p);
+        const sim::FrameResult warmed = warmed_tb.runFrame(900, p);
+        sim::Testbench fresh_tb(spec);
+        const sim::FrameResult fresh = fresh_tb.runFrame(900, p);
 
-        EXPECT_EQ(from_frame.txPayload, legacy.txPayload);
-        EXPECT_EQ(from_frame.rx.payload, legacy.rx.payload);
-        EXPECT_EQ(from_frame.bitErrors, legacy.bitErrors);
-        ASSERT_EQ(from_frame.rx.soft.size(), legacy.rx.soft.size());
-        for (size_t i = 0; i < legacy.rx.soft.size(); ++i) {
-            EXPECT_EQ(from_frame.rx.soft[i].bit,
-                      legacy.rx.soft[i].bit);
-            EXPECT_EQ(from_frame.rx.soft[i].llr,
-                      legacy.rx.soft[i].llr);
+        EXPECT_TRUE(std::ranges::equal(warmed.txPayload, fresh.txPayload));
+        EXPECT_TRUE(
+            std::ranges::equal(warmed.rx.payload, fresh.rx.payload));
+        EXPECT_EQ(warmed.bitErrors, fresh.bitErrors);
+        ASSERT_EQ(warmed.rx.soft.size(), fresh.rx.soft.size());
+        for (size_t i = 0; i < fresh.rx.soft.size(); ++i) {
+            EXPECT_EQ(warmed.rx.soft[i].bit, fresh.rx.soft[i].bit);
+            EXPECT_EQ(warmed.rx.soft[i].llr, fresh.rx.soft[i].llr);
         }
     }
 }

@@ -44,12 +44,14 @@ TEST_P(InterleaverAllMods, DeinterleaveInvertsInterleave)
     for (auto &b : block)
         b = rng.nextBit();
 
-    BitVec inter = il.interleave(block);
+    BitVec inter(block.size());
+    il.interleaveStream(block, inter);
     // Convert to soft domain for the deinterleave path.
     SoftVec soft(inter.size());
     for (size_t i = 0; i < inter.size(); ++i)
         soft[i] = inter[i] ? 1 : -1;
-    SoftVec deint = il.deinterleave(soft);
+    SoftVec deint(soft.size());
+    il.deinterleave(soft, deint);
     for (size_t i = 0; i < block.size(); ++i)
         EXPECT_EQ(deint[i] > 0 ? 1 : 0, block[i]) << "bit " << i;
 }
@@ -88,16 +90,14 @@ TEST(Interleaver, StreamMatchesPerBlock)
     for (auto &b : stream)
         b = rng.nextBit();
 
-    BitVec whole = il.interleaveStream(stream);
+    BitVec whole(stream.size());
+    il.interleaveStream(stream, whole);
     for (int blk = 0; blk < blocks; ++blk) {
-        BitVec one(stream.begin() + blk * il.blockSize(),
-                   stream.begin() + (blk + 1) * il.blockSize());
-        BitVec expect = il.interleave(one);
-        for (int i = 0; i < il.blockSize(); ++i)
-            ASSERT_EQ(whole[static_cast<size_t>(
-                          blk * il.blockSize() + i)],
-                      expect[static_cast<size_t>(i)])
-                << "block " << blk << " bit " << i;
+        const int base = blk * il.blockSize();
+        for (int k = 0; k < il.blockSize(); ++k)
+            ASSERT_EQ(whole[static_cast<size_t>(base + il.txPosition(k))],
+                      stream[static_cast<size_t>(base + k)])
+                << "block " << blk << " bit " << k;
     }
 }
 
@@ -105,5 +105,8 @@ TEST(InterleaverDeath, WrongBlockSizePanics)
 {
     Interleaver il(Modulation::QPSK);
     BitVec bad(17);
-    EXPECT_DEATH(il.interleave(bad), "block size");
+    EXPECT_DEATH(il.interleaveStream(bad, bad), "multiple of N_CBPS");
+    SoftVec soft(17);
+    SoftVec out(17);
+    EXPECT_DEATH(il.deinterleave(soft, out), "block size");
 }

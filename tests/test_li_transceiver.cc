@@ -38,6 +38,13 @@ randomPayload(size_t n, std::uint64_t seed)
     return v;
 }
 
+/** An owning copy of a frame's payload view. */
+BitVec
+owned(BitView v)
+{
+    return BitVec(v.begin(), v.end());
+}
+
 /** A scenario on @p channel configured by @p channel_cfg. */
 ScenarioSpec
 liSpec(int rate, const char *decoder, const char *channel_cfg,
@@ -112,11 +119,11 @@ TEST_P(LiTransceiverMatrix, BitExactAgainstKernelPath)
 
     for (std::uint64_t p = 0; p < 3; ++p) {
         BitVec payload = randomPayload(700, 1000 + p);
-        PacketResult kernel = tb.runPacketWithPayload(payload, p);
+        const FrameResult kernel = tb.runFrameWithPayload(payload, p);
         LiPacketResult streamed = li_tx.runPacket(payload, p);
 
         ASSERT_EQ(streamed.payload.size(), kernel.rx.payload.size());
-        EXPECT_EQ(streamed.payload, kernel.rx.payload)
+        EXPECT_EQ(streamed.payload, owned(kernel.rx.payload))
             << "packet " << p;
         for (size_t i = 0; i < streamed.soft.size(); ++i) {
             ASSERT_EQ(streamed.soft[i].bit, kernel.rx.soft[i].bit)
@@ -257,9 +264,10 @@ TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
 
     for (std::uint64_t p : {0u, 4u}) {
         BitVec payload = randomPayload(1000, 9 + p);
-        PacketResult kernel = tb.runPacketWithPayload(payload, p);
+        const FrameResult kernel = tb.runFrameWithPayload(payload, p);
         LiPacketResult streamed = li_tx.runPacket(payload, p);
-        EXPECT_EQ(streamed.payload, kernel.rx.payload) << "packet " << p;
+        EXPECT_EQ(streamed.payload, owned(kernel.rx.payload))
+            << "packet " << p;
         ASSERT_EQ(streamed.soft.size(), kernel.rx.soft.size());
         for (size_t i = 0; i < streamed.soft.size(); ++i)
             ASSERT_EQ(streamed.soft[i].llr, kernel.rx.soft[i].llr)
@@ -294,13 +302,13 @@ TEST(LiTransceiver, ResultsInvariantUnderClockAssignment)
             spec.clocks.decoderMhz = mhz();
             spec.clocks.hostMhz = mhz();
             BitVec payload = randomPayload(600, 21 + rate);
-            PacketResult kernel = Testbench(spec).runPacketWithPayload(
-                payload, 1);
+            Testbench tb(spec);
+            const FrameResult kernel = tb.runFrameWithPayload(payload, 1);
             LiPacketResult streamed = LiTransceiver(spec).runPacket(
                 payload, 1);
             const std::string where =
                 std::string(channel) + " rate " + std::to_string(rate);
-            EXPECT_EQ(streamed.payload, kernel.rx.payload) << where;
+            EXPECT_EQ(streamed.payload, owned(kernel.rx.payload)) << where;
             ASSERT_EQ(streamed.soft.size(), kernel.rx.soft.size())
                 << where;
             for (size_t i = 0; i < streamed.soft.size(); ++i)

@@ -96,7 +96,7 @@ TEST(Loopback, HighSnrAwgnIsErrorFree)
         cfg.channelCfg = li::Config::fromString("snr_db=35,seed=2");
         Testbench tb(cfg);
         for (std::uint64_t p = 0; p < 5; ++p) {
-            PacketResult res = tb.runPacket(1704, p);
+            FrameResult res = tb.runFrame(1704, p);
             EXPECT_TRUE(res.ok) << "rate " << rate << " packet " << p;
         }
     }
@@ -147,7 +147,7 @@ TEST(Loopback, FadingChannelEqualizationWorks)
     Testbench tb(cfg);
     int ok = 0;
     for (std::uint64_t p = 0; p < 20; ++p)
-        ok += tb.runPacket(500, p).ok;
+        ok += tb.runFrame(500, p).ok;
     // With essentially no noise, only deep fades could hurt, and at
     // 40 dB mean SNR nearly all packets survive.
     EXPECT_GE(ok, 18);

@@ -107,10 +107,10 @@ TEST(Oracle, OptimalRateImpliesSuccessAtThatRateAndBelowIsUsual)
         int r = oracle.optimalRate(800, p);
         if (r < 0)
             continue;
-        EXPECT_TRUE(oracle.runAtRate(r, 800, p).ok);
+        EXPECT_TRUE(oracle.runFrameAtRate(r, 800, p).ok);
         if (r < phy::kNumRates - 1) {
             // By definition every rate above the optimum fails.
-            EXPECT_FALSE(oracle.runAtRate(r + 1, 800, p).ok);
+            EXPECT_FALSE(oracle.runFrameAtRate(r + 1, 800, p).ok);
         }
     }
 }

@@ -99,16 +99,13 @@ TEST_P(MapperAllMods, NoiselessDemapRecoversBits)
         for (int b = 0; b < n; ++b)
             bits[b] = static_cast<Bit>((v >> (n - 1 - b)) & 1);
         Sample y = m.map(bits);
-        SoftVec soft;
-        dm.demap(y, soft);
-        ASSERT_EQ(soft.size(), static_cast<size_t>(n));
+        SoftBit soft[6];
+        ASSERT_EQ(dm.demap(y, soft), n);
         for (int b = 0; b < n; ++b) {
-            EXPECT_EQ(soft[static_cast<size_t>(b)] > 0 ? 1 : 0,
-                      bits[b])
+            EXPECT_EQ(soft[b] > 0 ? 1 : 0, bits[b])
                 << modulationName(mod) << " pattern " << v << " bit "
-                << b << " soft " << soft[static_cast<size_t>(b)];
-            EXPECT_NE(soft[static_cast<size_t>(b)], 0)
-                << "noiseless metric must be nonzero";
+                << b << " soft " << soft[b];
+            EXPECT_NE(soft[b], 0) << "noiseless metric must be nonzero";
         }
     }
 }
@@ -120,11 +117,11 @@ TEST_P(MapperAllMods, QuantizerSaturates)
     dcfg.softWidth = 4;
     dcfg.fullScale = 1.0;
     Demapper dm(mod, dcfg);
-    SoftVec soft;
-    dm.demap(Sample(100.0, 100.0), soft);
-    for (SoftBit s : soft) {
-        EXPECT_LE(s, 7);
-        EXPECT_GE(s, -8);
+    SoftBit soft[6];
+    const int n = dm.demap(Sample(100.0, 100.0), soft);
+    for (int i = 0; i < n; ++i) {
+        EXPECT_LE(soft[i], 7);
+        EXPECT_GE(soft[i], -8);
     }
     // The sign bit metric must peg at the positive rail.
     EXPECT_EQ(soft[0], 7);
@@ -143,11 +140,12 @@ TEST(Demapper, SnrScalingScalesMetrics)
     Demapper d_scaled(Modulation::QPSK, scaled);
 
     Sample y(0.4, -0.3);
-    std::vector<double> m_plain, m_scaled;
-    d_plain.demapReal(y, m_plain);
-    d_scaled.demapReal(y, m_scaled);
+    double m_plain[6];
+    double m_scaled[6];
+    const int n = d_plain.demapReal(y, m_plain);
+    ASSERT_EQ(d_scaled.demapReal(y, m_scaled), n);
     double factor = 4.0 * modulationLlrScale(Modulation::QPSK);
-    for (size_t i = 0; i < m_plain.size(); ++i)
+    for (int i = 0; i < n; ++i)
         EXPECT_NEAR(m_scaled[i], m_plain[i] * factor, 1e-12);
 }
 
@@ -160,10 +158,9 @@ TEST(Demapper, Qam16InnerBitMetricPiecewise)
     Demapper dm(Modulation::QAM16, dcfg);
     const double k = 1.0 / std::sqrt(10.0);
 
-    std::vector<double> m;
+    double m[6];
     dm.demapReal(Sample(1.0 * k, 0.0), m); // inner point
     EXPECT_GT(m[1], 0.0);
-    m.clear();
     dm.demapReal(Sample(3.0 * k, 0.0), m); // outer point
     EXPECT_LT(m[1], 0.0);
 }

@@ -96,7 +96,7 @@ TEST(Multipath, HighSnrLoopbackWithPerBinEqualization)
     sim::Testbench tb(cfg);
     int ok = 0;
     for (std::uint64_t p = 0; p < 10; ++p)
-        ok += tb.runPacket(1000, p).ok;
+        ok += tb.runFrame(1000, p).ok;
     EXPECT_GE(ok, 9);
 }
 

@@ -235,3 +235,31 @@ TEST(Plcp, PreambleChannelEstimationHandlesFlatGain)
     ASSERT_TRUE(res.headerOk);
     EXPECT_EQ(res.payload, payload);
 }
+
+TEST(Plcp, TruncatedFrameIsRejectedNotFatal)
+{
+    // A frame cut short -- inside SIGNAL, or one sample short of the
+    // LENGTH its SIGNAL announces (a corrupt LENGTH can pass the 1-bit
+    // parity) -- is a bad header, not an abort.
+    PlcpTransmitter tx;
+    BitVec payload = randomBytesAsBits(100, 5);
+    const SampleVec frame = tx.buildFrame(3, payload);
+    PlcpReceiver rx;
+
+    SampleVec in_signal(frame.begin(),
+                        frame.begin() + Preamble::kTotalLen + 40);
+    PlcpRxResult cut = rx.receiveFrame(in_signal);
+    EXPECT_FALSE(cut.headerOk);
+    EXPECT_TRUE(cut.payload.empty());
+    EXPECT_TRUE(cut.soft.empty());
+
+    SampleVec one_short(frame.begin(), frame.end() - 1);
+    PlcpRxResult short_res = rx.receiveFrame(one_short);
+    EXPECT_FALSE(short_res.headerOk);
+    EXPECT_TRUE(short_res.payload.empty());
+    EXPECT_TRUE(short_res.soft.empty());
+
+    PlcpRxResult whole = rx.receiveFrame(frame);
+    ASSERT_TRUE(whole.headerOk);
+    EXPECT_EQ(whole.payload, payload);
+}

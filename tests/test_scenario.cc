@@ -71,7 +71,7 @@ TEST(ScenarioSpec, ChannelSeedsPast2To63RunDistinctNoise)
         ScenarioSpec s = scenarioPreset("awgn-mid");
         s.applyConfig(li::Config::fromString(std::string("seed=") + seed));
         Testbench tb(s.withPayloadBits(200));
-        PacketResult r = tb.runPacket(200, 0);
+        FrameResult r = tb.runFrame(200, 0);
         hints.emplace_back();
         for (const SoftDecision &d : r.rx.soft)
             hints.back().push_back(d.llr);

@@ -56,8 +56,10 @@ TEST(Scrambler, SelfInverse)
     for (std::uint8_t seed : {0x7F, 0x5D, 0x01, 0x2A}) {
         Scrambler a(seed);
         Scrambler b(seed);
-        BitVec scrambled = a.process(data);
-        BitVec recovered = b.process(scrambled);
+        BitVec scrambled(data.size());
+        a.process(data, scrambled);
+        BitVec recovered(data.size());
+        b.process(scrambled, recovered);
         EXPECT_EQ(recovered, data) << "seed " << int(seed);
         EXPECT_NE(scrambled, data) << "seed " << int(seed);
     }
@@ -65,10 +67,12 @@ TEST(Scrambler, SelfInverse)
 
 TEST(Scrambler, DifferentSeedsDiffer)
 {
-    BitVec zeros(64, 0);
-    Scrambler a(0x7F);
-    Scrambler b(0x5D);
-    EXPECT_NE(a.process(zeros), b.process(zeros));
+    const BitVec zeros(64, 0);
+    BitVec out_a(64);
+    BitVec out_b(64);
+    Scrambler(0x7F).process(zeros, out_a);
+    Scrambler(0x5D).process(zeros, out_b);
+    EXPECT_NE(out_a, out_b);
 }
 
 TEST(Scrambler, PilotPolarityProperties)

@@ -226,7 +226,7 @@ TEST(SoftPhyCalibration, PredictedPacketBerTracksActual)
         const int packets = 60;
         for (int p = 0; p < packets; ++p) {
             auto res =
-                tb.runPacket(1704, static_cast<std::uint64_t>(p));
+                tb.runFrame(1704, static_cast<std::uint64_t>(p));
             predicted +=
                 est.packetBer(phy::Modulation::QAM16, res.rx.soft);
             errors += res.bitErrors;

@@ -59,7 +59,7 @@ runExperiment(const char *decoder, std::uint64_t packets)
     RunStats out;
     for (std::uint64_t p = 0; p < packets; ++p) {
         phy::RateIndex chosen = softrate.currentRate();
-        sim::PacketResult res = oracle.runAtRate(chosen, 1704, p);
+        sim::FrameResult res = oracle.runFrameAtRate(chosen, 1704, p);
         softrate.onFeedback(
             est.packetBerForRate(chosen, res.rx.soft));
         int optimal = oracle.optimalRate(1704, p);
@@ -121,7 +121,7 @@ TEST(SoftRateExperiment, PerRateTablesBeatPerModulationTables)
     cfg.rx = spec.rx;
     cfg.channelCfg = li::Config::fromString("snr_db=12,seed=5");
     sim::Testbench tb(cfg);
-    sim::PacketResult res = tb.runPacket(1704, 0);
+    sim::FrameResult res = tb.runFrame(1704, 0);
     ASSERT_EQ(res.bitErrors, 0u);
 
     double mod_pber =
