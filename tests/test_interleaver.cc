@@ -105,8 +105,9 @@ TEST(InterleaverDeath, WrongBlockSizePanics)
 {
     Interleaver il(Modulation::QPSK);
     BitVec bad(17);
-    EXPECT_DEATH(il.interleaveStream(bad, bad), "multiple of N_CBPS");
+    BitVec bad_out(17);
+    EXPECT_DEATH(il.interleaveStream(bad, bad_out), "multiple of N_CBPS");
     SoftVec soft(17);
-    SoftVec out(17);
-    EXPECT_DEATH(il.deinterleave(soft, out), "block size");
+    SoftVec soft_out(17);
+    EXPECT_DEATH(il.deinterleave(soft, soft_out), "block size");
 }
