@@ -14,7 +14,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -65,28 +65,26 @@ main()
     };
 
     const std::uint64_t packets_per_snr = scaled(120, 30);
+    std::vector<sim::ScenarioSpec> cells;
     for (double snr = 4.5; snr <= 11.01; snr += 0.5) {
         sim::ScenarioSpec cfg;
         cfg.rate = 4;
         cfg.rx = spec.rx;
         cfg.channelCfg = li::Config::fromString(
             strprintf("snr_db=%f,seed=606", snr));
-        sim::sweepFrames(
-            cfg.withPayloadBits(1704),
-            packets_per_snr, 0,
-            [&](int, const sim::FrameResult &res, std::uint64_t) {
-                double predicted = est.packetBer(
-                    phy::Modulation::QAM16, res.rx.soft);
-                double actual =
-                    static_cast<double>(res.bitErrors) / 1704.0;
-                int b = bin_of(predicted);
-                // RunningStats is not thread-safe; serialize.
-                static std::mutex m;
-                std::lock_guard<std::mutex> lk(m);
-                actual_by_bin[static_cast<size_t>(b)].add(actual);
-                predicted_by_bin[static_cast<size_t>(b)].add(
-                    predicted);
-            });
+        cells.push_back(cfg.withPayloadBits(1704));
+    }
+    // (predicted, actual) per packet, binned in (SNR, packet) order.
+    for (const auto &[predicted, actual] : sim::sweepPackets(
+             cells, packets_per_snr, 0,
+             [&](size_t, std::uint64_t, const sim::FrameResult &res) {
+                 return std::make_pair(
+                     est.packetBer(phy::Modulation::QAM16, res.rx.soft),
+                     static_cast<double>(res.bitErrors) / 1704.0);
+             })) {
+        const auto b = static_cast<size_t>(bin_of(predicted));
+        actual_by_bin[b].add(actual);
+        predicted_by_bin[b].add(predicted);
     }
 
     Table t({"predicted PBER (bin mean)", "packets", "actual mean",

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "decode/bcjr.hh"
@@ -154,28 +153,17 @@ runLinkExperiment(int argc, char **argv)
                 spec.rx.decoder.c_str(), spec.channel.c_str(),
                 spec.snrDb(), ull(packets), spec.payloadBits);
 
-    // BER + PER sweep on the zero-copy frame path; one accumulator
-    // slot per worker the sweep will actually spawn.
-    const size_t slots =
-        static_cast<size_t>(LockstepTeam::workerCount(threads, packets));
+    // BER + PER sweep on the zero-copy frame path, reduced in packet
+    // order.
     std::uint64_t packet_errors = 0;
     ErrorStats bits;
-    {
-        std::vector<ErrorStats> per_thread(slots);
-        std::vector<std::uint64_t> pkt_err(slots, 0);
-        sim::sweepFrames(
-            spec, packets, threads,
-            [&](int tid, const sim::FrameResult &res, std::uint64_t) {
-                per_thread[static_cast<size_t>(tid)].bits +=
-                    res.txPayload.size();
-                per_thread[static_cast<size_t>(tid)].errors +=
-                    res.bitErrors;
-                pkt_err[static_cast<size_t>(tid)] += !res.ok;
-            });
-        for (size_t i = 0; i < per_thread.size(); ++i) {
-            bits.merge(per_thread[i]);
-            packet_errors += pkt_err[i];
-        }
+    for (const ErrorStats &s : sim::sweepPackets(
+             {spec}, packets, threads,
+             [](size_t, std::uint64_t, const sim::FrameResult &res) {
+                 return ErrorStats{res.txPayload.size(), res.bitErrors};
+             })) {
+        bits.merge(s);
+        packet_errors += s.errors ? 1 : 0;
     }
 
     Table t({"metric", "value"});

@@ -112,11 +112,11 @@ enum : int {
  * CalibrationTable::flatten()).
  */
 struct PerTableView {
-    /** CalibrationCell::per() per cell. */
+    /** TableCell::per() per cell. */
     const double *per;
-    /** std::log(CalibrationCell::pberOkGeo()) per cell. */
+    /** std::log(TableCell::pberOkGeo()) per cell. */
     const double *logPberOk;
-    /** std::log(CalibrationCell::pberBadGeo()) per cell. */
+    /** std::log(TableCell::pberBadGeo()) per cell. */
     const double *logPberBad;
     /** SNR bins per rate row. */
     int numBins;

@@ -9,6 +9,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "mac/packet_trace.hh"
+#include "sim/sweep.hh"
 
 namespace wilis {
 namespace sim {
@@ -364,26 +365,41 @@ runCampaignShard(const RunRequest &req, const UnitObserver &observe)
 RunReport
 runGridShard(const GridRunRequest &req)
 {
-    GridSweepOptions opt;
-    opt.packetsPerCell = req.packetsPerCell;
-    opt.threads = req.threads;
-    opt.shardIndex = req.shardIndex;
-    opt.shardCount = req.shardCount;
-    const std::vector<CellResult> cells = sweepGrid(req.grid, opt);
+    wilis_assert(req.shardCount >= 1 && req.shardIndex >= 0 &&
+                     req.shardIndex < req.shardCount,
+                 "grid shard %d/%d out of range", req.shardIndex,
+                 req.shardCount);
+    // This shard's round-robin share of the cells. Each cell is a
+    // pure function of (grid seed, cell index), so disjoint shards
+    // compose into exactly the unsharded result.
+    std::vector<ScenarioSpec> specs;
+    for (size_t c = static_cast<size_t>(req.shardIndex);
+         c < req.grid.cellCount();
+         c += static_cast<size_t>(req.shardCount))
+        specs.push_back(req.grid.cell(c));
+    const std::vector<std::uint64_t> bit_errors = sweepPackets(
+        specs, req.packetsPerCell, req.threads,
+        [](size_t, std::uint64_t, const FrameResult &res) {
+            return res.bitErrors;
+        });
 
     RunReport rep;
     rep.kind = "grid";
     rep.config = req.grid.base.toConfig().toString();
     rep.packetsPerCell = req.packetsPerCell;
     rep.unitsTotal = static_cast<int>(req.grid.cellCount());
-    for (const CellResult &c : cells) {
+    for (size_t i = 0; i < specs.size(); ++i) {
         UnitReport unit;
-        unit.unit = static_cast<int>(c.cellIndex);
-        unit.name = c.spec.name;
-        unit.packets = c.packets;
-        unit.packetErrors = c.packetErrors;
-        unit.bits = c.bits.bits;
-        unit.bitErrors = c.bits.errors;
+        unit.unit = req.shardIndex + static_cast<int>(i) * req.shardCount;
+        unit.name = specs[i].name;
+        for (std::uint64_t p = 0; p < req.packetsPerCell; ++p) {
+            const std::uint64_t errs =
+                bit_errors[i * req.packetsPerCell + p];
+            unit.packets += 1;
+            unit.packetErrors += errs ? 1 : 0;
+            unit.bits += specs[i].payloadBits;
+            unit.bitErrors += errs;
+        }
         rep.units.push_back(unit);
     }
 

@@ -3,7 +3,8 @@
  * The unified scenario description consumed by every execution style
  * in WiLIS: the batched functional testbench (sim::Testbench), the
  * cycle-counted latency-insensitive pipeline (sim::LiTransceiver) and
- * the parallel sweep harness (sim::sweepFrames / sim::sweepGrid).
+ * the parallel packet sweep (sim::sweepPackets, which also runs the
+ * cells of a sim::ScenarioGrid).
  *
  * A ScenarioSpec is one declarative value naming the 802.11a/g rate,
  * the receiver configuration (decoder slot, demapper quantization),

@@ -1,9 +1,7 @@
 #include "sim/scenario_grid.hh"
 
-#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "sim/testbench.hh"
 
 namespace wilis {
 namespace sim {
@@ -60,49 +58,6 @@ ScenarioGrid::cell(size_t index) const
     spec.payloadSeed = cell_rng.at(2);
     spec.name = spec.label();
     return spec;
-}
-
-std::vector<CellResult>
-sweepGrid(const ScenarioGrid &grid, const GridSweepOptions &opt)
-{
-    wilis_assert(opt.shardCount >= 1 && opt.shardIndex >= 0 &&
-                     opt.shardIndex < opt.shardCount,
-                 "grid shard %d/%d out of range", opt.shardIndex,
-                 opt.shardCount);
-    // This process's round-robin share of the cell indices (all of
-    // them for the default 1-shard options).
-    std::vector<size_t> owned;
-    for (size_t c = static_cast<size_t>(opt.shardIndex);
-         c < grid.cellCount();
-         c += static_cast<size_t>(opt.shardCount))
-        owned.push_back(c);
-    std::vector<CellResult> results(owned.size());
-
-    // Shard by cell: each worker claims whole cells from the team's
-    // shared counter and owns a private Testbench (arena included)
-    // while it runs one. Writes go to the cell's own results slot,
-    // ordered before the return by the team's join.
-    auto run_cell = [&](std::uint64_t c) {
-        const size_t idx = owned[static_cast<size_t>(c)];
-        CellResult &res = results[static_cast<size_t>(c)];
-        res.cellIndex = idx;
-        res.spec = grid.cell(idx);
-
-        Testbench tb(res.spec);
-        for (std::uint64_t p = 0; p < opt.packetsPerCell; ++p) {
-            FrameResult fr = tb.runFrame(res.spec.payloadBits, p);
-            res.bits.bits += fr.txPayload.size();
-            res.bits.errors += fr.bitErrors;
-            res.packets += 1;
-            res.packetErrors += fr.ok ? 0 : 1;
-        }
-        if (opt.onCell)
-            opt.onCell(res);
-    };
-
-    LockstepTeam team(LockstepTeam::workerCount(opt.threads, owned.size()));
-    team.forEach(owned.size(), [&](int, std::uint64_t c) { run_cell(c); });
-    return results;
 }
 
 } // namespace sim

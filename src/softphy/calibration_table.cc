@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -35,7 +36,7 @@ clampPber(double pber)
 } // namespace
 
 double
-CalibrationCell::per() const
+TableCell::per() const
 {
     if (!frames)
         return 1.0;
@@ -44,7 +45,7 @@ CalibrationCell::per() const
 }
 
 double
-CalibrationCell::pberOkGeo() const
+TableCell::pberOkGeo() const
 {
     if (ok)
         return std::exp(sumLogPberOk / static_cast<double>(ok));
@@ -56,7 +57,7 @@ CalibrationCell::pberOkGeo() const
 }
 
 double
-CalibrationCell::pberBadGeo() const
+TableCell::pberBadGeo() const
 {
     const std::uint64_t bad = frames - ok;
     if (bad)
@@ -67,7 +68,7 @@ CalibrationCell::pberBadGeo() const
 }
 
 void
-CalibrationCell::merge(const CalibrationCell &other)
+TableCell::merge(const TableCell &other)
 {
     frames += other.frames;
     ok += other.ok;
@@ -97,11 +98,13 @@ CalibrationTable::build(const BuildSpec &spec)
     t.num_bins_ = spec.numBins;
     t.cells.assign(static_cast<size_t>(phy::kNumRates) *
                        static_cast<size_t>(spec.numBins),
-                   CalibrationCell());
+                   TableCell());
 
     const BerEstimator estimator = analyticRateEstimator(spec.rx);
     const CounterRng root(spec.seed);
 
+    // One cell per (rate, bin), rate-major like t.cells.
+    std::vector<sim::ScenarioSpec> cells;
     for (int rate = 0; rate < phy::kNumRates; ++rate) {
         const CounterRng rate_rng =
             root.fork(static_cast<std::uint64_t>(rate));
@@ -129,38 +132,30 @@ CalibrationTable::build(const BuildSpec &spec)
             scen.payloadBits = spec.payloadBits;
             scen.payloadSeed =
                 rate_rng.at(2 * static_cast<std::uint64_t>(bin) + 1);
+            cells.push_back(scen);
+        }
+    }
 
-            // Per-packet staging buffers reduced in packet order, so
-            // the accumulated sums are independent of how the sweep
-            // shards packets over workers.
-            std::vector<std::uint8_t> ok_by_packet(
-                spec.packetsPerCell, 0);
-            std::vector<double> pber_by_packet(spec.packetsPerCell,
-                                               0.0);
-            sim::sweepFrames(
-                scen, spec.packetsPerCell, spec.threads,
-                [&](int, const sim::FrameResult &res,
-                    std::uint64_t p) {
-                    ok_by_packet[static_cast<size_t>(p)] =
-                        res.ok ? 1 : 0;
-                    pber_by_packet[static_cast<size_t>(p)] =
-                        clampPber(estimator.packetBerForRate(
-                            rate, res.rx.soft));
-                });
-
-            CalibrationCell &cell = t.cellAt(rate, bin);
-            for (std::uint64_t p = 0; p < spec.packetsPerCell; ++p) {
-                const double pber =
-                    pber_by_packet[static_cast<size_t>(p)];
-                cell.frames += 1;
-                cell.sumPber += pber;
-                if (ok_by_packet[static_cast<size_t>(p)]) {
-                    cell.ok += 1;
-                    cell.sumLogPberOk += std::log(pber);
-                } else {
-                    cell.sumLogPberBad += std::log(pber);
-                }
-            }
+    // (frame ok, clamped PBER estimate) per packet, reduced in
+    // packet order below.
+    const std::vector<std::pair<bool, double>> frames = sim::sweepPackets(
+        cells, spec.packetsPerCell, spec.threads,
+        [&](size_t c, std::uint64_t, const sim::FrameResult &res) {
+            const int rate = cells[c].rate;
+            return std::make_pair(
+                res.ok,
+                clampPber(estimator.packetBerForRate(rate, res.rx.soft)));
+        });
+    for (size_t i = 0; i < frames.size(); ++i) {
+        TableCell &cell = t.cells[i / spec.packetsPerCell];
+        const auto [ok, pber] = frames[i];
+        cell.frames += 1;
+        cell.sumPber += pber;
+        if (ok) {
+            cell.ok += 1;
+            cell.sumLogPberOk += std::log(pber);
+        } else {
+            cell.sumLogPberBad += std::log(pber);
         }
     }
     return t;
@@ -184,7 +179,7 @@ CalibrationTable::binOf(double snr_db) const
     return bin;
 }
 
-CalibrationCell &
+TableCell &
 CalibrationTable::cellAt(int rate, int bin)
 {
     return cells[static_cast<size_t>(rate) *
@@ -192,7 +187,7 @@ CalibrationTable::cellAt(int rate, int bin)
                  static_cast<size_t>(bin)];
 }
 
-const CalibrationCell &
+const TableCell &
 CalibrationTable::cell(phy::RateIndex rate, int bin) const
 {
     wilis_assert(valid(), "calibration table is empty");
@@ -250,8 +245,8 @@ CalibrationTable::pberFeedback(phy::RateIndex rate, double snr_db,
     int b0, b1;
     double frac;
     lerpCoords(snr_db, &b0, &b1, &frac);
-    const CalibrationCell &c0 = cell(rate, b0);
-    const CalibrationCell &c1 = cell(rate, b1);
+    const TableCell &c0 = cell(rate, b0);
+    const TableCell &c1 = cell(rate, b1);
     const double l0 =
         std::log(ok ? c0.pberOkGeo() : c0.pberBadGeo());
     const double l1 =
@@ -270,7 +265,7 @@ CalibrationTable::flatten() const
     flat.per.reserve(cells.size());
     flat.logPberOk.reserve(cells.size());
     flat.logPberBad.reserve(cells.size());
-    for (const CalibrationCell &c : cells) {
+    for (const TableCell &c : cells) {
         flat.per.push_back(c.per());
         flat.logPberOk.push_back(std::log(c.pberOkGeo()));
         flat.logPberBad.push_back(std::log(c.pberBadGeo()));
@@ -297,7 +292,7 @@ CalibrationTable::serialize() const
     out << "num_rates " << phy::kNumRates << "\n";
     for (int rate = 0; rate < phy::kNumRates; ++rate) {
         for (int bin = 0; bin < num_bins_; ++bin) {
-            const CalibrationCell &c = cell(rate, bin);
+            const TableCell &c = cell(rate, bin);
             out << strprintf(
                 "cell %d %d %llu %llu %.17g %.17g %.17g\n", rate,
                 bin, static_cast<unsigned long long>(c.frames),
@@ -376,12 +371,12 @@ CalibrationTable::parse(const std::string &text, const std::string &what)
             if (t.cells.empty()) {
                 t.cells.assign(static_cast<size_t>(phy::kNumRates) *
                                    static_cast<size_t>(t.num_bins_),
-                               CalibrationCell());
+                               TableCell());
                 seen.assign(t.cells.size(), false);
             }
             int rate = -1, bin = -1;
             unsigned long long frames = 0, ok = 0;
-            CalibrationCell c;
+            TableCell c;
             ls >> rate >> bin >> frames >> ok >> c.sumPber >>
                 c.sumLogPberOk >> c.sumLogPberBad;
             wilis_fatal_if(ls.fail(),

@@ -44,7 +44,7 @@ namespace softphy {
  * the geometric mean is the representative feedback value, where an
  * arithmetic mean would be dominated by the worst frame in the bin.
  */
-struct CalibrationCell {
+struct TableCell {
     /** Frames measured. */
     std::uint64_t frames = 0;
     /** Frames decoded without payload errors. */
@@ -64,25 +64,25 @@ struct CalibrationCell {
     double pberBadGeo() const;
 
     /** Fold another cell's observations into this one. */
-    void merge(const CalibrationCell &other);
+    void merge(const TableCell &other);
 };
 
 /**
  * Owning flattened form of a CalibrationTable for the batched
  * PER-interpolation kernel: the per-cell frame error rate and log
  * geometric-mean packet BERs precomputed through the very accessors
- * the scalar lookup calls inline (CalibrationCell::per(),
+ * the scalar lookup calls inline (TableCell::per(),
  * std::log(pberOkGeo()/pberBadGeo())), so a batched draw over
  * view() is bit-identical to the scalar one. Arrays are indexed
  * [rate * numBins + bin]; view() borrows from this object, which
  * must outlive it.
  */
 struct FlatCalibration {
-    /** CalibrationCell::per() per cell. */
+    /** TableCell::per() per cell. */
     std::vector<double> per;
-    /** ln(CalibrationCell::pberOkGeo()) per cell. */
+    /** ln(TableCell::pberOkGeo()) per cell. */
     std::vector<double> logPberOk;
-    /** ln(CalibrationCell::pberBadGeo()) per cell. */
+    /** ln(TableCell::pberBadGeo()) per cell. */
     std::vector<double> logPberBad;
     /** SNR bins per rate row. */
     int numBins = 0;
@@ -144,7 +144,8 @@ class CalibrationTable
     /**
      * Measure a table from the bit-exact PHY: for every (rate, SNR
      * bin) cell, run packetsPerCell frames of the configured channel
-     * at the bin-center SNR through sim::sweepFrames and record the
+     * at the bin-center SNR -- every cell in one sim::sweepPackets()
+     * call, so one worker team per table -- and record the
      * frame outcome plus the SoftPHY packet-BER estimate
      * (softphy::analyticRateEstimator -- the same estimator the
      * full-fidelity network path feeds to SoftRate).
@@ -178,7 +179,7 @@ class CalibrationTable
     int binOf(double snr_db) const;
 
     /** Measured cell for (@p rate, @p bin). */
-    const CalibrationCell &cell(phy::RateIndex rate, int bin) const;
+    const TableCell &cell(phy::RateIndex rate, int bin) const;
 
     /**
      * Frame error probability at @p snr_db for @p rate,
@@ -221,7 +222,7 @@ class CalibrationTable
     static CalibrationTable load(const std::string &path);
 
   private:
-    CalibrationCell &cellAt(int rate, int bin);
+    TableCell &cellAt(int rate, int bin);
     /** Continuous bin coordinate of @p snr_db with edge clamping. */
     void lerpCoords(double snr_db, int *b0, int *b1,
                     double *frac) const;
@@ -235,7 +236,7 @@ class CalibrationTable
     double snr_lo_ = 0.0;
     double snr_step_ = 1.0;
     int num_bins_ = 0;
-    std::vector<CalibrationCell> cells; // [rate * num_bins_ + bin]
+    std::vector<TableCell> cells; // [rate * num_bins_ + bin]
 };
 
 } // namespace softphy

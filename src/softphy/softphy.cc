@@ -1,9 +1,9 @@
 #include "softphy/softphy.hh"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
-#include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "sim/sweep.hh"
 
@@ -57,62 +57,88 @@ calibrationRate(phy::Modulation mod)
     wilis_panic("bad modulation");
 }
 
-LlrCalibrator
-measureLlrCurve(phy::RateIndex rate, double snr_db,
-                const CalibrationSpec &spec)
+namespace {
+
+/** The LLR curve of each (rate, SNR dB) point, all in one sweep. */
+std::vector<LlrCalibrator>
+measureLlrCurves(const std::vector<std::pair<phy::RateIndex, double>> &points,
+                 const CalibrationSpec &spec)
 {
-    sim::ScenarioSpec scen;
-    scen.rate = rate;
-    scen.rx = spec.rx;
-    scen.channel = "awgn";
-    scen.channelCfg = li::Config::fromString(
-        strprintf("snr_db=%f,seed=%llu", snr_db,
-                  static_cast<unsigned long long>(spec.seed)));
-    scen.payloadBits = spec.payloadBits;
-
-    // The bins are integer counts, so the merged curve does not
-    // depend on the worker count.
-    const int threads = LockstepTeam::workerCount(spec.threads, spec.packets);
-    std::vector<LlrCalibrator> per_thread(
-        static_cast<size_t>(threads),
-        LlrCalibrator(spec.llrMax()));
-
-    sim::sweepFrames(
-        scen, spec.packets, threads,
-        [&](int tid, const sim::FrameResult &res, std::uint64_t) {
-            auto &cal = per_thread[static_cast<size_t>(tid)];
+    std::vector<sim::ScenarioSpec> cells;
+    for (const auto &[rate, snr_db] : points) {
+        sim::ScenarioSpec scen;
+        scen.rate = rate;
+        scen.rx = spec.rx;
+        scen.channel = "awgn";
+        scen.channelCfg = li::Config::fromString(
+            strprintf("snr_db=%f,seed=%llu", snr_db,
+                      static_cast<unsigned long long>(spec.seed)));
+        scen.payloadBits = spec.payloadBits;
+        cells.push_back(scen);
+    }
+    // One small histogram per packet; the bins are integer counts.
+    const std::vector<LlrCalibrator> per_packet = sim::sweepPackets(
+        cells, spec.packets, spec.threads,
+        [&](size_t, std::uint64_t, const sim::FrameResult &res) {
+            LlrCalibrator cal(spec.llrMax());
             for (size_t i = 0; i < res.txPayload.size(); ++i) {
                 cal.record(res.rx.soft[i].llr,
                            res.rx.soft[i].bit != res.txPayload[i]);
             }
+            return cal;
         });
+    std::vector<LlrCalibrator> curves(points.size(),
+                                      LlrCalibrator(spec.llrMax()));
+    for (size_t i = 0; i < per_packet.size(); ++i)
+        curves[i / spec.packets].merge(per_packet[i]);
+    return curves;
+}
 
-    LlrCalibrator total = per_thread[0];
-    for (size_t t = 1; t < per_thread.size(); ++t)
-        total.merge(per_thread[t]);
-    return total;
+/** The level-two table of @p cal, measured at @p rate. */
+BerTable
+fitTable(const LlrCalibrator &cal, phy::RateIndex rate,
+         const CalibrationSpec &spec)
+{
+    const double scale = cal.fitScale();
+    wilis_assert(scale > 0.0,
+                 "calibration produced scale %f for rate %d", scale,
+                 rate);
+    return BerTable::fromScale(scale, spec.llrMax());
+}
+
+const phy::Modulation kModulations[] = {
+    phy::Modulation::BPSK, phy::Modulation::QPSK,
+    phy::Modulation::QAM16, phy::Modulation::QAM64};
+
+} // namespace
+
+LlrCalibrator
+measureLlrCurve(phy::RateIndex rate, double snr_db,
+                const CalibrationSpec &spec)
+{
+    return measureLlrCurves({{rate, snr_db}}, spec)[0];
 }
 
 BerTable
 calibrateTable(phy::Modulation mod, const CalibrationSpec &spec)
 {
-    LlrCalibrator cal = measureLlrCurve(
-        calibrationRate(mod), midBandSnrDb(mod), spec);
-    double scale = cal.fitScale();
-    wilis_assert(scale > 0.0, "calibration produced scale %f for %s",
-                 scale, phy::modulationName(mod).c_str());
-    return BerTable::fromScale(scale, spec.llrMax());
+    const phy::RateIndex rate = calibrationRate(mod);
+    return fitTable(measureLlrCurve(rate, midBandSnrDb(mod), spec), rate,
+                    spec);
 }
 
 BerEstimator
 calibrateEstimator(const CalibrationSpec &spec)
 {
+    std::vector<std::pair<phy::RateIndex, double>> points;
+    for (phy::Modulation mod : kModulations)
+        points.emplace_back(calibrationRate(mod), midBandSnrDb(mod));
+    const std::vector<LlrCalibrator> curves =
+        measureLlrCurves(points, spec);
     BerEstimator est;
-    for (phy::Modulation mod :
-         {phy::Modulation::BPSK, phy::Modulation::QPSK,
-          phy::Modulation::QAM16, phy::Modulation::QAM64}) {
-        est.setTable(mod, calibrateTable(mod, spec));
-    }
+    for (size_t m = 0; m < points.size(); ++m)
+        est.setTable(kModulations[m],
+                     fitTable(curves[m], points[m].first, spec));
     return est;
 }
 
@@ -130,21 +156,22 @@ midBandSnrDbForRate(phy::RateIndex rate)
 BerTable
 calibrateRateTable(phy::RateIndex rate, const CalibrationSpec &spec)
 {
-    LlrCalibrator cal =
-        measureLlrCurve(rate, midBandSnrDbForRate(rate), spec);
-    double scale = cal.fitScale();
-    wilis_assert(scale > 0.0,
-                 "calibration produced scale %f for rate %d", scale,
-                 rate);
-    return BerTable::fromScale(scale, spec.llrMax());
+    return fitTable(measureLlrCurve(rate, midBandSnrDbForRate(rate), spec),
+                    rate, spec);
 }
 
 BerEstimator
 calibrateRateEstimator(const CalibrationSpec &spec)
 {
+    std::vector<std::pair<phy::RateIndex, double>> points;
+    for (int r = 0; r < phy::kNumRates; ++r)
+        points.emplace_back(r, midBandSnrDbForRate(r));
+    const std::vector<LlrCalibrator> curves =
+        measureLlrCurves(points, spec);
     BerEstimator est;
     for (int r = 0; r < phy::kNumRates; ++r)
-        est.setRateTable(r, calibrateRateTable(r, spec));
+        est.setRateTable(r, fitTable(curves[static_cast<size_t>(r)], r,
+                                     spec));
     return est;
 }
 

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -178,8 +177,8 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
     EXPECT_DOUBLE_EQ(u.snrStepDb(), t->snrStepDb());
     for (int r = 0; r < phy::kNumRates; ++r) {
         for (int b = 0; b < t->numBins(); ++b) {
-            const softphy::CalibrationCell &a = t->cell(r, b);
-            const softphy::CalibrationCell &c = u.cell(r, b);
+            const softphy::TableCell &a = t->cell(r, b);
+            const softphy::TableCell &c = u.cell(r, b);
             EXPECT_EQ(a.frames, c.frames);
             EXPECT_EQ(a.ok, c.ok);
             // %.17g round-trips doubles bit-exactly.
@@ -205,6 +204,18 @@ TEST(CalibrationTable, CommittedTableIsTheCell16Sweep)
     std::ostringstream committed;
     committed << in.rdbuf();
     EXPECT_EQ(built.serialize(), committed.str());
+}
+
+TEST(CalibrationTable, BuildIsThreadInvariant)
+{
+    // The PBER sums are floating point: they match only because the
+    // build reduces its packets in (cell, packet) order.
+    softphy::CalibrationTable::BuildSpec one = testBuildSpec();
+    one.threads = 1;
+    softphy::CalibrationTable::BuildSpec eight = testBuildSpec();
+    eight.threads = 8;
+    EXPECT_EQ(softphy::CalibrationTable::build(one).serialize(),
+              softphy::CalibrationTable::build(eight).serialize());
 }
 
 TEST(CalibrationTableDeath, MissingFileExitsNamingThePath)
@@ -347,18 +358,15 @@ TEST(CalibrationTable, MatchesIndependentFullPhyMeasurements)
         scen.payloadBits = build.payloadBits;
         scen.payloadSeed = 0xFACADE;
 
-        // Two sweep workers share this accumulator, and the
-        // sweepFrames contract allows only worker-indexed state in
-        // the callback -- an atomic keeps the count exact (the CI
-        // TSan leg caught the original plain uint64_t here).
-        std::atomic<std::uint64_t> bad{0};
-        sweepFrames(scen, packets, 2,
-                    [&](int, const FrameResult &res, std::uint64_t) {
-                        if (!res.ok)
-                            bad.fetch_add(1, std::memory_order_relaxed);
-                    });
-        const double measured = static_cast<double>(bad.load()) /
-                                static_cast<double>(packets);
+        std::uint64_t bad = 0;
+        for (const bool ok : sweepPackets(
+                 {scen}, packets, 2,
+                 [](size_t, std::uint64_t, const FrameResult &res) {
+                     return res.ok;
+                 }))
+            bad += ok ? 0 : 1;
+        const double measured =
+            static_cast<double>(bad) / static_cast<double>(packets);
         const double predicted = table->per(probe.rate, probe.snrDb);
         // ~4 sigma of the two binomial estimates plus interpolation
         // slack across the 2 dB bins.

@@ -92,10 +92,12 @@ TEST(NetworkFidelitySmoke, CommittedCellsMatchFreshMeasurements)
         scen.payloadSeed = 0x5EEDF00D;
 
         std::uint64_t bad = 0;
-        sweepFrames(scen, packets, 2,
-                    [&](int, const FrameResult &res, std::uint64_t) {
-                        bad += res.ok ? 0 : 1;
-                    });
+        for (const bool ok : sweepPackets(
+                 {scen}, packets, 2,
+                 [](size_t, std::uint64_t, const FrameResult &res) {
+                     return res.ok;
+                 }))
+            bad += ok ? 0 : 1;
         const double measured =
             static_cast<double>(bad) / static_cast<double>(packets);
         const double committed = t->cell(probe.rate, probe.bin).per();

@@ -1,17 +1,20 @@
 /**
  * @file
- * Scenario-grid sweep tests: cell layout and seeding are pinned as a
- * replayability contract, and the whole grid -- as well as the flat
- * packet sweep under it -- must produce bit-identical results at 1,
+ * Scenario-grid and packet-sweep tests: cell layout and seeding are
+ * pinned as a replayability contract, and both the grid report and
+ * the packet sweep's result vector under it must be identical at 1,
  * 2 and 8 worker threads (every random stream is keyed by packet
  * index, never by worker id).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "sim/campaign.hh"
 #include "sim/scenario_grid.hh"
 #include "sim/sweep.hh"
 
@@ -31,15 +34,6 @@ smallGrid()
     grid.payloads = {192};
     grid.seed = 0xABCD;
     return grid; // 4 x 2 x 2 x 1 = 16 cells
-}
-
-std::vector<CellResult>
-runGrid(const ScenarioGrid &grid, int threads, std::uint64_t packets)
-{
-    GridSweepOptions opt;
-    opt.packetsPerCell = packets;
-    opt.threads = threads;
-    return sweepGrid(grid, opt);
 }
 
 } // namespace
@@ -88,109 +82,86 @@ TEST(ScenarioGrid, CellSeedsAreDistinctAndReplayable)
 
 TEST(ScenarioGrid, SixteenCellGridDeterministicAt1_2_8Threads)
 {
-    ScenarioGrid grid = smallGrid();
-    const std::uint64_t packets = 12;
+    GridRunRequest req;
+    req.grid = smallGrid();
+    req.packetsPerCell = 12;
+    req.threads = 1;
+    const RunReport t1 = runGridShard(req);
 
-    std::vector<CellResult> t1 = runGrid(grid, 1, packets);
-    std::vector<CellResult> t2 = runGrid(grid, 2, packets);
-    std::vector<CellResult> t8 = runGrid(grid, 8, packets);
-
-    ASSERT_EQ(t1.size(), 16u);
-    ASSERT_EQ(t2.size(), 16u);
-    ASSERT_EQ(t8.size(), 16u);
-    for (size_t c = 0; c < t1.size(); ++c) {
-        EXPECT_EQ(t1[c].cellIndex, c);
-        EXPECT_EQ(t1[c].bits.bits, t2[c].bits.bits) << "cell " << c;
-        EXPECT_EQ(t1[c].bits.errors, t2[c].bits.errors)
-            << "cell " << c;
-        EXPECT_EQ(t1[c].bits.errors, t8[c].bits.errors)
-            << "cell " << c;
-        EXPECT_EQ(t1[c].packetErrors, t2[c].packetErrors)
-            << "cell " << c;
-        EXPECT_EQ(t1[c].packetErrors, t8[c].packetErrors)
-            << "cell " << c;
-        EXPECT_EQ(t1[c].packets, packets);
+    // Every cell ran, in cell order, and the report is byte-identical
+    // at 2 and 8 threads.
+    ASSERT_EQ(t1.units.size(), 16u);
+    for (size_t c = 0; c < t1.units.size(); ++c) {
+        EXPECT_EQ(t1.units[c].unit, static_cast<int>(c));
+        EXPECT_EQ(t1.units[c].packets, req.packetsPerCell);
+    }
+    for (int threads : {2, 8}) {
+        req.threads = threads;
+        EXPECT_EQ(runGridShard(req).toJsonText(), t1.toJsonText())
+            << threads << " threads";
     }
 }
 
-TEST(ScenarioGrid, OnCellHookSeesEveryCell)
-{
-    ScenarioGrid grid = smallGrid();
-    GridSweepOptions opt;
-    opt.packetsPerCell = 2;
-    opt.threads = 4;
-    std::atomic<std::uint64_t> seen{0};
-    std::atomic<std::uint64_t> mask{0};
-    opt.onCell = [&](const CellResult &c) {
-        seen.fetch_add(1);
-        mask.fetch_or(1ull << c.cellIndex);
-    };
-    sweepGrid(grid, opt);
-    EXPECT_EQ(seen.load(), 16u);
-    EXPECT_EQ(mask.load(), 0xFFFFull);
-}
-
 // ---------------------------------------------------------------
-// Flat packet-sweep determinism: the per-packet digest (not just the
-// aggregate BER) must be independent of the thread count, proving
-// RNG streams are keyed by packet index, never by worker id.
+// The packet sweep: the result vector -- one (cell, packet, bit
+// errors) entry per pair, in (cell, packet) order -- must be
+// independent of the thread count, proving RNG streams are keyed by
+// packet index, never by worker id or claim order.
 // ---------------------------------------------------------------
 
 namespace {
 
-std::uint64_t
-sweepDigest(const ScenarioSpec &spec, std::uint64_t packets,
-            int threads)
+using PacketRecord = std::tuple<size_t, std::uint64_t, std::uint64_t>;
+
+std::vector<PacketRecord>
+sweepRecords(const std::vector<ScenarioSpec> &cells,
+             std::uint64_t packets, int threads)
 {
-    // Order-independent digest over (packet index, bit errors).
-    std::atomic<std::uint64_t> digest{0};
-    sweepFrames(spec, packets, threads,
-                [&](int, const FrameResult &res, std::uint64_t p) {
-                    std::uint64_t h =
-                        (p + 1) * 0x9E3779B97F4A7C15ull ^
-                        (res.bitErrors + 0xD1B54A32D192ED03ull);
-                    h ^= h >> 29;
-                    digest.fetch_xor(h * 0xBF58476D1CE4E5B9ull);
-                });
-    return digest.load();
+    return sweepPackets(
+        cells, packets, threads,
+        [](size_t c, std::uint64_t p, const FrameResult &res) {
+            return PacketRecord{c, p, res.bitErrors};
+        });
+}
+
+/** Expect @p cells' sweep to agree at 1, 2 and 8 threads. */
+void
+expectThreadInvariant(const std::vector<ScenarioSpec> &cells,
+                      std::uint64_t packets)
+{
+    const std::vector<PacketRecord> t1 = sweepRecords(cells, packets, 1);
+    ASSERT_EQ(t1.size(), cells.size() * packets);
+    for (size_t i = 0; i < t1.size(); ++i) {
+        EXPECT_EQ(std::get<0>(t1[i]), i / packets);
+        EXPECT_EQ(std::get<1>(t1[i]), i % packets);
+    }
+    EXPECT_EQ(t1, sweepRecords(cells, packets, 2));
+    EXPECT_EQ(t1, sweepRecords(cells, packets, 8));
 }
 
 } // namespace
 
-TEST(SweepFrames, PerPacketResultsIndependentOfThreadCount)
+TEST(SweepPackets, OneCellSweepIsThreadInvariant)
 {
+    // One cell splits into one packet block per worker.
     ScenarioSpec spec = scenarioPreset("rayleigh-fading");
     spec.rate = 4;
     spec.payloadBits = 400;
-
-    std::uint64_t d1 = sweepDigest(spec, 30, 1);
-    std::uint64_t d2 = sweepDigest(spec, 30, 2);
-    std::uint64_t d8 = sweepDigest(spec, 30, 8);
-    EXPECT_EQ(d1, d2);
-    EXPECT_EQ(d1, d8);
+    expectThreadInvariant({spec}, 30);
 }
 
-TEST(SweepFrames, WorkerIdsArePartitionNotPhysics)
+TEST(SweepPackets, SixteenCellSweepIsThreadInvariant)
 {
-    // Same packet index must produce the same bit-error count no
-    // matter which worker runs it: compare a 1-thread map against an
-    // 8-thread map.
-    ScenarioSpec spec;
-    spec.rate = 5;
-    spec.channelCfg = li::Config::fromString("snr_db=7,seed=3");
-    spec.payloadBits = 300;
-    const std::uint64_t packets = 24;
+    // 16 cells: one item per cell at 1, 2 and 8 threads.
+    const ScenarioGrid grid = smallGrid();
+    std::vector<ScenarioSpec> cells;
+    for (size_t c = 0; c < grid.cellCount(); ++c)
+        cells.push_back(grid.cell(c));
+    expectThreadInvariant(cells, 5);
+}
 
-    std::vector<std::uint64_t> serial(packets), parallel(packets);
-    sweepFrames(spec, packets, 1,
-                [&](int, const FrameResult &r, std::uint64_t p) {
-                    serial[p] = r.bitErrors;
-                });
-    std::mutex m;
-    sweepFrames(spec, packets, 8,
-                [&](int, const FrameResult &r, std::uint64_t p) {
-                    std::lock_guard<std::mutex> lock(m);
-                    parallel[p] = r.bitErrors;
-                });
-    EXPECT_EQ(serial, parallel);
+TEST(SweepPackets, EmptySweepsReturnNothing)
+{
+    EXPECT_TRUE(sweepRecords({}, 10, 4).empty());
+    EXPECT_TRUE(sweepRecords({scenarioPreset("awgn-mid")}, 0, 4).empty());
 }
