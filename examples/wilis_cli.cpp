@@ -10,24 +10,28 @@
  *   ./build/wilis_cli "rate=4,decoder=sova,snr_db=9,packets=200"
  *   ./build/wilis_cli rayleigh-fading,snr_db=10   (preset + tweaks)
  *
- * The argument is resolved by sim::parseScenarioSpecArg() -- a
- * config file, an inline key=value list, or a scenario preset with
- * optional overrides -- after the CLI peels off its own keys:
- *   packets     packets to simulate           [default 100]
+ * The argument is classified by sim::specArgConfig() -- a config
+ * file, an inline key=value list, or a scenario preset with optional
+ * overrides -- into one flat config, and the CLI peels off its own
+ * keys:
+ *   packets     packets to simulate (>= 1)    [default 100]
  *   threads     worker threads (0=all)        [0]
- *   doppler_hz / num_taps                     (channel shorthands)
- *   block_len / traceback_l / traceback_k    (decoder shorthands)
  * Every other key is owned by the spec parser (rate, decoder,
- * channel, snr_db, payload_bits, channel.<k>, decoder.<k>, ...).
+ * channel, snr_db, payload_bits, ...). A channel or decoder parameter
+ * is channel.<k> / decoder.<k> (channel.doppler_hz=20,
+ * decoder.block_len=32), and must be one the selected implementation
+ * declares.
  *
  * Network mode (any "--" flag selects it):
  *   ./build/wilis_cli --network <spec-arg> [--slots N] [--threads N]
  *       [--shard I/N | --shards N] [--report FILE] [--trace FILE]
  *       [--json FILE]
+ *   ./build/wilis_cli --network <spec-arg> --calibrate FILE
+ *       [--threads N]
  * <spec-arg> is anything sim::parseNetworkSpecArg() takes: a
  * network preset ("grid-3x3", "dense-urban-10k,reps=4"), an inline
- * key=value list, or a config file. Every mode runs through
- * sim::runCampaignShard() (sim/campaign.hh):
+ * key=value list, or a config file. Every simulating mode runs
+ * through sim::runCampaignShard() (sim/campaign.hh):
  *  - in-process (default): every replication in this process,
  *    printing its per-user table (up to 64 users), per-cell summary
  *    and latency / rate histograms; --report saves the merged
@@ -41,6 +45,16 @@
  *   ./build/wilis_cli --network grid-3x3 --slots 400 --threads 4
  *   ./build/wilis_cli --network urban-mobile --slots 2000 --trace t.txt
  *   ./build/wilis_cli --network dense-urban-10k,reps=4 --shards 4
+ *
+ * Calibration (--calibrate FILE): measure the table the spec's
+ * analytic fidelity rung reads -- every (rate, SNR bin) cell of
+ * sim::NetworkSim::calibrationBuildSpec(spec) against the bit-exact
+ * PHY -- and write it to FILE. The committed
+ * data/network_calibration.txt is the output of
+ *   ./build/wilis_cli --network cell-16 \
+ *       --calibrate data/network_calibration.txt
+ * Regenerate it whenever the PHY, the decoder defaults or the preset
+ * link template change.
  */
 
 #include <sys/wait.h>
@@ -84,32 +98,6 @@ ull(std::uint64_t v)
 /** Keys the CLI consumes itself, peeled before the spec parser. */
 const char *const kCliKeys[] = {"packets", "threads"};
 
-/**
- * Resolve a link-experiment argument the same way
- * sim::parseScenarioSpecArg() classifies it -- inline config,
- * config file, or "preset[,k=v,...]" -- into one flat config (the
- * preset head becomes a preset= entry), so the CLI-only keys can be
- * peeled off before the spec parser validates the rest.
- */
-li::Config
-resolveArgConfig(const std::string &arg)
-{
-    const size_t comma = arg.find(',');
-    const std::string head = arg.substr(0, comma);
-    if (head.find('=') == std::string::npos) {
-        if (comma == std::string::npos &&
-            !sim::hasScenarioPreset(head))
-            return li::Config::fromFile(arg);
-        li::Config cfg =
-            comma == std::string::npos
-                ? li::Config()
-                : li::Config::fromString(arg.substr(comma + 1));
-        cfg.set("preset", head);
-        return cfg;
-    }
-    return li::Config::fromString(arg);
-}
-
 int
 runLinkExperiment(int argc, char **argv)
 {
@@ -123,18 +111,12 @@ runLinkExperiment(int argc, char **argv)
     wilis_fatal_if(argc > 2, "link mode takes one argument, got '%s'",
                    argv[2]);
     if (argc > 1) {
-        li::Config raw = resolveArgConfig(argv[1]);
+        const li::Config arg =
+            sim::specArgConfig(argv[1], sim::hasScenarioPreset);
         li::Config rest;
-        for (const auto &kv : raw.entries()) {
-            bool mine = false;
-            for (const char *key : kCliKeys)
-                mine = mine || kv.first == key;
-            (mine ? cli : rest).set(kv.first, kv.second);
-        }
-        // Only CLI keys leaves nothing for the spec parser, which
-        // would read an empty argument as a config file name.
-        if (!rest.entries().empty())
-            spec = sim::parseScenarioSpecArg(rest.toString(), defaults);
+        for (const auto &[key, value] : arg.entries())
+            (std::ranges::count(kCliKeys, key) ? cli : rest).set(key, value);
+        spec = sim::scenarioSpecFromArgConfig(rest, defaults);
     } else {
         std::fprintf(stderr,
                      "usage: %s <config-file | key=value,... | "
@@ -143,9 +125,11 @@ runLinkExperiment(int argc, char **argv)
                      argv[0]);
     }
 
-    const std::uint64_t packets = cli.getUint64("packets", 100);
+    std::uint64_t packets = 100;
     int threads = 0;
-    li::ApplyKeys{cli}("threads", threads, li::atLeast(0));
+    const li::ApplyKeys read(cli);
+    read("packets", packets, li::atLeast<std::uint64_t>(1));
+    read("threads", threads, li::atLeast(0));
 
     std::printf("WiLIS experiment: %s, %s decoder, %s channel @ %.1f "
                 "dB, %llu packets x %zu bits\n\n",
@@ -202,8 +186,8 @@ runLinkExperiment(int argc, char **argv)
 
 /** The network-mode flags; each takes exactly one value. */
 const char *const kNetworkFlags[] = {
-    "--network", "--slots",  "--threads", "--shard",
-    "--shards",  "--report", "--trace",   "--json",
+    "--network", "--slots", "--threads", "--shard",     "--shards",
+    "--report",  "--trace", "--json",    "--calibrate",
 };
 
 void
@@ -570,6 +554,30 @@ runCoordinator(const sim::RunRequest &req, int shards,
     return merged;
 }
 
+/**
+ * Calibration (--calibrate FILE): build the table
+ * sim::NetworkSim::calibrationBuildSpec() derives for @p spec and
+ * save it to @p path.
+ */
+void
+writeCalibration(const sim::NetworkSpec &spec, int threads,
+                 const std::string &path)
+{
+    softphy::CalibrationTable::BuildSpec build =
+        sim::NetworkSim::calibrationBuildSpec(spec);
+    build.threads = threads;
+    const double snr_hi_db = build.snrLoDb + build.numBins * build.snrStepDb;
+    std::printf("calibrating %s: %d rates x %d bins "
+                "[%g..%g dB step %g], %llu packets/cell, "
+                "payload %zu bits, decoder %s\n",
+                spec.name.c_str(), phy::kNumRates, build.numBins,
+                build.snrLoDb, snr_hi_db, build.snrStepDb,
+                ull(build.packetsPerCell), build.payloadBits,
+                build.rx.decoder.c_str());
+    softphy::CalibrationTable::build(build).save(path);
+    std::printf("wrote %s\n", path.c_str());
+}
+
 int
 runNetworkMode(int argc, char **argv)
 {
@@ -595,9 +603,14 @@ runNetworkMode(int argc, char **argv)
                    "--network <spec-arg> is required");
     // A worker runs one shard; a coordinator runs none itself but
     // alone times the fan-out, and a packet trace records one run.
-    const char *const exclusive[][2] = {{"--shard", "--shards"},
-                                        {"--shard", "--json"},
-                                        {"--shards", "--trace"}};
+    // Calibration runs no slots at all.
+    const char *const exclusive[][2] = {
+        {"--shard", "--shards"},     {"--shard", "--json"},
+        {"--shards", "--trace"},     {"--calibrate", "--shard"},
+        {"--calibrate", "--shards"}, {"--calibrate", "--slots"},
+        {"--calibrate", "--trace"},  {"--calibrate", "--report"},
+        {"--calibrate", "--json"},
+    };
     for (const auto &pair : exclusive)
         wilis_fatal_if(flags.has(pair[0]) && flags.has(pair[1]),
                        "%s and %s cannot be combined", pair[0], pair[1]);
@@ -627,6 +640,11 @@ runNetworkMode(int argc, char **argv)
     req.traceFile = flags.getString("--trace");
     req.spec = sim::parseNetworkSpecArg(flags.getString("--network"));
 
+    if (flags.has("--calibrate")) {
+        writeCalibration(req.spec, req.threads,
+                         flags.getString("--calibrate"));
+        return 0;
+    }
     if (flags.has("--shard")) {
         req.reportFile = report_file;
         runWorker(req);

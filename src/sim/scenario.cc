@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -454,95 +454,186 @@ ScenarioSpec::toConfig() const
 
 namespace {
 
-/** Instantiate @p name from @p presets; fatal with the known names. */
+/**
+ * A built-in preset is a named spec argument: makePreset() builds
+ * @c parent (or the spec's defaults when there is none), then
+ * applies "name=<name>,<config>" through applyConfig() -- the path a
+ * user's "preset,k=v" override takes -- so a preset sets only keyed
+ * fields, passes the same checks, and its golden line is its row.
+ */
+struct PresetRow {
+    const char *name;
+    /** An earlier row to start from, or nullptr. */
+    const char *parent;
+    /** The "k=v,..." overrides on top of the parent. */
+    const char *config;
+};
+
+/** Sorted names of @p rows. */
+std::vector<std::string>
+presetNames(std::span<const PresetRow> rows)
+{
+    std::vector<std::string> names;
+    for (const PresetRow &row : rows)
+        names.emplace_back(row.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** The row named @p name, or nullptr. */
+const PresetRow *
+findPreset(std::span<const PresetRow> rows, const std::string &name)
+{
+    for (const PresetRow &row : rows)
+        if (name == row.name)
+            return &row;
+    return nullptr;
+}
+
+/** Instantiate @p name from @p rows; fatal with the known names. */
 template <typename Spec>
 Spec
-makePreset(const std::map<std::string, Spec (*)()> &presets,
-           const char *kind, const std::string &name)
+makePreset(std::span<const PresetRow> rows, const char *kind,
+           const std::string &name)
 {
-    const auto it = presets.find(name);
-    if (it == presets.end()) {
+    const PresetRow *row = findPreset(rows, name);
+    if (row == nullptr) {
         std::string known;
-        for (const auto &kv : presets)
-            known += (known.empty() ? "" : ", ") + kv.first;
+        for (const std::string &n : presetNames(rows))
+            known += (known.empty() ? "" : ", ") + n;
         wilis_fatal("no %s preset '%s' (known: %s)", kind, name.c_str(),
                     known.c_str());
     }
-    return it->second();
+    // The parent is looked up among the earlier rows only, so a
+    // cycle cannot be written.
+    const auto earlier = rows.first(static_cast<size_t>(row - rows.data()));
+    Spec s;
+    if (row->parent != nullptr)
+        s = makePreset<Spec>(earlier, kind, row->parent);
+    const std::string cfg =
+        std::string("name=") + row->name + "," + row->config;
+    s.applyConfig(li::Config::fromString(cfg));
+    return s;
 }
 
-const std::map<std::string, ScenarioSpec (*)()> &
-scenarioPresets()
-{
-    static const auto presets = [] {
-        std::map<std::string, ScenarioSpec (*)()> m;
-        m["awgn-mid"] = [] {
-            ScenarioSpec s;
-            s.name = "awgn-mid";
-            s.channel = "awgn";
-            s.channelCfg = li::Config::fromString("snr_db=10");
-            return s;
-        };
-        m["awgn-clean"] = [] {
-            ScenarioSpec s;
-            s.name = "awgn-clean";
-            s.channel = "awgn";
-            s.channelCfg = li::Config::fromString("snr_db=30");
-            return s;
-        };
-        m["rayleigh-fading"] = [] {
-            // The Figure 7 SoftRate setting: 20 Hz fading, 10 dB
-            // AWGN.
-            ScenarioSpec s;
-            s.name = "rayleigh-fading";
-            s.channel = "rayleigh";
-            s.channelCfg =
-                li::Config::fromString("snr_db=10,doppler_hz=20");
-            return s;
-        };
-        m["multipath-selective"] = [] {
-            ScenarioSpec s;
-            s.name = "multipath-selective";
-            s.channel = "multipath";
-            s.channelCfg = li::Config::fromString(
-                "snr_db=15,num_taps=4,delay_spread=3");
-            s.rx.applyCsiWeight = true;
-            return s;
-        };
-        m["interference-tone"] = [] {
-            ScenarioSpec s;
-            s.name = "interference-tone";
-            s.channel = "interference";
-            s.channelCfg =
-                li::Config::fromString("snr_db=15,sir_db=10");
-            return s;
-        };
-        return m;
-    }();
-    return presets;
-}
+const PresetRow kScenarioPresets[] = {
+    {"awgn-mid", nullptr, "channel=awgn,snr_db=10"},
+    {"awgn-clean", nullptr, "channel=awgn,snr_db=30"},
+    // The Figure 7 SoftRate setting: 20 Hz fading, 10 dB AWGN.
+    {"rayleigh-fading", nullptr,
+     "channel=rayleigh,snr_db=10,channel.doppler_hz=20"},
+    {"multipath-selective", nullptr,
+     "channel=multipath,snr_db=15,channel.num_taps=4,"
+     "channel.delay_spread=3,csi_weight=true"},
+    {"interference-tone", nullptr,
+     "channel=interference,snr_db=15,channel.sir_db=10"},
+};
+
+const PresetRow kNetworkPresets[] = {
+    // The shared base of the cell presets: a QPSK 1/2 start, room
+    // to adapt both ways.
+    {"cell-16", nullptr, "rate=2,payload_bits=1000,snr_db=14,snr_spread_db=6"},
+    // Many bursty users contending for the same timeline.
+    {"cell-dense", "cell-16", "users=64,arrival=bernoulli,arrival_prob=0.5"},
+    // Fast fading: adaptation and ARQ chase a 120 Hz channel.
+    {"cell-mobile", "cell-16", "doppler_hz=120"},
+    // Stop-and-wait baseline for the ARQ-mode comparison.
+    {"cell-stopwait", "cell-16", "arq=stopwait,ack_delay=2"},
+    // The scale step: a thousand users on the calibrated analytic
+    // fast path (full PHY here would cost ~1000x a cell-16 run).
+    {"cell-1k", "cell-16", "users=1024,fidelity=analytic"},
+    // cell-dense's bursty contention at analytic cost.
+    {"dense-analytic", "cell-dense", "users=256,fidelity=analytic"},
+    // Mixed fidelity: bit-exact warm-up + periodic refresh, analytic
+    // in between.
+    {"cell-auto", "cell-16", "fidelity=auto"},
+    // The multi-cell starter: 9 cells, 4 users each, Poisson traffic
+    // through round-robin scheduling, SINR from same-slot
+    // interfering cells, analytic fidelity off the committed
+    // calibration table (run from the repo root, or override
+    // calibration_file=).
+    {"grid-3x3", "cell-16",
+     "cells=3x3,users=36,cell_spacing_m=500,cell_radius_m=250,"
+     // 4 users/cell at 0.2 frames/slot offers ~0.8 of the
+     // one-grant-per-slot cell capacity: busy but stable.
+     "traffic=poisson,traffic_load=0.2,scheduler=round_robin,"
+     "fidelity=analytic,calibration_file=data/network_calibration.txt"},
+    // The deployment-scale step: a 10x10 urban grid with 10k+ bursty
+    // users under proportional-fair scheduling, only reachable on
+    // the calibrated analytic rung (full PHY here would cost ~3
+    // orders of magnitude more per slot).
+    {"dense-urban-10k", "cell-16",
+     "cells=10x10,users=10240,cell_spacing_m=200,cell_radius_m=100,"
+     "min_distance_m=10,ref_snr_db=44,pathloss_exp=3.8,"
+     "shadow_sigma_db=8,"
+     "doppler_hz=10," // pedestrian mobility
+     // ~102 users/cell with a 25% ON duty cycle at 0.04 frames/slot
+     // while ON offers ~1.02x each cell's one-grant-per-slot
+     // capacity: bursts queue and drain, the congested-but-live
+     // regime dense urban means.
+     "traffic=onoff,traffic_load=0.04,on_slots=24,off_slots=72,"
+     "scheduler=proportional_fair,fidelity=analytic,"
+     "calibration_file=data/network_calibration.txt"},
+    // The mobility showcase: vehicular users random-waypointing
+    // across a tight 4x4 grid with RSRP handover and session churn.
+    // The cells are small and the users fast (30 m/s over 150 m
+    // spacing) so a few thousand 2 ms slots cover enough ground for
+    // real handover activity; hysteresis 2 dB with ~one-epoch
+    // time-to-trigger keeps ping-pong visible but bounded.
+    {"urban-mobile", "cell-16",
+     "cells=4x4,users=96,cell_spacing_m=150,cell_radius_m=75,"
+     "min_distance_m=5,"
+     // Small cells need less mast power; 47 dB ref SNR puts the
+     // near/far link-budget window exactly on the committed
+     // calibration table's [-10, 28] dB span (edge mean ~16 dB, so
+     // handover still trades real throughput).
+     "ref_snr_db=47,"
+     "doppler_hz=60," // vehicular fading
+     "traffic=poisson,traffic_load=0.15,scheduler=round_robin,"
+     "fidelity=analytic,calibration_file=data/network_calibration.txt,"
+     "mobility=waypoint,speed_mps=30,handover_hyst_db=2,"
+     "handover_ttt_slots=100,"
+     // Mean dwell 1/rate = 2000 slots: about one session transition
+     // per user over a standard smoke run.
+     "churn_rate=0.0005"},
+};
 
 } // namespace
 
 ScenarioSpec
 scenarioPreset(const std::string &name)
 {
-    return makePreset(scenarioPresets(), "scenario", name);
+    return makePreset<ScenarioSpec>(kScenarioPresets, "scenario", name);
 }
 
 bool
 hasScenarioPreset(const std::string &name)
 {
-    return scenarioPresets().count(name) > 0;
+    return findPreset(kScenarioPresets, name) != nullptr;
 }
 
 std::vector<std::string>
 scenarioPresetNames()
 {
-    std::vector<std::string> out;
-    for (const auto &kv : scenarioPresets())
-        out.push_back(kv.first);
-    return out;
+    return presetNames(kScenarioPresets);
+}
+
+NetworkSpec
+networkPreset(const std::string &name)
+{
+    return makePreset<NetworkSpec>(kNetworkPresets, "network", name);
+}
+
+bool
+hasNetworkPreset(const std::string &name)
+{
+    return findPreset(kNetworkPresets, name) != nullptr;
+}
+
+std::vector<std::string>
+networkPresetNames()
+{
+    return presetNames(kNetworkPresets);
 }
 
 // ------------------------------------------------ network specs
@@ -658,256 +749,70 @@ NetworkSpec::fingerprint() const
     return networkConfig(*this, false).toString();
 }
 
-namespace {
-
-/** Shared base of the built-in cell presets. */
-NetworkSpec
-baseCell()
-{
-    NetworkSpec s;
-    s.link.rate = 2; // QPSK 1/2 start, room to adapt both ways
-    s.link.payloadBits = 1000;
-    s.link.channelCfg = li::Config::fromString("snr_db=14");
-    s.snrSpreadDb = 6.0;
-    return s;
-}
-
-const std::map<std::string, NetworkSpec (*)()> &
-networkPresets()
-{
-    static const auto presets = [] {
-        std::map<std::string, NetworkSpec (*)()> m;
-        m["cell-16"] = [] {
-            NetworkSpec s = baseCell();
-            s.name = "cell-16";
-            return s;
-        };
-        m["cell-dense"] = [] {
-            // Many bursty users contending for the same timeline.
-            NetworkSpec s = baseCell();
-            s.name = "cell-dense";
-            s.numUsers = 64;
-            s.arrivalModel = "bernoulli";
-            s.arrivalProb = 0.5;
-            return s;
-        };
-        m["cell-mobile"] = [] {
-            // Fast fading: adaptation and ARQ chase a 120 Hz
-            // channel.
-            NetworkSpec s = baseCell();
-            s.name = "cell-mobile";
-            s.dopplerHz = 120.0;
-            return s;
-        };
-        m["cell-stopwait"] = [] {
-            // Stop-and-wait baseline for the ARQ-mode comparison.
-            NetworkSpec s = baseCell();
-            s.name = "cell-stopwait";
-            s.arqMode = mac::ArqMode::StopAndWait;
-            s.ackDelaySlots = 2;
-            return s;
-        };
-        m["cell-1k"] = [] {
-            // The scale step: a thousand users on the calibrated
-            // analytic fast path (full PHY here would cost ~1000x
-            // a cell-16 run).
-            NetworkSpec s = baseCell();
-            s.name = "cell-1k";
-            s.numUsers = 1024;
-            s.fidelity.mode = FidelityMode::Analytic;
-            return s;
-        };
-        m["dense-analytic"] = [] {
-            // cell-dense's bursty contention at analytic cost.
-            NetworkSpec s = baseCell();
-            s.name = "dense-analytic";
-            s.numUsers = 256;
-            s.arrivalModel = "bernoulli";
-            s.arrivalProb = 0.5;
-            s.fidelity.mode = FidelityMode::Analytic;
-            return s;
-        };
-        m["cell-auto"] = [] {
-            // Mixed fidelity: bit-exact warm-up + periodic refresh,
-            // analytic in between.
-            NetworkSpec s = baseCell();
-            s.name = "cell-auto";
-            s.fidelity.mode = FidelityMode::Auto;
-            return s;
-        };
-        m["grid-3x3"] = [] {
-            // The multi-cell starter: 9 cells, 4 users each,
-            // Poisson traffic through round-robin scheduling, SINR
-            // from same-slot interfering cells, analytic fidelity
-            // off the committed calibration table (run from the
-            // repo root, or override calibration_file=).
-            NetworkSpec s = baseCell();
-            s.name = "grid-3x3";
-            s.numUsers = 36;
-            s.topology.rows = 3;
-            s.topology.cols = 3;
-            s.topology.cellSpacingM = 500.0;
-            s.topology.cellRadiusM = 250.0;
-            // 4 users/cell at 0.2 frames/slot offers ~0.8 of the
-            // one-grant-per-slot cell capacity: busy but stable.
-            s.traffic.kind = mac::TrafficKind::Poisson;
-            s.traffic.load = 0.2;
-            s.scheduler.kind = mac::SchedulerKind::RoundRobin;
-            s.fidelity.mode = FidelityMode::Analytic;
-            s.calibrationFile = "data/network_calibration.txt";
-            return s;
-        };
-        m["dense-urban-10k"] = [] {
-            // The deployment-scale step: a 10x10 urban grid with
-            // 10k+ bursty users under proportional-fair
-            // scheduling, only reachable on the calibrated
-            // analytic rung (full PHY here would cost ~3 orders
-            // of magnitude more per slot).
-            NetworkSpec s = baseCell();
-            s.name = "dense-urban-10k";
-            s.numUsers = 10240;
-            s.topology.rows = 10;
-            s.topology.cols = 10;
-            s.topology.cellSpacingM = 200.0;
-            s.topology.cellRadiusM = 100.0;
-            s.topology.minDistanceM = 10.0;
-            s.topology.pathloss.refSnrDb = 44.0;
-            s.topology.pathloss.exponent = 3.8;
-            s.topology.pathloss.shadowSigmaDb = 8.0;
-            s.dopplerHz = 10.0; // pedestrian mobility
-            // ~102 users/cell with a 25% ON duty cycle at 0.04
-            // frames/slot while ON offers ~1.02x each cell's
-            // one-grant-per-slot capacity: bursts queue and drain,
-            // the congested-but-live regime dense urban means.
-            s.traffic.kind = mac::TrafficKind::OnOff;
-            s.traffic.load = 0.04;
-            s.traffic.onSlots = 24.0;
-            s.traffic.offSlots = 72.0;
-            s.scheduler.kind = mac::SchedulerKind::ProportionalFair;
-            s.fidelity.mode = FidelityMode::Analytic;
-            s.calibrationFile = "data/network_calibration.txt";
-            return s;
-        };
-        m["urban-mobile"] = [] {
-            // The mobility showcase: vehicular users random-
-            // waypointing across a tight 4x4 grid with RSRP
-            // handover and session churn. The cells are small and
-            // the users fast (30 m/s over 150 m spacing) so a few
-            // thousand 2 ms slots cover enough ground for real
-            // handover activity; hysteresis 2 dB with ~one-epoch
-            // time-to-trigger keeps ping-pong visible but bounded.
-            NetworkSpec s = baseCell();
-            s.name = "urban-mobile";
-            s.numUsers = 96;
-            s.topology.rows = 4;
-            s.topology.cols = 4;
-            s.topology.cellSpacingM = 150.0;
-            s.topology.cellRadiusM = 75.0;
-            s.topology.minDistanceM = 5.0;
-            // Small cells need less mast power; 47 dB ref SNR puts
-            // the near/far link-budget window exactly on the
-            // committed calibration table's [-10, 28] dB span
-            // (edge mean ~16 dB, so handover still trades real
-            // throughput).
-            s.topology.pathloss.refSnrDb = 47.0;
-            s.dopplerHz = 60.0; // vehicular fading
-            s.traffic.kind = mac::TrafficKind::Poisson;
-            s.traffic.load = 0.15;
-            s.scheduler.kind = mac::SchedulerKind::RoundRobin;
-            s.fidelity.mode = FidelityMode::Analytic;
-            s.calibrationFile = "data/network_calibration.txt";
-            s.mobility.model = MobilityModel::Waypoint;
-            s.mobility.speedMps = 30.0;
-            s.mobility.handoverHystDb = 2.0;
-            s.mobility.handoverTttSlots = 100;
-            // Mean dwell 1/rate = 2000 slots: about one session
-            // transition per user over a standard smoke run.
-            s.mobility.churnRate = 0.0005;
-            return s;
-        };
-        return m;
-    }();
-    return presets;
-}
-
-} // namespace
-
-NetworkSpec
-networkPreset(const std::string &name)
-{
-    return makePreset(networkPresets(), "network", name);
-}
-
-bool
-hasNetworkPreset(const std::string &name)
-{
-    return networkPresets().count(name) > 0;
-}
-
 // ------------------------------------------------ spec arguments
+
+li::Config
+specArgConfig(const std::string &arg, bool (*has_preset)(const std::string &))
+{
+    const size_t comma = arg.find(',');
+    const std::string head = arg.substr(0, comma);
+    if (head.find('=') != std::string::npos)
+        return li::Config::fromString(arg);
+    if (comma == std::string::npos && !has_preset(head))
+        return li::Config::fromFile(head);
+    // A preset head, optionally with k=v overrides appended.
+    li::Config cfg;
+    if (comma != std::string::npos)
+        cfg = li::Config::fromString(arg.substr(comma + 1));
+    wilis_fatal_if(cfg.has("preset"),
+                   "'%s' names a preset twice (head and preset=)",
+                   arg.c_str());
+    cfg.set("preset", head);
+    return cfg;
+}
 
 namespace {
 
 /**
- * The shared grammar of parseScenarioSpecArg() /
- * parseNetworkSpecArg(); Spec supplies applyConfig() and the two
- * preset hooks.
+ * A spec from a specArgConfig() config: its preset= base (fatal with
+ * the known names if unknown) or @p defaults, then the other keys.
  */
 template <typename Spec>
 Spec
-parseSpecArgImpl(const std::string &arg, const Spec &defaults,
-                 bool (*has_preset)(const std::string &),
-                 Spec (*make_preset)(const std::string &))
+applySpecArgConfig(const li::Config &cfg, const Spec &defaults,
+                   Spec (*make_preset)(const std::string &))
 {
-    // Apply @p cfg on top of the defaults, honoring its preset=
-    // base if named (config files and inline strings share this).
-    const auto apply = [&](const li::Config &cfg) {
-        Spec s = defaults;
-        if (cfg.has("preset")) {
-            s = make_preset(cfg.getString("preset"));
-            li::Config rest;
-            for (const auto &kv : cfg.entries())
-                if (kv.first != "preset")
-                    rest.set(kv.first, kv.second);
-            s.applyConfig(rest);
-        } else {
-            s.applyConfig(cfg);
-        }
-        return s;
-    };
-
-    const size_t comma = arg.find(',');
-    const std::string head = arg.substr(0, comma);
-    if (head.find('=') == std::string::npos) {
-        if (comma == std::string::npos && !has_preset(head))
-            return apply(li::Config::fromFile(head));
-        // A preset head (fatal with the known names if unknown),
-        // optionally with k=v overrides appended.
-        Spec s = make_preset(head);
-        if (comma != std::string::npos)
-            s.applyConfig(
-                li::Config::fromString(arg.substr(comma + 1)));
-        return s;
-    }
-    return apply(li::Config::fromString(arg));
+    Spec s = defaults;
+    if (cfg.has("preset"))
+        s = make_preset(cfg.getString("preset"));
+    li::Config rest;
+    for (const auto &[key, value] : cfg.entries())
+        if (key != "preset")
+            rest.set(key, value);
+    s.applyConfig(rest);
+    return s;
 }
 
 } // namespace
 
 ScenarioSpec
-parseScenarioSpecArg(const std::string &arg,
-                     const ScenarioSpec &defaults)
+scenarioSpecFromArgConfig(const li::Config &cfg, const ScenarioSpec &defaults)
 {
-    return parseSpecArgImpl(arg, defaults, hasScenarioPreset,
-                            scenarioPreset);
+    return applySpecArgConfig(cfg, defaults, scenarioPreset);
+}
+
+ScenarioSpec
+parseScenarioSpecArg(const std::string &arg, const ScenarioSpec &defaults)
+{
+    const li::Config cfg = specArgConfig(arg, hasScenarioPreset);
+    return scenarioSpecFromArgConfig(cfg, defaults);
 }
 
 NetworkSpec
-parseNetworkSpecArg(const std::string &arg,
-                    const NetworkSpec &defaults)
+parseNetworkSpecArg(const std::string &arg, const NetworkSpec &defaults)
 {
-    return parseSpecArgImpl(arg, defaults, hasNetworkPreset,
-                            networkPreset);
+    const li::Config cfg = specArgConfig(arg, hasNetworkPreset);
+    return applySpecArgConfig(cfg, defaults, networkPreset);
 }
 
 } // namespace sim

@@ -16,12 +16,13 @@
  * whole scenarios.
  *
  * Specs round-trip through li::Config ("k=v,k=v" strings or config
- * files), and built-in presets map names like "rayleigh-fading" to
- * ready-made specs, so scenario selection is a configuration change,
- * not a source change (the paper's Plug-n-Play property at scenario
- * granularity). Each config key is declared once, in the key lists
- * of scenario.cc, which drive parsing, serialization and validation;
- * docs/SCENARIOS.md is the user-facing reference.
+ * files), and built-in presets name such strings ("rayleigh-fading"
+ * is "channel=rayleigh,snr_db=10,..."), so scenario selection is a
+ * configuration change, not a source change (the paper's
+ * Plug-n-Play property at scenario granularity). Each config key is
+ * declared once, in the key lists of scenario.cc, which drive
+ * parsing, serialization and validation; docs/SCENARIOS.md is the
+ * user-facing reference.
  */
 
 #ifndef WILIS_SIM_SCENARIO_HH
@@ -126,8 +127,10 @@ struct ScenarioSpec {
 
 /**
  * Instantiate a built-in scenario preset ("awgn-mid",
- * "rayleigh-fading", ...); fatal if unknown. The returned spec is
- * freely mutable.
+ * "rayleigh-fading", ...); fatal, listing the known names, if
+ * unknown. A preset is a named spec argument: a row of scenario.cc
+ * applied through applyConfig(). The returned spec is freely
+ * mutable.
  */
 ScenarioSpec scenarioPreset(const std::string &name);
 
@@ -265,7 +268,8 @@ struct NetworkSpec {
      * Calibration table file for the analytic/auto modes. Empty
      * means sim::NetworkSim measures a table itself at construction
      * (deterministic, but costs a small offline sweep); non-empty
-     * loads a committed table (see examples/build_calibration).
+     * loads a committed table, written by
+     * `wilis_cli --network <spec> --calibrate FILE`.
      */
     std::string calibrationFile;
 
@@ -340,11 +344,14 @@ struct NetworkSpec {
     std::string fingerprint() const;
 };
 
-/** Instantiate a built-in network preset; fatal if unknown. */
+/** The NetworkSpec twin of scenarioPreset(). */
 NetworkSpec networkPreset(const std::string &name);
 
 /** True if @p name is a built-in network preset. */
 bool hasNetworkPreset(const std::string &name);
+
+/** Sorted names of the built-in network presets. */
+std::vector<std::string> networkPresetNames();
 
 /**
  * Every exact key NetworkSpec::applyConfig() accepts, or only those
@@ -356,16 +363,29 @@ std::vector<std::string>
 networkSpecKeys(std::optional<KeyScope> scope = std::nullopt);
 
 /**
- * Resolve a command-line scenario argument -- the one spec-argument
- * grammar every CLI shares (wilis_cli, scenario tooling):
+ * The one spec-argument grammar every CLI shares (wilis_cli, scenario
+ * tooling), as one flat config:
  *  - a preset name                      ("rayleigh-fading")
  *  - a preset with overrides appended   ("rayleigh-fading,snr_db=12")
  *  - an inline config string            ("rate=4,decoder=sova"),
  *    which may name its base via the preset= key
  *  - a config file path (no '=' anywhere, not a preset name)
- * Starts from @p defaults; fatal on unknown presets, unreadable
- * files and unknown keys, exactly like applyConfig().
+ * A preset head becomes a preset= entry. @p has_preset is
+ * hasScenarioPreset or hasNetworkPreset; fatal on unreadable files.
  */
+li::Config specArgConfig(const std::string &arg,
+                         bool (*has_preset)(const std::string &));
+
+/**
+ * A spec from a specArgConfig() config: its preset= base (fatal,
+ * listing the known names, if unknown) or else @p defaults, then
+ * applyConfig() of the other keys.
+ */
+ScenarioSpec scenarioSpecFromArgConfig(const li::Config &cfg,
+                                       const ScenarioSpec &defaults =
+                                           ScenarioSpec());
+
+/** scenarioSpecFromArgConfig() of specArgConfig(@p arg). */
 ScenarioSpec parseScenarioSpecArg(const std::string &arg,
                                   const ScenarioSpec &defaults =
                                       ScenarioSpec());

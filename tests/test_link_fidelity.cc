@@ -193,9 +193,10 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
 
 TEST(CalibrationTable, CommittedTableIsTheCell16Sweep)
 {
-    // data/network_calibration.txt is build_calibration's cell-16
-    // output. A PHY, channel or seed-parsing change that moves the
-    // sweep must regenerate it, and every output pinned on it.
+    // data/network_calibration.txt is the output of
+    // `wilis_cli --network cell-16 --calibrate`. A PHY, channel or
+    // seed-parsing change that moves the sweep must regenerate it,
+    // and every output pinned on it.
     const softphy::CalibrationTable built =
         softphy::CalibrationTable::build(
             NetworkSim::calibrationBuildSpec(networkPreset("cell-16")));

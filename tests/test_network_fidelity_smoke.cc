@@ -48,7 +48,8 @@ TEST(NetworkFidelitySmoke, CommittedTableMatchesPresetGeometry)
         NetworkSim::calibrationBuildSpec(networkPreset("cell-16"));
 
     // If this fails, a preset or receiver default moved: regenerate
-    // with ./build/build_calibration data/network_calibration.txt
+    // with ./build/wilis_cli --network cell-16 --calibrate
+    // data/network_calibration.txt
     EXPECT_EQ(t->channelKind(), want.channel);
     EXPECT_EQ(t->decoder(), want.rx.decoder);
     EXPECT_EQ(t->softWidth(), want.rx.demapper.softWidth);

@@ -111,18 +111,6 @@ TEST(NetworkSpec, ConfigRoundTrips)
     EXPECT_EQ(t.link.payloadBits, s.link.payloadBits);
 }
 
-TEST(NetworkSpec, PresetsAreRegistered)
-{
-    for (const char *name :
-         {"cell-16", "cell-dense", "cell-mobile", "cell-stopwait"})
-        EXPECT_TRUE(hasNetworkPreset(name)) << name;
-    NetworkSpec dense = networkPreset("cell-dense");
-    EXPECT_EQ(dense.numUsers, 64);
-    EXPECT_EQ(dense.arrivalModel, "bernoulli");
-    NetworkSpec sw = networkPreset("cell-stopwait");
-    EXPECT_EQ(sw.arqMode, mac::ArqMode::StopAndWait);
-}
-
 TEST(NetworkSpec, ShorthandKeysReachTheLinkTemplate)
 {
     NetworkSpec s = NetworkSpec::fromConfig(li::Config::fromString(

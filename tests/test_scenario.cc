@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the unified ScenarioSpec: config round-trips, the preset
- * registry and fluent grid helpers.
+ * rows and fluent grid helpers.
  */
 
 #include <gtest/gtest.h>
@@ -726,13 +726,31 @@ TEST(ScenarioGolden, CanonicalStringsMatchTheCommittedGolden)
         ++checked;
     }
     EXPECT_EQ(checked, 39);
+    // Every preset row has a golden line, so a new preset cannot
+    // land without pinning its canonical string.
     for (const std::string &name : scenarioPresetNames())
         EXPECT_TRUE(presets_seen.count(name)) << name;
-    for (const char *name :
-         {"cell-16", "cell-1k", "cell-auto", "cell-dense", "cell-mobile",
-          "cell-stopwait", "dense-analytic", "dense-urban-10k",
-          "grid-3x3", "urban-mobile"})
+    for (const std::string &name : networkPresetNames())
         EXPECT_TRUE(presets_seen.count(name)) << name;
+}
+
+TEST(ScenarioPresetsDeath, UnknownPresetListsTheSortedNames)
+{
+    const auto known = [](const std::vector<std::string> &names) {
+        EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+        std::string out;
+        for (const std::string &n : names)
+            out += (out.empty() ? "" : ", ") + n;
+        return "\\(known: " + out + "\\)";
+    };
+    EXPECT_FALSE(hasScenarioPreset("no-such-preset"));
+    EXPECT_FALSE(hasNetworkPreset("no-such-preset"));
+    EXPECT_DEATH(scenarioPreset("no-such-preset"),
+                 "no scenario preset 'no-such-preset' " +
+                     known(scenarioPresetNames()));
+    EXPECT_DEATH(parseNetworkSpecArg("no-such-preset,users=4"),
+                 "no network preset 'no-such-preset' " +
+                     known(networkPresetNames()));
 }
 
 TEST(ScenarioSpec, FluentHelpersDoNotMutateOriginal)
@@ -759,19 +777,6 @@ TEST(ScenarioSpec, LabelNamesEveryAxis)
     EXPECT_NE(label.find("awgn"), std::string::npos);
     EXPECT_NE(label.find("7.5"), std::string::npos);
     EXPECT_NE(label.find("333"), std::string::npos);
-}
-
-TEST(ScenarioPresets, BuiltinsExist)
-{
-    for (const char *name :
-         {"awgn-mid", "awgn-clean", "rayleigh-fading",
-          "multipath-selective", "interference-tone"}) {
-        EXPECT_TRUE(hasScenarioPreset(name)) << name;
-        ScenarioSpec s = scenarioPreset(name);
-        EXPECT_EQ(s.name, name);
-    }
-    EXPECT_FALSE(hasScenarioPreset("no-such-preset"));
-    EXPECT_GE(scenarioPresetNames().size(), 5u);
 }
 
 TEST(ScenarioPresets, PresetsRunEndToEnd)
