@@ -52,22 +52,6 @@ encoded(const BitVec &data)
 }
 
 void
-BM_Fft64(benchmark::State &state)
-{
-    Fft fft(64);
-    SplitMix64 rng(1);
-    SampleVec x(64);
-    for (auto &v : x)
-        v = Sample(rng.nextDouble(), rng.nextDouble());
-    for (auto _ : state) {
-        fft.forward(x);
-        benchmark::DoNotOptimize(x.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_Fft64);
-
-void
 BM_Scrambler(benchmark::State &state)
 {
     Scrambler s(0x5D);
@@ -210,6 +194,24 @@ selectBackendArg(benchmark::State &state)
     state.SetLabel(kernels::backendName(avail[idx]));
     return true;
 }
+
+void
+BM_Fft64(benchmark::State &state)
+{
+    if (!selectBackendArg(state))
+        return;
+    Fft fft(64);
+    SplitMix64 rng(1);
+    SampleVec x(64);
+    for (auto &v : x)
+        v = Sample(rng.nextDouble(), rng.nextDouble());
+    for (auto _ : state) {
+        fft.forward(x);
+        benchmark::DoNotOptimize(x.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_Fft64)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_KernelAcsForward(benchmark::State &state)

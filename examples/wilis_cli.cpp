@@ -57,6 +57,7 @@
  * link template change.
  */
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -413,14 +414,21 @@ runInProcess(const sim::RunRequest &req)
 /**
  * Spawn one worker: fork + execv of this very binary (no shell --
  * the canonical spec string travels as one argv entry, so no
- * quoting layer can corrupt it). Returns the child pid, or -1 if
- * fork failed.
+ * quoting layer can corrupt it), its stdout sent to /dev/null.
+ * Returns the child pid, or -1 if fork failed.
  */
 pid_t
 spawnWorker(const char *argv0, const std::vector<std::string> &args)
 {
     const pid_t pid = fork();
     if (pid == 0) {
+        // A worker's progress lines would reach the coordinator's
+        // stdout in completion order; stderr stays, so fatals show.
+        const int null_fd = open("/dev/null", O_WRONLY);
+        if (null_fd >= 0) {
+            dup2(null_fd, STDOUT_FILENO);
+            close(null_fd);
+        }
         std::vector<char *> argv{const_cast<char *>(argv0)};
         for (const std::string &a : args)
             argv.push_back(const_cast<char *>(a.c_str()));

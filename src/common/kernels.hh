@@ -3,8 +3,8 @@
  * Runtime-dispatched SIMD kernel registry for the PHY/decoder hot
  * paths.
  *
- * The three hottest inner loops of the simulator -- soft-LLR
- * demapping, the trellis add-compare-select sweep shared by
+ * The hottest inner loops of the simulator -- soft-LLR demapping,
+ * the OFDM FFT, the trellis add-compare-select sweep shared by
  * Viterbi/SOVA/BCJR, and the per-sample complex channel arithmetic --
  * are expressed once against the portable packed-vector layer in
  * common/simd.hh and compiled three times: scalar, SSE4.2 and AVX2
@@ -79,7 +79,7 @@ struct KernelPolicy {
  * asserts all of it once when building the view.
  */
 struct TrellisView {
-    /** Number of states (a multiple of the widest vector width). */
+    /** Number of states (a multiple of twice the widest width). */
     int nStates;
     /** Branch-metric index (0..3) of reverse transition choice 0. */
     const std::int32_t *revOut0;
@@ -99,6 +99,29 @@ enum : int {
     kDemapQam16 = 2,
     /** QAM-64, 6 bits per subcarrier. */
     kDemapQam64 = 3,
+};
+
+/**
+ * The process-wide tables of one radix-2 FFT size (phy::Fft builds
+ * one per size, once). The stage whose butterflies span 2h points
+ * reads its h twiddles w_j = exp(-2*pi*i*j*(n/2h)/n) from offset
+ * 2 * (h - 1) of a direction's arrays; every value is stored twice,
+ * so a vector lane pair (re, im) loads it without a shuffle. The
+ * inverse direction holds the conjugates.
+ */
+struct FftView {
+    /** Transform size (a power of two, at least 2). */
+    int n;
+    /** Bit-reversal swaps as (i, j) pairs with i < j. */
+    const std::int32_t *swaps;
+    /** Number of (i, j) pairs in @p swaps. */
+    int numSwaps;
+    /** Twiddle real parts, [0] forward and [1] inverse. */
+    const double *twRe[2];
+    /** Twiddle imaginary parts, [0] forward and [1] inverse. */
+    const double *twIm[2];
+    /** Unitary output scale 1 / sqrt(n). */
+    double scale;
 };
 
 /**
@@ -187,6 +210,18 @@ struct Ops {
                        const double *weights, size_t n, double scale,
                        int soft_width, double full_scale,
                        SoftBit *out);
+
+    /**
+     * In-place unitary radix-2 FFT of @p x (tv.n samples): the
+     * bit-reversal permutation, then the butterfly stages in order,
+     * each butterfly v = x[k + h] * w, (x[k] + v, x[k] - v) with the
+     * complex product as (xr*wr - xi*wi, xr*wi + xi*wr), the last
+     * stage's outputs times tv.scale. Bit-identical to the
+     * std::complex loop for every input whose products never take
+     * the NaN-recovery path of the C complex multiply (__muldc3);
+     * finite inputs that do not overflow never do.
+     */
+    void (*fft)(const FftView &tv, bool inverse, Sample *x);
 
     /** In-place complex scale: s[i] *= h (flat-fading application). */
     void (*scaleComplex)(Sample *s, size_t n, Sample h);

@@ -44,6 +44,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "common/kernels.hh"
 #include "common/simd.hh"
@@ -72,11 +74,10 @@ acsForwardKernel(const TrellisView &tv, const i32 *pm_in,
     constexpr int L = VecI32::kLanes;
     u64 ch = 0;
     for (int s = 0; s < n; s += L) {
-        const int base = 2 * (s & (half - 1));
-        VecI32 m0 = VecI32::loadEven(pm_in + base) +
-                    VecI32::lookup4(bm, VecI32::load(tv.revOut0 + s));
-        VecI32 m1 = VecI32::loadOdd(pm_in + base) +
-                    VecI32::lookup4(bm, VecI32::load(tv.revOut1 + s));
+        VecI32 m0, m1;
+        VecI32::deinterleave(pm_in + 2 * (s & (half - 1)), &m0, &m1);
+        m0 = m0 + VecI32::lookup4(bm, VecI32::load(tv.revOut0 + s));
+        m1 = m1 + VecI32::lookup4(bm, VecI32::load(tv.revOut1 + s));
         VecI32 mask = VecI32::gtMask(m1, m0);
         VecI32::blend(m0, m1, mask).store(pm_out + s);
         ch |= static_cast<u64>(mask.moveMask()) << s;
@@ -136,73 +137,101 @@ clampFreeMaxSoft(i32 floor)
 }
 
 /**
- * The four branch metrics of one soft pair, decode::branchMetrics()
- * restated inside the level namespace: an inline helper shared with
- * the baseline TUs could be emitted with this level's -m flags.
+ * Steps a clamp-free metric row may go between normalizations when
+ * max|soft| is @p max_soft. The row maximum never falls from one
+ * step to the next (of the two branches out of, or into, the best
+ * state one carries +|bm|) and rises by at most 2 * max_soft, so a
+ * row k steps past its last normalization holds metrics at most
+ * 2 * max_soft * k. The largest sum the kernel forms, alpha + bm +
+ * beta with both rows K - 1 steps out, is 2 * max_soft * (2K - 1):
+ * K is the largest period that keeps it in int32 (the derivation is
+ * in docs/ARCHITECTURE.md, "The whole-block BCJR kernel").
  */
-inline void
-bcjrBranchMetrics(const SoftBit *pair, i32 bm[4])
+inline int
+deferredNormPeriod(i32 max_soft)
 {
-    bm[0] = -pair[0] - pair[1];
-    bm[1] = pair[0] - pair[1];
-    bm[2] = -pair[0] + pair[1];
-    bm[3] = pair[0] + pair[1];
+    constexpr i32 kMax = std::numeric_limits<i32>::max();
+    if (max_soft == 0)
+        return kMax;
+    return (kMax / (2 * max_soft) + 1) / 2;
 }
 
 /**
- * Normalize @p n metrics whose maximum is broadcast in @p vmx. With
- * @p clamp this is normalizeMetricsKernel (entries at or below @p thr
- * pinned to @p fl); without it every entry is shifted by the maximum.
+ * Per-state signs of the branch metric of 2-bit output @p out[s],
+ * bm[o] = (o & 1 ? p0 : -p0) + (o & 2 ? p1 : -p1) -- the
+ * decode::branchMetrics() table -- so a vector of metrics is two
+ * applySign() and an add instead of a table permute.
  */
 inline void
-bcjrNormalize(i32 *pm, int n, VecI32 vmx, bool clamp, i32 thr, i32 fl)
+bcjrSigns(const i32 *out, int n, i32 *sign0, i32 *sign1)
 {
-    if (clamp) {
-        normalizeMetricsKernel(pm, n, thr, fl);
-        return;
+    for (int s = 0; s < n; ++s) {
+        sign0[s] = (out[s] & 1) ? 1 : -1;
+        sign1[s] = (out[s] & 2) ? 1 : -1;
     }
-    for (int s = 0; s < n; s += VecI32::kLanes)
+}
+
+/** Branch metrics of kLanes states from their sign vectors. */
+inline VecI32
+bcjrMetric(VecI32 p0, VecI32 p1, const i32 *sign0, const i32 *sign1)
+{
+    return VecI32::applySign(p0, VecI32::load(sign0)) +
+           VecI32::applySign(p1, VecI32::load(sign1));
+}
+
+/** Subtract the maximum from each of @p n metrics (no floor pin). */
+inline void
+bcjrShift(i32 *pm, int n)
+{
+    constexpr int L = VecI32::kLanes;
+    VecI32 mv = VecI32::load(pm);
+    for (int s = L; s < n; s += L)
+        mv = VecI32::max(mv, VecI32::load(pm + s));
+    const VecI32 vmx = VecI32::broadcast(mv.reduceMax());
+    for (int s = 0; s < n; s += L)
         (VecI32::load(pm + s) - vmx).store(pm + s);
 }
 
 /**
  * One backward step, beta_out[s] = max over x of (bm[fwdOut_x[s]] +
- * beta[next_x[s]]), with the branch metric of input 1 taken as the
- * negated metric of input 0. With @p kDecide the decision unit runs
- * on the same sums: *best_x = max(floor, max over s of alpha[s] +
- * bm[fwdOut_x[s]] + beta[next_x[s]]). Returns the maximum of
- * beta_out.
+ * beta[next_x[s]]), with the branch metric of input 1 the negated
+ * metric of input 0 and next_x[s] = x * n/2 + s / 2: one load of
+ * kLanes successor metrics feeds two vectors of states through
+ * dupLow() and dupHigh(). With @p kDecide the decision unit runs on
+ * the same sums: *best_x = max(floor, max over s of alpha[s] +
+ * bm[fwdOut_x[s]] + beta[next_x[s]]).
  */
 template <bool kDecide>
-inline i32
-bcjrBackwardStep(const TrellisView &tv, const i32 *beta, const i32 bm[4],
-                 i32 *beta_out, const i32 *alpha, i32 floor, i32 *best0,
-                 i32 *best1)
+inline void
+bcjrBackwardStep(int n, const i32 *sign0, const i32 *sign1, VecI32 p0,
+                 VecI32 p1, const i32 *beta, i32 *beta_out,
+                 const i32 *alpha, i32 floor, i32 *best0, i32 *best1)
 {
-    const int n = tv.nStates;
     const int half = n / 2;
     constexpr int L = VecI32::kLanes;
-    VecI32 mv = VecI32::broadcast(floor);
-    VecI32 acc0 = mv;
-    VecI32 acc1 = mv;
-    for (int s = 0; s < n; s += L) {
-        const VecI32 c = VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s));
-        const VecI32 t0 = VecI32::loadHalfDup(beta + s / 2) + c;
-        const VecI32 t1 = VecI32::loadHalfDup(beta + half + s / 2) - c;
-        const VecI32 r = VecI32::max(t0, t1);
-        r.store(beta_out + s);
-        mv = VecI32::max(mv, r);
+    VecI32 acc0 = VecI32::broadcast(floor);
+    VecI32 acc1 = acc0;
+    auto states = [&](int s, VecI32 next0, VecI32 next1) {
+        const VecI32 c = bcjrMetric(p0, p1, sign0 + s, sign1 + s);
+        const VecI32 t0 = next0 + c;
+        const VecI32 t1 = next1 - c;
+        VecI32::max(t0, t1).store(beta_out + s);
         if constexpr (kDecide) {
             const VecI32 a = VecI32::load(alpha + s);
             acc0 = VecI32::max(acc0, a + t0);
             acc1 = VecI32::max(acc1, a + t1);
         }
+    };
+    for (int s = 0; s < n; s += 2 * L) {
+        const VecI32 b0 = VecI32::load(beta + s / 2);
+        const VecI32 b1 = VecI32::load(beta + half + s / 2);
+        states(s, b0.dupLow(), b1.dupLow());
+        states(s + L, b0.dupHigh(), b1.dupHigh());
     }
     if constexpr (kDecide) {
         *best0 = acc0.reduceMax();
         *best1 = acc1.reduceMax();
     }
-    return mv.reduceMax();
 }
 
 inline void
@@ -221,46 +250,70 @@ bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
         ++mem;
     const i32 thr = floor / 2;
 
-    // One scan decides whether clamp-free normalization is exact.
+    // One scan decides whether clamp-free normalization is exact and
+    // how long it may be deferred.
     const i32 bound = clampFreeMaxSoft(floor);
     bool clamp_free = true;
+    i32 max_soft = 0;
     for (int i = 0; i < 2 * steps; ++i) {
-        if (soft[i] > bound || soft[i] < -bound) {
+        const i32 x = soft[i];
+        if (x > bound || x < -bound) {
             clamp_free = false;
             break;
         }
+        max_soft = std::max(max_soft, x < 0 ? -x : x);
     }
+    const int period = deferredNormPeriod(max_soft);
+
+    // A row that may hold impossible states is normalized with the
+    // floor pin at every step. A clamp-free row is shifted by its
+    // maximum every `period` steps, and whenever @p exact asks: a
+    // deferred shift raises every sum of a decision alike, which
+    // cancels in best1 - best0 unless the floor seed of best_x wins
+    // in one of them (docs/ARCHITECTURE.md).
+    auto normalize = [&](i32 *row, bool clamp, bool exact, int &since) {
+        if (clamp) {
+            normalizeMetricsKernel(row, n, thr, floor);
+            since = 0;
+        } else if (++since >= period || exact) {
+            bcjrShift(row, n);
+            since = 0;
+        }
+    };
+
+    constexpr int kMaxStates = 64; // the K = 7 trellis
+    i32 rev_sign[2][kMaxStates / 2];
+    i32 fwd_sign[2][kMaxStates];
+    bcjrSigns(tv.revOut0, half, rev_sign[0], rev_sign[1]);
+    bcjrSigns(tv.fwdOut0, n, fwd_sign[0], fwd_sign[1]);
 
     // --- Forward recursion. Arrival states s and s + n/2 share the
-    // predecessor pair (2 * (s % (n/2)), +1), so one even/odd load
-    // feeds both; the choice-1 branch metric is the negated choice-0
-    // one (complementary outputs). BCJR keeps no survivor choices,
-    // so the ACS is max-only.
-    i32 bm[4];
+    // predecessor pair (2 * (s % (n/2)), +1), so one deinterleave
+    // feeds both; the choice-1 metric is the negated choice-0 one
+    // (complementary outputs), and so is the metric into s + n/2
+    // from the same predecessor. BCJR keeps no survivor choices, so
+    // the ACS is max-only. The decisions of the last mem steps see a
+    // beta with pinned states, where every sum of best_x can sit at
+    // or below the floor, so their alpha rows are normalized exactly.
+    int since = 0;
     for (int j = 0; j < steps; ++j) {
-        bcjrBranchMetrics(soft + 2 * j, bm);
+        const VecI32 p0 = VecI32::broadcast(soft[2 * j]);
+        const VecI32 p1 = VecI32::broadcast(soft[2 * j + 1]);
         const i32 *a = alpha + static_cast<size_t>(j) * n;
         i32 *a1 = alpha + (static_cast<size_t>(j) + 1) * n;
-        VecI32 mv = VecI32::broadcast(floor);
         for (int s = 0; s < half; s += L) {
-            const VecI32 e = VecI32::loadEven(a + 2 * s);
-            const VecI32 o = VecI32::loadOdd(a + 2 * s);
-            const VecI32 blo =
-                VecI32::lookup4(bm, VecI32::load(tv.revOut0 + s));
-            const VecI32 bhi =
-                VecI32::lookup4(bm, VecI32::load(tv.revOut0 + half + s));
-            const VecI32 lo = VecI32::max(e + blo, o - blo);
-            const VecI32 hi = VecI32::max(e + bhi, o - bhi);
-            lo.store(a1 + s);
-            hi.store(a1 + half + s);
-            mv = VecI32::max(mv, VecI32::max(lo, hi));
+            VecI32 e, o;
+            VecI32::deinterleave(a + 2 * s, &e, &o);
+            const VecI32 b =
+                bcjrMetric(p0, p1, rev_sign[0] + s, rev_sign[1] + s);
+            VecI32::max(e + b, o - b).store(a1 + s);
+            VecI32::max(e - b, o + b).store(a1 + half + s);
         }
-        bcjrNormalize(a1, n, VecI32::broadcast(mv.reduceMax()),
-                      !clamp_free || j < mem, thr, floor);
+        normalize(a1, !clamp_free || j < mem, j + 1 >= steps - mem,
+                  since);
     }
 
     // --- Sliding-window backward passes, last window first.
-    constexpr int kMaxStates = 64; // the K = 7 trellis
     i32 buf[2][kMaxStates];
     i32 *beta = buf[0];
     i32 *next = buf[1];
@@ -270,17 +323,18 @@ bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
             beta[s] = floor;
         beta[0] = 0; // terminated trellis ends in state 0
         live = 0;
+        since = 0;
     };
-    // Normalize the step's output into beta.
-    auto advance = [&](i32 mx) {
-        bcjrNormalize(next, n, VecI32::broadcast(mx),
-                      !clamp_free || live < mem, thr, floor);
+    // Normalize the step's output into beta. A deferred beta needs
+    // no exact rows: it is all live, so the best alpha state's sums
+    // stay above the floor in every decision.
+    auto advance = [&] {
+        normalize(next, !clamp_free || live < mem, false, since);
         ++live;
         i32 *t = beta;
         beta = next;
         next = t;
     };
-
     for (int w = ((steps - 1) / block_len) * block_len; w >= 0;
          w -= block_len) {
         const int w_end = std::min(w + block_len, steps);
@@ -296,27 +350,142 @@ bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
                 for (int s = 0; s < n; ++s)
                     beta[s] = 0;
                 live = mem;
+                since = 0;
             }
             for (int j = p_end - 1; j >= w_end; --j) {
-                bcjrBranchMetrics(soft + 2 * j, bm);
-                advance(bcjrBackwardStep<false>(tv, beta, bm, next,
-                                                nullptr, floor, nullptr,
-                                                nullptr));
+                bcjrBackwardStep<false>(
+                    n, fwd_sign[0], fwd_sign[1],
+                    VecI32::broadcast(soft[2 * j]),
+                    VecI32::broadcast(soft[2 * j + 1]), beta, next,
+                    nullptr, floor, nullptr, nullptr);
+                advance();
             }
         }
         // Exact pass with the decision unit: at step j, beta holds
         // the metrics of boundary j + 1.
         for (int j = w_end - 1; j >= w; --j) {
-            bcjrBranchMetrics(soft + 2 * j, bm);
             i32 best0 = floor;
             i32 best1 = floor;
-            advance(bcjrBackwardStep<true>(
-                tv, beta, bm, next, alpha + static_cast<size_t>(j) * n,
-                floor, &best0, &best1));
+            bcjrBackwardStep<true>(
+                n, fwd_sign[0], fwd_sign[1],
+                VecI32::broadcast(soft[2 * j]),
+                VecI32::broadcast(soft[2 * j + 1]), beta, next,
+                alpha + static_cast<size_t>(j) * n, floor, &best0, &best1);
+            advance();
             const i32 llr = best1 - best0;
             out[j].bit = llr > 0 ? 1 : 0;
             out[j].llr = static_cast<double>(llr < 0 ? -llr : llr);
         }
+    }
+}
+
+// -------------------------------------------------------------- FFT
+
+/**
+ * Butterflies on the complexes of @p a and @p x with twiddles
+ * (@p wr, @p wi) per complex: addsub of (x * wr, swap(x) * wi) is
+ * (xr*wr - xi*wi, xi*wr + xr*wi), the scalar product, then (a + p,
+ * a - p), times @p vs when kScale.
+ */
+template <bool kScale>
+inline void
+fftButterflies(VecF64 a, VecF64 x, VecF64 wr, VecF64 wi, VecF64 vs,
+               VecF64 *top, VecF64 *bot)
+{
+    const VecF64 p = VecF64::addsub(x * wr, x.swapPairs() * wi);
+    *top = a + p;
+    *bot = a - p;
+    if constexpr (kScale) {
+        *top = *top * vs;
+        *bot = *bot * vs;
+    }
+}
+
+/**
+ * One radix-2 stage over @p n complexes (interleaved in @p d) whose
+ * butterflies span 2h points, with the stage's twiddles @p wr / @p wi
+ * (each value stored twice, see FftView): v = x[k + h] * w as
+ * (xr*wr - xi*wi, xr*wi + xi*wr), then (u + v, u - v), times @p scale
+ * when kScale. A vector holds kLanes / 2 complexes. At two per
+ * vector the h = 1 stage splits two groups by lane pairs; the scalar
+ * level runs the scalar twin of the lane expressions.
+ */
+template <bool kScale>
+inline void
+fftStage(double *d, int n, int h, const double *wr, const double *wi,
+         double scale)
+{
+    constexpr int C = VecF64::kLanes / 2;
+    const VecF64 vs = VecF64::broadcast(scale);
+    if (C == 2 && h == 1 && n >= 4) {
+        const VecF64 vwr = VecF64::broadcast(wr[0]);
+        const VecF64 vwi = VecF64::broadcast(wi[0]);
+        for (int i = 0; i < n; i += 4) {
+            const VecF64 a = VecF64::load(d + 2 * i);
+            const VecF64 b = VecF64::load(d + 2 * i + 4);
+            VecF64 top, bot;
+            fftButterflies<kScale>(VecF64::lowPairs(a, b),
+                                   VecF64::highPairs(a, b), vwr, vwi, vs,
+                                   &top, &bot);
+            VecF64::lowPairs(top, bot).store(d + 2 * i);
+            VecF64::highPairs(top, bot).store(d + 2 * i + 4);
+        }
+        return;
+    }
+    for (int i = 0; i < n; i += 2 * h) {
+        double *u = d + 2 * i;
+        double *x = u + 2 * h;
+        int j = 0;
+        if (C > 0 && h >= C) {
+            for (; j < h; j += C) {
+                VecF64 top, bot;
+                fftButterflies<kScale>(
+                    VecF64::load(u + 2 * j), VecF64::load(x + 2 * j),
+                    VecF64::load(wr + 2 * j), VecF64::load(wi + 2 * j),
+                    vs, &top, &bot);
+                top.store(u + 2 * j);
+                bot.store(x + 2 * j);
+            }
+        }
+        for (; j < h; ++j) {
+            const double xr = x[2 * j];
+            const double xi = x[2 * j + 1];
+            const double vr = xr * wr[2 * j] - xi * wi[2 * j];
+            const double vi = xr * wi[2 * j] + xi * wr[2 * j];
+            const double ur = u[2 * j];
+            const double ui = u[2 * j + 1];
+            if constexpr (kScale) {
+                u[2 * j] = (ur + vr) * scale;
+                u[2 * j + 1] = (ui + vi) * scale;
+                x[2 * j] = (ur - vr) * scale;
+                x[2 * j + 1] = (ui - vi) * scale;
+            } else {
+                u[2 * j] = ur + vr;
+                u[2 * j + 1] = ui + vi;
+                x[2 * j] = ur - vr;
+                x[2 * j + 1] = ui - vi;
+            }
+        }
+    }
+}
+
+inline void
+fftKernel(const FftView &tv, bool inverse, Sample *x)
+{
+    for (int k = 0; k < tv.numSwaps; ++k)
+        std::swap(x[tv.swaps[2 * k]], x[tv.swaps[2 * k + 1]]);
+    const int n = tv.n;
+    double *d = reinterpret_cast<double *>(x);
+    const double *tr = tv.twRe[inverse ? 1 : 0];
+    const double *ti = tv.twIm[inverse ? 1 : 0];
+    // The unitary scale rides on the last stage's outputs: the same
+    // products as a separate pass over the result.
+    for (int h = 1; h < n; h *= 2) {
+        const size_t off = 2 * static_cast<size_t>(h - 1);
+        if (2 * h == n)
+            fftStage<true>(d, n, h, tr + off, ti + off, tv.scale);
+        else
+            fftStage<false>(d, n, h, tr + off, ti + off, tv.scale);
     }
 }
 
@@ -727,6 +896,7 @@ inline const Ops kOps = {
     &normalizeMetricsKernel,
     &bestStateKernel,
     &demapBatchKernel,
+    &fftKernel,
     &scaleComplexKernel,
     &axpyNoiseKernel,
     &sinrAccumBatchKernel,

@@ -98,10 +98,26 @@ struct VecF64 {
                                       _MM_SHUFFLE(3, 1, 2, 0))};
     }
 
-    friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
-    friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-    friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-    friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
+    friend VecF64
+    operator+(VecF64 a, VecF64 b)
+    {
+        return {_mm256_add_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator-(VecF64 a, VecF64 b)
+    {
+        return {_mm256_sub_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator*(VecF64 a, VecF64 b)
+    {
+        return {_mm256_mul_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator/(VecF64 a, VecF64 b)
+    {
+        return {_mm256_div_pd(a.v, b.v)};
+    }
 
     static VecF64
     abs(VecF64 a)
@@ -125,6 +141,18 @@ struct VecF64 {
     addsub(VecF64 a, VecF64 b)
     {
         return {_mm256_addsub_pd(a.v, b.v)};
+    }
+    /** The low lane pairs of a and b: (a0, a1, b0, b1). */
+    static VecF64
+    lowPairs(VecF64 a, VecF64 b)
+    {
+        return {_mm256_permute2f128_pd(a.v, b.v, 0x20)};
+    }
+    /** The high lane pairs of a and b: (a2, a3, b2, b3). */
+    static VecF64
+    highPairs(VecF64 a, VecF64 b)
+    {
+        return {_mm256_permute2f128_pd(a.v, b.v, 0x31)};
     }
 
     /** Convert integral-valued lanes to i32 and store. */
@@ -157,10 +185,26 @@ struct VecF64 {
         return {_mm_shuffle_pd(a, b, 0x3)};
     }
 
-    friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm_add_pd(a.v, b.v)}; }
-    friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm_sub_pd(a.v, b.v)}; }
-    friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-    friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm_div_pd(a.v, b.v)}; }
+    friend VecF64
+    operator+(VecF64 a, VecF64 b)
+    {
+        return {_mm_add_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator-(VecF64 a, VecF64 b)
+    {
+        return {_mm_sub_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator*(VecF64 a, VecF64 b)
+    {
+        return {_mm_mul_pd(a.v, b.v)};
+    }
+    friend VecF64
+    operator/(VecF64 a, VecF64 b)
+    {
+        return {_mm_div_pd(a.v, b.v)};
+    }
 
     static VecF64
     abs(VecF64 a)
@@ -182,6 +226,10 @@ struct VecF64 {
     {
         return {_mm_addsub_pd(a.v, b.v)};
     }
+    /** Degenerate one-pair stand-ins: the kernels use lowPairs()
+     *  and highPairs() only at two lane pairs per vector. */
+    static VecF64 lowPairs(VecF64 a, VecF64) { return a; }
+    static VecF64 highPairs(VecF64, VecF64 b) { return b; }
 
     void
     storeAsI32(std::int32_t *p) const
@@ -213,6 +261,8 @@ struct VecF64 {
      *  branch to a dedicated scalar loop instead of using these. */
     VecF64 swapPairs() const { return *this; }
     static VecF64 addsub(VecF64 a, VecF64 b) { return {a.v - b.v}; }
+    static VecF64 lowPairs(VecF64 a, VecF64) { return a; }
+    static VecF64 highPairs(VecF64, VecF64 b) { return b; }
 
     void
     storeAsI32(std::int32_t *p) const
@@ -243,37 +293,37 @@ struct VecI32 {
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
     }
 
-    /** Lane i <- p[2i]. */
-    static VecI32
-    loadEven(const std::int32_t *p)
+    /**
+     * Split p[0 .. 2 * kLanes) into its even (p[2i]) and odd
+     * (p[2i + 1]) elements.
+     */
+    static void
+    deinterleave(const std::int32_t *p, VecI32 *even, VecI32 *odd)
     {
-        const __m256i idx =
-            _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-        __m256i a = _mm256_permutevar8x32_epi32(load(p).v, idx);
-        __m256i b = _mm256_permutevar8x32_epi32(load(p + 8).v, idx);
-        return {_mm256_permute2x128_si256(a, b, 0x20)};
+        const __m256 a = _mm256_castsi256_ps(load(p).v);
+        const __m256 b = _mm256_castsi256_ps(load(p + 8).v);
+        // Per 128-bit half: (a0 a2 b0 b2), then the 64-bit quarters
+        // are put back in element order.
+        const __m256i e = _mm256_castps_si256(
+            _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+        const __m256i o = _mm256_castps_si256(
+            _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+        even->v = _mm256_permute4x64_epi64(e, _MM_SHUFFLE(3, 1, 2, 0));
+        odd->v = _mm256_permute4x64_epi64(o, _MM_SHUFFLE(3, 1, 2, 0));
     }
-    /** Lane i <- p[2i + 1]. */
-    static VecI32
-    loadOdd(const std::int32_t *p)
+    /** Lane i <- lane i / 2 (the low half, each lane twice). */
+    VecI32
+    dupLow() const
     {
-        const __m256i idx =
-            _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
-        __m256i a = _mm256_permutevar8x32_epi32(load(p).v, idx);
-        __m256i b = _mm256_permutevar8x32_epi32(load(p + 8).v, idx);
-        return {_mm256_permute2x128_si256(a, b, 0x20)};
+        return {_mm256_permutevar8x32_epi32(
+            v, _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3))};
     }
-    /** Lane i <- p[i / 2] (reads kLanes/2 elements only). */
-    static VecI32
-    loadHalfDup(const std::int32_t *p)
+    /** Lane i <- lane kLanes / 2 + i / 2 (the high half, twice). */
+    VecI32
+    dupHigh() const
     {
-        __m128i x =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        __m256i d = _mm256_inserti128_si256(
-            _mm256_castsi128_si256(x), x, 1);
-        const __m256i idx =
-            _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-        return {_mm256_permutevar8x32_epi32(d, idx)};
+        return {_mm256_permutevar8x32_epi32(
+            v, _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7))};
     }
     /** Lane i <- tbl[idx lane i], idx lanes in 0..3. */
     static VecI32
@@ -284,10 +334,31 @@ struct VecI32 {
         return {_mm256_permutevar8x32_epi32(t, idx.v)};
     }
 
-    friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm256_add_epi32(a.v, b.v)}; }
-    friend VecI32 operator-(VecI32 a, VecI32 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
-    static VecI32 max(VecI32 a, VecI32 b) { return {_mm256_max_epi32(a.v, b.v)}; }
+    friend VecI32
+    operator+(VecI32 a, VecI32 b)
+    {
+        return {_mm256_add_epi32(a.v, b.v)};
+    }
+    friend VecI32
+    operator-(VecI32 a, VecI32 b)
+    {
+        return {_mm256_sub_epi32(a.v, b.v)};
+    }
+    static VecI32
+    max(VecI32 a, VecI32 b)
+    {
+        return {_mm256_max_epi32(a.v, b.v)};
+    }
     static VecI32 abs(VecI32 a) { return {_mm256_abs_epi32(a.v)}; }
+    /**
+     * Lane i: a negated where sign < 0, 0 where sign == 0, else a
+     * (wrapping; callers pass sign lanes of -1, 0 or +1 only).
+     */
+    static VecI32
+    applySign(VecI32 a, VecI32 sign)
+    {
+        return {_mm256_sign_epi32(a.v, sign.v)};
+    }
 
     /** All-ones lanes where a > b. */
     static VecI32
@@ -334,28 +405,25 @@ struct VecI32 {
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
     }
 
-    static VecI32
-    loadEven(const std::int32_t *p)
+    static void
+    deinterleave(const std::int32_t *p, VecI32 *even, VecI32 *odd)
     {
-        __m128 a = _mm_castsi128_ps(load(p).v);
-        __m128 b = _mm_castsi128_ps(load(p + 4).v);
-        return {_mm_castps_si128(
-            _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)))};
+        const __m128 a = _mm_castsi128_ps(load(p).v);
+        const __m128 b = _mm_castsi128_ps(load(p + 4).v);
+        even->v = _mm_castps_si128(
+            _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+        odd->v = _mm_castps_si128(
+            _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
     }
-    static VecI32
-    loadOdd(const std::int32_t *p)
+    VecI32
+    dupLow() const
     {
-        __m128 a = _mm_castsi128_ps(load(p).v);
-        __m128 b = _mm_castsi128_ps(load(p + 4).v);
-        return {_mm_castps_si128(
-            _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)))};
+        return {_mm_shuffle_epi32(v, _MM_SHUFFLE(1, 1, 0, 0))};
     }
-    static VecI32
-    loadHalfDup(const std::int32_t *p)
+    VecI32
+    dupHigh() const
     {
-        __m128i x =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-        return {_mm_shuffle_epi32(x, _MM_SHUFFLE(1, 1, 0, 0))};
+        return {_mm_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 2, 2))};
     }
     static VecI32
     lookup4(const std::int32_t tbl[4], VecI32 idx)
@@ -369,10 +437,23 @@ struct VecI32 {
         return {_mm_shuffle_epi8(t, ctrl)};
     }
 
-    friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm_add_epi32(a.v, b.v)}; }
-    friend VecI32 operator-(VecI32 a, VecI32 b) { return {_mm_sub_epi32(a.v, b.v)}; }
+    friend VecI32
+    operator+(VecI32 a, VecI32 b)
+    {
+        return {_mm_add_epi32(a.v, b.v)};
+    }
+    friend VecI32
+    operator-(VecI32 a, VecI32 b)
+    {
+        return {_mm_sub_epi32(a.v, b.v)};
+    }
     static VecI32 max(VecI32 a, VecI32 b) { return {_mm_max_epi32(a.v, b.v)}; }
     static VecI32 abs(VecI32 a) { return {_mm_abs_epi32(a.v)}; }
+    static VecI32
+    applySign(VecI32 a, VecI32 sign)
+    {
+        return {_mm_sign_epi32(a.v, sign.v)};
+    }
 
     static VecI32
     gtMask(VecI32 a, VecI32 b)
@@ -406,9 +487,15 @@ struct VecI32 {
     static VecI32 load(const std::int32_t *p) { return {*p}; }
     static VecI32 broadcast(std::int32_t x) { return {x}; }
     void store(std::int32_t *p) const { *p = v; }
-    static VecI32 loadEven(const std::int32_t *p) { return {p[0]}; }
-    static VecI32 loadOdd(const std::int32_t *p) { return {p[1]}; }
-    static VecI32 loadHalfDup(const std::int32_t *p) { return {p[0]}; }
+    static void
+    deinterleave(const std::int32_t *p, VecI32 *even, VecI32 *odd)
+    {
+        even->v = p[0];
+        odd->v = p[1];
+    }
+    /** One lane: lanes 2i and 2i + 1 of a pair are the same lane. */
+    VecI32 dupLow() const { return *this; }
+    VecI32 dupHigh() const { return *this; }
     static VecI32
     lookup4(const std::int32_t tbl[4], VecI32 idx)
     {
@@ -419,6 +506,14 @@ struct VecI32 {
     friend VecI32 operator-(VecI32 a, VecI32 b) { return {a.v - b.v}; }
     static VecI32 max(VecI32 a, VecI32 b) { return {std::max(a.v, b.v)}; }
     static VecI32 abs(VecI32 a) { return {a.v < 0 ? -a.v : a.v}; }
+    /** Sign lanes are -1, 0 or +1: one wrapping multiply. */
+    static VecI32
+    applySign(VecI32 a, VecI32 sign)
+    {
+        return {static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(a.v) *
+            static_cast<std::uint32_t>(sign.v))};
+    }
 
     static VecI32 gtMask(VecI32 a, VecI32 b) { return {a.v > b.v ? -1 : 0}; }
     static VecI32
@@ -465,8 +560,16 @@ struct VecU64 {
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
     }
 
-    friend VecU64 operator+(VecU64 a, VecU64 b) { return {_mm256_add_epi64(a.v, b.v)}; }
-    friend VecU64 operator^(VecU64 a, VecU64 b) { return {_mm256_xor_si256(a.v, b.v)}; }
+    friend VecU64
+    operator+(VecU64 a, VecU64 b)
+    {
+        return {_mm256_add_epi64(a.v, b.v)};
+    }
+    friend VecU64
+    operator^(VecU64 a, VecU64 b)
+    {
+        return {_mm256_xor_si256(a.v, b.v)};
+    }
     /** Logical right shift by an immediate count. */
     template <int N> VecU64 shr() const { return {_mm256_srli_epi64(v, N)}; }
     /** Logical left shift by an immediate count. */
@@ -505,8 +608,16 @@ struct VecU64 {
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
     }
 
-    friend VecU64 operator+(VecU64 a, VecU64 b) { return {_mm_add_epi64(a.v, b.v)}; }
-    friend VecU64 operator^(VecU64 a, VecU64 b) { return {_mm_xor_si128(a.v, b.v)}; }
+    friend VecU64
+    operator+(VecU64 a, VecU64 b)
+    {
+        return {_mm_add_epi64(a.v, b.v)};
+    }
+    friend VecU64
+    operator^(VecU64 a, VecU64 b)
+    {
+        return {_mm_xor_si128(a.v, b.v)};
+    }
     template <int N> VecU64 shr() const { return {_mm_srli_epi64(v, N)}; }
     template <int N> VecU64 shl() const { return {_mm_slli_epi64(v, N)}; }
 

@@ -1,69 +1,108 @@
 #include "phy/fft.hh"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
 namespace wilis {
 namespace phy {
 
-Fft::Fft(int size_) : n(size_)
+namespace {
+
+/** Largest log2 of a size an int can hold. */
+constexpr int kMaxLog2 = 30;
+
+/** Storage behind one size's kernels::FftView. */
+struct FftTables {
+    std::vector<std::int32_t> swaps;
+    std::vector<double> re[2];
+    std::vector<double> im[2];
+    kernels::FftView view;
+};
+
+void
+build(FftTables &t, int log2n)
 {
-    wilis_assert(n >= 2 && (n & (n - 1)) == 0,
-                 "FFT size %d is not a power of two", n);
-    log2n = 0;
-    while ((1 << log2n) < n)
-        ++log2n;
-
-    twiddles.resize(static_cast<size_t>(n / 2));
-    for (int k = 0; k < n / 2; ++k) {
-        double ang = -2.0 * std::numbers::pi * k / n;
-        twiddles[static_cast<size_t>(k)] =
-            Sample(std::cos(ang), std::sin(ang));
-    }
-
-    bitrev.resize(static_cast<size_t>(n));
+    const int n = 1 << log2n;
     for (int i = 0; i < n; ++i) {
         int r = 0;
         for (int b = 0; b < log2n; ++b)
             r |= ((i >> b) & 1) << (log2n - 1 - b);
-        bitrev[static_cast<size_t>(i)] = r;
+        if (i < r) {
+            t.swaps.push_back(i);
+            t.swaps.push_back(r);
+        }
     }
+
+    // The stage spanning 2h points uses w_j = exp(-2*pi*i*k/n) at
+    // k = j * n / 2h, evaluated as the size-n table always was, so
+    // every twiddle carries the same bits; the inverse conjugates.
+    for (int dir = 0; dir < 2; ++dir) {
+        t.re[dir].reserve(2 * static_cast<size_t>(n - 1));
+        t.im[dir].reserve(2 * static_cast<size_t>(n - 1));
+    }
+    for (int h = 1; h < n; h *= 2) {
+        const int step = n / (2 * h);
+        for (int j = 0; j < h; ++j) {
+            const int k = j * step;
+            const double ang = -2.0 * std::numbers::pi * k / n;
+            const Sample w(std::cos(ang), std::sin(ang));
+            const Sample wc = std::conj(w);
+            for (int copy = 0; copy < 2; ++copy) {
+                t.re[0].push_back(w.real());
+                t.im[0].push_back(w.imag());
+                t.re[1].push_back(wc.real());
+                t.im[1].push_back(wc.imag());
+            }
+        }
+    }
+
+    t.view.n = n;
+    t.view.swaps = t.swaps.data();
+    t.view.numSwaps = static_cast<int>(t.swaps.size() / 2);
+    for (int dir = 0; dir < 2; ++dir) {
+        t.view.twRe[dir] = t.re[dir].data();
+        t.view.twIm[dir] = t.im[dir].data();
+    }
+    t.view.scale = 1.0 / std::sqrt(static_cast<double>(n));
+}
+
+/** The tables of size 2^log2n, built by the first caller. */
+const kernels::FftView *
+tablesFor(int log2n)
+{
+    static std::array<std::once_flag, kMaxLog2 + 1> once;
+    static std::array<FftTables, kMaxLog2 + 1> tables;
+    std::call_once(once[static_cast<size_t>(log2n)],
+                   [&] { build(tables[static_cast<size_t>(log2n)],
+                               log2n); });
+    return &tables[static_cast<size_t>(log2n)].view;
+}
+
+} // namespace
+
+Fft::Fft(int size_)
+{
+    wilis_assert(size_ >= 2 && (size_ & (size_ - 1)) == 0,
+                 "FFT size %d is not a power of two", size_);
+    int log2n = 0;
+    while ((1 << log2n) < size_)
+        ++log2n;
+    tables = tablesFor(log2n);
 }
 
 void
 Fft::transform(SampleSpan x, bool invert) const
 {
-    wilis_assert(static_cast<int>(x.size()) == n,
-                 "FFT input size %zu != %d", x.size(), n);
-
-    for (int i = 0; i < n; ++i) {
-        int j = bitrev[static_cast<size_t>(i)];
-        if (i < j)
-            std::swap(x[static_cast<size_t>(i)],
-                      x[static_cast<size_t>(j)]);
-    }
-
-    for (int len = 2; len <= n; len <<= 1) {
-        int half = len >> 1;
-        int step = n / len;
-        for (int i = 0; i < n; i += len) {
-            for (int j = 0; j < half; ++j) {
-                Sample w = twiddles[static_cast<size_t>(j * step)];
-                if (invert)
-                    w = std::conj(w);
-                Sample u = x[static_cast<size_t>(i + j)];
-                Sample v = x[static_cast<size_t>(i + j + half)] * w;
-                x[static_cast<size_t>(i + j)] = u + v;
-                x[static_cast<size_t>(i + j + half)] = u - v;
-            }
-        }
-    }
-
-    double scale = 1.0 / std::sqrt(static_cast<double>(n));
-    for (auto &v : x)
-        v *= scale;
+    wilis_assert(static_cast<int>(x.size()) == tables->n,
+                 "FFT input size %zu != %d", x.size(), tables->n);
+    kernels::ops().fft(*tables, invert, x.data());
 }
 
 void

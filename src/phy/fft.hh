@@ -4,19 +4,20 @@
  * demodulator. Both directions scale by 1/sqrt(N) so that symbol
  * energy is preserved and the AWGN variance set in the time domain
  * equals the per-subcarrier noise variance seen by the demapper.
+ * The transform itself is the kernels::Ops::fft kernel; its twiddle
+ * and bit-reversal tables are built once per size per process.
  */
 
 #ifndef WILIS_PHY_FFT_HH
 #define WILIS_PHY_FFT_HH
 
-#include <vector>
-
+#include "common/kernels.hh"
 #include "common/types.hh"
 
 namespace wilis {
 namespace phy {
 
-/** Precomputed-twiddle unitary FFT of a fixed power-of-two size. */
+/** Unitary FFT of a fixed power-of-two size. */
 class Fft
 {
   public:
@@ -24,7 +25,7 @@ class Fft
     explicit Fft(int size_);
 
     /** Transform size. */
-    int size() const { return n; }
+    int size() const { return tables->n; }
 
     /** In-place forward transform (time -> frequency), unitary. */
     void forward(SampleSpan x) const;
@@ -35,10 +36,8 @@ class Fft
   private:
     void transform(SampleSpan x, bool invert) const;
 
-    int n;
-    int log2n;
-    std::vector<Sample> twiddles; // exp(-2*pi*i*k/n), k < n/2
-    std::vector<int> bitrev;
+    /** The process-wide tables of this size. */
+    const kernels::FftView *tables;
 };
 
 } // namespace phy

@@ -1,5 +1,6 @@
 #include "phy/mapper.hh"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -7,27 +8,28 @@
 namespace wilis {
 namespace phy {
 
-Mapper::Mapper(Modulation mod_) : mod(mod_)
+namespace {
+
+/** Normalization factor K_mod of @p mod. */
+double
+kmodOf(Modulation mod)
 {
-    n_bpsc = bitsPerSubcarrier(mod);
     switch (mod) {
       case Modulation::BPSK:
-        k_mod = 1.0;
-        break;
+        return 1.0;
       case Modulation::QPSK:
-        k_mod = 1.0 / std::sqrt(2.0);
-        break;
+        return 1.0 / std::sqrt(2.0);
       case Modulation::QAM16:
-        k_mod = 1.0 / std::sqrt(10.0);
-        break;
+        return 1.0 / std::sqrt(10.0);
       case Modulation::QAM64:
-        k_mod = 1.0 / std::sqrt(42.0);
-        break;
+        return 1.0 / std::sqrt(42.0);
     }
+    wilis_panic("bad modulation");
 }
 
+/** Map per-axis bits (MSB-first Gray) to an unnormalized level. */
 double
-Mapper::axisLevel(const Bit *bits, int bits_per_axis)
+axisLevel(const Bit *bits, int bits_per_axis)
 {
     // First bit: sign (1 = positive). Remaining bits Gray-select the
     // magnitude from the inside of the constellation outward.
@@ -52,9 +54,11 @@ Mapper::axisLevel(const Bit *bits, int bits_per_axis)
     return sign * mag;
 }
 
+/** The point of one bit pattern (MSB first): K_mod x (I, Q) levels. */
 Sample
-Mapper::map(const Bit *bits) const
+point(Modulation mod, const Bit *bits)
 {
+    const double k_mod = kmodOf(mod);
     switch (mod) {
       case Modulation::BPSK:
         return Sample(axisLevel(bits, 1), 0.0);
@@ -70,6 +74,38 @@ Mapper::map(const Bit *bits) const
     }
     wilis_panic("bad modulation");
 }
+
+using Table = std::array<Sample, 64>;
+
+/** Every modulation's constellation by bit pattern, built once. */
+const Table &
+tableOf(Modulation mod)
+{
+    static const std::array<Table, 4> tables = [] {
+        std::array<Table, 4> t{};
+        for (Modulation m : {Modulation::BPSK, Modulation::QPSK,
+                             Modulation::QAM16, Modulation::QAM64}) {
+            const int n_bpsc = bitsPerSubcarrier(m);
+            for (int v = 0; v < (1 << n_bpsc); ++v) {
+                Bit bits[6];
+                for (int b = 0; b < n_bpsc; ++b)
+                    bits[b] =
+                        static_cast<Bit>((v >> (n_bpsc - 1 - b)) & 1);
+                t[static_cast<size_t>(m)][static_cast<size_t>(v)] =
+                    point(m, bits);
+            }
+        }
+        return t;
+    }();
+    return tables[static_cast<size_t>(mod)];
+}
+
+} // namespace
+
+Mapper::Mapper(Modulation mod_)
+    : mod(mod_), n_bpsc(bitsPerSubcarrier(mod_)), k_mod(kmodOf(mod_)),
+      points(tableOf(mod_).data())
+{}
 
 SampleVec
 Mapper::mapStream(const BitVec &bits) const
@@ -88,16 +124,7 @@ Mapper::mapStream(const BitVec &bits) const
 std::vector<Sample>
 Mapper::constellation() const
 {
-    std::vector<Sample> pts;
-    int count = 1 << n_bpsc;
-    pts.reserve(static_cast<size_t>(count));
-    for (int v = 0; v < count; ++v) {
-        Bit bits[6];
-        for (int b = 0; b < n_bpsc; ++b)
-            bits[b] = static_cast<Bit>((v >> (n_bpsc - 1 - b)) & 1);
-        pts.push_back(map(bits));
-    }
-    return pts;
+    return std::vector<Sample>(points, points + (1 << n_bpsc));
 }
 
 } // namespace phy

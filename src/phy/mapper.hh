@@ -38,10 +38,18 @@ class Mapper
     double kmod() const { return k_mod; }
 
     /**
-     * Map @p n_bpsc bits (MSB first) to one constellation point.
+     * Map @p n_bpsc bits (MSB first) to one constellation point: a
+     * lookup into the modulation's constellation table.
      * @param bits Pointer to bitsPerSymbol() bits.
      */
-    Sample map(const Bit *bits) const;
+    Sample
+    map(const Bit *bits) const
+    {
+        unsigned idx = 0;
+        for (int b = 0; b < n_bpsc; ++b)
+            idx = (idx << 1) | (bits[b] != 0 ? 1u : 0u);
+        return points[idx];
+    }
 
     /** Map a whole stream (length must divide evenly). */
     SampleVec mapStream(const BitVec &bits) const;
@@ -53,12 +61,11 @@ class Mapper
     std::vector<Sample> constellation() const;
 
   private:
-    /** Map per-axis bits (MSB-first Gray) to an unnormalized level. */
-    static double axisLevel(const Bit *bits, int bits_per_axis);
-
     Modulation mod;
     int n_bpsc;
     double k_mod;
+    /** The process-wide constellation of mod, by bit pattern. */
+    const Sample *points;
 };
 
 } // namespace phy

@@ -74,8 +74,8 @@ OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
         if (csi)
             csi->binGains(packet_index, s, h);
         for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-            const size_t bin =
-                static_cast<size_t>(OfdmGeometry::dataBin(d));
+            const auto bin = static_cast<size_t>(
+                OfdmGeometry::kDataBins[static_cast<size_t>(d)]);
             eq[static_cast<size_t>(d)] = body[bin] / h[bin];
             if (cfg.applyCsiWeight)
                 csi_w[static_cast<size_t>(d)] = std::abs(h[bin]);

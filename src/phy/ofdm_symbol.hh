@@ -34,6 +34,22 @@ struct OfdmGeometry {
     /** OFDM symbol duration in microseconds. */
     static constexpr double kSymbolUs = kSymbolLen / kSampleRateMhz;
 
+    /**
+     * FFT bins of the data subcarriers in carrier order: logical
+     * indices -26..26 without DC (0) and the pilots (+-7, +-21),
+     * negative indices wrapped to the top of the FFT.
+     */
+    static constexpr std::array<int, kDataCarriers> kDataBins = [] {
+        std::array<int, kDataCarriers> bins{};
+        int d = 0;
+        for (int k = -26; k <= 26; ++k) {
+            if (k == 0 || k == 7 || k == -7 || k == 21 || k == -21)
+                continue;
+            bins[static_cast<size_t>(d++)] = k >= 0 ? k : kFftSize + k;
+        }
+        return bins;
+    }();
+
     /** FFT bin of the i-th data subcarrier (0..47). */
     static int dataBin(int i);
 
@@ -48,9 +64,6 @@ struct OfdmGeometry {
 class PilotTracker
 {
   public:
-    /** Precompute the 127-long polarity sequence. */
-    PilotTracker();
-
     /** Reset to symbol 0 (start of packet). */
     void reset() { symbol_index = 0; }
 
@@ -67,7 +80,6 @@ class PilotTracker
     int symbolIndex() const { return symbol_index; }
 
   private:
-    std::array<int, 127> polarity;
     int symbol_index = 0;
 };
 

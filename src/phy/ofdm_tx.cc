@@ -76,11 +76,10 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx)
         std::fill(bins.begin(), bins.end(), Sample(0.0, 0.0));
         const size_t base = static_cast<size_t>(s) *
                             static_cast<size_t>(params.nCbps);
-        for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-            const Bit *bits =
-                &interleaved[base + static_cast<size_t>(d * n_bpsc)];
-            bins[static_cast<size_t>(OfdmGeometry::dataBin(d))] =
-                mapper.map(bits);
+        const Bit *bits = &interleaved[base];
+        for (int bin : OfdmGeometry::kDataBins) {
+            bins[static_cast<size_t>(bin)] = mapper.map(bits);
+            bits += n_bpsc;
         }
         pilots.insertPilots(bins);
 

@@ -53,12 +53,11 @@ class Puncturer
 
   private:
     /**
-     * Keep-pattern over one puncturing period of the rate-1/2 output
-     * stream (A1 B1 A2 B2 ...): R23 keeps A1 B1 A2 (drops B2); R34
-     * keeps A1 B1 A2 B3 (drops B2 A3).
+     * The rate's keep-pattern over one puncturing period of the
+     * rate-1/2 output stream (A1 B1 A2 B2 ...) lives in puncture.cc:
+     * R23 keeps A1 B1 A2 (drops B2); R34 keeps A1 B1 A2 B3 (drops B2
+     * A3).
      */
-    void pattern(const Bit *&pat, size_t &period) const;
-
     CodeRate rate;
 };
 

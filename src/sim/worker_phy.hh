@@ -72,9 +72,9 @@ struct WorkerPhy {
      * SoftPHY packet BER.
      */
     LinkFrameResult
-    frame(phy::RateIndex rate, const ScenarioSpec &link, channel::Channel &chan,
-          const softphy::BerEstimator &est, std::uint64_t payload_seed,
-          std::uint64_t seq, std::uint64_t t)
+    frame(phy::RateIndex rate, const ScenarioSpec &link,
+          channel::Channel &chan, const softphy::BerEstimator &est,
+          std::uint64_t payload_seed, std::uint64_t seq, std::uint64_t t)
     {
         arena.reset();
         BitSpan payload = arena.alloc<Bit>(link.payloadBits);

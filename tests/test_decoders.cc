@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bcjr_reference.hh"
 #include "common/kernels.hh"
@@ -292,7 +293,29 @@ enum class SoftRegime {
     PastBound,
     /** Small values with one spike past the clamp-free bound. */
     Spike,
+    /**
+     * A noiseless codeword on rails of +-M, M just below, at or just
+     * above the magnitude where the deferred-normalization period K
+     * steps down: the true path gains 2M a step, the fastest any
+     * metric row can grow, so a row reaches the drift the period
+     * bound allows.
+     */
+    Deferral,
 };
+
+/**
+ * The largest max|soft| at which the BCJR kernel may go @p period
+ * steps between normalizations: the largest sum it forms, alpha + bm
+ * + beta with both rows period - 1 steps out, is 2M(2 * period - 1)
+ * and must stay within int32 (docs/ARCHITECTURE.md, "The whole-block
+ * BCJR kernel").
+ */
+SoftBit
+deferralBound(std::int64_t period)
+{
+    return static_cast<SoftBit>(
+        std::numeric_limits<std::int32_t>::max() / (2 * (2 * period - 1)));
+}
 
 SoftVec
 regimeSoft(SoftRegime r, int steps, SplitMix64 &rng)
@@ -344,6 +367,20 @@ regimeSoft(SoftRegime r, int steps, SplitMix64 &rng)
             x = uniform(40);
         soft[rng.nextBelow(soft.size())] = (1 << 24) + 3;
         break;
+      case SoftRegime::Deferral: {
+        // Periods 64 (near soft_width 24) and 700 (several periods
+        // per 2000-step block).
+        const std::int64_t period = rng.nextBelow(2) ? 64 : 700;
+        const SoftBit m = deferralBound(period) - 1 +
+                          static_cast<SoftBit>(rng.nextBelow(3));
+        const int data_bits = steps > 6 ? steps - 6 : 0;
+        BitVec coded = encoded(randomBits(
+            static_cast<size_t>(data_bits), rng.next()));
+        coded.resize(soft.size(), 0);
+        for (size_t i = 0; i < soft.size(); ++i)
+            soft[i] = coded[i] ? m : -m;
+        break;
+      }
     }
     return soft;
 }
@@ -364,13 +401,14 @@ TEST_F(BcjrKernelProperty, MatchesPerStepReferenceOnEveryBackend)
 {
     SplitMix64 rng(0xBC5A);
     const SoftRegime regimes[] = {
-        SoftRegime::Codeword, SoftRegime::Width24, SoftRegime::Rails,
-        SoftRegime::PastBound, SoftRegime::Spike,
+        SoftRegime::Codeword,  SoftRegime::Width24, SoftRegime::Rails,
+        SoftRegime::PastBound, SoftRegime::Spike,   SoftRegime::Deferral,
     };
     int cases = 0;
     for (int block_len : {7, 32, 64, 1000}) {
         // Shorter than the code memory, around one and two windows,
-        // exact multiples of the window, and random lengths to 2000.
+        // exact multiples of the window, random lengths to 2000, and
+        // blocks past 2000 steps.
         std::vector<int> lengths = {1,
                                     2,
                                     5,
@@ -383,11 +421,12 @@ TEST_F(BcjrKernelProperty, MatchesPerStepReferenceOnEveryBackend)
                                     2 * block_len,
                                     2 * block_len + 5,
                                     3 * block_len,
-                                    2000};
+                                    2000,
+                                    2731};
         for (int i = 0; i < 4; ++i)
             lengths.push_back(1 + static_cast<int>(rng.nextBelow(2000)));
         for (int steps : lengths) {
-            if (steps > 2000)
+            if (steps > 3000)
                 continue;
             for (SoftRegime r : regimes) {
                 SoftVec soft = regimeSoft(r, steps, rng);

@@ -3,7 +3,8 @@
  * Kernel-dispatch test suite: every SIMD backend available on the
  * host must be BIT-EXACT with the scalar reference on randomized
  * inputs for each kernel in the table (demapper LLRs, forward ACS,
- * metric normalization, channel complex scale and noise injection,
+ * metric normalization, the FFT (against its std::complex oracle),
+ * channel complex scale and noise injection,
  * the SoA analytic-engine kernels; test_decoders holds the
  * whole-block BCJR kernel to its per-step reference), and forcing
  * the scalar backend must reproduce the full-pipeline results of the
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -20,7 +22,9 @@
 #include "common/kernels.hh"
 #include "common/random.hh"
 #include "decode/trellis_kernels.hh"
+#include "fft_reference.hh"
 #include "phy/demapper.hh"
+#include "phy/fft.hh"
 #include "phy/modulation.hh"
 #include "sim/link_fidelity.hh"
 #include "sim/multicell_detail.hh"
@@ -213,6 +217,80 @@ TEST_F(SimdKernelTest, DemapBatchMatchesScalarAndPerSymbolDemap)
             }
         }
     }
+}
+
+namespace {
+
+/**
+ * A random finite double drawn from the classes the FFT kernel must
+ * carry bit for bit: signed zeros, subnormals, magnitudes near 1e300
+ * (256-point sums stay finite) and ordinary values.
+ */
+double
+fftInput(SplitMix64 &rng)
+{
+    const double sign = rng.nextBelow(2) ? -1.0 : 1.0;
+    switch (rng.nextBelow(8)) {
+      case 0:
+        return sign * 0.0;
+      case 1: {
+        // Exponent field 0: a subnormal with a random mantissa.
+        const std::uint64_t bits = (rng.next() >> 12) | 1u;
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        return sign * d;
+      }
+      case 2:
+        return sign * std::ldexp(1.0 + rng.nextDouble(),
+                                 980 + static_cast<int>(
+                                           rng.nextBelow(17)));
+      case 3:
+        return sign * std::ldexp(1.0 + rng.nextDouble(), -1000);
+      default:
+        return sign * rng.nextDouble();
+    }
+}
+
+} // namespace
+
+TEST_F(SimdKernelTest, FftMatchesReferenceOnEveryBackend)
+{
+    SplitMix64 rng(0xFF7);
+    int transforms = 0;
+    for (int n : {2, 8, 64, 256}) {
+        const phy::Fft fft(n);
+        for (int trial = 0; trial < 200; ++trial) {
+            // Every fourth vector is all signed zeros, where the sign
+            // of each sum is decided by the operation order alone.
+            const bool zeros = trial % 4 == 0;
+            SampleVec in(static_cast<size_t>(n));
+            for (auto &x : in) {
+                x = zeros ? Sample(rng.nextBelow(2) ? -0.0 : 0.0,
+                                   rng.nextBelow(2) ? -0.0 : 0.0)
+                          : Sample(fftInput(rng), fftInput(rng));
+            }
+            for (bool inverse : {false, true}) {
+                SampleVec want = in;
+                phy::fftReference(want, inverse);
+                for (Backend b : kernels::availableBackends()) {
+                    ASSERT_TRUE(kernels::setBackend(b));
+                    SampleVec got = in;
+                    if (inverse)
+                        fft.inverse(got);
+                    else
+                        fft.forward(got);
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                          want.size() * sizeof(Sample)),
+                              0)
+                        << kernels::backendName(b) << " n " << n
+                        << " trial " << trial << " inverse "
+                        << inverse;
+                }
+                ++transforms;
+            }
+        }
+    }
+    EXPECT_EQ(transforms, 4 * 200 * 2);
 }
 
 TEST_F(SimdKernelTest, ChannelKernelsMatchScalar)

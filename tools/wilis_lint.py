@@ -50,6 +50,12 @@ determinism smoke:
                      against each implementation's key list, in both
                      directions.
 
+  line-length        a line of C++ source in src/, tests/, bench/ or
+                     examples/ longer than the ColumnLimit of the
+                     repo's .clang-format (tabs at 8 columns), so the
+                     limit holds on hosts without the pinned
+                     clang-format.
+
 Suppression: a line carrying `wilis-lint: allow(<rule>)` (in a
 comment, with a justification) disables that rule for that line;
 the justification requirement is policy (docs/ARCHITECTURE.md,
@@ -462,6 +468,42 @@ def rule_undocumented_keys(root,
     return findings
 
 
+# The trees the CI format check covers.
+FORMATTED_DIRS = ("src", "tests", "bench", "examples")
+
+COLUMN_LIMIT_RE = re.compile(r"^ColumnLimit:\s*(\d+)\s*$", re.M)
+
+
+def column_limit(root):
+    """ColumnLimit of the repo's .clang-format, or None."""
+    path = os.path.join(root, ".clang-format")
+    if not os.path.exists(path):
+        return None
+    m = COLUMN_LIMIT_RE.search(read_file(path))
+    return int(m.group(1)) if m else None
+
+
+def rule_line_length(root):
+    limit = column_limit(root)
+    if limit is None:
+        return [Finding(".clang-format", 1, "line-length",
+                        "no `ColumnLimit:` to check lines against")]
+    findings = []
+    for sub in FORMATTED_DIRS:
+        for path in iter_files(os.path.join(root, sub),
+                               CODE_SUFFIXES):
+            raw = read_file(path)
+            allowed = allowed_lines(raw, "line-length")
+            for lineno, line in enumerate(raw.splitlines(), 1):
+                width = len(line.expandtabs(8))
+                if width > limit and lineno not in allowed:
+                    findings.append(Finding(
+                        rel(path, root), lineno, "line-length",
+                        "%d columns, over the .clang-format "
+                        "ColumnLimit of %d" % (width, limit)))
+    return findings
+
+
 # ------------------------------------------------------------ driver
 
 def iter_files(base, suffixes):
@@ -490,6 +532,7 @@ def run_all(root):
     findings += rule_fast_math(root)
     findings += rule_kernel_callers(root)
     findings += rule_undocumented_keys(root)
+    findings += rule_line_length(root)
     return findings
 
 
@@ -715,6 +758,43 @@ def self_test():
                        "`zz_internal` | `link.` |\n"))
         check("parse of the key list format works",
               len(spec_keys(cc_text)) == 5)
+
+        # ---- line-length ------------------------------------------
+        def length(files, fmt="ColumnLimit: 20\n"):
+            d = tempfile.mkdtemp(dir=tmp)
+            files = dict(files)
+            if fmt is not None:
+                files[".clang-format"] = "Language: Cpp\n" + fmt
+            for relpath, content in files.items():
+                full = os.path.join(d, relpath)
+                os.makedirs(os.path.dirname(full), exist_ok=True)
+                with open(full, "w", encoding="utf-8") as f:
+                    f.write(content)
+            return rule_line_length(d)
+
+        over = length({"src/x.cc": "int a;\n" + "x" * 21 + "\n"})
+        check("a line over ColumnLimit is caught",
+              [(f.path, f.lineno) for f in over] ==
+              [(os.path.join("src", "x.cc"), 2)])
+        check("a line at ColumnLimit passes",
+              not length({"tests/x.cc": "y" * 20 + "\n"}))
+        check("bench/ and examples/ are checked",
+              len(length({"bench/b.cc": "z" * 30 + "\n",
+                          "examples/e.cpp": "z" * 30 + "\n"})) == 2)
+        check("the limit is read from .clang-format",
+              not length({"src/x.cc": "x" * 30 + "\n"},
+                         fmt="ColumnLimit: 30\n"))
+        check("a tab counts to the next multiple of 8",
+              length({"src/x.cc": "\t\t\tint a;\n"}))
+        check("multibyte characters count once",
+              not length({"src/x.cc": "// " + "\u2014" * 17 + "\n"}))
+        check("files outside the formatted trees pass",
+              not length({"tools/x.cc": "x" * 30 + "\n"}))
+        check("suppressed line passes",
+              not length({"src/x.cc": "x" * 10 + " // wilis-lint: "
+                          "allow(line-length) url\n"}))
+        check("missing ColumnLimit is itself a finding",
+              length({"src/x.cc": "int a;\n"}, fmt=""))
 
         # ---- the tree itself is clean -----------------------------
         repo_root = os.path.dirname(
