@@ -252,18 +252,26 @@ bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
 
     // One scan decides whether clamp-free normalization is exact and
     // how long it may be deferred.
-    const i32 bound = clampFreeMaxSoft(floor);
-    bool clamp_free = true;
-    i32 max_soft = 0;
-    for (int i = 0; i < 2 * steps; ++i) {
-        const i32 x = soft[i];
-        if (x > bound || x < -bound) {
-            clamp_free = false;
-            break;
-        }
-        max_soft = std::max(max_soft, x < 0 ? -x : x);
+    VecI32 vhi = VecI32::broadcast(0);
+    VecI32 vlo = vhi;
+    int i = 0;
+    for (; i + L <= 2 * steps; i += L) {
+        const VecI32 x = VecI32::load(soft + i);
+        vhi = VecI32::max(vhi, x);
+        vlo = VecI32::min(vlo, x);
     }
-    const int period = deferredNormPeriod(max_soft);
+    i32 lanes[L];
+    vlo.store(lanes);
+    i32 hi = vhi.reduceMax();
+    i32 lo = *std::min_element(lanes, lanes + L);
+    for (; i < 2 * steps; ++i) {
+        hi = std::max(hi, soft[i]);
+        lo = std::min(lo, soft[i]);
+    }
+    const i32 bound = clampFreeMaxSoft(floor);
+    const bool clamp_free = hi <= bound && lo >= -bound;
+    const int period = deferredNormPeriod(clamp_free ? std::max(hi, -lo)
+                                                     : 0);
 
     // A row that may hold impossible states is normalized with the
     // floor pin at every step. A clamp-free row is shifted by its

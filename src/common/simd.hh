@@ -349,6 +349,11 @@ struct VecI32 {
     {
         return {_mm256_max_epi32(a.v, b.v)};
     }
+    static VecI32
+    min(VecI32 a, VecI32 b)
+    {
+        return {_mm256_min_epi32(a.v, b.v)};
+    }
     static VecI32 abs(VecI32 a) { return {_mm256_abs_epi32(a.v)}; }
     /**
      * Lane i: a negated where sign < 0, 0 where sign == 0, else a
@@ -448,6 +453,7 @@ struct VecI32 {
         return {_mm_sub_epi32(a.v, b.v)};
     }
     static VecI32 max(VecI32 a, VecI32 b) { return {_mm_max_epi32(a.v, b.v)}; }
+    static VecI32 min(VecI32 a, VecI32 b) { return {_mm_min_epi32(a.v, b.v)}; }
     static VecI32 abs(VecI32 a) { return {_mm_abs_epi32(a.v)}; }
     static VecI32
     applySign(VecI32 a, VecI32 sign)
@@ -505,6 +511,7 @@ struct VecI32 {
     friend VecI32 operator+(VecI32 a, VecI32 b) { return {a.v + b.v}; }
     friend VecI32 operator-(VecI32 a, VecI32 b) { return {a.v - b.v}; }
     static VecI32 max(VecI32 a, VecI32 b) { return {std::max(a.v, b.v)}; }
+    static VecI32 min(VecI32 a, VecI32 b) { return {std::min(a.v, b.v)}; }
     static VecI32 abs(VecI32 a) { return {a.v < 0 ? -a.v : a.v}; }
     /** Sign lanes are -1, 0 or +1: one wrapping multiply. */
     static VecI32
