@@ -157,10 +157,41 @@ deferredNormPeriod(i32 max_soft)
 }
 
 /**
+ * One scan of a block's @p count soft values: deferredNormPeriod() of
+ * their max|soft|, or 0 when one exceeds clampFreeMaxSoft() and every
+ * step normalizes with the clamp.
+ */
+inline int
+bcjrPeriod(const SoftBit *soft, int count, i32 floor)
+{
+    constexpr int L = VecI32::kLanes;
+    VecI32 vhi = VecI32::broadcast(0);
+    VecI32 vlo = vhi;
+    int i = 0;
+    for (; i + L <= count; i += L) {
+        const VecI32 x = VecI32::load(soft + i);
+        vhi = VecI32::max(vhi, x);
+        vlo = VecI32::min(vlo, x);
+    }
+    i32 lanes[L];
+    vlo.store(lanes);
+    i32 hi = vhi.reduceMax();
+    i32 lo = *std::min_element(lanes, lanes + L);
+    for (; i < count; ++i) {
+        hi = std::max(hi, soft[i]);
+        lo = std::min(lo, soft[i]);
+    }
+    const i32 bound = clampFreeMaxSoft(floor);
+    if (hi > bound || lo < -bound)
+        return 0;
+    return deferredNormPeriod(std::max(hi, -lo));
+}
+
+/**
  * Per-state signs of the branch metric of 2-bit output @p out[s],
  * bm[o] = (o & 1 ? p0 : -p0) + (o & 2 ? p1 : -p1) -- the
  * decode::branchMetrics() table -- so a vector of metrics is two
- * applySign() and an add instead of a table permute.
+ * applySign() and an add, with no table permute.
  */
 inline void
 bcjrSigns(const i32 *out, int n, i32 *sign0, i32 *sign1)
@@ -250,28 +281,8 @@ bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft, int steps,
         ++mem;
     const i32 thr = floor / 2;
 
-    // One scan decides whether clamp-free normalization is exact and
-    // how long it may be deferred.
-    VecI32 vhi = VecI32::broadcast(0);
-    VecI32 vlo = vhi;
-    int i = 0;
-    for (; i + L <= 2 * steps; i += L) {
-        const VecI32 x = VecI32::load(soft + i);
-        vhi = VecI32::max(vhi, x);
-        vlo = VecI32::min(vlo, x);
-    }
-    i32 lanes[L];
-    vlo.store(lanes);
-    i32 hi = vhi.reduceMax();
-    i32 lo = *std::min_element(lanes, lanes + L);
-    for (; i < 2 * steps; ++i) {
-        hi = std::max(hi, soft[i]);
-        lo = std::min(lo, soft[i]);
-    }
-    const i32 bound = clampFreeMaxSoft(floor);
-    const bool clamp_free = hi <= bound && lo >= -bound;
-    const int period = deferredNormPeriod(clamp_free ? std::max(hi, -lo)
-                                                     : 0);
+    const int period = bcjrPeriod(soft, 2 * steps, floor);
+    const bool clamp_free = period > 0;
 
     // A row that may hold impossible states is normalized with the
     // floor pin at every step. A clamp-free row is shifted by its

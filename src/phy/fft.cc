@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <mutex>
 #include <numbers>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
