@@ -42,10 +42,6 @@ build(FftTables &t, int log2n)
     // The stage spanning 2h points uses w_j = exp(-2*pi*i*k/n) at
     // k = j * n / 2h, evaluated as the size-n table always was, so
     // every twiddle carries the same bits; the inverse conjugates.
-    for (int dir = 0; dir < 2; ++dir) {
-        t.re[dir].reserve(2 * static_cast<size_t>(n - 1));
-        t.im[dir].reserve(2 * static_cast<size_t>(n - 1));
-    }
     for (int h = 1; h < n; h *= 2) {
         const int step = n / (2 * h);
         for (int j = 0; j < h; ++j) {
