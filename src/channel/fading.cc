@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/kernels.hh"
@@ -49,6 +50,54 @@ JakesFader::gainAt(double t_us) const
     }
     double norm = 1.0 / std::sqrt(static_cast<double>(kOscillators));
     return Sample(re * norm, im * norm);
+}
+
+double
+JakesFader::powerBound(double horizon_us) const
+{
+    // Each pair sums to 2 cos(P) cos(.) with P = (phi_m + phi_m')/2,
+    // so |sum| <= 2 |cos(P)| plus the drift of cos(P) in gainAt()'s
+    // arithmetic: x |c_m + c_m'| from the unequal frequencies and
+    // 3 eps x + 2 pi eps from rounding the arguments, x being the
+    // largest |2 pi f_D t|. The 32 eps per pair also covers
+    // rounding P, its cosine and this sum; 256 eps per component
+    // covers gainAt()'s 16 cosines and 15 partial sums (<= 16).
+    constexpr double eps = std::numeric_limits<double>::epsilon();
+    const double x = 2.0 * std::numbers::pi * doppler * horizon_us *
+                     1e-6 * (1.0 + 8.0 * eps);
+    double amp_i = 256.0 * eps;
+    double amp_q = 256.0 * eps;
+    for (int m = 0; m < kOscillators / 2; ++m) {
+        const size_t a = static_cast<size_t>(m);
+        const size_t b = static_cast<size_t>(pairOf(m));
+        const double slack =
+            x * (std::fabs(freq_scale[a] + freq_scale[b]) +
+                 4.0 * eps) +
+            32.0 * eps;
+        amp_i += 2.0 * std::fabs(std::cos(
+                           0.5 * (phase_i[a] + phase_i[b]))) +
+                 slack;
+        amp_q += 2.0 * std::fabs(std::cos(
+                           0.5 * (phase_q[a] + phase_q[b]))) +
+                 slack;
+    }
+    // gainAt() scales by 1/sqrt(16) = 1/4 exactly; the factor
+    // covers rounding both sums of squares.
+    const double re = 0.25 * amp_i;
+    const double im = 0.25 * amp_q;
+    return std::min(32.0, (re * re + im * im) * (1.0 + 8.0 * eps));
+}
+
+double
+JakesFader::pairingResidue() const
+{
+    double worst = 0.0;
+    for (int m = 0; m < kOscillators / 2; ++m)
+        worst = std::max(
+            worst,
+            std::fabs(freq_scale[static_cast<size_t>(m)] +
+                      freq_scale[static_cast<size_t>(pairOf(m))]));
+    return worst;
 }
 
 RayleighChannel::RayleighChannel(const Params &p)

@@ -41,8 +41,29 @@ class JakesFader
     /** Complex fading gain at absolute time @p t_us. */
     Sample gainAt(double t_us) const;
 
+    /**
+     * An upper bound B on std::norm(gainAt(t)) for every
+     * 0 <= t <= @p horizon_us, rounding of gainAt() and std::norm
+     * included: oscillators m and pairOf(m) have opposite Doppler,
+     * so their sum is bounded by a term of the phases alone
+     * (derivation in docs/ARCHITECTURE.md, "Proportional-fair
+     * pruning"). Never above 32, the bound every bank meets.
+     */
+    double powerBound(double horizon_us) const;
+
+    /**
+     * max over m of |cos(a_m) + cos(a_pairOf(m))| for the arrival
+     * angles a: the rounding residue of the opposite-Doppler
+     * pairing that powerBound() relies on (it stays sound for any
+     * residue, but tight only for one of a few ulps).
+     */
+    double pairingResidue() const;
+
   private:
     static constexpr int kOscillators = 16;
+
+    /** Oscillator m's partner, at arrival angle a_m + pi. */
+    static constexpr int pairOf(int m) { return m + kOscillators / 2; }
 
     double doppler;
     std::array<double, kOscillators> freq_scale; // cos(arrival angle)

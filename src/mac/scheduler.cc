@@ -63,7 +63,7 @@ CellScheduler::CellScheduler(const Config &cfg, int num_users)
 
 int
 CellScheduler::pick(const std::vector<std::uint8_t> &eligible,
-                    const std::vector<double> &inst_rate,
+                    const std::vector<double> &rate_bound, RateFn rate,
                     const std::vector<std::uint8_t> *urgent) const
 {
     wilis_assert(static_cast<int>(eligible.size()) == num_users_,
@@ -86,36 +86,52 @@ CellScheduler::pick(const std::vector<std::uint8_t> &eligible,
             }
         }
     }
+    auto candidate = [&](int u) {
+        return eligible[static_cast<size_t>(u)] &&
+               (!any_urgent || (*urgent)[static_cast<size_t>(u)]);
+    };
     if (cfg_.kind == SchedulerKind::RoundRobin) {
         for (int i = 0; i < num_users_; ++i) {
             const int u = (cursor_ + i) % num_users_;
-            if (!eligible[static_cast<size_t>(u)])
-                continue;
-            if (any_urgent && !(*urgent)[static_cast<size_t>(u)])
-                continue;
-            return u;
+            if (candidate(u))
+                return u;
         }
         return -1;
     }
-    // Proportional fair: argmax inst/avg with a floor on the
+    // Proportional fair: argmax rate / avg with a floor on the
     // average so a never-served user wins its first contention.
     // Ties break to the lowest index -- scheduling stays a pure
-    // function of the inputs.
+    // function of the inputs. Candidates are visited by decreasing
+    // bound metric (lowest index first on ties) and the search
+    // stops at the first bound below the best exact metric: every
+    // later user's metric is at most its bound, so it can neither
+    // win nor tie, and its rate is never evaluated.
+    wilis_assert(static_cast<int>(rate_bound.size()) == num_users_,
+                 "rate bound vector size %zu != %d users",
+                 rate_bound.size(), num_users_);
+    auto floored = [&](int u) {
+        return std::max(avg_[static_cast<size_t>(u)], 1e-12);
+    };
+    cand_.clear();
+    for (int u = 0; u < num_users_; ++u) {
+        if (candidate(u))
+            cand_.push_back(
+                {rate_bound[static_cast<size_t>(u)] / floored(u), u});
+    }
+    std::sort(cand_.begin(), cand_.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  return a.bound > b.bound ||
+                         (a.bound == b.bound && a.user < b.user);
+              });
     int best = -1;
     double best_metric = 0.0;
-    for (int u = 0; u < num_users_; ++u) {
-        if (!eligible[static_cast<size_t>(u)])
-            continue;
-        if (any_urgent && !(*urgent)[static_cast<size_t>(u)])
-            continue;
-        const double avg =
-            avg_[static_cast<size_t>(u)] > 1e-12
-                ? avg_[static_cast<size_t>(u)]
-                : 1e-12;
-        const double metric =
-            inst_rate[static_cast<size_t>(u)] / avg;
-        if (best < 0 || metric > best_metric) {
-            best = u;
+    for (const Candidate &c : cand_) {
+        if (best >= 0 && c.bound < best_metric)
+            break;
+        const double metric = rate(c.user) / floored(c.user);
+        if (best < 0 || metric > best_metric ||
+            (metric == best_metric && c.user < best)) {
+            best = c.user;
             best_metric = metric;
         }
     }

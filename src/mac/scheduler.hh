@@ -12,7 +12,9 @@
  *    ones with nothing to send; the fairness baseline.
  *  - proportional_fair  -- grant argmax of instantaneous rate over
  *    exponentially averaged served throughput (the classic PF
- *    metric), trading peak throughput against starvation.
+ *    metric), trading peak throughput against starvation. Users
+ *    are ranked by an upper bound on that metric first, so the
+ *    exact rate is evaluated only for users that can still win.
  *
  * Both are pure functions of (cell state, per-slot inputs), with
  * deterministic tie-breaks (lowest user index), so scheduling can
@@ -92,26 +94,61 @@ class CellScheduler
     CellScheduler(const Config &cfg, int num_users);
 
     /**
+     * Non-owning view of a callable double(int): a user's exact
+     * instantaneous rate, evaluated on demand by pick(). The
+     * callable must outlive the view (pass it straight to pick()).
+     */
+    class RateFn
+    {
+      public:
+        /** No callable: for round_robin picks, which never call. */
+        RateFn() = default;
+
+        /** View @p f, any callable taking a local user index. */
+        template <typename F>
+        RateFn(const F &f)
+            : obj_(&f), call_([](const void *o, int u) {
+                  return (*static_cast<const F *>(o))(u);
+              })
+        {}
+
+        /** The exact rate of local user @p u. */
+        double operator()(int u) const { return call_(obj_, u); }
+
+      private:
+        const void *obj_ = nullptr;
+        double (*call_)(const void *, int) = nullptr;
+    };
+
+    /**
      * Pick the user to grant this slot.
-     * @param eligible  Per-user flag: has something to send.
-     * @param inst_rate Per-user instantaneous rate estimate; only
-     *                  consulted by proportional_fair, and only at
-     *                  eligible indices.
-     * @param urgent    Optional per-user flag: class-aware
-     *                  arbitration. When any eligible user is
-     *                  urgent (has queued control traffic), the
-     *                  pick is restricted to the eligible-and-
-     *                  urgent subset -- control preempts data --
-     *                  and the discipline (RR cursor / PF metric)
-     *                  operates within that subset. Null or
-     *                  all-false behaves exactly like the
-     *                  two-argument overload.
+     * @param eligible   Per-user flag: has something to send.
+     * @param rate_bound Per-user upper bound on the instantaneous
+     *                   rate, rate(u) <= rate_bound[u]; only
+     *                   consulted by proportional_fair, and only
+     *                   at eligible indices.
+     * @param rate       Per-user exact instantaneous rate.
+     *                   proportional_fair grants argmax rate / avg
+     *                   but calls @p rate only for users whose
+     *                   bound metric rate_bound / avg can still
+     *                   reach the best exact metric found so far;
+     *                   round_robin ignores both.
+     * @param urgent     Optional per-user flag: class-aware
+     *                   arbitration. When any eligible user is
+     *                   urgent (has queued control traffic), the
+     *                   pick is restricted to the eligible-and-
+     *                   urgent subset -- control preempts data --
+     *                   and the discipline (RR cursor / PF metric)
+     *                   operates within that subset. Null or
+     *                   all-false leaves the pick unrestricted.
      * @return the granted local user index, or -1 if no user is
-     *         eligible. Does not mutate state; call update() with
-     *         the result to close the slot.
+     *         eligible. Does not mutate state (it reuses an internal
+     *         candidate list, so one scheduler serves one thread at
+     *         a time); call update() with the result to close the
+     *         slot.
      */
     int pick(const std::vector<std::uint8_t> &eligible,
-             const std::vector<double> &inst_rate,
+             const std::vector<double> &rate_bound, RateFn rate,
              const std::vector<std::uint8_t> *urgent =
                  nullptr) const;
 
@@ -158,10 +195,18 @@ class CellScheduler
     void loadState(SnapshotReader &r);
 
   private:
+    /** A PF candidate: its bound metric and local index. */
+    struct Candidate {
+        double bound;
+        int user;
+    };
+
     Config cfg_;
     int num_users_;
     int cursor_ = 0;          // round robin: last granted + 1
     std::vector<double> avg_; // PF served-throughput EWMA
+    // pick()'s candidate list, kept to reuse its capacity.
+    mutable std::vector<Candidate> cand_;
 };
 
 } // namespace mac

@@ -17,15 +17,6 @@ Scrambler::reset(std::uint8_t seed)
     state = seed & 0x7F;
 }
 
-Bit
-Scrambler::nextPrbsBit()
-{
-    // Feedback = x^7 ^ x^4 (bits 6 and 3 of the 7-bit register).
-    Bit fb = static_cast<Bit>(((state >> 6) ^ (state >> 3)) & 1);
-    state = static_cast<std::uint8_t>(((state << 1) | fb) & 0x7F);
-    return fb;
-}
-
 void
 Scrambler::process(BitView in, BitSpan out)
 {

@@ -29,7 +29,14 @@ class Scrambler
     void reset(std::uint8_t seed);
 
     /** Next PRBS bit (advances state). */
-    Bit nextPrbsBit();
+    Bit nextPrbsBit()
+    {
+        // Feedback = x^7 ^ x^4 (bits 6 and 3 of the 7-bit register).
+        const Bit fb =
+            static_cast<Bit>(((state >> 6) ^ (state >> 3)) & 1);
+        state = static_cast<std::uint8_t>(((state << 1) | fb) & 0x7F);
+        return fb;
+    }
 
     /** Scramble (or descramble) one bit. */
     Bit process(Bit in) { return in ^ nextPrbsBit(); }

@@ -17,8 +17,9 @@
  * mutates or serializes the shared state and one after.
  *
  *   Phase 1 (schedule) -- per cell: deliver due ACKs, draw traffic
- *       arrivals, evaluate eligibility and (for proportional fair)
- *       the instantaneous rate metric, and pick this slot's grant.
+ *       arrivals, evaluate eligibility and pick this slot's grant
+ *       (proportional fair evaluates the instantaneous rate metric
+ *       only for users whose rate bound could still win).
  *       The only cross-cell output is the per-cell activity flag +
  *       granted user.
  *   Phase 2 (transmit) -- per cell: fold the grant's serving gain,
@@ -62,12 +63,13 @@ namespace sim {
 
 /**
  * Cross-run cache of the SoA engine's immutable derived per-user
- * state: Jakes oscillator banks, forked stream keys, serving gains
- * and the flattened calibration table -- everything that is a pure
- * function of (spec, topology, table) and therefore identical for
- * every run() of the same NetworkSim. Owned by NetworkSim (opaque
- * here; defined in multicell_soa.cc) so repeated runs skip the
- * rederivation; caching cannot change results.
+ * state: Jakes oscillator banks and their |h|^2 bounds, forked
+ * stream keys, serving gains and the flattened calibration table --
+ * everything that is a pure function of (spec, topology, table) and
+ * therefore identical for every run() of the same NetworkSim. Owned
+ * by NetworkSim (opaque here; defined in multicell_soa.cc) so
+ * repeated runs skip the rederivation; caching cannot change
+ * results.
  */
 struct McSoaCache;
 

@@ -18,10 +18,11 @@
  * any kernel backend -- pinned by tests/test_multicell.cc and the
  * slow-label equivalence test in tests/test_simd_kernels.cc.
  *
- * Immutable derived per-user state (Jakes oscillator banks, forked
- * stream keys, serving gains, the flattened calibration table) is a
- * pure function of (spec, topology, table) and is cached across
- * run() calls in McSoaCache, owned by NetworkSim.
+ * Immutable derived per-user state (Jakes oscillator banks and their
+ * |h|^2 bounds, forked stream keys, serving gains, the flattened
+ * calibration table) is a pure function of (spec, topology, table)
+ * and is cached across run() calls in McSoaCache, owned by
+ * NetworkSim.
  *
  * Checkpoint/resume (saveCheckpoint() / loadCheckpoint()) serializes
  * the mutable run state in a canonical order -- global user id, then
@@ -91,6 +92,11 @@ struct McSoaCache {
     std::vector<std::uint64_t> interfKey; // interference fades
     std::vector<std::uint64_t> awgnSeed;
     std::vector<channel::JakesFader> faders; // gainAt() is const
+    // Proportional fair only: each fader's powerBound() over slots
+    // [0, boundSlots), grown like the memo below when a run is
+    // longer (a bound for a longer horizon holds for a shorter one).
+    std::uint64_t boundSlots = 0;
+    std::vector<double> h2Bound;
 
     // ---- flattened calibration (analytic/auto modes only)
     softphy::FlatCalibration flat;
@@ -99,11 +105,13 @@ struct McSoaCache {
     // Cross-run memo of the serving-link |h|^2 per (slot, user):
     // JakesFader::gainAt() is a pure function of (fader, t), so a
     // value computed in one run is valid in every later run of the
-    // same spec -- memoization cannot change results. Filled lazily
-    // (PF evaluates only eligible users); bounded by kH2MemoBytes,
-    // slots past h2Slots fall back to the per-run memo. Within a
-    // run each user's entries are written by the one worker that
-    // owns its cell, so access is race-free.
+    // same spec -- memoization cannot change results. Filled lazily:
+    // every granted user, plus under PF each user the pick had to
+    // evaluate (eligible, and with a bound metric that could still
+    // win); bounded by kH2MemoBytes, slots past h2Slots fall back
+    // to the per-run memo. Within a run each user's entries are
+    // written by the one worker that owns its cell, so access is
+    // race-free.
     static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
     std::uint64_t h2Slots = 0;      // slots covered by the memo
     std::vector<double> h2;         // [slot * users + user]
@@ -210,7 +218,8 @@ struct SoaState {
     std::vector<mac::CellScheduler> scheds;
     std::vector<std::vector<std::uint8_t>> eligible;
     std::vector<std::vector<std::uint8_t>> urgent;
-    std::vector<std::vector<double>> instRate;
+    /** PF: each member's rate bound, by local index. */
+    std::vector<std::vector<double>> rateBound;
     /** Fixed-contention airtime: a cell is busy until this slot. */
     std::vector<std::uint64_t> busyUntil;
     std::unique_ptr<MobilityRuntime> mob;
@@ -223,7 +232,7 @@ struct SoaState {
         const size_t cn = members[static_cast<size_t>(c)].size();
         eligible[static_cast<size_t>(c)].resize(cn);
         urgent[static_cast<size_t>(c)].assign(cn, 0);
-        instRate[static_cast<size_t>(c)].assign(cn, 0.0);
+        rateBound[static_cast<size_t>(c)].assign(cn, 0.0);
     }
 };
 
@@ -569,6 +578,16 @@ runMulticellSoa(
             cache.h2Slots = want;
         }
     }
+    const bool pf = spec.scheduler.kind ==
+                    mac::SchedulerKind::ProportionalFair;
+    if (pf && slots > cache.boundSlots) {
+        const double horizon_us =
+            static_cast<double>(slots) * spec.frameIntervalUs;
+        cache.h2Bound.resize(cache.faders.size());
+        for (size_t i = 0; i < cache.faders.size(); ++i)
+            cache.h2Bound[i] = cache.faders[i].powerBound(horizon_us);
+        cache.boundSlots = slots;
+    }
     const kernels::PerTableView flat_view =
         cache.hasFlat ? cache.flat.view() : kernels::PerTableView{};
 
@@ -634,7 +653,7 @@ runMulticellSoa(
     st.members.resize(static_cast<size_t>(cells));
     st.eligible.resize(static_cast<size_t>(cells));
     st.urgent.resize(static_cast<size_t>(cells));
-    st.instRate.resize(static_cast<size_t>(cells));
+    st.rateBound.resize(static_cast<size_t>(cells));
     st.scheds.reserve(static_cast<size_t>(cells));
     for (int c = 0; c < cells; ++c) {
         for (std::uint32_t i =
@@ -659,7 +678,7 @@ runMulticellSoa(
     auto &scheds = st.scheds;
     auto &eligible = st.eligible;
     auto &urgent = st.urgent;
-    auto &inst_rate = st.instRate;
+    auto &rate_bound = st.rateBound;
     auto &busy_until = st.busyUntil;
     const auto &mob = st.mob;
     const auto &trace = st.trace;
@@ -724,8 +743,23 @@ runMulticellSoa(
     const bool fixed_contention =
         spec.scheduler.contention == mac::ContentionMode::Fixed;
 
-    const bool pf = spec.scheduler.kind ==
-                    mac::SchedulerKind::ProportionalFair;
+    // PF: each member's upper bound on its instantaneous rate
+    // log2(1 + g |h|^2), from its fader's |h|^2 bound. The margin
+    // covers log2, which libm does not promise to be monotone.
+    // Serving gains and membership move only at mobility epochs,
+    // which refresh it.
+    auto refresh_rate_bounds = [&] {
+        for (int c = 0; c < cells; ++c) {
+            const std::vector<std::uint32_t> &mem =
+                members[static_cast<size_t>(c)];
+            std::vector<double> &bound =
+                rate_bound[static_cast<size_t>(c)];
+            for (size_t m = 0; m < mem.size(); ++m)
+                bound[m] = std::log2(1.0 + serv_gain[mem[m]] *
+                                               cache.h2Bound[mem[m]]) *
+                           (1.0 + 0x1p-40);
+        }
+    };
 
     // ---- phase 1: deliver ACKs, draw traffic, schedule ---------
     auto phase_schedule = [&](int c, std::uint64_t t) {
@@ -735,8 +769,8 @@ runMulticellSoa(
             eligible[static_cast<size_t>(c)];
         std::vector<std::uint8_t> &urg =
             urgent[static_cast<size_t>(c)];
-        std::vector<double> &inst =
-            inst_rate[static_cast<size_t>(c)];
+        const std::vector<double> &bound =
+            rate_bound[static_cast<size_t>(c)];
         std::vector<mac::Arq::Delivery> &del =
             deliveries[static_cast<size_t>(c)];
         std::vector<std::uint8_t> &act = active[t & 1];
@@ -762,12 +796,6 @@ runMulticellSoa(
             if (class_aware)
                 urg[m] =
                     traffic[i].controlBacklogged() ? 1 : 0;
-            if (can_send && !busy && pf) {
-                const double h2 =
-                    fadingPower(static_cast<int>(i), t);
-                inst[m] =
-                    std::log2(1.0 + serv_gain[i] * h2);
-            }
         }
 
         if (busy) {
@@ -783,8 +811,17 @@ runMulticellSoa(
             return;
         }
 
+        // The noise-limited instantaneous rate (interference is
+        // unknown until every cell has scheduled), evaluated only
+        // for the users the PF pick cannot rule out by bound.
+        auto rate = [&](int m) {
+            const std::uint32_t i = mem[static_cast<size_t>(m)];
+            return std::log2(
+                1.0 + serv_gain[i] *
+                          fadingPower(static_cast<int>(i), t));
+        };
         const int pick = scheds[static_cast<size_t>(c)].pick(
-            elig, inst, class_aware ? &urg : nullptr);
+            elig, bound, rate, class_aware ? &urg : nullptr);
         if (pick < 0) {
             granted_soa[static_cast<size_t>(c)] = -1;
             act[static_cast<size_t>(c)] = 0;
@@ -1038,6 +1075,8 @@ runMulticellSoa(
         // user's serving-link gain.
         for (size_t i2 = 0; i2 < nu; ++i2)
             serv_gain[i2] = mob->servingGainLin(cache.order[i2]);
+        if (pf)
+            refresh_rate_bounds();
     };
 
     const std::uint64_t start_slot =
@@ -1046,6 +1085,8 @@ runMulticellSoa(
             : 0;
     const std::uint64_t ckpt_every =
         spec.checkpoint.enabled() ? spec.checkpoint.everySlots : 0;
+    if (pf)
+        refresh_rate_bounds();
 
     const int n =
         LockstepTeam::workerCount(threads, static_cast<std::uint64_t>(cells));

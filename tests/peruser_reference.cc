@@ -1,4 +1,5 @@
 #include "peruser_reference.hh"
+#include "pf_pick_reference.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -257,9 +258,12 @@ runPerUserReference(const NetworkSim &sim, std::uint64_t slots)
             return;
         }
 
-        const int pick = cs.sched->pick(
-            cs.eligible, cs.instRate,
-            class_aware ? &cs.urgent : nullptr);
+        const std::vector<std::uint8_t> *urgent =
+            class_aware ? &cs.urgent : nullptr;
+        const int pick =
+            pf ? mac::pfPickReference(*cs.sched, cs.eligible,
+                                      cs.instRate, urgent)
+               : cs.sched->pick(cs.eligible, {}, {}, urgent);
         if (pick < 0) {
             cs.grantedUser = -1;
             active[static_cast<size_t>(ci)] = 0;

@@ -443,6 +443,28 @@ TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndOracle)
     }
 }
 
+TEST(MobilityRun, PfStrictPriorityMatchesOracleAcrossHandovers)
+{
+    // Handovers move serving gains, and with them the engine's PF
+    // rate bounds; control traffic narrows picks to urgent users.
+    // The bounded pick must still grant what the oracle's
+    // exhaustive one does.
+    NetworkSpec spec = urbanMobileSpec();
+    spec.scheduler.kind = mac::SchedulerKind::ProportionalFair;
+    spec.traffic.qdisc = mac::QdiscKind::StrictPriority;
+    spec.traffic.controlRate = 0.05;
+    const std::uint64_t slots = 600;
+
+    NetworkResult soa = NetworkSim(spec).run(slots, 2);
+    EXPECT_GT(soa.aggregate.handovers, 0u);
+    NetworkResult ref = runPerUserReference(NetworkSim(spec), slots);
+    ASSERT_EQ(soa.users.size(), ref.users.size());
+    for (size_t u = 0; u < ref.users.size(); ++u)
+        expectSameMobileStats(ref.users[u], soa.users[u],
+                              static_cast<int>(u));
+    expectSameMobileStats(ref.aggregate, soa.aggregate, -1);
+}
+
 TEST(MobilityRun, StaticRunsAreUntouchedByTheMobilityLayer)
 {
     // The whole feature is opt-in: a static preset must neither

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/kernels.hh"
 #include "peruser_reference.hh"
+#include "sim/campaign.hh"
 #include "sim/network_sim.hh"
 
 using namespace wilis;
@@ -297,6 +299,51 @@ TEST(Multicell, SoaMatchesPerUserOracleOnDenseUrban10kScalarBackend)
     spec.calibrationFile = calibrationPath();
     NetworkSim sim(spec);
     expectSameResult(runPerUserReference(sim, 16), sim.run(16, 2));
+}
+
+namespace {
+
+/** dense-urban-10k cut to 3x3 cells of ~100 users, still PF. */
+NetworkSpec
+denseCut()
+{
+    NetworkSpec spec = networkPreset("dense-urban-10k");
+    spec.calibrationFile = calibrationPath();
+    spec.topology.rows = 3;
+    spec.topology.cols = 3;
+    spec.numUsers = 900;
+    return spec;
+}
+
+} // namespace
+
+TEST(Multicell, SoaMatchesPerUserOracleOnSpreadPfAverages)
+{
+    // Past the first ON bursts the PF averages have spread apart,
+    // so the engine's bounded pick skips most candidates; it must
+    // still grant what the oracle's exhaustive pick grants.
+    NetworkSim sim(denseCut());
+    expectSameResult(runPerUserReference(sim, 240), sim.run(240, 2));
+}
+
+TEST(Multicell, EveryCampaignRepMatchesPerUserOracle)
+{
+    // Replications share a process and a calibration table but not
+    // fader banks, so no rep may inherit another's rate bounds.
+    RunRequest req;
+    req.spec = denseCut();
+    req.spec.reps = 2;
+    req.slots = 200;
+    req.threads = 2;
+    std::vector<NetworkResult> runs;
+    runCampaignShard(req, [&](int, const NetworkResult &res) {
+        runs.push_back(res);
+    });
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_NE(runs[0].spec.seed, runs[1].spec.seed);
+    for (const NetworkResult &res : runs)
+        expectSameResult(
+            runPerUserReference(NetworkSim(res.spec), req.slots), res);
 }
 
 // ------------------------------------------------ engine behavior

@@ -230,6 +230,7 @@ TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
     const std::vector<std::uint8_t> elig = {1, 1, 1, 1};
     const std::vector<std::uint8_t> urgent = {0, 1, 0, 1};
     const std::vector<double> inst = {4.0, 1.0, 3.0, 0.5};
+    auto rate = [&](int u) { return inst[static_cast<size_t>(u)]; };
 
     for (auto kind : {mac::SchedulerKind::RoundRobin,
                       mac::SchedulerKind::ProportionalFair}) {
@@ -237,7 +238,7 @@ TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
         cfg.kind = kind;
         mac::CellScheduler sched(cfg, 4);
         for (int round = 0; round < 12; ++round) {
-            const int pick = sched.pick(elig, inst, &urgent);
+            const int pick = sched.pick(elig, inst, rate, &urgent);
             EXPECT_TRUE(pick == 1 || pick == 3)
                 << mac::schedulerKindName(kind) << " round "
                 << round
@@ -245,13 +246,13 @@ TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
             sched.update(pick, 1000.0);
         }
         // No urgent users -> the mask must be a no-op: same picks
-        // as the two-argument overload on a fresh twin.
+        // as an unmasked pick on a fresh twin.
         mac::CellScheduler a(cfg, 4);
         mac::CellScheduler b(cfg, 4);
         const std::vector<std::uint8_t> none = {0, 0, 0, 0};
         for (int round = 0; round < 12; ++round) {
-            const int pa = a.pick(elig, inst, &none);
-            const int pb = b.pick(elig, inst);
+            const int pa = a.pick(elig, inst, rate, &none);
+            const int pb = b.pick(elig, inst, rate);
             EXPECT_EQ(pa, pb)
                 << mac::schedulerKindName(kind) << " round "
                 << round;

@@ -99,6 +99,35 @@ TEST(Scrambler, PilotPolarityProperties)
     EXPECT_EQ(p[7], 1);
 }
 
+TEST(Scrambler, MatchesTheShiftRegisterForEverySeed)
+{
+    // The clause 17.3.5.5 register, one cell per delay element:
+    // seed bit k-1 loads x_k, and each step shifts x_k -> x_k+1
+    // with the feedback x7 ^ x4 entering x1 as the PRBS bit.
+    SplitMix64 rng(7);
+    BitVec data(300);
+    for (auto &b : data)
+        b = rng.nextBit();
+    for (int seed = 1; seed < 128; ++seed) {
+        int x[8] = {};
+        for (int k = 1; k <= 7; ++k)
+            x[k] = (seed >> (k - 1)) & 1;
+        Scrambler bits(static_cast<std::uint8_t>(seed));
+        BitVec out(data.size());
+        Scrambler(static_cast<std::uint8_t>(seed)).process(data, out);
+        for (size_t i = 0; i < data.size(); ++i) {
+            const int fb = x[7] ^ x[4];
+            for (int k = 7; k > 1; --k)
+                x[k] = x[k - 1];
+            x[1] = fb;
+            ASSERT_EQ(bits.nextPrbsBit(), fb)
+                << "seed " << seed << " bit " << i;
+            ASSERT_EQ(out[i], data[i] ^ fb)
+                << "seed " << seed << " bit " << i;
+        }
+    }
+}
+
 TEST(ScramblerDeath, ZeroSeedPanics)
 {
     EXPECT_DEATH(Scrambler(0x80), "nonzero");

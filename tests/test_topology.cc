@@ -10,14 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <vector>
 
 #include "channel/fading.hh"
 #include "channel/pathloss.hh"
+#include "common/random.hh"
 #include "mac/arq.hh"
 #include "mac/scheduler.hh"
 #include "mac/traffic.hh"
+#include "pf_pick_reference.hh"
 #include "phy/ofdm_symbol.hh"
 #include "sim/topology.hh"
 
@@ -189,6 +194,56 @@ TEST(JakesFader, PinsTheRayleighChannelFadingProcess)
     EXPECT_NEAR(acc / n, 1.0, 0.15);
 }
 
+TEST(JakesFader, PairedOscillatorsHaveOppositeDoppler)
+{
+    // powerBound() pairs oscillator m with the one at arrival angle
+    // a_m + pi; their frequency scales must cancel to rounding.
+    SplitMix64 seeds(2024);
+    for (int k = 0; k < 2000; ++k) {
+        const std::uint64_t seed = seeds.next();
+        channel::JakesFader fader(60.0, seed);
+        ASSERT_LE(fader.pairingResidue(),
+                  8.0 * std::numeric_limits<double>::epsilon())
+            << "seed " << seed;
+    }
+}
+
+TEST(JakesFader, PowerBoundHoldsOverTheHorizon)
+{
+    // Sampled |h(t)|^2 never exceeds the bound for its horizon, at
+    // pedestrian to vehicular Doppler and up to 10^6 slots of 2 ms;
+    // the bound is far from the trivial 32 (else it prunes nothing).
+    SplitMix64 rng(99);
+    double bound_sum = 0.0;
+    int faders = 0;
+    for (double doppler : {10.0, 30.0, 60.0, 120.0}) {
+        for (double slots : {1e3, 1e6}) {
+            const double horizon_us = slots * 2000.0;
+            for (int k = 0; k < 32; ++k) {
+                const std::uint64_t seed = rng.next();
+                channel::JakesFader fader(doppler, seed);
+                const double bound = fader.powerBound(horizon_us);
+                ASSERT_LE(bound, 32.0);
+                double peak = 0.0;
+                for (int i = 0; i < 2000; ++i) {
+                    const double slot = std::floor(
+                        i < 1000 ? rng.nextDouble() * slots
+                                 : slots - 1.0 - (i - 1000));
+                    peak = std::max(
+                        peak,
+                        std::norm(fader.gainAt(slot * 2000.0)));
+                }
+                ASSERT_LE(peak, bound)
+                    << "doppler " << doppler << " slots " << slots
+                    << " seed " << seed;
+                bound_sum += bound;
+                ++faders;
+            }
+        }
+    }
+    EXPECT_LT(bound_sum / faders, 20.0);
+}
+
 // -------------------------------------------------------- traffic
 
 TEST(Traffic, FullBufferIsAlwaysBackloggedAndQueueless)
@@ -289,7 +344,7 @@ TEST(Scheduler, RoundRobinCyclesOverEligibleUsers)
     std::vector<double> rate(4, 0.0);
     std::vector<int> grants;
     for (int i = 0; i < 8; ++i) {
-        const int pick = sched.pick(all, rate);
+        const int pick = sched.pick(all, rate, {});
         grants.push_back(pick);
         sched.update(pick, 1000.0);
     }
@@ -298,13 +353,13 @@ TEST(Scheduler, RoundRobinCyclesOverEligibleUsers)
 
     // Ineligible users are skipped without losing the rotation.
     std::vector<std::uint8_t> some = {0, 1, 0, 1};
-    const int pick = sched.pick(some, rate);
+    const int pick = sched.pick(some, rate, {});
     EXPECT_EQ(pick, 1);
     sched.update(pick, 1000.0);
-    EXPECT_EQ(sched.pick(some, rate), 3);
+    EXPECT_EQ(sched.pick(some, rate, {}), 3);
 
     std::vector<std::uint8_t> none(4, 0);
-    EXPECT_EQ(sched.pick(none, rate), -1);
+    EXPECT_EQ(sched.pick(none, rate, {}), -1);
 }
 
 TEST(Scheduler, ProportionalFairBalancesRateAndStarvation)
@@ -313,6 +368,10 @@ TEST(Scheduler, ProportionalFairBalancesRateAndStarvation)
     cfg.kind = mac::SchedulerKind::ProportionalFair;
     cfg.pfHorizonSlots = 16.0;
     mac::CellScheduler sched(cfg, 2);
+    // Each user's exact rate, also passed as its own bound.
+    auto exact = [](const std::vector<double> &r) {
+        return [&r](int u) { return r[static_cast<size_t>(u)]; };
+    };
 
     // Constant unequal channels: proportional fairness converges
     // to *equal airtime* (that is its defining property -- the
@@ -321,7 +380,7 @@ TEST(Scheduler, ProportionalFairBalancesRateAndStarvation)
     std::vector<double> rate = {3.0, 1.0};
     int grants0 = 0;
     for (int i = 0; i < 400; ++i) {
-        const int pick = sched.pick(all, rate);
+        const int pick = sched.pick(all, rate, exact(rate));
         if (pick == 0)
             ++grants0;
         sched.update(pick, rate[static_cast<size_t>(pick)]);
@@ -338,7 +397,7 @@ TEST(Scheduler, ProportionalFairBalancesRateAndStarvation)
     for (int i = 0; i < 400; ++i) {
         const bool strong = i % 2 == 0;
         std::vector<double> r = {strong ? 4.0 : 0.5, 1.0};
-        const int pick = opp.pick(all, r);
+        const int pick = opp.pick(all, r, exact(r));
         if (pick == 0)
             (strong ? strong_grants : weak_grants) += 1;
         opp.update(pick, r[static_cast<size_t>(pick)]);
@@ -351,7 +410,92 @@ TEST(Scheduler, ProportionalFairBalancesRateAndStarvation)
     mac::CellScheduler tie(cfg, 3);
     std::vector<std::uint8_t> el(3, 1);
     std::vector<double> eq(3, 2.0);
-    EXPECT_EQ(tie.pick(el, eq), 0);
+    EXPECT_EQ(tie.pick(el, eq, exact(eq)), 0);
+}
+
+TEST(Scheduler, ProportionalFairPickMatchesTheExhaustiveArgmax)
+{
+    // The bounded pick must grant exactly what evaluating every
+    // candidate grants, over eligibility, urgency, floored and
+    // equal averages, exact ties and bounds equal to the rate, and
+    // evaluate each user's rate at most once.
+    mac::CellScheduler::Config cfg;
+    cfg.kind = mac::SchedulerKind::ProportionalFair;
+    SplitMix64 rng(5);
+    auto pick_from = [&](const double *set, int n) {
+        return set[rng.next() % static_cast<std::uint64_t>(n)];
+    };
+    const double avgs[] = {0.0, 1e-13, 0.5, 0.5, 1.0, 2.0};
+    const double rates[] = {0.0, 1.0, 1.0, 2.0, 3.0};
+    int pruned = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const int n = 1 + static_cast<int>(rng.next() % 12);
+        mac::CellScheduler sched(cfg, 0);
+        std::vector<std::uint8_t> elig(static_cast<size_t>(n));
+        std::vector<std::uint8_t> urgent(static_cast<size_t>(n));
+        std::vector<double> rate(static_cast<size_t>(n));
+        std::vector<double> bound(static_cast<size_t>(n));
+        for (int u = 0; u < n; ++u) {
+            const size_t i = static_cast<size_t>(u);
+            sched.insertUser(u, rng.nextBit()
+                                    ? pick_from(avgs, 6)
+                                    : rng.nextDouble() * 4.0);
+            elig[i] = rng.next() % 4 != 0;
+            urgent[i] = rng.next() % 5 == 0;
+            rate[i] = rng.nextBit() ? pick_from(rates, 5)
+                                    : rng.nextDouble() * 8.0;
+            switch (rng.next() % 3) {
+              case 0:
+                bound[i] = rate[i];
+                break;
+              case 1:
+                bound[i] = rate[i] * (1.0 + rng.nextDouble());
+                break;
+              default:
+                bound[i] = rate[i] + rng.nextDouble() * 8.0;
+            }
+        }
+        std::vector<int> calls(static_cast<size_t>(n), 0);
+        auto exact = [&](int u) {
+            ++calls[static_cast<size_t>(u)];
+            return rate[static_cast<size_t>(u)];
+        };
+        const std::vector<std::uint8_t> *urg =
+            rng.nextBit() ? &urgent : nullptr;
+        const int got = sched.pick(elig, bound, exact, urg);
+        ASSERT_EQ(got, mac::pfPickReference(sched, elig, rate, urg))
+            << "trial " << trial;
+        int candidates = 0;
+        int evaluated = 0;
+        for (int u = 0; u < n; ++u) {
+            const size_t i = static_cast<size_t>(u);
+            ASSERT_LE(calls[i], 1) << "trial " << trial;
+            ASSERT_TRUE(elig[i] || !calls[i]) << "trial " << trial;
+            candidates += elig[i];
+            evaluated += calls[i];
+        }
+        pruned += candidates - evaluated;
+    }
+    EXPECT_GT(pruned, 0);
+
+    // A dominated user is never evaluated; one whose bound only
+    // ties the best is, and may win the tie by its lower index.
+    mac::CellScheduler sched(cfg, 0);
+    for (int u = 0; u < 3; ++u)
+        sched.insertUser(u, 1.0);
+    const std::vector<std::uint8_t> all(3, 1);
+    std::vector<double> rate = {1.0, 4.0, 2.0};
+    std::vector<int> calls(3, 0);
+    auto exact = [&](int u) {
+        ++calls[static_cast<size_t>(u)];
+        return rate[static_cast<size_t>(u)];
+    };
+    EXPECT_EQ(sched.pick(all, {1.5, 4.0, 4.5}, exact), 1);
+    EXPECT_EQ(calls, (std::vector<int>{0, 1, 1}));
+    rate = {4.0, 4.0, 2.0};
+    calls.assign(3, 0);
+    EXPECT_EQ(sched.pick(all, {4.0, 4.0, 3.0}, exact), 0);
+    EXPECT_EQ(calls, (std::vector<int>{1, 1, 0}));
 }
 
 // ----------------------------------------------- ARQ grant gating
