@@ -47,9 +47,7 @@ measureHostSimSpeed(phy::RateIndex rate, std::uint64_t bits,
                     const std::string &channel = "awgn")
 {
     // This bench's whole purpose is backend comparison, so select
-    // the table directly -- bypassing the WILIS_KERNEL_BACKEND
-    // precedence that applyPolicy honors -- and leave the spec at
-    // "auto" so the testbench constructor keeps the selection.
+    // the table directly, whatever WILIS_KERNEL_BACKEND says.
     if (!kernels::setBackend(backend))
         wilis_fatal("backend %s unsupported on this host",
                     kernels::backendName(backend));

@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "decode/bcjr.hh"
@@ -674,6 +675,9 @@ runNetworkMode(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    // Resolve the kernel table up front, so a bad WILIS_KERNEL_BACKEND
+    // is fatal even in a run that never calls a kernel.
+    kernels::ops();
     for (int a = 1; a < argc; ++a)
         if (std::string(argv[a]).rfind("--", 0) == 0)
             return runNetworkMode(argc, argv);

@@ -35,12 +35,6 @@ features()
 } // namespace
 
 bool
-hasSse42()
-{
-    return features().sse42;
-}
-
-bool
 hasAvx2()
 {
     return features().avx2;
@@ -50,7 +44,7 @@ std::string
 featureString()
 {
     std::string s;
-    if (hasSse42())
+    if (features().sse42)
         s += "sse4.2";
     if (hasAvx2())
         s += s.empty() ? "avx2" : " avx2";

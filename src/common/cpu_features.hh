@@ -14,9 +14,6 @@
 namespace wilis {
 namespace cpu {
 
-/** True if the host executes SSE4.2 instructions. */
-bool hasSse42();
-
 /** True if the host executes AVX2 instructions. */
 bool hasAvx2();
 

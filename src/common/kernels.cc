@@ -11,7 +11,6 @@ namespace kernels {
 
 namespace detail {
 const Ops *opsScalar();
-const Ops *opsSse42();
 const Ops *opsAvx2();
 } // namespace detail
 
@@ -23,8 +22,6 @@ tableFor(Backend b)
     switch (b) {
       case Backend::Scalar:
         return detail::opsScalar();
-      case Backend::Sse42:
-        return detail::opsSse42();
       case Backend::Avx2:
         return detail::opsAvx2();
     }
@@ -37,8 +34,6 @@ hostSupports(Backend b)
     switch (b) {
       case Backend::Scalar:
         return true;
-      case Backend::Sse42:
-        return cpu::hasSse42();
       case Backend::Avx2:
         return cpu::hasAvx2();
     }
@@ -50,8 +45,6 @@ widestSupported()
 {
     if (backendSupported(Backend::Avx2))
         return Backend::Avx2;
-    if (backendSupported(Backend::Sse42))
-        return Backend::Sse42;
     return Backend::Scalar;
 }
 
@@ -123,8 +116,6 @@ backendName(Backend b)
     switch (b) {
       case Backend::Scalar:
         return "scalar";
-      case Backend::Sse42:
-        return "sse4.2";
       case Backend::Avx2:
         return "avx2";
     }
@@ -136,15 +127,13 @@ parseBackend(const std::string &name, Backend *out)
 {
     if (name == "scalar")
         *out = Backend::Scalar;
-    else if (name == "sse4.2" || name == "sse42")
-        *out = Backend::Sse42;
     else if (name == "avx2")
         *out = Backend::Avx2;
     else if (name == "auto" || name.empty())
         return false;
     else
         wilis_fatal("unknown kernel backend '%s' "
-                    "(auto|scalar|sse4.2|avx2)",
+                    "(auto|scalar|avx2)",
                     name.c_str());
     return true;
 }
@@ -171,8 +160,7 @@ std::vector<Backend>
 availableBackends()
 {
     std::vector<Backend> v;
-    for (Backend b :
-         {Backend::Scalar, Backend::Sse42, Backend::Avx2}) {
+    for (Backend b : {Backend::Scalar, Backend::Avx2}) {
         if (backendSupported(b))
             v.push_back(b);
     }
@@ -186,25 +174,6 @@ setBackend(Backend b)
         return false;
     g_active.store(tableFor(b), std::memory_order_release);
     return true;
-}
-
-Backend
-applyPolicy(const KernelPolicy &policy)
-{
-    const char *env = std::getenv("WILIS_KERNEL_BACKEND");
-    if (env && *env)
-        return activeBackend(); // the environment pins the backend
-    Backend requested;
-    if (!parseBackend(policy.backend, &requested))
-        return activeBackend(); // "auto": keep the current table
-    if (!setBackend(requested)) {
-        wilis_warn("kernel backend '%s' unsupported on this host "
-                  "(%s); keeping %s",
-                  policy.backend.c_str(),
-                  cpu::featureString().c_str(),
-                  backendName(activeBackend()));
-    }
-    return activeBackend();
 }
 
 } // namespace kernels

@@ -7,12 +7,12 @@
  * the OFDM FFT, the trellis add-compare-select sweep shared by
  * Viterbi/SOVA/BCJR, and the per-sample complex channel arithmetic --
  * are expressed once against the portable packed-vector layer in
- * common/simd.hh and compiled three times: scalar, SSE4.2 and AVX2
- * (kernels_scalar.cc / kernels_sse42.cc / kernels_avx2.cc). At
- * startup the dispatcher picks the widest backend the host supports
- * (CPUID via common/cpu_features.hh); tests, benches and scenario
- * specs can force a backend through WILIS_KERNEL_BACKEND or a
- * KernelPolicy.
+ * common/simd.hh and compiled twice: scalar and AVX2
+ * (kernels_scalar.cc / kernels_avx2.cc). At startup the dispatcher
+ * picks the widest backend the host supports (CPUID via
+ * common/cpu_features.hh) unless WILIS_KERNEL_BACKEND names one;
+ * tests and benches that compare backends switch tables with
+ * setBackend().
  *
  * Numerical-equivalence policy: every backend is BIT-EXACT with the
  * scalar reference. Integer kernels use identical i32 arithmetic;
@@ -41,31 +41,18 @@ namespace kernels {
 enum class Backend {
     /** Portable scalar reference (the semantic ground truth). */
     Scalar = 0,
-    /** SSE4.2, 128-bit lanes. */
-    Sse42 = 1,
     /** AVX2, 256-bit lanes. */
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
-/** Registry name of a backend ("scalar", "sse4.2", "avx2"). */
+/** Registry name of a backend ("scalar", "avx2"). */
 const char *backendName(Backend b);
 
 /**
- * Parse a backend name ("scalar", "sse4.2"/"sse42", "avx2"). "auto"
- * and "" return no value (meaning: best supported).
+ * Parse a backend name ("scalar", "avx2"); any other name is fatal.
+ * "auto" and "" return no value (meaning: best supported).
  */
 bool parseBackend(const std::string &name, Backend *out);
-
-/**
- * Per-scenario kernel selection, threaded through sim::ScenarioSpec /
- * sim::NetworkSpec so sweeps can A/B backends from configuration
- * alone. "auto" keeps the process-wide default (the widest supported
- * backend, or whatever WILIS_KERNEL_BACKEND forced).
- */
-struct KernelPolicy {
-    /** Requested backend name: "auto", "scalar", "sse4.2", "avx2". */
-    std::string backend = "auto";
-};
 
 /**
  * Trellis structure handed to the ACS kernels as flat i32 arrays (one
@@ -306,24 +293,11 @@ std::vector<Backend> availableBackends();
 
 /**
  * Switch the active table. Returns false (and leaves the table
- * unchanged) if the backend is unsupported on this host. Not safe
- * to call while worker threads are mid-kernel; switch between runs.
+ * unchanged) if the backend is unsupported on this host. The table
+ * is process-global and not safe to switch while worker threads are
+ * mid-kernel: backend comparisons switch between runs.
  */
 bool setBackend(Backend b);
-
-/**
- * Apply a scenario's KernelPolicy: "auto" keeps the current table,
- * anything else selects that backend. WILIS_KERNEL_BACKEND, when
- * set, wins over per-scenario policies so CI can force a backend
- * globally. Unknown names are fatal; unsupported ones warn and keep
- * the current table. Returns the backend active afterwards.
- *
- * The table is process-global: a non-"auto" policy affects every
- * harness in the process, so A/B comparisons must run one backend
- * at a time (see ScenarioSpec::kernel), and backend-comparison
- * benches/tests select tables explicitly via setBackend() instead.
- */
-Backend applyPolicy(const KernelPolicy &policy);
 
 } // namespace kernels
 } // namespace wilis

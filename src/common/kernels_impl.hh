@@ -2,11 +2,10 @@
  * @file
  * Kernel bodies of the runtime-dispatched SIMD layer, written ONCE
  * against the portable packed types in common/simd.hh and compiled
- * three times by kernels_scalar.cc / kernels_sse42.cc /
- * kernels_avx2.cc (each defines WILIS_SIMD_LEVEL and is built with
- * the matching -m flags). The level-1 instantiation of every loop IS
- * the scalar reference: there is no separate "reference
- * implementation" to drift from.
+ * twice, by kernels_scalar.cc and kernels_avx2.cc (each defines
+ * WILIS_SIMD_LEVEL and is built with the matching -m flags). The
+ * one-lane instantiation of every loop IS the scalar reference:
+ * there is no separate "reference implementation" to drift from.
  *
  * Bit-exactness discipline (see the policy note in kernels.hh):
  *  - integer kernels use the same i32 arithmetic at every level;
@@ -901,8 +900,6 @@ pfDecayKernel(double *avg, size_t n, double a, i32 granted,
 
 #if WILIS_SIMD_LEVEL == 2
 inline constexpr Backend kBackend = Backend::Avx2;
-#elif WILIS_SIMD_LEVEL == 1
-inline constexpr Backend kBackend = Backend::Sse42;
 #else
 inline constexpr Backend kBackend = Backend::Scalar;
 #endif

@@ -5,14 +5,13 @@
  * VecI32, VecU64 -- is compiled per backend level:
  *
  *   WILIS_SIMD_LEVEL 0  scalar reference   (1 f64 / 1 i32 lane)
- *   WILIS_SIMD_LEVEL 1  SSE4.2             (2 f64 / 4 i32 lanes)
  *   WILIS_SIMD_LEVEL 2  AVX2               (4 f64 / 8 i32 lanes)
  *
  * Each backend translation unit defines WILIS_SIMD_LEVEL before
  * including this header (and is compiled with the matching -m
  * flags); the types land in a level-specific namespace
- * (simd::simd_scalar / simd::simd_sse42 / simd::simd_avx2) so the
- * three instantiations never collide across translation units.
+ * (simd::simd_scalar / simd::simd_avx2) so the two instantiations
+ * never collide across translation units.
  *
  * Every operation here is IEEE-exact (add, sub, mul, div, abs, min,
  * max, round-to-nearest-even, integer arithmetic), which is what
@@ -35,20 +34,12 @@
 #define WILIS_SIMD_LEVEL 0
 #endif
 
-#if WILIS_SIMD_LEVEL >= 1
-#if !defined(__SSE4_2__)
-#error "WILIS_SIMD_LEVEL >= 1 requires -msse4.2"
-#endif
-#include <immintrin.h>
-#endif
-#if WILIS_SIMD_LEVEL >= 2 && !defined(__AVX2__)
+#if WILIS_SIMD_LEVEL == 2
+#if !defined(__AVX2__)
 #error "WILIS_SIMD_LEVEL == 2 requires -mavx2"
 #endif
-
-#if WILIS_SIMD_LEVEL == 2
+#include <immintrin.h>
 #define WILIS_SIMD_NS simd_avx2
-#elif WILIS_SIMD_LEVEL == 1
-#define WILIS_SIMD_NS simd_sse42
 #else
 #define WILIS_SIMD_NS simd_scalar
 #endif
@@ -60,15 +51,13 @@ namespace WILIS_SIMD_NS {
 /** Human-readable name of this compilation level. */
 #if WILIS_SIMD_LEVEL == 2
 inline constexpr const char *kLevelName = "avx2";
-#elif WILIS_SIMD_LEVEL == 1
-inline constexpr const char *kLevelName = "sse4.2";
 #else
 inline constexpr const char *kLevelName = "scalar";
 #endif
 
 // ------------------------------------------------------------- VecF64
 
-/** Packed f64 lanes (1 / 2 / 4 by level). */
+/** Packed f64 lanes (1 / 4 by level). */
 struct VecF64 {
 #if WILIS_SIMD_LEVEL == 2
     static constexpr int kLanes = 4;
@@ -162,81 +151,6 @@ struct VecF64 {
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p),
                          _mm256_cvtpd_epi32(v));
     }
-#elif WILIS_SIMD_LEVEL == 1
-    static constexpr int kLanes = 2;
-    __m128d v;
-
-    static VecF64 load(const double *p) { return {_mm_loadu_pd(p)}; }
-    static VecF64 broadcast(double x) { return {_mm_set1_pd(x)}; }
-    void store(double *p) const { _mm_storeu_pd(p, v); }
-
-    static VecF64
-    loadEven(const double *p)
-    {
-        __m128d a = _mm_loadu_pd(p);
-        __m128d b = _mm_loadu_pd(p + 2);
-        return {_mm_shuffle_pd(a, b, 0x0)};
-    }
-    static VecF64
-    loadOdd(const double *p)
-    {
-        __m128d a = _mm_loadu_pd(p);
-        __m128d b = _mm_loadu_pd(p + 2);
-        return {_mm_shuffle_pd(a, b, 0x3)};
-    }
-
-    friend VecF64
-    operator+(VecF64 a, VecF64 b)
-    {
-        return {_mm_add_pd(a.v, b.v)};
-    }
-    friend VecF64
-    operator-(VecF64 a, VecF64 b)
-    {
-        return {_mm_sub_pd(a.v, b.v)};
-    }
-    friend VecF64
-    operator*(VecF64 a, VecF64 b)
-    {
-        return {_mm_mul_pd(a.v, b.v)};
-    }
-    friend VecF64
-    operator/(VecF64 a, VecF64 b)
-    {
-        return {_mm_div_pd(a.v, b.v)};
-    }
-
-    static VecF64
-    abs(VecF64 a)
-    {
-        return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
-    }
-    static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(a.v, b.v)}; }
-    static VecF64 max(VecF64 a, VecF64 b) { return {_mm_max_pd(a.v, b.v)}; }
-    static VecF64
-    roundNearest(VecF64 a)
-    {
-        return {_mm_round_pd(
-            a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
-    }
-
-    VecF64 swapPairs() const { return {_mm_shuffle_pd(v, v, 0x1)}; }
-    static VecF64
-    addsub(VecF64 a, VecF64 b)
-    {
-        return {_mm_addsub_pd(a.v, b.v)};
-    }
-    /** Degenerate one-pair stand-ins: the kernels use lowPairs()
-     *  and highPairs() only at two lane pairs per vector. */
-    static VecF64 lowPairs(VecF64 a, VecF64) { return a; }
-    static VecF64 highPairs(VecF64, VecF64 b) { return b; }
-
-    void
-    storeAsI32(std::int32_t *p) const
-    {
-        __m128i r = _mm_cvtpd_epi32(v);
-        std::memcpy(p, &r, 2 * sizeof(std::int32_t));
-    }
 #else
     static constexpr int kLanes = 1;
     double v;
@@ -274,7 +188,7 @@ struct VecF64 {
 
 // ------------------------------------------------------------- VecI32
 
-/** Packed i32 lanes (1 / 4 / 8 by level). */
+/** Packed i32 lanes (1 / 8 by level). */
 struct VecI32 {
 #if WILIS_SIMD_LEVEL == 2
     static constexpr int kLanes = 8;
@@ -394,98 +308,6 @@ struct VecI32 {
         m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
         return _mm_cvtsi128_si32(m);
     }
-#elif WILIS_SIMD_LEVEL == 1
-    static constexpr int kLanes = 4;
-    __m128i v;
-
-    static VecI32
-    load(const std::int32_t *p)
-    {
-        return {_mm_loadu_si128(reinterpret_cast<const __m128i *>(p))};
-    }
-    static VecI32 broadcast(std::int32_t x) { return {_mm_set1_epi32(x)}; }
-    void
-    store(std::int32_t *p) const
-    {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
-    }
-
-    static void
-    deinterleave(const std::int32_t *p, VecI32 *even, VecI32 *odd)
-    {
-        const __m128 a = _mm_castsi128_ps(load(p).v);
-        const __m128 b = _mm_castsi128_ps(load(p + 4).v);
-        even->v = _mm_castps_si128(
-            _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
-        odd->v = _mm_castps_si128(
-            _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
-    }
-    VecI32
-    dupLow() const
-    {
-        return {_mm_shuffle_epi32(v, _MM_SHUFFLE(1, 1, 0, 0))};
-    }
-    VecI32
-    dupHigh() const
-    {
-        return {_mm_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 2, 2))};
-    }
-    static VecI32
-    lookup4(const std::int32_t tbl[4], VecI32 idx)
-    {
-        __m128i t =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(tbl));
-        // Per-lane byte control: 4*idx + {0,1,2,3}.
-        __m128i ctrl = _mm_add_epi8(
-            _mm_mullo_epi32(idx.v, _mm_set1_epi32(0x04040404)),
-            _mm_set1_epi32(0x03020100));
-        return {_mm_shuffle_epi8(t, ctrl)};
-    }
-
-    friend VecI32
-    operator+(VecI32 a, VecI32 b)
-    {
-        return {_mm_add_epi32(a.v, b.v)};
-    }
-    friend VecI32
-    operator-(VecI32 a, VecI32 b)
-    {
-        return {_mm_sub_epi32(a.v, b.v)};
-    }
-    static VecI32 max(VecI32 a, VecI32 b) { return {_mm_max_epi32(a.v, b.v)}; }
-    static VecI32 min(VecI32 a, VecI32 b) { return {_mm_min_epi32(a.v, b.v)}; }
-    static VecI32 abs(VecI32 a) { return {_mm_abs_epi32(a.v)}; }
-    static VecI32
-    applySign(VecI32 a, VecI32 sign)
-    {
-        return {_mm_sign_epi32(a.v, sign.v)};
-    }
-
-    static VecI32
-    gtMask(VecI32 a, VecI32 b)
-    {
-        return {_mm_cmpgt_epi32(a.v, b.v)};
-    }
-    static VecI32
-    blend(VecI32 a, VecI32 b, VecI32 mask)
-    {
-        return {_mm_blendv_epi8(a.v, b.v, mask.v)};
-    }
-    unsigned
-    moveMask() const
-    {
-        return static_cast<unsigned>(
-            _mm_movemask_ps(_mm_castsi128_ps(v)));
-    }
-
-    std::int32_t
-    reduceMax() const
-    {
-        __m128i m = _mm_max_epi32(
-            v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-        m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-        return _mm_cvtsi128_si32(m);
-    }
 #else
     static constexpr int kLanes = 1;
     std::int32_t v;
@@ -536,10 +358,10 @@ struct VecI32 {
 // ------------------------------------------------------------- VecU64
 
 /**
- * Packed u64 lanes (1 / 2 / 4 by level), the integer substrate of
+ * Packed u64 lanes (1 / 4 by level), the integer substrate of
  * the batched counter-RNG kernels (common/random.hh SplitMix64-style
  * mixing in lanes). Only the operations that mix needs exist: add,
- * xor, logical shifts and a low-64 multiply. SSE/AVX2 have no 64x64
+ * xor, logical shifts and a low-64 multiply. AVX2 has no 64x64
  * low multiply, so mulLo() composes it from 32x32 widening products
  * -- exact integer arithmetic, so every level computes identical
  * lane values (the kernel bit-exactness guarantee does not even need
@@ -594,49 +416,6 @@ struct VecU64 {
         __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b.v),
                                          _mm256_mul_epu32(a.v, b_hi));
         return {_mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32))};
-    }
-#elif WILIS_SIMD_LEVEL == 1
-    static constexpr int kLanes = 2;
-    __m128i v;
-
-    static VecU64
-    load(const std::uint64_t *p)
-    {
-        return {_mm_loadu_si128(reinterpret_cast<const __m128i *>(p))};
-    }
-    static VecU64
-    broadcast(std::uint64_t x)
-    {
-        return {_mm_set1_epi64x(static_cast<long long>(x))};
-    }
-    void
-    store(std::uint64_t *p) const
-    {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
-    }
-
-    friend VecU64
-    operator+(VecU64 a, VecU64 b)
-    {
-        return {_mm_add_epi64(a.v, b.v)};
-    }
-    friend VecU64
-    operator^(VecU64 a, VecU64 b)
-    {
-        return {_mm_xor_si128(a.v, b.v)};
-    }
-    template <int N> VecU64 shr() const { return {_mm_srli_epi64(v, N)}; }
-    template <int N> VecU64 shl() const { return {_mm_slli_epi64(v, N)}; }
-
-    static VecU64
-    mulLo(VecU64 a, VecU64 b)
-    {
-        __m128i a_hi = _mm_srli_epi64(a.v, 32);
-        __m128i b_hi = _mm_srli_epi64(b.v, 32);
-        __m128i lo = _mm_mul_epu32(a.v, b.v);
-        __m128i cross = _mm_add_epi64(_mm_mul_epu32(a_hi, b.v),
-                                      _mm_mul_epu32(a.v, b_hi));
-        return {_mm_add_epi64(lo, _mm_slli_epi64(cross, 32))};
     }
 #else
     static constexpr int kLanes = 1;

@@ -1,16 +1,10 @@
 /**
  * @file
- * Link-layer Automatic Repeat-reQuest.
- *
- * Two components live here:
- *  - ArqTracker: the whole-packet retransmission *accounting* used as
- *    the efficiency baseline for the PPR comparison (section 4's
- *    framing of why PPR and SoftRate help).
- *  - Arq: a sequence-number ARQ state machine (stop-and-wait or
- *    selective-repeat) driven slot-by-slot by the multi-user network
- *    simulator (sim::NetworkSim), with delayed acknowledgements,
- *    windowed transmission, in-order delivery and per-frame latency
- *    bookkeeping.
+ * Link-layer Automatic Repeat-reQuest: Arq, a sequence-number state
+ * machine (stop-and-wait or selective-repeat) driven slot-by-slot by
+ * the network simulators (sim::NetworkSim and the multi-cell
+ * engine), with delayed acknowledgements, windowed transmission,
+ * in-order delivery and per-frame latency bookkeeping.
  */
 
 #ifndef WILIS_MAC_ARQ_HH
@@ -27,64 +21,6 @@
 
 namespace wilis {
 namespace mac {
-
-/** Transmission bookkeeping for whole-packet ARQ. */
-class ArqTracker
-{
-  public:
-    /** @param max_retries Attempts before giving up (0 = infinite). */
-    explicit ArqTracker(int max_retries = 8)
-        : max_retries_(max_retries)
-    {}
-
-    /**
-     * Account one packet delivery attempt sequence.
-     * @param payload_bits    Packet size.
-     * @param attempts_needed Attempts until the first error-free
-     *                        reception (>= 1); if it exceeds the
-     *                        retry budget, the packet is lost.
-     */
-    void
-    recordPacket(std::uint64_t payload_bits, int attempts_needed)
-    {
-        ++packets;
-        int attempts = attempts_needed;
-        if (max_retries_ > 0 && attempts > max_retries_) {
-            attempts = max_retries_;
-            ++lost;
-        } else {
-            delivered_bits += payload_bits;
-        }
-        transmitted_bits +=
-            static_cast<std::uint64_t>(attempts) * payload_bits;
-    }
-
-    /** Useful bits delivered / bits transmitted. */
-    double
-    efficiency() const
-    {
-        return transmitted_bits
-                   ? static_cast<double>(delivered_bits) /
-                         static_cast<double>(transmitted_bits)
-                   : 0.0;
-    }
-
-    /** Packets accounted so far. */
-    std::uint64_t packetsSeen() const { return packets; }
-    /** Packets that exhausted the retry budget. */
-    std::uint64_t packetsLost() const { return lost; }
-    /** Bits sent over the air, retransmissions included. */
-    std::uint64_t bitsTransmitted() const { return transmitted_bits; }
-    /** Useful payload bits delivered. */
-    std::uint64_t bitsDelivered() const { return delivered_bits; }
-
-  private:
-    int max_retries_;
-    std::uint64_t packets = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t transmitted_bits = 0;
-    std::uint64_t delivered_bits = 0;
-};
 
 /** Retransmission discipline of the sequence-number ARQ. */
 enum class ArqMode {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 
-#include "common/kernels.hh"
 #include "common/logging.hh"
 #include "decode/soft_decoder.hh"
 #include "li/scheduler.hh"
@@ -606,7 +605,6 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
 LiTransceiver::LiTransceiver(const ScenarioSpec &spec)
     : impl(std::make_unique<Impl>(spec))
 {
-    kernels::applyPolicy(spec.kernel);
 }
 
 LiTransceiver::~LiTransceiver() = default;

@@ -57,7 +57,7 @@ class LiTransceiver
      * Build from the same unified scenario description the batch
      * testbench consumes -- the single source of truth for the
      * bit-exactness tests between the two execution styles. Reads
-     * the rate, receiver, channel, clocks and kernel backend.
+     * the rate, receiver, channel and clocks.
      */
     explicit LiTransceiver(const ScenarioSpec &spec);
 

@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "channel/fading.hh"
-#include "common/kernels.hh"
 #include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -44,7 +43,6 @@ NetworkSim::NetworkSim(
       estimator(softphy::analyticRateEstimator(spec.link.rx)),
       calib(std::move(table))
 {
-    kernels::applyPolicy(spec_.link.kernel);
     wilis_assert(spec_.numUsers >= 1, "network needs >= 1 user");
     wilis_assert(spec_.link.rate >= 0 &&
                      spec_.link.rate < phy::kNumRates,

@@ -79,7 +79,6 @@ visitScenarioKeys(S &s, V &v)
     v("baseband_mhz", s.clocks.basebandMhz, above(0.0));
     v("decoder_mhz", s.clocks.decoderMhz, above(0.0));
     v("host_mhz", s.clocks.hostMhz, above(0.0));
-    v("kernel_backend", s.kernel.backend);
 }
 
 /**
@@ -272,7 +271,6 @@ const std::pair<const char *, KeyScope> kLinkShorthands[] = {
     {"snr_db", KeyScope::SingleCell},
     {"payload_bits", KeyScope::Any},
     {"decoder", KeyScope::Any},
-    {"kernel_backend", KeyScope::Any},
 };
 
 /**

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/kernels.hh"
 #include "li/config.hh"
 #include "mac/arq.hh"
 #include "mac/scheduler.hh"
@@ -74,20 +73,6 @@ struct ScenarioSpec {
     std::uint64_t payloadSeed = 0x5EED;
     /** LI clock-domain assignment. */
     ScenarioClocks clocks;
-    /**
-     * SIMD kernel backend for this scenario ("auto", "scalar",
-     * "sse4.2", "avx2"), so runs can A/B backends from
-     * configuration alone. Backends are bit-exact; this changes
-     * speed only. WILIS_KERNEL_BACKEND overrides it process-wide.
-     *
-     * Selection is PROCESS-GLOBAL (one dispatch table), applied
-     * when a harness is constructed: A/B backends sequentially --
-     * one backend per run -- not by mixing kernel_backend values
-     * across cells of one multi-threaded sweep, where the last
-     * constructed cell would silently win the timing attribution
-     * for all workers (results stay bit-identical either way).
-     */
-    kernels::KernelPolicy kernel;
 
     // ---- fluent copies for grid expansion ------------------------
     /** Copy with the rate replaced. */
@@ -321,8 +306,8 @@ struct NetworkSpec {
      * Overlay the keys present in @p cfg onto this spec; the keys
      * are those of networkSpecKeys(). "link.<k>" keys pass <k>
      * through to the link template, and the shorthands rate,
-     * snr_db, payload_bits, decoder and kernel_backend are
-     * forwarded to it directly. An unknown key, an out-of-range
+     * snr_db, payload_bits and decoder are forwarded to it
+     * directly. An unknown key, an out-of-range
      * value or a key of the other engine (see KeyScope) is fatal,
      * naming the key.
      */

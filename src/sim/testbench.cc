@@ -1,6 +1,5 @@
 #include "sim/testbench.hh"
 
-#include "common/kernels.hh"
 #include "common/logging.hh"
 
 namespace wilis {
@@ -8,7 +7,6 @@ namespace sim {
 
 Testbench::Testbench(const ScenarioSpec &spec) : spec_(spec)
 {
-    kernels::applyPolicy(spec_.kernel);
     tx_ = std::make_unique<phy::OfdmTransmitter>(
         spec_.rate, spec_.rx.scramblerSeed);
     rx_ = std::make_unique<phy::OfdmReceiver>(spec_.rate, spec_.rx);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/kernels.hh"
+#include "sim/testbench.hh"
 
 using namespace wilis;
 
@@ -54,12 +55,10 @@ TEST(KernelsInit, LazyInitNeverStompsAConcurrentSetBackend)
     EXPECT_EQ(kernels::ops().backend, kernels::Backend::Scalar);
 }
 
-TEST(KernelsInit, AutoPolicyKeepsTheExplicitSelection)
+TEST(KernelsInit, HarnessConstructionKeepsTheExplicitSelection)
 {
-    // Ordered after the race test in this binary: scalar is forced;
-    // an "auto" scenario policy must not reset it to the default.
-    kernels::KernelPolicy policy;
-    policy.backend = "auto";
-    EXPECT_EQ(kernels::applyPolicy(policy),
-              kernels::Backend::Scalar);
+    // Ordered after the race test in this binary: scalar is forced,
+    // and building a harness must not reset it to the default.
+    sim::Testbench tb(sim::ScenarioSpec{});
+    EXPECT_EQ(kernels::activeBackend(), kernels::Backend::Scalar);
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mac/arq.hh"
 #include "mac/oracle.hh"
 #include "mac/ppr.hh"
 #include "mac/softrate.hh"
@@ -113,27 +112,6 @@ TEST(Oracle, OptimalRateImpliesSuccessAtThatRateAndBelowIsUsual)
             EXPECT_FALSE(oracle.runFrameAtRate(r + 1, 800, p).ok);
         }
     }
-}
-
-TEST(Arq, EfficiencyAccounting)
-{
-    ArqTracker arq(8);
-    arq.recordPacket(1000, 1); // delivered first try
-    arq.recordPacket(1000, 4); // delivered on 4th attempt
-    EXPECT_EQ(arq.packetsSeen(), 2u);
-    EXPECT_EQ(arq.packetsLost(), 0u);
-    EXPECT_EQ(arq.bitsTransmitted(), 5000u);
-    EXPECT_EQ(arq.bitsDelivered(), 2000u);
-    EXPECT_DOUBLE_EQ(arq.efficiency(), 0.4);
-}
-
-TEST(Arq, LossAfterRetryBudget)
-{
-    ArqTracker arq(3);
-    arq.recordPacket(100, 10); // needs more than 3 attempts
-    EXPECT_EQ(arq.packetsLost(), 1u);
-    EXPECT_EQ(arq.bitsTransmitted(), 300u);
-    EXPECT_EQ(arq.bitsDelivered(), 0u);
 }
 
 TEST(Ppr, FlagsLowConfidenceChunksAndCatchesErrors)

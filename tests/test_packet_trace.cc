@@ -33,6 +33,7 @@
 #include "common/random.hh"
 #include "mac/packet_trace.hh"
 #include "peruser_reference.hh"
+#include "scoped_backend.hh"
 #include "sim/campaign.hh"
 #include "sim/network_sim.hh"
 
@@ -111,15 +112,12 @@ digestLine(const std::string &key, const std::string &text)
            strprintf("%016llx", static_cast<unsigned long long>(h));
 }
 
-/**
- * Kernel backends the golden digests are checked under: forced
- * scalar, then the host default, so the process ends where it began.
- */
-std::vector<std::string>
+/** Kernel backends the golden digests are checked under. */
+std::vector<kernels::Backend>
 goldenBackends()
 {
-    return {"scalar",
-            kernels::backendName(kernels::availableBackends().back())};
+    return {kernels::Backend::Scalar,
+            kernels::availableBackends().back()};
 }
 
 /** Write @p text to a fresh temp file named @p name; returns it. */
@@ -251,12 +249,12 @@ TEST(PacketTrace, GoldenUrbanMobileTraceDigest)
     NetworkSpec spec = networkPreset("urban-mobile");
     spec.calibrationFile = calibrationPath();
     spec.trace = true;
-    for (const std::string &backend : goldenBackends()) {
-        spec.link.kernel.backend = backend;
+    for (kernels::Backend backend : goldenBackends()) {
+        kernels::ScopedBackend scoped(backend);
         const std::string line = digestLine(
             "urban-mobile-trace-400", runTraceText(spec, 400, 2));
         EXPECT_NE(goldens.find(line), std::string::npos)
-            << backend << " backend: " << line;
+            << kernels::backendName(backend) << " backend: " << line;
     }
 }
 
@@ -271,14 +269,14 @@ TEST(PacketTrace, GoldenCell16ReportDigest)
     req.spec = networkPreset("cell-16");
     req.slots = 40;
     req.threads = 2;
-    for (const std::string &backend : goldenBackends()) {
-        req.spec.link.kernel.backend = backend;
+    for (kernels::Backend backend : goldenBackends()) {
+        kernels::ScopedBackend scoped(backend);
         RunReport rep = runCampaignShard(req);
         rep.config.clear();
         const std::string line =
             digestLine("cell-16-report-40", rep.toJsonText());
         EXPECT_NE(goldens.find(line), std::string::npos)
-            << backend << " backend: " << line;
+            << kernels::backendName(backend) << " backend: " << line;
     }
 }
 
@@ -288,12 +286,12 @@ TEST(PacketTrace, GoldenCellAutoTraceDigest)
     NetworkSpec spec = networkPreset("cell-auto");
     spec.calibrationFile = calibrationPath();
     spec.trace = true;
-    for (const std::string &backend : goldenBackends()) {
-        spec.link.kernel.backend = backend;
+    for (kernels::Backend backend : goldenBackends()) {
+        kernels::ScopedBackend scoped(backend);
         const std::string line = digestLine(
             "cell-auto-trace-200", runTraceText(spec, 200, 2));
         EXPECT_NE(goldens.find(line), std::string::npos)
-            << backend << " backend: " << line;
+            << kernels::backendName(backend) << " backend: " << line;
     }
 }
 
@@ -305,15 +303,15 @@ TEST(PacketTrace, GoldenDenseUrban10kReportDigest)
     req.spec.calibrationFile = calibrationPath();
     req.slots = 16;
     req.threads = 2;
-    for (const std::string &backend : goldenBackends()) {
-        req.spec.link.kernel.backend = backend;
+    for (kernels::Backend backend : goldenBackends()) {
+        kernels::ScopedBackend scoped(backend);
         RunReport rep = runCampaignShard(req);
-        // The config string names the backend and calibration path.
+        // The config string names the calibration path.
         rep.config.clear();
         const std::string line =
             digestLine("dense-urban-10k-report-16", rep.toJsonText());
         EXPECT_NE(goldens.find(line), std::string::npos)
-            << backend << " backend: " << line;
+            << kernels::backendName(backend) << " backend: " << line;
     }
 }
 

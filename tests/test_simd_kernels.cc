@@ -536,11 +536,9 @@ TEST_F(SimdKernelTest, ScalarBackendReproducesGridResults)
         };
         auto run_with = [&](Backend backend) {
             sim::Testbench tb(spec);
-            // Select the table directly rather than through the
-            // spec policy: applyPolicy defers to
-            // WILIS_KERNEL_BACKEND, and CI runs this suite under a
-            // forced env backend -- the comparison must still be
-            // scalar vs widest, not current vs current.
+            // Select the table directly: CI runs this suite under a
+            // forced WILIS_KERNEL_BACKEND, and the comparison must
+            // still be scalar vs widest, not current vs current.
             EXPECT_TRUE(kernels::setBackend(backend));
             Run r;
             for (std::uint64_t p = 0; p < 3; ++p) {
@@ -568,22 +566,4 @@ TEST_F(SimdKernelTest, ScalarBackendReproducesGridResults)
                 << "hint " << i;
         }
     }
-}
-
-TEST_F(SimdKernelTest, KernelPolicyRoundTripsThroughConfig)
-{
-    sim::ScenarioSpec spec;
-    spec.kernel.backend = "scalar";
-    li::Config cfg = spec.toConfig();
-    EXPECT_EQ("scalar", cfg.getString("kernel_backend"));
-    sim::ScenarioSpec back = sim::ScenarioSpec::fromConfig(cfg);
-    EXPECT_EQ("scalar", back.kernel.backend);
-
-    // NetworkSpec forwards the shorthand to its link template.
-    sim::NetworkSpec net;
-    net.applyConfig(li::Config::fromString("kernel_backend=scalar"));
-    EXPECT_EQ("scalar", net.link.kernel.backend);
-    sim::NetworkSpec round =
-        sim::NetworkSpec::fromConfig(net.toConfig());
-    EXPECT_EQ("scalar", round.link.kernel.backend);
 }

@@ -6,9 +6,11 @@
  * pure observer -- a run that saves checkpoints, and a run resumed
  * from one, both produce byte-identical run reports and packet
  * traces vs an uninterrupted run and vs the single-threaded per-user
- * oracle, with saves and resumes at 1/2/8 threads. A snapshot that
- * is past the horizon, truncated or corrupted resumes or exits
- * through fatal(), never through an abort or a crash.
+ * oracle, with saves and resumes at 1/2/8 threads and across kernel
+ * backends (campaign shards run under different backends merge into
+ * the unsharded report too). A snapshot that is past the horizon,
+ * truncated or corrupted resumes or exits through fatal(), never
+ * through an abort or a crash.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +21,14 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
+#include "common/kernels.hh"
 #include "common/random.hh"
 #include "common/snapshot.hh"
 #include "mac/packet_trace.hh"
 #include "peruser_reference.hh"
+#include "scoped_backend.hh"
 #include "sim/campaign.hh"
 #include "sim/scenario.hh"
 
@@ -277,6 +282,50 @@ TEST(CheckpointResume, SnapshotSavedAt8ThreadsResumesAt1)
     expectSameArtifacts(resumed, runOnce(base, kSlots, 2));
     expectSameArtifacts(resumed, runOracle(base, kSlots));
     std::remove(ckpt.c_str());
+}
+
+// ------------------------------------------ across kernel backends
+
+// Backends are bit-exact and a spec names none, so neither a snapshot
+// nor a shard report depends on the kernel table that wrote it.
+
+TEST(CheckpointResume, CrossBackendResumeAndShardMergeAreByteIdentical)
+{
+    const kernels::Backend widest = kernels::availableBackends().back();
+
+    // A checkpoint saved under the scalar table resumes under the
+    // widest one into the uninterrupted run's report and trace.
+    constexpr std::uint64_t kSlots = 160;
+    const NetworkSpec base = mobileSpec();
+    const std::string ckpt =
+        ::testing::TempDir() + "wilis_ckpt_backend.snap";
+    {
+        kernels::ScopedBackend scalar(kernels::Backend::Scalar);
+        runOnce(savingSpec(base, ckpt, 80), kSlots, 2);
+    }
+    kernels::ScopedBackend wide(widest);
+    expectSameArtifacts(runOnce(resumingSpec(base, ckpt), kSlots, 2),
+                        runOnce(base, kSlots, 2));
+    std::remove(ckpt.c_str());
+
+    // Two campaign shards run under different tables merge into the
+    // unsharded report.
+    RunRequest req;
+    req.spec = networkPreset("grid-3x3");
+    req.spec.calibrationFile = calibrationPath();
+    req.spec.reps = 4;
+    req.slots = 40;
+    req.threads = 2;
+    const std::string unsharded =
+        mergeReports({runCampaignShard(req)}).toJsonText();
+    req.shardCount = 2;
+    std::vector<RunReport> parts;
+    for (kernels::Backend b : {kernels::Backend::Scalar, widest}) {
+        kernels::ScopedBackend scoped(b);
+        parts.push_back(runCampaignShard(req));
+        ++req.shardIndex;
+    }
+    EXPECT_EQ(mergeReports(parts).toJsonText(), unsharded);
 }
 
 TEST(CheckpointResumeDeath, ResumeWithoutSnapshotIsFatal)
