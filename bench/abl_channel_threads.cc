@@ -14,7 +14,6 @@
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "platform/cosim.hh"
 
 using namespace wilis;
 using namespace wilis::bench;
@@ -38,8 +37,8 @@ main(int argc, char **argv)
     for (int threads : {1, 2, 4}) {
         li::Config cfg = li::Config::fromString(
             strprintf("snr_db=10,seed=1,threads=%d", threads));
-        double msps = platform::measureChannelThroughputMsps(
-            "awgn", cfg, measure_secs);
+        double msps =
+            measureChannelThroughputMsps("awgn", cfg, measure_secs);
         if (threads == 1)
             base = msps;
         report.metric(strprintf("awgn_msps_t%d", threads), msps,
@@ -54,8 +53,8 @@ main(int argc, char **argv)
     for (int threads : {1, 2}) {
         li::Config cfg = li::Config::fromString(strprintf(
             "snr_db=10,doppler_hz=20,seed=1,threads=%d", threads));
-        double msps = platform::measureChannelThroughputMsps(
-            "rayleigh", cfg, measure_secs);
+        double msps =
+            measureChannelThroughputMsps("rayleigh", cfg, measure_secs);
         report.metric(strprintf("rayleigh_msps_t%d", threads), msps,
                       "Msamples/s");
         std::printf("threads=%d: %.2f Msamples/s\n", threads, msps);

@@ -35,9 +35,9 @@ constexpr int kMaxTries = 8;
 double
 airtimeUs(phy::RateIndex rate)
 {
-    phy::OfdmTransmitter tx(rate);
-    return static_cast<double>(tx.numSamples(kPayloadBits)) / 20.0 +
-           kOverheadUs;
+    const size_t samples = phy::OfdmGeometry::numSamples(
+        phy::rateTable(rate), kPayloadBits);
+    return static_cast<double>(samples) / 20.0 + kOverheadUs;
 }
 
 struct GoodputResult {

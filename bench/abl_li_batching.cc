@@ -23,11 +23,7 @@ main()
 {
     banner("LI batching vs lock-step co-simulation (QAM-16 1/2)");
 
-    sim::ScenarioSpec spec;
-    spec.rate = 4;
-    spec.rx.decoder = "viterbi";
-    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
-
+    const phy::RateParams &rate = phy::rateTable(4);
     std::uint64_t packets = scaled(8, 2);
 
     Table t({"batch (samples)", "discipline", "sim speed (Mb/s)",
@@ -40,11 +36,11 @@ main()
     for (std::uint64_t batch : {16ull, 80ull, 512ull, 4096ull,
                                 32768ull}) {
         for (bool decoupled : {true, false}) {
-            platform::CosimDriver::Params p;
-            p.batchSamples = batch;
-            p.decoupled = decoupled;
-            platform::CosimDriver driver(spec, p);
-            auto s = driver.run(1704, packets);
+            platform::CosimModel m;
+            m.batchSamples = batch;
+            m.decoupled = decoupled;
+            const platform::CosimRunStats s =
+                m.run(rate, 1704, packets);
             t.addRow({strprintf("%llu",
                                 static_cast<unsigned long long>(
                                     batch)),

@@ -140,8 +140,9 @@ main(int argc, char **argv)
     {
         const std::uint64_t slots = bench::scaled(200, 50);
         // The reps reuse one NetworkSim, so the number includes the
-        // engine's cross-run cache -- the configuration the sweep
-        // layer actually runs.
+        // engine's cross-run cache. That warm rerun is a bench-only
+        // configuration: the campaign layer builds a fresh NetworkSim,
+        // with its own seed, for every replication.
         sim::NetworkSim sim(sim::networkPreset("dense-urban-10k"));
         const double uslots_soa = userSlotsPerSec(sim, slots, 4);
         report.metric("uslots_dense10k_soa", uslots_soa, "user-slots/s");

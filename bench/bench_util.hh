@@ -2,11 +2,11 @@
  * @file
  * Shared helpers for the bench binaries: workload scaling via the
  * WILIS_BENCH_SCALE environment variable (default 1.0; raise it on
- * faster machines to tighten the statistics), wall-clock timing, and
- * machine-readable result export -- every bench accepts
- * `--json <path>` and writes its headline numbers as a JSON report
- * the CI perf-regression harness (tools/check_bench_regression.py)
- * consumes and tracks across PRs.
+ * faster machines to tighten the statistics), wall-clock timing, the
+ * host's software channel throughput, and machine-readable result
+ * export -- every bench accepts `--json <path>` and writes its
+ * headline numbers as a JSON report the CI perf-regression harness
+ * (tools/check_bench_regression.py) consumes and tracks across PRs.
  */
 
 #ifndef WILIS_BENCH_BENCH_UTIL_HH
@@ -20,7 +20,9 @@
 #include <utility>
 #include <vector>
 
+#include "channel/channel.hh"
 #include "common/json.hh"
+#include "li/config.hh"
 
 namespace wilis {
 namespace bench {
@@ -65,6 +67,31 @@ class Stopwatch
     using clock = std::chrono::steady_clock;
     clock::time_point start;
 };
+
+/**
+ * Measure this host's software channel throughput in Msamples/s:
+ * noise generation and fading application over one reused buffer,
+ * for @p seconds of wall time (the channel's own `threads` key sets
+ * its parallelism).
+ */
+inline double
+measureChannelThroughputMsps(const std::string &channel_name,
+                             const li::Config &channel_cfg,
+                             double seconds)
+{
+    auto chan = channel::makeChannel(channel_name, channel_cfg);
+    SampleVec buf(1 << 15, Sample(1.0, 0.0));
+    Stopwatch sw;
+    std::uint64_t samples = 0;
+    std::uint64_t packet = 0;
+    for (;;) {
+        chan->apply(buf, packet++);
+        samples += buf.size();
+        const double elapsed = sw.seconds();
+        if (elapsed >= seconds)
+            return static_cast<double>(samples) / elapsed / 1e6;
+    }
+}
 
 /** Section banner. */
 inline void

@@ -85,11 +85,11 @@ main(int argc, char **argv)
     // bottleneck component), single- and multi-threaded.
     li::Config awgn_cfg = li::Config::fromString("snr_db=10,seed=1");
     double host_msps_1t =
-        platform::measureChannelThroughputMsps("awgn", awgn_cfg, 0.2);
+        measureChannelThroughputMsps("awgn", awgn_cfg, 0.2);
     li::Config awgn_mt = li::Config::fromString(
         "snr_db=10,seed=1,threads=0");
     double host_msps_mt =
-        platform::measureChannelThroughputMsps("awgn", awgn_mt, 0.2);
+        measureChannelThroughputMsps("awgn", awgn_mt, 0.2);
 
     platform::CosimModel paper_model; // paper parameters
     platform::CosimModel host_model = paper_model;
@@ -165,7 +165,7 @@ main(int argc, char **argv)
     std::printf("paper-model link utilization: %.1f MB/s of %.0f "
                 "MB/s available\n",
                 paper_model.linkUtilizationMBps(),
-                paper_model.link.bandwidthMBps);
+                platform::CosimModel::kLinkMBps);
     std::printf("=> the software channel, not the link, is the "
                 "bottleneck (as in the paper)\n");
 

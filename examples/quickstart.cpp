@@ -45,7 +45,8 @@ main(int argc, char **argv)
     SampleSpan samples = tx.modulate(BitView(payload), ctx);
     std::printf("modulated %zu bits -> %d OFDM symbols (%zu complex "
                 "samples)\n",
-                payload_bits, tx.numSymbols(payload_bits),
+                payload_bits,
+                phy::OfdmGeometry::numSymbols(tx.rate(), payload_bits),
                 samples.size());
 
     // 3. The software channel adds impairments.

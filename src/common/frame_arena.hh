@@ -35,8 +35,8 @@ class FrameArena
   public:
     /**
      * @param initial_bytes Capacity of the first block. The block is
-     * allocated lazily on first use, so unused arenas (e.g. the
-     * legacy-API fallbacks inside tx/rx) cost nothing.
+     * allocated lazily on first use, so an arena that is never
+     * used costs nothing.
      */
     explicit FrameArena(size_t initial_bytes = kDefaultBytes);
 

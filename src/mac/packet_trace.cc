@@ -247,41 +247,6 @@ orderTies(Entry *first, Entry *last)
     }
 }
 
-/**
- * K-way merge of the individually sorted @p runs into @p out. Each
- * step copies the smallest head's whole run up to the next run's
- * head, so runs whose key ranges barely overlap merge in a few
- * block copies. Under the total order, equal entries are identical,
- * so the result is the sort of the concatenation whatever the run
- * boundaries.
- */
-void
-mergeShards(std::vector<std::span<const Entry>> runs, Entry *out)
-{
-    // std heap functions keep the max on top; invert for a min-heap.
-    const auto later = [](std::span<const Entry> a,
-                          std::span<const Entry> b) {
-        return entryLess(b.front(), a.front());
-    };
-    std::make_heap(runs.begin(), runs.end(), later);
-    while (!runs.empty()) {
-        std::pop_heap(runs.begin(), runs.end(), later);
-        const std::span<const Entry> run = runs.back();
-        runs.pop_back();
-        const auto last =
-            runs.empty() ? run.end()
-                         : std::upper_bound(run.begin(), run.end(),
-                                            runs.front().front(),
-                                            entryLess);
-        out = std::copy(run.begin(), last, out);
-        if (last != run.end()) {
-            runs.push_back(run.subspan(
-                static_cast<size_t>(last - run.begin())));
-            std::push_heap(runs.begin(), runs.end(), later);
-        }
-    }
-}
-
 /** A malformed line of a packet trace being loaded. */
 [[noreturn]] void
 badLine(const std::string &path, int lineno, std::string_view line,
@@ -498,22 +463,18 @@ PacketTrace::finalize(int threads)
     // Engine lanes hold disjoint key ranges in lane order (one cell
     // each, or one user each of one cell), so the sorted slices
     // already concatenate in canonical order. Lanes whose ranges
-    // overlap (hand-built traces) are merged.
-    std::vector<std::span<const Entry>> runs;
-    bool ordered = true;
+    // overlap (hand-built traces) get one sort of the whole array;
+    // the key is total, so the lane boundaries cannot show.
+    const Entry *prev_last = nullptr;
     for (size_t i = 0; i < lanes_.size(); ++i) {
         if (offset[i] == offset[i + 1])
             continue;
-        const std::span<const Entry> run(entries_.get() + offset[i],
-                                         offset[i + 1] - offset[i]);
-        if (!runs.empty() && entryLess(run.front(), runs.back().back()))
-            ordered = false;
-        runs.push_back(run);
-    }
-    if (!ordered) {
-        EntryBuf merged = allocEntries(size_);
-        mergeShards(std::move(runs), merged.get());
-        entries_ = std::move(merged);
+        const Entry *first = entries_.get() + offset[i];
+        if (prev_last && entryLess(*first, *prev_last)) {
+            std::sort(entries_.get(), entries_.get() + size_, entryLess);
+            break;
+        }
+        prev_last = entries_.get() + offset[i + 1] - 1;
     }
     lanes_.clear();
     finalized_ = true;

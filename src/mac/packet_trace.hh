@@ -173,9 +173,9 @@ class PacketTrace
      * holds one cell is counting-sorted on (user, seq) straight into
      * its slice of the final array; a shard spanning several cells
      * or too sparse a (user, seq) range falls back to a comparison
-     * sort, and shards whose key ranges overlap are merged. Pass the
-     * run's worker count; the result does not depend on it, and
-     * save() formats on as many workers.
+     * sort, and shards whose key ranges overlap are sorted again as
+     * one array. Pass the run's worker count; the result does not
+     * depend on it, and save() formats on as many workers.
      * Idempotent; required before entries() / toText() / save() /
      * diff().
      */

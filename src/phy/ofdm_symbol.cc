@@ -1,6 +1,7 @@
 #include "phy/ofdm_symbol.hh"
 
 #include "common/logging.hh"
+#include "phy/conv_code.hh"
 #include "phy/scrambler.hh"
 
 namespace wilis {
@@ -47,6 +48,29 @@ OfdmGeometry::pilotBin(int i)
 {
     wilis_assert(i >= 0 && i < kPilotCarriers, "pilot carrier %d", i);
     return logicalToBin(pilot_logical[static_cast<size_t>(i)]);
+}
+
+int
+OfdmGeometry::numSymbols(const RateParams &rate, size_t payload_bits)
+{
+    const size_t with_tail = payload_bits + ConvCode::kTailBits;
+    const auto n_dbps = static_cast<size_t>(rate.nDbps);
+    return static_cast<int>((with_tail + n_dbps - 1) / n_dbps);
+}
+
+size_t
+OfdmGeometry::paddedInfoBits(const RateParams &rate, size_t payload_bits)
+{
+    return static_cast<size_t>(numSymbols(rate, payload_bits)) *
+               static_cast<size_t>(rate.nDbps) -
+           ConvCode::kTailBits;
+}
+
+size_t
+OfdmGeometry::numSamples(const RateParams &rate, size_t payload_bits)
+{
+    return static_cast<size_t>(numSymbols(rate, payload_bits)) *
+           kSymbolLen;
 }
 
 void

@@ -13,6 +13,7 @@
 #include <array>
 
 #include "common/types.hh"
+#include "phy/modulation.hh"
 
 namespace wilis {
 namespace phy {
@@ -55,6 +56,16 @@ struct OfdmGeometry {
 
     /** FFT bin of the i-th pilot subcarrier (0..3). */
     static int pilotBin(int i);
+
+    /** OFDM symbols @p payload_bits data bits need at @p rate. */
+    static int numSymbols(const RateParams &rate, size_t payload_bits);
+
+    /** Info bits after padding (excluding the 6 tail bits). */
+    static size_t paddedInfoBits(const RateParams &rate,
+                                 size_t payload_bits);
+
+    /** Time-domain samples for @p payload_bits (with CP). */
+    static size_t numSamples(const RateParams &rate, size_t payload_bits);
 };
 
 /**

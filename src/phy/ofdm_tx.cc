@@ -13,30 +13,6 @@ OfdmTransmitter::OfdmTransmitter(RateIndex rate_idx,
       puncturer(params.codeRate), fft(OfdmGeometry::kFftSize)
 {}
 
-int
-OfdmTransmitter::numSymbols(size_t payload_bits) const
-{
-    size_t with_tail = payload_bits + ConvCode::kTailBits;
-    return static_cast<int>(
-        (with_tail + static_cast<size_t>(params.nDbps) - 1) /
-        static_cast<size_t>(params.nDbps));
-}
-
-size_t
-OfdmTransmitter::paddedInfoBits(size_t payload_bits) const
-{
-    return static_cast<size_t>(numSymbols(payload_bits)) *
-               static_cast<size_t>(params.nDbps) -
-           ConvCode::kTailBits;
-}
-
-size_t
-OfdmTransmitter::numSamples(size_t payload_bits) const
-{
-    return static_cast<size_t>(numSymbols(payload_bits)) *
-           OfdmGeometry::kSymbolLen;
-}
-
 SampleSpan
 OfdmTransmitter::modulate(BitView payload, FrameContext &ctx)
 {
@@ -44,7 +20,8 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx)
     FrameArena &arena = ctx.arena;
 
     // Pad to fill whole OFDM symbols, scramble, encode (terminated).
-    const size_t info_bits = paddedInfoBits(payload.size());
+    const size_t info_bits =
+        OfdmGeometry::paddedInfoBits(params, payload.size());
     BitSpan info = arena.alloc<Bit>(info_bits);
     std::copy(payload.begin(), payload.end(), info.begin());
     std::fill(info.begin() + static_cast<long>(payload.size()),
@@ -65,7 +42,7 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx)
     // Map each symbol's coded bits to the 48 data subcarriers; the
     // IFFT runs in the bins buffer and the CP copy lands directly in
     // the output span (no per-symbol temporaries).
-    const int nsym = numSymbols(payload.size());
+    const int nsym = OfdmGeometry::numSymbols(params, payload.size());
     SampleSpan out = arena.alloc<Sample>(
         static_cast<size_t>(nsym) * OfdmGeometry::kSymbolLen);
 

@@ -40,15 +40,6 @@ class OfdmTransmitter
     /** Rate parameters in use. */
     const RateParams &rate() const { return params; }
 
-    /** OFDM symbols needed for @p payload_bits data bits. */
-    int numSymbols(size_t payload_bits) const;
-
-    /** Info bits after padding (excluding the 6 tail bits). */
-    size_t paddedInfoBits(size_t payload_bits) const;
-
-    /** Time-domain samples for @p payload_bits (with CP). */
-    size_t numSamples(size_t payload_bits) const;
-
     /**
      * Modulate a payload into time-domain samples. Every
      * intermediate stage and the returned sample buffer live in

@@ -177,9 +177,9 @@ size_t
 PlcpTransmitter::frameSamples(RateIndex rate,
                               size_t payload_bits) const
 {
-    OfdmTransmitter tx(rate, seed);
     return static_cast<size_t>(Preamble::kTotalLen) +
-           OfdmGeometry::kSymbolLen + tx.numSamples(payload_bits);
+           OfdmGeometry::kSymbolLen +
+           OfdmGeometry::numSamples(rateTable(rate), payload_bits);
 }
 
 SampleVec
@@ -258,8 +258,8 @@ PlcpReceiver::receiveFrame(const SampleVec &frame)
 
     const size_t payload_bits =
         static_cast<size_t>(res.header.lengthBytes) * 8;
-    OfdmTransmitter geom(res.header.rate, cfg.scramblerSeed);
-    const size_t need = geom.numSamples(payload_bits);
+    const size_t need = OfdmGeometry::numSamples(
+        rateTable(res.header.rate), payload_bits);
     if (frame.size() < header_end + need)
         return res; // shorter than the LENGTH its SIGNAL announces
     res.headerOk = true;

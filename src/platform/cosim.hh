@@ -1,80 +1,52 @@
 /**
  * @file
- * Co-simulation performance model and driver.
+ * Closed-form co-simulation model (Figure 2, sections 2, 3 and 5).
  *
- * CosimModel is the analytic throughput model behind Figure 2: the
- * achievable simulation speed for a rate is the line rate scaled by
- * the tightest bottleneck among the FPGA pipeline clock, the
- * software channel's sample throughput, and the link. In the paper's
+ * The transceiver runs on the FPGA, the channel in software on the
+ * host, and samples cross an FSB link that LEAP virtualizes. The
+ * simulation speed for a rate is the line rate scaled by the
+ * tightest bottleneck among the FPGA pipeline clock, the software
+ * channel's sample throughput and the link. In the paper's
  * configuration the software channel (AWGN noise generation on a
  * quad-core Xeon) is the bottleneck at ~1/3 of the 20 Msample/s line
  * sample rate, using ~55 MB/s of the 700 MB/s link.
  *
- * CosimDriver actually runs a partitioned simulation -- "hardware"
- * transceiver and "software" channel exchanging sample batches
- * through a LinkModel -- and accounts modeled time in both the
- * decoupled (latency-insensitive, overlapped) and lock-step (SCE-MI
- * style, serialized) disciplines, which is the section 2 / section 5
+ * run() accounts a packet sequence in either discipline from the
+ * frame geometry alone: decoupled (latency-insensitive: large
+ * pipelined transfers overlap all agents, wall = slowest agent) or
+ * lock-step (SCE-MI style: every batch is a synchronous round trip,
+ * wall = sum of the agents). That is the section 2 / section 5
  * batching ablation.
  */
 
 #ifndef WILIS_PLATFORM_COSIM_HH
 #define WILIS_PLATFORM_COSIM_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "phy/modulation.hh"
-#include "platform/link.hh"
-#include "sim/testbench.hh"
 
 namespace wilis {
 namespace platform {
 
-/** Analytic Figure 2 model. */
-struct CosimModel {
-    /** Baseband pipeline clock (section 3: 35 MHz). */
-    double fpgaClockMhz = 35.0;
-    /** Samples consumed per FPGA cycle (streaming pipeline). */
-    double samplesPerCycle = 1.0;
-    /** Software channel throughput in Msamples/s. */
-    double swChannelMsps = 6.9;
-    /** Link model (one direction). */
-    LinkModel::Params link;
-    /** Samples per link transfer batch. */
-    std::uint64_t batchSamples = 4096;
-    /** Bytes per complex sample on the wire. */
-    int bytesPerSample = 8;
-
-    /** 802.11a/g line sample rate (20 MHz channelization). */
-    static constexpr double kLineSampleMsps = 20.0;
-
-    /** Simulated data throughput for @p rate in Mb/s. */
-    double simSpeedMbps(const phy::RateParams &rate) const;
-
-    /** Fraction of line rate achieved (same for all rates). */
-    double lineRateFraction() const;
-
-    /** One-direction link bandwidth used, MB/s. */
-    double linkUtilizationMBps() const;
-};
-
-/** Result of one CosimDriver run. */
+/** Time accounting of one CosimModel::run(). */
 struct CosimRunStats {
     /** Payload bits simulated. */
     std::uint64_t payloadBits = 0;
     /** Channel samples moved in each direction. */
     std::uint64_t samples = 0;
-    /** Link transfers performed. */
+    /** Link transfers performed (both directions). */
     std::uint64_t transfers = 0;
-    /** Modeled FPGA busy time, us. */
+    /** Modeled FPGA busy time (TX + RX pipelines), us. */
     double hwUs = 0.0;
     /** Modeled software-channel busy time, us. */
     double swUs = 0.0;
     /** Modeled link busy time (both directions), us. */
     double linkUs = 0.0;
     /**
-     * Modeled wall time, us: max of the components when decoupled
-     * (LI batching overlaps them), sum when lock-step.
+     * Modeled wall time, us: max of the agents when decoupled, sum
+     * when lock-step.
      */
     double wallUs = 0.0;
 
@@ -88,51 +60,39 @@ struct CosimRunStats {
     }
 };
 
-/** Partitioned co-simulation driver. */
-class CosimDriver
-{
-  public:
-    /** Driver configuration. */
-    struct Params {
-        /** Samples per link batch (1 symbol = lock-step-ish). */
-        std::uint64_t batchSamples = 4096;
-        /**
-         * true: latency-insensitive discipline -- large pipelined
-         * transfers, components overlap (wall = max). false:
-         * lock-step discipline -- each batch is a synchronous round
-         * trip (wall = sum of per-batch costs).
-         */
-        bool decoupled = true;
-        /** FPGA clock for the hardware partition. */
-        double fpgaClockMhz = 35.0;
-        /** Link parameters. */
-        LinkModel::Params link;
-        /** Measured software channel throughput (Msamples/s). */
-        double swChannelMsps = 6.9;
-    };
+/** The partitioned co-simulation platform. */
+struct CosimModel {
+    /** Baseband pipeline clock (section 3: 35 MHz). */
+    static constexpr double kFpgaClockMhz = 35.0;
+    /** Samples the streaming pipeline consumes per FPGA cycle. */
+    static constexpr double kSamplesPerCycle = 1.0;
+    /** Bytes per complex sample on the wire. */
+    static constexpr int kBytesPerSample = 8;
+    /** Sustained link bandwidth per direction (section 3: >700). */
+    static constexpr double kLinkMBps = 700.0;
+    /** Fixed cost per link transfer (system call, doorbell, DMA). */
+    static constexpr double kTransferUs = 20.0;
 
-    /** Drive the transceiver @p spec describes under @p p. */
-    CosimDriver(const sim::ScenarioSpec &spec, const Params &p);
+    /** Software channel throughput in Msamples/s. */
+    double swChannelMsps = 6.9;
+    /** Samples per link transfer. */
+    std::uint64_t batchSamples = 4096;
+    /** Latency-insensitive (true) or lock-step (false) discipline. */
+    bool decoupled = true;
 
-    /**
-     * Run @p num_packets packets of @p payload_bits end to end,
-     * moving samples through the modeled link, and return the time
-     * accounting.
-     */
-    CosimRunStats run(size_t payload_bits, std::uint64_t num_packets);
+    /** Fraction of line rate achieved (the same at every rate). */
+    double lineRateFraction() const;
 
-  private:
-    sim::Testbench tb;
-    Params params;
+    /** Simulated data throughput for @p rate in Mb/s. */
+    double simSpeedMbps(const phy::RateParams &rate) const;
+
+    /** One-direction link bandwidth used, MB/s. */
+    double linkUtilizationMBps() const;
+
+    /** Account @p num_packets packets of @p payload_bits at @p rate. */
+    CosimRunStats run(const phy::RateParams &rate, size_t payload_bits,
+                      std::uint64_t num_packets) const;
 };
-
-/**
- * Measure this host's software channel throughput in Msamples/s
- * (noise generation + fading application on @p threads threads).
- */
-double measureChannelThroughputMsps(const std::string &channel_name,
-                                    const li::Config &channel_cfg,
-                                    double seconds = 0.3);
 
 } // namespace platform
 } // namespace wilis

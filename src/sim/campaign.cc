@@ -35,24 +35,6 @@ repSeed(std::uint64_t master, int rep)
         static_cast<std::uint64_t>(rep));
 }
 
-/**
- * The calibration table all of a campaign's replications share.
- * calibrationBuildSpec() depends only on the link template and
- * topology shape -- never the seed -- so one table is exact for
- * every rep. Null in full-fidelity mode (no table consulted).
- */
-std::shared_ptr<const softphy::CalibrationTable>
-sharedCalibration(const NetworkSpec &spec)
-{
-    if (spec.fidelity.mode == FidelityMode::Full)
-        return nullptr;
-    return std::make_shared<const softphy::CalibrationTable>(
-        spec.calibrationFile.empty()
-            ? softphy::CalibrationTable::build(
-                  NetworkSim::calibrationBuildSpec(spec))
-            : softphy::CalibrationTable::load(spec.calibrationFile));
-}
-
 // ------------------------------------------------- JSON emission
 
 void
@@ -338,7 +320,7 @@ runCampaignShard(const RunRequest &req, const UnitObserver &observe)
         if (!req.traceFile.empty())
             spec.trace = true;
         if (!have_table) {
-            table = sharedCalibration(spec);
+            table = NetworkSim::calibrationFor(spec);
             have_table = true;
         }
         NetworkSim sim(spec, table);

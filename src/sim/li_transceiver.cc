@@ -14,7 +14,6 @@
 #include "phy/interleaver.hh"
 #include "phy/mapper.hh"
 #include "phy/ofdm_symbol.hh"
-#include "phy/ofdm_tx.hh"
 #include "phy/puncture.hh"
 #include "phy/scrambler.hh"
 
@@ -290,7 +289,6 @@ struct LiTransceiver::Impl {
 
     std::unique_ptr<channel::Channel> chan;
     std::unique_ptr<decode::SoftDecoder> dec;
-    phy::OfdmTransmitter geometry; // frame geometry queries only
 
     // The batch path's own kernels, and the per-packet state the
     // stages keep between items.
@@ -372,7 +370,7 @@ LiTransceiver::Impl::Impl(const ScenarioSpec &spec)
     : params(phy::rateTable(spec.rate)), seed(spec.rx.scramblerSeed),
       chan(channel::makeChannel(spec.channel, spec.channelCfg)),
       dec(decode::makeDecoder(spec.rx.decoder, spec.rx.decoderCfg)),
-      geometry(spec.rate, seed), scrambler(seed), descrambler(seed),
+      scrambler(seed), descrambler(seed),
       puncturer(params.codeRate), interleaver(params.modulation),
       mapper(params.modulation), fft(OfdmGeometry::kFftSize),
       h(OfdmGeometry::kFftSize), demapper(params.modulation, spec.rx.demapper),
@@ -623,7 +621,8 @@ LiTransceiver::runPacket(BitView payload, std::uint64_t packet_index)
 
     im.pkt.index = packet_index;
     im.pkt.payloadBits = payload.size();
-    im.pkt.infoBits = im.geometry.paddedInfoBits(payload.size());
+    im.pkt.infoBits =
+        OfdmGeometry::paddedInfoBits(im.params, payload.size());
     for (Bit b : payload)
         im.tx_payload->enq(b);
     im.received.clear();
@@ -648,7 +647,7 @@ LiTransceiver::runPacket(BitView payload, std::uint64_t packet_index)
         res.payload[i] = res.soft[i].bit;
     res.basebandCycles = im.baseband->cycles() - bb_start;
     res.decoderCycles = im.decoder_clk->cycles() - dec_start;
-    res.samples = im.geometry.numSamples(payload.size());
+    res.samples = OfdmGeometry::numSamples(im.params, payload.size());
     return res;
 }
 

@@ -78,16 +78,16 @@ struct McSoaCache;
  * described by @p spec on the SIMD-batched structure-of-arrays
  * engine (see file comment). @p calib backs the analytic fidelity
  * rung (must be valid unless the mode is "full"); @p estimator
- * feeds SoftRate on the full-PHY rung. @p cache, when non-null,
- * lets the engine reuse immutable derived state across runs (pass
- * the same slot for the same spec/topo/calib only).
+ * feeds SoftRate on the full-PHY rung. @p cache holds the
+ * immutable derived state across runs: built when empty, reused
+ * otherwise, so pass one slot per (spec, topo, calib) only.
  */
 NetworkResult runMulticellSoa(
     const NetworkSpec &spec, const Topology &topo,
     const softphy::BerEstimator &estimator,
     std::shared_ptr<const softphy::CalibrationTable> calib,
     std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache = nullptr);
+    std::shared_ptr<McSoaCache> &cache);
 
 } // namespace sim
 } // namespace wilis

@@ -66,13 +66,6 @@ using detail::recordTx;
 
 /** See the declaration in multicell_sim.hh. */
 struct McSoaCache {
-    // ---- fingerprint of the inputs this cache was derived from
-    std::uint64_t seed = 0;
-    double dopplerHz = 0.0;
-    double frameIntervalUs = 0.0;
-    const Topology *topo = nullptr;
-    const softphy::CalibrationTable *table = nullptr;
-
     // ---- layout: SoA index = position in cell-major user order
     // (cell 0's users by increasing id, then cell 1's, ...), so
     // each cell's state is one contiguous block.
@@ -120,17 +113,6 @@ struct McSoaCache {
 
 namespace {
 
-bool
-cacheMatches(const McSoaCache &c, const NetworkSpec &spec,
-             const Topology &topo,
-             const softphy::CalibrationTable *table)
-{
-    return c.seed == spec.seed && c.dopplerHz == spec.dopplerHz &&
-           c.frameIntervalUs == spec.frameIntervalUs &&
-           c.topo == &topo && c.table == table &&
-           static_cast<int>(c.order.size()) == topo.numUsers();
-}
-
 std::shared_ptr<McSoaCache>
 buildCache(const NetworkSpec &spec, const Topology &topo,
            const softphy::CalibrationTable *table)
@@ -138,11 +120,6 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
     const int cells = topo.numCells();
     const int num_users = topo.numUsers();
     auto cache = std::make_shared<McSoaCache>();
-    cache->seed = spec.seed;
-    cache->dopplerHz = spec.dopplerHz;
-    cache->frameIntervalUs = spec.frameIntervalUs;
-    cache->topo = &topo;
-    cache->table = table;
 
     cache->order.reserve(static_cast<size_t>(num_users));
     cache->cellBegin.reserve(static_cast<size_t>(cells) + 1);
@@ -542,7 +519,7 @@ runMulticellSoa(
     const softphy::BerEstimator &estimator,
     std::shared_ptr<const softphy::CalibrationTable> calib,
     std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache_slot)
+    std::shared_ptr<McSoaCache> &cache_slot)
 {
     const int cells = topo.numCells();
     const int num_users = topo.numUsers();
@@ -554,15 +531,11 @@ runMulticellSoa(
         wilis_assert(table && table->valid(),
                      "analytic fidelity needs a calibration table");
 
-    // Immutable derived state: reuse the caller's cache when it
-    // matches, else (re)derive. A local cache serves one-shot
-    // callers.
-    std::shared_ptr<McSoaCache> local;
-    std::shared_ptr<McSoaCache> &slot =
-        cache_slot ? *cache_slot : local;
-    if (!slot || !cacheMatches(*slot, spec, topo, table))
-        slot = buildCache(spec, topo, table);
-    McSoaCache &cache = *slot;
+    // Immutable derived state: derived on the first run, reused by
+    // every later one (the slot's owner never changes its inputs).
+    if (!cache_slot)
+        cache_slot = buildCache(spec, topo, table);
+    McSoaCache &cache = *cache_slot;
     // Grow the cross-run |h|^2 memo to cover this run (bounded);
     // resize preserves filled slots because the layout is
     // slot-major.

@@ -106,20 +106,25 @@ NetworkSim::calibrationBuildSpec(const NetworkSpec &spec)
     return b;
 }
 
+std::shared_ptr<const softphy::CalibrationTable>
+NetworkSim::calibrationFor(const NetworkSpec &spec)
+{
+    if (spec.fidelity.mode == FidelityMode::Full)
+        return nullptr;
+    return std::make_shared<const softphy::CalibrationTable>(
+        spec.calibrationFile.empty()
+            ? softphy::CalibrationTable::build(calibrationBuildSpec(spec))
+            : softphy::CalibrationTable::load(spec.calibrationFile));
+}
+
 void
 NetworkSim::ensureCalibration()
 {
     if (spec_.fidelity.mode == FidelityMode::Full) {
         return; // the bit-exact path needs no table
     }
-    if (!calib) {
-        calib = std::make_shared<const softphy::CalibrationTable>(
-            spec_.calibrationFile.empty()
-                ? softphy::CalibrationTable::build(
-                      calibrationBuildSpec(spec_))
-                : softphy::CalibrationTable::load(
-                      spec_.calibrationFile));
-    }
+    if (!calib)
+        calib = calibrationFor(spec_);
     wilis_assert(calib->valid(),
                  "fidelity mode '%s' needs a valid calibration table",
                  fidelityModeName(spec_.fidelity.mode));
@@ -190,7 +195,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
 {
     if (spec_.multicell())
         return runMulticellSoa(spec_, *topo, estimator, calib, slots,
-                               threads, &soaCache);
+                               threads, soaCache);
 
     NetworkResult res;
     res.spec = spec_;

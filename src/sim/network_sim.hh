@@ -310,6 +310,16 @@ class NetworkSim
     calibrationBuildSpec(const NetworkSpec &spec);
 
     /**
+     * The table @p spec's fidelity mode runs on: loaded from
+     * spec.calibrationFile if set, else built from
+     * calibrationBuildSpec(spec). Null in full mode, which consults
+     * none. The table depends on the link template and topology
+     * shape, never the seed, so one is exact for every replication.
+     */
+    static std::shared_ptr<const softphy::CalibrationTable>
+    calibrationFor(const NetworkSpec &spec);
+
+    /**
      * The realized deployment geometry; non-null only for
      * multi-cell specs (spec().multicell()).
      */

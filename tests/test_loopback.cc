@@ -47,7 +47,8 @@ TEST_P(LoopbackAllRates, NoiselessLoopbackIsExact)
         arena.reset();
         FrameContext ctx(arena);
         SampleSpan samples = tx.modulate(BitView(data), ctx);
-        EXPECT_EQ(samples.size(), tx.numSamples(payload));
+        EXPECT_EQ(samples.size(),
+                  OfdmGeometry::numSamples(rateTable(rate), payload));
         RxFrame res = rx.demodulate(samples, payload, nullptr, 0, ctx);
         EXPECT_EQ(res.bitErrors(data), 0u)
             << rateTable(rate).name() << " " << decoder << " payload "
@@ -59,14 +60,13 @@ TEST(Loopback, FrameGeometry)
 {
     // QAM16 1/2: N_DBPS = 96. A 1704-bit payload (the Figure 6 size)
     // plus 6 tail bits needs ceil(1710/96) = 18 symbols.
-    OfdmTransmitter tx(4);
-    EXPECT_EQ(tx.numSymbols(1704), 18);
-    EXPECT_EQ(tx.paddedInfoBits(1704), 18u * 96u - 6u);
-    EXPECT_EQ(tx.numSamples(1704), 18u * 80u);
+    const RateParams &qam16 = rateTable(4);
+    EXPECT_EQ(OfdmGeometry::numSymbols(qam16, 1704), 18);
+    EXPECT_EQ(OfdmGeometry::paddedInfoBits(qam16, 1704), 18u * 96u - 6u);
+    EXPECT_EQ(OfdmGeometry::numSamples(qam16, 1704), 18u * 80u);
 
     // BPSK 1/2: N_DBPS = 24; 100 bits + 6 tail -> 5 symbols.
-    OfdmTransmitter tx0(0);
-    EXPECT_EQ(tx0.numSymbols(100), 5);
+    EXPECT_EQ(OfdmGeometry::numSymbols(rateTable(0), 100), 5);
 }
 
 TEST(Loopback, OddPayloadSizes)

@@ -1,14 +1,15 @@
 /**
  * @file
  * Area model and platform tests: the Figure 8 reproduction bands,
- * the model's parameter sensitivities, link/batching arithmetic, and
- * the analytic Figure 2 co-simulation model.
+ * the model's parameter sensitivities, and the closed-form Figure 2
+ * co-simulation model with its link and batching accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "platform/cosim.hh"
-#include "platform/link.hh"
 #include "synth/area.hh"
 
 using namespace wilis;
@@ -143,28 +144,21 @@ TEST(AreaModel, DecoderTotalDispatch)
               bcjrAreaReport(p)[0].area.luts);
 }
 
-TEST(Link, TransferTimeAndEffectiveBandwidth)
+TEST(CosimModel, TransferCostIsOverheadPlusBytes)
 {
-    LinkModel::Params prm;
-    prm.bandwidthMBps = 700.0;
-    prm.perTransferOverheadUs = 20.0;
-    LinkModel link(prm);
-    // 700 MB/s == 700 bytes/us.
-    EXPECT_NEAR(link.transferUs(7000), 20.0 + 10.0, 1e-9);
-    // Tiny batches are overhead-dominated.
-    EXPECT_LT(link.effectiveBandwidthMBps(64), 5.0);
-    // Large batches approach line bandwidth.
-    EXPECT_GT(link.effectiveBandwidthMBps(4 << 20), 600.0);
-}
+    // One 400-sample packet in one batch: a 3200-byte transfer each
+    // way, 20 us of overhead plus 3200 bytes at 700 bytes/us.
+    CosimModel m;
+    m.batchSamples = 400;
+    auto s = m.run(phy::rateTable(0), 100, 1);
+    EXPECT_EQ(s.transfers, 2u);
+    EXPECT_NEAR(s.linkUs, 2.0 * (20.0 + 3200.0 / 700.0), 1e-9);
 
-TEST(Link, StatsAccumulate)
-{
-    LinkModel link;
-    link.record(1000);
-    link.record(3000);
-    EXPECT_EQ(link.totalBytes(), 4000u);
-    EXPECT_EQ(link.totalTransfers(), 2u);
-    EXPECT_GT(link.busyUs(), 0.0);
+    // 8-sample (64-byte) batches are overhead-dominated: the link
+    // then caps the platform below 5 MB/s.
+    m.batchSamples = 8;
+    m.swChannelMsps = 100.0;
+    EXPECT_LT(m.linkUtilizationMBps(), 5.0);
 }
 
 TEST(CosimModel, PaperConfigurationFractionsAndLinkUse)
@@ -190,27 +184,20 @@ TEST(CosimModel, FasterChannelShiftsBottleneck)
     EXPECT_NEAR(m.lineRateFraction(), 1.75, 1e-9);
 }
 
-TEST(CosimDriver, DecoupledBeatsLockstepByAboutTenX)
+TEST(CosimModel, DecoupledBeatsLockstepByAboutTenX)
 {
     // Section 2: LI batching "increase[s] our throughput by
     // approximately one order of magnitude".
-    sim::ScenarioSpec spec;
-    spec.rate = 4;
-    spec.rx.decoder = "viterbi";
-    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
+    CosimModel li_model;
+    li_model.batchSamples = 4096;
+    li_model.decoupled = true;
 
-    CosimDriver::Params li_params;
-    li_params.batchSamples = 4096;
-    li_params.decoupled = true;
-
-    CosimDriver::Params lockstep = li_params;
+    CosimModel lockstep = li_model;
     lockstep.batchSamples = 80; // one OFDM symbol per exchange
     lockstep.decoupled = false;
 
-    CosimDriver fast(spec, li_params);
-    CosimDriver slow(spec, lockstep);
-    auto a = fast.run(1704, 6);
-    auto b = slow.run(1704, 6);
+    auto a = li_model.run(phy::rateTable(4), 1704, 6);
+    auto b = lockstep.run(phy::rateTable(4), 1704, 6);
     ASSERT_GT(a.simSpeedMbps(), 0.0);
     ASSERT_GT(b.simSpeedMbps(), 0.0);
     double speedup = a.simSpeedMbps() / b.simSpeedMbps();
@@ -218,18 +205,68 @@ TEST(CosimDriver, DecoupledBeatsLockstepByAboutTenX)
     EXPECT_LT(speedup, 40.0);
 }
 
-TEST(CosimDriver, SampleAccounting)
+TEST(CosimModel, SampleAccounting)
 {
-    sim::ScenarioSpec spec;
-    spec.rate = 0; // BPSK 1/2
-    spec.rx.decoder = "viterbi";
-    spec.channelCfg = li::Config::fromString("snr_db=30,seed=3");
-    CosimDriver::Params p;
-    CosimDriver driver(spec, p);
-    auto stats = driver.run(100, 2);
+    CosimModel m;
+    auto stats = m.run(phy::rateTable(0), 100, 2); // BPSK 1/2
     // 100 bits + 6 tail at 24 bits/symbol -> 5 symbols -> 400
     // samples per packet.
     EXPECT_EQ(stats.samples, 800u);
     EXPECT_EQ(stats.payloadBits, 200u);
     EXPECT_GT(stats.wallUs, 0.0);
+}
+
+TEST(CosimModel, RunAccountingPinned)
+{
+    // QAM-16 1/2, 8 packets of 1704 bits (1440 samples each), the
+    // abl_li_batching sweep. The reals were summed batch by batch;
+    // the closed form sums in another order, so they agree to 1e-12
+    // relative, and the counts exactly.
+    struct Row {
+        std::uint64_t batch;
+        bool decoupled;
+        std::uint64_t samples, transfers;
+        double hwUs, swUs, linkUs, wallUs;
+    };
+    const Row rows[] = {
+        {16, true, 11520, 1440, 658.28571428571422, 1669.5652173913254,
+         29063.314285714579, 29063.314285714579},
+        {16, false, 11520, 1440, 658.28571428571422, 1669.5652173913254,
+         29063.314285714579, 31391.16521739155},
+        {80, true, 11520, 288, 658.28571428571422, 1669.565217391307,
+         6023.3142857142857, 6023.3142857142857},
+        {80, false, 11520, 288, 658.28571428571422, 1669.565217391307,
+         6023.3142857142857, 8351.1652173912935},
+        {512, true, 11520, 48, 658.28571428571422, 1669.5652173913049,
+         1223.3142857142859, 1669.5652173913049},
+        {512, false, 11520, 48, 658.28571428571422, 1669.5652173913049,
+         1223.3142857142859, 3551.165217391303},
+        {4096, true, 11520, 16, 658.28571428571422, 1669.5652173913043,
+         583.31428571428569, 1669.5652173913043},
+        {4096, false, 11520, 16, 658.28571428571422, 1669.5652173913043,
+         583.31428571428569, 2911.1652173913044},
+        {32768, true, 11520, 16, 658.28571428571422, 1669.5652173913043,
+         583.31428571428569, 1669.5652173913043},
+        {32768, false, 11520, 16, 658.28571428571422,
+         1669.5652173913043, 583.31428571428569, 2911.1652173913044},
+    };
+    const auto near = [](double got, double want) {
+        return std::abs(got - want) <= 1e-12 * want;
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(::testing::Message()
+                     << "batch " << r.batch
+                     << (r.decoupled ? " LI" : " lock-step"));
+        CosimModel m;
+        m.batchSamples = r.batch;
+        m.decoupled = r.decoupled;
+        const CosimRunStats s = m.run(phy::rateTable(4), 1704, 8);
+        EXPECT_EQ(s.payloadBits, 8u * 1704u);
+        EXPECT_EQ(s.samples, r.samples);
+        EXPECT_EQ(s.transfers, r.transfers);
+        EXPECT_TRUE(near(s.hwUs, r.hwUs)) << s.hwUs;
+        EXPECT_TRUE(near(s.swUs, r.swUs)) << s.swUs;
+        EXPECT_TRUE(near(s.linkUs, r.linkUs)) << s.linkUs;
+        EXPECT_TRUE(near(s.wallUs, r.wallUs)) << s.wallUs;
+    }
 }
