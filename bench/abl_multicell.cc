@@ -335,7 +335,10 @@ main(int argc, char **argv)
             std::printf("%-10s %-16.0f user-slots/sec\n", name,
                         uslots);
         }
-        report.metric("multicell_speedup_analytic", speedup, "x");
+        // The speedup is printed and held to the 10x floor, not a
+        // JSON metric: a ratio over the full rung falls whenever the
+        // full rung gets faster, so it cannot be gated. Each rung's
+        // own uslots_multicell_* is.
         std::printf("analytic speedup: %.1fx\n", speedup);
         if (speedup < 10.0) {
             std::fprintf(stderr,
