@@ -100,6 +100,64 @@ JakesFader::pairingResidue() const
     return worst;
 }
 
+JakesPairForm::JakesPairForm(const JakesFader &fader)
+    : two_pi_doppler(2.0 * std::numbers::pi * fader.doppler)
+{
+    // Per pair, gainAt()'s cos A + cos B with rounded arguments
+    // A ~ x c_m + phi_m, B ~ x c_m' + phi_m' differs from the pair
+    // form's cos(y + phi_m) + cos(-y + phi_m'), y ~ x c_m, by at most
+    // |A - y - phi_m| + |B + y - phi_m'| <= x|c_m + c_m'| + 5 eps x +
+    // 2 pi eps, x being |w|; the tabulated sums add <= 3 eps. The
+    // bound takes 8 eps x and 16 eps per pair, which also covers |w|
+    // being x rounded, and 512 eps for rounding the 16 cosines and
+    // partial sums of gainAt() and the 8 sin/cos pairs and sums of
+    // powerAt() (<= 136 eps and 112 eps).
+    constexpr double eps = std::numeric_limits<double>::epsilon();
+    slack_x = 0.0;
+    slack_0 = 512.0 * eps;
+    for (int m = 0; m < kPairs; ++m) {
+        const size_t a = static_cast<size_t>(m);
+        const size_t b = static_cast<size_t>(JakesFader::pairOf(m));
+        freq_scale[a] = fader.freq_scale[a];
+        cos_i[a] = std::cos(fader.phase_i[a]) + std::cos(fader.phase_i[b]);
+        sin_i[a] = std::sin(fader.phase_i[a]) - std::sin(fader.phase_i[b]);
+        cos_q[a] = std::cos(fader.phase_q[a]) + std::cos(fader.phase_q[b]);
+        sin_q[a] = std::sin(fader.phase_q[a]) - std::sin(fader.phase_q[b]);
+        slack_x += std::fabs(fader.freq_scale[a] + fader.freq_scale[b]) +
+                   8.0 * eps;
+        slack_0 += 16.0 * eps;
+    }
+}
+
+PowerInterval
+JakesPairForm::powerAt(double t_us) const
+{
+    // The same rounded t_s and 2 pi f_D as gainAt(): y and gainAt()'s
+    // w c_m are both x c_m within two roundings.
+    const double w = two_pi_doppler * (t_us * 1e-6);
+    double re = 0.0;
+    double im = 0.0;
+    for (size_t m = 0; m < static_cast<size_t>(kPairs); ++m) {
+        const double y = w * freq_scale[m];
+        const double c = std::cos(y);
+        const double s = std::sin(y);
+        re += cos_i[m] * c - sin_i[m] * s;
+        im += cos_q[m] * c - sin_q[m] * s;
+    }
+    // gainAt() scales both components by 1/4 exactly; the factors
+    // cover rounding the bounds' squares and sums, and std::norm's.
+    constexpr double eps = std::numeric_limits<double>::epsilon();
+    const double err = 0.25 * (std::fabs(w) * slack_x + slack_0);
+    const double re_abs = 0.25 * std::fabs(re);
+    const double im_abs = 0.25 * std::fabs(im);
+    const double re_lo = std::max(0.0, re_abs - err);
+    const double im_lo = std::max(0.0, im_abs - err);
+    const double re_hi = re_abs + err;
+    const double im_hi = im_abs + err;
+    return {(re_lo * re_lo + im_lo * im_lo) * (1.0 - 8.0 * eps),
+            (re_hi * re_hi + im_hi * im_hi) * (1.0 + 8.0 * eps)};
+}
+
 RayleighChannel::RayleighChannel(const Params &p)
     : awgn(p.awgn), fader(p.dopplerHz, p.awgn.seed),
       packet_interval_us(p.packetIntervalUs),

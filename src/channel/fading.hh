@@ -54,12 +54,15 @@ class JakesFader
     /**
      * max over m of |cos(a_m) + cos(a_pairOf(m))| for the arrival
      * angles a: the rounding residue of the opposite-Doppler
-     * pairing that powerBound() relies on (it stays sound for any
-     * residue, but tight only for one of a few ulps).
+     * pairing that powerBound() and JakesPairForm rely on (they
+     * stay sound for any residue, but tight only for one of a few
+     * ulps).
      */
     double pairingResidue() const;
 
   private:
+    friend class JakesPairForm;
+
     static constexpr int kOscillators = 16;
 
     /** Oscillator m's partner, at arrival angle a_m + pi. */
@@ -69,6 +72,54 @@ class JakesFader
     std::array<double, kOscillators> freq_scale; // cos(arrival angle)
     std::array<double, kOscillators> phase_i;
     std::array<double, kOscillators> phase_q;
+};
+
+/** An interval lo <= |h|^2 <= hi. */
+struct PowerInterval {
+    double lo;
+    double hi;
+};
+
+/**
+ * A JakesFader's bank in pair form. Oscillators m and pairOf(m)
+ * have opposite Doppler, so with w = 2 pi f_D t, c_m the frequency
+ * scale and phi, phi' the pair's phases, each pair sums to
+ * cos(w c_m) (cos phi + cos phi') - sin(w c_m) (sin phi - sin phi').
+ * Both components of the gain then follow from 8 sin/cos pairs of
+ * w c_m and a per-pair table -- about a third of gainAt()'s 32
+ * cosines -- and powerAt() turns them into a rigorous interval
+ * around std::norm(gainAt(t)) (derivation in docs/ARCHITECTURE.md,
+ * "Proportional-fair pruning"). The proportional-fair pick ranks
+ * users by it and calls gainAt() only for those it cannot rule out.
+ */
+class JakesPairForm
+{
+  public:
+    /** Tabulate @p fader's pairs (once per bank). */
+    explicit JakesPairForm(const JakesFader &fader);
+
+    /**
+     * lo <= std::norm(fader.gainAt(@p t_us)) <= hi, rounding of
+     * both forms included. The width is at most 2.5e-13 x for
+     * x = |2 pi f_D t|: about 1e-12 over 200 slots of 2 ms at 10 Hz.
+     */
+    PowerInterval powerAt(double t_us) const;
+
+  private:
+    static constexpr int kPairs = JakesFader::kOscillators / 2;
+
+    /** 2 pi f_D, rounded exactly as gainAt() rounds it. */
+    double two_pi_doppler;
+    std::array<double, kPairs> freq_scale; // c_m
+    // cos phi + cos phi' and sin phi - sin phi', per component.
+    std::array<double, kPairs> cos_i;
+    std::array<double, kPairs> sin_i;
+    std::array<double, kPairs> cos_q;
+    std::array<double, kPairs> sin_q;
+    // Error bound of either component (before gainAt()'s 1/4
+    // scaling): slack_x * |w| + slack_0.
+    double slack_x;
+    double slack_0;
 };
 
 /** RayleighChannel's parameters, one field per config key. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/kernels.hh"
 #include "common/logging.hh"
@@ -64,7 +65,8 @@ CellScheduler::CellScheduler(const Config &cfg, int num_users)
 int
 CellScheduler::pick(const std::vector<std::uint8_t> &eligible,
                     const std::vector<double> &rate_bound, RateFn rate,
-                    const std::vector<std::uint8_t> *urgent) const
+                    const std::vector<std::uint8_t> *urgent,
+                    IntervalFn interval) const
 {
     wilis_assert(static_cast<int>(eligible.size()) == num_users_,
                  "eligibility vector size %zu != %d users",
@@ -101,34 +103,57 @@ CellScheduler::pick(const std::vector<std::uint8_t> &eligible,
     // Proportional fair: argmax rate / avg with a floor on the
     // average so a never-served user wins its first contention.
     // Ties break to the lowest index -- scheduling stays a pure
-    // function of the inputs. Candidates are visited by decreasing
-    // bound metric (lowest index first on ties) and the search
-    // stops at the first bound below the best exact metric: every
-    // later user's metric is at most its bound, so it can neither
-    // win nor tie, and its rate is never evaluated.
+    // function of the inputs. Division by the same avg rounds
+    // monotonically, so lo / avg <= rate / avg <= hi / avg and
+    // rate / avg <= bound / avg hold for the rounded metrics too.
     wilis_assert(static_cast<int>(rate_bound.size()) == num_users_,
                  "rate bound vector size %zu != %d users",
                  rate_bound.size(), num_users_);
     auto floored = [&](int u) {
         return std::max(avg_[static_cast<size_t>(u)], 1e-12);
     };
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
     cand_.clear();
     for (int u = 0; u < num_users_; ++u) {
-        if (candidate(u))
-            cand_.push_back(
-                {rate_bound[static_cast<size_t>(u)] / floored(u), u});
+        if (!candidate(u))
+            continue;
+        const double b = rate_bound[static_cast<size_t>(u)] / floored(u);
+        cand_.push_back({b, u, kNone, b});
     }
     std::sort(cand_.begin(), cand_.end(),
               [](const Candidate &a, const Candidate &b) {
                   return a.bound > b.bound ||
                          (a.bound == b.bound && a.user < b.user);
               });
+    // Pass 1: intervals in bound order, keeping best_lo, the largest
+    // lower metric seen; stop at the first bound below it. best_lo
+    // is at most the exact metric of the user that set it, so a
+    // user whose upper metric is below best_lo can neither win nor
+    // tie -- nor can any user past the stop.
+    double best_lo = kNone;
+    size_t visited = 0;
+    for (; visited < cand_.size(); ++visited) {
+        Candidate &c = cand_[visited];
+        if (c.bound < best_lo)
+            break;
+        if (interval) {
+            const RateInterval r = interval(c.user);
+            c.lo = r.lo / floored(c.user);
+            c.hi = r.hi / floored(c.user);
+        }
+        best_lo = std::max(best_lo, c.lo);
+    }
+    // Pass 2: the exact metric of each visited user whose upper
+    // metric reaches best_lo (the survivors), raising best_lo as
+    // exact metrics come in.
     int best = -1;
     double best_metric = 0.0;
-    for (const Candidate &c : cand_) {
-        if (best >= 0 && c.bound < best_metric)
-            break;
+    for (size_t k = 0; k < visited; ++k) {
+        const Candidate &c = cand_[k];
+        if (c.hi < best_lo)
+            continue;
         const double metric = rate(c.user) / floored(c.user);
+        best_lo = std::max(best_lo, metric);
         if (best < 0 || metric > best_metric ||
             (metric == best_metric && c.user < best)) {
             best = c.user;

@@ -13,8 +13,9 @@
  *  - proportional_fair  -- grant argmax of instantaneous rate over
  *    exponentially averaged served throughput (the classic PF
  *    metric), trading peak throughput against starvation. Users
- *    are ranked by an upper bound on that metric first, so the
- *    exact rate is evaluated only for users that can still win.
+ *    are ranked by a static upper bound on that metric, then by a
+ *    cheap per-slot interval around it, so the exact rate is
+ *    evaluated only for users the interval cannot rule out.
  *
  * Both are pure functions of (cell state, per-slot inputs), with
  * deterministic tie-breaks (lowest user index), so scheduling can
@@ -69,6 +70,43 @@ const char *contentionModeName(ContentionMode mode);
 /** Inverse of contentionModeName(); fatal on unknown names. */
 ContentionMode contentionModeFromName(const std::string &name);
 
+/** An interval lo <= rate <= hi around a user's exact rate. */
+struct RateInterval {
+    double lo;
+    double hi;
+};
+
+/**
+ * Non-owning view of a callable R(int) of a local user index,
+ * evaluated on demand by CellScheduler::pick(). The callable must
+ * outlive the view (pass it straight to pick()).
+ */
+template <typename R>
+class UserFn
+{
+  public:
+    /** No callable. */
+    UserFn() = default;
+
+    /** View @p f, any callable taking a local user index. */
+    template <typename F>
+    UserFn(const F &f)
+        : obj_(&f), call_([](const void *o, int u) -> R {
+              return (*static_cast<const F *>(o))(u);
+          })
+    {}
+
+    /** Whether a callable is viewed. */
+    explicit operator bool() const { return call_ != nullptr; }
+
+    /** The callable's value for local user @p u. */
+    R operator()(int u) const { return call_(obj_, u); }
+
+  private:
+    const void *obj_ = nullptr;
+    R (*call_)(const void *, int) = nullptr;
+};
+
 /**
  * One cell's scheduler state. Users are addressed by their local
  * index within the cell (0..numUsers-1); the caller owns the
@@ -93,32 +131,10 @@ class CellScheduler
     /** Build a scheduler for a cell of @p num_users users. */
     CellScheduler(const Config &cfg, int num_users);
 
-    /**
-     * Non-owning view of a callable double(int): a user's exact
-     * instantaneous rate, evaluated on demand by pick(). The
-     * callable must outlive the view (pass it straight to pick()).
-     */
-    class RateFn
-    {
-      public:
-        /** No callable: for round_robin picks, which never call. */
-        RateFn() = default;
-
-        /** View @p f, any callable taking a local user index. */
-        template <typename F>
-        RateFn(const F &f)
-            : obj_(&f), call_([](const void *o, int u) {
-                  return (*static_cast<const F *>(o))(u);
-              })
-        {}
-
-        /** The exact rate of local user @p u. */
-        double operator()(int u) const { return call_(obj_, u); }
-
-      private:
-        const void *obj_ = nullptr;
-        double (*call_)(const void *, int) = nullptr;
-    };
+    /** A user's exact instantaneous rate. */
+    using RateFn = mac::UserFn<double>;
+    /** An interval around a user's exact instantaneous rate. */
+    using IntervalFn = mac::UserFn<RateInterval>;
 
     /**
      * Pick the user to grant this slot.
@@ -129,10 +145,9 @@ class CellScheduler
      *                   at eligible indices.
      * @param rate       Per-user exact instantaneous rate.
      *                   proportional_fair grants argmax rate / avg
-     *                   but calls @p rate only for users whose
-     *                   bound metric rate_bound / avg can still
-     *                   reach the best exact metric found so far;
-     *                   round_robin ignores both.
+     *                   but calls @p rate only for the users that
+     *                   survive the bounds below; round_robin
+     *                   ignores every rate argument.
      * @param urgent     Optional per-user flag: class-aware
      *                   arbitration. When any eligible user is
      *                   urgent (has queued control traffic), the
@@ -141,16 +156,27 @@ class CellScheduler
      *                   and the discipline (RR cursor / PF metric)
      *                   operates within that subset. Null or
      *                   all-false leaves the pick unrestricted.
+     * @param interval   Optional per-user interval around rate(u),
+     *                   lo <= rate(u) <= hi, for the slot.
+     *                   proportional_fair visits candidates by
+     *                   decreasing rate_bound / avg, takes each
+     *                   one's interval until a bound metric falls
+     *                   below the best lower metric lo / avg seen,
+     *                   then calls @p rate only for the visited
+     *                   users whose upper metric hi / avg reaches
+     *                   that best. Without it the interval is
+     *                   [-inf, rate_bound[u]].
      * @return the granted local user index, or -1 if no user is
      *         eligible. Does not mutate state (it reuses an internal
      *         candidate list, so one scheduler serves one thread at
-     *         a time); call update() with the result to close the
-     *         slot.
+     *         a time, with no heap allocation once the list has
+     *         grown to the cell); call update() with the result to
+     *         close the slot.
      */
     int pick(const std::vector<std::uint8_t> &eligible,
              const std::vector<double> &rate_bound, RateFn rate,
-             const std::vector<std::uint8_t> *urgent =
-                 nullptr) const;
+             const std::vector<std::uint8_t> *urgent = nullptr,
+             IntervalFn interval = {}) const;
 
     /**
      * Close the slot: advance the round-robin cursor / decay the PF
@@ -195,10 +221,12 @@ class CellScheduler
     void loadState(SnapshotReader &r);
 
   private:
-    /** A PF candidate: its bound metric and local index. */
+    /** A PF candidate: its metric bounds and local index. */
     struct Candidate {
-        double bound;
+        double bound; // rate_bound / avg
         int user;
+        double lo; // interval metrics: [-inf, bound] until visited
+        double hi;
     };
 
     Config cfg_;

@@ -18,11 +18,11 @@
  * any kernel backend -- pinned by tests/test_multicell.cc and the
  * slow-label equivalence test in tests/test_simd_kernels.cc.
  *
- * Immutable derived per-user state (Jakes oscillator banks and their
- * |h|^2 bounds, forked stream keys, serving gains, the flattened
- * calibration table) is a pure function of (spec, topology, table)
- * and is cached across run() calls in McSoaCache, owned by
- * NetworkSim.
+ * Immutable derived per-user state (Jakes oscillator banks with
+ * their |h|^2 bounds and pair forms, forked stream keys, serving
+ * gains, the flattened calibration table) is a pure function of
+ * (spec, topology, table) and is cached across run() calls in
+ * McSoaCache, owned by NetworkSim.
  *
  * Checkpoint/resume (saveCheckpoint() / loadCheckpoint()) serializes
  * the mutable run state in a canonical order -- global user id, then
@@ -87,9 +87,11 @@ struct McSoaCache {
     std::vector<channel::JakesFader> faders; // gainAt() is const
     // Proportional fair only: each fader's powerBound() over slots
     // [0, boundSlots), grown like the memo below when a run is
-    // longer (a bound for a longer horizon holds for a shorter one).
+    // longer (a bound for a longer horizon holds for a shorter one),
+    // and its pair form, the per-slot |h|^2 interval of the pick.
     std::uint64_t boundSlots = 0;
     std::vector<double> h2Bound;
+    std::vector<channel::JakesPairForm> pairForms;
 
     // ---- flattened calibration (analytic/auto modes only)
     softphy::FlatCalibration flat;
@@ -99,12 +101,12 @@ struct McSoaCache {
     // JakesFader::gainAt() is a pure function of (fader, t), so a
     // value computed in one run is valid in every later run of the
     // same spec -- memoization cannot change results. Filled lazily:
-    // every granted user, plus under PF each user the pick had to
-    // evaluate (eligible, and with a bound metric that could still
-    // win); bounded by kH2MemoBytes, slots past h2Slots fall back
-    // to the per-run memo. Within a run each user's entries are
-    // written by the one worker that owns its cell, so access is
-    // race-free.
+    // every granted user, plus under PF any other user the pick's
+    // |h|^2 interval could not rule out (rare: the intervals are
+    // ~1e-12 wide); bounded by kH2MemoBytes, slots past h2Slots
+    // fall back to the per-run memo. Within a run each user's
+    // entries are written by the one worker that owns its cell, so
+    // access is race-free.
     static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
     std::uint64_t h2Slots = 0;      // slots covered by the memo
     std::vector<double> h2;         // [slot * users + user]
@@ -561,6 +563,11 @@ runMulticellSoa(
             cache.h2Bound[i] = cache.faders[i].powerBound(horizon_us);
         cache.boundSlots = slots;
     }
+    if (pf && cache.pairForms.empty()) {
+        cache.pairForms.reserve(cache.faders.size());
+        for (const channel::JakesFader &f : cache.faders)
+            cache.pairForms.emplace_back(f);
+    }
     const kernels::PerTableView flat_view =
         cache.hasFlat ? cache.flat.view() : kernels::PerTableView{};
 
@@ -786,15 +793,31 @@ runMulticellSoa(
 
         // The noise-limited instantaneous rate (interference is
         // unknown until every cell has scheduled), evaluated only
-        // for the users the PF pick cannot rule out by bound.
+        // for the users the PF pick cannot rule out by bound or
+        // interval.
         auto rate = [&](int m) {
             const std::uint32_t i = mem[static_cast<size_t>(m)];
             return std::log2(
                 1.0 + serv_gain[i] *
                           fadingPower(static_cast<int>(i), t));
         };
+        // PF: an interval around the rate from the pair form's
+        // |h|^2 interval, with the static bound's margin for log2
+        // on either side.
+        auto interval = [&](int m) {
+            const std::uint32_t i = mem[static_cast<size_t>(m)];
+            const channel::PowerInterval p =
+                cache.pairForms[i].powerAt(static_cast<double>(t) *
+                                           spec.frameIntervalUs);
+            return mac::RateInterval{
+                std::log2(1.0 + serv_gain[i] * p.lo) *
+                    (1.0 - 0x1p-40),
+                std::log2(1.0 + serv_gain[i] * p.hi) *
+                    (1.0 + 0x1p-40)};
+        };
         const int pick = scheds[static_cast<size_t>(c)].pick(
-            elig, bound, rate, class_aware ? &urg : nullptr);
+            elig, bound, rate, class_aware ? &urg : nullptr,
+            interval);
         if (pick < 0) {
             granted_soa[static_cast<size_t>(c)] = -1;
             act[static_cast<size_t>(c)] = 0;

@@ -3,7 +3,8 @@
  * Tests for the frame arena and the zero-copy packet pipeline built
  * on it: bump allocation and reset semantics, block coalescing, and
  * the central tentpole claim -- a warmed-up Testbench::runFrame()
- * performs no heap allocations at all.
+ * performs no heap allocations at all. The same counter checks the
+ * proportional-fair pick's claim to allocate nothing once warm.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <new>
 
 #include "common/frame_arena.hh"
+#include "mac/scheduler.hh"
 #include "sim/scenario.hh"
 #include "sim/testbench.hh"
 
@@ -231,4 +233,42 @@ TEST(ZeroCopyPipeline, WarmedArenaMatchesFreshTestbench)
             EXPECT_EQ(warmed.rx.soft[i].llr, fresh.rx.soft[i].llr);
         }
     }
+}
+
+TEST(HotPathAllocations, PfPickWithIntervalsIsAllocationFree)
+{
+    // After one warm-up pick has grown the candidate list to the
+    // cell, picks with bounds, intervals, exact rates and an urgent
+    // mask -- and the update() closing each slot -- allocate
+    // nothing.
+    mac::CellScheduler::Config cfg;
+    cfg.kind = mac::SchedulerKind::ProportionalFair;
+    const int n = 48;
+    mac::CellScheduler sched(cfg, n);
+    std::vector<std::uint8_t> elig(n, 1);
+    std::vector<std::uint8_t> urgent(n, 0);
+    std::vector<double> bound(n);
+    std::vector<double> rate(n);
+    std::uint64_t t = 0;
+    auto exact = [&](int u) { return rate[static_cast<size_t>(u)]; };
+    auto interval = [&](int u) {
+        const double r = rate[static_cast<size_t>(u)];
+        return mac::RateInterval{r * (1.0 - 1e-9), r * (1.0 + 1e-9)};
+    };
+    auto slot = [&] {
+        for (size_t u = 0; u < rate.size(); ++u) {
+            rate[u] = 1.0 + static_cast<double>((u * 7 + t * 13) % 29);
+            bound[u] = 30.0 + static_cast<double>(u % 3);
+        }
+        urgent[static_cast<size_t>(t % n)] = t % 5 == 0;
+        const int g = sched.pick(elig, bound, exact,
+                                 t % 2 ? &urgent : nullptr, interval);
+        sched.update(g, rate[static_cast<size_t>(g)]);
+        ++t;
+    };
+    slot();
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    for (int i = 0; i < 200; ++i)
+        slot();
+    EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
 }

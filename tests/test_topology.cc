@@ -14,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include "channel/fading.hh"
@@ -242,6 +243,51 @@ TEST(JakesFader, PowerBoundHoldsOverTheHorizon)
         }
     }
     EXPECT_LT(bound_sum / faders, 20.0);
+}
+
+TEST(JakesFader, PowerIntervalContainsGainAt)
+{
+    // The pair form's interval holds std::norm(gainAt(t)) at every
+    // sampled slot, at pedestrian to vehicular Doppler and up to
+    // 10^6 slots of 2 ms. gainAt() rounds arguments as large as
+    // x = 2 pi f_D t, so no interval around another evaluation can
+    // be much narrower than x eps: the width is at most 2.5e-13 x
+    // (the bound's ceiling), and under 1e-9 while x <= 4000 -- the
+    // first 5.3 s at 120 Hz, 64 s at 10 Hz, and every slot of a
+    // 200-slot dense-urban-10k run.
+    SplitMix64 rng(7);
+    double early_width = 0.0;
+    for (double doppler : {10.0, 30.0, 60.0, 120.0}) {
+        for (int k = 0; k < 64; ++k) {
+            const std::uint64_t seed = rng.next();
+            channel::JakesFader fader(doppler, seed);
+            const channel::JakesPairForm pairs(fader);
+            for (int i = 0; i < 400; ++i) {
+                // The first 100 slots, then log-uniform to 10^6.
+                const double slot =
+                    i < 100 ? i
+                            : std::floor(std::pow(
+                                  10.0, 6.0 * rng.nextDouble()));
+                const double t_us = slot * 2000.0;
+                const double h2 = std::norm(fader.gainAt(t_us));
+                const channel::PowerInterval p = pairs.powerAt(t_us);
+                ASSERT_LE(p.lo, h2) << "doppler " << doppler
+                                    << " seed " << seed << " slot "
+                                    << slot;
+                ASSERT_LE(h2, p.hi) << "doppler " << doppler
+                                    << " seed " << seed << " slot "
+                                    << slot;
+                const double x =
+                    2.0 * std::numbers::pi * doppler * t_us * 1e-6;
+                ASSERT_LT(p.hi - p.lo, std::max(1e-9, 2.5e-13 * x))
+                    << "doppler " << doppler << " seed " << seed
+                    << " slot " << slot;
+                if (slot < 100)
+                    early_width = std::max(early_width, p.hi - p.lo);
+            }
+        }
+    }
+    EXPECT_LT(early_width, 1e-10) << "first 100 slots";
 }
 
 // -------------------------------------------------------- traffic
@@ -495,6 +541,130 @@ TEST(Scheduler, ProportionalFairPickMatchesTheExhaustiveArgmax)
     rate = {4.0, 4.0, 2.0};
     calls.assign(3, 0);
     EXPECT_EQ(sched.pick(all, {4.0, 4.0, 3.0}, exact), 0);
+    EXPECT_EQ(calls, (std::vector<int>{1, 1, 0}));
+}
+
+TEST(Scheduler, IntervalPickMatchesTheExhaustiveArgmax)
+{
+    // With per-slot intervals the pick must still grant exactly the
+    // exhaustive argmax, under adversarial intervals: zero-width,
+    // as wide as [0, bound], touching the bound; exact metric ties;
+    // never-served users at the 1e-12 average floor; urgent
+    // subsets. The exact rate is called at most once per user and
+    // only for survivors: candidates whose upper metric reaches the
+    // largest lower metric of any candidate.
+    mac::CellScheduler::Config cfg;
+    cfg.kind = mac::SchedulerKind::ProportionalFair;
+    SplitMix64 rng(11);
+    auto pick_from = [&](const double *set, int n) {
+        return set[rng.next() % static_cast<std::uint64_t>(n)];
+    };
+    const double avgs[] = {0.0, 1e-13, 1e-12, 0.5, 0.5, 1.0, 2.0};
+    const double rates[] = {0.0, 1.0, 1.0, 2.0, 3.0};
+    std::uint64_t evaluated = 0;
+    std::uint64_t candidates = 0;
+    for (int trial = 0; trial < 6000; ++trial) {
+        const int n = 1 + static_cast<int>(rng.next() % 12);
+        mac::CellScheduler sched(cfg, 0);
+        std::vector<std::uint8_t> elig(static_cast<size_t>(n));
+        std::vector<std::uint8_t> urgent(static_cast<size_t>(n));
+        std::vector<double> rate(static_cast<size_t>(n));
+        std::vector<double> bound(static_cast<size_t>(n));
+        std::vector<mac::RateInterval> iv(static_cast<size_t>(n));
+        for (int u = 0; u < n; ++u) {
+            const size_t i = static_cast<size_t>(u);
+            sched.insertUser(u, rng.nextBit()
+                                    ? pick_from(avgs, 7)
+                                    : rng.nextDouble() * 4.0);
+            elig[i] = rng.next() % 4 != 0;
+            urgent[i] = rng.next() % 5 == 0;
+            rate[i] = rng.nextBit() ? pick_from(rates, 5)
+                                    : rng.nextDouble() * 8.0;
+            bound[i] = rng.nextBit()
+                           ? rate[i]
+                           : rate[i] + rng.nextDouble() * 8.0;
+            switch (rng.next() % 4) {
+              case 0: // zero width
+                iv[i] = {rate[i], rate[i]};
+                break;
+              case 1: // as wide as the static bound allows
+                iv[i] = {0.0, bound[i]};
+                break;
+              case 2: // touching the bound
+                iv[i] = {rate[i] * rng.nextDouble(), bound[i]};
+                break;
+              default:
+                iv[i] = {rate[i] * rng.nextDouble(),
+                         rate[i] + (bound[i] - rate[i]) *
+                                       rng.nextDouble()};
+            }
+        }
+        std::vector<int> calls(static_cast<size_t>(n), 0);
+        auto exact = [&](int u) {
+            ++calls[static_cast<size_t>(u)];
+            return rate[static_cast<size_t>(u)];
+        };
+        auto interval = [&](int u) { return iv[static_cast<size_t>(u)]; };
+        const std::vector<std::uint8_t> *urg =
+            rng.nextBit() ? &urgent : nullptr;
+        const int got = sched.pick(elig, bound, exact, urg, interval);
+        ASSERT_EQ(got, mac::pfPickReference(sched, elig, rate, urg))
+            << "trial " << trial;
+
+        // The candidate set and its largest lower metric.
+        bool any_urgent = false;
+        for (int u = 0; urg && u < n; ++u)
+            any_urgent |= elig[static_cast<size_t>(u)] &&
+                          urgent[static_cast<size_t>(u)];
+        auto is_candidate = [&](size_t i) {
+            return elig[i] && (!any_urgent || urgent[i]);
+        };
+        auto avg = [&](size_t i) {
+            return std::max(sched.averageRate(static_cast<int>(i)),
+                            1e-12);
+        };
+        double best_lo = -1.0;
+        for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+            if (is_candidate(i))
+                best_lo = std::max(best_lo, iv[i].lo / avg(i));
+        }
+        for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+            ASSERT_LE(calls[i], 1) << "trial " << trial;
+            if (calls[i]) {
+                ASSERT_TRUE(is_candidate(i)) << "trial " << trial;
+                ASSERT_GE(iv[i].hi / avg(i), best_lo)
+                    << "trial " << trial << ": user " << i
+                    << " evaluated past its interval";
+            }
+            candidates += is_candidate(i);
+            evaluated += static_cast<std::uint64_t>(calls[i]);
+        }
+    }
+    EXPECT_LT(evaluated, candidates / 2);
+
+    // Zero-width intervals: the winner's exact rate is the one call
+    // unless another survivor ties it.
+    mac::CellScheduler sched(cfg, 0);
+    for (int u = 0; u < 3; ++u)
+        sched.insertUser(u, 1.0);
+    const std::vector<std::uint8_t> all(3, 1);
+    std::vector<double> rate = {1.0, 4.0, 2.0};
+    std::vector<int> calls(3, 0);
+    auto exact = [&](int u) {
+        ++calls[static_cast<size_t>(u)];
+        return rate[static_cast<size_t>(u)];
+    };
+    auto tight = [&](int u) {
+        const double r = rate[static_cast<size_t>(u)];
+        return mac::RateInterval{r, r};
+    };
+    EXPECT_EQ(sched.pick(all, {8.0, 8.0, 8.0}, exact, nullptr, tight),
+              1);
+    EXPECT_EQ(calls, (std::vector<int>{0, 1, 0}));
+    rate = {4.0, 4.0, 2.0};
+    calls.assign(3, 0);
+    EXPECT_EQ(sched.pick(all, {8.0, 8.0, 8.0}, exact, nullptr, tight),
+              0);
     EXPECT_EQ(calls, (std::vector<int>{1, 1, 0}));
 }
 
