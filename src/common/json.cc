@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -441,20 +439,9 @@ expectKind(JsonValue::Kind have, JsonValue::Kind want)
 } // namespace
 
 JsonValue
-JsonValue::parse(const std::string &text)
+JsonValue::parse(const std::string &text, const std::string &origin)
 {
-    return JsonParser(text, "<string>").document();
-}
-
-JsonValue
-JsonValue::parseFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
-        wilis_fatal("cannot read JSON file '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return JsonParser(ss.str(), path).document();
+    return JsonParser(text, origin).document();
 }
 
 bool

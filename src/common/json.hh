@@ -96,10 +96,12 @@ class JsonValue
   public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
-    /** Parse a complete JSON document (fatal on any syntax error). */
-    static JsonValue parse(const std::string &text);
-    /** Parse the JSON document in file @p path (fatal if unreadable). */
-    static JsonValue parseFile(const std::string &path);
+    /**
+     * Parse a complete JSON document (fatal on any syntax error; the
+     * message names @p origin, e.g. the file the text was read from).
+     */
+    static JsonValue parse(const std::string &text,
+                           const std::string &origin);
 
     /** Value kind. */
     Kind kind() const { return kind_; }

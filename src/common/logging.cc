@@ -49,11 +49,5 @@ warnImpl(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
 } // namespace wilis

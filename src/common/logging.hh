@@ -2,7 +2,7 @@
  * @file
  * Status/error reporting in the gem5 style: panic() for internal
  * invariant violations (simulator bugs), fatal() for user/config
- * errors, warn()/inform() for non-fatal conditions.
+ * errors, warn() for non-fatal conditions.
  */
 
 #ifndef WILIS_COMMON_LOGGING_HH
@@ -26,8 +26,6 @@ namespace detail {
                             const std::string &msg);
 /** Backend of wilis_warn(). */
 void warnImpl(const std::string &msg);
-/** Backend of wilis_inform(). */
-void informImpl(const std::string &msg);
 } // namespace detail
 
 /** Abort: something happened that should never happen (a WiLIS bug). */
@@ -50,10 +48,6 @@ void informImpl(const std::string &msg);
 /** Non-fatal: functionality may be degraded; user should look here. */
 #define wilis_warn(...) \
     ::wilis::detail::warnImpl(::wilis::strprintf(__VA_ARGS__))
-
-/** Status message with no connotation of incorrect behaviour. */
-#define wilis_inform(...) \
-    ::wilis::detail::informImpl(::wilis::strprintf(__VA_ARGS__))
 
 /** panic() unless the given condition holds. */
 #define wilis_assert(cond, ...) \

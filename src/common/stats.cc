@@ -85,18 +85,4 @@ Histogram::restore(const std::vector<std::uint64_t> &bin_counts,
     return true;
 }
 
-ErrorStats
-countErrors(const std::vector<std::uint8_t> &ref,
-            const std::vector<std::uint8_t> &got)
-{
-    wilis_assert(ref.size() == got.size(),
-                 "stream size mismatch: %zu vs %zu", ref.size(),
-                 got.size());
-    ErrorStats s;
-    s.bits = ref.size();
-    for (size_t i = 0; i < ref.size(); ++i)
-        s.errors += (ref[i] != got[i]) ? 1u : 0u;
-    return s;
-}
-
 } // namespace wilis

@@ -251,9 +251,6 @@ class Histogram
     /** Lower edge of @p bin. */
     double binLo(int bin) const { return lo_ + bin * width_; }
 
-    /** Bin width. */
-    double binWidth() const { return width_; }
-
     /**
      * Lower edge of the first bin at which the cumulative count
      * reaches fraction @p q of the observations (0 if empty; q is
@@ -309,10 +306,6 @@ struct ErrorStats {
         errors += other.errors;
     }
 };
-
-/** Count bit errors between two equal-length bit streams. */
-ErrorStats countErrors(const std::vector<std::uint8_t> &ref,
-                       const std::vector<std::uint8_t> &got);
 
 } // namespace wilis
 

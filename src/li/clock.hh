@@ -32,7 +32,7 @@ class ClockDomain
      * @param freq_mhz  Frequency in MHz (e.g. 35.0, 60.0).
      */
     ClockDomain(std::string name_, double freq_mhz)
-        : name_str(std::move(name_)), freq(freq_mhz)
+        : name_str(std::move(name_))
     {
         wilis_assert(freq_mhz > 0.0, "clock '%s' needs positive freq",
                      name_str.c_str());
@@ -43,9 +43,6 @@ class ClockDomain
 
     /** Domain name. */
     const std::string &name() const { return name_str; }
-
-    /** Frequency in MHz. */
-    double freqMhz() const { return freq; }
 
     /** Clock period in picoseconds. */
     SimTime periodPs() const { return period_ps; }
@@ -61,7 +58,6 @@ class ClockDomain
 
   private:
     std::string name_str;
-    double freq;
     SimTime period_ps;
     std::uint64_t cycle_count = 0;
 };

@@ -106,14 +106,5 @@ Scheduler::runUntilIdle(int idle_cycles, std::uint64_t max_edges)
     return edges;
 }
 
-void
-Scheduler::runCycles(ClockDomain *domain, std::uint64_t cycles)
-{
-    DomainState *ds = findState(domain);
-    std::uint64_t target = ds->domain->cycles() + cycles;
-    while (ds->domain->cycles() < target)
-        step();
-}
-
 } // namespace li
 } // namespace wilis

@@ -65,9 +65,6 @@ class Scheduler
     /** Current simulated time in picoseconds. */
     SimTime now() const { return now_ps; }
 
-    /** Pointer to simulated time (for externally built SyncFifos). */
-    const SimTime *timeSource() const { return &now_ps; }
-
     /** Number of automatically inserted cross-domain synchronizers. */
     int syncFifoCount() const { return sync_fifo_count; }
 
@@ -92,9 +89,6 @@ class Scheduler
      */
     std::uint64_t runUntilIdle(int idle_cycles = 8,
                                std::uint64_t max_edges = ~0ull);
-
-    /** Run for @p cycles cycles of @p domain. */
-    void runCycles(ClockDomain *domain, std::uint64_t cycles);
 
   private:
     struct DomainState {

@@ -66,13 +66,6 @@ class SyncFifo : public Fifo<T>
         return v;
     }
 
-    /** Earliest time the head element becomes visible (0 if empty). */
-    SimTime
-    headReadyAt() const
-    {
-        return stamps.empty() ? 0 : stamps.front() + latency_ps;
-    }
-
   private:
     std::deque<SimTime> stamps;
     const SimTime *now;

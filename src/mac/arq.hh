@@ -125,9 +125,6 @@ class Arq
     /** Next never-transmitted sequence number. */
     std::uint64_t nextSeq() const { return next_new; }
 
-    /** Next sequence number owed to the in-order delivery stream. */
-    std::uint64_t deliverNext() const { return deliver_next; }
-
     /** Total retransmissions performed so far. */
     std::uint64_t retransmissions() const { return retrans; }
 

@@ -207,9 +207,6 @@ class TrafficSource
     /** Packets currently queued across both classes. */
     int depth() const { return ctrl_.depth + data_.depth; }
 
-    /** Control packets currently queued. */
-    int ctrlDepth() const { return ctrl_.depth; }
-
     /** True if a control packet is waiting (the urgency flag). */
     bool controlBacklogged() const { return ctrl_.depth > 0; }
 

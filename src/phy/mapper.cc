@@ -103,7 +103,7 @@ tableOf(Modulation mod)
 } // namespace
 
 Mapper::Mapper(Modulation mod_)
-    : mod(mod_), n_bpsc(bitsPerSubcarrier(mod_)), k_mod(kmodOf(mod_)),
+    : mod(mod_), n_bpsc(bitsPerSubcarrier(mod_)),
       points(tableOf(mod_).data())
 {}
 

@@ -31,16 +31,10 @@ class Mapper
     /** Modulation handled. */
     Modulation modulation() const { return mod; }
 
-    /** Bits consumed per symbol. */
-    int bitsPerSymbol() const { return n_bpsc; }
-
-    /** Normalization factor K_mod. */
-    double kmod() const { return k_mod; }
-
     /**
      * Map @p n_bpsc bits (MSB first) to one constellation point: a
      * lookup into the modulation's constellation table.
-     * @param bits Pointer to bitsPerSymbol() bits.
+     * @param bits Pointer to n_bpsc bits.
      */
     Sample
     map(const Bit *bits) const
@@ -63,7 +57,6 @@ class Mapper
   private:
     Modulation mod;
     int n_bpsc;
-    double k_mod;
     /** The process-wide constellation of mod, by bit pattern. */
     const Sample *points;
 };

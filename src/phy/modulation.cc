@@ -55,20 +55,6 @@ codeRateName(CodeRate r)
 }
 
 double
-codeRateValue(CodeRate r)
-{
-    switch (r) {
-      case CodeRate::R12:
-        return 0.5;
-      case CodeRate::R23:
-        return 2.0 / 3.0;
-      case CodeRate::R34:
-        return 0.75;
-    }
-    wilis_panic("bad code rate %d", static_cast<int>(r));
-}
-
-double
 modulationLlrScale(Modulation m)
 {
     // LLR = 4 * Es/N0 * d(y) / sqrt(norm), where norm is the average-
@@ -114,15 +100,6 @@ rateTable(RateIndex idx)
     wilis_assert(idx >= 0 && idx < kNumRates, "rate index %d out of "
                  "range", idx);
     return rate_table[static_cast<size_t>(idx)];
-}
-
-std::vector<RateIndex>
-allRates()
-{
-    std::vector<RateIndex> v;
-    for (int i = 0; i < kNumRates; ++i)
-        v.push_back(i);
-    return v;
 }
 
 } // namespace phy

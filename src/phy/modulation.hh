@@ -9,7 +9,6 @@
 #define WILIS_PHY_MODULATION_HH
 
 #include <string>
-#include <vector>
 
 namespace wilis {
 namespace phy {
@@ -45,9 +44,6 @@ std::string modulationName(Modulation m);
 /** Human-readable code-rate name ("1/2" etc.). */
 std::string codeRateName(CodeRate r);
 
-/** Code rate as a fraction. */
-double codeRateValue(CodeRate r);
-
 /**
  * Demapper LLR scaling constant S_modulation of eqs. 3/5: the factor
  * relating the simplified distance metric to a true LLR at unit SNR.
@@ -82,9 +78,6 @@ constexpr int kNumRates = 8;
 
 /** The 802.11a/g rate table in increasing-speed order. */
 const RateParams &rateTable(RateIndex idx);
-
-/** All rates, for sweeps. */
-std::vector<RateIndex> allRates();
 
 } // namespace phy
 } // namespace wilis

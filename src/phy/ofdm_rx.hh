@@ -89,8 +89,8 @@ class OfdmReceiver
      * makes this path allocation-free end to end (the decoder keeps
      * its scratch in members).
      * @param samples      Received time-domain samples.
-     * @param payload_bits Expected payload length in bits (from the
-     *                     PLCP header in a real system).
+     * @param payload_bits Expected payload length in bits (known to
+     *                     the receiver: no header is decoded).
      * @param csi          Channel providing per-symbol gains for
      *                     equalization; nullptr = unity gain.
      * @param packet_index Packet index for CSI lookup.

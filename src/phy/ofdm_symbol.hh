@@ -84,12 +84,6 @@ class PilotTracker
      */
     void insertPilots(SampleSpan bins);
 
-    /** Advance past one symbol without inserting (receiver side). */
-    void skipSymbol() { ++symbol_index; }
-
-    /** Current symbol index within the packet. */
-    int symbolIndex() const { return symbol_index; }
-
   private:
     int symbol_index = 0;
 };

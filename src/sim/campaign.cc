@@ -240,7 +240,7 @@ RunReport
 RunReport::fromJsonText(const std::string &text,
                         const std::string &what)
 {
-    const json::JsonValue v = json::JsonValue::parse(text);
+    const json::JsonValue v = json::JsonValue::parse(text, what);
     const std::string schema = v.at("schema").asString();
     wilis_fatal_if(schema != kSchema,
                    "%s: schema '%s' is not a campaign report",

@@ -106,11 +106,11 @@ struct McSoaCache {
     // ~1e-12 wide); bounded by kH2MemoBytes, slots past h2Slots
     // fall back to the per-run memo. Within a run each user's
     // entries are written by the one worker that owns its cell, so
-    // access is race-free.
+    // access is race-free. An entry not yet computed holds -1.0,
+    // which std::norm never returns.
     static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
     std::uint64_t h2Slots = 0;      // slots covered by the memo
     std::vector<double> h2;         // [slot * users + user]
-    std::vector<std::uint8_t> h2Known;
 };
 
 namespace {
@@ -548,8 +548,7 @@ runMulticellSoa(
             1, McSoaCache::kH2MemoBytes / (8 * users64));
         const std::uint64_t want = std::min(slots, cap);
         if (want > cache.h2Slots) {
-            cache.h2.resize(want * users64);
-            cache.h2Known.resize(want * users64, 0);
+            cache.h2.resize(want * users64, -1.0);
             cache.h2Slots = want;
         }
     }
@@ -684,12 +683,10 @@ runMulticellSoa(
         const size_t s = static_cast<size_t>(i);
         if (t < cache.h2Slots) {
             const size_t e = static_cast<size_t>(t) * nu + s;
-            if (!cache.h2Known[e]) {
+            if (cache.h2[e] < 0.0)
                 cache.h2[e] = std::norm(cache.faders[s].gainAt(
                     static_cast<double>(t) *
                     spec.frameIntervalUs));
-                cache.h2Known[e] = 1;
-            }
             return cache.h2[e];
         }
         if (h2slot[s] != t || !h2valid[s]) {

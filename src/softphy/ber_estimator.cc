@@ -100,24 +100,12 @@ BerEstimator::setRateTable(phy::RateIndex rate, BerTable table)
     rate_present[static_cast<size_t>(rate)] = true;
 }
 
-bool
-BerEstimator::hasRateTable(phy::RateIndex rate) const
-{
-    return rate_present[static_cast<size_t>(rate)];
-}
-
 const BerTable &
 BerEstimator::tableForRate(phy::RateIndex rate) const
 {
     wilis_assert(rate_present[static_cast<size_t>(rate)],
                  "no BER table calibrated for rate %d", rate);
     return rate_tables[static_cast<size_t>(rate)];
-}
-
-double
-BerEstimator::perBitBerForRate(phy::RateIndex rate, double hint) const
-{
-    return tableForRate(rate).lookup(hint);
 }
 
 double

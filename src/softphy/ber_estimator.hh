@@ -96,12 +96,6 @@ class BerEstimator
     /** Install the table for @p rate (per-rate dispatch). */
     void setRateTable(phy::RateIndex rate, BerTable table);
 
-    /** True if a per-rate table is installed for @p rate. */
-    bool hasRateTable(phy::RateIndex rate) const;
-
-    /** Per-bit BER under per-rate dispatch. */
-    double perBitBerForRate(phy::RateIndex rate, double hint) const;
-
     /** Per-packet BER under per-rate dispatch. */
     double packetBerForRate(phy::RateIndex rate,
                             std::span<const SoftDecision> soft) const;

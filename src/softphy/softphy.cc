@@ -153,13 +153,6 @@ midBandSnrDbForRate(phy::RateIndex rate)
     return snr[static_cast<size_t>(rate)];
 }
 
-BerTable
-calibrateRateTable(phy::RateIndex rate, const CalibrationSpec &spec)
-{
-    return fitTable(measureLlrCurve(rate, midBandSnrDbForRate(rate), spec),
-                    rate, spec);
-}
-
 BerEstimator
 calibrateRateEstimator(const CalibrationSpec &spec)
 {

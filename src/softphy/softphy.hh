@@ -72,10 +72,6 @@ BerEstimator calibrateEstimator(const CalibrationSpec &spec);
  */
 double midBandSnrDbForRate(phy::RateIndex rate);
 
-/** Calibrate the level-two table for one specific rate. */
-BerTable calibrateRateTable(phy::RateIndex rate,
-                            const CalibrationSpec &spec);
-
 /**
  * Build an estimator with all eight per-rate tables (the refinement
  * used by the SoftRate experiment; see BerEstimator docs).

@@ -337,6 +337,25 @@ TEST(CampaignDeath, WrongTypedReportFieldExitsCleanly)
     std::remove(path.c_str());
 }
 
+TEST(CampaignDeath, TruncatedReportFileNamesItself)
+{
+    // A shard report cut short on disk is a clean exit(1) whose
+    // message names the file, so a --shards run says which worker's
+    // report to look at.
+    RunReport rep;
+    rep.kind = "network";
+    rep.slots = 40;
+    rep.unitsTotal = 1;
+    const std::string text = rep.toJsonText();
+    const std::string path =
+        ::testing::TempDir() + "wilis_truncated_report.json";
+    std::ofstream(path) << text.substr(0, text.size() / 2);
+    EXPECT_EXIT(RunReport::load(path), testing::ExitedWithCode(1),
+                "fatal: [^\n]*wilis_truncated_report\\.json: "
+                "malformed JSON at byte");
+    std::remove(path.c_str());
+}
+
 TEST(CampaignDeath, HistogramCountsOffTheirTotalExitCleanly)
 {
     // A histogram whose counts do not add up to its total is a

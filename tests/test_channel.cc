@@ -15,10 +15,8 @@
 #include "channel/awgn.hh"
 #include "channel/fading.hh"
 #include "channel/multipath.hh"
-#include "common/random.hh"
 #include "common/stats.hh"
 #include "phy/ofdm_symbol.hh"
-#include "phy/plcp.hh"
 
 using namespace wilis;
 using namespace wilis::channel;
@@ -282,18 +280,6 @@ TEST(ChannelCsi, MultipathEvaluatesTheTapSumPerBin)
         expectBinGainsMatch(ch, old_bin_gain);
         EXPECT_EQ(ch.gain(5, 2), old_bin_gain(5, 2, 0)) << cfg;
     }
-}
-
-TEST(ChannelCsi, StaticCsiCopiesItsBins)
-{
-    SplitMix64 rng(11);
-    SampleVec h(kBins);
-    for (auto &v : h)
-        v = Sample(rng.nextDouble() - 0.5, rng.nextDouble() - 0.5);
-    const phy::StaticCsi csi(h);
-    expectBinGainsMatch(csi, [&](std::uint64_t, int, int bin) {
-        return h[static_cast<size_t>(bin)];
-    });
 }
 
 TEST(ChannelSeeds, SeedsKeepTheirFull64BitRange)

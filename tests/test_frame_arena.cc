@@ -4,7 +4,8 @@
  * on it: bump allocation and reset semantics, block coalescing, and
  * the central tentpole claim -- a warmed-up Testbench::runFrame()
  * performs no heap allocations at all. The same counter checks the
- * proportional-fair pick's claim to allocate nothing once warm.
+ * proportional-fair pick's and the ARQ state machine's claims to
+ * allocate nothing once warm.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <new>
 
 #include "common/frame_arena.hh"
+#include "common/random.hh"
+#include "mac/arq.hh"
 #include "mac/scheduler.hh"
 #include "sim/scenario.hh"
 #include "sim/testbench.hh"
@@ -271,4 +274,52 @@ TEST(HotPathAllocations, PfPickWithIntervalsIsAllocationFree)
     for (int i = 0; i < 200; ++i)
         slot();
     EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(HotPathAllocations, ArqSteadyStateIsAllocationFree)
+{
+    // arq.hh's claim: with the delivery vector reserved, a warmed-up
+    // Arq allocates nothing in tick(), nextToSend() or
+    // onSendResult(), under either discipline, across NACKs,
+    // retransmissions and retry-budget drops.
+    for (mac::ArqMode mode :
+         {mac::ArqMode::SelectiveRepeat, mac::ArqMode::StopAndWait}) {
+        mac::Arq::Config cfg;
+        cfg.mode = mode;
+        cfg.window = 8;
+        cfg.ackDelaySlots = 2;
+        cfg.maxAttempts = 4;
+        mac::Arq arq(cfg);
+        std::vector<mac::Arq::Delivery> out;
+        out.reserve(static_cast<size_t>(cfg.window));
+        SplitMix64 rng(0xA59);
+        std::uint64_t t = 0;
+        std::uint64_t delivered = 0;
+        std::uint64_t dropped = 0;
+        auto slot = [&] {
+            out.clear();
+            arq.tick(t, out);
+            for (const mac::Arq::Delivery &d : out) {
+                if (d.dropped)
+                    ++dropped;
+                else
+                    ++delivered;
+            }
+            std::uint64_t seq = 0;
+            if (arq.nextToSend(t, seq))
+                arq.onSendResult(seq, rng.nextDouble() < 0.4);
+            ++t;
+        };
+        for (int i = 0; i < 64; ++i)
+            slot();
+        const std::uint64_t before =
+            g_news.load(std::memory_order_relaxed);
+        for (int i = 0; i < 2000; ++i)
+            slot();
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u)
+            << mac::arqModeName(mode);
+        // The pattern exercised both outcomes of a frame.
+        EXPECT_GT(delivered, 0u) << mac::arqModeName(mode);
+        EXPECT_GT(dropped, 0u) << mac::arqModeName(mode);
+    }
 }

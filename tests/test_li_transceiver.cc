@@ -275,7 +275,7 @@ TEST_P(LiTransceiverChannels, BitExactOverPerSymbolCsi)
     }
 }
 
-TEST(LiTransceiver, CrossDomainSynchronizersInserted)
+TEST(LiTransceiver, CrossDomainSyncFifosInserted)
 {
     LiTransceiver t(liSpec(2, "bcjr", "snr_db=10,seed=1"));
     // baseband->host, host->baseband, baseband->decoder.
