@@ -292,7 +292,7 @@ main(int argc, char **argv)
         for (const char *kind :
              {"round_robin", "proportional_fair"}) {
             sim::NetworkSpec spec = sim::networkPreset("grid-3x3");
-            spec.scheduler.kind = mac::schedulerKindFromName(kind);
+            spec.scheduler.kind = mac::kSchedulerKindNames.parse(kind);
             sim::NetworkResult res =
                 sim::NetworkSim(spec).run(slots, 4);
             const double goodput = res.aggregateGoodputMbps();
@@ -324,7 +324,7 @@ main(int argc, char **argv)
                 s.calibrationFile.clear();
             sim::NetworkSim sim(s);
             const double uslots = userSlotsPerSec(sim, slots, 4);
-            const char *name = sim::fidelityModeName(mode);
+            const char *name = sim::kFidelityModeNames.name(mode).data();
             if (mode == sim::FidelityMode::Full)
                 uslots_full = uslots;
             else

@@ -160,7 +160,7 @@ main(int argc, char **argv)
             frames_acc ? 100.0 * static_cast<double>(full_acc) /
                              static_cast<double>(frames_acc)
                        : 0.0;
-        const char *name = sim::fidelityModeName(mode);
+        const char *name = sim::kFidelityModeNames.name(mode).data();
         if (mode == sim::FidelityMode::Full)
             uslots_full = uslots;
         else if (mode == sim::FidelityMode::Analytic)

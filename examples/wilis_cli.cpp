@@ -221,22 +221,23 @@ printNetworkHeader(const sim::NetworkSpec &spec)
                     "(window %d), %.0f Hz Doppler, %s fidelity\n",
                     spec.name.c_str(), spec.topology.rows,
                     spec.topology.cols, spec.numUsers,
-                    mac::trafficKindName(spec.traffic.kind),
+                    mac::kTrafficKindNames.name(spec.traffic.kind).data(),
                     spec.traffic.load,
-                    mac::schedulerKindName(spec.scheduler.kind),
-                    mac::arqModeName(spec.arqMode), spec.arqWindow,
-                    spec.dopplerHz,
-                    sim::fidelityModeName(spec.fidelity.mode));
+                    mac::kSchedulerKindNames.name(spec.scheduler.kind)
+                        .data(),
+                    mac::kArqModeNames.name(spec.arqMode).data(),
+                    spec.arqWindow, spec.dopplerHz,
+                    sim::kFidelityModeNames.name(spec.fidelity.mode).data());
     else
         std::printf("network: %s — %d users, %s arrivals, %s ARQ "
                     "(window %d), %.0f Hz Doppler, SNR %g±%g dB, "
                     "%s fidelity\n",
                     spec.name.c_str(), spec.numUsers,
-                    spec.arrivalModel.c_str(),
-                    mac::arqModeName(spec.arqMode), spec.arqWindow,
-                    spec.dopplerHz, spec.link.snrDb(),
+                    sim::kArrivalModelNames.name(spec.arrivalModel).data(),
+                    mac::kArqModeNames.name(spec.arqMode).data(),
+                    spec.arqWindow, spec.dopplerHz, spec.link.snrDb(),
                     spec.snrSpreadDb,
-                    sim::fidelityModeName(spec.fidelity.mode));
+                    sim::kFidelityModeNames.name(spec.fidelity.mode).data());
 }
 
 /**

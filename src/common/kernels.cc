@@ -69,11 +69,10 @@ initialTable()
 {
     Backend chosen = widestSupported();
     const char *env = std::getenv("WILIS_KERNEL_BACKEND");
-    if (env && *env) {
-        Backend requested;
-        if (!parseBackend(env, &requested)) {
-            // "auto" (or empty) keeps the widest-supported default.
-        } else if (!backendSupported(requested)) {
+    // "auto" (or empty) keeps the widest-supported default.
+    if (env && *env && std::string_view(env) != "auto") {
+        const Backend requested = kBackendNames.parse(env);
+        if (!backendSupported(requested)) {
             wilis_warn("WILIS_KERNEL_BACKEND=%s unsupported on this "
                       "host (%s); using %s",
                       env, cpu::featureString().c_str(),
@@ -113,29 +112,7 @@ activeTable()
 const char *
 backendName(Backend b)
 {
-    switch (b) {
-      case Backend::Scalar:
-        return "scalar";
-      case Backend::Avx2:
-        return "avx2";
-    }
-    return "?";
-}
-
-bool
-parseBackend(const std::string &name, Backend *out)
-{
-    if (name == "scalar")
-        *out = Backend::Scalar;
-    else if (name == "avx2")
-        *out = Backend::Avx2;
-    else if (name == "auto" || name.empty())
-        return false;
-    else
-        wilis_fatal("unknown kernel backend '%s' "
-                    "(auto|scalar|avx2)",
-                    name.c_str());
-    return true;
+    return kBackendNames.name(b).data();
 }
 
 const Ops &

@@ -29,9 +29,9 @@
 #define WILIS_COMMON_KERNELS_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/types.hh"
 
 namespace wilis {
@@ -45,14 +45,12 @@ enum class Backend {
     Avx2 = 1,
 };
 
+/** Registry names of Backend. */
+inline constexpr auto kBackendNames = nameTable<Backend>(
+    "kernel backend", {{Backend::Scalar, "scalar"}, {Backend::Avx2, "avx2"}});
+
 /** Registry name of a backend ("scalar", "avx2"). */
 const char *backendName(Backend b);
-
-/**
- * Parse a backend name ("scalar", "avx2"); any other name is fatal.
- * "auto" and "" return no value (meaning: best supported).
- */
-bool parseBackend(const std::string &name, Backend *out);
 
 /**
  * Trellis structure handed to the ACS kernels as flat i32 arrays (one
@@ -143,8 +141,6 @@ struct PerTableView {
 struct Ops {
     /** Which backend this table implements. */
     Backend backend;
-    /** Registry name, e.g. "avx2". */
-    const char *name;
 
     /**
      * Forward add-compare-select over all states: pm_out[s] =

@@ -906,7 +906,6 @@ inline constexpr Backend kBackend = Backend::Scalar;
 
 inline const Ops kOps = {
     kBackend,
-    simd::WILIS_SIMD_NS::kLevelName,
     &acsForwardKernel,
     &bcjrMaxLogKernel,
     &normalizeMetricsKernel,

@@ -48,13 +48,6 @@ namespace wilis {
 namespace simd {
 namespace WILIS_SIMD_NS {
 
-/** Human-readable name of this compilation level. */
-#if WILIS_SIMD_LEVEL == 2
-inline constexpr const char *kLevelName = "avx2";
-#else
-inline constexpr const char *kLevelName = "scalar";
-#endif
-
 // ------------------------------------------------------------- VecF64
 
 /** Packed f64 lanes (1 / 4 by level). */

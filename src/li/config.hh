@@ -7,7 +7,8 @@
  *
  * Below it sits the one range-check path: key lists (the spec keys,
  * each channel's and decoder's Params) declare (name, field, check)
- * once, and ApplyKeys parses a config through them.
+ * once, and ApplyKeys parses a config through them. An enum key's
+ * check is its name table (common/names.hh).
  */
 
 #ifndef WILIS_LI_CONFIG_HH
@@ -21,6 +22,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/names.hh"
 
 namespace wilis {
 namespace li {
@@ -117,13 +119,6 @@ within(T lo, T hi)
     return {.lo = lo, .hi = hi};
 }
 
-/** An enum key's config-file names, both ways (fatal on unknown). */
-template <typename E>
-struct Names {
-    const char *(*name)(E);
-    E (*parse)(const std::string &);
-};
-
 /** No constraint beyond what the field's type can hold. */
 struct NoCheck {};
 
@@ -209,12 +204,12 @@ class ApplyKeys
         const std::string full = prefix + key;
         if (!cfg.has(full))
             return false;
-        static_assert(std::is_same_v<Check, Names<T>> ||
+        static_assert(NameTableOf<Check, T> ||
                           std::is_same_v<Check, Range<T>> ||
                           std::is_same_v<Check, NoCheck> ||
                           std::is_same_v<Check, Optional>,
                       "key check does not match the field type");
-        if constexpr (std::is_same_v<Check, Names<T>>)
+        if constexpr (NameTableOf<Check, T>)
             field = check.parse(cfg.getString(full));
         else if constexpr (std::is_same_v<T, std::string>)
             field = cfg.getString(full);

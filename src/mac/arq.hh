@@ -13,10 +13,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/names.hh"
 #include "common/snapshot.hh"
 
 namespace wilis {
@@ -33,24 +33,12 @@ enum class ArqMode {
     SelectiveRepeat,
 };
 
-/** Config-file name of @p mode ("stopwait" / "selective"). */
-inline const char *
-arqModeName(ArqMode mode)
-{
-    return mode == ArqMode::StopAndWait ? "stopwait" : "selective";
-}
-
-/** Inverse of arqModeName(); fatal on unknown names. */
-inline ArqMode
-arqModeFromName(const std::string &name)
-{
-    if (name == "stopwait" || name == "stop-and-wait")
-        return ArqMode::StopAndWait;
-    if (name == "selective" || name == "selective-repeat")
-        return ArqMode::SelectiveRepeat;
-    wilis_fatal("unknown ARQ mode '%s' (stopwait|selective)",
-                name.c_str());
-}
+/** Config-file names of ArqMode. */
+inline constexpr auto kArqModeNames = nameTable<ArqMode>(
+    "ARQ mode", {{ArqMode::StopAndWait, "stopwait"},
+                 {ArqMode::SelectiveRepeat, "selective"},
+                 {ArqMode::StopAndWait, "stop-and-wait"},
+                 {ArqMode::SelectiveRepeat, "selective-repeat"}});
 
 /**
  * Sequence-number ARQ state machine for a slotted link.

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <optional>
 #include <string_view>
 #include <tuple>
@@ -22,11 +21,6 @@ namespace {
 const char *const kHeader = "# wilis packet trace v1";
 const char *const kColumns = "# slot cell user class seq event "
                              "arg0 arg1";
-
-/** Trace-file event names, indexed by PacketEvent. */
-constexpr std::string_view kEventNames[] = {
-    "enq", "qdrop", "grant", "tx", "ack", "expire", "ho", "join",
-    "leave"};
 
 /**
  * Longest line formatEntry() writes: six integer columns of at most
@@ -55,35 +49,6 @@ constexpr std::ptrdiff_t kInsertionMax = 32;
 
 using Entry = PacketTrace::Entry;
 static_assert(sizeof(Entry) == 48, "trace entries pack into 48 bytes");
-
-/** The trace-file name of @p ev; "?" outside the enum. */
-std::string_view
-eventName(PacketEvent ev)
-{
-    const auto i = static_cast<size_t>(ev);
-    return i < std::size(kEventNames) ? kEventNames[i] : "?";
-}
-
-/** The event named @p name, or nullopt for an unknown name. */
-std::optional<PacketEvent>
-findEvent(std::string_view name)
-{
-    const auto *it =
-        std::find(std::begin(kEventNames), std::end(kEventNames), name);
-    if (it == std::end(kEventNames))
-        return std::nullopt;
-    return static_cast<PacketEvent>(it - std::begin(kEventNames));
-}
-
-/** The traffic class named @p name, or nullopt for an unknown name. */
-std::optional<TrafficClass>
-findClass(std::string_view name)
-{
-    for (TrafficClass c : {TrafficClass::Control, TrafficClass::Data})
-        if (name == trafficClassName(c))
-            return c;
-    return std::nullopt;
-}
 
 /** Append @p name at @p p; returns the end. */
 char *
@@ -125,10 +90,10 @@ formatEntry(char *p, const Entry &e)
     p = putInt(p, e.slot, ' ');
     p = putInt(p, e.cell, ' ');
     p = putInt(p, e.user, ' ');
-    p = putName(p, trafficClassName(e.cls));
+    p = putName(p, kTrafficClassNames.name(e.cls));
     *p++ = ' ';
     p = putInt(p, e.seq, ' ');
-    p = putName(p, eventName(e.event));
+    p = putName(p, kPacketEventNames.name(e.event));
     *p++ = ' ';
     p = putInt(p, e.arg0, ' ');
     return putInt(p, e.arg1, '\n');
@@ -312,12 +277,14 @@ parseEntry(std::string_view line, const std::string &path, int lineno)
                 std::string(e.cell < 0 ? "cell" : "user") +
                     " id is negative");
 
-    const std::optional<TrafficClass> cls = findClass(field[3]);
+    const std::optional<TrafficClass> cls =
+        kTrafficClassNames.find(field[3]);
     if (!cls)
         badLine(path, lineno, line,
                 "unknown traffic class '" + std::string(field[3]) +
                     "' (ctrl|data)");
-    const std::optional<PacketEvent> ev = findEvent(field[5]);
+    const std::optional<PacketEvent> ev =
+        kPacketEventNames.find(field[5]);
     if (!ev)
         badLine(path, lineno, line,
                 "unknown packet event '" + std::string(field[5]) + "'");
@@ -327,22 +294,6 @@ parseEntry(std::string_view line, const std::string &path, int lineno)
 }
 
 } // namespace
-
-const char *
-packetEventName(PacketEvent ev)
-{
-    return eventName(ev).data();
-}
-
-PacketEvent
-packetEventFromName(const std::string &name)
-{
-    if (const std::optional<PacketEvent> ev = findEvent(name))
-        return *ev;
-    wilis_fatal("unknown packet event '%s' "
-                "(enq|qdrop|grant|tx|ack|expire|ho|join|leave)",
-                name.c_str());
-}
 
 PacketTrace::PacketTrace(int shards)
 {
@@ -655,10 +606,10 @@ PacketTrace::loadState(SnapshotReader &r, int cells, int users)
             e.user = static_cast<std::int32_t>(
                 r.i64In(0, users, "trace entry user"));
             e.cls = static_cast<TrafficClass>(
-                r.u8Below(kNumTrafficClasses, "trace entry class"));
+                r.u8Below(kTrafficClassNames.values, "trace entry class"));
             e.seq = r.u64();
             e.event = static_cast<PacketEvent>(
-                r.u8Below(kNumPacketEvents, "trace entry event"));
+                r.u8Below(kPacketEventNames.values, "trace entry event"));
             e.arg0 = r.i64();
             e.arg1 = r.i64();
             record(static_cast<int>(shard), e);

@@ -95,15 +95,14 @@ enum class PacketEvent : std::uint8_t {
     Leave,
 };
 
-/** Number of PacketEvent values. */
-constexpr unsigned kNumPacketEvents =
-    static_cast<unsigned>(PacketEvent::Leave) + 1;
-
-/** Trace-file name of @p ev ("enq", "qdrop", "grant", ...). */
-const char *packetEventName(PacketEvent ev);
-
-/** Inverse of packetEventName(); fatal on unknown names. */
-PacketEvent packetEventFromName(const std::string &name);
+/** Trace-file names of PacketEvent. */
+inline constexpr auto kPacketEventNames = nameTable<PacketEvent>(
+    "packet event",
+    {{PacketEvent::Enqueue, "enq"}, {PacketEvent::QueueDrop, "qdrop"},
+     {PacketEvent::Grant, "grant"}, {PacketEvent::Tx, "tx"},
+     {PacketEvent::Ack, "ack"}, {PacketEvent::Expire, "expire"},
+     {PacketEvent::Handover, "ho"}, {PacketEvent::Join, "join"},
+     {PacketEvent::Leave, "leave"}});
 
 /**
  * The per-packet event log. Thread contract: record() calls must be

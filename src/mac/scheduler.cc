@@ -10,47 +10,6 @@
 namespace wilis {
 namespace mac {
 
-const char *
-schedulerKindName(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::RoundRobin:
-        return "round_robin";
-      case SchedulerKind::ProportionalFair:
-        return "proportional_fair";
-    }
-    return "?";
-}
-
-SchedulerKind
-schedulerKindFromName(const std::string &name)
-{
-    if (name == "round_robin" || name == "rr")
-        return SchedulerKind::RoundRobin;
-    if (name == "proportional_fair" || name == "pf")
-        return SchedulerKind::ProportionalFair;
-    wilis_fatal("unknown scheduler '%s' "
-                "(round_robin|proportional_fair)",
-                name.c_str());
-}
-
-const char *
-contentionModeName(ContentionMode mode)
-{
-    return mode == ContentionMode::Fixed ? "fixed" : "none";
-}
-
-ContentionMode
-contentionModeFromName(const std::string &name)
-{
-    if (name == "none")
-        return ContentionMode::None;
-    if (name == "fixed")
-        return ContentionMode::Fixed;
-    wilis_fatal("unknown contention mode '%s' (none|fixed)",
-                name.c_str());
-}
-
 CellScheduler::CellScheduler(const Config &cfg, int num_users)
     : cfg_(cfg), num_users_(num_users)
 {

@@ -26,9 +26,9 @@
 #define WILIS_MAC_SCHEDULER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/snapshot.hh"
 
 namespace wilis {
@@ -42,11 +42,12 @@ enum class SchedulerKind {
     ProportionalFair,
 };
 
-/** Config-file name ("round_robin" / "proportional_fair"). */
-const char *schedulerKindName(SchedulerKind kind);
-
-/** Inverse of schedulerKindName(); fatal on unknown names. */
-SchedulerKind schedulerKindFromName(const std::string &name);
+/** Config-file names of SchedulerKind. */
+inline constexpr auto kSchedulerKindNames = nameTable<SchedulerKind>(
+    "scheduler", {{SchedulerKind::RoundRobin, "round_robin"},
+                  {SchedulerKind::ProportionalFair, "proportional_fair"},
+                  {SchedulerKind::RoundRobin, "rr"},
+                  {SchedulerKind::ProportionalFair, "pf"}});
 
 /**
  * Medium-contention model of a cell (per LL-SimpleWireless's fixed
@@ -64,11 +65,10 @@ enum class ContentionMode {
     Fixed,
 };
 
-/** Config-file name ("none" / "fixed"). */
-const char *contentionModeName(ContentionMode mode);
-
-/** Inverse of contentionModeName(); fatal on unknown names. */
-ContentionMode contentionModeFromName(const std::string &name);
+/** Config-file names of ContentionMode. */
+inline constexpr auto kContentionModeNames = nameTable<ContentionMode>(
+    "contention mode",
+    {{ContentionMode::None, "none"}, {ContentionMode::Fixed, "fixed"}});
 
 /** An interval lo <= rate <= hi around a user's exact rate. */
 struct RateInterval {

@@ -7,68 +7,6 @@
 namespace wilis {
 namespace mac {
 
-const char *
-trafficKindName(TrafficKind kind)
-{
-    switch (kind) {
-      case TrafficKind::FullBuffer:
-        return "full_buffer";
-      case TrafficKind::Poisson:
-        return "poisson";
-      case TrafficKind::OnOff:
-        return "onoff";
-    }
-    return "?";
-}
-
-TrafficKind
-trafficKindFromName(const std::string &name)
-{
-    if (name == "full_buffer")
-        return TrafficKind::FullBuffer;
-    if (name == "poisson")
-        return TrafficKind::Poisson;
-    if (name == "onoff")
-        return TrafficKind::OnOff;
-    wilis_fatal("unknown traffic model '%s' "
-                "(full_buffer|poisson|onoff)",
-                name.c_str());
-}
-
-const char *
-trafficClassName(TrafficClass cls)
-{
-    return cls == TrafficClass::Control ? "ctrl" : "data";
-}
-
-const char *
-qdiscKindName(QdiscKind kind)
-{
-    switch (kind) {
-      case QdiscKind::Fifo:
-        return "fifo";
-      case QdiscKind::StrictPriority:
-        return "priority";
-      case QdiscKind::DropHead:
-        return "drop_head";
-    }
-    return "?";
-}
-
-QdiscKind
-qdiscKindFromName(const std::string &name)
-{
-    if (name == "fifo")
-        return QdiscKind::Fifo;
-    if (name == "priority" || name == "strict_priority")
-        return QdiscKind::StrictPriority;
-    if (name == "drop_head")
-        return QdiscKind::DropHead;
-    wilis_fatal("unknown queue discipline '%s' "
-                "(fifo|priority|drop_head)",
-                name.c_str());
-}
-
 TrafficSource::TrafficSource(const TrafficSpec &spec,
                              std::uint64_t stream_seed)
     : spec_(spec), rng_(stream_seed),
@@ -278,7 +216,7 @@ loadRing(SnapshotReader &r, int &depth, int &head,
         p.arrival = r.u64();
         p.seq = r.u64();
         p.cls = static_cast<TrafficClass>(
-            r.u8Below(kNumTrafficClasses, "packet class"));
+            r.u8Below(kTrafficClassNames.values, "packet class"));
     }
 }
 

@@ -31,10 +31,10 @@
 #define WILIS_MAC_TRAFFIC_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/names.hh"
 #include "common/random.hh"
 #include "common/snapshot.hh"
 
@@ -53,11 +53,11 @@ enum class TrafficKind {
     OnOff,
 };
 
-/** Config-file name ("full_buffer" / "poisson" / "onoff"). */
-const char *trafficKindName(TrafficKind kind);
-
-/** Inverse of trafficKindName(); fatal on unknown names. */
-TrafficKind trafficKindFromName(const std::string &name);
+/** Config-file names of TrafficKind. */
+inline constexpr auto kTrafficKindNames = nameTable<TrafficKind>(
+    "traffic model", {{TrafficKind::FullBuffer, "full_buffer"},
+                      {TrafficKind::Poisson, "poisson"},
+                      {TrafficKind::OnOff, "onoff"}});
 
 /** Traffic class of one packet. */
 enum class TrafficClass : std::uint8_t {
@@ -67,12 +67,10 @@ enum class TrafficClass : std::uint8_t {
     Data,
 };
 
-/** Number of TrafficClass values. */
-constexpr unsigned kNumTrafficClasses =
-    static_cast<unsigned>(TrafficClass::Data) + 1;
-
-/** Trace-file name of @p cls ("ctrl" / "data"). */
-const char *trafficClassName(TrafficClass cls);
+/** Trace-file names of TrafficClass. */
+inline constexpr auto kTrafficClassNames = nameTable<TrafficClass>(
+    "traffic class",
+    {{TrafficClass::Control, "ctrl"}, {TrafficClass::Data, "data"}});
 
 /** Queue discipline of the shared bounded packet queue. */
 enum class QdiscKind {
@@ -92,11 +90,12 @@ enum class QdiscKind {
     DropHead,
 };
 
-/** Config-file name ("fifo" / "priority" / "drop_head"). */
-const char *qdiscKindName(QdiscKind kind);
-
-/** Inverse of qdiscKindName(); fatal on unknown names. */
-QdiscKind qdiscKindFromName(const std::string &name);
+/** Config-file names of QdiscKind. */
+inline constexpr auto kQdiscKindNames = nameTable<QdiscKind>(
+    "queue discipline", {{QdiscKind::Fifo, "fifo"},
+                         {QdiscKind::StrictPriority, "priority"},
+                         {QdiscKind::DropHead, "drop_head"},
+                         {QdiscKind::StrictPriority, "strict_priority"}});
 
 /** Declarative traffic-model parameters (per user). */
 struct TrafficSpec {

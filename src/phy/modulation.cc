@@ -24,36 +24,6 @@ bitsPerSubcarrier(Modulation m)
     wilis_panic("bad modulation %d", static_cast<int>(m));
 }
 
-std::string
-modulationName(Modulation m)
-{
-    switch (m) {
-      case Modulation::BPSK:
-        return "BPSK";
-      case Modulation::QPSK:
-        return "QPSK";
-      case Modulation::QAM16:
-        return "QAM-16";
-      case Modulation::QAM64:
-        return "QAM-64";
-    }
-    wilis_panic("bad modulation %d", static_cast<int>(m));
-}
-
-std::string
-codeRateName(CodeRate r)
-{
-    switch (r) {
-      case CodeRate::R12:
-        return "1/2";
-      case CodeRate::R23:
-        return "2/3";
-      case CodeRate::R34:
-        return "3/4";
-    }
-    wilis_panic("bad code rate %d", static_cast<int>(r));
-}
-
 double
 modulationLlrScale(Modulation m)
 {
@@ -75,8 +45,9 @@ modulationLlrScale(Modulation m)
 std::string
 RateParams::name() const
 {
-    return strprintf("%s %s (%g Mbps)", modulationName(modulation).c_str(),
-                     codeRateName(codeRate).c_str(), lineRateMbps);
+    return strprintf("%s %s (%g Mbps)",
+                     kModulationNames.name(modulation).data(),
+                     kCodeRateNames.name(codeRate).data(), lineRateMbps);
 }
 
 namespace {

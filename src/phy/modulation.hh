@@ -10,6 +10,8 @@
 
 #include <string>
 
+#include "common/names.hh"
+
 namespace wilis {
 namespace phy {
 
@@ -38,11 +40,17 @@ enum class CodeRate {
 /** Number of coded bits carried per subcarrier (N_BPSC). */
 int bitsPerSubcarrier(Modulation m);
 
-/** Human-readable modulation name ("QAM-16" etc.). */
-std::string modulationName(Modulation m);
+/** Human-readable modulation names. */
+inline constexpr auto kModulationNames = nameTable<Modulation>(
+    "modulation", {{Modulation::BPSK, "BPSK"},
+                   {Modulation::QPSK, "QPSK"},
+                   {Modulation::QAM16, "QAM-16"},
+                   {Modulation::QAM64, "QAM-64"}});
 
-/** Human-readable code-rate name ("1/2" etc.). */
-std::string codeRateName(CodeRate r);
+/** Human-readable code-rate names. */
+inline constexpr auto kCodeRateNames = nameTable<CodeRate>(
+    "code rate",
+    {{CodeRate::R12, "1/2"}, {CodeRate::R23, "2/3"}, {CodeRate::R34, "3/4"}});
 
 /**
  * Demapper LLR scaling constant S_modulation of eqs. 3/5: the factor

@@ -6,33 +6,6 @@
 namespace wilis {
 namespace sim {
 
-const char *
-fidelityModeName(FidelityMode mode)
-{
-    switch (mode) {
-      case FidelityMode::Full:
-        return "full";
-      case FidelityMode::Analytic:
-        return "analytic";
-      case FidelityMode::Auto:
-        return "auto";
-    }
-    return "?";
-}
-
-FidelityMode
-fidelityModeFromName(const std::string &name)
-{
-    if (name == "full")
-        return FidelityMode::Full;
-    if (name == "analytic")
-        return FidelityMode::Analytic;
-    if (name == "auto")
-        return FidelityMode::Auto;
-    wilis_fatal("unknown fidelity mode '%s' (full|analytic|auto)",
-                name.c_str());
-}
-
 bool
 FidelityPolicy::fullPhySlot(std::uint64_t t) const
 {

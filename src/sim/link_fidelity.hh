@@ -34,8 +34,8 @@
 #define WILIS_SIM_LINK_FIDELITY_HH
 
 #include <cstdint>
-#include <string>
 
+#include "common/names.hh"
 #include "common/random.hh"
 #include "phy/modulation.hh"
 
@@ -67,11 +67,11 @@ enum class FidelityMode {
     Auto = 2,
 };
 
-/** Config-file name of @p mode ("full" / "analytic" / "auto"). */
-const char *fidelityModeName(FidelityMode mode);
-
-/** Inverse of fidelityModeName(); fatal on unknown names. */
-FidelityMode fidelityModeFromName(const std::string &name);
+/** Config-file names of FidelityMode. */
+inline constexpr auto kFidelityModeNames = nameTable<FidelityMode>(
+    "fidelity mode", {{FidelityMode::Full, "full"},
+                      {FidelityMode::Analytic, "analytic"},
+                      {FidelityMode::Auto, "auto"}});
 
 /**
  * Per-link fidelity selection, threaded through sim::NetworkSpec.

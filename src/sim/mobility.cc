@@ -28,38 +28,6 @@ constexpr double kEpochTravelM = 5.0;
 
 } // namespace
 
-const char *
-mobilityModelName(MobilityModel model)
-{
-    switch (model) {
-      case MobilityModel::None:
-        return "none";
-      case MobilityModel::Line:
-        return "line";
-      case MobilityModel::Orbit:
-        return "orbit";
-      case MobilityModel::Waypoint:
-        return "waypoint";
-    }
-    return "?";
-}
-
-MobilityModel
-mobilityModelFromName(const std::string &name)
-{
-    if (name == "none")
-        return MobilityModel::None;
-    if (name == "line")
-        return MobilityModel::Line;
-    if (name == "orbit")
-        return MobilityModel::Orbit;
-    if (name == "waypoint")
-        return MobilityModel::Waypoint;
-    wilis_fatal("unknown mobility model '%s' "
-                "(none|line|orbit|waypoint)",
-                name.c_str());
-}
-
 MobilityRuntime::MobilityRuntime(const MobilitySpec &spec,
                                  const Topology &topo,
                                  std::uint64_t seed,
@@ -75,7 +43,8 @@ MobilityRuntime::MobilityRuntime(const MobilitySpec &spec,
     wilis_assert(spec_.model == MobilityModel::None ||
                      spec_.speedMps > 0.0,
                  "mobility model '%s' needs speed_mps > 0, got %g",
-                 mobilityModelName(spec_.model), spec_.speedMps);
+                 kMobilityModelNames.name(spec_.model).data(),
+                 spec_.speedMps);
     wilis_assert(spec_.handoverHystDb >= 0.0,
                  "negative handover hysteresis %g dB",
                  spec_.handoverHystDb);

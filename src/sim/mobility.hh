@@ -43,9 +43,9 @@
 #define WILIS_SIM_MOBILITY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/snapshot.hh"
 #include "sim/topology.hh"
 
@@ -64,11 +64,11 @@ enum class MobilityModel {
     Waypoint,
 };
 
-/** Config-file name ("none" / "line" / "orbit" / "waypoint"). */
-const char *mobilityModelName(MobilityModel model);
-
-/** Inverse of mobilityModelName(); fatal on unknown names. */
-MobilityModel mobilityModelFromName(const std::string &name);
+/** Config-file names of MobilityModel. */
+inline constexpr auto kMobilityModelNames = nameTable<MobilityModel>(
+    "mobility model",
+    {{MobilityModel::None, "none"}, {MobilityModel::Line, "line"},
+     {MobilityModel::Orbit, "orbit"}, {MobilityModel::Waypoint, "waypoint"}});
 
 /** Declarative mobility / handover / churn parameters. */
 struct MobilitySpec {

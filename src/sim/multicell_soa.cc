@@ -356,7 +356,7 @@ loadTraceCtx(SnapshotReader &r, detail::TraceCtx &tc, int cells)
         p.pkt = r.u64();
         p.arrival = r.u64();
         p.cls = static_cast<mac::TrafficClass>(
-            r.u8Below(mac::kNumTrafficClasses, "packet class"));
+            r.u8Below(mac::kTrafficClassNames.values, "packet class"));
     }
 }
 

@@ -127,7 +127,7 @@ NetworkSim::ensureCalibration()
         calib = calibrationFor(spec_);
     wilis_assert(calib->valid(),
                  "fidelity mode '%s' needs a valid calibration table",
-                 fidelityModeName(spec_.fidelity.mode));
+                 kFidelityModeNames.name(spec_.fidelity.mode).data());
     // A table measured for a different frame geometry or receiver
     // still *runs*, but its error rates describe another link; warn
     // loudly instead of silently mis-modeling. The channel kind is
@@ -203,7 +203,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
     res.users.resize(static_cast<size_t>(spec_.numUsers));
 
     const size_t payload_bits = spec_.link.payloadBits;
-    const bool bernoulli = spec_.arrivalModel == "bernoulli";
+    const bool bernoulli = spec_.arrivalModel == ArrivalModel::Bernoulli;
 
     // One trace shard per user: each worker records into its own
     // lane, finalize() sorts into the canonical order, so the trace

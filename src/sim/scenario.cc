@@ -1,9 +1,11 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -29,7 +31,6 @@ namespace {
 
 using li::above;
 using li::atLeast;
-using li::Names;
 using li::Optional;
 using li::Range;
 using li::within;
@@ -68,7 +69,8 @@ visitScenarioKeys(S &s, V &v)
       Range<phy::RateIndex>{
           .lo = 0, .hi = phy::kNumRates - 1, .noun = "rate index"});
     v("channel", s.channel);
-    v("payload_bits", s.payloadBits, atLeast<size_t>(1));
+    // 4095 octets: the longest PSDU the 802.11a/g LENGTH field holds.
+    v("payload_bits", s.payloadBits, within<size_t>(1, 32760));
     v("payload_seed", s.payloadSeed);
     v("decoder", s.rx.decoder);
     v("soft_width", s.rx.demapper.softWidth, within(2, 24));
@@ -87,7 +89,7 @@ visitScenarioKeys(S &s, V &v)
  * prefix and the link shorthands are hand-written in
  * applyConfig()/toConfig(); so are the checks relating two keys
  * (pber_lo < pber_hi, min_distance_m < cell_radius_m, checkpoint_*
- * need checkpoint_file) and the arrival model's name.
+ * need checkpoint_file).
  */
 template <typename S, typename V>
 void
@@ -95,19 +97,19 @@ visitNetworkKeys(S &s, V &v)
 {
     v.section(KeyScope::Any);
     v("name", s.name);
-    v("users", s.numUsers, atLeast(1));
+    v("users", s.numUsers, within(1, 1 << 20));
     v("doppler_hz", s.dopplerHz, atLeast(0.0));
     v("frame_interval_us", s.frameIntervalUs, above(0.0));
-    v("arq", s.arqMode, Names{mac::arqModeName, mac::arqModeFromName});
-    v("arq_window", s.arqWindow, atLeast(1));
+    v("arq", s.arqMode, mac::kArqModeNames);
+    // Half of a 12-bit sequence space.
+    v("arq_window", s.arqWindow, within(1, 2048));
     // 0 retries forever.
     v("arq_max_attempts", s.arqMaxAttempts, atLeast(0));
     v("ack_delay", s.ackDelaySlots);
     v("pber_lo", s.pberLo, atLeast(0.0));
     v("pber_hi", s.pberHi, atLeast(0.0));
     v("net_seed", s.seed);
-    v("fidelity", s.fidelity.mode,
-      Names{fidelityModeName, fidelityModeFromName});
+    v("fidelity", s.fidelity.mode, kFidelityModeNames);
     v("fidelity_warmup", s.fidelity.warmupSlots);
     // 0 never refreshes after the warm-up.
     v("fidelity_refresh_period", s.fidelity.refreshPeriod);
@@ -116,7 +118,7 @@ visitNetworkKeys(S &s, V &v)
     v("trace", s.trace);
 
     v.section(KeyScope::SingleCell);
-    v("arrival", s.arrivalModel);
+    v("arrival", s.arrivalModel, kArrivalModelNames);
     v("arrival_prob", s.arrivalProb, within(0.0, 1.0));
     v("snr_spread_db", s.snrSpreadDb, atLeast(0.0));
 
@@ -129,23 +131,18 @@ visitNetworkKeys(S &s, V &v)
     v("pathloss_exp", s.topology.pathloss.exponent, atLeast(0.0));
     v("shadow_sigma_db", s.topology.pathloss.shadowSigmaDb,
       atLeast(0.0));
-    v("traffic", s.traffic.kind,
-      Names{mac::trafficKindName, mac::trafficKindFromName});
+    v("traffic", s.traffic.kind, mac::kTrafficKindNames);
     // Frames/slot; the Poisson sampler's working range.
     v("traffic_load", s.traffic.load, within(0.0, 64.0));
     v("on_slots", s.traffic.onSlots, atLeast(1.0));
     v("off_slots", s.traffic.offSlots, atLeast(1.0));
-    v("queue_limit", s.traffic.queueLimit, atLeast(1));
-    v("qdisc", s.traffic.qdisc,
-      Names{mac::qdiscKindName, mac::qdiscKindFromName});
+    v("queue_limit", s.traffic.queueLimit, within(1, 1 << 20));
+    v("qdisc", s.traffic.qdisc, mac::kQdiscKindNames);
     v("control_rate", s.traffic.controlRate, within(0.0, 64.0));
-    v("scheduler", s.scheduler.kind,
-      Names{mac::schedulerKindName, mac::schedulerKindFromName});
+    v("scheduler", s.scheduler.kind, mac::kSchedulerKindNames);
     v("pf_horizon", s.scheduler.pfHorizonSlots, atLeast(1.0));
-    v("contention", s.scheduler.contention,
-      Names{mac::contentionModeName, mac::contentionModeFromName});
-    v("mobility", s.mobility.model,
-      Names{mobilityModelName, mobilityModelFromName});
+    v("contention", s.scheduler.contention, mac::kContentionModeNames);
+    v("mobility", s.mobility.model, kMobilityModelNames);
     v("speed_mps", s.mobility.speedMps, above(0.0));
     v("handover_hyst_db", s.mobility.handoverHystDb, atLeast(0.0));
     v("handover_ttt_slots", s.mobility.handoverTttSlots);
@@ -218,8 +215,8 @@ class EmitKeys : public KeyPass
                                 : KeyScope::MultiCell) ||
             (runPolicy && !withRunPolicy))
             return;
-        if constexpr (std::is_same_v<Check, li::Names<T>>)
-            out.set(key, check.name(field));
+        if constexpr (NameTableOf<Check, T>)
+            out.set(key, std::string(check.name(field)));
         else if (!std::is_same_v<Check, Optional> || field != T{})
             out.set(key, li::formatValue(field));
     }
@@ -299,6 +296,35 @@ rejectUnknownKeys(const li::Config &cfg, const char *spec_name,
         wilis_fatal("unknown %s key '%s' (valid keys: %s)", spec_name,
                     key.c_str(), valid.c_str());
     }
+}
+
+/**
+ * The grid of cells=RxC; fatal, naming the key, unless R and C are
+ * integers >= 1 whose product an int holds.
+ */
+std::pair<int, int>
+parseCells(const std::string &grid)
+{
+    // A side too long for a long long reads as its maximum, so it is
+    // out of range rather than malformed.
+    const auto side = [&](size_t from, size_t to, long long &v) {
+        const char *last = grid.data() + to;
+        const auto [end, ec] = std::from_chars(grid.data() + from, last, v);
+        if (ec == std::errc::result_out_of_range)
+            v = std::numeric_limits<long long>::max();
+        return ec != std::errc::invalid_argument && end == last && v >= 1;
+    };
+    const size_t x = grid.find('x');
+    long long rows = 0;
+    long long cols = 0;
+    if (x == std::string::npos || !side(0, x, rows) ||
+        !side(x + 1, grid.size(), cols))
+        wilis_fatal("malformed cells '%s' (expected RxC, e.g. cells=3x3)",
+                    grid.c_str());
+    wilis_fatal_if(rows > std::numeric_limits<int>::max() / cols,
+                   "cells %s out of range: cells R*C must be <= %d",
+                   grid.c_str(), std::numeric_limits<int>::max());
+    return {static_cast<int>(rows), static_cast<int>(cols)};
 }
 
 /** Copy the @p prefix family of @p cfg into @p sub, prefix stripped. */
@@ -644,27 +670,13 @@ NetworkSpec::applyConfig(const li::Config &cfg)
 
     // The grid decides which engine's keys are valid, so it goes
     // first.
-    if (cfg.has(kCellsKey)) {
-        const std::string grid = cfg.getString(kCellsKey);
-        int rows = 0;
-        int cols = 0;
-        char tail = '\0';
-        if (std::sscanf(grid.c_str(), "%dx%d%c", &rows, &cols,
-                        &tail) != 2 ||
-            rows < 1 || cols < 1)
-            wilis_fatal("malformed cells '%s' (expected RxC, "
-                        "e.g. cells=3x3)",
-                        grid.c_str());
-        topology.rows = rows;
-        topology.cols = cols;
-    }
+    if (cfg.has(kCellsKey))
+        std::tie(topology.rows, topology.cols) =
+            parseCells(cfg.getString(kCellsKey));
 
     ApplyKeys apply(cfg, &topology);
     visitNetworkKeys(*this, apply);
 
-    wilis_fatal_if(arrivalModel != "full" && arrivalModel != "bernoulli",
-                   "unknown arrival model '%s' (full|bernoulli)",
-                   arrivalModel.c_str());
     wilis_fatal_if(!(pberLo < pberHi),
                    "pber_lo must be < pber_hi, got %g >= %g", pberLo,
                    pberHi);

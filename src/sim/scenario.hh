@@ -167,6 +167,19 @@ struct CheckpointSpec {
     bool enabled() const { return !file.empty(); }
 };
 
+/** Traffic arrival model of the single-cell engine. */
+enum class ArrivalModel {
+    /** Every user offers a frame every slot. */
+    Full,
+    /** Each user offers a frame with probability arrivalProb. */
+    Bernoulli,
+};
+
+/** Config-file names of ArrivalModel. */
+inline constexpr auto kArrivalModelNames = nameTable<ArrivalModel>(
+    "arrival model",
+    {{ArrivalModel::Full, "full"}, {ArrivalModel::Bernoulli, "bernoulli"}});
+
 /**
  * Declarative description of a multi-user cell simulation: N
  * independent links sharing one slotted timeline, each built from
@@ -192,14 +205,10 @@ struct NetworkSpec {
     /** Number of users (independent links) in the cell. */
     int numUsers = 16;
 
-    /**
-     * Traffic arrival model: "full" (every user offers a frame every
-     * slot) or "bernoulli" (each user independently offers a frame
-     * with probability arrivalProb per slot).
-     */
-    std::string arrivalModel = "full";
+    /** Traffic arrival model. */
+    ArrivalModel arrivalModel = ArrivalModel::Full;
 
-    /** Per-slot offer probability under the "bernoulli" model. */
+    /** Per-slot offer probability under the Bernoulli model. */
     double arrivalProb = 1.0;
 
     /** Maximum Doppler frequency of every link's fading, in Hz. */

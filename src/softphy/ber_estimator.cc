@@ -71,7 +71,7 @@ BerEstimator::tableFor(phy::Modulation mod) const
 {
     wilis_assert(present[modIndex(mod)],
                  "no BER table calibrated for %s",
-                 phy::modulationName(mod).c_str());
+                 phy::kModulationNames.name(mod).data());
     return tables[modIndex(mod)];
 }
 

@@ -317,9 +317,9 @@ TEST(HotPathAllocations, ArqSteadyStateIsAllocationFree)
         for (int i = 0; i < 2000; ++i)
             slot();
         EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u)
-            << mac::arqModeName(mode);
+            << mac::kArqModeNames.name(mode);
         // The pattern exercised both outcomes of a frame.
-        EXPECT_GT(delivered, 0u) << mac::arqModeName(mode);
-        EXPECT_GT(dropped, 0u) << mac::arqModeName(mode);
+        EXPECT_GT(delivered, 0u) << mac::kArqModeNames.name(mode);
+        EXPECT_GT(dropped, 0u) << mac::kArqModeNames.name(mode);
     }
 }

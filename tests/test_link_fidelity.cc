@@ -112,13 +112,6 @@ TEST(FidelityPolicy, ScheduleIsAPureSlotFunction)
     EXPECT_FALSE(p.fullPhySlot(100));
 }
 
-TEST(FidelityPolicy, ModeNamesRoundTrip)
-{
-    for (FidelityMode m : {FidelityMode::Full, FidelityMode::Analytic,
-                           FidelityMode::Auto})
-        EXPECT_EQ(fidelityModeFromName(fidelityModeName(m)), m);
-}
-
 // ------------------------------------------------- config plumbing
 
 TEST(NetworkSpecFidelity, ConfigRoundTrips)

@@ -103,7 +103,7 @@ TEST_P(MapperAllMods, NoiselessDemapRecoversBits)
         ASSERT_EQ(dm.demap(y, soft), n);
         for (int b = 0; b < n; ++b) {
             EXPECT_EQ(soft[b] > 0 ? 1 : 0, bits[b])
-                << modulationName(mod) << " pattern " << v << " bit "
+                << kModulationNames.name(mod) << " pattern " << v << " bit "
                 << b << " soft " << soft[b];
             EXPECT_NE(soft[b], 0) << "noiseless metric must be nonzero";
         }

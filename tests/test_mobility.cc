@@ -149,7 +149,7 @@ TEST(Mobility, TrajectoriesMoveAndStayNearTheDeployment)
                 moved |= std::hypot(p.x - p0.x, p.y - p0.y) > 10.0;
             }
         }
-        EXPECT_TRUE(moved) << mobilityModelName(model);
+        EXPECT_TRUE(moved) << kMobilityModelNames.name(model);
     }
 }
 

@@ -77,7 +77,7 @@ TEST(NetworkSpec, ConfigRoundTrips)
     NetworkSpec s;
     s.name = "rt";
     s.numUsers = 5;
-    s.arrivalModel = "bernoulli";
+    s.arrivalModel = ArrivalModel::Bernoulli;
     s.arrivalProb = 0.25;
     s.dopplerHz = 77.0;
     s.snrSpreadDb = 4.0;
@@ -243,7 +243,7 @@ TEST(NetworkSim, BernoulliArrivalsThinTheTraffic)
 {
     NetworkSpec full = testCell(4);
     NetworkSpec thin = full;
-    thin.arrivalModel = "bernoulli";
+    thin.arrivalModel = ArrivalModel::Bernoulli;
     thin.arrivalProb = 0.3;
 
     const std::uint64_t slots = 30;

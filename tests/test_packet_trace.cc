@@ -643,18 +643,6 @@ TEST(PacketTrace, DiffLocalizesTheFirstDivergence)
               std::string::npos);
 }
 
-TEST(PacketTrace, EventNamesRoundTripAndRejectUnknown)
-{
-    for (auto ev :
-         {mac::PacketEvent::Enqueue, mac::PacketEvent::QueueDrop,
-          mac::PacketEvent::Grant, mac::PacketEvent::Tx,
-          mac::PacketEvent::Ack, mac::PacketEvent::Expire})
-        EXPECT_EQ(mac::packetEventFromName(mac::packetEventName(ev)),
-                  ev);
-    EXPECT_DEATH(mac::packetEventFromName("retx"),
-                 "unknown packet event");
-}
-
 // ------------------------------------------ derived statistics
 
 TEST(PacketTrace, AckEventsFeedEndToEndLatencyHistogram)

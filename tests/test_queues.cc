@@ -69,7 +69,7 @@ TEST(Queues, DepthNeverExceedsQueueLimitUnderAnyDiscipline)
             for (std::uint64_t t = 0; t < 2000; ++t) {
                 src.tick(t);
                 ASSERT_LE(src.depth(), 8)
-                    << "qdisc " << mac::qdiscKindName(qdisc)
+                    << "qdisc " << mac::kQdiscKindNames.name(qdisc)
                     << " seed " << seed << " slot " << t;
                 if (src.backlogged() && service.doubleAt(t) < 0.4)
                     src.pop(t);
@@ -240,7 +240,7 @@ TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
         for (int round = 0; round < 12; ++round) {
             const int pick = sched.pick(elig, inst, rate, &urgent);
             EXPECT_TRUE(pick == 1 || pick == 3)
-                << mac::schedulerKindName(kind) << " round "
+                << mac::kSchedulerKindNames.name(kind) << " round "
                 << round
                 << ": picked a non-urgent user past urgent ones";
             sched.update(pick, 1000.0);
@@ -254,7 +254,7 @@ TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
             const int pa = a.pick(elig, inst, rate, &none);
             const int pb = b.pick(elig, inst, rate);
             EXPECT_EQ(pa, pb)
-                << mac::schedulerKindName(kind) << " round "
+                << mac::kSchedulerKindNames.name(kind) << " round "
                 << round;
             a.update(pa, 1000.0);
             b.update(pb, 1000.0);

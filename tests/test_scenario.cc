@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the unified ScenarioSpec: config round-trips, the preset
- * rows and fluent grid helpers.
+ * rows and fluent grid helpers, and the name tables of the enum keys.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/channel.hh"
+#include "common/kernels.hh"
 #include "decode/soft_decoder.hh"
+#include "mac/packet_trace.hh"
 #include "sim/scenario.hh"
 #include "sim/testbench.hh"
 
@@ -577,6 +581,13 @@ TEST(NetworkSpecStrict, OutOfRangeValuesExitNamingTheKey)
     } cases[] = {
         {"users=0", "users"},
         {"users=4294967297", "users"},
+        {"users=1048577", "users"},
+        {"arq_window=2049", "arq_window"},
+        {"payload_bits=32761", "payload_bits"},
+        {"cells=46341x46341", "cells"},
+        {"cells=99999999999999999999x2", "cells"},
+        {"cells=3", "cells"},
+        {"cells=2x2,queue_limit=1048577", "queue_limit"},
         {"rate=9", "rate"},
         {"arq_window=0", "arq_window"},
         {"arq_max_attempts=-1", "arq_max_attempts"},
@@ -615,9 +626,17 @@ TEST(NetworkSpecStrict, OutOfRangeValuesExitNamingTheKey)
     // The edges of each range are accepted.
     const NetworkSpec edges = NetworkSpec::fromConfig(li::Config::fromString(
         "arrival_prob=1,arq_max_attempts=0,fidelity_refresh_period=0,"
-        "link.scrambler_seed=127"));
+        "link.scrambler_seed=127,users=1048576,arq_window=2048,"
+        "payload_bits=32760"));
     EXPECT_EQ(edges.link.rx.scramblerSeed, 127);
     EXPECT_EQ(edges.fidelity.refreshPeriod, 0u);
+    EXPECT_EQ(edges.numUsers, 1 << 20);
+    EXPECT_EQ(edges.arqWindow, 2048);
+    EXPECT_EQ(edges.link.payloadBits, 32760u);
+    EXPECT_EQ(NetworkSpec::fromConfig(
+                  li::Config::fromString("cells=46340x46340"))
+                  .topology.numCells(),
+              46340 * 46340);
 }
 
 TEST(ScenarioDocs, ScenariosDocCoversExactlyTheAcceptedKeys)
@@ -790,4 +809,80 @@ TEST(ScenarioPresets, PresetsRunEndToEnd)
         EXPECT_EQ(res.txPayload.size(), 200u) << name;
         EXPECT_EQ(res.rx.payload.size(), 200u) << name;
     }
+}
+
+/**
+ * Check @p table against its vocabulary: @p names are the canonical
+ * names in enum order, each alias parses to the value of the
+ * canonical name paired with it, and @p unknown dies naming the noun
+ * and the canonical names.
+ */
+template <typename E, std::size_t N>
+void
+expectNameTable(const NameTable<E, N> &table,
+                const std::vector<std::string> &names,
+                const std::vector<std::pair<std::string, std::string>>
+                    &aliases,
+                const std::string &unknown)
+{
+    SCOPED_TRACE(std::string(table.noun));
+    ASSERT_EQ(table.values, names.size());
+    ASSERT_EQ(N, names.size() + aliases.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        const auto e = static_cast<E>(i);
+        EXPECT_EQ(table.name(e), names[i]);
+        EXPECT_EQ(table.parse(names[i]), e);
+    }
+    EXPECT_EQ(table.name(static_cast<E>(names.size())), "?");
+    for (const auto &[alias, canonical] : aliases)
+        EXPECT_EQ(table.parse(alias), table.parse(canonical)) << alias;
+    EXPECT_FALSE(table.find(unknown));
+    std::string valid;
+    for (const std::string &n : names)
+        valid += (valid.empty() ? "" : "\\|") + n;
+    EXPECT_EXIT(table.parse(unknown), testing::ExitedWithCode(1),
+                "unknown " + std::string(table.noun) + " '" + unknown +
+                    "' \\(" + valid + "\\)");
+}
+
+TEST(NameTables, EveryNameRoundTripsAndUnknownNamesDie)
+{
+    expectNameTable(mac::kSchedulerKindNames,
+                    {"round_robin", "proportional_fair"},
+                    {{"rr", "round_robin"}, {"pf", "proportional_fair"}},
+                    "fifo");
+    expectNameTable(mac::kContentionModeNames, {"none", "fixed"}, {},
+                    "csma");
+    expectNameTable(mac::kTrafficKindNames,
+                    {"full_buffer", "poisson", "onoff"}, {}, "bursty");
+    expectNameTable(mac::kTrafficClassNames, {"ctrl", "data"}, {},
+                    "control");
+    expectNameTable(mac::kQdiscKindNames,
+                    {"fifo", "priority", "drop_head"},
+                    {{"strict_priority", "priority"}}, "weird");
+    expectNameTable(kFidelityModeNames, {"full", "analytic", "auto"}, {},
+                    "hybrid");
+    expectNameTable(kMobilityModelNames,
+                    {"none", "line", "orbit", "waypoint"}, {},
+                    "manhattan");
+    expectNameTable(mac::kArqModeNames, {"stopwait", "selective"},
+                    {{"stop-and-wait", "stopwait"},
+                     {"selective-repeat", "selective"}},
+                    "go-back-n");
+    expectNameTable(mac::kPacketEventNames,
+                    {"enq", "qdrop", "grant", "tx", "ack", "expire",
+                     "ho", "join", "leave"},
+                    {}, "retx");
+    expectNameTable(kArrivalModelNames, {"full", "bernoulli"}, {},
+                    "sometimes");
+    expectNameTable(phy::kModulationNames,
+                    {"BPSK", "QPSK", "QAM-16", "QAM-64"}, {}, "QAM-256");
+    expectNameTable(phy::kCodeRateNames, {"1/2", "2/3", "3/4"}, {},
+                    "5/6");
+    // "auto" is not a backend: the WILIS_KERNEL_BACKEND reader keeps
+    // the widest supported one for it.
+    expectNameTable(kernels::kBackendNames, {"scalar", "avx2"}, {},
+                    "sse4.2");
+    EXPECT_FALSE(kernels::kBackendNames.find("auto"));
+    EXPECT_STREQ(kernels::backendName(kernels::Backend::Avx2), "avx2");
 }

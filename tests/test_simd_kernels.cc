@@ -92,15 +92,6 @@ TEST_F(SimdKernelTest, RegistryReportsHostBackends)
     EXPECT_EQ(avail.front(), Backend::Scalar);
     for (Backend b : avail)
         EXPECT_TRUE(kernels::backendSupported(b));
-    // Names round-trip through the parser.
-    for (Backend b : avail) {
-        Backend parsed;
-        ASSERT_TRUE(kernels::parseBackend(kernels::backendName(b),
-                                          &parsed));
-        EXPECT_EQ(parsed, b);
-    }
-    Backend ignored;
-    EXPECT_FALSE(kernels::parseBackend("auto", &ignored));
     if (cpu::hasAvx2()) {
         EXPECT_EQ(avail.back(), Backend::Avx2);
     }

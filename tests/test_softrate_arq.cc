@@ -291,14 +291,3 @@ TEST(Arq, ImmediateFeedbackMode)
     EXPECT_EQ(ds[0].attempts, 8);
     EXPECT_FALSE(ds[1].dropped);
 }
-
-TEST(ArqModeNames, RoundTrip)
-{
-    EXPECT_EQ(mac::arqModeFromName("stopwait"),
-              ArqMode::StopAndWait);
-    EXPECT_EQ(mac::arqModeFromName("selective"),
-              ArqMode::SelectiveRepeat);
-    EXPECT_STREQ(mac::arqModeName(ArqMode::StopAndWait), "stopwait");
-    EXPECT_STREQ(mac::arqModeName(ArqMode::SelectiveRepeat),
-                 "selective");
-}
