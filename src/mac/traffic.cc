@@ -1,6 +1,8 @@
 #include "mac/traffic.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "mac/packet_trace.hh"
 
@@ -30,12 +32,10 @@ TrafficSource::TrafficSource(const TrafficSpec &spec,
     wilis_assert(spec_.onSlots >= 1.0 && spec_.offSlots >= 1.0,
                  "ON/OFF dwell means (%g, %g) must be >= 1 slot",
                  spec_.onSlots, spec_.offSlots);
-    // Each ring holds at most queueLimit packets because the limit
-    // bounds the *total* depth across both classes.
-    if (spec_.kind != TrafficKind::FullBuffer)
-        data_.slots.resize(static_cast<size_t>(spec_.queueLimit));
-    if (spec_.controlRate > 0.0)
-        ctrl_.slots.resize(static_cast<size_t>(spec_.queueLimit));
+    static_assert(offsetof(TrafficSource, data_) + 2 * sizeof(int) <= 128,
+                  "the ring head/depth words must sit in two cache lines");
+    expLoad_ = std::exp(-spec_.load);
+    expCtrl_ = std::exp(-spec_.controlRate);
     // Start the ON/OFF chain in its stationary distribution so a
     // cell's initial load is representative, not synchronized.
     if (spec_.kind == TrafficKind::OnOff)
@@ -43,27 +43,40 @@ TrafficSource::TrafficSource(const TrafficSpec &spec,
               spec_.onSlots / (spec_.onSlots + spec_.offSlots);
 }
 
+void
+TrafficSource::Ring::pushBack(const Packet &p, int limit)
+{
+    const int cap = static_cast<int>(slots.size());
+    if (depth == cap) {
+        // Each ring holds at most limit packets because the limit
+        // bounds the *total* depth across both classes.
+        const int grown_cap = std::min(limit, std::max(kMinRing, 2 * cap));
+        std::vector<Packet> grown(static_cast<size_t>(grown_cap));
+        for (int i = 0; i < depth; ++i)
+            grown[static_cast<size_t>(i)] =
+                slots[static_cast<size_t>((head + i) % cap)];
+        slots.swap(grown);
+        head = 0;
+    }
+    const int tail = (head + depth) % static_cast<int>(slots.size());
+    slots[static_cast<size_t>(tail)] = p;
+    ++depth;
+}
+
 int
 TrafficSource::poissonFrom(const CounterRng &slot_stream,
-                           double mean)
+                           double exp_neg_mean)
 {
     // Knuth's product-of-uniforms sampler on the slot's own
     // sub-stream; the draw count varies per slot, which is why each
     // slot forks its own counter space.
-    const double limit = std::exp(-mean);
     double prod = 1.0;
     int k = 0;
     do {
         prod *= slot_stream.doubleAt(static_cast<std::uint64_t>(k));
         ++k;
-    } while (prod > limit);
+    } while (prod > exp_neg_mean);
     return k - 1;
-}
-
-int
-TrafficSource::poissonAt(std::uint64_t t, double mean) const
-{
-    return poissonFrom(rng_.fork(t), mean);
 }
 
 void
@@ -126,11 +139,8 @@ TrafficSource::push(TrafficClass cls, std::uint64_t arrival_slot)
             return;
         }
     }
-    Ring &r = cls == TrafficClass::Control ? ctrl_ : data_;
-    const int tail =
-        (r.head + r.depth) % static_cast<int>(r.slots.size());
-    r.slots[static_cast<size_t>(tail)] = p;
-    ++r.depth;
+    (cls == TrafficClass::Control ? ctrl_ : data_)
+        .pushBack(p, spec_.queueLimit);
     if (trace_)
         trace_->record(
             traceShard_,
@@ -146,8 +156,7 @@ TrafficSource::tick(std::uint64_t t)
     // Control arrivals first, so a same-slot control packet sorts
     // ahead of the slot's data arrivals in sequence order.
     if (spec_.controlRate > 0.0) {
-        const int n =
-            poissonFrom(ctrlRng_.fork(t), spec_.controlRate);
+        const int n = poissonFrom(ctrlRng_.fork(t), expCtrl_);
         for (int i = 0; i < n; ++i)
             push(TrafficClass::Control, t);
     }
@@ -155,7 +164,7 @@ TrafficSource::tick(std::uint64_t t)
       case TrafficKind::FullBuffer:
         return;
       case TrafficKind::Poisson: {
-        const int n = poissonAt(t, spec_.load);
+        const int n = poissonFrom(rng_.fork(t), expLoad_);
         for (int i = 0; i < n; ++i)
             push(TrafficClass::Data, t);
         return;
@@ -175,7 +184,7 @@ TrafficSource::tick(std::uint64_t t)
             on_ = true;
     }
     if (on_) {
-        const int n = poissonAt(t, spec_.load);
+        const int n = poissonFrom(rng_.fork(t), expLoad_);
         for (int i = 0; i < n; ++i)
             push(TrafficClass::Data, t);
     }
@@ -199,18 +208,22 @@ saveRing(SnapshotWriter &w, int depth, int head,
     }
 }
 
+/**
+ * Restore a ring saved by saveRing() into a ring sized to the
+ * restored depth; @p limit is the depth its class can reach (the
+ * queue limit, or 0 for a class the spec never enqueues).
+ */
 void
 loadRing(SnapshotReader &r, int &depth, int &head,
-         std::vector<Packet> &slots)
+         std::vector<Packet> &slots, int limit)
 {
     const std::uint64_t n = r.u64();
-    if (n > slots.size())
-        r.fail(strprintf("traffic queue depth %llu over its "
-                         "%zu-packet capacity",
-                         static_cast<unsigned long long>(n),
-                         slots.size()));
+    if (n > static_cast<std::uint64_t>(limit))
+        r.fail(strprintf("traffic queue depth %llu over its %d-packet limit",
+                         static_cast<unsigned long long>(n), limit));
     head = 0;
     depth = static_cast<int>(n);
+    slots.assign(static_cast<size_t>(n), Packet{});
     for (int i = 0; i < depth; ++i) {
         Packet &p = slots[static_cast<size_t>(i)];
         p.arrival = r.u64();
@@ -239,8 +252,11 @@ TrafficSource::loadState(SnapshotReader &r)
 {
     r.marker(0x46464152);
     on_ = r.u8Below(2, "traffic on/off flag") != 0;
-    loadRing(r, ctrl_.depth, ctrl_.head, ctrl_.slots);
-    loadRing(r, data_.depth, data_.head, data_.slots);
+    const int limit = spec_.queueLimit;
+    loadRing(r, ctrl_.depth, ctrl_.head, ctrl_.slots,
+             spec_.controlRate > 0.0 ? limit : 0);
+    loadRing(r, data_.depth, data_.head, data_.slots,
+             spec_.kind != TrafficKind::FullBuffer ? limit : 0);
     arrivals_ = r.u64();
     drops_ = r.u64();
     pktSeq_ = r.u64();

@@ -233,11 +233,19 @@ class TrafficSource
     void loadState(SnapshotReader &r);
 
   private:
-    /** One class's ring of queued packets (arrival order). */
+    /**
+     * One class's ring of queued packets (arrival order). The ring
+     * starts empty and grows on demand: a push into a full ring
+     * doubles it (from kMinRing, at most to the queue limit) and
+     * re-linearises the queued packets at slot 0, so a user whose
+     * queue stays short holds a short ring, not queue_limit packets.
+     */
     struct Ring {
+        static constexpr int kMinRing = 4;
+
         int head = 0;
         int depth = 0;
-        std::vector<Packet> slots;
+        std::vector<Packet> slots; // capacity = slots.size()
 
         const Packet &
         front() const
@@ -253,14 +261,17 @@ class TrafficSource
             --depth;
             return p;
         }
+
+        /** Append @p p, growing first if full (depth < @p limit). */
+        void pushBack(const Packet &p, int limit);
     };
 
-    /** Poisson(@p mean) count from @p slot_stream. */
+    /**
+     * Poisson count from @p slot_stream, given exp(-mean) (the
+     * constructor computes it once per class).
+     */
     static int poissonFrom(const CounterRng &slot_stream,
-                           double mean);
-
-    /** Poisson(@p mean) count from slot @p t's data sub-stream. */
-    int poissonAt(std::uint64_t t, double mean) const;
+                           double exp_neg_mean);
 
     void push(TrafficClass cls, std::uint64_t arrival_slot);
     void evictOldest(std::uint64_t now);
@@ -271,9 +282,11 @@ class TrafficSource
     // Member order is deliberate: the engines call tick() and
     // backlogged() for every user every slot, and with 10k+ sources
     // scanned per slot the idle path must stay within the first two
-    // cache lines -- spec_/rng_/transitions_/on_ plus the ring
-    // head/depth words. Arrival-only state (counters, the control
-    // stream, the ring payloads, trace plumbing) sits behind them.
+    // cache lines -- spec_/rng_/transitions_/on_, the two exp(-mean)
+    // Poisson limits plus the ring head/depth words (the constructor
+    // static_asserts the last of them ends by byte 128).
+    // Arrival-only state (counters, the control stream, the ring
+    // payloads, trace plumbing) sits behind them.
     TrafficSpec spec_;
     CounterRng rng_;
     /**
@@ -283,6 +296,9 @@ class TrafficSource
      */
     CounterRng transitions_;
     bool on_ = false;
+    /** exp(-load) and exp(-controlRate), the Poisson draws' limits. */
+    double expLoad_ = 1.0;
+    double expCtrl_ = 1.0;
     Ring ctrl_; // control class (controlRate > 0 only)
     Ring data_; // data class (non-full-buffer kinds only)
     std::uint64_t arrivals_ = 0;

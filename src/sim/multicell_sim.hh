@@ -66,10 +66,13 @@ namespace sim {
  * state: Jakes oscillator banks and their |h|^2 bounds, forked
  * stream keys, serving gains and the flattened calibration table --
  * everything that is a pure function of (spec, topology, table) and
- * therefore identical for every run() of the same NetworkSim. Owned
- * by NetworkSim (opaque here; defined in multicell_soa.cc) so
- * repeated runs skip the rederivation; caching cannot change
- * results.
+ * therefore identical for every run() of the same NetworkSim -- plus
+ * a memo of the granted user's serving-link |h|^2 per (slot, cell),
+ * 16 bytes an entry, sized by run() to the longest horizon so far
+ * (at most 64 MB), so a rerun looks its grants up instead of
+ * evaluating their faders. Owned by NetworkSim (opaque here;
+ * defined in multicell_soa.cc) so repeated runs skip the
+ * rederivation; caching cannot change results.
  */
 struct McSoaCache;
 

@@ -35,6 +35,7 @@
 #include <complex>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/awgn.hh"
@@ -97,20 +98,24 @@ struct McSoaCache {
     softphy::FlatCalibration flat;
     bool hasFlat = false;
 
-    // Cross-run memo of the serving-link |h|^2 per (slot, user):
-    // JakesFader::gainAt() is a pure function of (fader, t), so a
-    // value computed in one run is valid in every later run of the
-    // same spec -- memoization cannot change results. Filled lazily:
-    // every granted user, plus under PF any other user the pick's
-    // |h|^2 interval could not rule out (rare: the intervals are
-    // ~1e-12 wide); bounded by kH2MemoBytes, slots past h2Slots
-    // fall back to the per-run memo. Within a run each user's
-    // entries are written by the one worker that owns its cell, so
-    // access is race-free. An entry not yet computed holds -1.0,
-    // which std::norm never returns.
+    // Cross-run memo of the granted user's serving-link |h|^2 per
+    // (slot, cell): JakesFader::gainAt() is a pure function of
+    // (fader, t), so a value computed in one run is valid in every
+    // later run of the same spec -- memoization cannot change
+    // results. Phase 2 writes each granted cell's entry; a lookup
+    // hits only when the entry names the asking user, and anything
+    // else falls back to the per-run memo. A rerun grants the same
+    // users, so it finds every grant here. Bounded by kH2MemoBytes;
+    // slots past h2Slots use the per-run memo only. Entry (t, c) is
+    // read and written only by the worker that owns cell c, so
+    // access is race-free. An unwritten entry names user -1.
+    struct H2Entry {
+        std::int32_t user = -1; // granted soa index
+        double h2 = 0.0;
+    };
     static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
     std::uint64_t h2Slots = 0;      // slots covered by the memo
-    std::vector<double> h2;         // [slot * users + user]
+    std::vector<H2Entry> h2;        // [slot * cells + cell]
 };
 
 namespace {
@@ -541,14 +546,14 @@ runMulticellSoa(
     // Grow the cross-run |h|^2 memo to cover this run (bounded);
     // resize preserves filled slots because the layout is
     // slot-major.
+    const size_t cells_sz = static_cast<size_t>(cells);
     {
-        const std::uint64_t users64 =
-            static_cast<std::uint64_t>(topo.numUsers());
+        const std::uint64_t entry = sizeof(McSoaCache::H2Entry);
         const std::uint64_t cap = std::max<std::uint64_t>(
-            1, McSoaCache::kH2MemoBytes / (8 * users64));
+            1, McSoaCache::kH2MemoBytes / (entry * cells_sz));
         const std::uint64_t want = std::min(slots, cap);
         if (want > cache.h2Slots) {
-            cache.h2.resize(want * users64, -1.0);
+            cache.h2.resize(static_cast<size_t>(want) * cells_sz);
             cache.h2Slots = want;
         }
     }
@@ -674,20 +679,22 @@ runMulticellSoa(
             rows[i] = mob->gainRow(cache.order[i]);
     }
 
-    // Serving-link |h|^2 memo (per user, per slot), matching
-    // the per-user oracle's fadingPower().
+    // Serving-link |h|^2 of user @p i at slot @p t, asked by cell
+    // @p c: the cross-run memo's entry for (t, c) when it names @p i,
+    // else the per-run memo (one slot per user), matching the
+    // per-user oracle's fadingPower().
     std::vector<double> h2val(nu, 0.0);
     std::vector<std::uint64_t> h2slot(nu, 0);
     std::vector<std::uint8_t> h2valid(nu, 0);
-    auto fadingPower = [&](int i, std::uint64_t t) {
+    auto memoAt = [&](std::uint64_t t, int c) {
+        return static_cast<size_t>(t) * cells_sz + static_cast<size_t>(c);
+    };
+    auto fadingPower = [&](int i, int c, std::uint64_t t) {
         const size_t s = static_cast<size_t>(i);
         if (t < cache.h2Slots) {
-            const size_t e = static_cast<size_t>(t) * nu + s;
-            if (cache.h2[e] < 0.0)
-                cache.h2[e] = std::norm(cache.faders[s].gainAt(
-                    static_cast<double>(t) *
-                    spec.frameIntervalUs));
-            return cache.h2[e];
+            const McSoaCache::H2Entry &e = cache.h2[memoAt(t, c)];
+            if (e.user == i)
+                return e.h2;
         }
         if (h2slot[s] != t || !h2valid[s]) {
             h2val[s] = std::norm(cache.faders[s].gainAt(
@@ -796,7 +803,7 @@ runMulticellSoa(
             const std::uint32_t i = mem[static_cast<size_t>(m)];
             return std::log2(
                 1.0 + serv_gain[i] *
-                          fadingPower(static_cast<int>(i), t));
+                          fadingPower(static_cast<int>(i), c, t));
         };
         // PF: an interval around the rate from the pair form's
         // |h|^2 interval, with the static bound's margin for log2
@@ -900,7 +907,10 @@ runMulticellSoa(
             sc.draw_keys[k] = cache.drawKey[gs];
             sc.rates[k] = static_cast<std::int32_t>(
                 softrate[gs].currentRate());
-            sc.sig[k] = serv_gain[gs] * fadingPower(g, t);
+            const double h2 = fadingPower(g, c, t);
+            if (t < cache.h2Slots)
+                cache.h2[memoAt(t, c)] = {g, h2};
+            sc.sig[k] = serv_gain[gs] * h2;
             ++k;
         }
         if (k == 0)
@@ -1182,11 +1192,19 @@ runMulticellSoa(
         res.trace = trace;
     }
 
-    res.users.resize(nu);
-    for (int id = 0; id < num_users; ++id)
-        res.users[static_cast<size_t>(id)] =
-            stats[static_cast<size_t>(
-                cache.soaOf[static_cast<size_t>(id)])];
+    // Hand the statistics over in user-id order by permuting the
+    // SoA-ordered array in place, so the run never holds two
+    // users-sized UserStats arrays. dest[i] is the user whose stats
+    // sit at position i; each swap puts one of them in place.
+    res.users = std::move(stats);
+    std::vector<int> dest(cache.order);
+    for (size_t i = 0; i < nu; ++i) {
+        while (dest[i] != static_cast<int>(i)) {
+            const size_t j = static_cast<size_t>(dest[i]);
+            std::swap(res.users[i], res.users[j]);
+            std::swap(dest[i], dest[j]);
+        }
+    }
 
     res.aggregate = UserStats();
     res.aggregate.user = -1;

@@ -31,6 +31,22 @@ Topology::Topology(const TopologySpec &spec, int num_users,
                  "min distance %g m outside [0, radius %g m)",
                  spec_.minDistanceM, spec_.cellRadiusM);
 
+    // The gain matrix is the deployment's one users x cells array:
+    // past these caps (2 GiB of gains, or a million cells) the spec
+    // dies naming its keys rather than on std::bad_alloc.
+    const std::uint64_t rows = static_cast<std::uint64_t>(spec_.rows);
+    const std::uint64_t cols = static_cast<std::uint64_t>(spec_.cols);
+    const std::uint64_t entries =
+        rows * cols * static_cast<std::uint64_t>(num_users);
+    wilis_fatal_if(rows * cols > kMaxCells || entries > kMaxGainEntries,
+                   "users=%d on cells=%dx%d out of range: the users x "
+                   "cells gain matrix would hold %llu entries (at most "
+                   "%llu, with at most %llu cells)",
+                   num_users, spec_.rows, spec_.cols,
+                   static_cast<unsigned long long>(entries),
+                   static_cast<unsigned long long>(kMaxGainEntries),
+                   static_cast<unsigned long long>(kMaxCells));
+
     const int cells = numCells();
     users_.resize(static_cast<size_t>(num_users));
     cell_users_.resize(static_cast<size_t>(cells));

@@ -66,8 +66,14 @@ struct Position {
 class Topology
 {
   public:
+    /** Most cells a deployment may have. */
+    static constexpr std::uint64_t kMaxCells = 1ull << 20;
+    /** Most entries of the users x cells gain matrix (2 GiB). */
+    static constexpr std::uint64_t kMaxGainEntries = 1ull << 28;
+
     /**
-     * Realize a deployment.
+     * Realize a deployment; fatal, naming the users and cells keys,
+     * past kMaxCells cells or kMaxGainEntries matrix entries.
      * @param spec      Grid geometry + propagation model.
      * @param num_users Users to drop (>= 1).
      * @param seed      Master seed; placement and shadowing streams

@@ -5,7 +5,8 @@
  * the central tentpole claim -- a warmed-up Testbench::runFrame()
  * performs no heap allocations at all. The same counter checks the
  * proportional-fair pick's and the ARQ state machine's claims to
- * allocate nothing once warm.
+ * allocate nothing once warm, and its byte total bounds what a
+ * multi-cell run allocates.
  */
 
 #include <gtest/gtest.h>
@@ -19,22 +20,27 @@
 #include "common/random.hh"
 #include "mac/arq.hh"
 #include "mac/scheduler.hh"
+#include "sim/network_sim.hh"
 #include "sim/scenario.hh"
 #include "sim/testbench.hh"
 
 using namespace wilis;
 
 // ---------------------------------------------------------------
-// Global allocation counter: every operator new in this test binary
-// bumps it, so a region of code can be asserted allocation-free.
+// Global allocation counters: every operator new in this test
+// binary bumps the call count and adds its size to the byte total,
+// so a region of code can be asserted allocation-free, or its heap
+// use bounded.
 // ---------------------------------------------------------------
 
 static std::atomic<std::uint64_t> g_news{0};
+static std::atomic<std::uint64_t> g_new_bytes{0};
 
 void *
 operator new(size_t sz)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_new_bytes.fetch_add(sz, std::memory_order_relaxed);
     if (void *p = std::malloc(sz ? sz : 1))
         return p;
     throw std::bad_alloc();
@@ -44,30 +50,34 @@ void *
 operator new[](size_t sz)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_new_bytes.fetch_add(sz, std::memory_order_relaxed);
     if (void *p = std::malloc(sz ? sz : 1))
         return p;
     throw std::bad_alloc();
 }
 
-void
+// Not inlined: GCC would otherwise see free() on operator new's
+// memory inside gtest's test factories and warn
+// (-Wmismatched-new-delete), though new is malloc here.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, size_t) noexcept
 {
     std::free(p);
@@ -322,4 +332,33 @@ TEST(HotPathAllocations, ArqSteadyStateIsAllocationFree)
         EXPECT_GT(delivered, 0u) << mac::kArqModeNames.name(mode);
         EXPECT_GT(dropped, 0u) << mac::kArqModeNames.name(mode);
     }
+}
+
+TEST(HotPathAllocations, PfMulticellRunAllocatesPerUserPlusMemo)
+{
+    // A run's heap use must scale with what it touches: a fixed
+    // budget per user (ARQ windows, SoftRate, statistics, queue
+    // rings sized by the depth they reached) plus the cross-run
+    // |h|^2 memo, one 16-byte entry per (slot, cell). Neither a
+    // memo per (slot, user) nor rings sized to queue_limit fit.
+    sim::NetworkSpec spec = sim::networkPreset("dense-urban-10k");
+    spec.calibrationFile =
+        std::string(WILIS_SOURCE_DIR) + "/data/network_calibration.txt";
+    spec.topology.rows = 2;
+    spec.topology.cols = 2;
+    spec.numUsers = 400;
+    const std::uint64_t users = 400;
+    const std::uint64_t cells = 4;
+    const std::uint64_t slots = 2000;
+    // About 4.6 KB per user here: stats histograms, ARQ window,
+    // trace context and the rings a user's bursts grew.
+    const std::uint64_t per_user = 8192;
+    sim::NetworkSim sim(spec); // construction is not the run's
+    const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+    const sim::NetworkResult res = sim.run(slots, 1);
+    const std::uint64_t bytes =
+        g_new_bytes.load(std::memory_order_relaxed) - before;
+    ASSERT_GT(res.aggregate.framesSent, 0u);
+    EXPECT_LT(bytes, per_user * users + slots * cells * 16)
+        << bytes / users << " bytes per user";
 }

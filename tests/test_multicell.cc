@@ -265,15 +265,46 @@ TEST(Multicell, SoaEngineMatchesPerUserOracleOnFullPhyRung)
 
 TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
 {
-    // NetworkSim keeps the SoA engine's derived state across run()
-    // calls; a rerun on a warm cache must be bit-identical to the
-    // cold first run.
-    NetworkSpec spec = networkPreset("grid-3x3");
-    spec.calibrationFile = calibrationPath();
-    NetworkSim sim(spec);
-    NetworkResult cold = sim.run(100, 2);
-    NetworkResult warm = sim.run(100, 2);
-    expectSameResult(cold, warm);
+    // NetworkSim keeps the SoA engine's derived state, and the |h|^2
+    // memo of every (slot, cell) grant, across run() calls; a rerun
+    // on a warm cache must be bit-identical to a cold run of the
+    // same length. The memo grows with the horizon, so reruns go
+    // both ways: shorter then longer (the longer run fills the new
+    // slots) and longer then shorter (the shorter one reads a
+    // prefix). Cases: RR, PF (whose pick reads the memo in phase 1
+    // too) and handovers (users change the cell whose entry they
+    // hit).
+    NetworkSpec grid = networkPreset("grid-3x3");
+    grid.calibrationFile = calibrationPath();
+    NetworkSpec pf = networkPreset("dense-urban-10k");
+    pf.calibrationFile = calibrationPath();
+    pf.topology.rows = 2;
+    pf.topology.cols = 2;
+    pf.numUsers = 240;
+    NetworkSpec mobile = networkPreset("urban-mobile");
+    mobile.calibrationFile = calibrationPath();
+    struct Case {
+        const char *name;
+        NetworkSpec spec;
+        std::uint64_t shorter, longer;
+    };
+    for (const Case &c : {Case{"grid-3x3", grid, 60, 100},
+                          Case{"pf", pf, 120, 200},
+                          Case{"urban-mobile", mobile, 300, 600}}) {
+        SCOPED_TRACE(c.name);
+        const NetworkResult cold_short = NetworkSim(c.spec).run(c.shorter, 2);
+        const NetworkResult cold_long = NetworkSim(c.spec).run(c.longer, 2);
+        if (c.spec.mobility.enabled()) {
+            EXPECT_GT(cold_long.aggregate.handovers, 0u);
+        }
+        NetworkSim up(c.spec);
+        expectSameResult(cold_short, up.run(c.shorter, 2));
+        expectSameResult(cold_long, up.run(c.longer, 3));
+        expectSameResult(cold_long, up.run(c.longer, 1));
+        NetworkSim down(c.spec);
+        expectSameResult(cold_long, down.run(c.longer, 2));
+        expectSameResult(cold_short, down.run(c.shorter, 3));
+    }
 }
 
 /**

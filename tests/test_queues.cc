@@ -8,6 +8,8 @@
  *    arrival order within each class;
  *  - drop_head evicts the oldest queued packet, so the survivors of
  *    an overload are exactly the newest arrivals;
+ *  - the growable packet rings match a std::deque model of the
+ *    queue packet for packet, across a save/load round trip too;
  *  - the scheduler's urgent mask restricts both RR and PF to the
  *    urgent subset without disturbing the no-urgent path;
  *  - fixed contention charges k slots for a k-contended grant;
@@ -17,11 +19,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "mac/packet_trace.hh"
 #include "mac/scheduler.hh"
 #include "mac/traffic.hh"
@@ -221,6 +228,209 @@ TEST(Queues, FifoTailDropsAreTracedAsArrivalDrops)
     }
     EXPECT_EQ(tail_drops, src.drops());
     ASSERT_GT(tail_drops, 0u);
+}
+
+// ------------------------------------ growable rings vs a model
+
+namespace {
+
+/**
+ * The shared bounded queue as a pair of std::deques: what a
+ * TrafficSource must hold after any arrival and pop sequence.
+ */
+struct QueueModel {
+    mac::QdiscKind qdisc;
+    int limit;
+    std::deque<mac::Packet> ctrl, data;
+    std::uint64_t drops = 0;
+
+    int
+    depth() const
+    {
+        return static_cast<int>(ctrl.size() + data.size());
+    }
+
+    void
+    arrive(const mac::Packet &p)
+    {
+        if (depth() >= limit) {
+            ++drops;
+            if (qdisc != mac::QdiscKind::DropHead)
+                return;
+            headOf(false).pop_front(); // the globally oldest
+        }
+        if (p.cls == mac::TrafficClass::Control)
+            ctrl.push_back(p);
+        else
+            data.push_back(p);
+    }
+
+    mac::Packet
+    pop()
+    {
+        std::deque<mac::Packet> &q =
+            headOf(qdisc == mac::QdiscKind::StrictPriority);
+        const mac::Packet p = q.front();
+        q.pop_front();
+        return p;
+    }
+
+    /**
+     * The class whose head goes next: control first if
+     * @p ctrl_first and any is queued, else the older head.
+     */
+    std::deque<mac::Packet> &
+    headOf(bool ctrl_first)
+    {
+        if (ctrl.empty())
+            return data;
+        if (data.empty() || ctrl_first)
+            return ctrl;
+        return ctrl.front().seq < data.front().seq ? ctrl : data;
+    }
+};
+
+/**
+ * Every arrival of @p spec's source @p seed over @p slots slots, in
+ * arrival order: recorded as Enqueue events of a twin source whose
+ * queue never fills and is never served, so the list does not
+ * depend on the queue under test.
+ */
+std::vector<mac::PacketTrace::Entry>
+arrivalsOf(mac::TrafficSpec spec, std::uint64_t seed,
+           std::uint64_t slots)
+{
+    spec.queueLimit = 1 << 20;
+    mac::TrafficSource twin(spec, seed);
+    mac::PacketTrace trace(1);
+    twin.bindTrace(&trace, 0, 0, 0);
+    for (std::uint64_t t = 0; t < slots; ++t)
+        twin.tick(t);
+    trace.finalize();
+    EXPECT_EQ(twin.drops(), 0u);
+    // One user: the canonical order is by seq, i.e. arrival order.
+    return {trace.entries().begin(), trace.entries().end()};
+}
+
+/** The snapshot bytes of @p src. */
+std::string
+snapshot(const mac::TrafficSource &src)
+{
+    SnapshotWriter w(1, "queues");
+    src.saveState(w);
+    return w.bytes();
+}
+
+/** A source of @p spec and @p seed restored from @p bytes. */
+std::unique_ptr<mac::TrafficSource>
+restore(const std::string &bytes, const mac::TrafficSpec &spec,
+        std::uint64_t seed)
+{
+    SnapshotReader r = SnapshotReader::fromBytes(bytes, 1, "queues");
+    auto src = std::make_unique<mac::TrafficSource>(spec, seed);
+    src->loadState(r);
+    r.done();
+    return src;
+}
+
+void
+expectSamePacket(const mac::Packet &a, const mac::Packet &b)
+{
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.arrival, b.arrival);
+    EXPECT_EQ(a.cls, b.cls);
+}
+
+} // namespace
+
+TEST(Queues, GrowableRingsMatchADequeModelAcrossSaveLoad)
+{
+    // A 37-packet limit is no power of two, so the rings grow
+    // 4, 8, 16, 32 and then stop at 37 with a wrapped head; 2x
+    // overload in bursts drives each queue into its limit and back.
+    constexpr int kLimit = 37;
+    constexpr std::uint64_t kSlots = 3000;
+    for (auto qdisc :
+         {mac::QdiscKind::Fifo, mac::QdiscKind::DropHead,
+          mac::QdiscKind::StrictPriority}) {
+        for (auto kind :
+             {mac::TrafficKind::Poisson, mac::TrafficKind::OnOff}) {
+            mac::TrafficSpec spec;
+            spec.kind = kind;
+            spec.load = kind == mac::TrafficKind::OnOff ? 3.0 : 1.2;
+            spec.onSlots = 40.0;
+            spec.offSlots = 40.0;
+            spec.queueLimit = kLimit;
+            spec.qdisc = qdisc;
+            spec.controlRate = 0.3;
+            const std::uint64_t seed = 11;
+            std::string label(mac::kQdiscKindNames.name(qdisc));
+            label += " ";
+            label += mac::kTrafficKindNames.name(kind);
+            SCOPED_TRACE(label);
+            const std::vector<mac::PacketTrace::Entry> arrivals =
+                arrivalsOf(spec, seed, kSlots);
+
+            mac::TrafficSource src(spec, seed);
+            QueueModel model{qdisc, kLimit, {}, {}, 0};
+            // Restored from a snapshot taken at a depth strictly
+            // between two growth steps; from then on it must track
+            // the source that was never interrupted.
+            std::unique_ptr<mac::TrafficSource> resumed;
+            const CounterRng service(seed * 7919);
+            size_t next = 0;
+            int max_depth = 0;
+            std::uint64_t ctrl_pops = 0;
+            for (std::uint64_t t = 0; t < kSlots; ++t) {
+                src.tick(t);
+                if (resumed)
+                    resumed->tick(t);
+                while (next < arrivals.size() && arrivals[next].slot == t) {
+                    const mac::PacketTrace::Entry &a = arrivals[next++];
+                    model.arrive(mac::Packet{t, a.seq, a.cls});
+                }
+                ASSERT_EQ(src.depth(), model.depth()) << "slot " << t;
+                ASSERT_EQ(src.drops(), model.drops) << "slot " << t;
+                ASSERT_EQ(src.arrivals(), next) << "slot " << t;
+                ASSERT_EQ(src.controlBacklogged(), !model.ctrl.empty());
+                max_depth = std::max(max_depth, src.depth());
+                if (!resumed && model.data.size() > 16 &&
+                    model.data.size() < 32)
+                    resumed = restore(snapshot(src), spec, seed);
+                if (resumed) {
+                    ASSERT_EQ(resumed->depth(), src.depth());
+                    ASSERT_EQ(resumed->drops(), src.drops());
+                    ASSERT_EQ(resumed->arrivals(), src.arrivals());
+                    ASSERT_EQ(resumed->on(), src.on());
+                }
+                if (!src.backlogged() || service.doubleAt(t) >= 0.5)
+                    continue;
+                const mac::Packet want = model.pop();
+                ctrl_pops += want.cls == mac::TrafficClass::Control;
+                expectSamePacket(src.pop(t), want);
+                if (resumed)
+                    expectSamePacket(resumed->pop(t), want);
+            }
+            EXPECT_EQ(next, arrivals.size());
+            EXPECT_EQ(max_depth, kLimit) << "bursts must hit the limit";
+            EXPECT_GT(src.drops(), 0u);
+            EXPECT_GT(ctrl_pops, 0u);
+            EXPECT_NE(resumed, nullptr) << "no depth in (16, 32) to resume at";
+        }
+    }
+}
+
+TEST(Queues, LoadStateRejectsADepthOverTheQueueLimit)
+{
+    mac::TrafficSpec spec = overloadSpec(mac::QdiscKind::Fifo);
+    spec.queueLimit = 12;
+    mac::TrafficSource deep(spec, 3);
+    for (std::uint64_t t = 0; t < 100; ++t)
+        deep.tick(t);
+    ASSERT_EQ(deep.depth(), 12);
+    spec.queueLimit = 11;
+    EXPECT_EXIT(restore(snapshot(deep), spec, 3), testing::ExitedWithCode(1),
+                "traffic queue depth 12 over its 11-packet limit");
 }
 
 // ------------------------------------- class-aware arbitration
