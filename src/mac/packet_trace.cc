@@ -8,6 +8,7 @@
 #include <optional>
 #include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "common/lockstep.hh"
 #include "common/logging.hh"
@@ -22,11 +23,14 @@ const char *const kHeader = "# wilis packet trace v1";
 const char *const kColumns = "# slot cell user class seq event "
                              "arg0 arg1";
 
+/** Longest 32-bit integer column: ten digits and a sign. */
+constexpr size_t kMaxInt = 11;
+
 /**
- * Longest line formatEntry() writes: six integer columns of at most
- * 20 digits and a sign, two names, seven separators and a newline.
+ * Longest line formatEntry() writes: six integer columns, two names,
+ * seven separators and a newline.
  */
-constexpr size_t kMaxLine = 6 * 21 + 2 * 8 + 8;
+constexpr size_t kMaxLine = 6 * kMaxInt + 2 * 8 + 8;
 
 /** Bytes the text writer buffers before handing them to its sink. */
 constexpr size_t kChunk = 64 * 1024;
@@ -48,7 +52,7 @@ constexpr std::uint64_t kMaxSparsity = 4;
 constexpr std::ptrdiff_t kInsertionMax = 32;
 
 using Entry = PacketTrace::Entry;
-static_assert(sizeof(Entry) == 48, "trace entries pack into 48 bytes");
+static_assert(sizeof(Entry) <= 28, "trace entries pack into 28 bytes");
 
 /** Append @p name at @p p; returns the end. */
 char *
@@ -74,7 +78,8 @@ template <class T>
 char *
 putInt(char *p, T v, char sep)
 {
-    p = std::to_chars(p, p + 21, v).ptr;
+    static_assert(sizeof(T) == 4, "trace columns are 32-bit");
+    p = std::to_chars(p, p + kMaxInt, v).ptr;
     *p = sep;
     return p + 1;
 }
@@ -210,6 +215,20 @@ orderTies(Entry *first, Entry *last)
             *j = j[-1];
         *j = e;
     }
+}
+
+/**
+ * @p v, read from a snapshot, narrowed to column type T; a value the
+ * column cannot hold fails @p r naming the column.
+ */
+template <class T, class V>
+T
+snapshotColumn(const SnapshotReader &r, V v, const char *column)
+{
+    if (!std::in_range<T>(v))
+        r.fail(strprintf("trace entry %s %s out of range", column,
+                         std::to_string(v).c_str()));
+    return static_cast<T>(v);
 }
 
 /** A malformed line of a packet trace being loaded. */
@@ -350,8 +369,8 @@ PacketTrace::sortLane(Lane &lane, Entry *out)
     // Wrapping size_t arithmetic: user - user_lo without int32
     // overflow.
     const size_t user_base = static_cast<size_t>(user_lo);
-    std::vector<std::uint64_t> seq_lo(users, UINT64_MAX);
-    std::vector<std::uint64_t> seq_hi(users, 0);
+    std::vector<std::uint32_t> seq_lo(users, UINT32_MAX);
+    std::vector<std::uint32_t> seq_hi(users, 0);
     each([&](const Entry &e) {
         const size_t u = static_cast<size_t>(e.user) - user_base;
         seq_lo[u] = std::min(seq_lo[u], e.seq);
@@ -593,25 +612,26 @@ PacketTrace::loadState(SnapshotReader &r, int cells, int users)
                          static_cast<unsigned long long>(shards),
                          lanes_.size()));
     // Serialized size of one entry: six 8-byte fields and two
-    // one-byte enums.
+    // one-byte enums. The wire keeps 64-bit columns; each narrowed
+    // field is range-checked on the way in.
     constexpr size_t kEntryBytes = 6 * 8 + 2;
     for (size_t shard = 0; shard < lanes_.size(); ++shard) {
         lanes_[shard].clear();
         const std::uint64_t n = r.count(kEntryBytes);
         for (std::uint64_t i = 0; i < n; ++i) {
             Entry e;
-            e.slot = r.u64();
+            e.slot = snapshotColumn<std::uint32_t>(r, r.u64(), "slot");
             e.cell = static_cast<std::int32_t>(
                 r.i64In(0, cells, "trace entry cell"));
             e.user = static_cast<std::int32_t>(
                 r.i64In(0, users, "trace entry user"));
             e.cls = static_cast<TrafficClass>(
                 r.u8Below(kTrafficClassNames.values, "trace entry class"));
-            e.seq = r.u64();
+            e.seq = snapshotColumn<std::uint32_t>(r, r.u64(), "seq");
             e.event = static_cast<PacketEvent>(
                 r.u8Below(kPacketEventNames.values, "trace entry event"));
-            e.arg0 = r.i64();
-            e.arg1 = r.i64();
+            e.arg0 = snapshotColumn<std::int32_t>(r, r.i64(), "arg0");
+            e.arg1 = snapshotColumn<std::int32_t>(r, r.i64(), "arg1");
             record(static_cast<int>(shard), e);
         }
     }

@@ -36,6 +36,7 @@
 #include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -122,19 +123,31 @@ class PacketTrace
 {
   public:
     /**
-     * One traced event. The 64-bit fields come first so an entry
-     * packs into 48 bytes; the constructor takes the fields in
-     * trace-column order.
+     * Slots a traced run may span: below it every slot and every
+     * slot difference an engine writes (queue ages, waits,
+     * latencies) fits its 32-bit column; the other arguments are
+     * small counts and ids. NetworkSim::run() rejects a traced run
+     * of kMaxSlots slots or more before it allocates anything. A
+     * packet seq can still outgrow 32 bits at a high load, so a
+     * traced TrafficSource checks it where it is assigned.
+     */
+    static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 31;
+
+    /**
+     * One traced event: four 32-bit columns, the two ids and two
+     * one-byte enums, 28 bytes in all. The constructor takes the
+     * fields in trace-column order, each at the width an engine
+     * computes it in, and panics on a value its column cannot hold.
      */
     struct Entry {
         /** Slot timestamp. */
-        std::uint64_t slot = 0;
+        std::uint32_t slot = 0;
         /** Per-user packet sequence number (arrival order). */
-        std::uint64_t seq = 0;
+        std::uint32_t seq = 0;
         /** Event-specific argument (see PacketEvent). */
-        std::int64_t arg0 = 0;
+        std::int32_t arg0 = 0;
         /** Event-specific argument (see PacketEvent). */
-        std::int64_t arg1 = 0;
+        std::int32_t arg1 = 0;
         /** Serving cell (0 in single-cell runs). */
         std::int32_t cell = 0;
         /** Global user id. */
@@ -152,12 +165,26 @@ class PacketTrace
               std::int32_t user_, TrafficClass cls_,
               std::uint64_t seq_, PacketEvent event_,
               std::int64_t arg0_, std::int64_t arg1_)
-            : slot(slot_), seq(seq_), arg0(arg0_), arg1(arg1_),
-              cell(cell_), user(user_), cls(cls_), event(event_)
+            : slot(column<std::uint32_t>(slot_, "slot")),
+              seq(column<std::uint32_t>(seq_, "seq")),
+              arg0(column<std::int32_t>(arg0_, "arg0")),
+              arg1(column<std::int32_t>(arg1_, "arg1")), cell(cell_),
+              user(user_), cls(cls_), event(event_)
         {}
 
         /** Field-wise equality. */
         bool operator==(const Entry &other) const = default;
+
+      private:
+        /** @p v narrowed to column type T (panics if it does not fit). */
+        template <class T, class V>
+        static T
+        column(V v, const char *name)
+        {
+            wilis_assert(std::in_range<T>(v), "trace %s %s out of range",
+                         name, std::to_string(v).c_str());
+            return static_cast<T>(v);
+        }
     };
 
     /** Build a trace with @p shards race-free recording lanes. */
@@ -252,8 +279,13 @@ class PacketTrace
      * before finalize().
      */
     struct Lane {
-        /** Entries per block (192 KiB). */
-        static constexpr size_t kBlock = 4096;
+        /**
+         * Entries per block: 192 KiB, above glibc's initial 128 KiB
+         * mmap threshold, so a block freed in finalize() goes back
+         * to the OS at once. Blocks below it stay in the heap and
+         * raise a traced run's peak RSS.
+         */
+        static constexpr size_t kBlock = (192 << 10) / sizeof(Entry);
 
         std::vector<EntryBuf> blocks;
         /** Next free entry of the last block. */

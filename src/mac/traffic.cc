@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "mac/packet_trace.hh"
 
@@ -124,11 +125,22 @@ TrafficSource::flush(std::uint64_t now)
     return flushed;
 }
 
+std::uint64_t
+TrafficSource::nextSeq()
+{
+    wilis_fatal_if(trace_ && pktSeq_ > UINT32_MAX,
+                   "packet trace: user %d's packet seq would pass "
+                   "2^32-1, the trace's 32-bit seq column; lower "
+                   "traffic_load/control_rate or slots",
+                   traceUser_);
+    return pktSeq_++;
+}
+
 void
 TrafficSource::push(TrafficClass cls, std::uint64_t arrival_slot)
 {
     ++arrivals_;
-    const Packet p{arrival_slot, pktSeq_++, cls};
+    const Packet p{arrival_slot, nextSeq(), cls};
     if (ctrl_.depth + data_.depth >= spec_.queueLimit) {
         if (spec_.qdisc == QdiscKind::DropHead) {
             evictOldest(arrival_slot);
@@ -215,7 +227,7 @@ saveRing(SnapshotWriter &w, int depth, int head,
  */
 void
 loadRing(SnapshotReader &r, int &depth, int &head,
-         std::vector<Packet> &slots, int limit)
+         std::vector<Packet> &slots, int limit, bool traced)
 {
     const std::uint64_t n = r.u64();
     if (n > static_cast<std::uint64_t>(limit))
@@ -230,6 +242,14 @@ loadRing(SnapshotReader &r, int &depth, int &head,
         p.seq = r.u64();
         p.cls = static_cast<TrafficClass>(
             r.u8Below(kTrafficClassNames.values, "packet class"));
+        // A traced packet's seq, age and wait go into 32-bit trace
+        // columns.
+        if (traced && (p.seq > UINT32_MAX ||
+                       p.arrival >= PacketTrace::kMaxSlots))
+            r.fail(strprintf("traced packet seq %llu, arrival %llu past "
+                             "the packet trace's 32-bit columns",
+                             static_cast<unsigned long long>(p.seq),
+                             static_cast<unsigned long long>(p.arrival)));
     }
 }
 
@@ -254,9 +274,10 @@ TrafficSource::loadState(SnapshotReader &r)
     on_ = r.u8Below(2, "traffic on/off flag") != 0;
     const int limit = spec_.queueLimit;
     loadRing(r, ctrl_.depth, ctrl_.head, ctrl_.slots,
-             spec_.controlRate > 0.0 ? limit : 0);
+             spec_.controlRate > 0.0 ? limit : 0, trace_ != nullptr);
     loadRing(r, data_.depth, data_.head, data_.slots,
-             spec_.kind != TrafficKind::FullBuffer ? limit : 0);
+             spec_.kind != TrafficKind::FullBuffer ? limit : 0,
+             trace_ != nullptr);
     arrivals_ = r.u64();
     drops_ = r.u64();
     pktSeq_ = r.u64();
@@ -274,7 +295,7 @@ TrafficSource::pop(std::uint64_t now)
             return ctrl_.popFront();
     }
     if (spec_.kind == TrafficKind::FullBuffer)
-        return Packet{now, pktSeq_++, TrafficClass::Data};
+        return Packet{now, nextSeq(), TrafficClass::Data};
     wilis_assert(data_.depth > 0,
                  "pop() from an empty traffic queue");
     return data_.popFront();

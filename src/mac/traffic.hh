@@ -229,7 +229,11 @@ class TrafficSource
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restore state written by saveState() (same spec and seed). */
+    /**
+     * Restore state written by saveState() (same spec and seed). A
+     * source bound to a trace first also rejects a queued packet
+     * whose seq or arrival slot its trace columns cannot hold.
+     */
     void loadState(SnapshotReader &r);
 
   private:
@@ -274,6 +278,11 @@ class TrafficSource
                            double exp_neg_mean);
 
     void push(TrafficClass cls, std::uint64_t arrival_slot);
+    /**
+     * Take the next packet seq; fatal on a traced source once it
+     * would pass the trace's 32-bit seq column.
+     */
+    std::uint64_t nextSeq();
     void evictOldest(std::uint64_t now);
     /** @p reason is the QueueDrop arg0 code (see PacketEvent). */
     void traceDrop(const Packet &p, std::uint64_t now,

@@ -164,10 +164,13 @@ recordTx(TraceCtx &tc, std::uint64_t t, std::uint64_t seq, bool ok,
 /**
  * Record one ARQ delivery into the user's statistics, emitting the
  * trace's Ack/Expire event when @p tc has a bound trace (@p now is
- * the delivery slot). @p post_ho routes a successful delivery's
- * payload into the post-first-handover goodput accumulator instead
- * of the pre-handover one (mobility runs only; the totals always
- * land in goodputBits).
+ * the delivery slot); a traced in-order delivery also adds its
+ * end-to-end latency, arrival to delivery, to e2eLatencyHist (the
+ * packet's arrival slot is known only to the trace context).
+ * @p post_ho routes a successful delivery's payload into the
+ * post-first-handover goodput accumulator instead of the
+ * pre-handover one (mobility runs only; the totals always land in
+ * goodputBits).
  */
 inline void
 recordDelivery(UserStats &st, const mac::Arq::Delivery &d,
@@ -177,14 +180,16 @@ recordDelivery(UserStats &st, const mac::Arq::Delivery &d,
     st.attemptsHist.add(static_cast<double>(d.attempts));
     if (tc.trace) {
         const PktRef &r = tc.ref(d.seq);
+        const std::uint64_t e2e = now - r.arrival;
         tc.trace->record(
             tc.shard,
             mac::PacketTrace::Entry{
                 now, tc.cell, tc.user, r.cls, r.pkt,
                 d.dropped ? mac::PacketEvent::Expire
                           : mac::PacketEvent::Ack,
-                d.attempts,
-                static_cast<std::int64_t>(now - r.arrival)});
+                d.attempts, static_cast<std::int64_t>(e2e)});
+        if (!d.dropped)
+            st.e2eLatencyHist.add(static_cast<double>(e2e));
     }
     if (d.dropped) {
         ++st.dropped;

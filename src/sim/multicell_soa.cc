@@ -229,8 +229,12 @@ struct SoaState {
 // slot); the mobility runtime if enabled; the packet trace if
 // tracing.
 
-/** Payload version of the multi-cell checkpoint format. */
-constexpr std::uint32_t kMcCheckpointVersion = 1;
+/**
+ * Payload version of the multi-cell checkpoint format. Version 2: a
+ * traced run's UserStats carry the end-to-end latency histogram
+ * accumulated so far, which a version-1 snapshot lacks.
+ */
+constexpr std::uint32_t kMcCheckpointVersion = 2;
 
 /** Serialize one RunningStats by raw accumulator state (exact). */
 void
@@ -357,9 +361,14 @@ loadTraceCtx(SnapshotReader &r, detail::TraceCtx &tc, int cells)
                          "of %zu",
                          static_cast<unsigned long long>(n),
                          tc.ring.size()));
+    // The seq and arrival feed 32-bit trace columns.
+    const auto max_slots =
+        static_cast<std::int64_t>(mac::PacketTrace::kMaxSlots);
     for (detail::PktRef &p : tc.ring) {
-        p.pkt = r.u64();
-        p.arrival = r.u64();
+        p.pkt = static_cast<std::uint64_t>(
+            r.i64In(0, std::int64_t{1} << 32, "trace ring packet seq"));
+        p.arrival = static_cast<std::uint64_t>(
+            r.i64In(0, max_slots, "trace ring packet arrival"));
         p.cls = static_cast<mac::TrafficClass>(
             r.u8Below(mac::kTrafficClassNames.values, "packet class"));
     }
@@ -1181,14 +1190,6 @@ runMulticellSoa(
 
     if (trace) {
         trace->finalize(n);
-        // End-to-end latency (arrival -> in-order delivery) from
-        // the Ack events, in canonical trace order.
-        for (const mac::PacketTrace::Entry &e : trace->entries()) {
-            if (e.event == mac::PacketEvent::Ack)
-                stats[static_cast<size_t>(
-                          cache.soaOf[static_cast<size_t>(e.user)])]
-                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
-        }
         res.trace = trace;
     }
 

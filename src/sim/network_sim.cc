@@ -194,6 +194,11 @@ NetworkSim::userSeeds(int user) const
 NetworkResult
 NetworkSim::run(std::uint64_t slots, int threads)
 {
+    // Both engines record 32-bit slots into the trace.
+    wilis_fatal_if(spec_.trace && slots >= mac::PacketTrace::kMaxSlots,
+                   "trace=true records 32-bit slots: slots=%llu must "
+                   "be below 2^31 for a traced run",
+                   static_cast<unsigned long long>(slots));
     if (spec_.multicell())
         return runMulticellSoa(spec_, *topo, estimator, calib, slots,
                                threads, soaCache);
@@ -347,13 +352,6 @@ NetworkSim::run(std::uint64_t slots, int threads)
 
     if (trace) {
         trace->finalize(team.size());
-        // End-to-end latency from the Ack events, in canonical
-        // trace order.
-        for (const mac::PacketTrace::Entry &e : trace->entries()) {
-            if (e.event == mac::PacketEvent::Ack)
-                res.users[static_cast<size_t>(e.user)]
-                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
-        }
         res.trace = trace;
     }
 

@@ -129,8 +129,8 @@ struct UserStats {
     Histogram queueWaitHist{kWaitBins, 2.0};
     /**
      * End-to-end latency distribution (arrival -> in-order
-     * delivery), derived from the packet event trace; filled only
-     * when NetworkSpec::trace is on.
+     * delivery), added at each delivery the packet trace records;
+     * filled only when NetworkSpec::trace is on.
      */
     Histogram e2eLatencyHist{kWaitBins, 2.0};
 
@@ -326,7 +326,9 @@ class NetworkSim
     const Topology *topology() const { return topo.get(); }
 
     /**
-     * Simulate @p slots frame slots for every user.
+     * Simulate @p slots frame slots for every user. A traced run
+     * (NetworkSpec::trace) of mac::PacketTrace::kMaxSlots slots or
+     * more is fatal, before the run allocates anything.
      * @param threads Worker threads (0 = hardware concurrency,
      *                clamped to the user count).
      */

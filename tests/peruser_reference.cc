@@ -503,9 +503,13 @@ runPerUserReference(const NetworkSim &sim, std::uint64_t slots)
     }
 
     // End-to-end latency (arrival -> in-order delivery) is derived
-    // from the finalized trace's Ack events.
+    // from the finalized trace's Ack events, replacing what
+    // recordDelivery() added at each delivery: the engines keep
+    // only the latter, so the oracle tests cross-check the two.
     if (trace) {
         trace->finalize();
+        for (McUser &u : users)
+            u.stats.e2eLatencyHist = UserStats().e2eLatencyHist;
         for (const auto &e : trace->entries()) {
             if (e.event == mac::PacketEvent::Ack)
                 users[static_cast<size_t>(e.user)]

@@ -19,6 +19,7 @@
 #include "common/frame_arena.hh"
 #include "common/random.hh"
 #include "mac/arq.hh"
+#include "mac/packet_trace.hh"
 #include "mac/scheduler.hh"
 #include "sim/network_sim.hh"
 #include "sim/scenario.hh"
@@ -361,4 +362,41 @@ TEST(HotPathAllocations, PfMulticellRunAllocatesPerUserPlusMemo)
     ASSERT_GT(res.aggregate.framesSent, 0u);
     EXPECT_LT(bytes, per_user * users + slots * cells * 16)
         << bytes / users << " bytes per user";
+}
+
+TEST(HotPathAllocations, TracedMobileRunAllocatesTwoEntriesPerEvent)
+{
+    // A traced run holds each event twice: in its cell's recording
+    // lane, then in the finalized array. At 28 bytes an entry that
+    // is 56 bytes per event, on top of the untraced run's budget (a
+    // fixed amount per user plus the |h|^2 memo, 16 bytes per slot
+    // and cell) and 384 KiB per cell for a part-filled 192 KiB
+    // recording block and the finalize() sort's bucket counts.
+    // About 29.5 MB for 414k events here; 48-byte entries allocate
+    // 46.4 MB and fail it.
+    sim::NetworkSpec spec = sim::networkPreset("urban-mobile");
+    spec.calibrationFile =
+        std::string(WILIS_SOURCE_DIR) + "/data/network_calibration.txt";
+    spec.trace = true;
+    const std::uint64_t slots = 10000;
+    const std::uint64_t entry_bytes = 28;
+    const std::uint64_t per_user = 8192;
+    const std::uint64_t per_cell = 384 << 10;
+    sim::NetworkSim sim(spec); // construction is not the run's
+    const std::uint64_t users =
+        static_cast<std::uint64_t>(sim.topology()->numUsers());
+    const std::uint64_t cells =
+        static_cast<std::uint64_t>(sim.topology()->numCells());
+    const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+    const sim::NetworkResult res = sim.run(slots, 1);
+    const std::uint64_t bytes =
+        g_new_bytes.load(std::memory_order_relaxed) - before;
+    ASSERT_NE(res.trace, nullptr);
+    const std::uint64_t events = res.trace->entries().size();
+    ASSERT_GT(events, 100000u);
+    const std::uint64_t trace_bytes = 2 * entry_bytes * events;
+    const std::uint64_t fixed_bytes =
+        per_user * users + slots * cells * 16 + per_cell * cells;
+    EXPECT_LT(bytes, trace_bytes + fixed_bytes)
+        << bytes << " bytes for " << events << " events";
 }

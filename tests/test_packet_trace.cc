@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -31,6 +32,7 @@
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "mac/packet_trace.hh"
 #include "peruser_reference.hh"
 #include "scoped_backend.hh"
@@ -155,15 +157,15 @@ randomEntries(std::uint64_t seed, size_t n)
         return static_cast<std::int64_t>(rng.at(k++) % range);
     };
     for (mac::PacketTrace::Entry &e : out) {
-        e.slot = static_cast<std::uint64_t>(draw(6));
+        e.slot = static_cast<std::uint32_t>(draw(6));
         e.cell = static_cast<std::int32_t>(draw(3));
         e.user = static_cast<std::int32_t>(draw(5));
         e.cls = draw(2) ? mac::TrafficClass::Data
                         : mac::TrafficClass::Control;
-        e.seq = static_cast<std::uint64_t>(draw(4));
+        e.seq = static_cast<std::uint32_t>(draw(4));
         e.event = static_cast<mac::PacketEvent>(draw(9));
-        e.arg0 = draw(5) - 2;
-        e.arg1 = draw(4);
+        e.arg0 = static_cast<std::int32_t>(draw(5) - 2);
+        e.arg1 = static_cast<std::int32_t>(draw(4));
     }
     return out;
 }
@@ -443,11 +445,11 @@ TEST(PacketTrace, FinalizeEqualsOneSortForAnyShardingAndThreads)
     const Entry grant(8, 1, 4, mac::TrafficClass::Data, 0,
                       mac::PacketEvent::Grant, 1, 1);
     cases.push_back({"ho before enq", {ho, enq, grant}, 2, by_cell});
-    // A user whose seqs are 0 and UINT64_MAX spans too many keys to
+    // A user whose seqs are 0 and UINT32_MAX spans too many keys to
     // count (the comparison-sort path); the same lane with seqs
     // just inside the 4x-entries bound is counted.
     Entry hi = grant;
-    hi.seq = UINT64_MAX;
+    hi.seq = UINT32_MAX;
     cases.push_back({"seqs 0 and max", {ho, hi, enq, grant}, 2,
                      by_cell});
     hi.seq = 15;
@@ -553,18 +555,19 @@ TEST(PacketTrace, LoadAcceptsEveryColumnsFullRange)
     const std::string path = writeTemp(
         "wilis_trace_range.txt",
         "# wilis packet trace v1\n"
-        "18446744073709551615 2147483647 0 ctrl 18446744073709551615 "
-        "leave -9223372036854775808 9223372036854775807\n"
+        "4294967295 2147483647 0 ctrl 4294967295 "
+        "leave -2147483648 2147483647\n"
         "0\t0  0 data 0 enq -1 0\r\n");
     const mac::PacketTrace t = mac::PacketTrace::load(path);
     ASSERT_EQ(t.entries().size(), 2u);
     const mac::PacketTrace::Entry &e = t.entries()[1];
-    EXPECT_EQ(e.slot, 18446744073709551615ULL);
-    EXPECT_EQ(e.cell, 2147483647);
+    EXPECT_EQ(e.slot, UINT32_MAX);
+    EXPECT_EQ(e.cell, INT32_MAX);
     EXPECT_EQ(e.cls, mac::TrafficClass::Control);
+    EXPECT_EQ(e.seq, UINT32_MAX);
     EXPECT_EQ(e.event, mac::PacketEvent::Leave);
-    EXPECT_EQ(e.arg0, INT64_MIN);
-    EXPECT_EQ(e.arg1, INT64_MAX);
+    EXPECT_EQ(e.arg0, INT32_MIN);
+    EXPECT_EQ(e.arg1, INT32_MAX);
     EXPECT_EQ(t.entries()[0].arg0, -1);
     std::remove(path.c_str());
 }
@@ -581,10 +584,18 @@ TEST(PacketTrace, LoadRejectsMalformedLinesWithPathAndLine)
          "seq '99999999999999999999999' is out of range"},
         {"18446744073709551616 0 0 data 0 grant 1 0",
          "slot '18446744073709551616' is out of range"},
+        {"4294967296 0 0 data 0 grant 1 0",
+         "slot '4294967296' is out of range"},
+        {"0 0 0 data 4294967296 grant 1 0",
+         "seq '4294967296' is out of range"},
         {"0 2147483648 0 data 0 grant 1 0",
          "cell '2147483648' is out of range"},
         {"0 0 0 data 0 grant 9223372036854775808 0",
          "arg0 '9223372036854775808' is out of range"},
+        {"0 0 0 data 0 grant 2147483648 0",
+         "arg0 '2147483648' is out of range"},
+        {"0 0 0 data 0 grant 1 -2147483649",
+         "arg1 '-2147483649' is out of range"},
         {"0 -1 0 data 0 grant 1 0", "cell id is negative"},
         {"0 0 -3 data 0 grant 1 0", "user id is negative"},
         {"-1 0 0 data 0 grant 1 0", "slot '-1' is not an integer"},
@@ -613,6 +624,56 @@ TEST(PacketTrace, LoadRejectsMalformedLinesWithPathAndLine)
                 "wilis_trace_bad.txt:1: packet trace has version "
                 "header");
     std::remove(path.c_str());
+}
+
+TEST(PacketTrace, LoadStateRejectsOutOfRangeColumns)
+{
+    // A one-entry snapshot in saveState()'s layout: the wire keeps
+    // 64-bit columns, the 32-bit entry takes only what fits.
+    const auto snapshot = [](std::uint64_t slot, std::uint64_t seq,
+                             std::int64_t arg0, std::int64_t arg1) {
+        SnapshotWriter w(1, "trace");
+        w.marker(0x43415254);
+        w.u64(1);
+        w.u64(1);
+        w.u64(slot);
+        w.i64(1);
+        w.i64(2);
+        w.u8(static_cast<std::uint8_t>(mac::TrafficClass::Data));
+        w.u64(seq);
+        w.u8(static_cast<std::uint8_t>(mac::PacketEvent::Ack));
+        w.i64(arg0);
+        w.i64(arg1);
+        return w.bytes();
+    };
+    const auto restore = [](const std::string &bytes) {
+        SnapshotReader r = SnapshotReader::fromBytes(bytes, 1, "trace");
+        mac::PacketTrace t(1);
+        t.loadState(r, 2, 3);
+        r.done();
+        t.finalize();
+        return t;
+    };
+    const mac::PacketTrace t =
+        restore(snapshot(UINT32_MAX, UINT32_MAX, INT32_MIN, INT32_MAX));
+    ASSERT_EQ(t.entries().size(), 1u);
+    const mac::PacketTrace::Entry want(UINT32_MAX, 1, 2,
+                                       mac::TrafficClass::Data, UINT32_MAX,
+                                       mac::PacketEvent::Ack, INT32_MIN,
+                                       INT32_MAX);
+    EXPECT_TRUE(t.entries()[0] == want);
+
+    const std::uint64_t past = std::uint64_t{UINT32_MAX} + 1;
+    EXPECT_EXIT(restore(snapshot(past, 0, 0, 0)), testing::ExitedWithCode(1),
+                "trace entry slot 4294967296 out of range");
+    EXPECT_EXIT(restore(snapshot(0, past, 0, 0)), testing::ExitedWithCode(1),
+                "trace entry seq 4294967296 out of range");
+    EXPECT_EXIT(restore(snapshot(0, 0, std::int64_t{INT32_MAX} + 1, 0)),
+                testing::ExitedWithCode(1),
+                "trace entry arg0 2147483648 out of range");
+    EXPECT_EXIT(restore(snapshot(0, 0, 0, std::int64_t{INT32_MIN} - 1)),
+                testing::ExitedWithCode(1),
+                "trace entry arg1 -2147483649 out of range");
 }
 
 TEST(PacketTrace, DiffLocalizesTheFirstDivergence)

@@ -433,6 +433,54 @@ TEST(Queues, LoadStateRejectsADepthOverTheQueueLimit)
                 "traffic queue depth 12 over its 11-packet limit");
 }
 
+TEST(Queues, TracedSeqPastThe32BitColumnIsFatal)
+{
+    // A source restored at seq 2^32-1, the last value the trace's
+    // seq column holds (saveState() writes the next seq last, as a
+    // little-endian u64): that packet still records, the one after
+    // it is fatal -- but only when a trace is bound.
+    const mac::TrafficSpec spec = overloadSpec(mac::QdiscKind::Fifo);
+    std::string bytes = snapshot(mac::TrafficSource(spec, 3));
+    for (size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] =
+            static_cast<char>((std::uint64_t{UINT32_MAX} >> (8 * i)) & 0xFF);
+    const auto arrive_twice = [&](bool traced) {
+        const std::unique_ptr<mac::TrafficSource> src =
+            restore(bytes, spec, 3);
+        mac::PacketTrace trace(1);
+        if (traced)
+            src->bindTrace(&trace, 0, 0, 7);
+        for (std::uint64_t t = 0; src->arrivals() < 2; ++t)
+            src->tick(t);
+    };
+    arrive_twice(false);
+    EXPECT_EXIT(arrive_twice(true), testing::ExitedWithCode(1),
+                "user 7's packet seq would pass 2\\^32-1");
+}
+
+TEST(Queues, LoadStateRejectsATracedPacketPastTheTraceColumns)
+{
+    // A packet queued at slot 2^31 is legal state for an untraced
+    // source, but a traced one would record its age or wait into a
+    // 32-bit column: restoring it into a traced source is fatal.
+    const mac::TrafficSpec spec = overloadSpec(mac::QdiscKind::Fifo);
+    mac::TrafficSource late(spec, 3);
+    std::uint64_t t = mac::PacketTrace::kMaxSlots;
+    while (late.depth() == 0)
+        late.tick(t++);
+    const std::string bytes = snapshot(late);
+    EXPECT_EQ(restore(bytes, spec, 3)->depth(), late.depth());
+    const auto restore_traced = [&] {
+        SnapshotReader r = SnapshotReader::fromBytes(bytes, 1, "queues");
+        mac::PacketTrace trace(1);
+        mac::TrafficSource src(spec, 3);
+        src.bindTrace(&trace, 0, 0, 7);
+        src.loadState(r);
+    };
+    EXPECT_EXIT(restore_traced(), testing::ExitedWithCode(1),
+                "traced packet .*arrival 2147483648");
+}
+
 // ------------------------------------- class-aware arbitration
 
 TEST(Queues, SchedulerUrgentMaskRestrictsRoundRobinAndPf)
